@@ -160,6 +160,9 @@ class _DeadANN:
     def search(self, *args, **kwargs):
         raise RuntimeError("ann shard offline")
 
+    def memory_report(self) -> dict:
+        return {"kind": self.kind, "tiers": {"hot": 0, "cold": 0}}
+
 
 def drill_ann_fallback_parity(experiment: Experiment) -> None:
     exact = experiment.service(default_k=10)

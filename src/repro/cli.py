@@ -32,7 +32,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from .data.registry import available_datasets
 from .experiments import PAPER_HPARAMS
-from .experiments.artifacts import ANN_DIRNAME, ANN_FILENAME, INDEX_FILENAME, Experiment
+from .experiments.artifacts import ANN_KINDS, INDEX_FILENAME, Experiment, build_ann, stage_ann
 from .experiments.registry import (
     available_models,
     model_display_name,
@@ -337,36 +337,17 @@ def cmd_export(args: argparse.Namespace) -> int:
         f"{index.memory_bytes() / 1e3:.0f} kB -> {path}"
     )
     if args.ann or args.ann_kind is not None or args.memory_ceiling is not None:
-        from .serving.ann import build_ivf, build_pq
-
-        kind = args.ann_kind or "ivf"
-        if args.memory_ceiling is not None and kind == "pq":
+        if args.memory_ceiling is not None and args.ann_kind == "pq":
             print(
                 "--memory-ceiling needs an IVF kind (the tiered layout pages "
                 "IVF lists); use --ann-kind ivf or ivf-pq",
                 file=sys.stderr,
             )
             return 1
-        if kind == "pq":
-            ann = build_pq(index)
-            ann_path = ann.save(os.path.join(args.artifacts, ANN_FILENAME))
-        else:
-            ann = build_ivf(
-                index,
-                n_lists=args.ann_lists,
-                nprobe=args.ann_nprobe,
-                pq=(kind == "ivf-pq"),
-            )
-            if args.memory_ceiling is not None:
-                # Tiered serving attaches to an include_items dir archive
-                # (mmap-able per-array .npy files), not the compact npz.
-                ann_path = ann.save(
-                    os.path.join(args.artifacts, ANN_DIRNAME),
-                    format="dir",
-                    include_items=True,
-                )
-            else:
-                ann_path = ann.save(os.path.join(args.artifacts, ANN_FILENAME))
+        ann = build_ann(
+            index, args.ann_kind, n_lists=args.ann_lists, nprobe=args.ann_nprobe
+        )
+        ann_path = stage_ann(ann, args.artifacts, tiered=args.memory_ceiling is not None)
         report = ann.memory_report()
         tier_note = (
             f", ceiling {args.memory_ceiling / 1e6:.0f} MB (tiered dir archive)"
@@ -875,7 +856,7 @@ def _add_ann_build_flags(parser: argparse.ArgumentParser) -> None:
         help="default lists probed per query (default: 1/8 of the lists)",
     )
     parser.add_argument(
-        "--ann-kind", choices=("ivf", "ivf-pq", "pq"), default=None,
+        "--ann-kind", choices=ANN_KINDS, default=None,
         help="index family: exact-fine IVF (default), IVF with "
         "product-quantized ADC candidates + exact re-rank, or a "
         "standalone full-scan PQ index",

@@ -31,6 +31,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from ..eval.ranking import topk_rankings
+from ..serving.ann import TieredIndexConfig, build_ivf, build_pq, load_ann
 from ..serving.export import ExportError, export_index
 from ..serving.index import EmbeddingIndex
 from ..serving.service import RecommenderService
@@ -51,6 +52,9 @@ OBS_FILENAME = "observability.json"
 #: bump when the directory layout changes incompatibly
 ARTIFACT_FORMAT_VERSION = 1
 
+#: index families ``repro export --ann-kind`` builds
+ANN_KINDS = ("ivf", "ivf-pq", "pq")
+
 
 def _write_json(path: str, payload: Dict) -> str:
     with open(path, "w") as handle:
@@ -62,6 +66,58 @@ def _write_json(path: str, payload: Dict) -> str:
 def _read_json(path: str) -> Dict:
     with open(path) as handle:
         return json.load(handle)
+
+
+def build_ann(
+    index: EmbeddingIndex,
+    kind: Optional[str] = None,
+    n_lists: Optional[int] = None,
+    nprobe: Optional[int] = None,
+    seed: int = 0,
+    quantize: bool = True,
+    pq_subspace_dim: int = 4,
+    pq_rotation: bool = False,
+    train_sample: Optional[int] = None,
+):
+    """Build a fresh ANN index of ``kind`` (default ``ivf``) over ``index``.
+
+    ``n_lists`` / ``nprobe`` / ``quantize`` only shape the IVF kinds; a
+    standalone ``pq`` index has no lists to size.
+    """
+    if kind is not None and kind not in ANN_KINDS:
+        raise ValueError(f"kind must be one of {ANN_KINDS}, got {kind!r}")
+    if kind == "pq":
+        return build_pq(
+            index,
+            subspace_dim=pq_subspace_dim,
+            rotation=pq_rotation,
+            seed=seed,
+            train_sample=train_sample,
+        )
+    return build_ivf(
+        index,
+        n_lists=n_lists,
+        nprobe=nprobe,
+        seed=seed,
+        quantize=quantize,
+        pq=(kind == "ivf-pq"),
+        pq_subspace_dim=pq_subspace_dim,
+        pq_rotation=pq_rotation,
+        train_sample=train_sample,
+    )
+
+
+def stage_ann(ann, artifacts_dir: str, tiered: bool = False) -> str:
+    """Write ``ann`` where :meth:`Experiment.ann_index` looks for it.
+
+    Tiered serving pages a dir archive that carries the permuted item
+    payload (``ann/``); everything else gets the compact ``ann.npz``.
+    """
+    if tiered:
+        return ann.save(
+            os.path.join(artifacts_dir, ANN_DIRNAME), format="dir", include_items=True
+        )
+    return ann.save(os.path.join(artifacts_dir, ANN_FILENAME))
 
 
 class Experiment:
@@ -148,21 +204,9 @@ class Experiment:
         (``repro export --ann-kind ... --memory-ceiling``), which is then
         mmap-opened with only the hottest lists resident.
         """
-        from ..serving.ann import (  # deferred: keeps import light
-            IVFIndex,
-            PQIndex,
-            TieredIndexConfig,
-            TieredIVFIndex,
-            build_ivf,
-            build_pq,
-        )
-        from ..serving.ann.ivf import IVF_KIND
-        from ..serving.ann.pq import PQ_KIND
-        from ..train import persistence
-
-        if kind is not None and kind not in ("ivf", "ivf-pq", "pq"):
-            raise ValueError(f"kind must be 'ivf', 'ivf-pq' or 'pq', got {kind!r}")
         tiered = memory_ceiling_bytes is not None or hot_fraction is not None
+        if tiered and kind == "pq":
+            raise ValueError("the tiered layout pages IVF lists; use kind 'ivf' or 'ivf-pq'")
         config = (
             TieredIndexConfig(
                 hot_fraction=hot_fraction, memory_ceiling_bytes=memory_ceiling_bytes
@@ -172,47 +216,28 @@ class Experiment:
         )
 
         if self.artifacts_dir is not None:
-            for name in (ANN_DIRNAME, ANN_FILENAME):
+            # Only the staged dir archive can back a cold tier.
+            for name in (ANN_DIRNAME,) if tiered else (ANN_DIRNAME, ANN_FILENAME):
                 path = os.path.join(self.artifacts_dir, name)
                 if not os.path.exists(path):
                     continue
-                metadata = persistence.read_archive_metadata(path)
-                archive_kind = persistence.archive_kind(metadata)
-                if archive_kind == PQ_KIND:
-                    if kind not in (None, "pq") or tiered:
-                        continue  # a different kind was requested: rebuild
-                    return PQIndex.load(path, self.index)
-                if archive_kind != IVF_KIND:
-                    continue
-                saved_kind = "ivf-pq" if metadata.get("pq") is not None else "ivf"
-                if kind is not None and kind != saved_kind:
-                    continue
-                if tiered:
-                    if not metadata.get("include_items"):
-                        continue  # payload-less archive cannot back a cold tier
-                    saved = TieredIVFIndex.load(path, self.index, config)
-                else:
-                    saved = IVFIndex.load(path, self.index)
+                saved = load_ann(path, self.index, mmap=tiered, tiered=config)
+                if kind not in (None, saved.kind.removeprefix("tiered-")):
+                    continue  # a different kind was requested: rebuild
+                if not hasattr(saved, "n_lists"):
+                    return saved  # full-scan kinds have no layout knobs to honour
                 if n_lists is None or int(n_lists) == saved.n_lists:
                     if nprobe is not None:
                         saved.nprobe = max(1, min(int(nprobe), saved.n_lists))
                     return saved
 
-        if kind == "pq":
-            return build_pq(
-                self.index,
-                subspace_dim=pq_subspace_dim,
-                rotation=pq_rotation,
-                seed=seed,
-                train_sample=train_sample,
-            )
-        ann = build_ivf(
+        ann = build_ann(
             self.index,
+            kind,
             n_lists=n_lists,
             nprobe=nprobe,
             seed=seed,
             quantize=quantize,
-            pq=(kind == "ivf-pq"),
             pq_subspace_dim=pq_subspace_dim,
             pq_rotation=pq_rotation,
             train_sample=train_sample,
@@ -227,9 +252,8 @@ class Experiment:
                 "the mmap archive in (save the experiment first, or use "
                 "`repro export --ann-kind ... --memory-ceiling`)"
             )
-        path = os.path.join(self.artifacts_dir, ANN_DIRNAME)
-        ann.save(path, format="dir", include_items=True)
-        return TieredIVFIndex.load(path, self.index, config)
+        path = stage_ann(ann, self.artifacts_dir, tiered=True)
+        return load_ann(path, self.index, mmap=True, tiered=config)
 
     def topk(
         self, users: Sequence[int], k: int = 10, exclude_train: bool = True,

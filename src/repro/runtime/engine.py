@@ -422,9 +422,7 @@ class BulkRecommendations:
         from ..train import persistence  # deferred: train imports eval imports runtime
 
         metadata = persistence.read_archive_metadata(path)
-        kind = persistence.archive_kind(metadata)
-        if kind != BULK_KIND:
-            raise ValueError(f"{path} holds a {kind!r} artifact, not bulk recommendations")
+        persistence.check_header(path, metadata, BULK_KIND, "bulk recommendations")
         arrays = persistence.read_archive_arrays(path)
         return cls(
             users=arrays["users"],

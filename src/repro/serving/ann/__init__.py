@@ -24,6 +24,9 @@ ladder:
   resident in RAM and everything else OS-paged under an explicit memory
   ceiling: the 1M+ item layout.
 
+Every kind saves through one archive codec (:mod:`.archive`);
+:func:`load_ann` re-attaches whatever kind a path holds.
+
 Quickstart::
 
     from repro.serving import RecommenderService, export_index
@@ -41,6 +44,7 @@ operating point at recall@50 >= 0.95, recall@10 per arm, the declared
 memory ceiling, and fails on speed regressions.
 """
 
+from .archive import load_ann
 from .ivf import IVFIndex, build_ivf, combined_item_vectors, default_n_lists, default_nprobe
 from .kmeans import assign_labels, kmeans
 from .pq import (
@@ -61,6 +65,7 @@ from .quantize import (
 from .tiered import TieredIndexConfig, TieredIVFIndex
 
 __all__ = [
+    "load_ann",
     "IVFIndex",
     "build_ivf",
     "combined_item_vectors",

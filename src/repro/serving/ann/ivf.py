@@ -50,23 +50,10 @@ from ...core.base import ScoreBranch, branches_dtype, score_branches
 from ...data.dataset import expand_csr_rows
 from ...eval.topk import NEG_INF, partition_topk_rows, topk_pairs_rows
 from ...obs.trace import maybe_span
-from ...train import persistence
+from .base import AnnIndex
 from .kmeans import assign_labels, kmeans
-from .pq import (
-    PQBranch,
-    PQIndex,
-    build_pq_branch,
-    score_candidates_exact,
-    score_pq_block,
-)
-from .quantize import QuantizedBranch, QuantizedIndex, score_quantized_block
-
-IVF_KIND = "ivf_index"
-
-#: bump when the array layout changes incompatibly; v2 adds the optional
-#: PQ companion and the optional permuted item payload (tiered layouts) —
-#: v1 archives still load
-FORMAT_VERSION = 3
+from .pq import PQIndex, build_pq_branch, score_candidates_exact, score_pq_block
+from .quantize import QuantizedIndex, score_quantized_block
 
 SCORERS = ("exact", "int8", "pq")
 
@@ -118,7 +105,7 @@ def combined_item_vectors(branches: Sequence[ScoreBranch]) -> np.ndarray:
     return np.hstack(parts)
 
 
-class IVFIndex:
+class IVFIndex(AnnIndex):
     """Cluster-pruned two-stage search over an :class:`EmbeddingIndex`.
 
     Wraps the source index (user factors and catalog metadata are shared);
@@ -221,9 +208,9 @@ class IVFIndex:
         # which is where ADC precision matters — and the fine stage adds
         # u·mean(list) back per probed list (see score_pq_block).
         self._pq_list_means: Optional[List[np.ndarray]] = None
+        if (pq is None) != (pq_list_means is None):
+            raise ValueError("a PQ companion and its list means come together")
         if pq_list_means is not None:
-            if pq is None:
-                raise ValueError("pq_list_means without a PQ companion")
             if len(pq_list_means) != len(index.branches):
                 raise ValueError("one list-mean matrix per branch")
             self._pq_list_means = []
@@ -266,26 +253,26 @@ class IVFIndex:
     def list_sizes(self) -> np.ndarray:
         return np.diff(self.list_indptr)
 
-    def memory_bytes(self) -> int:
-        """Footprint of the IVF-owned arrays (permuted factors + centroids)."""
+    def _structure_bytes(self) -> int:
+        """Everything but the permuted factor payload: centroids, list
+        layout, int8/PQ codes, codebooks and list means."""
         total = self.centroids.nbytes + self.list_indptr.nbytes + self.list_items.nbytes
-        for branch in self._perm_branches:
-            total += branch.item.nbytes
-            if branch.item_const is not None:
-                total += branch.item_const.nbytes
         if self._perm_codes is not None:
             total += sum(codes.nbytes for codes in self._perm_codes)
         if self.pq is not None:
             total += sum(codes.nbytes for codes in self._perm_pq_codes)
             total += sum(pb.table_bytes() for pb in self.pq.pq)
-            if self._pq_list_means is not None:
-                total += sum(m.nbytes for m in self._pq_list_means)
+            total += sum(m.nbytes for m in self._pq_list_means)
         return total
 
-    @property
-    def bytes_total(self) -> int:
-        """Everything this index owns (alias of :meth:`memory_bytes`)."""
-        return int(self.memory_bytes())
+    def memory_bytes(self) -> int:
+        """Footprint of the IVF-owned arrays (permuted factors + structure)."""
+        total = self._structure_bytes()
+        for branch in self._perm_branches:
+            total += branch.item.nbytes
+            if branch.item_const is not None:
+                total += branch.item_const.nbytes
+        return total
 
     @property
     def bytes_per_item(self) -> float:
@@ -299,15 +286,6 @@ class IVFIndex:
         else:
             payload = sum(b.item.nbytes for b in self._perm_branches)
         return payload / max(1, self.n_items)
-
-    def memory_report(self) -> dict:
-        total = self.bytes_total
-        return {
-            "kind": self.kind,
-            "bytes_total": int(total),
-            "bytes_per_item": float(self.bytes_per_item),
-            "tiers": {"hot": int(total), "cold": 0},
-        }
 
     # ------------------------------------------------------------------
     def queries(self, users: np.ndarray) -> np.ndarray:
@@ -553,11 +531,7 @@ class IVFIndex:
                 ],
                 users_sel,
                 self.dtype,
-                means=(
-                    None
-                    if self._pq_list_means is None
-                    else [m[lst] for m in self._pq_list_means]
-                ),
+                means=[m[lst] for m in self._pq_list_means],
             )
         return score_quantized_block(
             self._perm_branches,
@@ -580,167 +554,6 @@ class IVFIndex:
         """
         positions = self._item_position[np.asarray(candidates, dtype=np.int64)]
         return score_candidates_exact(self._perm_branches, users, positions, self.dtype)
-
-    # ------------------------------------------------------------------
-    # Serialization (same archive layer as EmbeddingIndex / checkpoints)
-    # ------------------------------------------------------------------
-    def save(self, path: str, format: str = "npz", include_items: bool = False) -> str:
-        """Persist the IVF structure (and int8/PQ codes); the source index
-        is referenced by shape/name, not duplicated.
-
-        ``include_items=True`` additionally stores the *permuted* item-side
-        factor arrays — self-contained list-contiguous storage that a
-        tiered loader can mmap and page per list instead of re-gathering
-        from the source index (see :mod:`.tiered`).  Pair it with
-        ``format="dir"`` so each array is its own mmap-able ``.npy``.
-        """
-        if format not in ("npz", "dir"):
-            raise ValueError(f"format must be 'npz' or 'dir', got {format!r}")
-        arrays = {
-            "centroids": self.centroids,
-            "list_indptr": self.list_indptr,
-            "list_items": self.list_items,
-        }
-        quantized_meta: Optional[List] = None
-        if self.quantized is not None:
-            quantized_meta = self.quantized.quantization_params()
-            for i, qb in enumerate(self.quantized.quantized):
-                arrays[f"branch{i}.q_item"] = qb.q_item
-        pq_meta = None
-        if self.pq is not None:
-            pq_branch_meta = []
-            for i, pb in enumerate(self.pq.pq):
-                arrays[f"pq.branch{i}.codes"] = pb.codes
-                for m, cb in enumerate(pb.codebooks):
-                    arrays[f"pq.branch{i}.codebook{m}"] = cb
-                if pb.rotation is not None:
-                    arrays[f"pq.branch{i}.rotation"] = pb.rotation
-                pq_branch_meta.append(
-                    {
-                        "n_subspaces": pb.n_subspaces,
-                        "splits": [[int(lo), int(hi)] for lo, hi in pb.splits],
-                        "rotation": pb.rotation is not None,
-                    }
-                )
-            if self._pq_list_means is not None:
-                for i, m in enumerate(self._pq_list_means):
-                    arrays[f"pq.means{i}"] = m
-            pq_meta = {
-                "branches": pq_branch_meta,
-                "rerank_factor": self.pq.rerank_factor,
-                "residual": self._pq_list_means is not None,
-            }
-        if include_items:
-            for i, branch in enumerate(self._perm_branches):
-                arrays[f"perm.branch{i}.item"] = branch.item
-                if branch.item_const is not None:
-                    arrays[f"perm.branch{i}.item_const"] = branch.item_const
-        metadata = {
-            persistence.KIND_KEY: IVF_KIND,
-            "format_version": FORMAT_VERSION,
-            "model_name": self.index.model_name,
-            "n_users": self.n_users,
-            "n_items": self.n_items,
-            "n_lists": self.n_lists,
-            "nprobe": self.nprobe,
-            "seed": self.seed,
-            "quantized": quantized_meta,
-            "pq": pq_meta,
-            "default_scorer": self.default_scorer,
-            "rerank_factor": self.rerank_factor,
-            "include_items": bool(include_items),
-        }
-        if format == "dir":
-            return persistence.write_archive_dir(path, arrays, metadata)
-        return persistence.write_archive(path, arrays, metadata)
-
-    @staticmethod
-    def _load_pq(metadata: dict, arrays, index):
-        """Reconstruct the PQ companion (codes in *global* item order).
-
-        Returns ``(pq_index, pq_list_means)`` — means are ``None`` for
-        pre-residual archives, whose codes encode raw factors.
-        """
-        pq_meta = metadata.get("pq")
-        if pq_meta is None:
-            return None, None
-        branches = [
-            PQBranch(
-                codebooks=[
-                    np.asarray(arrays[f"pq.branch{i}.codebook{m}"], dtype=np.float64)
-                    for m in range(int(meta["n_subspaces"]))
-                ],
-                codes=np.ascontiguousarray(arrays[f"pq.branch{i}.codes"]),
-                rotation=(
-                    np.asarray(arrays[f"pq.branch{i}.rotation"], dtype=np.float64)
-                    if meta.get("rotation")
-                    else None
-                ),
-                splits=[(int(lo), int(hi)) for lo, hi in meta["splits"]],
-            )
-            for i, meta in enumerate(pq_meta["branches"])
-        ]
-        residual = bool(pq_meta.get("residual"))
-        means = None
-        if residual:
-            means = [
-                np.ascontiguousarray(arrays[f"pq.means{i}"], dtype=np.float64)
-                for i in range(len(branches))
-            ]
-        pq = PQIndex(
-            index,
-            branches,
-            rerank_factor=int(pq_meta.get("rerank_factor", 8)),
-            residual=residual,
-        )
-        return pq, means
-
-    @classmethod
-    def load(cls, path: str, index, mmap: bool = False) -> "IVFIndex":
-        """Re-attach a saved IVF structure to its source index."""
-        metadata = persistence.read_archive_metadata(path)
-        kind = persistence.archive_kind(metadata)
-        if kind != IVF_KIND:
-            raise ValueError(f"{path} holds a {kind!r} artifact, not an IVF index")
-        if metadata["format_version"] > FORMAT_VERSION:
-            raise ValueError(
-                f"IVF format v{metadata['format_version']} is newer than this "
-                f"reader (v{FORMAT_VERSION})"
-            )
-        if metadata["n_items"] != index.n_items or metadata["n_users"] != index.n_users:
-            raise ValueError(
-                f"IVF index was built for {metadata['n_users']} users x "
-                f"{metadata['n_items']} items, not this index's "
-                f"{index.n_users} x {index.n_items}"
-            )
-        arrays = persistence.read_archive_arrays(path, mmap=mmap)
-        quantized = None
-        if metadata.get("quantized") is not None:
-            quantized = QuantizedIndex(
-                index,
-                [
-                    QuantizedBranch(
-                        q_item=np.ascontiguousarray(arrays[f"branch{i}.q_item"]),
-                        scale=float(meta["scale"]),
-                        zero=int(meta["zero"]),
-                    )
-                    for i, meta in enumerate(metadata["quantized"])
-                ],
-            )
-        pq, pq_list_means = cls._load_pq(metadata, arrays, index)
-        return cls(
-            index,
-            centroids=arrays["centroids"],
-            list_indptr=arrays["list_indptr"],
-            list_items=arrays["list_items"],
-            nprobe=int(metadata["nprobe"]),
-            quantized=quantized,
-            seed=int(metadata.get("seed", 0)),
-            pq=pq,
-            default_scorer=metadata.get("default_scorer"),
-            rerank_factor=int(metadata.get("rerank_factor", 8)),
-            pq_list_means=pq_list_means,
-        )
 
 
 def build_ivf(

@@ -43,13 +43,8 @@ from ...core.base import ScoreBranch, branches_dtype
 from ...data.dataset import expand_csr_rows
 from ...eval.topk import NEG_INF, topk_indices_rows, topk_pairs_rows
 from ...obs.trace import maybe_span
-from ...train import persistence
+from .base import AnnIndex
 from .kmeans import assign_labels, kmeans
-
-PQ_KIND = "pq_index"
-
-#: bump when the array layout changes incompatibly
-FORMAT_VERSION = 1
 
 #: uint8 codes: a codebook can never exceed this many centroids
 MAX_CENTROIDS = 256
@@ -336,7 +331,7 @@ def score_candidates_exact(
     return out
 
 
-class PQIndex:
+class PQIndex(AnnIndex):
     """PQ-compressed item factors over a source :class:`EmbeddingIndex`.
 
     Wraps (not copies) the source index: user factors, constants, and
@@ -488,7 +483,7 @@ class PQIndex:
         return top_ids, top_scores
 
     # ------------------------------------------------------------------
-    # Memory accounting (shared report shape across ANN index kinds)
+    # Memory accounting
     # ------------------------------------------------------------------
     def memory_bytes(self) -> int:
         """Item-side footprint of the uint8 codes."""
@@ -498,92 +493,6 @@ class PQIndex:
     def bytes_total(self) -> int:
         """Everything this index owns: codes + codebooks + rotations."""
         return self.memory_bytes() + sum(pb.table_bytes() for pb in self.pq)
-
-    @property
-    def bytes_per_item(self) -> float:
-        """Item-side bytes per catalog item (codes only)."""
-        return self.memory_bytes() / max(1, self.n_items)
-
-    def memory_report(self) -> dict:
-        total = self.bytes_total
-        return {
-            "kind": self.kind,
-            "bytes_total": int(total),
-            "bytes_per_item": float(self.bytes_per_item),
-            "tiers": {"hot": int(total), "cold": 0},
-        }
-
-    # ------------------------------------------------------------------
-    # Serialization (same archive layer as EmbeddingIndex)
-    # ------------------------------------------------------------------
-    def save(self, path: str, format: str = "npz") -> str:
-        """Persist codes + codebooks; user-side data stays with the index."""
-        if format not in ("npz", "dir"):
-            raise ValueError(f"format must be 'npz' or 'dir', got {format!r}")
-        arrays = {}
-        branch_meta = []
-        for i, pb in enumerate(self.pq):
-            arrays[f"branch{i}.codes"] = pb.codes
-            for m, cb in enumerate(pb.codebooks):
-                arrays[f"branch{i}.codebook{m}"] = cb
-            if pb.rotation is not None:
-                arrays[f"branch{i}.rotation"] = pb.rotation
-            branch_meta.append(
-                {
-                    "n_subspaces": pb.n_subspaces,
-                    "splits": [[int(lo), int(hi)] for lo, hi in pb.splits],
-                    "rotation": pb.rotation is not None,
-                }
-            )
-        metadata = {
-            persistence.KIND_KEY: PQ_KIND,
-            "format_version": FORMAT_VERSION,
-            "model_name": self.index.model_name,
-            "n_users": self.n_users,
-            "n_items": self.n_items,
-            "rerank_factor": self.rerank_factor,
-            "branches": branch_meta,
-        }
-        if format == "dir":
-            return persistence.write_archive_dir(path, arrays, metadata)
-        return persistence.write_archive(path, arrays, metadata)
-
-    @classmethod
-    def load(cls, path: str, index, mmap: bool = False) -> "PQIndex":
-        """Re-attach saved PQ data to its source :class:`EmbeddingIndex`."""
-        metadata = persistence.read_archive_metadata(path)
-        kind = persistence.archive_kind(metadata)
-        if kind != PQ_KIND:
-            raise ValueError(f"{path} holds a {kind!r} artifact, not a PQ index")
-        if metadata["format_version"] > FORMAT_VERSION:
-            raise ValueError(
-                f"PQ format v{metadata['format_version']} is newer than this "
-                f"reader (v{FORMAT_VERSION})"
-            )
-        if metadata["n_items"] != index.n_items or metadata["n_users"] != index.n_users:
-            raise ValueError(
-                f"PQ index was built for {metadata['n_users']} users x "
-                f"{metadata['n_items']} items, not this index's "
-                f"{index.n_users} x {index.n_items}"
-            )
-        arrays = persistence.read_archive_arrays(path, mmap=mmap)
-        pq = [
-            PQBranch(
-                codebooks=[
-                    np.asarray(arrays[f"branch{i}.codebook{m}"], dtype=np.float64)
-                    for m in range(int(meta["n_subspaces"]))
-                ],
-                codes=np.ascontiguousarray(arrays[f"branch{i}.codes"]),
-                rotation=(
-                    np.asarray(arrays[f"branch{i}.rotation"], dtype=np.float64)
-                    if meta.get("rotation")
-                    else None
-                ),
-                splits=[(int(lo), int(hi)) for lo, hi in meta["splits"]],
-            )
-            for i, meta in enumerate(metadata["branches"])
-        ]
-        return cls(index, pq, rerank_factor=int(metadata.get("rerank_factor", 8)))
 
 
 def build_pq(

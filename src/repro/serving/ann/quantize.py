@@ -32,7 +32,7 @@ gaps, and measured (not assumed) by the recall harness in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,12 +40,7 @@ from ...core.base import ScoreBranch, branches_dtype
 from ...data.dataset import expand_csr_rows
 from ...eval.topk import NEG_INF, topk_indices_rows
 from ...obs.trace import maybe_span
-from ...train import persistence
-
-QUANTIZED_KIND = "quantized_index"
-
-#: bump when the array layout changes incompatibly
-FORMAT_VERSION = 1
+from .base import AnnIndex
 
 #: widest factor dim for which float32 accumulation of int8 products is
 #: exact: 127 * 128 * 1024 = 16,646,144 < 2^24 = 16,777,216
@@ -169,7 +164,7 @@ def score_quantized_block(
     return total
 
 
-class QuantizedIndex:
+class QuantizedIndex(AnnIndex):
     """Int8-compressed item factors over a source :class:`EmbeddingIndex`.
 
     Wraps (not copies) the source index: user factors, branch constants,
@@ -264,83 +259,10 @@ class QuantizedIndex:
         return top, top_scores
 
     # ------------------------------------------------------------------
-    # Memory accounting (shared report shape across ANN index kinds)
+    # Memory accounting
     # ------------------------------------------------------------------
     kind = "int8"
 
     def memory_bytes(self) -> int:
         """Item-side footprint of the int8 codes."""
         return sum(qb.q_item.nbytes for qb in self.quantized)
-
-    @property
-    def bytes_total(self) -> int:
-        """Everything this index owns (the codes; scales/zeros are scalars)."""
-        return int(self.memory_bytes())
-
-    @property
-    def bytes_per_item(self) -> float:
-        """Item-side bytes per catalog item."""
-        return self.memory_bytes() / max(1, self.n_items)
-
-    def memory_report(self) -> dict:
-        total = self.bytes_total
-        return {
-            "kind": self.kind,
-            "bytes_total": int(total),
-            "bytes_per_item": float(self.bytes_per_item),
-            "tiers": {"hot": int(total), "cold": 0},
-        }
-
-    def quantization_params(self) -> List[Dict]:
-        return [
-            {"scale": float(qb.scale), "zero": int(qb.zero)} for qb in self.quantized
-        ]
-
-    # ------------------------------------------------------------------
-    # Serialization (same archive layer as EmbeddingIndex)
-    # ------------------------------------------------------------------
-    def save(self, path: str, format: str = "npz") -> str:
-        """Persist the codes; user-side data stays with the source index."""
-        if format not in ("npz", "dir"):
-            raise ValueError(f"format must be 'npz' or 'dir', got {format!r}")
-        arrays = {f"branch{i}.q_item": qb.q_item for i, qb in enumerate(self.quantized)}
-        metadata = {
-            persistence.KIND_KEY: QUANTIZED_KIND,
-            "format_version": FORMAT_VERSION,
-            "model_name": self.index.model_name,
-            "n_users": self.n_users,
-            "n_items": self.n_items,
-            "branches": self.quantization_params(),
-        }
-        if format == "dir":
-            return persistence.write_archive_dir(path, arrays, metadata)
-        return persistence.write_archive(path, arrays, metadata)
-
-    @classmethod
-    def load(cls, path: str, index, mmap: bool = False) -> "QuantizedIndex":
-        """Re-attach saved codes to their source :class:`EmbeddingIndex`."""
-        metadata = persistence.read_archive_metadata(path)
-        kind = persistence.archive_kind(metadata)
-        if kind != QUANTIZED_KIND:
-            raise ValueError(f"{path} holds a {kind!r} artifact, not a quantized index")
-        if metadata["format_version"] > FORMAT_VERSION:
-            raise ValueError(
-                f"quantized-index format v{metadata['format_version']} is newer "
-                f"than this reader (v{FORMAT_VERSION})"
-            )
-        if metadata["n_items"] != index.n_items or metadata["n_users"] != index.n_users:
-            raise ValueError(
-                f"quantized index was built for {metadata['n_users']} users x "
-                f"{metadata['n_items']} items, not this index's "
-                f"{index.n_users} x {index.n_items}"
-            )
-        arrays = persistence.read_archive_arrays(path, mmap=mmap)
-        quantized = [
-            QuantizedBranch(
-                q_item=arrays[f"branch{i}.q_item"],
-                scale=float(meta["scale"]),
-                zero=int(meta["zero"]),
-            )
-            for i, meta in enumerate(metadata["branches"])
-        ]
-        return cls(index, quantized)

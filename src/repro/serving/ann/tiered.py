@@ -38,9 +38,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ...core.base import ScoreBranch, score_branches
-from ...train import persistence
-from .ivf import IVF_KIND, FORMAT_VERSION, IVFIndex
-from .quantize import QuantizedBranch, QuantizedIndex
+from .ivf import IVFIndex
 
 #: deterministic seed offset for the access-mass probe sample, so tier
 #: selection never aliases the build seed's other draws
@@ -116,21 +114,9 @@ class TieredIVFIndex(IVFIndex):
 
     def fixed_resident_bytes(self) -> int:
         """The always-resident floor: everything but the factor payload."""
-        total = (
-            self.centroids.nbytes
-            + self.list_indptr.nbytes
-            + self.list_items.nbytes
-            + self._item_position.nbytes
-            + self._item_list.nbytes
+        return int(
+            self._structure_bytes() + self._item_position.nbytes + self._item_list.nbytes
         )
-        if self._perm_codes is not None:
-            total += sum(codes.nbytes for codes in self._perm_codes)
-        if self.pq is not None:
-            total += sum(codes.nbytes for codes in self._perm_pq_codes)
-            total += sum(pb.table_bytes() for pb in self.pq.pq)
-            if self._pq_list_means is not None:
-                total += sum(m.nbytes for m in self._pq_list_means)
-        return int(total)
 
     def _select_hot(self) -> None:
         mass = self.access_mass()
@@ -220,62 +206,8 @@ class TieredIVFIndex(IVFIndex):
 
         ``mmap=True`` (the default, and the point) keeps the permuted
         factor payload on disk; only the selected hot lists are copied
-        into RAM.
+        into RAM.  A zipped ``.npz`` cannot be paged and is refused.
         """
-        metadata = persistence.read_archive_metadata(path)
-        kind = persistence.archive_kind(metadata)
-        if kind != IVF_KIND:
-            raise ValueError(f"{path} holds a {kind!r} artifact, not an IVF index")
-        if metadata["format_version"] > FORMAT_VERSION:
-            raise ValueError(
-                f"IVF format v{metadata['format_version']} is newer than this "
-                f"reader (v{FORMAT_VERSION})"
-            )
-        if not metadata.get("include_items"):
-            raise ValueError(
-                "tiered loading needs an archive saved with include_items=True "
-                "(it holds the permuted item payload the cold tier pages)"
-            )
-        if metadata["n_items"] != index.n_items or metadata["n_users"] != index.n_users:
-            raise ValueError(
-                f"IVF index was built for {metadata['n_users']} users x "
-                f"{metadata['n_items']} items, not this index's "
-                f"{index.n_users} x {index.n_items}"
-            )
-        arrays = persistence.read_archive_arrays(path, mmap=mmap)
-        quantized = None
-        if metadata.get("quantized") is not None:
-            quantized = QuantizedIndex(
-                index,
-                [
-                    QuantizedBranch(
-                        q_item=np.ascontiguousarray(arrays[f"branch{i}.q_item"]),
-                        scale=float(meta["scale"]),
-                        zero=int(meta["zero"]),
-                    )
-                    for i, meta in enumerate(metadata["quantized"])
-                ],
-            )
-        pq, pq_list_means = cls._load_pq(metadata, arrays, index)
-        perm_items = [
-            (
-                arrays[f"perm.branch{i}.item"],
-                arrays.get(f"perm.branch{i}.item_const"),
-            )
-            for i in range(len(index.branches))
-        ]
-        return cls(
-            index,
-            centroids=arrays["centroids"],
-            list_indptr=arrays["list_indptr"],
-            list_items=arrays["list_items"],
-            nprobe=int(metadata["nprobe"]),
-            quantized=quantized,
-            seed=int(metadata.get("seed", 0)),
-            pq=pq,
-            default_scorer=metadata.get("default_scorer"),
-            rerank_factor=int(metadata.get("rerank_factor", 8)),
-            perm_items=perm_items,
-            pq_list_means=pq_list_means,
-            config=config,
-        )
+        from .archive import load_ann  # deferred: archive imports this module
+
+        return load_ann(path, index, mmap=mmap, tiered=config, expect=cls)

@@ -198,22 +198,14 @@ class EmbeddingIndex:
         ``mmap=True`` memory-maps the arrays of a directory-format index
         (written with ``save(path, format="dir")``) instead of copying them
         into process memory — attaching is near-instant and concurrent
-        workers share one page-cache copy.  Legacy compressed ``.npz``
-        archives are read transparently either way (``mmap`` has no effect
-        on them; the zip container cannot be mapped).
+        workers share one page-cache copy.  Compressed ``.npz`` archives
+        are read transparently either way (``mmap`` has no effect on them;
+        the zip container cannot be mapped).
         """
         metadata = persistence.read_archive_metadata(path)
-        kind = persistence.archive_kind(metadata)
-        if kind != INDEX_KIND:
-            raise ValueError(
-                f"{path} holds a {kind!r} artifact, not an embedding index; "
-                "use repro.serving.export_index to build one from a checkpoint"
-            )
-        if metadata["format_version"] > FORMAT_VERSION:
-            raise ValueError(
-                f"index format v{metadata['format_version']} is newer than this "
-                f"reader (v{FORMAT_VERSION})"
-            )
+        persistence.check_header(
+            path, metadata, INDEX_KIND, "an embedding index", FORMAT_VERSION
+        )
         arrays = persistence.read_archive_arrays(path, mmap=mmap)
         branches = []
         for i, meta in enumerate(metadata["branches"]):
@@ -242,7 +234,7 @@ class EmbeddingIndex:
         # Where this index came from, so the batch-inference runtime can tell
         # worker processes to re-attach by path (mmap) instead of shipping
         # the arrays through pickling.  Only a directory archive is actually
-        # mapped — a legacy .npz loaded with mmap=True is plain in-memory
+        # mapped — an .npz loaded with mmap=True is plain in-memory
         # data, and advertising it as mapped would make workers re-decompress
         # the archive instead of inheriting the arrays copy-on-write.
         index.source_path = path

@@ -295,7 +295,7 @@ class RecommenderService:
         refresh per scrape.
         """
         ann = self.engine.ann
-        report = ann.memory_report() if hasattr(ann, "memory_report") else None
+        report = None if ann is None else ann.memory_report()
         self.stats.set_ann_index_bytes(report)
 
     def _on_ann_fallback(self, error: BaseException) -> None:

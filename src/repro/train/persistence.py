@@ -32,7 +32,12 @@ Durability guarantees (both formats):
 * **Content checksums** — the metadata header records a SHA-256 digest per
   array; readers verify on load (skipped for ``mmap`` loads unless forced)
   and raise the typed :class:`ArchiveCorrupted` naming the bad array.
-  Archives written before checksums existed load without verification.
+  Every load, mapped or not, also compares the stored array set with the
+  header's: a missing array, an array the header does not list, or a header
+  without checksums is refused.
+
+There are no legacy readers: :func:`check_header` refuses an artifact of
+another kind or format version, and the fix is always to re-export.
 """
 
 from __future__ import annotations
@@ -57,10 +62,9 @@ CHECKSUM_KEY = "sha256"
 
 
 class ArchiveCorrupted(RuntimeError):
-    """An archive's stored SHA-256 checksum did not match its bytes on load."""
+    """An archive's arrays disagree with the checksum header it was written with."""
 
-#: header field naming the artifact kind; absent in archives written before
-#: the field existed, which are treated as checkpoints
+#: header field naming the artifact kind
 KIND_KEY = "kind"
 CHECKPOINT_KIND = "checkpoint"
 
@@ -192,6 +196,12 @@ def write_archive_dir(path: str, arrays: Dict[str, np.ndarray], metadata: Dict) 
     return path
 
 
+def _npz_metadata(archive, path: str) -> Dict:
+    if _METADATA_KEY not in archive:
+        raise ValueError(f"{path} is not a repro archive (missing metadata header)")
+    return json.loads(archive[_METADATA_KEY].tobytes().decode("utf-8"))
+
+
 def read_archive_metadata(path: str) -> Dict:
     """Read only the JSON header of an archive (either container format)."""
     if os.path.isdir(path):
@@ -201,10 +211,7 @@ def read_archive_metadata(path: str) -> Dict:
         with open(header) as handle:
             return json.load(handle)
     with np.load(path) as archive:
-        if _METADATA_KEY not in archive:
-            raise ValueError(f"{path} is not a repro archive (missing metadata header)")
-        raw = archive[_METADATA_KEY].tobytes().decode("utf-8")
-    return json.loads(raw)
+        return _npz_metadata(archive, path)
 
 
 def read_archive_arrays(
@@ -217,16 +224,18 @@ def read_archive_arrays(
     be mapped; the flag is silently ignored for them and the arrays are read
     into memory as before.
 
-    ``verify`` controls SHA-256 checksum verification against the metadata
-    header: the default (``None``) verifies except for ``mmap`` loads —
-    hashing a mapped array would page the whole file in, defeating the
-    point of mapping — and can be forced either way.  A mismatch raises
-    :class:`ArchiveCorrupted`; archives written without checksums are never
-    verified.
+    The stored array set must match the header's checksum keys exactly —
+    a missing array, an unlisted one, or a header without checksums raises
+    :class:`ArchiveCorrupted` on every load.  ``verify`` controls the
+    SHA-256 comparison itself: the default (``None``) hashes except for
+    ``mmap`` loads — hashing a mapped array would page the whole file in,
+    defeating the point of mapping — and can be forced either way.  A
+    mismatch raises :class:`ArchiveCorrupted`.
     """
     if verify is None:
         verify = not mmap
     if os.path.isdir(path):
+        metadata = read_archive_metadata(path)
         arrays: Dict[str, np.ndarray] = {}
         for entry in sorted(os.listdir(path)):
             if not entry.endswith(_NPY_SUFFIX):
@@ -236,22 +245,33 @@ def read_archive_arrays(
             )
     else:
         with np.load(path) as archive:
+            metadata = _npz_metadata(archive, path)
             arrays = {
                 name: archive[name] for name in archive.files if name != _METADATA_KEY
             }
-    if verify:
-        _verify_checksums(path, arrays)
+    _verify_arrays(path, metadata.get(CHECKSUM_KEY), arrays, verify)
     return arrays
 
 
-def _verify_checksums(path: str, arrays: Dict[str, np.ndarray]) -> None:
-    checksums = read_archive_metadata(path).get(CHECKSUM_KEY)
-    if not checksums:
-        return  # pre-checksum archive: nothing to verify against
+def _verify_arrays(
+    path: str, checksums: Optional[Dict[str, str]], arrays: Dict[str, np.ndarray], hashes: bool
+) -> None:
+    if checksums is None:
+        raise ArchiveCorrupted(
+            f"archive {path!r} has no {CHECKSUM_KEY!r} header, so its arrays cannot "
+            "be verified; re-export it with `repro export`"
+        )
+    missing = sorted(set(checksums) - set(arrays))
+    unlisted = sorted(set(arrays) - set(checksums))
+    if missing or unlisted:
+        raise ArchiveCorrupted(
+            f"archive {path!r} does not hold the arrays its header lists: "
+            f"missing {missing}, not listed {unlisted}"
+        )
+    if not hashes:
+        return
     for name, array in arrays.items():
-        expected = checksums.get(name)
-        if expected is None:
-            continue  # array added outside the writer; covered elsewhere
+        expected = checksums[name]
         actual = _array_checksum(array)
         if actual != expected:
             raise ArchiveCorrupted(
@@ -261,9 +281,34 @@ def _verify_checksums(path: str, arrays: Dict[str, np.ndarray]) -> None:
             )
 
 
-def archive_kind(metadata: Dict) -> str:
-    """Artifact kind recorded in a header (legacy headers are checkpoints)."""
-    return metadata.get(KIND_KEY, CHECKPOINT_KIND)
+def archive_kind(metadata: Dict) -> Optional[str]:
+    """Artifact kind recorded in a header (``None`` for a header without one)."""
+    return metadata.get(KIND_KEY)
+
+
+def check_header(
+    path: str, metadata: Dict, kind: str, label: str, version: Optional[int] = None
+) -> None:
+    """Refuse an artifact of the wrong kind or of another format version.
+
+    The one check every artifact reader runs before it touches an array.
+    ``label`` names the expected artifact in the error ("an IVF index");
+    ``version`` is the format this reader understands — kinds that never
+    versioned their layout (checkpoints, bulk exports) pass none.  Older
+    fails like newer: re-exporting with the running code fixes either.
+    """
+    found = archive_kind(metadata)
+    if found != kind:
+        raise ValueError(f"{path} holds a {found!r} artifact, not {label}")
+    if version is None:
+        return
+    stored = metadata["format_version"]
+    if stored != version:
+        raise ValueError(
+            f"{path}: format v{stored} of {label} is "
+            f"{'newer' if stored > version else 'older'} than this reader "
+            f"(v{version}); re-export it with `repro export`"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -303,10 +348,7 @@ def load_checkpoint(model: Recommender, path: str, strict: bool = True) -> Dict:
     must match the target model exactly.
     """
     metadata = load_metadata(path)
-    if archive_kind(metadata) != CHECKPOINT_KIND:
-        raise ValueError(
-            f"{path} holds a {archive_kind(metadata)!r} artifact, not a model checkpoint"
-        )
+    check_header(path, metadata, CHECKPOINT_KIND, "a model checkpoint")
     if strict:
         if metadata["model_class"] != type(model).__name__:
             raise ValueError(

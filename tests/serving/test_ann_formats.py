@@ -1,144 +1,263 @@
-"""Archive-format parity for every ANN index kind.
+"""The on-disk contract of every ANN index kind.
 
 The compact ``.npz`` and the mmap-able per-array ``dir`` archive must be
-interchangeable: an index loaded from either format (and, for ``dir``,
-through mmap or a full read) must return bit-identical search results.
+interchangeable: an index loaded from either container (mapped or read)
+must return bit-identical search results.  Every kind shares one header
+and one reader, so every kind must refuse the same four things, and the
+array / header key sets are pinned so a format change cannot slip in
+unannounced.
 """
+
+import json
+import os
 
 import numpy as np
 import pytest
 
 from repro.core import pup_full
 from repro.data import SyntheticConfig, generate
+from repro.faults import corrupt_archive
 from repro.serving import QuantizedIndex, export_index
-from repro.serving.ann import IVFIndex, PQIndex, build_ivf, build_pq
+from repro.serving.ann import (
+    IVFIndex,
+    PQIndex,
+    TieredIndexConfig,
+    TieredIVFIndex,
+    build_ivf,
+    build_pq,
+    load_ann,
+)
+from repro.train.persistence import ArchiveCorrupted
 
 
-@pytest.fixture(scope="module")
-def setup():
+def make_index(seed, n_users=60, n_items=240):
     config = SyntheticConfig(
-        n_users=60, n_items=240, n_categories=4, n_price_levels=4,
-        interactions_per_user=7, seed=17,
+        n_users=n_users, n_items=n_items, n_categories=4, n_price_levels=4,
+        interactions_per_user=7, seed=seed,
     )
     dataset = generate(config)[0]
     model = pup_full(dataset, global_dim=12, category_dim=6, rng=np.random.default_rng(9))
     model.eval()
-    index = export_index(model, dataset)
-    return dataset, index
+    return export_index(model, dataset)
 
 
-def assert_search_parity(reference, candidates, index, scorers=(None,)):
-    """Same ids and scores, bitwise, for every loaded variant and scorer."""
-    users = np.arange(35)
-    csr = (index.exclude_indptr, index.exclude_indices)
-    for scorer in scorers:
-        kwargs = {"exclude_csr": csr}
-        if scorer is not None:
-            kwargs["scorer"] = scorer
-        ids_ref, scores_ref = reference.search(users, 10, **kwargs)
-        for label, ann in candidates.items():
-            ids, scores = ann.search(users, 10, **kwargs)
-            np.testing.assert_array_equal(
-                ids_ref, ids, err_msg=f"{label} (scorer={scorer}) ids diverge"
-            )
-            np.testing.assert_array_equal(
-                scores_ref, scores, err_msg=f"{label} (scorer={scorer}) scores diverge"
-            )
+@pytest.fixture(scope="module")
+def index():
+    return make_index(seed=17)
 
 
-class TestQuantizedFormats:
-    def test_npz_dir_and_mmap_agree(self, setup, tmp_path):
-        _, index = setup
-        quantized = QuantizedIndex.build(index)
-        npz = quantized.save(str(tmp_path / "q.npz"))
-        d = quantized.save(str(tmp_path / "q_dir"), format="dir")
-        assert_search_parity(
-            quantized,
-            {
-                "npz": QuantizedIndex.load(npz, index),
-                "dir": QuantizedIndex.load(d, index),
-                "dir+mmap": QuantizedIndex.load(d, index, mmap=True),
-            },
-            index,
-        )
+# label -> (builder, save kwargs, scorers to compare)
+KINDS = {
+    "int8": (QuantizedIndex.build, {}, (None,)),
+    "pq": (lambda index: build_pq(index, seed=0), {}, (None,)),
+    "pq+rotation": (lambda index: build_pq(index, seed=0, rotation=True), {}, (None,)),
+    "ivf": (
+        lambda index: build_ivf(index, n_lists=10, nprobe=3, seed=0),
+        {},
+        ("exact", "int8"),
+    ),
+    "ivf+items": (
+        lambda index: build_ivf(index, n_lists=10, nprobe=3, seed=0),
+        {"include_items": True},
+        ("exact", "int8"),
+    ),
+    "ivf-pq": (
+        lambda index: build_ivf(index, n_lists=10, nprobe=3, seed=0, pq=True),
+        {},
+        ("exact", "int8", "pq"),
+    ),
+    "ivf-pq+items": (
+        lambda index: build_ivf(index, n_lists=10, nprobe=3, seed=0, pq=True),
+        {"include_items": True},
+        ("exact", "int8", "pq"),
+    ),
+}
 
 
-class TestIVFFormats:
-    @pytest.mark.parametrize("include_items", [False, True])
-    def test_npz_dir_and_mmap_agree(self, setup, tmp_path, include_items):
-        _, index = setup
-        ivf = build_ivf(index, n_lists=10, nprobe=3, seed=0)
-        npz = ivf.save(str(tmp_path / f"ivf{include_items}.npz"))
-        d = ivf.save(
-            str(tmp_path / f"ivf_dir{include_items}"),
-            format="dir", include_items=include_items,
-        )
-        assert_search_parity(
-            ivf,
-            {
-                "npz": IVFIndex.load(npz, index),
-                "dir": IVFIndex.load(d, index),
-                "dir+mmap": IVFIndex.load(d, index, mmap=True),
-            },
-            index,
-            scorers=("exact", "int8"),
-        )
+@pytest.fixture(scope="module")
+def built(index):
+    """Each kind built once; builds are deterministic and never mutated."""
+    cache = {}
+
+    def get(label):
+        if label not in cache:
+            cache[label] = KINDS[label][0](index)
+        return cache[label]
+
+    return get
 
 
-class TestIVFPQFormats:
-    def test_npz_dir_and_mmap_agree(self, setup, tmp_path):
-        _, index = setup
-        ivf = build_ivf(index, n_lists=10, nprobe=3, seed=0, pq=True)
-        npz = ivf.save(str(tmp_path / "ivfpq.npz"))
-        d = ivf.save(str(tmp_path / "ivfpq_dir"), format="dir", include_items=True)
-        loaded = {
-            "npz": IVFIndex.load(npz, index),
-            "dir": IVFIndex.load(d, index),
-            "dir+mmap": IVFIndex.load(d, index, mmap=True),
+def save(ann, tmp_path, label, fmt):
+    name = label.replace("+", "_") + (".npz" if fmt == "npz" else "_dir")
+    return ann.save(str(tmp_path / name), format=fmt, **KINDS[label][1])
+
+
+def edit_header(path, edit):
+    """Rewrite a dir archive's header in place (arrays stay untouched)."""
+    header = os.path.join(path, "metadata.json")
+    with open(header) as handle:
+        metadata = json.load(handle)
+    edit(metadata)
+    with open(header, "w") as handle:
+        json.dump(metadata, handle)
+
+
+class TestRoundTrip:
+    @pytest.mark.parametrize("mmap", [False, True])
+    @pytest.mark.parametrize("fmt", ["npz", "dir"])
+    @pytest.mark.parametrize("label", sorted(KINDS))
+    def test_loaded_index_searches_bit_identically(
+        self, index, built, tmp_path, label, fmt, mmap
+    ):
+        ann = built(label)
+        loaded = load_ann(save(ann, tmp_path, label, fmt), index, mmap=mmap)
+        assert type(loaded) is type(ann)
+        assert loaded.kind == ann.kind
+        users = np.arange(35)
+        csr = (index.exclude_indptr, index.exclude_indices)
+        for scorer in KINDS[label][2]:
+            kwargs = {"exclude_csr": csr}
+            if scorer is not None:
+                kwargs["scorer"] = scorer
+            ids_ref, scores_ref = ann.search(users, 10, **kwargs)
+            ids, scores = loaded.search(users, 10, **kwargs)
+            np.testing.assert_array_equal(ids_ref, ids, err_msg=f"scorer={scorer}")
+            np.testing.assert_array_equal(scores_ref, scores, err_msg=f"scorer={scorer}")
+
+    @pytest.mark.parametrize("fmt", ["npz", "dir"])
+    def test_ivf_pq_operating_point_survives(self, index, built, tmp_path, fmt):
+        ivf = built("ivf-pq+items")
+        loaded = load_ann(save(ivf, tmp_path, "ivf-pq+items", fmt), index)
+        assert loaded.default_scorer == "pq"
+        assert loaded.rerank_factor == ivf.rerank_factor
+        assert loaded.pq.residual
+        for a, b in zip(loaded._pq_list_means, ivf._pq_list_means):
+            np.testing.assert_array_equal(a, b)
+
+
+# loader label -> (archive to write, how to load it)
+LOADERS = {
+    "int8": ("int8", QuantizedIndex.load),
+    "pq": ("pq", PQIndex.load),
+    "ivf": ("ivf-pq", IVFIndex.load),
+    "tiered": (
+        "ivf-pq+items",
+        lambda path, index: TieredIVFIndex.load(
+            path, index, TieredIndexConfig(hot_fraction=0.5)
+        ),
+    ),
+}
+
+
+#: every (loader, archive of another header kind) pair
+WRONG_KIND = [
+    (loader, label)
+    for loader in sorted(LOADERS)
+    for label in ("int8", "pq", "ivf")
+    if not LOADERS[loader][0].startswith(label)
+]
+
+
+class TestHeaderChecks:
+    """One reader, so every kind refuses the same four headers."""
+
+    @pytest.mark.parametrize("loader, label", WRONG_KIND)
+    def test_wrong_kind(self, index, built, tmp_path, loader, label):
+        path = save(built(label), tmp_path, label, "dir")
+        with pytest.raises(ValueError, match="artifact, not a"):
+            LOADERS[loader][1](path, index)
+
+    def test_an_embedding_index_is_not_an_ann_index(self, index, tmp_path):
+        path = index.save(str(tmp_path / "index.npz"))
+        with pytest.raises(ValueError, match="not an ANN index"):
+            load_ann(path, index)
+
+    @pytest.mark.parametrize("loader", sorted(LOADERS))
+    @pytest.mark.parametrize("delta, message", [(1, "newer"), (-1, "re-export")])
+    def test_other_format_version(self, index, built, tmp_path, loader, delta, message):
+        label, load = LOADERS[loader]
+        path = save(built(label), tmp_path, label, "dir")
+
+        def bump(metadata):
+            metadata["format_version"] += delta
+
+        edit_header(path, bump)
+        with pytest.raises(ValueError, match=message):
+            load(path, index)
+
+    @pytest.mark.parametrize("loader", sorted(LOADERS))
+    def test_wrong_catalog_shape(self, index, built, tmp_path, loader):
+        label, load = LOADERS[loader]
+        path = save(built(label), tmp_path, label, "dir")
+        with pytest.raises(ValueError, match="users"):
+            load(path, make_index(seed=1, n_users=30, n_items=90))
+
+
+class TestFormatPins:
+    """The format did not change: same array keys, same header keys."""
+
+    COMMON = {"kind", "format_version", "model_name", "n_users", "n_items", "sha256"}
+    PQ_ARRAYS = {"codes", "codebook0", "codebook1", "codebook2", "rotation"}
+
+    def read(self, ann, tmp_path, label):
+        path = save(ann, tmp_path, label, "dir")
+        with open(os.path.join(path, "metadata.json")) as handle:
+            metadata = json.load(handle)
+        return metadata, set(metadata["sha256"])
+
+    def test_int8(self, built, tmp_path):
+        metadata, arrays = self.read(built("int8"), tmp_path, "int8")
+        assert (metadata["kind"], metadata["format_version"]) == ("quantized_index", 1)
+        assert set(metadata) == self.COMMON | {"branches"}
+        assert set(metadata["branches"][0]) == {"scale", "zero"}
+        assert arrays == {"branch0.q_item", "branch1.q_item"}
+
+    def test_pq(self, built, tmp_path):
+        metadata, arrays = self.read(built("pq+rotation"), tmp_path, "pq+rotation")
+        assert (metadata["kind"], metadata["format_version"]) == ("pq_index", 1)
+        assert set(metadata) == self.COMMON | {"rerank_factor", "branches"}
+        assert set(metadata["branches"][0]) == {"n_subspaces", "splits", "rotation"}
+        assert {name for name in arrays if name.startswith("branch0.")} == {
+            f"branch0.{suffix}" for suffix in self.PQ_ARRAYS
         }
-        for ann in loaded.values():
-            assert ann.default_scorer == "pq"
-            assert ann.rerank_factor == ivf.rerank_factor
-            assert ann.pq.residual
-            for a, b in zip(ann._pq_list_means, ivf._pq_list_means):
-                np.testing.assert_array_equal(np.asarray(a), b)
-        assert_search_parity(
-            ivf, loaded, index, scorers=("exact", "int8", "pq")
-        )
 
+    def test_ivf(self, built, tmp_path):
+        metadata, arrays = self.read(built("ivf-pq+items"), tmp_path, "ivf-pq+items")
+        assert (metadata["kind"], metadata["format_version"]) == ("ivf_index", 3)
+        assert set(metadata) == self.COMMON | {
+            "n_lists", "nprobe", "seed", "quantized", "pq", "default_scorer",
+            "rerank_factor", "include_items",
+        }
+        assert set(metadata["quantized"][0]) == {"scale", "zero"}
+        assert set(metadata["pq"]) == {"branches", "rerank_factor", "residual"}
+        assert set(metadata["pq"]["branches"][0]) == {"n_subspaces", "splits", "rotation"}
+        # branch 0 has 12 dims (3 subspaces of 4), branch 1 has 6 (2 of 3)
+        assert arrays == {
+            "centroids", "list_indptr", "list_items",
+            "branch0.q_item", "branch1.q_item",
+            "pq.branch0.codes", "pq.branch0.codebook0", "pq.branch0.codebook1",
+            "pq.branch0.codebook2", "pq.means0",
+            "pq.branch1.codes", "pq.branch1.codebook0", "pq.branch1.codebook1",
+            "pq.means1",
+            "perm.branch0.item", "perm.branch0.item_const",
+            "perm.branch1.item", "perm.branch1.item_const",
+        }
 
-class TestPQFormats:
-    @pytest.mark.parametrize("rotation", [False, True])
-    def test_npz_dir_and_mmap_agree(self, setup, tmp_path, rotation):
-        _, index = setup
-        pq = build_pq(index, seed=0, rotation=rotation)
-        npz = pq.save(str(tmp_path / f"pq{rotation}.npz"))
-        d = pq.save(str(tmp_path / f"pq_dir{rotation}"), format="dir")
-        assert_search_parity(
-            pq,
-            {
-                "npz": PQIndex.load(npz, index),
-                "dir": PQIndex.load(d, index),
-                "dir+mmap": PQIndex.load(d, index, mmap=True),
-            },
-            index,
-        )
+    def test_plain_ivf_stores_no_companion_payload(self, index, tmp_path):
+        ivf = build_ivf(index, n_lists=10, seed=0, quantize=False)
+        metadata, arrays = self.read(ivf, tmp_path, "ivf")
+        assert metadata["quantized"] is None and metadata["pq"] is None
+        assert not metadata["include_items"]
+        assert arrays == {"centroids", "list_indptr", "list_items"}
 
 
 class TestMemoryReports:
     """Every ANN kind answers the same memory_report shape — the contract
     the serving stats gauge publishes."""
 
-    def test_report_shape_is_uniform(self, setup):
-        _, index = setup
-        kinds = {
-            "int8": QuantizedIndex.build(index),
-            "ivf": build_ivf(index, n_lists=10, seed=0),
-            "ivf-pq": build_ivf(index, n_lists=10, seed=0, pq=True),
-            "pq": build_pq(index, seed=0),
-        }
-        for expected_kind, ann in kinds.items():
-            report = ann.memory_report()
+    def test_report_shape_is_uniform(self, built):
+        for expected_kind in ("int8", "ivf", "ivf-pq", "pq"):
+            report = built(expected_kind).memory_report()
             assert report["kind"] == expected_kind
             assert set(report) >= {"kind", "bytes_total", "bytes_per_item", "tiers"}
             assert set(report["tiers"]) == {"hot", "cold"}
@@ -148,34 +267,22 @@ class TestMemoryReports:
 
 
 class TestCorruptionDetection:
-    """Satellite to the checksum work: a flipped payload byte in a saved
-    archive of *any* ANN kind must surface as a typed
+    """A damaged archive of *any* ANN kind must surface as a typed
     :class:`ArchiveCorrupted` on load, never as silently-wrong search
-    results."""
+    results or a bare ``KeyError``."""
 
-    BUILDERS = {
-        "quantized": (lambda index: QuantizedIndex.build(index), QuantizedIndex),
-        "ivf": (lambda index: build_ivf(index, n_lists=10, nprobe=3, seed=0), IVFIndex),
-        "ivfpq": (
-            lambda index: build_ivf(index, n_lists=10, nprobe=3, seed=0, pq=True),
-            IVFIndex,
-        ),
-        "pq": (lambda index: build_pq(index, seed=0), PQIndex),
-    }
-
-    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    @pytest.mark.parametrize("label", ["int8", "ivf", "ivf-pq", "pq"])
     @pytest.mark.parametrize("fmt", ["npz", "dir"])
-    def test_corrupted_archive_refuses_to_load(self, setup, tmp_path, kind, fmt):
-        from repro.faults import corrupt_archive
-        from repro.train.persistence import ArchiveCorrupted
-
-        _, index = setup
-        build, cls = self.BUILDERS[kind]
-        ann = build(index)
-        if fmt == "npz":
-            path = ann.save(str(tmp_path / f"{kind}.npz"))
-        else:
-            path = ann.save(str(tmp_path / f"{kind}_dir"), format="dir")
+    def test_flipped_byte_refuses_to_load(self, index, built, tmp_path, label, fmt):
+        ann = built(label)
+        path = save(ann, tmp_path, label, fmt)
         victim = corrupt_archive(path, seed=1)
         with pytest.raises(ArchiveCorrupted, match=victim):
-            cls.load(path, index)
+            type(ann).load(path, index)
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_deleted_array_is_named(self, index, built, tmp_path, mmap):
+        path = save(built("ivf-pq"), tmp_path, "ivf-pq", "dir")
+        os.remove(os.path.join(path, "pq.branch0.codes.npy"))
+        with pytest.raises(ArchiveCorrupted, match="pq.branch0.codes"):
+            IVFIndex.load(path, index, mmap=mmap)

@@ -157,6 +157,17 @@ class TestLoading:
                 bare, index, TieredIndexConfig(hot_fraction=0.5)
             )
 
+    def test_rejects_an_npz_archive(self, setup, tmp_path):
+        """A zipped payload cannot be paged: loading it "tiered" used to
+        decompress every list into RAM, book it as cold and ignore the
+        ceiling."""
+        _, index, ivf, _ = setup
+        packed = ivf.save(str(tmp_path / "packed.npz"), include_items=True)
+        with pytest.raises(ValueError, match='format="dir"'):
+            TieredIVFIndex.load(
+                packed, index, TieredIndexConfig(memory_ceiling_bytes=1), mmap=True
+            )
+
     def test_rejects_wrong_catalog_shape(self, setup):
         _, index, _, path = setup
         config = SyntheticConfig(

@@ -89,14 +89,17 @@ class TestFormatSafety:
         with pytest.raises(ValueError, match="not a model checkpoint"):
             load_checkpoint(model, path)
 
-    def test_rejects_newer_format_version(self, dataset, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("written, message", [(99, "newer"), (0, "re-export")])
+    def test_rejects_other_format_version(
+        self, dataset, tmp_path, monkeypatch, written, message
+    ):
         index = build_index(dataset, FACTORIES["bpr_mf"])
         import repro.serving.index as index_module
 
-        monkeypatch.setattr(index_module, "FORMAT_VERSION", 99)
-        path = index.save(str(tmp_path / "future"))
+        monkeypatch.setattr(index_module, "FORMAT_VERSION", written)
+        path = index.save(str(tmp_path / "other"))
         monkeypatch.setattr(index_module, "FORMAT_VERSION", 1)
-        with pytest.raises(ValueError, match="newer"):
+        with pytest.raises(ValueError, match=message):
             EmbeddingIndex.load(path)
 
 

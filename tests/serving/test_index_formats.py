@@ -60,11 +60,11 @@ class TestDirFormat:
         assert loaded.source_path == path and not loaded.source_mmap
         _assert_indexes_equal(index, loaded)
 
-    def test_mmap_flag_falls_back_for_legacy_npz(self, setup, tmp_path):
+    def test_mmap_flag_falls_back_for_npz(self, setup, tmp_path):
         # Transparent: a compressed archive cannot be mapped, but loading
         # with mmap=True must still succeed with identical contents.
         _, index = setup
-        path = index.save(str(tmp_path / "legacy.npz"))
+        path = index.save(str(tmp_path / "packed.npz"))
         loaded = EmbeddingIndex.load(path, mmap=True)
         assert not isinstance(loaded.branches[0].user, np.memmap)
         # not actually mapped, so it must not advertise path re-attach to the

@@ -5,6 +5,7 @@ contents untouched; every verified load must refuse silently-corrupted
 payloads with a typed :class:`ArchiveCorrupted`.
 """
 
+import json
 import os
 
 import numpy as np
@@ -67,18 +68,36 @@ class TestChecksums:
         with pytest.raises(ArchiveCorrupted):
             read_archive_arrays(path, mmap=True, verify=True)
 
-    def test_legacy_archive_without_checksums_loads(self, arrays, tmp_path):
-        # Simulate a pre-checksum archive: strip the digest key in place.
-        import json
-        path = write_archive_dir(str(tmp_path / "legacy"), arrays, metadata={"v": 0})
+    @staticmethod
+    def _rewrite_header(path, edit):
         meta_path = os.path.join(path, "metadata.json")
         with open(meta_path) as handle:
             metadata = json.load(handle)
-        del metadata[CHECKSUM_KEY]
+        edit(metadata)
         with open(meta_path, "w") as handle:
             json.dump(metadata, handle)
-        loaded = read_archive_arrays(path)
-        np.testing.assert_array_equal(loaded["weights"], arrays["weights"])
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_header_without_checksums_is_refused(self, arrays, tmp_path, mmap):
+        path = write_archive_dir(str(tmp_path / "bare"), arrays, metadata={"v": 0})
+        self._rewrite_header(path, lambda metadata: metadata.pop(CHECKSUM_KEY))
+        with pytest.raises(ArchiveCorrupted, match=CHECKSUM_KEY):
+            read_archive_arrays(path, mmap=mmap)
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_missing_array_is_named(self, arrays, tmp_path, mmap):
+        path = write_archive_dir(str(tmp_path / "short"), arrays, metadata={})
+        os.remove(os.path.join(path, "ids.npy"))
+        with pytest.raises(ArchiveCorrupted, match=r"missing \['ids'\]"):
+            read_archive_arrays(path, mmap=mmap)
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_array_the_header_does_not_list_is_named(self, arrays, tmp_path, mmap):
+        # Stripping an array's digest used to make it load unverified.
+        path = write_archive_dir(str(tmp_path / "extra"), arrays, metadata={})
+        self._rewrite_header(path, lambda metadata: metadata[CHECKSUM_KEY].pop("weights"))
+        with pytest.raises(ArchiveCorrupted, match=r"not listed \['weights'\]"):
+            read_archive_arrays(path, mmap=mmap)
 
     def test_reserved_metadata_key_rejected(self, arrays, tmp_path):
         with pytest.raises(ValueError, match=CHECKSUM_KEY):
