@@ -105,8 +105,10 @@ def make_workload(n_users: int, n_requests: int):
     return build_workload(config, seed=7)
 
 
-def make_service(index) -> RecommenderService:
-    return RecommenderService(index, default_k=K, cache_capacity=0, max_batch_size=SYNC_BATCH)
+def make_service(index, max_batch_size: int = SYNC_BATCH) -> RecommenderService:
+    return RecommenderService(
+        index, default_k=K, cache_capacity=0, max_batch_size=max_batch_size
+    )
 
 
 def run_sync_arm(index, workload) -> Dict[str, float]:
@@ -177,10 +179,8 @@ def bench_scale(n_users: int, n_items: int, n_requests: int, lines: List[str]) -
     with ServingGateway(make_service(index), gateway_config) as gateway:
         closed = run_closed_loop(gateway, workload, threads=THREADS, result_timeout_s=60.0)
 
-    burst_config = GatewayConfig(
-        max_queue_depth=BURST_QUEUE_DEPTH, max_wait_ms=10.0, max_batch_size=10_000
-    )
-    with ServingGateway(make_service(index), burst_config) as burst_gateway:
+    burst_config = GatewayConfig(max_queue_depth=BURST_QUEUE_DEPTH, max_wait_ms=10.0)
+    with ServingGateway(make_service(index, max_batch_size=10_000), burst_config) as burst_gateway:
         schedule = ArrivalSchedule(mode="onoff", rate=100_000.0, on_s=0.05, off_s=0.02)
         burst = run_open_loop(burst_gateway, workload, schedule, result_timeout_s=60.0)
         shed_accounted = burst.n_shed.get("queue_full", 0) == burst_gateway.shed_count(

@@ -268,12 +268,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         from .eval.ann import ann_recall_report
 
         try:
-            ann = experiment.ann_index(
-                n_lists=args.ann_lists,
-                nprobe=args.ann_nprobe,
-                kind=args.ann_kind,
-                memory_ceiling_bytes=args.memory_ceiling,
-            )
+            ann = _ann_from_args(experiment, args, force=True)
         except ExportError as error:
             print(f"--ann-check needs a servable index: {error}", file=sys.stderr)
             return 1
@@ -367,6 +362,22 @@ def cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
+def _ann_from_args(experiment: Experiment, args: argparse.Namespace, force: bool = False):
+    """The ANN index the ``_add_ann_build_flags`` flags ask for, or None.
+
+    ``--ann``, an explicit ``--ann-kind`` or a ``--memory-ceiling`` each
+    ask for one; ``force`` builds with the flag values regardless.
+    """
+    if not (force or args.ann or args.ann_kind is not None or args.memory_ceiling is not None):
+        return None
+    return experiment.ann_index(
+        n_lists=args.ann_lists,
+        nprobe=args.ann_nprobe,
+        kind=args.ann_kind,
+        memory_ceiling_bytes=args.memory_ceiling,
+    )
+
+
 def cmd_recommend(args: argparse.Namespace) -> int:
     import time
 
@@ -379,14 +390,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         print(f"cannot build recommendations for this artifact: {error}", file=sys.stderr)
         return 1
     users = [int(u) for u in args.users.split(",")] if args.users else None
-    ann = None
-    if args.ann or args.ann_kind is not None or args.memory_ceiling is not None:
-        ann = experiment.ann_index(
-            n_lists=args.ann_lists,
-            nprobe=args.ann_nprobe,
-            kind=args.ann_kind,
-            memory_ceiling_bytes=args.memory_ceiling,
-        )
+    ann = _ann_from_args(experiment, args)
     tracer = _make_tracer(args, "repro-recommend")
     start = time.perf_counter()
     recommendations = recommend_all(
@@ -441,12 +445,63 @@ def _add_resilience_flags(parser: argparse.ArgumentParser) -> None:
         help="fail with BackendError instead of serving degraded answers "
         "once retries are exhausted (with --resilience)",
     )
+
+
+def _add_gateway_flags(parser: argparse.ArgumentParser) -> None:
+    """Admission/timer knobs (the GatewayConfig fields) shared by serve and loadtest."""
+    parser.add_argument(
+        "--queue-depth", type=int, default=1024, metavar="N",
+        help="gateway admission-queue bound; requests beyond it are shed "
+        "with Overloaded (default: %(default)s)",
+    )
+    parser.add_argument(
+        "--max-wait-ms", type=float, default=2.0, metavar="MS",
+        help="gateway latency trigger: flush a partial batch once its oldest "
+        "request has waited this long (default: %(default)s)",
+    )
+    parser.add_argument(
+        "--rate-limit", type=float, default=None, metavar="RPS",
+        help="per-tenant token-bucket rate limit in requests/second "
+        "(default: unlimited)",
+    )
     parser.add_argument(
         "--deadline-ms", type=float, default=None, metavar="MS",
         help="per-request deadline: a request still queued after this long "
         "fails with DeadlineExceeded instead of running late "
         "(default: none)",
     )
+
+
+def _gateway_from_args(service, args: argparse.Namespace, fault_plan=None):
+    """A ServingGateway over ``service`` configured by ``_add_gateway_flags``."""
+    from .serving.gateway import GatewayConfig, ServingGateway
+
+    return ServingGateway(
+        service,
+        GatewayConfig(
+            max_queue_depth=args.queue_depth,
+            max_wait_ms=args.max_wait_ms,
+            rate_limit=args.rate_limit,
+            deadline_ms=args.deadline_ms,
+        ),
+        fault_plan=fault_plan,
+    )
+
+
+def _start_metrics_server(service, gateway, args: argparse.Namespace):
+    """Serve /metrics, /stats and /healthz when --metrics-port asks for it."""
+    if args.metrics_port is None:
+        return None
+    from .obs.server import MetricsServer
+
+    server = MetricsServer(
+        service.registry,
+        port=args.metrics_port,
+        stats_fn=service.stats.extended_snapshot,
+        update_fn=gateway.sync_gauges if gateway is not None else service._sync_gauges,
+    ).start()
+    print(f"metrics: {server.url('/metrics')} (also /stats, /healthz)")
+    return server
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -457,14 +512,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     experiment = Experiment.load(args.artifacts)
     tracer = _make_tracer(args, "repro-serve")
     try:
-        ann = None
-        if args.ann or args.ann_kind is not None or args.memory_ceiling is not None:
-            ann = experiment.ann_index(
-                n_lists=args.ann_lists,
-                nprobe=args.ann_nprobe,
-                kind=args.ann_kind,
-                memory_ceiling_bytes=args.memory_ceiling,
-            )
+        ann = _ann_from_args(experiment, args)
+        if ann is not None:
             if hasattr(ann, "n_lists"):
                 print(
                     f"approximate retrieval ({ann.kind}): {ann.n_lists} lists, "
@@ -490,17 +539,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     gateway = None
     if args.gateway:
-        from .serving.gateway import GatewayConfig, ServingGateway
-
-        gateway = ServingGateway(
-            service,
-            GatewayConfig(
-                max_queue_depth=args.queue_depth,
-                max_wait_ms=args.max_wait_ms,
-                rate_limit=args.rate_limit,
-                deadline_ms=args.deadline_ms,
-            ),
-        )
+        gateway = _gateway_from_args(service, args)
         limit_note = (
             f", {args.rate_limit:g} req/s per tenant" if args.rate_limit else ""
         )
@@ -509,17 +548,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             f"max wait {args.max_wait_ms:g} ms{limit_note}"
         )
 
-    server = None
-    if args.metrics_port is not None:
-        from .obs.server import MetricsServer
-
-        server = MetricsServer(
-            service.registry,
-            port=args.metrics_port,
-            stats_fn=service.stats.extended_snapshot,
-            update_fn=gateway.sync_gauges if gateway is not None else service._sync_gauges,
-        ).start()
-        print(f"metrics: {server.url('/metrics')} (also /stats, /healthz)")
+    server = _start_metrics_server(service, gateway, args)
 
     if args.users and not args.dry_run:
         users = [int(u) for u in args.users.split(",")]
@@ -590,7 +619,6 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
         run_closed_loop,
         run_open_loop,
     )
-    from .serving.gateway import GatewayConfig, ServingGateway
 
     plan = None
     if args.chaos:
@@ -623,28 +651,8 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
         print(f"cannot serve this artifact: {error}", file=sys.stderr)
         return 1
 
-    gateway = ServingGateway(
-        service,
-        GatewayConfig(
-            max_queue_depth=args.queue_depth,
-            max_wait_ms=args.max_wait_ms,
-            rate_limit=args.rate_limit,
-            deadline_ms=args.deadline_ms,
-        ),
-        fault_plan=plan,
-    )
-
-    server = None
-    if args.metrics_port is not None:
-        from .obs.server import MetricsServer
-
-        server = MetricsServer(
-            service.registry,
-            port=args.metrics_port,
-            stats_fn=service.stats.extended_snapshot,
-            update_fn=gateway.sync_gauges,
-        ).start()
-        print(f"metrics: {server.url('/metrics')} (also /stats, /healthz)")
+    gateway = _gateway_from_args(service, args, fault_plan=plan)
+    server = _start_metrics_server(service, gateway, args)
 
     workload = build_workload(
         WorkloadConfig(
@@ -1020,21 +1028,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve through the concurrent gateway (bounded admission queue, "
         "dual-trigger batching, per-tenant rate limits; docs/serving.md)",
     )
-    serve.add_argument(
-        "--queue-depth", type=int, default=1024, metavar="N",
-        help="gateway admission-queue bound; requests beyond it are shed "
-        "with Overloaded (default: %(default)s)",
-    )
-    serve.add_argument(
-        "--max-wait-ms", type=float, default=2.0, metavar="MS",
-        help="gateway latency trigger: flush a partial batch once its oldest "
-        "request has waited this long (default: %(default)s)",
-    )
-    serve.add_argument(
-        "--rate-limit", type=float, default=None, metavar="RPS",
-        help="per-tenant token-bucket rate limit in requests/second "
-        "(default: unlimited)",
-    )
+    _add_gateway_flags(serve)
     _add_resilience_flags(serve)
     _add_ann_build_flags(serve)
     _add_trace_flag(serve)
@@ -1112,18 +1106,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--chaos-ann-failures", type=int, default=1, metavar="N",
         help="ANN search failures to inject with --ann (default: %(default)s)",
     )
-    loadtest.add_argument(
-        "--queue-depth", type=int, default=1024, metavar="N",
-        help="gateway admission-queue bound (default: %(default)s)",
-    )
-    loadtest.add_argument(
-        "--max-wait-ms", type=float, default=2.0, metavar="MS",
-        help="gateway latency flush trigger (default: %(default)s)",
-    )
-    loadtest.add_argument(
-        "--rate-limit", type=float, default=None, metavar="RPS",
-        help="per-tenant rate limit (default: unlimited)",
-    )
+    _add_gateway_flags(loadtest)
     loadtest.add_argument(
         "--metrics-port", type=int, metavar="PORT",
         help="expose /metrics on 127.0.0.1:PORT for the duration of the run "

@@ -40,7 +40,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ...core.base import ScoreBranch, branches_dtype
-from ...data.dataset import expand_csr_rows
 from ...eval.topk import NEG_INF, topk_indices_rows, topk_pairs_rows
 from ...obs.trace import maybe_span
 from .base import AnnIndex
@@ -451,20 +450,10 @@ class PQIndex(AnnIndex):
         ``-1`` / ``-inf`` sentinel contract, scores exact for every
         non-sentinel entry.
         """
-        users = np.asarray(users, dtype=np.int64)
-        k = min(int(k), self.n_items)
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        if len(users) == 0:
-            return np.empty((0, k), dtype=np.int64), np.empty((0, k), dtype=self.dtype)
         with maybe_span(tracer, "ann.fine.adc", cat="ann", attrs={"scorer": "pq"}):
-            scores = self.score(users)
-            if candidate_mask is not None:
-                scores[:, ~np.asarray(candidate_mask, dtype=bool)] = NEG_INF
-            if exclude_csr is not None:
-                rows, cols = expand_csr_rows(*exclude_csr, users)
-                if rows is not None:
-                    scores[rows, cols] = NEG_INF
+            users, k, scores = self._masked_scan(users, k, exclude_csr, candidate_mask)
+            if scores is None:
+                return np.empty((0, k), dtype=np.int64), np.empty((0, k), dtype=self.dtype)
             m = min(self.rerank_factor * k, self.n_items)
             cand = topk_indices_rows(scores, m).astype(np.int64, copy=False)
             cand_adc = np.take_along_axis(scores, cand, axis=1)

@@ -1,61 +1,63 @@
-"""The always-on concurrent request runtime in front of the service.
+"""The always-on concurrent front door of the service: admission and the timer.
 
-:class:`~repro.serving.service.RecommenderService` is a *library*: it
-batches whatever one caller pushes through it, and only flushes when a
-synchronous caller happens to cross ``max_batch_size``.
-:class:`ServingGateway` turns it into a *service* — the piece that absorbs
-heavy concurrent traffic:
+:class:`~repro.serving.service.RecommenderService` owns the request
+pipeline — the one queue, the size trigger (``max_batch_size``), every
+flush and its accounting.  On its own it is a *library*: a batch only runs
+when some caller crosses ``max_batch_size`` or blocks on a result.
+:class:`ServingGateway` adds the two things that make it a *service* under
+heavy concurrent traffic, and nothing else:
 
 * **Admission control.**  ``submit()`` is safe from any number of threads;
   the queue depth is strictly bounded (admission is serialized on one
   condition variable, so the bound cannot be raced past).  When the queue
   is full the request is *shed* with a typed :class:`Overloaded` error —
   the caller backs off; the requests already queued keep their latency.
+  A classic token bucket per tenant (``rate_limit`` requests/s sustained,
+  ``rate_burst`` peak) rejects with :class:`RateLimited`; tenants are
+  admission-control identities only, the service below never sees them.
+  An admitted request is handed to ``service.enqueue`` under the admission
+  lock; if that made the size trigger due, the submitting thread runs
+  ``service.flush("size")`` *after releasing it*, so admission is never
+  blocked behind a batch.
 
-* **Per-tenant rate limits.**  A classic token bucket per tenant
-  (``rate_limit`` requests/s sustained, ``rate_burst`` peak), rejecting
-  with :class:`RateLimited`.  Tenants are admission-control identities
-  only; the service below never sees them.
+* **The deadline timer.**  A background flusher thread sleeps exactly
+  until the oldest queued request has waited ``max_wait_ms`` and then asks
+  the service for a ``deadline`` flush — the second half of dual-trigger
+  batching, and what bounds latency when traffic is too thin to fill a
+  batch.  The thread is supervised: a crash fails the queued requests with
+  a typed :class:`FlusherCrashed` and restarts the loop.
 
-* **Dual-trigger dynamic batching.**  A batch flushes when it reaches
-  ``max_batch_size`` *or* when its oldest request has waited
-  ``max_wait_ms`` — whichever comes first.  The size trigger fires inline
-  on the submitting thread; the deadline trigger fires on a background
-  flusher thread that sleeps exactly until the oldest request's deadline.
-  The gateway takes over the service's internal size trigger while
-  attached, so every flush happens under a ``gateway.batch`` span with its
-  trigger recorded.
+Callers hold the same :class:`~repro.serving.service.PendingRecommendation`
+futures the service hands out; ``result(timeout=...)`` waits without
+forcing a flush, which is what keeps batches large under concurrent load
+(a blocking ``result()`` still works and is counted as a ``sync`` flush).
+``close()`` stops admission (:class:`GatewayClosed` shed), retires the
+flusher thread and drains what is still queued.  :meth:`swap_index`
+cooperates with the service's hot-swap: in-flight requests drain against
+the old index under the service's flush lock, so swap-under-load never
+deadlocks the flusher or produces neither-index results.
 
-* **Response demux.**  Callers hold the same
-  :class:`~repro.serving.service.PendingRecommendation` futures the
-  service hands out; ``result(timeout=...)`` waits without forcing a
-  flush, which is what keeps batches large under concurrent load.
+Lock order: the admission condition is taken before the service's queue
+lock and never while a flush runs (see :mod:`repro.serving.service`).
 
-* **Graceful drain.**  ``close()`` stops admission (:class:`GatewayClosed`
-  shed), retires the flusher thread, answers everything still queued, and
-  detaches from the service.  :meth:`swap_index` cooperates with the
-  service's hot-swap: in-flight requests drain against the old index
-  under the service's flush lock, so swap-under-load never deadlocks the
-  flusher or produces neither-index results.
-
-Everything the gateway decides is observable: ``gateway_requests_total``
-(by tenant), ``gateway_shed_total`` (by reason), ``gateway_flushes_total``
-(by trigger), the ``gateway_batch_size`` histogram, and the
-``gateway_queue_depth`` gauge, plus ``gateway.admit`` / ``gateway.batch``
-spans when a tracer is attached.
+Observable here: ``gateway_requests_total`` (by tenant),
+``gateway_shed_total`` (by reason), the ``gateway_queue_depth`` gauge and
+``gateway_flusher_restarts_total``, plus a ``gateway.admit`` span per
+submit and a ``gateway.batch`` span around each flush the gateway asks for.
+``gateway_flushes_total`` (by trigger) and ``gateway_batch_size`` are
+counted by the service, once per flush, whoever asked.
 """
 
 from __future__ import annotations
 
-import sys
 import threading
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..faults import FLUSHER_CRASH, FaultPlan
-from ..obs.metrics import MetricsRegistry, log_buckets
+from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Tracer, maybe_span
 from .errors import (  # noqa: F401 - historical import location, re-exported
     BackendError,
@@ -68,15 +70,10 @@ from .errors import (  # noqa: F401 - historical import location, re-exported
 )
 from .filters import Filter
 from .service import PendingRecommendation, RecommenderService
-
-#: a size trigger that can never fire: the gateway owns batching while attached
-_NEVER = sys.maxsize
+from .stats import FLUSH_TRIGGERS
 
 #: shed reasons (pre-seeded so the series exist on /metrics from scrape one)
 SHED_REASONS = ("queue_full", "rate_limited", "closed")
-
-#: flush triggers (pre-seeded likewise)
-FLUSH_TRIGGERS = ("size", "deadline", "drain")
 
 
 class TokenBucket:
@@ -116,16 +113,15 @@ class TokenBucket:
 class GatewayConfig:
     """Gateway knobs (none of them can change results, only behavior under load).
 
-    ``max_batch_size=None`` inherits the service's; ``rate_limit=None``
-    disables rate limiting; ``rate_burst=None`` defaults to one second of
-    sustained rate (minimum 1).  ``deadline_ms`` is the default per-request
-    deadline stamped at admission (``None`` = no deadline); ``submit`` can
-    override it per request.
+    The batch size is the service's (``RecommenderService(max_batch_size=)``).
+    ``rate_limit=None`` disables rate limiting; ``rate_burst=None`` defaults
+    to one second of sustained rate (minimum 1).  ``deadline_ms`` is the
+    default per-request deadline stamped at admission (``None`` = no
+    deadline); ``submit`` can override it per request.
     """
 
     max_queue_depth: int = 1024
     max_wait_ms: float = 2.0
-    max_batch_size: Optional[int] = None
     rate_limit: Optional[float] = None
     rate_burst: Optional[float] = None
     deadline_ms: Optional[float] = None
@@ -135,8 +131,6 @@ class GatewayConfig:
             raise ValueError(f"max_queue_depth must be >= 1, got {self.max_queue_depth}")
         if self.max_wait_ms <= 0:
             raise ValueError(f"max_wait_ms must be > 0, got {self.max_wait_ms}")
-        if self.max_batch_size is not None and self.max_batch_size < 1:
-            raise ValueError(f"max_batch_size must be >= 1, got {self.max_batch_size}")
         if self.rate_limit is not None and self.rate_limit <= 0:
             raise ValueError(f"rate_limit must be > 0, got {self.rate_limit}")
         if self.deadline_ms is not None and self.deadline_ms <= 0:
@@ -144,16 +138,12 @@ class GatewayConfig:
 
 
 class ServingGateway:
-    """Bounded, rate-limited, dual-trigger front-end over one service.
+    """Bounded, rate-limited admission plus the deadline timer over one service.
 
-    The gateway assumes *sole ownership* of its service's batching while
-    attached: it sets the service's internal size trigger aside (restored
-    at :meth:`close`) so that every flush — size, deadline, or drain —
-    goes through :meth:`_flush` and is accounted once.  Synchronous
-    helpers on the service (``recommend``, ``recommend_many``,
-    ``pending.result()`` with no timeout) still work: they force a flush
-    through the service, which is thread-safe; they simply bypass the
-    gateway's trigger accounting.
+    Attaching changes nothing about the service: its queue, its
+    ``max_batch_size`` and its flush accounting stay its own, and its
+    synchronous helpers (``recommend``, ``recommend_many``,
+    ``pending.result()`` with no timeout) keep working beside the gateway.
     """
 
     def __init__(
@@ -170,14 +160,6 @@ class ServingGateway:
         self.registry = registry if registry is not None else service.registry
         self.tracer = service.tracer if tracer is None else tracer
         self._clock = service._clock
-        self.max_batch_size = (
-            self.config.max_batch_size
-            if self.config.max_batch_size is not None
-            else service.max_batch_size
-        )
-        # Take over the size trigger (restored by close()).
-        self._service_batch_size = service.max_batch_size
-        service.max_batch_size = _NEVER
 
         self._cond = threading.Condition()
         self._closed = False
@@ -194,16 +176,6 @@ class ServingGateway:
         )
         for reason in SHED_REASONS:
             self._shed.labels_key((reason,), 0)
-        self._flushes = self.registry.counter(
-            "gateway_flushes_total", "Batch flushes executed, by trigger.",
-            labels=("trigger",),
-        )
-        for trigger in FLUSH_TRIGGERS:
-            self._flushes.labels_key((trigger,), 0)
-        self._batch_size_hist = self.registry.histogram(
-            "gateway_batch_size", "Requests answered per gateway flush.",
-            buckets=log_buckets(1.0, 4096.0, per_decade=8),
-        )
         self._depth_gauge = self.registry.gauge(
             "gateway_queue_depth", "Requests waiting in the admission queue."
         )
@@ -237,8 +209,20 @@ class ServingGateway:
             )
         return bucket
 
-    def _shed_request(self, reason: str) -> None:
-        self._shed.labels_key((reason,), 1)
+    def _refusal(self, tenant: str) -> Optional[Tuple[str, GatewayError]]:
+        """``(shed reason, typed error)`` when admission says no, else None."""
+        if self._closed:
+            return "closed", GatewayClosed("gateway is draining; no new requests")
+        bucket = self._bucket(tenant)
+        if bucket is not None and not bucket.try_acquire():
+            return "rate_limited", RateLimited(
+                f"tenant {tenant!r} exceeded {self.config.rate_limit:g} req/s"
+            )
+        if self.service.queue_depth >= self.config.max_queue_depth:
+            return "queue_full", Overloaded(
+                f"admission queue at max depth {self.config.max_queue_depth}"
+            )
+        return None
 
     def submit(
         self,
@@ -265,68 +249,53 @@ class ServingGateway:
             self.tracer, "gateway.admit", cat="gateway", attrs={"tenant": tenant}
         ) as admit_span:
             with self._cond:
-                if self._closed:
-                    self._shed_request("closed")
-                    admit_span.set_attr("outcome", "closed")
-                    raise GatewayClosed("gateway is draining; no new requests")
+                refusal = self._refusal(tenant)
+                if refusal is not None:
+                    reason, error = refusal
+                    self._shed.labels_key((reason,), 1)
+                    admit_span.set_attr("outcome", reason)
+                    raise error
                 if not self._flusher.is_alive():
                     # Defense in depth: the supervisor should never let the
                     # flusher die, but admission must not depend on that.
                     self._flusher = self._start_flusher()
-                bucket = self._bucket(tenant)
-                if bucket is not None and not bucket.try_acquire():
-                    self._shed_request("rate_limited")
-                    admit_span.set_attr("outcome", "rate_limited")
-                    raise RateLimited(
-                        f"tenant {tenant!r} exceeded {self.config.rate_limit:g} req/s"
-                    )
-                if self.service.queue_depth >= self.config.max_queue_depth:
-                    self._shed_request("queue_full")
-                    admit_span.set_attr("outcome", "queue_full")
-                    raise Overloaded(
-                        f"admission queue at max depth {self.config.max_queue_depth}"
-                    )
-                pending = self.service.submit(
-                    user, k=k, exclude_train=exclude_train, filters=filters,
-                    price_profile=price_profile,
-                    deadline_s=None if deadline_ms is None else deadline_ms / 1e3,
+                pending = self.service.enqueue(
+                    user, k, exclude_train, filters, price_profile,
+                    None if deadline_ms is None else deadline_ms / 1e3,
                 )
                 self._admitted.labels_key((tenant,), 1)
                 admit_span.set_attr("outcome", "admitted")
-                queued = not pending.done
-                if queued:
+                if not pending.done:
                     # Wake the flusher so it can (re)arm the deadline timer.
                     self._cond.notify()
-                should_flush = queued and self.service.queue_depth >= self.max_batch_size
-            if should_flush:
+            # Outside the admission lock: the next submit is admitted while
+            # this thread runs the batch.
+            if pending.flush_due:
                 self._flush("size")
             return pending
 
     # ------------------------------------------------------------------
-    # Batching
+    # The deadline timer
     # ------------------------------------------------------------------
     def _flush(self, trigger: str) -> int:
+        """Ask the service for a flush (it does the counting) under a span."""
         with maybe_span(
             self.tracer, "gateway.batch", cat="gateway", attrs={"trigger": trigger}
         ) as span:
-            flushed = self.service.flush()
+            # Looked up per call: instrumentation may wrap flush on the instance.
+            flushed = self.service.flush(trigger)
             span.set_attr("n_requests", flushed)
-        if flushed:
-            self._flushes.labels_key((trigger,), 1)
-            self._batch_size_hist.observe(flushed)
         self.sync_gauges()
         return flushed
 
     def _flusher_main(self) -> None:
         """Thread target: the flusher loop under a supervisor.
 
-        An uncaught exception in the loop used to kill the thread silently —
-        the deadline trigger was gone for good, and with no size trigger in
-        reach every queued request (and every future one) hung until a
-        client timeout.  The supervisor converts that into a loud, bounded
-        event: pending requests fail with the typed
-        :class:`FlusherCrashed`, ``gateway_flusher_restarts_total`` counts
-        the incident, and the loop restarts immediately.
+        A loop that died silently would take the deadline trigger with it
+        and leave thin traffic hanging until client timeouts.  The
+        supervisor makes a crash loud and bounded instead: queued requests
+        fail with the typed :class:`FlusherCrashed`,
+        ``gateway_flusher_restarts_total`` counts it, the loop restarts.
         """
         while True:
             try:
@@ -373,10 +342,6 @@ class ServingGateway:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def drain(self) -> int:
         """Flush everything queued right now (the gateway stays open)."""
         return self._flush("drain")
@@ -385,8 +350,7 @@ class ServingGateway:
         """Stop admission, retire the flusher, answer the stragglers.
 
         Returns how many queued requests the final drain resolved.
-        Idempotent; afterwards the service's own size trigger is restored,
-        so it behaves exactly as it did before the gateway attached.
+        Idempotent; the service keeps working on its own afterwards.
         """
         with self._cond:
             if self._closed:
@@ -394,9 +358,7 @@ class ServingGateway:
             self._closed = True
             self._cond.notify_all()
         self._flusher.join(timeout=30)
-        drained = self._flush("drain")
-        self.service.max_batch_size = self._service_batch_size
-        return drained
+        return self._flush("drain")
 
     def __enter__(self) -> "ServingGateway":
         return self
@@ -410,11 +372,10 @@ class ServingGateway:
     def swap_index(self, index, ann=None) -> int:
         """Hot-swap the index while the gateway keeps serving.
 
-        Delegates to :meth:`RecommenderService.swap_index`, which drains
-        in-flight requests against the old index under the service's flush
-        lock; requests admitted during the swap are answered wholly by the
-        new index.  The flusher thread needs no coordination — its flushes
-        serialize on the same lock.
+        :meth:`RecommenderService.swap_index` drains in-flight requests
+        against the old index under the service's flush lock; requests
+        admitted during the swap are answered wholly by the new one.  The
+        flusher needs no coordination — its flushes serialize on that lock.
         """
         evicted = self.service.swap_index(index, ann=ann)
         self.sync_gauges()
@@ -423,17 +384,6 @@ class ServingGateway:
     @property
     def queue_depth(self) -> int:
         return self.service.queue_depth
-
-    @property
-    def resilience(self):
-        """The service's resilience policy (None when not configured)."""
-        return self.service.resilience
-
-    @property
-    def breaker_state(self) -> Optional[str]:
-        """Circuit breaker state, or None without a resilience policy."""
-        policy = self.service.resilience
-        return None if policy is None else policy.state
 
     def flusher_restarts(self) -> int:
         """How many times the flusher supervisor restarted a crashed loop."""
@@ -451,7 +401,7 @@ class ServingGateway:
         return sum(int(self._shed.value(reason=r)) for r in SHED_REASONS)
 
     def snapshot(self) -> Dict[str, float]:
-        """Flat dict of the gateway's own counters (for reports/CLI)."""
+        """Flat dict of admission counters plus the service's flush counts."""
         out: Dict[str, float] = {
             "queue_depth": float(self.service.queue_depth),
             "max_queue_depth": float(self.config.max_queue_depth),
@@ -462,6 +412,6 @@ class ServingGateway:
         for reason in SHED_REASONS:
             out[f"shed_{reason}"] = float(self._shed.value(reason=reason))
         for trigger in FLUSH_TRIGGERS:
-            out[f"flushes_{trigger}"] = float(self._flushes.value(trigger=trigger))
+            out[f"flushes_{trigger}"] = float(self.service.stats.flush_count(trigger))
         out["flusher_restarts"] = float(self.flusher_restarts())
         return out

@@ -1,48 +1,54 @@
-"""The request-facing recommendation service.
+"""The request-facing recommendation service: one queue, one flush pipeline.
 
-Pipeline: requests enter a micro-batching queue; at flush time they are
-grouped by ranking parameters (k, exclusion, filter signature) and each
-group of *warm* users is answered by one batched retrieval — turning N
-single-user matmuls into one ``(N, d) @ (d, n_items)`` matmul, which is
-where the serving throughput comes from.  Per-request scenario routing:
+A request's whole path lives here, in stage order:
 
-* **warm user** (known id with training history) → full model score from
-  the frozen index — identical item ids to the offline evaluator;
-* **cold user** (unseen id, or known but history-free) → price-profile
-  fallback (:mod:`repro.serving.fallback`), optionally personalized by a
-  request-supplied price profile.
+1. **enqueue** — validate, then the LRU result cache (keyed by the full
+   request identity; a hit resolves on the spot), else append to the one
+   micro-batching queue, noting under the queue lock whether the size
+   trigger (``max_batch_size``) is now due;
+2. **flush** — asked for by a submitter crossing the size trigger
+   (``size``), the gateway's timer or drain (``deadline`` / ``drain``), or a
+   blocking caller (``sync``: ``result()``, ``recommend_many``,
+   ``swap_index``), and counted once per non-empty flush in
+   ``gateway_flushes_total{trigger}`` / ``gateway_batch_size``.  One
+   linear pass: take the queue → expire deadlines → group by ranking
+   parameters (k, exclusion, filter signature) and warm/cold → guard →
+   rank → deliver.
 
-Results land in an LRU cache keyed by the full request identity with
-explicit invalidation (:meth:`RecommenderService.invalidate`) for when a
-new index is swapped in or a user's state changes.  Latency, QPS, and
-cache hit-rate counters live in :class:`~repro.serving.stats.ServingStats`.
+*Rank*: a group of **warm** users (known id with training history) is one
+batched retrieval — N single-user matmuls become one
+``(N, d) @ (d, n_items)`` matmul, which is where the serving throughput
+comes from — with item ids identical to the offline evaluator's; **cold**
+users (unseen id, or known but history-free) are ranked from the
+price-profile fallback (:mod:`repro.serving.fallback`), optionally
+personalized by a request-supplied price profile.  *Deliver*: build the
+answer, write the cache (:meth:`RecommenderService.invalidate` drops
+entries explicitly), resolve or fail the request, and book its end-to-end
+latency into :class:`~repro.serving.stats.ServingStats`.
 
-Concurrency contract: the service is safe to drive from many threads at
-once — this is the substrate the always-on gateway
-(:mod:`repro.serving.gateway`) builds on.  Two locks split the work:
+*Guard* (opt-in via ``resilience=ResilienceConfig()``): each group consults
+a circuit breaker, retries transient backend errors with exponential
+backoff, and — when retries run out or the breaker is open — walks the
+*degradation ladder* instead of erroring: the request's stale cached answer
+if one exists, else a price-profile fallback ranking.  Degraded answers are
+:class:`DegradedResponse` (a :class:`Recommendation` subclass tagged with
+the ladder ``stage``), counted in ``gateway_fallbacks_total{stage}``, and
+never written back to the cache.  Per-request deadlines
+(``submit(deadline_s=...)``) fail typed at flush time with
+:class:`~repro.serving.errors.DeadlineExceeded`.  Without a policy, backend
+errors propagate raw to ``result()``.
 
-* ``_lock`` guards the *queue and cache* — the cheap mutations every
-  ``submit`` performs;
-* ``_flush_lock`` guards the *engine view* — a flush answers its whole
-  snapshot against one consistent (index, engine, fallback) triple, and
-  :meth:`swap_index` replaces that triple while holding the same lock, so
-  a request can observe the old index or the new one but never a mix.
-
-No thread ever waits on ``_flush_lock`` while holding ``_lock``, which is
-what makes the pair deadlock-free.
-
-Failure handling (opt-in via ``resilience=ResilienceConfig()``): each batch
-group consults a circuit breaker, retries transient backend errors with
-exponential backoff, and — when retries run out or the breaker is open —
-walks the *degradation ladder* instead of erroring: serve the request's
-stale LRU-cached answer if one exists, else a price-profile fallback
-ranking.  Degraded answers are :class:`DegradedResponse` (a
-:class:`Recommendation` subclass tagged with the ladder ``stage``), counted
-in ``gateway_fallbacks_total{stage}``, and never written back to the cache.
-Per-request deadlines (``submit(deadline_s=...)``) are enforced at flush
-time with a typed :class:`~repro.serving.errors.DeadlineExceeded`.  Without
-a resilience policy the historical contract holds: backend errors propagate
-raw to ``result()``.
+Concurrency contract: safe to drive from many threads at once; the gateway
+(:mod:`repro.serving.gateway`) only adds admission control and the deadline
+timer in front.  ``_lock`` guards the *queue and cache* — the cheap
+mutations every ``enqueue`` performs; ``_flush_lock`` guards the *engine
+view* — a flush answers its whole snapshot against one consistent (index,
+engine, fallback) triple, and :meth:`swap_index` replaces that triple under
+the same lock, so a request observes the old index or the new one, never a
+mix.  Lock order: gateway admission condition → ``_lock``, and
+``_flush_lock`` → ``_lock``; nothing waits on ``_flush_lock`` or the
+admission condition while holding ``_lock``, which makes the set
+deadlock-free.  Racing flushes take disjoint queue snapshots.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -140,21 +146,33 @@ class DegradedResponse(Recommendation):
     stage: str = ""
 
 
-class PendingRecommendation:
-    """Handle returned by :meth:`RecommenderService.submit`.
+def _copy(rec: Recommendation, cached: bool = False) -> Recommendation:
+    """Fresh arrays: the cache and a caller never share a mutable buffer."""
+    return Recommendation(
+        user=rec.user, items=rec.items.copy(), scores=rec.scores.copy(),
+        source=rec.source, cached=cached,
+    )
 
-    Resolves when the service flushes its queue.  ``result()`` (no
-    timeout) forces a flush if the answer is not in yet — the synchronous
-    caller's path; ``result(timeout=seconds)`` instead *waits* for another
-    thread (a concurrent caller hitting the size trigger, or the gateway's
-    flusher) to resolve it, raising :class:`ResultTimeout` on expiry.  A
-    request that failed during its batch re-raises its error here — one
-    poisoned request never orphans the rest of a batch.
+
+class PendingRecommendation:
+    """Handle returned by :meth:`RecommenderService.submit`; also the queue entry.
+
+    Carries its ``request``, the service-clock ``enqueued_at`` stamp, and
+    ``flush_due`` — whether enqueueing it brought the queue to the size
+    trigger.  Resolves when the service flushes its queue.  ``result()``
+    (no timeout) forces a flush if the answer is not in yet — the
+    synchronous caller's path; ``result(timeout=seconds)`` instead *waits*
+    for another thread (a concurrent caller hitting the size trigger, or
+    the gateway's flusher) to resolve it, raising :class:`ResultTimeout` on
+    expiry.  A request that failed during its batch re-raises its error
+    here — one poisoned request never orphans the rest of a batch.
     """
 
     def __init__(self, service: "RecommenderService", request: Request) -> None:
         self._service = service
-        self._request = request
+        self.request = request
+        self.enqueued_at = 0.0
+        self.flush_due = False
         self._result: Optional[Recommendation] = None
         self._error: Optional[Exception] = None
         self._done = threading.Event()
@@ -206,13 +224,25 @@ class PendingRecommendation:
                 self._done.wait()
             elif not self._done.wait(timeout):
                 raise ResultTimeout(
-                    f"request for user {self._request.user} unresolved after "
+                    f"request for user {self.request.user} unresolved after "
                     f"{timeout:.3f}s"
                 )
         if self._error is not None:
             raise self._error
         assert self._result is not None, "flush() must resolve every queued request"
         return self._result
+
+
+def _profile_key(request: Request) -> Optional[Tuple]:
+    """Hashable identity of the price profile steering a cold request."""
+    return None if request.price_profile is None else tuple(request.price_profile)
+
+
+def _fail_all(entries: Sequence[PendingRecommendation], error: Exception) -> None:
+    """Fail whatever in ``entries`` is still unresolved (``_fail`` is first-wins)."""
+    for pending in entries:
+        if not pending.done:
+            pending._fail(error)
 
 
 class RecommenderService:
@@ -229,7 +259,6 @@ class RecommenderService:
         ann=None,
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
-        runtime=None,
         resilience: Optional[ResilienceConfig] = None,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
@@ -250,23 +279,12 @@ class RecommenderService:
         self.max_batch_size = max_batch_size
         self.cache_capacity = cache_capacity
         self._clock = clock or time.perf_counter
-        # runtime: an optional sharded BatchRuntime backend over the same
-        # catalog; eligible warm groups are answered by runtime.rank()
-        # (bit-identical kernels) instead of the in-process engine.
-        if runtime is not None and runtime.n_items != index.n_items:
-            raise ValueError(
-                f"backend runtime covers {runtime.n_items} items but the index "
-                f"has {index.n_items}"
-            )
-        self.runtime = runtime
         # _lock guards queue + cache; _flush_lock serializes batch execution
         # against swap_index (see the module docstring's concurrency contract)
         self._lock = threading.RLock()
         self._flush_lock = threading.RLock()
         self._cache: "OrderedDict[Tuple, Recommendation]" = OrderedDict()
-        # queue entries: (request, pending, enqueued_at) — the timestamp is
-        # what lets record_batch account queue wait into end-to-end latency
-        self._queue: List[Tuple[Request, PendingRecommendation, float]] = []
+        self._queue: List[PendingRecommendation] = []
         self.stats = ServingStats(clock=self._clock, registry=registry)
         self.registry = self.stats.registry
         # Resilience is opt-in: None keeps the historical contract (backend
@@ -327,14 +345,14 @@ class RecommenderService:
         drain *and* the engine replacement, so a flush racing this swap
         either completes fully against the old index (it got the lock
         first) or answers its whole snapshot from the new one — never a
-        mix.  An attached backend runtime is refreshed in place.
+        mix.
 
-        Complete-or-roll-back: every fallible step — building the new
-        engine (which validates the ANN/catalog pairing) and refreshing the
-        backend runtime — runs *before* any service state changes.  If one
-        raises, the service keeps serving the old (index, engine, fallback)
-        triple and cache untouched; a torn state where ``self.index`` is
-        new but ``self.engine`` still scores the old catalog cannot occur.
+        Complete-or-roll-back: the one fallible step — building the new
+        engine, which validates the ANN/catalog pairing — runs *before* any
+        service state changes.  If it raises, the service keeps serving the
+        old (index, engine, fallback) triple and cache untouched; a torn
+        state where ``self.index`` is new but ``self.engine`` still scores
+        the old catalog cannot occur.
 
         Returns the number of cached results evicted.
         """
@@ -346,11 +364,6 @@ class RecommenderService:
                 on_ann_fallback=self._on_ann_fallback,
             )
             fallback = PriceProfileFallback(index)
-            if self.runtime is not None:
-                exclude_csr = None
-                if self.runtime.has_exclusions:
-                    exclude_csr = (index.exclude_indptr, index.exclude_indices)
-                self.runtime.refresh(index, exclude_csr=exclude_csr)
             with self._lock:
                 self.index = index
                 self.engine = engine
@@ -363,7 +376,7 @@ class RecommenderService:
     # ------------------------------------------------------------------
     # Request entry points
     # ------------------------------------------------------------------
-    def submit(
+    def enqueue(
         self,
         user: int,
         k: Optional[int] = None,
@@ -372,23 +385,25 @@ class RecommenderService:
         price_profile: Optional[np.ndarray] = None,
         deadline_s: Optional[float] = None,
     ) -> PendingRecommendation:
-        """Enqueue a request; flushes automatically at ``max_batch_size``.
+        """:meth:`submit` without the inline flush: validate → cache → append.
 
-        Request validation happens here, not at flush time, so a malformed
-        request fails its caller immediately instead of poisoning a batch.
+        For a caller that must not run a batch where it stands (the
+        gateway, under its admission lock).  The handle comes back resolved
+        on a cache hit; otherwise ``flush_due`` says whether the queue
+        reached ``max_batch_size`` — the caller then owes a ``flush("size")``.
+
+        Validation happens here, not at flush time, so a malformed request
+        fails its caller immediately instead of poisoning a batch.
         ``price_profile`` only steers the cold-start fallback; for warm
-        users (answered by the full model score) it is validated, then
-        dropped — so every profile variant of a warm request shares one
-        cache entry.  ``deadline_s`` (relative seconds) bounds how long the
-        request may wait in the queue: a flush that finds it expired fails
-        it with :class:`~repro.serving.errors.DeadlineExceeded` instead of
-        scoring it.
+        users it is validated, then dropped — so every profile variant of a
+        warm request shares one cache entry.
         """
         if deadline_s is not None and deadline_s <= 0:
             raise ValueError(f"deadline_s must be > 0, got {deadline_s}")
+        warm = self.index.is_warm(int(user))
         if price_profile is not None:
             price_profile = self.fallback.normalize_profile(price_profile)
-            if self.index.is_warm(int(user)):
+            if warm:
                 price_profile = None
         request = Request(
             user=int(user),
@@ -401,7 +416,6 @@ class RecommenderService:
         if request.k < 1:
             raise ValueError(f"k must be >= 1, got {request.k}")
         pending = PendingRecommendation(self, request)
-        warm = self.index.is_warm(request.user)
         self.stats.record_request(warm=warm)
         if self.tracer is not None:
             pending._span = self.tracer.begin(
@@ -416,35 +430,41 @@ class RecommenderService:
         # single most expensive no-op on the serving hot path.
         if self.tracer is not None and self.cache_capacity > 0:
             with self.tracer.span(
-                "cache.lookup",
-                cat="serving",
-                parent_id=pending._span.span_id if pending._span is not None else None,
+                "cache.lookup", cat="serving", parent_id=pending._span.span_id
             ) as lookup:
                 cached = self._cache_get(request.cache_key())
                 lookup.set_attr("hit", cached is not None)
         else:
             cached = self._cache_get(request.cache_key())
+        self.stats.record_cache(hit=cached is not None)
         if cached is not None:
-            self.stats.record_cache(hit=True)
-            # Hand out copies: callers may mutate their result freely
-            # without corrupting the cached answer.
-            pending._resolve(
-                Recommendation(
-                    user=cached.user,
-                    items=cached.items.copy(),
-                    scores=cached.scores.copy(),
-                    source=cached.source,
-                    cached=True,
-                )
-            )
+            pending._resolve(_copy(cached, cached=True))
             return pending
-        self.stats.record_cache(hit=False)
 
         with self._lock:
-            self._queue.append((request, pending, self._clock()))
-            should_flush = len(self._queue) >= self.max_batch_size
-        if should_flush:
-            self.flush()
+            pending.enqueued_at = self._clock()
+            self._queue.append(pending)
+            pending.flush_due = len(self._queue) >= self.max_batch_size
+        return pending
+
+    def submit(
+        self,
+        user: int,
+        k: Optional[int] = None,
+        exclude_train: bool = True,
+        filters: Sequence[Filter] = (),
+        price_profile: Optional[np.ndarray] = None,
+        deadline_s: Optional[float] = None,
+    ) -> PendingRecommendation:
+        """Enqueue a request; flushes inline once ``max_batch_size`` are queued.
+
+        ``deadline_s`` (relative seconds) bounds the queue wait: a flush
+        that finds the request expired fails it with
+        :class:`~repro.serving.errors.DeadlineExceeded` instead of scoring it.
+        """
+        pending = self.enqueue(user, k, exclude_train, filters, price_profile, deadline_s)
+        if pending.flush_due:
+            self.flush("size")
         return pending
 
     def recommend(
@@ -456,9 +476,7 @@ class RecommenderService:
         price_profile: Optional[np.ndarray] = None,
     ) -> Recommendation:
         """Synchronous single-request convenience wrapper."""
-        return self.submit(
-            user, k=k, exclude_train=exclude_train, filters=filters, price_profile=price_profile
-        ).result()
+        return self.submit(user, k, exclude_train, filters, price_profile).result()
 
     def recommend_many(
         self,
@@ -499,10 +517,13 @@ class RecommenderService:
         return [p.result() for p in pending]
 
     # ------------------------------------------------------------------
-    # Micro-batch execution
+    # The flush pipeline: take → expire → group → guard → rank → deliver
     # ------------------------------------------------------------------
-    def flush(self) -> int:
-        """Answer every queued request; returns how many were resolved.
+    def flush(self, trigger: str = "sync") -> int:
+        """Answer every queued request; returns how many were taken.
+
+        ``trigger`` only names who asked, for the flush accounting (see the
+        module docstring); a bare ``flush()`` is a blocking caller's ``sync``.
 
         Thread-safe: the queue swap happens under ``_lock`` (so concurrent
         submits never lose a request), and the batch itself executes under
@@ -515,54 +536,53 @@ class RecommenderService:
                 return 0
             queue, self._queue = self._queue, []
         self._sync_gauges()
+        self.stats.record_flush(trigger, len(queue))
 
         # Deadline sweep: a request that waited out its budget fails typed,
         # before the batch spends compute on an answer nobody awaits.
         now = self._clock()
-        live = queue
-        if any(request.deadline_at is not None for request, _, _ in queue):
-            live = []
-            for entry in queue:
-                request, pending, _ = entry
-                if request.deadline_at is not None and now > request.deadline_at:
-                    self.stats.record_deadline_exceeded()
-                    pending._fail(
-                        DeadlineExceeded(
-                            f"request for user {request.user} missed its deadline "
-                            "before its batch ran"
-                        )
+        live = []
+        for pending in queue:
+            deadline_at = pending.request.deadline_at
+            if deadline_at is not None and now > deadline_at:
+                self.stats.record_deadline_exceeded()
+                pending._fail(
+                    DeadlineExceeded(
+                        f"request for user {pending.request.user} missed its "
+                        "deadline before its batch ran"
                     )
-                else:
-                    live.append(entry)
-
-        groups: "OrderedDict[Tuple, List[Tuple[Request, PendingRecommendation, float]]]" = OrderedDict()
-        for request, pending, enqueued_at in live:
-            groups.setdefault(request.batch_key(), []).append((request, pending, enqueued_at))
+                )
+            else:
+                live.append(pending)
 
         with self._flush_lock:
             try:
                 with maybe_span(
                     self.tracer, "flush", cat="serving", attrs={"n_requests": len(queue)}
                 ):
-                    for entries in groups.values():
-                        warm = [e for e in entries if self.index.is_warm(e[0].user)]
-                        cold = [e for e in entries if not self.index.is_warm(e[0].user)]
+                    # Per batch key: the warm lane, then one cold lane per price
+                    # profile (one fallback score row alive at a time).  Routed
+                    # against the index this flush answers from, hence in here.
+                    groups: "OrderedDict[Tuple, Dict]" = OrderedDict()
+                    for pending in live:
+                        request = pending.request
+                        lane = WARM if self.index.is_warm(request.user) else _profile_key(request)
+                        lanes = groups.setdefault(request.batch_key(), {WARM: []})
+                        lanes.setdefault(lane, []).append(pending)
+                    for lanes in groups.values():
+                        warm = lanes.pop(WARM)
                         if warm:
                             self._run_group(self._answer_warm, warm)
-                        if cold:
-                            self._run_group(self._answer_cold_group, cold)
+                        for cold in lanes.values():
+                            self._run_group(self._answer_cold, cold)
             finally:
                 # Never strand a waiter: anything still unresolved (only
                 # reachable if the grouping machinery itself failed) fails
                 # loudly instead of leaving result() to block forever.
-                for _, pending, _ in queue:
-                    if not pending.done:
-                        pending._fail(
-                            RuntimeError("flush exited without resolving this request")
-                        )
+                _fail_all(queue, RuntimeError("flush exited without resolving this request"))
         return len(queue)
 
-    def _run_group(self, answer, entries: List[Tuple[Request, PendingRecommendation, float]]) -> None:
+    def _run_group(self, answer, entries: List[PendingRecommendation]) -> None:
         """Answer one group; on error, fail its requests instead of raising.
 
         With a resilience policy attached this is where the failure ladder
@@ -580,113 +600,167 @@ class RecommenderService:
         delivered through ``result()``.
         """
         policy = self.resilience
-        if policy is not None and not policy.allow():
-            self._degrade_entries(entries, prefix="breaker")
-            return
         attempt = 0
-        while True:
+        while policy is None or policy.allow():
             try:
                 answer(entries)
             except Exception as error:  # noqa: BLE001 - delivered via result()
                 if policy is None or not is_transient(error):
-                    for _, pending, _ in entries:
-                        if not pending.done:
-                            pending._fail(error)
+                    _fail_all(entries, error)
                     return
                 policy.record_failure()
-                resolved_any = any(pending.done for _, pending, _ in entries)
+                resolved_any = any(pending.done for pending in entries)
                 if attempt < policy.config.retries and not resolved_any:
                     attempt += 1
                     self.stats.record_retry()
                     policy.sleep_backoff(attempt)
-                    if policy.allow():
-                        continue
-                    self._degrade_entries(entries, prefix="breaker")
-                    return
+                    continue  # the breaker is consulted again before the retry
                 if policy.config.degrade:
-                    self._degrade_entries(entries, prefix="error")
+                    self._answer_degraded(entries, prefix="error")
                     return
                 failure = BackendError(
                     f"backend failed after {attempt + 1} attempt(s): {error!r}"
                 )
                 failure.__cause__ = error
-                for _, pending, _ in entries:
-                    if not pending.done:
-                        pending._fail(failure)
+                _fail_all(entries, failure)
                 return
-            else:
-                if policy is not None:
-                    policy.record_success()
-                return
+            if policy is not None:
+                policy.record_success()
+            return
+        self._answer_degraded(entries, prefix="breaker")
 
-    def _degrade_entries(
-        self,
-        entries: List[Tuple[Request, PendingRecommendation, float]],
-        prefix: str,
-    ) -> None:
+    def _answer_warm(self, entries: List[PendingRecommendation]) -> None:
+        """One batched retrieval for a group of warm users."""
+        if self.fault_plan is not None:
+            # Chaos drill hooks: a slow scorer stalls the batch, a poisoned
+            # scorer raises — exercised before any compute, like a failure
+            # in the first matmul would be.
+            self.fault_plan.maybe_delay(SCORER_DELAY)
+            self.fault_plan.maybe_fail(SCORER_ERROR)
+        first = entries[0].request
+        began = self._clock()
+        with maybe_span(
+            self.tracer, "batch.warm", cat="serving", attrs={"n_requests": len(entries)}
+        ):
+            results = self.engine.topk(
+                [pending.request.user for pending in entries],
+                k=first.k,
+                exclude_train=first.exclude_train,
+                filters=first.filters,
+            )
+        self._deliver(entries, results, began, WARM, len(entries) * self.index.n_items)
+
+    def _answer_cold(self, entries: List[PendingRecommendation]) -> None:
+        """Rank a group of cold users from their price-profile score rows."""
+        began = self._clock()
+        rows: Dict[Optional[Tuple], np.ndarray] = {}
+        with maybe_span(
+            self.tracer, "batch.cold", cat="serving", attrs={"n_requests": len(entries)}
+        ):
+            results = [self._rank_from_profile(pending.request, rows) for pending in entries]
+        self._deliver(entries, results, began, COLD, len(rows) * self.index.n_items)
+
+    def _answer_degraded(self, entries: List[PendingRecommendation], prefix: str) -> None:
         """Walk the degradation ladder for a group the backend cannot answer.
 
-        Per request: serve its stale LRU-cached answer when one exists
-        (stage ``{prefix}_cache``), otherwise rank the price-profile
-        fallback scores (stage ``{prefix}_profile`` — the paper's
-        cold-start path, which needs no model matmul).  Either way the
-        caller gets a :class:`DegradedResponse`; nothing is written back
-        to the cache, so recovered backends serve fresh answers.
+        Per request: its stale LRU-cached answer when one exists (stage
+        ``{prefix}_cache``), otherwise a price-profile fallback ranking
+        (stage ``{prefix}_profile`` — the paper's cold-start path, which
+        needs no model matmul).
         """
+        entries = [pending for pending in entries if not pending.done]
         began = self._clock()
+        rows: Dict[Optional[Tuple], np.ndarray] = {}
         with maybe_span(
             self.tracer, "batch.degraded", cat="serving",
             attrs={"n_requests": len(entries), "prefix": prefix},
         ):
-            profile_scores: Optional[np.ndarray] = None
-            for request, pending, _ in entries:
-                if pending.done:
-                    continue
-                try:
-                    cached = self._cache_get(request.cache_key())
-                    if cached is not None:
-                        answer = DegradedResponse(
-                            user=cached.user,
-                            items=cached.items.copy(),
-                            scores=cached.scores.copy(),
-                            source=cached.source,
-                            cached=True,
-                            stage=f"{prefix}_cache",
-                        )
-                    else:
-                        if profile_scores is None or request.price_profile is not None:
-                            scores = self.fallback.scores(request.price_profile)
-                            if request.price_profile is None:
-                                profile_scores = scores
-                        else:
-                            scores = profile_scores
-                        exclude = None
-                        if request.exclude_train and 0 <= request.user < self.index.n_users:
-                            exclude = self.index.excluded_items(request.user)
-                        result = self.engine.topk_from_scores(
-                            scores, k=request.k, exclude_items=exclude,
-                            filters=request.filters,
-                        )
-                        answer = DegradedResponse(
-                            user=request.user,
-                            items=result.items,
-                            scores=result.scores,
-                            source=COLD,
-                            stage=f"{prefix}_profile",
-                        )
+            results = []
+            for pending in entries:
+                stale = self._cache_get(pending.request.cache_key())
+                results.append(
+                    _copy(stale) if stale is not None
+                    else self._rank_from_profile(pending.request, rows)
+                )
+        self._deliver(entries, results, began, COLD, self.index.n_items, degraded_by=prefix)
+
+    def _rank_from_profile(
+        self, request: Request, rows: Dict[Optional[Tuple], np.ndarray]
+    ) -> Union[RetrievalResult, Exception]:
+        """Rank one user from a price-profile score row (cold path and ladder).
+
+        Fallback scores depend only on the profile (and the frozen index),
+        so ``rows`` memoizes the score row per profile across the group — a
+        lane carries one profile, so normally that is one row.  A ranking
+        that throws is *returned*, not raised: it fails its own request at
+        delivery and never poisons the rest of its group.
+        """
+        try:
+            key = _profile_key(request)
+            scores = rows.get(key)
+            if scores is None:
+                scores = rows[key] = self.fallback.scores(request.price_profile)
+            exclude = None
+            if request.exclude_train and 0 <= request.user < self.index.n_users:
+                exclude = self.index.excluded_items(request.user)
+            return self.engine.topk_from_scores(
+                scores, k=request.k, exclude_items=exclude, filters=request.filters
+            )
+        except Exception as error:  # noqa: BLE001 - delivered via result()
+            return error
+
+    def _deliver(
+        self,
+        entries: List[PendingRecommendation],
+        results: Sequence[Union[RetrievalResult, Recommendation, Exception]],
+        began: float,
+        source: str,
+        n_items_scored: int,
+        degraded_by: Optional[str] = None,
+    ) -> None:
+        """The one exit of the pipeline: answer, cache, resolve, account.
+
+        ``results`` lines up with ``entries``: a ranking, a stale cached
+        :class:`Recommendation` (ladder only), or the exception that
+        request's ranking raised.  A degraded answer (``degraded_by`` = the
+        ladder prefix) is tagged with its stage, counted, and never cached,
+        so a recovered backend serves fresh answers.  Latency is booked for
+        exactly the requests answered here, each with its real queue wait.
+        """
+        seconds = self._clock() - began
+        waits = []
+        for pending, result in zip(entries, results):
+            if pending.done:
+                continue
+            request = pending.request
+            try:
+                if isinstance(result, Exception):
+                    raise result
+                if degraded_by is None:
+                    answer = Recommendation(
+                        user=request.user, items=result.items, scores=result.scores,
+                        source=source,
+                    )
+                    self._cache_put(request.cache_key(), answer)
+                else:
+                    stale = isinstance(result, Recommendation)
+                    answer = DegradedResponse(
+                        user=request.user, items=result.items, scores=result.scores,
+                        source=result.source if stale else source, cached=stale,
+                        stage=f"{degraded_by}_{'cache' if stale else 'profile'}",
+                    )
                     self.stats.record_fallback(answer.stage)
-                    pending._resolve(answer)
-                except Exception as degrade_error:  # noqa: BLE001
-                    if not pending.done:
-                        failure = BackendError(
-                            f"degradation ladder failed too: {degrade_error!r}"
-                        )
-                        failure.__cause__ = degrade_error
-                        pending._fail(failure)
+                pending._resolve(answer)
+                waits.append(began - pending.enqueued_at)
+            except Exception as error:  # noqa: BLE001 - delivered via result()
+                if degraded_by is not None:
+                    failure = BackendError(f"degradation ladder failed too: {error!r}")
+                    failure.__cause__ = error
+                    error = failure
+                pending._fail(error)
         self.stats.record_batch(
-            n_requests=len(entries),
-            n_items_scored=self.index.n_items,
-            seconds=self._clock() - began,
+            n_requests=len(waits), n_items_scored=n_items_scored,
+            seconds=seconds, queue_waits=waits,
         )
 
     def fail_pending(self, error: Exception) -> int:
@@ -698,125 +772,9 @@ class RecommenderService:
         """
         with self._lock:
             queue, self._queue = self._queue, []
-        for _, pending, _ in queue:
-            if not pending.done:
-                pending._fail(error)
+        _fail_all(queue, error)
         self._sync_gauges()
         return len(queue)
-
-    def _route_via_runtime(self, request: Request) -> bool:
-        """Whether a warm group with this shape may run on the backend runtime.
-
-        The runtime ranks the full catalog with the service's own kernels
-        (bit-identical results), but knows nothing of per-request filters
-        and carries a fixed exclusion mask — so only the unfiltered shape
-        whose exclusion setting matches the runtime's is eligible; anything
-        else stays on the in-process engine.
-        """
-        return (
-            self.runtime is not None
-            and not request.filters
-            and request.exclude_train == self.runtime.has_exclusions
-            and self.engine.ann is None
-            and self.runtime.ann is None
-        )
-
-    def _answer_warm(self, entries: List[Tuple[Request, PendingRecommendation, float]]) -> None:
-        if self.fault_plan is not None:
-            # Chaos drill hooks: a slow scorer stalls the batch, a poisoned
-            # scorer raises — exercised before any compute, like a failure
-            # in the first matmul would be.
-            self.fault_plan.maybe_delay(SCORER_DELAY)
-            self.fault_plan.maybe_fail(SCORER_ERROR)
-        first = entries[0][0]
-        users = [request.user for request, _, _ in entries]
-        began = self._clock()
-        via_runtime = self._route_via_runtime(first)
-        with maybe_span(
-            self.tracer, "batch.warm", cat="serving",
-            attrs={"n_requests": len(entries), "backend": "runtime" if via_runtime else "engine"},
-        ):
-            if via_runtime:
-                _, ids, scores = self.runtime.rank(
-                    users, k=min(first.k, self.index.n_items), with_scores=True,
-                    tracer=self.tracer,
-                )
-                results = [
-                    RetrievalResult(items=ids[row], scores=scores[row])
-                    for row in range(len(users))
-                ]
-            else:
-                results = self.engine.topk(
-                    users,
-                    k=first.k,
-                    exclude_train=first.exclude_train,
-                    filters=first.filters,
-                )
-        self.stats.record_batch(
-            n_requests=len(entries),
-            n_items_scored=len(entries) * self.index.n_items,
-            seconds=self._clock() - began,
-            queue_waits=[began - enqueued_at for _, _, enqueued_at in entries],
-        )
-        for (request, pending, _), result in zip(entries, results):
-            try:
-                answer = Recommendation(
-                    user=request.user, items=result.items, scores=result.scores, source=WARM
-                )
-                self._cache_put(request.cache_key(), answer)
-                pending._resolve(answer)
-            except Exception as error:  # noqa: BLE001 - delivered via result()
-                if not pending.done:
-                    pending._fail(error)
-
-    def _answer_cold_group(
-        self, entries: List[Tuple[Request, PendingRecommendation, float]]
-    ) -> None:
-        """Answer cold requests, computing each profile's score vector once.
-
-        Fallback scores depend only on the price profile (and the frozen
-        index), so requests sharing a profile — in particular the common
-        no-profile case — share one scoring pass.  Each request resolves
-        (or fails) individually: one request whose per-user ranking throws
-        does not poison the rest of its profile group.
-        """
-        by_profile: "OrderedDict[Optional[Tuple], List[Tuple[Request, PendingRecommendation, float]]]" = OrderedDict()
-        for request, pending, enqueued_at in entries:
-            key = None if request.price_profile is None else tuple(request.price_profile)
-            by_profile.setdefault(key, []).append((request, pending, enqueued_at))
-
-        for profile_entries in by_profile.values():
-            began = self._clock()
-            with maybe_span(
-                self.tracer,
-                "batch.cold",
-                cat="serving",
-                attrs={"n_requests": len(profile_entries)},
-            ):
-                scores = self.fallback.scores(profile_entries[0][0].price_profile)
-                for request, pending, _ in profile_entries:
-                    try:
-                        exclude = None
-                        if request.exclude_train and 0 <= request.user < self.index.n_users:
-                            exclude = self.index.excluded_items(request.user)
-                        result = self.engine.topk_from_scores(
-                            scores, k=request.k, exclude_items=exclude, filters=request.filters
-                        )
-                        answer = Recommendation(
-                            user=request.user, items=result.items, scores=result.scores,
-                            source=COLD,
-                        )
-                        self._cache_put(request.cache_key(), answer)
-                        pending._resolve(answer)
-                    except Exception as error:  # noqa: BLE001 - delivered via result()
-                        if not pending.done:
-                            pending._fail(error)
-            self.stats.record_batch(
-                n_requests=len(profile_entries),
-                n_items_scored=self.index.n_items,
-                seconds=self._clock() - began,
-                queue_waits=[began - enqueued_at for _, _, enqueued_at in profile_entries],
-            )
 
     # ------------------------------------------------------------------
     # Result cache
@@ -833,13 +791,7 @@ class RecommenderService:
     def _cache_put(self, key: Tuple, value: Recommendation) -> None:
         if self.cache_capacity < 1:
             return
-        # Snapshot the arrays: the caller owns the object we hand back.
-        entry = Recommendation(
-            user=value.user,
-            items=value.items.copy(),
-            scores=value.scores.copy(),
-            source=value.source,
-        )
+        entry = _copy(value)  # the caller owns the object we hand back
         with self._lock:
             self._cache[key] = entry
             self._cache.move_to_end(key)
@@ -879,7 +831,7 @@ class RecommenderService:
         batcher (the gateway's flusher thread) schedules its wakeup from.
         """
         with self._lock:
-            return self._queue[0][2] if self._queue else None
+            return self._queue[0].enqueued_at if self._queue else None
 
     def _sync_gauges(self) -> None:
         self._queue_depth_gauge.set(len(self._queue))

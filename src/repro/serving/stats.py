@@ -27,11 +27,16 @@ from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import MetricsRegistry, log_buckets
 from .resilience import FALLBACK_STAGES
 
 #: terminal request outcomes (pre-seeded so accounting series always scrape)
 OUTCOMES = ("ok", "degraded", "failed")
+
+#: who asked for a flush (pre-seeded likewise): the size trigger, the gateway's
+#: deadline timer, a gateway drain/close, or a blocking caller (``result()``,
+#: ``recommend_many``, ``swap_index``)
+FLUSH_TRIGGERS = ("size", "deadline", "drain", "sync")
 
 
 class LatencyRecorder:
@@ -163,6 +168,16 @@ class ServingStats:
             "gateway_deadline_exceeded_total",
             "Requests failed because their deadline passed before their batch.",
         )
+        self._flushes = self.registry.counter(
+            "gateway_flushes_total", "Batch flushes executed, by trigger.",
+            labels=("trigger",),
+        )
+        for trigger in FLUSH_TRIGGERS:
+            self._flushes.labels_key((trigger,), 0)
+        self._flush_size = self.registry.histogram(
+            "gateway_batch_size", "Requests taken per non-empty flush.",
+            buckets=log_buckets(1.0, 4096.0, per_decade=8),
+        )
 
     # ------------------------------------------------------------------
     # Recording
@@ -207,6 +222,11 @@ class ServingStats:
 
     def record_deadline_exceeded(self) -> None:
         self._deadline_exceeded.inc()
+
+    def record_flush(self, trigger: str, n_requests: int) -> None:
+        """Count one non-empty flush under whoever asked for it."""
+        self._flushes.labels_key((trigger,), 1)
+        self._flush_size.observe(n_requests)
 
     def record_batch(
         self,
@@ -276,6 +296,9 @@ class ServingStats:
         if stage is not None:
             return int(self._fallbacks.value(stage=stage))
         return sum(int(self._fallbacks.value(stage=s)) for s in FALLBACK_STAGES)
+
+    def flush_count(self, trigger: str) -> int:
+        return int(self._flushes.value(trigger=trigger))
 
     @property
     def retries(self) -> int:

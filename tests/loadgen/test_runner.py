@@ -27,10 +27,12 @@ def index():
     return export_index(model, dataset)
 
 
-def make_gateway(index, **config_kwargs):
+def make_gateway(index, max_batch_size=16, **config_kwargs):
     config_kwargs.setdefault("max_queue_depth", 256)
     config_kwargs.setdefault("max_wait_ms", 2.0)
-    service = RecommenderService(index, default_k=8, max_batch_size=16, cache_capacity=0)
+    service = RecommenderService(
+        index, default_k=8, max_batch_size=max_batch_size, cache_capacity=0
+    )
     return ServingGateway(service, GatewayConfig(**config_kwargs))
 
 

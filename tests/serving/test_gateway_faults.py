@@ -65,7 +65,7 @@ class TestFlusherSupervision:
         service = RecommenderService(index, max_batch_size=4)
         gateway = ServingGateway(
             service,
-            GatewayConfig(max_wait_ms=1.0, max_batch_size=4, max_queue_depth=256),
+            GatewayConfig(max_wait_ms=1.0, max_queue_depth=256),
             fault_plan=plan,
         )
         n_threads, per_thread = 6, 20

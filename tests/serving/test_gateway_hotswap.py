@@ -51,7 +51,7 @@ def test_swap_under_load_never_mixes_indexes_or_deadlocks(index, trial):
     }
 
     service = RecommenderService(index, default_k=k, max_batch_size=8, cache_capacity=32)
-    config = GatewayConfig(max_queue_depth=256, max_wait_ms=1.0, max_batch_size=8)
+    config = GatewayConfig(max_queue_depth=256, max_wait_ms=1.0)
     n_workers = 4
     # workers + swapper rendezvous so the swap lands mid-storm
     barrier = threading.Barrier(n_workers + 1)

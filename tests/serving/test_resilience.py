@@ -209,6 +209,40 @@ class TestDegradationLadder:
         service.recommend(20)
         assert plan.occurrences(SCORER_ERROR) == consulted_before
 
+    def test_degraded_latency_is_end_to_end_and_books_only_the_answered(self, index):
+        """A degraded answer waited in the queue like any other: its queue
+        wait is booked (not zero), one latency sample per answered request."""
+        clock = FakeClock()
+        plan = FaultPlan([FaultSpec(SCORER_ERROR, probability=1.0)])
+        config = ResilienceConfig(
+            retries=0, backoff_s=0.0, breaker_min_samples=2,
+            breaker_error_threshold=0.5, breaker_open_s=60.0,
+        )
+        service = RecommenderService(
+            index, resilience=config, fault_plan=plan, cache_capacity=0,
+            clock=clock, max_batch_size=100,
+        )
+        for user in range(4):
+            service.recommend(user)
+        assert service.resilience.state == "open"
+        wait = service.registry.histogram(
+            "serving_queue_wait_seconds", "Time a request spent queued before its flush."
+        )
+        latency = service.registry.histogram(
+            "serving_request_latency_seconds",
+            "End-to-end request latency (queue wait + batch compute).",
+        )
+        wait_before, latency_before = wait.sum(), latency.sum()
+        samples_before = latency.count()
+        pendings = [service.submit(user) for user in (10, 11, 12)]
+        clock.now += 0.05
+        assert service.flush() == 3
+        answers = [pending.result(timeout=1.0) for pending in pendings]
+        assert all(a.stage == "breaker_profile" for a in answers)
+        assert wait.sum() - wait_before >= 3 * 0.05 - 1e-9
+        assert latency.sum() - latency_before >= 3 * 0.05 - 1e-9
+        assert latency.count() - samples_before == len(answers)
+
     def test_breaker_state_gauge_tracks_transitions(self, index):
         plan = FaultPlan([FaultSpec(SCORER_ERROR, probability=1.0)])
         config = ResilienceConfig(

@@ -20,11 +20,9 @@ import pytest
 
 from repro.core import pup_full
 from repro.data import SyntheticConfig, generate
-from repro.runtime import BatchRuntime, RuntimeConfig
 from repro.serving import (
     COLD,
     WARM,
-    PriceBandFilter,
     RecommenderService,
     ResultTimeout,
     export_index,
@@ -251,35 +249,3 @@ class TestRecommendManyPriceProfiles:
             if a.source == WARM:
                 np.testing.assert_array_equal(a.items, b.items)
 
-
-class TestRuntimeBackendRouting:
-    def test_runtime_backend_is_bit_identical_to_engine(self, setup):
-        """The optional BatchRuntime backend must change throughput only:
-        ids and scores are bit-identical to the in-process engine path."""
-        _, _, index = setup
-        runtime = BatchRuntime(
-            index,
-            config=RuntimeConfig(shards=2, workers=2, mode="thread"),
-            exclude_csr=(index.exclude_indptr, index.exclude_indices),
-        )
-        routed = RecommenderService(
-            index, default_k=8, cache_capacity=0, runtime=runtime, max_batch_size=10**9
-        )
-        plain = RecommenderService(index, default_k=8, cache_capacity=0, max_batch_size=10**9)
-        users = list(range(index.n_users))
-        via_runtime = routed.recommend_many(users)
-        via_engine = plain.recommend_many(users)
-        for a, b in zip(via_runtime, via_engine):
-            np.testing.assert_array_equal(a.items, b.items)
-            np.testing.assert_array_equal(a.scores, b.scores)
-
-    def test_filtered_requests_stay_on_engine(self, setup):
-        dataset, _, index = setup
-        runtime = BatchRuntime(
-            index,
-            config=RuntimeConfig(shards=2, workers=2, mode="thread"),
-            exclude_csr=(index.exclude_indptr, index.exclude_indices),
-        )
-        service = RecommenderService(index, default_k=8, cache_capacity=0, runtime=runtime)
-        rec = service.recommend(1, k=5, filters=[PriceBandFilter(0, 1)])
-        assert (dataset.item_price_levels[rec.items] <= 1).all()
