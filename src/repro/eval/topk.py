@@ -114,8 +114,8 @@ def topk_pairs(item_ids: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
     """Top-``k`` positions into parallel ``(item_ids, scores)`` arrays.
 
     Same ordering contract as :func:`topk_indices` — descending score, ties
-    broken by ascending *item id* (not array position).  Used by the blocked
-    retrieval path to merge per-block candidates.
+    broken by ascending *item id* (not array position).  The per-row
+    reference for :func:`topk_pairs_rows`, which merges per-shard candidates.
     """
     item_ids = np.asarray(item_ids)
     scores = np.asarray(scores)

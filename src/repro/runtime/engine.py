@@ -315,6 +315,9 @@ class BatchRuntime:
         if len(users) == 0:
             empty = np.empty((0, k), dtype=np.int64)
             return users, empty, (np.empty((0, k)) if with_scores else None)
+        n_users = self._state.sharded.n_users
+        if users.min() < 0 or users.max() >= n_users:
+            raise ValueError(f"user id out of range [0, {n_users})")
 
         with maybe_span(
             tracer,
@@ -385,7 +388,7 @@ class BulkRecommendations:
     Rows are dense (uniform ``k``), so a user whose unexcluded candidate
     pool is smaller than ``k`` gets sentinel padding: item id ``-1`` with
     score ``-inf``.  Consumers must stop at the first ``-1`` — the online
-    serving path (``drop_masked=True``) would simply emit a shorter list.
+    serving path would simply emit a shorter list.
     """
 
     users: np.ndarray  # (n,)
@@ -476,7 +479,7 @@ def recommend_all(
     # already-bought items the online path never emits.  Replace with the
     # -1 sentinel.  (A legitimate item whose model score is exactly -inf is
     # indistinguishable and sentineled too — finite scores are unaffected,
-    # the same caveat the serving engine's drop_masked documents.)
+    # the same caveat the serving engine's result trim carries.)
     ids = np.where(scores > -np.inf, ids, -1)
     return BulkRecommendations(
         users=ordered, items=ids, scores=scores, model_name=index.model_name

@@ -119,6 +119,7 @@ class ShardedIndex:
         buffers: Optional[_Buffers] = None,
         with_scores: bool = False,
         timings: Optional[dict] = None,
+        candidate_mask: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """Exact top-``k`` item ids (and optionally scores) for a user chunk.
 
@@ -126,8 +127,11 @@ class ShardedIndex:
         (global item ids, ascending per user); ``candidate_items`` — one
         optional allowed-id array per chunk user — restricts pools the way
         the cold-start protocols do, and routes those rows through the
-        per-row :func:`masked_topk` reference kernel.  ``timings``
-        accumulates ``score`` / ``topk`` / ``merge`` seconds in place.
+        per-row :func:`masked_topk` reference kernel.  ``candidate_mask`` is
+        one boolean ``(n_items,)`` allow-mask shared by every row (the
+        serving filters); it cannot be combined with ``candidate_items``.
+        ``timings`` accumulates ``score`` / ``topk`` / ``merge`` seconds in
+        place.
         """
         users = np.asarray(users, dtype=np.int64)
         rows = len(users)
@@ -137,6 +141,9 @@ class ShardedIndex:
         if rows == 0:
             empty = np.empty((0, k), dtype=np.int64)
             return (empty, np.empty((0, k), dtype=self.dtype)) if with_scores else (empty, None)
+        if candidate_mask is not None and candidate_items is not None:
+            raise ValueError("candidate_mask and candidate_items are mutually exclusive")
+        denied = None if candidate_mask is None else ~np.asarray(candidate_mask, dtype=bool)
         buffers = buffers or _Buffers()
 
         # Rows with a restricted pool go through the reference kernel only —
@@ -162,7 +169,7 @@ class ShardedIndex:
                 exclude_rows, exclude_cols = expand_csr_rows(*exclude_csr, open_users)
             rank = self._topk_single if self.n_shards == 1 else self._topk_sharded
             open_ids, open_scores = rank(
-                open_users, k, exclude_rows, exclude_cols, buffers, timings, with_scores
+                open_users, k, exclude_rows, exclude_cols, denied, buffers, timings, with_scores
             )
             ids[open_rows] = open_ids
             if with_scores:
@@ -176,12 +183,16 @@ class ShardedIndex:
         return ids, scores
 
     # ------------------------------------------------------------------
-    def _topk_single(self, users, k, exclude_rows, exclude_cols, buffers, timings, with_scores):
+    def _topk_single(
+        self, users, k, exclude_rows, exclude_cols, denied, buffers, timings, with_scores
+    ):
         out, scratch = buffers.get(
             len(users), self.n_items, self.dtype, with_scratch=len(self.branches) > 1
         )
         tick = time.perf_counter()
         scores = score_branches(self.branches, users, out=out, scratch=scratch)
+        if denied is not None:
+            scores[:, denied] = NEG_INF
         if exclude_rows is not None:
             scores[exclude_rows, exclude_cols] = NEG_INF
         tock = time.perf_counter()
@@ -196,7 +207,9 @@ class ShardedIndex:
         # reused score buffer to worry about.
         return top, np.take_along_axis(scores, top, axis=1)
 
-    def _topk_sharded(self, users, k, exclude_rows, exclude_cols, buffers, timings, with_scores):
+    def _topk_sharded(
+        self, users, k, exclude_rows, exclude_cols, denied, buffers, timings, with_scores
+    ):
         rows = len(users)
         out, scratch = buffers.get(
             rows, self.max_shard_width, self.dtype, with_scratch=len(self.branches) > 1
@@ -207,6 +220,8 @@ class ShardedIndex:
         for shard, (start, stop) in enumerate(self.ranges):
             tick = time.perf_counter()
             scores = self.score_shard(users, shard, out=out, scratch=scratch)
+            if denied is not None:
+                scores[:, denied[start:stop]] = NEG_INF
             if exclude_rows is not None:
                 inside = (exclude_cols >= start) & (exclude_cols < stop)
                 if inside.any():

@@ -484,26 +484,5 @@ class PQIndex(AnnIndex):
         return self.memory_bytes() + sum(pb.table_bytes() for pb in self.pq)
 
 
-def build_pq(
-    index,
-    subspace_dim: int = 4,
-    n_centroids: int = 256,
-    rotation: bool = False,
-    seed: int = 0,
-    iters: int = 25,
-    tol: float = 1e-4,
-    train_sample: Optional[int] = None,
-    rerank_factor: int = 8,
-) -> PQIndex:
-    """Convenience wrapper over :meth:`PQIndex.build` (mirrors ``build_ivf``)."""
-    return PQIndex.build(
-        index,
-        subspace_dim=subspace_dim,
-        n_centroids=n_centroids,
-        rotation=rotation,
-        seed=seed,
-        iters=iters,
-        tol=tol,
-        train_sample=train_sample,
-        rerank_factor=rerank_factor,
-    )
+#: module-level spelling of :meth:`PQIndex.build` (mirrors ``build_ivf``)
+build_pq = PQIndex.build

@@ -99,9 +99,8 @@ class EmbeddingIndex:
     def score_block(self, users: np.ndarray, start: int, stop: int) -> np.ndarray:
         """Scores against the contiguous item block ``[start, stop)``.
 
-        The blocked retrieval engine calls this per block so the item-side
-        operands stay cache-resident; ``score`` is the single-block special
-        case.  Scoring is :func:`~repro.core.base.score_branches` — the
+        ``score`` is the full-range special case.  Scoring is
+        :func:`~repro.core.base.score_branches` — the
         *same function* the live models' ``predict_scores`` runs — so
         full-range scores are bit-identical to the live model by
         construction.

@@ -43,7 +43,7 @@ _STATE_CODE = {CLOSED: 0.0, OPEN: 1.0, HALF_OPEN: 2.0}
 
 #: degradation-ladder stages (pre-seeded on the fallbacks counter)
 FALLBACK_STAGES = (
-    "ann_exact",        # ANN search failed -> exact blocked search (bit-identical)
+    "ann_exact",        # ANN search failed -> exact search (bit-identical)
     "breaker_cache",    # breaker open -> stale LRU-cached result
     "breaker_profile",  # breaker open -> price-profile fallback ranking
     "error_cache",      # retries exhausted -> stale LRU-cached result

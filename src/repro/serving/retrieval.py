@@ -1,19 +1,21 @@
 """Batched top-K retrieval over a frozen :class:`EmbeddingIndex`.
 
-Scoring is blocked over items: each block of item factors is streamed
-through one ``(batch, dim) @ (dim, block)`` matmul, masked, and reduced to
-per-user block candidates; candidates merge into the exact global top-K.
-Blocking keeps the item-side operand cache-resident at large catalog sizes
-and bounds peak memory at ``batch * item_block_size`` floats instead of
-``batch * n_items``.
+There is one exact path: :meth:`RetrievalEngine.topk` hands the batch to
+:meth:`repro.runtime.sharded.ShardedIndex.topk_chunk` — the kernel the
+offline evaluator, ``recommend_all`` and the lifecycle gates rank with —
+and trims its dense rows to the items the masks allow.  Offline metrics
+and online results therefore cannot disagree on ranking: they are the same
+code on the same scores.
 
-Correctness contract: selection uses :func:`repro.eval.topk.masked_topk` —
-the same kernel the offline evaluator uses — and when the catalog fits in
-one block (the default below ~8k items) scores are bit-identical to the
-live model, so offline metrics and online results cannot disagree on
-ranking.  The multi-block merge is exact over the blocked scores; those can
-differ from the single-pass scores by one ULP for degenerate block shapes
-(BLAS picks a different kernel for very narrow matmuls).
+``item_block_size`` bounds the width of one scoring matmul: the catalog is
+split into ``ceil(n_items / item_block_size)`` balanced contiguous shards,
+each streamed through one ``(batch, dim) @ (dim, shard)`` product, masked,
+reduced to per-user candidates and merged exactly.  That keeps the
+item-side operand cache-resident at large catalog sizes and bounds peak
+memory at ``batch * item_block_size`` scores.  A catalog that fits in one
+shard (the default below ~8k items) is scored bit-identically to the live
+model; across shard layouts scores can differ by one ULP for degenerate
+shapes (BLAS picks a different kernel for very narrow matmuls).
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..eval.topk import NEG_INF, masked_topk, topk_indices_rows, topk_pairs_rows
+from ..eval.topk import masked_topk
 from ..faults import ANN_SEARCH_ERROR
 from ..obs.trace import maybe_span
+from ..runtime.sharded import ShardedIndex
 from .filters import Filter, combine_mask, combine_signature
 from .index import EmbeddingIndex
 from .resilience import is_transient
@@ -59,10 +62,15 @@ class RetrievalEngine:
     the full catalog.  Per-request opt-out (``use_ann=False``) keeps the
     exact path one argument away.
 
+    Results never contain a masked item: a user whose allowed pool is
+    smaller than ``k`` gets a shorter list.  ``item_block_size`` is the
+    widest item range one exact scoring matmul covers (see the module
+    docstring); it changes memory and speed, not rankings.
+
     ANN failure degrades, it never errors: a transient exception from
     ``ann.search`` (including an injected ``ann.search_error`` fault from an
     attached :class:`~repro.faults.FaultPlan`) makes :meth:`topk` fall back
-    to the exact blocked path for that batch — the results are the ones the
+    to the exact path for that batch — the results are the ones the
     exact engine would have served anyway, so the fallback is bit-identical
     correct, just slower.  ``on_ann_fallback`` (an ``error -> None``
     callable) observes each fallback; without one a ``RuntimeWarning`` is
@@ -93,6 +101,7 @@ class RetrievalEngine:
         self.on_ann_fallback = on_ann_fallback
         self.ann_fallbacks = 0
         self.item_block_size = item_block_size
+        self._sharded = ShardedIndex(index, n_shards=-(-index.n_items // item_block_size))
         self.mask_cache_capacity = mask_cache_capacity
         self._mask_cache: "OrderedDict[Tuple, Tuple[Optional[np.ndarray], np.ndarray]]" = OrderedDict()
 
@@ -133,7 +142,6 @@ class RetrievalEngine:
         k: int,
         exclude_train: bool = True,
         filters: Sequence[Filter] = (),
-        drop_masked: bool = True,
         use_ann: Optional[bool] = None,
     ) -> List[RetrievalResult]:
         """Top-``k`` recommendations for a batch of warm users.
@@ -164,24 +172,43 @@ class RetrievalEngine:
                     self.tracer, "engine.topk", cat="retrieval",
                     attrs={"path": "ann", "n_users": len(users), "k": k},
                 ):
-                    return self._topk_ann(users, k, exclude_train, filters, drop_masked)
+                    return self._search(
+                        self.ann.search, users, k, exclude_train, filters, tracer=self.tracer
+                    )
             except Exception as error:
                 if not is_transient(error):
                     raise
                 self._note_ann_fallback(error)
                 # fall through: serve this batch from the exact path
-        path = "single_block" if self.index.n_items <= self.item_block_size else "blocked"
         with maybe_span(
             self.tracer, "engine.topk", cat="retrieval",
-            attrs={"path": path, "n_users": len(users), "k": k},
+            attrs={"path": "exact", "n_users": len(users), "k": k},
         ):
-            if path == "single_block":
-                return self._topk_single_block(
-                    users, k, exclude_train, self.candidate_items(filters), drop_masked
-                )
-            return self._topk_blocked(
-                users, k, exclude_train, self.candidate_mask(filters), drop_masked
+            return self._search(
+                self._sharded.topk_chunk, users, k, exclude_train, filters, with_scores=True
             )
+
+    def _search(self, kernel, users, k, exclude_train, filters, **kwargs) -> List[RetrievalResult]:
+        """Run a dense top-K kernel under the request's masks; trim its rows.
+
+        Both kernels pad a row whose allowed pool is shorter than ``k``: the
+        ANN search with id ``-1`` / score ``-inf``, the exact kernel with
+        masked ids at score ``-inf``.  Padding is dropped here.  (A
+        legitimate item whose own score is ``-inf`` is indistinguishable
+        from a masked one and is dropped too.)
+        """
+        exclude_csr = (
+            (self.index.exclude_indptr, self.index.exclude_indices) if exclude_train else None
+        )
+        ids, scores = kernel(
+            users, k, exclude_csr=exclude_csr,
+            candidate_mask=self.candidate_mask(filters), **kwargs,
+        )
+        keep = scores > -np.inf
+        return [
+            RetrievalResult(items=ids[row][keep[row]], scores=scores[row][keep[row]])
+            for row in range(len(ids))
+        ]
 
     def _note_ann_fallback(self, error: BaseException) -> None:
         self.ann_fallbacks += 1
@@ -202,7 +229,6 @@ class RetrievalEngine:
         k: int,
         exclude_items: Optional[np.ndarray] = None,
         filters: Sequence[Filter] = (),
-        drop_masked: bool = True,
     ) -> RetrievalResult:
         """Top-``k`` from an externally produced score row (fallback path)."""
         candidates = self.candidate_items(filters)
@@ -211,7 +237,7 @@ class RetrievalEngine:
             k,
             exclude_items=exclude_items if exclude_items is not None and len(exclude_items) else None,
             candidate_items=candidates,
-            drop_masked=drop_masked,
+            drop_masked=True,
         )
         # Scores stay in their own dtype: an f32 index must never pay an
         # f64 copy on the request path (non-float input still coerces).
@@ -219,117 +245,3 @@ class RetrievalEngine:
         if scores.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
             scores = scores.astype(np.float64)
         return RetrievalResult(items=top, scores=scores[top])
-
-    # ------------------------------------------------------------------
-    def _topk_ann(
-        self,
-        users: np.ndarray,
-        k: int,
-        exclude_train: bool,
-        filters: Sequence[Filter],
-        drop_masked: bool,
-    ) -> List[RetrievalResult]:
-        """Two-stage approximate retrieval; masks apply at the re-rank stage.
-
-        The ANN search returns dense sentinel-padded rows (id ``-1`` /
-        score ``-inf`` past a user's allowed pool); those convert to the
-        engine's variable-length result contract here.  With
-        ``drop_masked=False`` a short pool still yields a short result —
-        the ANN path has no "keep masked entries" representation to pad
-        with, which only matters to callers that asked for more items than
-        the masks allow.
-        """
-        mask = self.candidate_mask(filters)
-        exclude_csr = (
-            (self.index.exclude_indptr, self.index.exclude_indices)
-            if exclude_train
-            else None
-        )
-        ids, scores = self.ann.search(
-            users, k, exclude_csr=exclude_csr, candidate_mask=mask, tracer=self.tracer
-        )
-        results = []
-        for row in range(len(users)):
-            keep = ids[row] >= 0
-            results.append(RetrievalResult(items=ids[row][keep], scores=scores[row][keep]))
-        return results
-
-    def _topk_single_block(
-        self,
-        users: np.ndarray,
-        k: int,
-        exclude_train: bool,
-        candidates: Optional[np.ndarray],
-        drop_masked: bool,
-    ) -> List[RetrievalResult]:
-        """One matmul over the whole catalog — identical path to the evaluator."""
-        scores = self.index.score(users)
-        results = []
-        for row, user in enumerate(users):
-            exclude = self.index.excluded_items(int(user)) if exclude_train else None
-            top = masked_topk(
-                scores[row],
-                k,
-                exclude_items=exclude if exclude is not None and len(exclude) else None,
-                candidate_items=candidates,
-                drop_masked=drop_masked,
-            )
-            results.append(RetrievalResult(items=top, scores=scores[row, top]))
-        return results
-
-    def _topk_blocked(
-        self,
-        users: np.ndarray,
-        k: int,
-        exclude_train: bool,
-        mask: Optional[np.ndarray],
-        drop_masked: bool,
-    ) -> List[RetrievalResult]:
-        """Stream item blocks, keep per-user candidates, merge exactly.
-
-        Every global top-``k`` element is inside its own block's top-``k``
-        (selection is monotone), so merging per-block candidates with the
-        same (score desc, id asc) order reproduces the single-pass result.
-        Selection and merge run row-vectorized over the whole batch
-        (:func:`topk_indices_rows` / :func:`topk_pairs_rows` — the same
-        kernels the batch-inference runtime shards over).
-        """
-        n_items = self.index.n_items
-        block = self.item_block_size
-        excludes = [
-            self.index.excluded_items(int(user)) if exclude_train else None for user in users
-        ]
-        block_ids: List[np.ndarray] = []
-        block_scores: List[np.ndarray] = []
-
-        for start in range(0, n_items, block):
-            stop = min(start + block, n_items)
-            part = self.index.score_block(users, start, stop)
-            if mask is not None:
-                block_mask = np.where(mask[start:stop], 0.0, NEG_INF)
-                part = part + block_mask[None, :]
-            for row in range(len(users)):
-                exclude = excludes[row]
-                if exclude is not None and len(exclude):
-                    inside = exclude[(exclude >= start) & (exclude < stop)]
-                    if len(inside):
-                        part[row, inside - start] = NEG_INF
-            top = topk_indices_rows(part, min(k, stop - start))
-            block_ids.append(top + start)
-            block_scores.append(np.take_along_axis(part, top, axis=1))
-
-        with maybe_span(self.tracer, "topk.merge", cat="retrieval"):
-            ids = np.hstack(block_ids)
-            values = np.hstack(block_scores)
-            sel = topk_pairs_rows(ids, values, k)
-            merged_items = np.take_along_axis(ids, sel, axis=1)
-            merged_scores = np.take_along_axis(values, sel, axis=1)
-
-        results = []
-        for row in range(len(users)):
-            items, scores = merged_items[row], merged_scores[row]
-            if drop_masked and (mask is not None or (excludes[row] is not None and len(excludes[row]))):
-                keep = scores > NEG_INF
-                items, scores = items[keep], scores[keep]
-            results.append(RetrievalResult(items=items, scores=scores))
-        return results

@@ -254,7 +254,6 @@ class RecommenderService:
         default_k: int = 10,
         max_batch_size: int = 64,
         cache_capacity: int = 1024,
-        item_block_size: int = 8192,
         clock: Optional[Callable[[], float]] = None,
         ann=None,
         registry: Optional[MetricsRegistry] = None,
@@ -267,12 +266,11 @@ class RecommenderService:
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
         self.index = index
-        self.item_block_size = item_block_size
         self.tracer = tracer
         self.fault_plan = fault_plan
         self.engine = RetrievalEngine(
-            index, item_block_size=item_block_size, ann=ann, tracer=tracer,
-            fault_plan=fault_plan, on_ann_fallback=self._on_ann_fallback,
+            index, ann=ann, tracer=tracer, fault_plan=fault_plan,
+            on_ann_fallback=self._on_ann_fallback,
         )
         self.fallback = PriceProfileFallback(index)
         self.default_k = default_k
@@ -359,8 +357,7 @@ class RecommenderService:
         with self._flush_lock:
             self.flush()
             engine = RetrievalEngine(
-                index, item_block_size=self.item_block_size, ann=ann,
-                tracer=self.tracer, fault_plan=self.fault_plan,
+                index, ann=ann, tracer=self.tracer, fault_plan=self.fault_plan,
                 on_ann_fallback=self._on_ann_fallback,
             )
             fallback = PriceProfileFallback(index)

@@ -205,6 +205,14 @@ class TestCandidatePools:
             topk_rankings(model, dataset, users, k=5, candidate_items=incomplete)
 
 
+    def test_shared_mask_and_per_row_pools_do_not_combine(self):
+        branch = ScoreBranch(user=np.ones((1, 1)), item=np.arange(5.0)[:, None])
+        with pytest.raises(ValueError, match="mutually exclusive"):
+            ShardedIndex([branch]).topk_chunk(
+                [0], 3, candidate_items=[np.array([2])], candidate_mask=np.ones(5, dtype=bool)
+            )
+
+
 class TestRestrictedPoolScores:
     def test_padding_past_candidate_pool_scores_neg_inf(self):
         # k exceeds a restricted pool: padding ids must carry -inf (masked)
@@ -241,12 +249,27 @@ class TestScorerFallback:
             np.testing.assert_array_equal(got[user], reference[user])
 
 
+class TestUserRange:
+    """Out-of-range user ids are a ValueError at the runtime's front door —
+    never numpy's repeat/index error, never the last user's row relabelled."""
+
+    @pytest.mark.parametrize("exclude_train", [True, False])
+    @pytest.mark.parametrize("bad", [[-1], [3, -1], "n_users"])
+    def test_out_of_range_users_rejected(self, setup, bad, exclude_train):
+        dataset, model, index = setup
+        users = [index.n_users] if bad == "n_users" else bad
+        with pytest.raises(ValueError, match=r"user id out of range \[0, 60\)"):
+            recommend_all(index, k=5, users=users, exclude_train=exclude_train)
+        with pytest.raises(ValueError, match=r"user id out of range \[0, 60\)"):
+            topk_rankings(model, dataset, users, k=5, exclude_train=exclude_train)
+
+
 class TestRecommendAll:
     def test_matches_retrieval_engine(self, setup):
         dataset, _, index = setup
         recommendations = recommend_all(index, k=7, workers=2, shards=3)
         engine = RetrievalEngine(index)
-        results = engine.topk(recommendations.users, 7, drop_masked=False)
+        results = engine.topk(recommendations.users, 7)
         for row in range(len(recommendations.users)):
             np.testing.assert_array_equal(results[row].items, recommendations.items[row])
             np.testing.assert_array_equal(

@@ -141,7 +141,7 @@ class TestFullProbeExactness:
         ivf = build_ivf(index, n_lists=5, nprobe=5, seed=2)
         users = np.arange(index.n_users)
         engine = RetrievalEngine(index)
-        reference = engine.topk(users, k=25, exclude_train=False, drop_masked=False)
+        reference = engine.topk(users, k=25, exclude_train=False)
         ids, scores = ivf.search(users, 25, nprobe=5)
         for row, result in enumerate(reference):
             np.testing.assert_array_equal(ids[row], result.items)
