@@ -1,3 +1,3 @@
 from setuptools import setup
 
-setup()
+setup(extras_require={"test": ["pytest", "hypothesis"]})

@@ -58,14 +58,11 @@ class InteractionTable:
     def deduplicate(self) -> "InteractionTable":
         """Keep the earliest event per (user, item) pair."""
         table = self.sorted_by_time()
-        seen: Set[tuple] = set()
-        keep = np.zeros(len(table), dtype=bool)
-        for index, (user, item) in enumerate(zip(table.users, table.items)):
-            key = (int(user), int(item))
-            if key not in seen:
-                seen.add(key)
-                keep[index] = True
-        return table.select(keep)
+        # One int64 key per pair; ``return_index`` gives each key's first
+        # (earliest, since the table is time-ordered) row.
+        keys = table.users * (table.items.max(initial=0) + 1) + table.items
+        _, first = np.unique(keys, return_index=True)
+        return table.select(np.sort(first))
 
 
 @dataclass
@@ -176,19 +173,22 @@ class Dataset:
     def train_positive_sets(self) -> Dict[int, Set[int]]:
         """Mapping user -> set of train-positive items (cached)."""
         if self._train_pos is None:
-            pos: Dict[int, Set[int]] = {}
-            for user, item in zip(self.train.users, self.train.items):
-                pos.setdefault(int(user), set()).add(int(item))
-            self._train_pos = pos
+            self._train_pos = self.split_positive_sets("train")
         return self._train_pos
 
     def split_positive_sets(self, split: str) -> Dict[int, Set[int]]:
         """Positive sets for 'train' / 'validation' / 'test'."""
         table = {"train": self.train, "validation": self.validation, "test": self.test}[split]
-        pos: Dict[int, Set[int]] = {}
-        for user, item in zip(table.users, table.items):
-            pos.setdefault(int(user), set()).add(int(item))
-        return pos
+        # Stable sort: each user's items stay in table order, and ``order`` at
+        # a group's start is the row where that user first appears.
+        order = np.argsort(table.users, kind="stable")
+        users, starts = np.unique(table.users[order], return_index=True)
+        groups = np.split(table.items[order], starts[1:])
+        # Keys in first-appearance order, as a row-by-row insert would leave them.
+        return {
+            int(users[group]): set(groups[group].tolist())
+            for group in np.argsort(order[starts])
+        }
 
     def train_exclusion_csr(self) -> tuple:
         """Train-positive items per user as ``(indptr, indices)``, items sorted.

@@ -45,10 +45,6 @@ def k_core_filter(
     else:
         raise RuntimeError(f"k-core did not converge within {max_iterations} iterations")
 
-    kept_users = np.unique(users)
-    kept_items = np.unique(items)
-    user_map = {old: new for new, old in enumerate(kept_users)}
-    item_map = {old: new for new, old in enumerate(kept_items)}
-    new_users = np.fromiter((user_map[u] for u in users), dtype=np.int64, count=len(users))
-    new_items = np.fromiter((item_map[i] for i in items), dtype=np.int64, count=len(items))
+    kept_users, new_users = np.unique(users, return_inverse=True)
+    kept_items, new_items = np.unique(items, return_inverse=True)
     return InteractionTable(new_users, new_items, times), kept_users, kept_items

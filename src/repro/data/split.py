@@ -34,8 +34,13 @@ def temporal_split(
     total = len(ordered)
     train_end = int(total * train_fraction)
     valid_end = int(total * (train_fraction + validation_fraction))
-    index = list(range(total))
-    train = ordered.select(index[:train_end])
-    validation = ordered.select(index[train_end:valid_end])
-    test = ordered.select(index[valid_end:])
-    return train, validation, test
+
+    def rows(start: int, stop: int) -> InteractionTable:
+        # Copies, so the three splits do not alias one time-ordered base array.
+        return InteractionTable(
+            ordered.users[start:stop].copy(),
+            ordered.items[start:stop].copy(),
+            ordered.timestamps[start:stop].copy(),
+        )
+
+    return rows(0, train_end), rows(train_end, valid_end), rows(valid_end, total)

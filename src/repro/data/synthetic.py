@@ -37,6 +37,9 @@ from .dataset import Dataset, InteractionTable, ItemCatalog
 from .quantization import uniform_quantize
 from .split import temporal_split
 
+# Byte budget for one block of float64 purchase-utility rows in `generate`.
+_BLOCK_BYTES = 8 << 20
+
 
 @dataclass
 class SyntheticGroundTruth:
@@ -121,24 +124,40 @@ def generate(config: SyntheticConfig) -> tuple[Dataset, SyntheticGroundTruth]:
     log_popularity = (log_popularity - log_popularity.mean()) / max(log_popularity.std(), 1e-9)
 
     # --- sample interactions ----------------------------------------------
-    users_out, items_out = [], []
-    interest = user_latents @ item_latents.T / np.sqrt(config.latent_dim)
-    interest += 3.0 * np.log(affinity[:, item_categories] + 1e-6)
-    interest += 0.5 * log_popularity[None, :]
+    # Purchase probabilities are computed one block of users at a time, so
+    # memory is O(block x items) whatever n_users is.  Only the draw itself
+    # stays per user: ``rng.choice`` without replacement consumes a
+    # data-dependent amount of the stream, so one call per user, in user
+    # order, is what keeps datasets identical seed for seed.
+    count = min(config.interactions_per_user, config.n_items - 1)
+    category_interest = 3.0 * np.log(affinity + 1e-6)
+    popularity_interest = 0.5 * log_popularity
+    match_scale = 2.0 * config.price_match_width**2
+    block_rows = max(1, _BLOCK_BYTES // (8 * config.n_items))
+    items_out = []
+    for start in range(0, config.n_users, block_rows):
+        block = slice(start, start + block_rows)
+        # Interest: latent taste + category affinity + item popularity.
+        utility = user_latents[block] @ item_latents.T
+        utility /= np.sqrt(config.latent_dim)
+        utility += category_interest[block][:, item_categories]
+        utility += popularity_interest
+        # Gaussian price match centred on the user's WTP in the item's category.
+        match = wtp[block][:, item_categories]
+        np.subtract(price_percentile, match, out=match)
+        np.square(match, out=match)
+        np.negative(match, out=match)
+        match /= match_scale
+        match *= config.price_sensitivity
+        utility += match
+        # Softmax over items, row by row.
+        utility -= utility.max(axis=1, keepdims=True)
+        probs = np.exp(utility, out=utility)
+        probs /= probs.sum(axis=1, keepdims=True)
+        for row in probs:
+            items_out.append(rng.choice(config.n_items, size=count, replace=False, p=row))
 
-    for user in range(config.n_users):
-        distance = price_percentile[None, :] - wtp[user][item_categories][None, :]
-        match = -(distance[0] ** 2) / (2.0 * config.price_match_width**2)
-        utility = interest[user] + config.price_sensitivity * match
-        utility = utility - utility.max()
-        probs = np.exp(utility)
-        probs /= probs.sum()
-        count = min(config.interactions_per_user, config.n_items - 1)
-        chosen = rng.choice(config.n_items, size=count, replace=False, p=probs)
-        users_out.append(np.full(count, user, dtype=np.int64))
-        items_out.append(chosen.astype(np.int64))
-
-    users_arr = np.concatenate(users_out)
+    users_arr = np.repeat(np.arange(config.n_users), count)
     items_arr = np.concatenate(items_out)
     # Catalog turnover: items "release" over [0, item_turnover] and can only
     # be purchased afterwards.  With a temporal split this puts late-released
