@@ -158,7 +158,7 @@ def delta_build(
     # Assign each new item's combined vector to its nearest centroid.
     # ------------------------------------------------------------------
     if n_new:
-        vectors = combined_item_vectors(new_index.branches)[n_old:]
+        vectors = combined_item_vectors(new_index.branches, start=n_old)
         if vectors.shape[1] != prev.centroids.shape[1]:
             raise DeltaMismatch(
                 f"combined item dimension {vectors.shape[1]} disagrees with the "

@@ -51,7 +51,7 @@ from ...data.dataset import expand_csr_rows
 from ...eval.topk import NEG_INF, partition_topk_rows, topk_pairs_rows
 from ...obs.trace import maybe_span
 from .base import AnnIndex
-from .kmeans import assign_labels, kmeans
+from .kmeans import assign_labels, cluster_sums, kmeans
 from .pq import PQIndex, build_pq_branch, score_candidates_exact, score_pq_block
 from .quantize import QuantizedIndex, score_quantized_block
 
@@ -91,14 +91,15 @@ def _local_topk_set(scores: np.ndarray, k: int) -> np.ndarray:
     return part
 
 
-def combined_item_vectors(branches: Sequence[ScoreBranch]) -> np.ndarray:
-    """``(n_items, D)`` vectors whose inner product with a combined query
-    reproduces the user-dependent part of the exact score (float64)."""
-    parts = [np.asarray(b.item, dtype=np.float64) for b in branches]
+def combined_item_vectors(branches: Sequence[ScoreBranch], start: int = 0) -> np.ndarray:
+    """``(n_items - start, D)`` vectors of items ``start:`` whose inner
+    product with a combined query reproduces the user-dependent part of
+    the exact score (float64)."""
+    parts = [np.asarray(b.item[start:], dtype=np.float64) for b in branches]
     const: Optional[np.ndarray] = None
     for branch in branches:
         if branch.item_const is not None:
-            term = branch.weight * np.asarray(branch.item_const, dtype=np.float64)
+            term = branch.weight * np.asarray(branch.item_const[start:], dtype=np.float64)
             const = term if const is None else const + term
     if const is not None:
         parts.append(const[:, None])
@@ -625,12 +626,8 @@ def build_ivf(
         pq_list_means = []
         for b, branch in enumerate(index.branches):
             item = np.asarray(branch.item, dtype=np.float64)
-            perm_item = item[perm]
-            means = np.zeros((n_lists, item.shape[1]))
-            for lst in range(n_lists):
-                lo, hi = int(indptr[lst]), int(indptr[lst + 1])
-                if hi > lo:  # a list can be empty under subsampled training
-                    means[lst] = perm_item[lo:hi].mean(axis=0)
+            # a list can be empty under subsampled training: its mean stays zero
+            means = cluster_sums(item, labels, n_lists) / np.maximum(counts, 1)[:, None]
             pq_branches.append(
                 build_pq_branch(
                     item - means[labels],

@@ -8,9 +8,18 @@ id (``argmin``), and empty clusters are reseeded to the point currently
 worst-served by its centroid — so rebuilding an IVF index from the same
 embeddings always yields the same partition.
 
-This is an offline, build-time kernel: clustering a few hundred thousand
-item vectors takes seconds, and the online path only ever multiplies
-queries against the resulting ``(n_clusters, dim)`` centroid matrix.
+This is an offline, build-time kernel, but every serve or refresh
+deployment starts with it, so its cost is the set-up cost.  Two things
+keep it down.  A whole :func:`kmeans` run fills **one** scratch distance
+table of fixed byte size (``_ASSIGN_TABLE_BYTES``) chunk after chunk, in
+place — a fresh ``(n_points, n_clusters)`` table per pass is mostly page
+faults, and three of them alive at once was the build's memory peak.
+And the centroid update is a one-hot sparse product
+(:func:`cluster_sums`), not an unbuffered row scatter (``ufunc.at``).
+Both keep the floating-point operations and their order per output
+element, so centroids, labels and distances are the bits the one-shot
+table and the scatter produced (``tests/serving/test_kmeans_kernel.py``
+keeps those as the reference).
 """
 
 from __future__ import annotations
@@ -18,45 +27,30 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
-#: cap on the (rows x centroids) distance-table size one assignment chunk
-#: may allocate (float64 entries); above it the table is computed in row
-#: chunks — bit-identical per row, bounded peak memory for 1M+ catalogs
-_ASSIGN_CHUNK_ENTRIES = 16_000_000
-
-
-def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """``(n_points, n_centroids)`` squared euclidean distances.
-
-    The ``|x|^2 - 2 x.c + |c|^2`` expansion turns the distance table into
-    one BLAS matmul; tiny negative values from cancellation are clipped so
-    downstream ``sqrt``/comparisons never see ``-0.0000...1``.
-    """
-    cross = points @ centroids.T
-    sq = (
-        np.einsum("ij,ij->i", points, points)[:, None]
-        - 2.0 * cross
-        + np.einsum("ij,ij->i", centroids, centroids)[None, :]
-    )
-    return np.maximum(sq, 0.0)
+#: byte size of the one float64 (rows x n_clusters) distance table an
+#: assignment fills chunk after chunk.  Reused, so it stays in cache
+#: instead of faulting in fresh pages each pass; assignment time is flat
+#: from 256 KB to 4 MB on both the IVF (77 centroids x 65 dims) and the
+#: PQ (256 x 4) shape, hence a constant and not an argument.
+_ASSIGN_TABLE_BYTES = 1 << 20
 
 
-def _kmeanspp_init(points: np.ndarray, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeanspp_init(
+    points: np.ndarray, point_norms: np.ndarray, n_clusters: int, rng: np.random.Generator
+) -> np.ndarray:
     """k-means++ seeding: spread initial centroids by D^2 sampling.
 
     One running min-distance array is maintained across seeds: each new
     centroid contributes a single ``points @ c`` pass folded in with
-    ``np.minimum``, and the points' self-norms are computed once up front
-    instead of once per seed — the per-seed cost is one matmul, not a full
-    distance-table rebuild against every chosen centroid.  The arithmetic
-    (matmul shape included) matches :func:`_squared_distances` exactly, so
-    seeding is bit-compatible with the historical per-seed recomputation.
+    ``np.minimum`` — the per-seed cost is one matmul, not a full
+    distance-table rebuild against every chosen centroid.
     """
     n = points.shape[0]
     centroids = np.empty((n_clusters, points.shape[1]), dtype=np.float64)
     first = int(rng.integers(n))
     centroids[0] = points[first]
-    point_norms = np.einsum("ij,ij->i", points, points)
     closest = _seed_distances(points, point_norms, centroids[0:1])
     for i in range(1, n_clusters):
         total = closest.sum()
@@ -75,13 +69,61 @@ def _seed_distances(
 ) -> np.ndarray:
     """Squared distances to one ``(1, dim)`` centroid, reusing point norms.
 
-    Keeps the ``(n, 1)`` matmul shape and the ``|x|^2 - 2 x.c + |c|^2``
-    evaluation order of :func:`_squared_distances` so results stay
-    bit-identical to the full-table path.
+    The ``|x|^2 - 2 x.c + |c|^2`` expansion through an ``(n, 1)`` matmul,
+    clipped at zero so cancellation never yields a negative weight; the
+    matmul shape and evaluation order are part of the seeded result.
     """
     cross = (points @ centroid.T)[:, 0]
     sq = point_norms - 2.0 * cross + np.einsum("ij,ij->i", centroid, centroid)[0]
     return np.maximum(sq, 0.0)
+
+
+def _assign_table(n_points: int, n_clusters: int) -> np.ndarray:
+    """The scratch table :func:`_assign_into` fills: as many rows as fit in
+    ``_ASSIGN_TABLE_BYTES`` (at least one, no more than ``n_points``)."""
+    rows = max(1, _ASSIGN_TABLE_BYTES // (8 * max(n_clusters, 1)))
+    return np.empty((max(1, min(rows, n_points)), n_clusters), dtype=np.float64)
+
+
+def _assign_into(
+    table: np.ndarray,
+    points: np.ndarray,
+    centroids: np.ndarray,
+    point_norms: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`assign_labels` through a caller-owned scratch ``table``.
+
+    Each chunk of rows is one matmul into the table and four in-place
+    elementwise passes — ``max(|x|^2 - 2 x.c + |c|^2, 0)`` evaluated in
+    that order — so nothing the size of the table is allocated per chunk
+    or per call.
+
+    The rows are cut into the fewest chunks that fit the table, of
+    near-equal height, so no chunk is a short tail.  That is for the bits,
+    not the speed: BLAS sends a one-row product through GEMV and a product
+    under ~80k multiply-adds through small-matrix kernels, both of which
+    accumulate a long dot product in another order than the blocked GEMM
+    — a 5-row tail would get last bits its rows do not get inside a big
+    product.  Every chunk being at least half a table keeps each one, and
+    the one-shot product it stands for, on the same kernel.
+    """
+    n = points.shape[0]
+    labels = np.empty(n, dtype=np.int64)
+    assigned = np.empty(n, dtype=np.float64)
+    centroid_norms = np.einsum("ij,ij->i", centroids, centroids)
+    n_chunks = -(-n // table.shape[0])
+    bounds = np.arange(n_chunks + 1) * n // max(n_chunks, 1)
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        sq = table[: stop - start]
+        np.matmul(points[start:stop], centroids.T, out=sq)
+        np.multiply(sq, 2.0, out=sq)
+        np.subtract(point_norms[start:stop, None], sq, out=sq)
+        np.add(sq, centroid_norms[None, :], out=sq)
+        np.maximum(sq, 0.0, out=sq)
+        rows = sq.argmin(axis=1)
+        labels[start:stop] = rows
+        assigned[start:stop] = sq[np.arange(stop - start), rows]
+    return labels, assigned
 
 
 def assign_labels(
@@ -91,31 +133,37 @@ def assign_labels(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Nearest-centroid assignment: ``(labels, assigned_sq_distance)``.
 
-    Row-chunked when the full ``(n_points, n_centroids)`` table would
-    exceed the chunk budget — each row's distances are the same expression
-    either way, so labels and distances are bit-identical to the one-shot
-    table.  Ties break toward the lowest cluster id (``argmin``).
+    Distances are computed a chunk of rows at a time in one fixed-size
+    scratch table (:func:`_assign_into`); each row's distances are the
+    same expression, on the same BLAS kernel, as in a one-shot
+    ``(n_points, n_clusters)`` table, so labels and distances are the same
+    bits.  Ties break toward the lowest cluster id (``argmin``).
     """
     points = np.asarray(points, dtype=np.float64)
     centroids = np.asarray(centroids, dtype=np.float64)
-    n = points.shape[0]
-    n_clusters = centroids.shape[0]
-    labels = np.empty(n, dtype=np.int64)
-    assigned = np.empty(n, dtype=np.float64)
-    chunk = max(1, _ASSIGN_CHUNK_ENTRIES // max(n_clusters, 1))
     if point_norms is None:
         point_norms = np.einsum("ij,ij->i", points, points)
-    centroid_norms = np.einsum("ij,ij->i", centroids, centroids)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        cross = points[start:stop] @ centroids.T
-        sq = np.maximum(
-            point_norms[start:stop, None] - 2.0 * cross + centroid_norms[None, :], 0.0
-        )
-        rows = sq.argmin(axis=1)
-        labels[start:stop] = rows
-        assigned[start:stop] = sq[np.arange(stop - start), rows]
-    return labels, assigned
+    table = _assign_table(points.shape[0], centroids.shape[0])
+    return _assign_into(table, points, centroids, point_norms)
+
+
+def cluster_sums(points: np.ndarray, labels: np.ndarray, n_clusters: int) -> np.ndarray:
+    """``(n_clusters, dim)`` sums of the ``points`` rows carrying each label.
+
+    The product of the one-hot ``(n_clusters, n_points)`` membership matrix
+    with ``points``.  The matrix is written as its transpose's CSR —
+    indices are the labels themselves, nothing is sorted — so scipy walks
+    the points in ascending order and adds each into its cluster's row:
+    the additions, and their order, of a ``ufunc.at`` row scatter, hence
+    the same bits, over ten times faster.  (A label-sorted
+    ``np.add.reduceat`` is *not* the same bits: on general float64 input
+    most sums differ in the last place; it only agrees on float32-derived
+    data, where every partial sum is exact.)  Clusters with no member come
+    back as zero rows.
+    """
+    n = len(labels)
+    onehot = sp.csr_matrix((np.ones(n), labels, np.arange(n + 1)), shape=(n, n_clusters))
+    return onehot.T @ points
 
 
 def kmeans(
@@ -146,12 +194,13 @@ def kmeans(
     n_clusters = min(int(n_clusters), n)
     rng = np.random.default_rng(seed)
 
-    centroids = _kmeanspp_init(points, n_clusters, rng)
     point_norms = np.einsum("ij,ij->i", points, points)
+    centroids = _kmeanspp_init(points, point_norms, n_clusters, rng)
     shift_floor = float(tol) * float(point_norms.mean()) if tol > 0 else 0.0
     labels = np.full(n, -1, dtype=np.int64)
+    table = _assign_table(n, n_clusters)
     for _ in range(max(1, int(iters))):
-        new_labels, assigned = assign_labels(points, centroids, point_norms)
+        new_labels, assigned = _assign_into(table, points, centroids, point_norms)
 
         # Reseed empty clusters to the points their current centroids serve
         # worst — deterministic, and it keeps every list non-degenerate so
@@ -179,9 +228,7 @@ def kmeans(
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        sums = np.zeros((n_clusters, points.shape[1]), dtype=np.float64)
-        np.add.at(sums, labels, points)
-        new_centroids = sums / counts[:, None]
+        new_centroids = cluster_sums(points, labels, n_clusters) / counts[:, None]
         if shift_floor > 0.0:
             shift = float(np.mean(np.sum((new_centroids - centroids) ** 2, axis=1)))
             centroids = new_centroids

@@ -5,9 +5,12 @@ search is bit-identical to exact ranking on the grown catalog — appends
 may never disturb the (ids ascending within lists) layout contract.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.core.base import ScoreBranch
 from repro.eval.ann import ann_recall_at_k, exact_rankings
 from repro.lifecycle.delta import (
     DeltaConfig,
@@ -18,7 +21,9 @@ from repro.lifecycle.delta import (
 )
 from repro.lifecycle.foldin import fold_in
 from repro.lifecycle.controller import simulate_events
-from repro.serving.ann.ivf import build_ivf
+from repro.serving.ann.ivf import build_ivf, combined_item_vectors
+from repro.serving.ann.kmeans import assign_labels
+from repro.serving.index import EmbeddingIndex
 
 
 def grow(index, count, seed, start_seq=0):
@@ -120,6 +125,88 @@ class TestParityAndCodes:
             approx = {int(u): ids[r] for r, u in enumerate(users)}
             recall = ann_recall_at_k(exact, approx, k)
             assert recall >= 0.95, f"round {round_id}: recall@50 {recall:.4f}"
+
+
+def two_branch_index(item_main, item_side, item_const, n_users=8):
+    """A float32 index over the given item arrays (users are never read)."""
+    rng = np.random.default_rng(0)
+    n_items = item_main.shape[0]
+    branches = [
+        ScoreBranch(
+            user=rng.normal(size=(n_users, item_main.shape[1])).astype(np.float32),
+            item=item_main,
+        ),
+        ScoreBranch(
+            user=rng.normal(size=(n_users, item_side.shape[1])).astype(np.float32),
+            item=item_side,
+            item_const=item_const,
+        ),
+    ]
+    return EmbeddingIndex(
+        branches,
+        item_categories=np.zeros(n_items, dtype=np.int64),
+        item_price_levels=np.zeros(n_items, dtype=np.int64),
+        n_price_levels=1,
+        n_categories=1,
+        exclude_indptr=np.zeros(n_users + 1, dtype=np.int64),
+        exclude_indices=np.zeros(0, dtype=np.int64),
+        item_popularity=np.ones(n_items),
+    )
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestNewRowsOnly:
+    """The assignment converts rows ``n_old:`` to float64, not the catalog."""
+
+    def test_labels_equal_the_whole_catalog_expression(self, index, ann):
+        grown, _ = grow(index, 60, seed=2)
+        new_ann, stats = delta_build(ann, grown, DeltaConfig())
+        n_old = index.n_items
+        assert stats.n_new_items > 0
+        whole = combined_item_vectors(grown.branches)
+        tail = combined_item_vectors(grown.branches, start=n_old)
+        assert tail.tobytes() == whole[n_old:].tobytes()
+        labels, _ = assign_labels(whole[n_old:], ann.centroids)
+        list_of = np.empty(grown.n_items, dtype=np.int64)
+        list_of[new_ann.list_items] = np.repeat(
+            np.arange(new_ann.n_lists), np.diff(new_ann.list_indptr)
+        )
+        assert np.array_equal(list_of[n_old:], labels)
+
+    def test_allocation_does_not_follow_the_old_catalog(self):
+        n_new, peaks, step_peaks = 30, {}, {}
+        for n_old in (6000, 24_000):
+            rng = np.random.default_rng(3)
+            # 56 + 8 factor dims + the constant: 65 combined dims
+            items = [
+                rng.normal(size=shape).astype(np.float32)
+                for shape in ((n_old + n_new, 56), (n_old + n_new, 8), (n_old + n_new,))
+            ]
+            grown = two_branch_index(*items)
+            old = two_branch_index(*(array[:n_old] for array in items))
+            prev = build_ivf(old, n_lists=40, seed=1, iters=2)
+            step_peaks[n_old] = traced_peak(
+                lambda: assign_labels(
+                    combined_item_vectors(grown.branches, start=n_old), prev.centroids
+                )
+            )
+            peaks[n_old] = traced_peak(lambda: delta_build(prev, grown))
+        # the assignment step: the same ~40 KB whatever the catalog size
+        # (the whole-catalog expression is 3 MB and 12.5 MB here)
+        assert max(step_peaks.values()) < 64 * 1024
+        assert abs(step_peaks[24_000] - step_peaks[6000]) < 1024
+        # the whole delta build still copies the permuted factors (~400 B an
+        # item), but no longer a float64 combined row (8 x 65 B) on top
+        per_old_item = (peaks[24_000] - peaks[6000]) / 18_000
+        assert per_old_item < 8 * 65, f"{per_old_item:.0f} B per old item"
 
 
 class TestStaleness:
