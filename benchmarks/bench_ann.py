@@ -1,15 +1,13 @@
 """Approximate-retrieval benchmark: the recall-gated nprobe sweep.
 
 Measures bulk top-50 retrieval for a population of users against a
-production-scale catalog under four regimes:
+production-scale catalog under three regimes:
 
 * ``exact`` — the optimized exact path (one :class:`BatchRuntime` serial
   pass over the full catalog), measured **in-run** so every speedup below
   is against this machine, not a stale number;
 * ``nprobe{N}_exact`` — the IVF two-stage search probing ``N`` lists with
   the exact fine-stage scorer, swept across operating points;
-* ``nprobe{N}_int8`` — the same probe with the int8 integer-accumulated
-  fine scorer (the quantized companion);
 * ``nprobe{N}_pq`` — the same probe with product-quantized ADC candidate
   scoring followed by the mandatory exact re-rank (16x item-side memory
   reduction vs the f32 factors).
@@ -213,7 +211,7 @@ def run_benchmark(
     sweep = []
     for factor in probe_factors:
         nprobe = min(ivf.nprobe * factor, ivf.n_lists)
-        for scorer in ("exact", "int8", "pq"):
+        for scorer in ("exact", "pq"):
             sweep.append((f"nprobe{nprobe}_{scorer}", nprobe, scorer))
     for name, nprobe, scorer in sweep:
         if arm_names is not None and name not in arm_names:
@@ -252,7 +250,6 @@ def run_benchmark(
             "n_lists": ivf.n_lists,
             "default_nprobe": ivf.nprobe,
             "build_seconds": build_seconds,
-            "int8_codes_bytes": ivf.quantized.memory_bytes(),
             "pq_codes_bytes": pq_codes_bytes,
             "item_factors_bytes": item_factors_bytes,
             "memory_reduction_vs_f32": item_factors_bytes / pq_codes_bytes,
@@ -272,11 +269,10 @@ def run_benchmark(
 def run_tiered(protocol: Dict, reps: int) -> Dict:
     """The hot/cold tiered layout under a declared memory ceiling.
 
-    Builds a clustered catalog at ``protocol`` scale with PQ fine scoring
-    (no int8 companion — the tiered layout's resident floor should be the
-    PQ codes), round-trips it through an ``include_items`` dir archive,
-    and reloads it tiered.  Reports whether the resident hot tier held
-    the ceiling plus recall/speed at the default operating point.
+    Builds a clustered catalog at ``protocol`` scale with PQ fine scoring,
+    round-trips it through an ``include_items`` dir archive, and reloads
+    it tiered.  Reports whether the resident hot tier held the ceiling
+    plus recall/speed at the default operating point.
     """
     n_items = protocol["n_items"]
     eval_users = protocol["evaluated_users"]
@@ -287,7 +283,7 @@ def run_tiered(protocol: Dict, reps: int) -> Dict:
 
     built = time.perf_counter()
     ivf = build_ivf(
-        index, seed=0, quantize=False, pq=True,
+        index, seed=0, pq=True,
         tol=1e-3, train_sample=protocol["train_sample"],
     )
     build_seconds = time.perf_counter() - built

@@ -282,16 +282,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         failed = False
         for label, arm in report["arms"].items():
             recall = arm["recall_at_k"]
-            # gate the arms whose results are exact after re-rank: the
-            # exact-fine operating point and (when PQ is the default
-            # scorer) the ADC+re-rank arm.  The int8 arm stays
-            # informational — its recall ceiling is quantization itself.
-            gated = arm["scorer"] == "exact" or (
-                arm["scorer"] == "pq"
-                and getattr(ann, "default_scorer", None) == "pq"
-            )
+            # every arm is gated: both fine scorers return exact scores
+            # (the pq arm after its re-rank), so a miss is a lost candidate
             status = ""
-            if gated and recall < args.ann_recall_floor:
+            if recall < args.ann_recall_floor:
                 status = f"  FAIL (< {args.ann_recall_floor})"
                 failed = True
             layout = (
@@ -969,7 +963,7 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument(
         "--ann", action="store_true",
         help="also build and save the approximate-retrieval index "
-        "(IVF lists + int8 codes) next to the embedding index",
+        "(IVF lists) next to the embedding index",
     )
     _add_ann_build_flags(export)
     export.set_defaults(func=cmd_export)

@@ -80,8 +80,9 @@ def ann_recall_report(
 
     ``nprobes`` defaults to the index's own default operating point; pass
     several to sweep the recall curve.  ``scorers`` selects the fine-stage
-    arms (``"exact"``, plus ``"int8"`` / ``"pq"`` for an IVF index carrying
-    those companions; a full-scan index runs its single arm regardless).
+    arms of an IVF index (``"exact"``, plus ``"pq"`` when it carries a PQ
+    companion); a full-scan index has neither knob and runs its single arm
+    under each requested label.
     Returns a JSON-safe report keyed
     ``arms[f"nprobe{n}_{scorer}"] -> {"recall_at_k": ...}``.
     """
@@ -92,19 +93,16 @@ def ann_recall_report(
     )
     if nprobes is None:
         nprobes = (getattr(ann, "nprobe", None),)
+    is_ivf = hasattr(ann, "n_lists")
     arms: Dict[str, Dict] = {}
     for nprobe in nprobes:
         for scorer in scorers:
             kwargs = {"exclude_csr": exclude_csr}
-            if nprobe is not None:
-                kwargs["nprobe"] = int(nprobe)
-            if scorer != "exact" or hasattr(ann, "scorers"):
+            if is_ivf:
                 kwargs["scorer"] = scorer
-            try:
-                ids, _ = ann.search(users, k, **kwargs)
-            except TypeError:
-                # A QuantizedIndex has no scorer/nprobe knobs; one arm only.
-                ids, _ = ann.search(users, k, exclude_csr=exclude_csr)
+                if nprobe is not None:
+                    kwargs["nprobe"] = int(nprobe)
+            ids, _ = ann.search(users, k, **kwargs)
             approx = {int(user): ids[row] for row, user in enumerate(users)}
             label = f"nprobe{nprobe}_{scorer}" if nprobe is not None else scorer
             arms[label] = {

@@ -74,14 +74,13 @@ def build_ann(
     n_lists: Optional[int] = None,
     nprobe: Optional[int] = None,
     seed: int = 0,
-    quantize: bool = True,
     pq_subspace_dim: int = 4,
     pq_rotation: bool = False,
     train_sample: Optional[int] = None,
 ):
     """Build a fresh ANN index of ``kind`` (default ``ivf``) over ``index``.
 
-    ``n_lists`` / ``nprobe`` / ``quantize`` only shape the IVF kinds; a
+    ``n_lists`` / ``nprobe`` only shape the IVF kinds; a
     standalone ``pq`` index has no lists to size.
     """
     if kind is not None and kind not in ANN_KINDS:
@@ -99,7 +98,6 @@ def build_ann(
         n_lists=n_lists,
         nprobe=nprobe,
         seed=seed,
-        quantize=quantize,
         pq=(kind == "ivf-pq"),
         pq_subspace_dim=pq_subspace_dim,
         pq_rotation=pq_rotation,
@@ -179,7 +177,6 @@ class Experiment:
         n_lists: Optional[int] = None,
         nprobe: Optional[int] = None,
         seed: int = 0,
-        quantize: bool = True,
         kind: Optional[str] = None,
         pq_subspace_dim: int = 4,
         pq_rotation: bool = False,
@@ -237,7 +234,6 @@ class Experiment:
             n_lists=n_lists,
             nprobe=nprobe,
             seed=seed,
-            quantize=quantize,
             pq_subspace_dim=pq_subspace_dim,
             pq_rotation=pq_rotation,
             train_sample=train_sample,

@@ -16,14 +16,10 @@ allocation), so appending them after a list's existing run keeps every
 list sorted — full-probe search over a delta-built index stays
 bit-identical to exact search, with zero re-sorting.
 
-The int8 companion is extended the same way: new rows are encoded with
-the branch's **frozen** ``scale``/``zero`` (values outside the original
-range saturate at ±127 — bounded, and measured by the recall gate), so
-the codes of every pre-existing item are byte-identical to the previous
-version.  A PQ companion has per-list residual codebooks whose anchors
-(list means) would shift under appends, so delta builds refuse it with a
-typed :class:`DeltaUnsupported` — the controller falls back to a full
-rebuild rather than silently degrading ADC precision.
+A PQ companion has per-list residual codebooks whose anchors (list
+means) would shift under appends, so delta builds refuse it with a typed
+:class:`DeltaUnsupported` — the controller falls back to a full rebuild
+rather than silently degrading ADC precision.
 
 Appending without re-clustering degrades geometry over time: centroids
 drift away from their lists' true means and list sizes skew.  Every
@@ -44,7 +40,6 @@ import numpy as np
 
 from ..serving.ann.ivf import IVFIndex, build_ivf, combined_item_vectors
 from ..serving.ann.kmeans import assign_labels
-from ..serving.ann.quantize import QuantizedBranch, QuantizedIndex
 from ..serving.index import EmbeddingIndex
 
 
@@ -81,11 +76,6 @@ class DeltaStats:
     staleness: float = 0.0
     reclustered: bool = False
     lists_touched: int = 0
-
-
-def _frozen_codes(item: np.ndarray, scale: float, zero: int) -> np.ndarray:
-    """Encode new rows with a previously-fitted affine int8 quantizer."""
-    return np.clip(np.rint(np.asarray(item) / scale) + zero, -127, 127).astype(np.int8)
 
 
 def delta_build(
@@ -143,7 +133,6 @@ def delta_build(
             nprobe=None,
             seed=prev.seed,
             iters=config.recluster_iters,
-            quantize=prev.quantized is not None,
         )
         stats.reclustered = True
         stats.appended_since_recluster = 0
@@ -190,20 +179,6 @@ def delta_build(
         list_items[lo + width_old : lo + width_old + len(appended_here)] = appended_here
     stats.lists_touched = int((new_counts > 0).sum())
 
-    # Int8 companion: frozen scale/zero, old codes byte-identical.
-    quantized = None
-    if prev.quantized is not None:
-        branches = []
-        for b, qb in enumerate(prev.quantized.quantized):
-            new_rows = np.asarray(new_index.branches[b].item)[n_old:]
-            codes = (
-                np.vstack([qb.q_item, _frozen_codes(new_rows, qb.scale, qb.zero)])
-                if n_new
-                else qb.q_item
-            )
-            branches.append(QuantizedBranch(q_item=codes, scale=qb.scale, zero=qb.zero))
-        quantized = QuantizedIndex(new_index, branches)
-
     nprobe = min(prev.nprobe, n_lists)
     rebuilt = IVFIndex(
         new_index,
@@ -211,9 +186,7 @@ def delta_build(
         list_indptr=indptr,
         list_items=list_items,
         nprobe=nprobe,
-        quantized=quantized,
         seed=prev.seed,
-        default_scorer=prev.default_scorer,
         rerank_factor=prev.rerank_factor,
     )
     return rebuilt, stats

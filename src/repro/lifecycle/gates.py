@@ -7,7 +7,7 @@ build can rot:
   batch runtime, train exclusions applied) and through the candidate ANN
   index at its default operating point; mean recall@k below the floor
   fails the gate.  This is the end-to-end quality check that catches
-  centroid staleness, bad fold-in solves, and int8 saturation alike.
+  centroid staleness and bad fold-in solves alike.
 
 * **price-band probes** — for each re-priced/new item (the rows a flash
   sale touches), assert the candidate's own metadata is self-consistent:

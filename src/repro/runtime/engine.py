@@ -459,7 +459,7 @@ def recommend_all(
 
     ``ann`` switches the bulk job to candidate-generation mode: chunks rank
     through the given :class:`~repro.serving.ann.IVFIndex` /
-    :class:`~repro.serving.ann.QuantizedIndex` instead of exact full-catalog
+    :class:`~repro.serving.ann.PQIndex` instead of exact full-catalog
     scoring — sublinear in catalog size at the index's measured recall
     (``BENCH_ann.json``); at full probe the exported *rankings* are
     bit-identical to the exact ones (scores carry the 1-ULP caveat for

@@ -22,7 +22,7 @@ Quickstart::
 
 from .index import EmbeddingIndex, INDEX_KIND
 from .export import ExportError, export_index, export_index_from_checkpoint
-from .ann import IVFIndex, QuantizedIndex, build_ivf
+from .ann import IVFIndex, build_ivf
 from .filters import (
     AllOf,
     AllowListFilter,
@@ -72,7 +72,6 @@ __all__ = [
     "EmbeddingIndex",
     "INDEX_KIND",
     "IVFIndex",
-    "QuantizedIndex",
     "build_ivf",
     "ExportError",
     "export_index",

@@ -1,15 +1,12 @@
-"""Approximate retrieval: quantized embeddings + IVF two-stage search.
+"""Approximate retrieval: product-quantized embeddings + IVF two-stage search.
 
 Exact full-catalog retrieval costs one dense matmul over every item per
 request — linear in catalog size, which caps throughput no matter how
 parallel the runtime gets.  This package is the standard production
 answer, built natively on the repo's numpy substrate, as a compression
-ladder:
+ladder float32 -> PQ (there is no scalar-quantized rung: it lost to exact
+scoring on speed and to PQ on memory — ``docs/performance.md``):
 
-* :class:`QuantizedIndex` — int8 scalar quantization of the item factors
-  (per-branch scale/zero-point, integer-accumulated scoring): ~4-8x less
-  item-side memory, usable standalone as a full-scan approximate index or
-  as the IVF fine-stage ``int8`` scorer;
 * :class:`PQIndex` (:func:`build_pq`) — per-branch product-quantization
   codebooks (subspace k-means, uint8 codes, ADC lookup-table scoring
   with a mandatory exact re-rank): 16-64x less item-side memory, plus an
@@ -37,7 +34,7 @@ Quickstart::
     service = RecommenderService(index, ann=ann)
     service.recommend(user=42)                 # two-stage, filters at re-rank
 
-``benchmarks/bench_ann.py`` sweeps ``nprobe`` x {exact, int8, pq} fine
+``benchmarks/bench_ann.py`` sweeps ``nprobe`` x {exact, pq} fine
 scoring plus the tiered 1M-item layout and commits the
 recall/speedup/memory curve (``BENCH_ann.json``); CI gates the default
 operating point at recall@50 >= 0.95, recall@10 per arm, the declared
@@ -54,13 +51,6 @@ from .pq import (
     score_candidates_exact,
     score_pq_block,
     subspace_splits,
-)
-from .quantize import (
-    QuantizedBranch,
-    QuantizedIndex,
-    accumulate_codes,
-    quantize_items,
-    quantize_queries,
 )
 from .tiered import TieredIndexConfig, TieredIVFIndex
 
@@ -79,11 +69,6 @@ __all__ = [
     "score_candidates_exact",
     "score_pq_block",
     "subspace_splits",
-    "QuantizedBranch",
-    "QuantizedIndex",
-    "accumulate_codes",
-    "quantize_items",
-    "quantize_queries",
     "TieredIndexConfig",
     "TieredIVFIndex",
 ]

@@ -3,9 +3,9 @@
 An archive (either container of :mod:`repro.train.persistence`) holds the
 index's *own* arrays plus a header: ``kind``, ``format_version``, and the
 ``model_name`` / ``n_users`` / ``n_items`` of the source index it must be
-re-attached to.  An IVF archive embeds its int8 and PQ companions through
-the same two payload codecs the standalone kinds use.  There are no legacy
-readers: an archive of another format version is refused with "re-export".
+re-attached to.  An IVF archive embeds its PQ companion through the same
+payload codec the standalone PQ kind uses.  There are no legacy readers: an
+archive of another format version is refused with "re-export".
 """
 
 from __future__ import annotations
@@ -18,38 +18,15 @@ import numpy as np
 from ...train import persistence
 from .ivf import IVFIndex
 from .pq import PQBranch, PQIndex
-from .quantize import QuantizedBranch, QuantizedIndex
 from .tiered import TieredIndexConfig, TieredIVFIndex
 
-QUANTIZED_KIND = "quantized_index"
 PQ_KIND = "pq_index"
 IVF_KIND = "ivf_index"
 
 Arrays = Dict[str, np.ndarray]
 
 
-# Payload codecs, shared by the standalone kinds and the IVF companions.
-def _encode_int8(quantized: QuantizedIndex, arrays: Arrays) -> List[Dict]:
-    """Store the int8 codes; returns the per-branch scale/zero header rows."""
-    for i, qb in enumerate(quantized.quantized):
-        arrays[f"branch{i}.q_item"] = qb.q_item
-    return [{"scale": float(qb.scale), "zero": int(qb.zero)} for qb in quantized.quantized]
-
-
-def _decode_int8(rows: List[Dict], arrays: Arrays, index) -> QuantizedIndex:
-    return QuantizedIndex(
-        index,
-        [
-            QuantizedBranch(
-                q_item=np.ascontiguousarray(arrays[f"branch{i}.q_item"]),
-                scale=float(row["scale"]),
-                zero=int(row["zero"]),
-            )
-            for i, row in enumerate(rows)
-        ],
-    )
-
-
+# The PQ payload codec, shared by the standalone kind and the IVF companion.
 def _encode_pq(branches: List[PQBranch], arrays: Arrays, prefix: str = "") -> List[Dict]:
     """Store codes, codebooks and rotations; returns the per-branch header rows."""
     rows = []
@@ -90,14 +67,6 @@ def _decode_pq(rows: List[Dict], arrays: Arrays, prefix: str = "") -> List[PQBra
 
 # Per-kind layouts: encode fills ``arrays`` and returns the kind-specific
 # header fields; the common fields are written and checked once, below.
-def _encode_quantized(ann: QuantizedIndex, arrays: Arrays, include_items: bool) -> Dict:
-    return {"branches": _encode_int8(ann, arrays)}
-
-
-def _decode_quantized(metadata: Dict, arrays: Arrays, index, tiered) -> QuantizedIndex:
-    return _decode_int8(metadata["branches"], arrays, index)
-
-
 def _encode_standalone_pq(ann: PQIndex, arrays: Arrays, include_items: bool) -> Dict:
     return {"rerank_factor": ann.rerank_factor, "branches": _encode_pq(ann.pq, arrays)}
 
@@ -111,9 +80,6 @@ def _encode_ivf(ann: IVFIndex, arrays: Arrays, include_items: bool) -> Dict:
     arrays["centroids"] = ann.centroids
     arrays["list_indptr"] = ann.list_indptr
     arrays["list_items"] = ann.list_items
-    quantized_meta = None
-    if ann.quantized is not None:
-        quantized_meta = _encode_int8(ann.quantized, arrays)
     pq_meta = None
     if ann.pq is not None:
         rows = _encode_pq(ann.pq.pq, arrays, prefix="pq.")
@@ -133,9 +99,7 @@ def _encode_ivf(ann: IVFIndex, arrays: Arrays, include_items: bool) -> Dict:
         "n_lists": ann.n_lists,
         "nprobe": ann.nprobe,
         "seed": ann.seed,
-        "quantized": quantized_meta,
         "pq": pq_meta,
-        "default_scorer": ann.default_scorer,
         "rerank_factor": ann.rerank_factor,
         "include_items": bool(include_items),
     }
@@ -150,11 +114,8 @@ def _decode_ivf(
         list_items=arrays["list_items"],
         nprobe=int(metadata["nprobe"]),
         seed=int(metadata["seed"]),
-        default_scorer=metadata["default_scorer"],
         rerank_factor=int(metadata["rerank_factor"]),
     )
-    if metadata["quantized"] is not None:
-        fields["quantized"] = _decode_int8(metadata["quantized"], arrays, index)
     pq_meta = metadata["pq"]
     if pq_meta is not None:
         if not pq_meta["residual"]:
@@ -187,11 +148,8 @@ class _Kind(NamedTuple):
 
 
 _KINDS: Dict[str, _Kind] = {
-    QUANTIZED_KIND: _Kind(
-        QuantizedIndex, 1, "a quantized index", _encode_quantized, _decode_quantized
-    ),
     PQ_KIND: _Kind(PQIndex, 1, "a PQ index", _encode_standalone_pq, _decode_standalone_pq),
-    IVF_KIND: _Kind(IVFIndex, 3, "an IVF index", _encode_ivf, _decode_ivf),
+    IVF_KIND: _Kind(IVFIndex, 4, "an IVF index", _encode_ivf, _decode_ivf),
 }
 
 

@@ -2,11 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
-from ...data.dataset import expand_csr_rows
-from ...eval.topk import NEG_INF
-
 
 class AnnIndex:
     """Base of the ANN index kinds.
@@ -37,28 +32,6 @@ class AnnIndex:
             "bytes_per_item": float(self.bytes_per_item),
             "tiers": {"hot": total, "cold": 0},
         }
-
-    def _masked_scan(self, users, k, exclude_csr=None, candidate_mask=None):
-        """The front half of a full-scan ``search``: validate, score, mask.
-
-        Returns ``(users, k, scores)``: int64 ``users``, ``k`` clamped to the
-        catalog, and the dense ``self.score(users)`` matrix with filtered-out
-        and excluded items at ``NEG_INF`` (``None`` for an empty batch).
-        """
-        users = np.asarray(users, dtype=np.int64)
-        k = min(int(k), self.n_items)
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        if len(users) == 0:
-            return users, k, None
-        scores = self.score(users)
-        if candidate_mask is not None:
-            scores[:, ~np.asarray(candidate_mask, dtype=bool)] = NEG_INF
-        if exclude_csr is not None:
-            rows, cols = expand_csr_rows(*exclude_csr, users)
-            if rows is not None:
-                scores[rows, cols] = NEG_INF
-        return users, k, scores
 
     def save(self, path: str, format: str = "npz", include_items: bool = False) -> str:
         """Persist this index's own arrays (the source index is referenced

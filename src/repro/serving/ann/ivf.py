@@ -28,15 +28,13 @@ suite pins (the usual 1-ULP caveat for degenerate matmul shapes noted in
 :mod:`repro.serving.retrieval` applies here too).  Smaller ``nprobe``
 trades recall for time along a measured curve (``BENCH_ann.json``).
 
-An optional :class:`~.quantize.QuantizedIndex` companion supplies an
-``int8`` fine-stage scorer (integer-accumulated, approximate) next to the
-default exact one, and an optional :class:`~.pq.PQIndex` companion
-supplies a ``pq`` scorer: each probed list is scored by ADC table
-lookups (16-64x smaller item payload) and keeps its ADC top
-``rerank_factor * k``, and *every* survivor is then re-scored exactly
-before the final top-``k`` — ADC chooses candidates per list, exact
-scoring orders them, so recall depends only on an item's ADC rank inside
-its own (bounded-width) list and keeps holding as catalogs grow.
+An optional :class:`~.pq.PQIndex` companion supplies a ``pq`` scorer
+next to the exact one: each probed list is scored by ADC table lookups
+(16-64x smaller item payload) and keeps its ADC top ``rerank_factor * k``,
+and *every* survivor is then re-scored exactly before the final
+top-``k`` — ADC chooses candidates per list, exact scoring orders them,
+so recall depends only on an item's ADC rank inside its own
+(bounded-width) list and keeps holding as catalogs grow.
 """
 
 from __future__ import annotations
@@ -53,9 +51,8 @@ from ...obs.trace import maybe_span
 from .base import AnnIndex
 from .kmeans import assign_labels, cluster_sums, kmeans
 from .pq import PQIndex, build_pq_branch, score_candidates_exact, score_pq_block
-from .quantize import QuantizedIndex, score_quantized_block
 
-SCORERS = ("exact", "int8", "pq")
+SCORERS = ("exact", "pq")
 
 
 def default_n_lists(n_items: int) -> int:
@@ -122,10 +119,8 @@ class IVFIndex(AnnIndex):
         list_indptr: np.ndarray,
         list_items: np.ndarray,
         nprobe: int,
-        quantized: Optional[QuantizedIndex] = None,
         seed: int = 0,
         pq: Optional[PQIndex] = None,
-        default_scorer: Optional[str] = None,
         rerank_factor: int = 8,
         perm_items: Optional[Sequence[Tuple[np.ndarray, Optional[np.ndarray]]]] = None,
         pq_list_means: Optional[Sequence[np.ndarray]] = None,
@@ -190,13 +185,6 @@ class IVFIndex(AnnIndex):
                 )
                 for branch in index.branches
             ]
-        self.quantized = quantized
-        if quantized is not None:
-            if quantized.n_items != self.n_items:
-                raise ValueError("quantized companion was built for a different catalog")
-            self._perm_codes = [qb.q_item[perm] for qb in quantized.quantized]
-        else:
-            self._perm_codes = None
         self.pq = pq
         if pq is not None:
             if pq.n_items != self.n_items:
@@ -224,27 +212,18 @@ class IVFIndex(AnnIndex):
                     )
                 self._pq_list_means.append(m)
         self.rerank_factor = max(1, int(rerank_factor))
-        if default_scorer is None:
-            # A PQ companion exists to be *used*: it becomes the default
-            # operating point, with exact re-rank keeping recall honest.
-            default_scorer = "pq" if pq is not None else "exact"
-        if default_scorer not in self.scorers:
-            raise ValueError(
-                f"default scorer {default_scorer!r} is not available "
-                f"(have {self.scorers})"
-            )
-        self.default_scorer = default_scorer
 
     # ------------------------------------------------------------------
     @property
     def scorers(self) -> Tuple[str, ...]:
         """Fine-stage scorers this index supports."""
-        available = ["exact"]
-        if self.quantized is not None:
-            available.append("int8")
-        if self.pq is not None:
-            available.append("pq")
-        return tuple(available)
+        return SCORERS if self.pq is not None else ("exact",)
+
+    @property
+    def default_scorer(self) -> str:
+        """A PQ companion exists to be *used*: it is the default operating
+        point, with exact re-rank keeping recall honest."""
+        return "pq" if self.pq is not None else "exact"
 
     @property
     def kind(self) -> str:
@@ -256,10 +235,8 @@ class IVFIndex(AnnIndex):
 
     def _structure_bytes(self) -> int:
         """Everything but the permuted factor payload: centroids, list
-        layout, int8/PQ codes, codebooks and list means."""
+        layout, PQ codes, codebooks and list means."""
         total = self.centroids.nbytes + self.list_indptr.nbytes + self.list_items.nbytes
-        if self._perm_codes is not None:
-            total += sum(codes.nbytes for codes in self._perm_codes)
         if self.pq is not None:
             total += sum(codes.nbytes for codes in self._perm_pq_codes)
             total += sum(pb.table_bytes() for pb in self.pq.pq)
@@ -278,12 +255,10 @@ class IVFIndex(AnnIndex):
     @property
     def bytes_per_item(self) -> float:
         """Item-side bytes per catalog item for the *default* fine scorer
-        (f32/f64 factors for ``exact``, int8 codes for ``int8``, uint8 PQ
-        codes for ``pq``) — the number the compression ladder compares."""
+        (f32/f64 factors for ``exact``, uint8 PQ codes for ``pq``) — the
+        number the compression ladder compares."""
         if self.default_scorer == "pq":
             payload = sum(codes.nbytes for codes in self._perm_pq_codes)
-        elif self.default_scorer == "int8":
-            payload = sum(codes.nbytes for codes in self._perm_codes)
         else:
             payload = sum(b.item.nbytes for b in self._perm_branches)
         return payload / max(1, self.n_items)
@@ -346,11 +321,6 @@ class IVFIndex(AnnIndex):
         scorer = self.default_scorer if scorer is None else scorer
         if scorer not in SCORERS:
             raise ValueError(f"scorer must be one of {SCORERS}, got {scorer!r}")
-        if scorer == "int8" and self.quantized is None:
-            raise ValueError(
-                "this IVF index was built without a quantized companion; "
-                "rebuild with quantize=True for int8 fine scoring"
-            )
         if scorer == "pq" and self.pq is None:
             raise ValueError(
                 "this IVF index was built without a PQ companion; "
@@ -425,7 +395,7 @@ class IVFIndex(AnnIndex):
         # begin()/finish() rather than a with-block: the loop is long and
         # an exception mid-fine leaves the span unfinished, which exporters
         # simply drop.  ADC table-lookup scoring gets its own span name so
-        # traces distinguish it from the exact/int8 fine stages.
+        # traces distinguish it from the exact fine stage.
         fine_span = (
             tracer.begin(
                 "ann.fine.adc" if scorer == "pq" else "ann.fine", cat="ann",
@@ -519,31 +489,19 @@ class IVFIndex(AnnIndex):
         """
         if scorer == "exact":
             return score_branches(self._perm_branches, users_sel, start, stop)
-        if scorer == "pq":
-            return score_pq_block(
-                self._perm_branches,
-                self.pq.pq,
-                [codes[start:stop] for codes in self._perm_pq_codes],
-                # item_const of a _perm_branch is already in permuted
-                # order — slice it, never re-permute it
-                [
-                    None if b.item_const is None else b.item_const[start:stop]
-                    for b in self._perm_branches
-                ],
-                users_sel,
-                self.dtype,
-                means=[m[lst] for m in self._pq_list_means],
-            )
-        return score_quantized_block(
+        return score_pq_block(
             self._perm_branches,
-            self.quantized.quantized,
-            [codes[start:stop] for codes in self._perm_codes],
+            self.pq.pq,
+            [codes[start:stop] for codes in self._perm_pq_codes],
+            # item_const of a _perm_branch is already in permuted
+            # order — slice it, never re-permute it
             [
                 None if b.item_const is None else b.item_const[start:stop]
                 for b in self._perm_branches
             ],
             users_sel,
             self.dtype,
+            means=[m[lst] for m in self._pq_list_means],
         )
 
     def _rerank_exact(self, users: np.ndarray, candidates: np.ndarray) -> np.ndarray:
@@ -563,7 +521,6 @@ def build_ivf(
     nprobe: Optional[int] = None,
     seed: int = 0,
     iters: int = 25,
-    quantize: bool = True,
     pq: bool = False,
     pq_subspace_dim: int = 4,
     pq_centroids: int = 256,
@@ -572,7 +529,7 @@ def build_ivf(
     tol: float = 0.0,
     train_sample: Optional[int] = None,
 ) -> IVFIndex:
-    """Build an :class:`IVFIndex` (and its int8/PQ companions) from an index.
+    """Build an :class:`IVFIndex` (and its PQ companion) from an index.
 
     ``n_lists`` defaults to ``~sqrt(n_items)/2`` (see
     :func:`default_n_lists` for why this substrate prefers fewer, larger
@@ -612,7 +569,6 @@ def build_ivf(
 
     nprobe = default_nprobe(n_lists) if nprobe is None else int(nprobe)
     nprobe = max(1, min(nprobe, n_lists))
-    quantized = QuantizedIndex.build(index) if quantize else None
     pq_index = None
     pq_list_means = None
     if pq:
@@ -650,7 +606,6 @@ def build_ivf(
         list_indptr=indptr,
         list_items=perm,
         nprobe=nprobe,
-        quantized=quantized,
         seed=seed,
         pq=pq_index,
         rerank_factor=rerank_factor,

@@ -1,8 +1,8 @@
 """Product quantization of frozen item factors.
 
-Scalar int8 (:mod:`.quantize`) compresses each item-factor *element* to
-one byte — a 4-8x ceiling.  Product quantization compresses whole
-*subvectors*: each branch's ``(n_items, d)`` factors are split into
+Scalar quantization compresses each item-factor *element* to one byte —
+a 4-8x ceiling.  Product quantization compresses whole *subvectors*:
+each branch's ``(n_items, d)`` factors are split into
 ``M = ceil(d / subspace_dim)`` subspaces, a k-means codebook of at most
 256 centroids is trained per subspace (the existing pure-NumPy
 :func:`~.kmeans.kmeans` with kmeans++ seeding), and every item is stored
@@ -17,8 +17,8 @@ per-item arithmetic in ``d``.  Branch constants and weights are applied
 exactly, mirroring :func:`~repro.core.base.score_branches`, so PQ error
 comes only from the factor-product term.
 
-PQ error is larger than int8 error, which is why a :class:`PQIndex` (and
-the ``pq`` fine-stage arm of :class:`~.ivf.IVFIndex`) always **re-ranks**
+ADC scores are approximate, which is why a :class:`PQIndex` (and the
+``pq`` fine-stage arm of :class:`~.ivf.IVFIndex`) always **re-ranks**
 an over-fetched candidate pool with the exact ``score_branches`` kernel
 before returning: ADC decides *which* ``rerank_factor * k`` candidates to
 look at, exact scoring decides their order.  The recall harness in
@@ -40,6 +40,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ...core.base import ScoreBranch, branches_dtype
+from ...data.dataset import expand_csr_rows
 from ...eval.topk import NEG_INF, topk_indices_rows, topk_pairs_rows
 from ...obs.trace import maybe_span
 from .base import AnnIndex
@@ -249,8 +250,8 @@ def score_pq_block(
     fine stage.  Per branch, one float64 lookup table per subspace is
     built from the exact user rows (rotated first when the branch carries
     an OPQ rotation), the block score is the gathered table sum, and
-    constants/weights are applied exactly — the same shape as
-    :func:`~.quantize.score_quantized_block`.
+    constants/weights are applied exactly — the branch loop of
+    :func:`~repro.core.base.score_branches`.
 
     ``means[b]``, when given, is a ``(d,)`` vector the branch-``b`` codes
     were *residual-encoded* against (IVF fine stage: the probed list's
@@ -430,7 +431,7 @@ class PQIndex(AnnIndex):
         )
 
     # ------------------------------------------------------------------
-    # ANN search surface (shared contract with QuantizedIndex / IVFIndex)
+    # ANN search surface (shared contract with IVFIndex)
     # ------------------------------------------------------------------
     def search(
         self,
@@ -450,10 +451,20 @@ class PQIndex(AnnIndex):
         ``-1`` / ``-inf`` sentinel contract, scores exact for every
         non-sentinel entry.
         """
+        users = np.asarray(users, dtype=np.int64)
+        k = min(int(k), self.n_items)
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        if len(users) == 0:
+            return np.empty((0, k), dtype=np.int64), np.empty((0, k), dtype=self.dtype)
         with maybe_span(tracer, "ann.fine.adc", cat="ann", attrs={"scorer": "pq"}):
-            users, k, scores = self._masked_scan(users, k, exclude_csr, candidate_mask)
-            if scores is None:
-                return np.empty((0, k), dtype=np.int64), np.empty((0, k), dtype=self.dtype)
+            scores = self.score(users)
+            if candidate_mask is not None:
+                scores[:, ~np.asarray(candidate_mask, dtype=bool)] = NEG_INF
+            if exclude_csr is not None:
+                rows, cols = expand_csr_rows(*exclude_csr, users)
+                if rows is not None:
+                    scores[rows, cols] = NEG_INF
             m = min(self.rerank_factor * k, self.n_items)
             cand = topk_indices_rows(scores, m).astype(np.int64, copy=False)
             cand_adc = np.take_along_axis(scores, cand, axis=1)

@@ -19,7 +19,7 @@ probed, and admit lists in (mass desc, list id asc) order until the
 budget — :class:`TieredIndexConfig.hot_fraction` of the item payload, or
 an explicit ``memory_ceiling_bytes`` for *everything resident* — is
 exhausted.  The always-resident floor (centroids, list layout, inverse
-maps, int8/PQ codes and codebooks) is charged against the ceiling first,
+maps, PQ codes and codebooks) is charged against the ceiling first,
 so the reported hot tier is an honest upper bound on what this index
 keeps in RAM.
 
@@ -166,7 +166,7 @@ class TieredIVFIndex(IVFIndex):
     def _score_segment(
         self, scorer: str, users_sel: np.ndarray, lst: int, start: int, stop: int
     ) -> np.ndarray:
-        # ADC/int8 codes are always resident: only the exact fine stage
+        # ADC codes are always resident: only the exact fine stage
         # distinguishes hot (resident slice) from cold (mmap page-in).
         if scorer == "exact" and self.is_hot[lst]:
             return score_branches(self._hot_branches[lst], users_sel, 0, stop - start)

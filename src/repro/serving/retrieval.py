@@ -54,7 +54,7 @@ class RetrievalEngine:
 
     ``ann`` opts the engine into approximate retrieval: an
     :class:`~repro.serving.ann.IVFIndex` (or
-    :class:`~repro.serving.ann.QuantizedIndex`) built over the same
+    :class:`~repro.serving.ann.PQIndex`) built over the same
     catalog.  With one attached, :meth:`topk` routes through the ANN's
     two-stage search — filters and train-item exclusions apply at the
     re-rank stage, so a filtered request is ranked over exactly the items

@@ -6,7 +6,9 @@ import pytest
 from repro.core import pup_full
 from repro.data import SyntheticConfig, generate
 from repro.eval import ann_recall_at_k, ann_recall_report
-from repro.serving import QuantizedIndex, build_ivf, export_index
+from repro.eval.ann import exact_rankings
+from repro.serving import build_ivf, export_index
+from repro.serving.ann import build_pq
 
 
 class TestAnnRecallAtK:
@@ -70,20 +72,53 @@ class TestReport:
         ivf = build_ivf(index, n_lists=8, nprobe=2, seed=0)
         report = ann_recall_report(
             index, ivf, np.arange(20), k=10,
-            nprobes=(1, 8), scorers=("exact", "int8"),
+            nprobes=(1, 8), scorers=("exact",),
         )
-        assert set(report["arms"]) == {
-            "nprobe1_exact", "nprobe1_int8", "nprobe8_exact", "nprobe8_int8",
-        }
+        assert set(report["arms"]) == {"nprobe1_exact", "nprobe8_exact"}
         assert report["arms"]["nprobe8_exact"]["recall_at_k"] == 1.0
         assert (
             report["arms"]["nprobe1_exact"]["recall_at_k"]
             <= report["arms"]["nprobe8_exact"]["recall_at_k"]
         )
 
-    def test_quantized_full_scan_index_also_measurable(self, setup):
+    def test_full_scan_index_runs_its_single_arm(self, setup):
+        """A :class:`PQIndex` has no ``nprobe`` / ``scorer`` knobs: it is
+        searched as it is, under the label the caller asked for."""
         _, index = setup
-        quantized = QuantizedIndex.build(index)
-        report = ann_recall_report(index, quantized, np.arange(25), k=10)
-        (arm,) = report["arms"].values()
-        assert 0.0 <= arm["recall_at_k"] <= 1.0
+        pq = build_pq(index, seed=0)
+        users = np.arange(25)
+        ids, _ = pq.search(
+            users, 10, exclude_csr=(index.exclude_indptr, index.exclude_indices)
+        )
+        recall = ann_recall_at_k(
+            exact_rankings(index, users, 10),
+            {int(user): ids[row] for row, user in enumerate(users)},
+            10,
+        )
+        report = ann_recall_report(index, pq, users, k=10, scorers=pq.scorers)
+        assert report["arms"] == {
+            "pq": {"nprobe": None, "scorer": "pq", "recall_at_k": recall}
+        }
+        probed = ann_recall_report(index, pq, users, k=10, scorers=pq.scorers, nprobes=(5,))
+        assert probed["arms"] == {
+            "nprobe5_pq": {"nprobe": 5, "scorer": "pq", "recall_at_k": recall}
+        }
+
+    def test_a_type_error_inside_an_ivf_search_is_not_swallowed(self, setup):
+        """The report used to catch ``TypeError`` to tell index kinds apart,
+        retry without ``nprobe`` / ``scorer``, and book the default
+        operating point's recall under the requested arm's label."""
+        _, index = setup
+
+        class BrokenIVF:
+            n_lists, nprobe = 8, 2
+            calls = 0
+
+            def search(self, users, k, **kwargs):
+                self.calls += 1
+                raise TypeError("unsupported operand inside the fine stage")
+
+        broken = BrokenIVF()
+        with pytest.raises(TypeError, match="inside the fine stage"):
+            ann_recall_report(index, broken, np.arange(10), k=10)
+        assert broken.calls == 1

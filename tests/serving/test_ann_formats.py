@@ -17,7 +17,7 @@ import pytest
 from repro.core import pup_full
 from repro.data import SyntheticConfig, generate
 from repro.faults import corrupt_archive
-from repro.serving import QuantizedIndex, export_index
+from repro.serving import export_index
 from repro.serving.ann import (
     IVFIndex,
     PQIndex,
@@ -48,28 +48,27 @@ def index():
 
 # label -> (builder, save kwargs, scorers to compare)
 KINDS = {
-    "int8": (QuantizedIndex.build, {}, (None,)),
     "pq": (lambda index: build_pq(index, seed=0), {}, (None,)),
     "pq+rotation": (lambda index: build_pq(index, seed=0, rotation=True), {}, (None,)),
     "ivf": (
         lambda index: build_ivf(index, n_lists=10, nprobe=3, seed=0),
         {},
-        ("exact", "int8"),
+        ("exact",),
     ),
     "ivf+items": (
         lambda index: build_ivf(index, n_lists=10, nprobe=3, seed=0),
         {"include_items": True},
-        ("exact", "int8"),
+        ("exact",),
     ),
     "ivf-pq": (
         lambda index: build_ivf(index, n_lists=10, nprobe=3, seed=0, pq=True),
         {},
-        ("exact", "int8", "pq"),
+        ("exact", "pq"),
     ),
     "ivf-pq+items": (
         lambda index: build_ivf(index, n_lists=10, nprobe=3, seed=0, pq=True),
         {"include_items": True},
-        ("exact", "int8", "pq"),
+        ("exact", "pq"),
     ),
 }
 
@@ -137,7 +136,6 @@ class TestRoundTrip:
 
 # loader label -> (archive to write, how to load it)
 LOADERS = {
-    "int8": ("int8", QuantizedIndex.load),
     "pq": ("pq", PQIndex.load),
     "ivf": ("ivf-pq", IVFIndex.load),
     "tiered": (
@@ -153,7 +151,7 @@ LOADERS = {
 WRONG_KIND = [
     (loader, label)
     for loader in sorted(LOADERS)
-    for label in ("int8", "pq", "ivf")
+    for label in ("pq", "ivf")
     if not LOADERS[loader][0].startswith(label)
 ]
 
@@ -173,6 +171,27 @@ class TestHeaderChecks:
             load_ann(path, index)
 
     @pytest.mark.parametrize("loader", sorted(LOADERS))
+    def test_a_quantized_index_archive_is_no_longer_a_kind(
+        self, index, built, tmp_path, loader
+    ):
+        """The int8 tier is gone, reader included: its archive kind is as
+        foreign as an embedding index's."""
+        label, load = LOADERS[loader]
+        path = save(built(label), tmp_path, label, "dir")
+
+        def relabel(metadata):
+            metadata.update(
+                kind="quantized_index", format_version=1,
+                branches=[{"scale": 0.01, "zero": 3}, {"scale": 0.02, "zero": -5}],
+            )
+
+        edit_header(path, relabel)
+        with pytest.raises(ValueError, match="'quantized_index' artifact, not a"):
+            load(path, index)
+        with pytest.raises(ValueError, match="not an ANN index"):
+            load_ann(path, index)
+
+    @pytest.mark.parametrize("loader", sorted(LOADERS))
     @pytest.mark.parametrize("delta, message", [(1, "newer"), (-1, "re-export")])
     def test_other_format_version(self, index, built, tmp_path, loader, delta, message):
         label, load = LOADERS[loader]
@@ -185,6 +204,25 @@ class TestHeaderChecks:
         with pytest.raises(ValueError, match=message):
             load(path, index)
 
+    @pytest.mark.parametrize("loader", ["ivf", "tiered"])
+    def test_a_v3_ivf_archive_is_refused_not_read(self, index, built, tmp_path, loader):
+        """v3 carried the int8 companion; there is no compatibility reader."""
+        label, load = LOADERS[loader]
+        path = save(built(label), tmp_path, label, "dir")
+
+        def as_v3(metadata):
+            metadata.update(
+                format_version=3,
+                quantized=[{"scale": 0.01, "zero": 3}, {"scale": 0.02, "zero": -5}],
+                default_scorer="pq",
+            )
+
+        edit_header(path, as_v3)
+        with pytest.raises(ValueError, match=r"older than this reader \(v4\); re-export"):
+            load(path, index)
+        with pytest.raises(ValueError, match=r"older than this reader \(v4\); re-export"):
+            load_ann(path, index)
+
     @pytest.mark.parametrize("loader", sorted(LOADERS))
     def test_wrong_catalog_shape(self, index, built, tmp_path, loader):
         label, load = LOADERS[loader]
@@ -194,7 +232,8 @@ class TestHeaderChecks:
 
 
 class TestFormatPins:
-    """The format did not change: same array keys, same header keys."""
+    """Same array keys, same header keys — ``ivf_index`` v4 is v3 without
+    the int8 companion (``quantized``, ``default_scorer``, ``q_item``)."""
 
     COMMON = {"kind", "format_version", "model_name", "n_users", "n_items", "sha256"}
     PQ_ARRAYS = {"codes", "codebook0", "codebook1", "codebook2", "rotation"}
@@ -204,13 +243,6 @@ class TestFormatPins:
         with open(os.path.join(path, "metadata.json")) as handle:
             metadata = json.load(handle)
         return metadata, set(metadata["sha256"])
-
-    def test_int8(self, built, tmp_path):
-        metadata, arrays = self.read(built("int8"), tmp_path, "int8")
-        assert (metadata["kind"], metadata["format_version"]) == ("quantized_index", 1)
-        assert set(metadata) == self.COMMON | {"branches"}
-        assert set(metadata["branches"][0]) == {"scale", "zero"}
-        assert arrays == {"branch0.q_item", "branch1.q_item"}
 
     def test_pq(self, built, tmp_path):
         metadata, arrays = self.read(built("pq+rotation"), tmp_path, "pq+rotation")
@@ -223,18 +255,15 @@ class TestFormatPins:
 
     def test_ivf(self, built, tmp_path):
         metadata, arrays = self.read(built("ivf-pq+items"), tmp_path, "ivf-pq+items")
-        assert (metadata["kind"], metadata["format_version"]) == ("ivf_index", 3)
+        assert (metadata["kind"], metadata["format_version"]) == ("ivf_index", 4)
         assert set(metadata) == self.COMMON | {
-            "n_lists", "nprobe", "seed", "quantized", "pq", "default_scorer",
-            "rerank_factor", "include_items",
+            "n_lists", "nprobe", "seed", "pq", "rerank_factor", "include_items",
         }
-        assert set(metadata["quantized"][0]) == {"scale", "zero"}
         assert set(metadata["pq"]) == {"branches", "rerank_factor", "residual"}
         assert set(metadata["pq"]["branches"][0]) == {"n_subspaces", "splits", "rotation"}
         # branch 0 has 12 dims (3 subspaces of 4), branch 1 has 6 (2 of 3)
         assert arrays == {
             "centroids", "list_indptr", "list_items",
-            "branch0.q_item", "branch1.q_item",
             "pq.branch0.codes", "pq.branch0.codebook0", "pq.branch0.codebook1",
             "pq.branch0.codebook2", "pq.means0",
             "pq.branch1.codes", "pq.branch1.codebook0", "pq.branch1.codebook1",
@@ -244,9 +273,9 @@ class TestFormatPins:
         }
 
     def test_plain_ivf_stores_no_companion_payload(self, index, tmp_path):
-        ivf = build_ivf(index, n_lists=10, seed=0, quantize=False)
+        ivf = build_ivf(index, n_lists=10, seed=0)
         metadata, arrays = self.read(ivf, tmp_path, "ivf")
-        assert metadata["quantized"] is None and metadata["pq"] is None
+        assert metadata["pq"] is None
         assert not metadata["include_items"]
         assert arrays == {"centroids", "list_indptr", "list_items"}
 
@@ -256,7 +285,7 @@ class TestMemoryReports:
     the serving stats gauge publishes."""
 
     def test_report_shape_is_uniform(self, built):
-        for expected_kind in ("int8", "ivf", "ivf-pq", "pq"):
+        for expected_kind in ("ivf", "ivf-pq", "pq"):
             report = built(expected_kind).memory_report()
             assert report["kind"] == expected_kind
             assert set(report) >= {"kind", "bytes_total", "bytes_per_item", "tiers"}
@@ -271,7 +300,7 @@ class TestCorruptionDetection:
     :class:`ArchiveCorrupted` on load, never as silently-wrong search
     results or a bare ``KeyError``."""
 
-    @pytest.mark.parametrize("label", ["int8", "ivf", "ivf-pq", "pq"])
+    @pytest.mark.parametrize("label", ["ivf", "ivf-pq", "pq"])
     @pytest.mark.parametrize("fmt", ["npz", "dir"])
     def test_flipped_byte_refuses_to_load(self, index, built, tmp_path, label, fmt):
         ann = built(label)

@@ -173,44 +173,12 @@ class TestOperatingPoints:
         assert r1 <= r6 + 1e-9 <= rall + 2e-9
         assert rall == 1.0
 
-    def test_int8_fine_stage_available_and_sane(self, setup):
-        dataset, model, _, ivf = setup
-        assert ivf.scorers == ("exact", "int8")
-        users = np.arange(dataset.n_users)
-        exact = topk_rankings(model, dataset, users, k=10, exclude_train=False)
-        ids, _ = ivf.search(users, 10, nprobe=ivf.n_lists, scorer="int8")
-        recall = np.mean(
-            [
-                len(np.intersect1d(ids[row], exact[int(u)])) / 10
-                for row, u in enumerate(users)
-            ]
-        )
-        assert recall > 0.5  # quantized, not exact — but far from random
-
-    def test_int8_full_probe_bitwise_matches_quantized_full_scan(self, setup):
-        """At full probe the int8 fine stage IS a full-scan quantized
-        ranking — same scorer, same (score desc, id asc) order — so it
-        must agree with QuantizedIndex.search element-for-element.
-        (Regression: a double-applied list permutation on item constants
-        slipped past a recall-threshold assertion.)"""
-        from repro.serving import QuantizedIndex
-
-        dataset, _, index, ivf = setup
-        # rebuild the reference from the same codes the IVF carries
-        reference = QuantizedIndex(index, ivf.quantized.quantized)
-        users = np.arange(dataset.n_users)
-        ivf_ids, ivf_scores = ivf.search(users, 15, nprobe=ivf.n_lists, scorer="int8")
-        ref_ids, ref_scores = reference.search(users, 15)
-        np.testing.assert_array_equal(ivf_ids, ref_ids)
-        # quantized scoring is elementwise after the exact integer matmul,
-        # so even the scores agree bitwise across the two layouts
-        np.testing.assert_array_equal(ivf_scores, ref_scores)
-
-    def test_int8_requires_quantized_companion(self, setup):
-        _, _, index, _ = setup
-        bare = build_ivf(index, n_lists=6, nprobe=2, seed=0, quantize=False)
-        with pytest.raises(ValueError, match="quantized companion"):
-            bare.search(np.arange(3), 5, scorer="int8")
+    def test_unknown_scorer_is_refused(self, setup):
+        """``int8`` was a scorer once; it is now as unknown as any other."""
+        _, _, _, ivf = setup
+        assert ivf.scorers == ("exact",)
+        with pytest.raises(ValueError, match="scorer must be one of"):
+            ivf.search(np.arange(3), 5, scorer="int8")
 
 
 class TestMasking:
@@ -270,11 +238,10 @@ class TestPersistence:
         loaded = IVFIndex.load(path, index)
         assert loaded.nprobe == ivf.nprobe and loaded.n_lists == ivf.n_lists
         users = np.arange(25)
-        for scorer in ("exact", "int8"):
-            a_ids, a_scores = ivf.search(users, 12, scorer=scorer)
-            b_ids, b_scores = loaded.search(users, 12, scorer=scorer)
-            np.testing.assert_array_equal(a_ids, b_ids)
-            np.testing.assert_array_equal(a_scores, b_scores)
+        a_ids, a_scores = ivf.search(users, 12, scorer="exact")
+        b_ids, b_scores = loaded.search(users, 12, scorer="exact")
+        np.testing.assert_array_equal(a_ids, b_ids)
+        np.testing.assert_array_equal(a_scores, b_scores)
 
     def test_load_rejects_wrong_artifact(self, setup, tmp_path):
         _, _, index, _ = setup

@@ -13,7 +13,6 @@ from repro.serving.ann import (
     PQIndex,
     build_ivf,
     build_pq,
-    quantize_items,
     score_pq_block,
     subspace_splits,
 )
@@ -252,30 +251,6 @@ class TestOPQRotation:
         err_plain = float(np.mean((plain.dequantized() - item) ** 2))
         err_opq = float(np.mean((opq.dequantized() - item) ** 2))
         assert err_opq <= err_plain * 1.05
-
-
-class TestPQBeatsInt8:
-    """The compression-ladder property: at equal-or-less item-side memory,
-    PQ reconstruction error is no worse than scalar int8.
-
-    At ``subspace_dim=1`` / 256 centroids the two spend exactly the same
-    byte per dimension, but PQ's per-dimension Lloyd quantizer adapts its
-    levels per dimension while int8 shares one global scale per branch —
-    k-means optimality makes PQ's MSE <= the uniform grid's.
-    """
-
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-    def test_pq_mse_at_most_int8_mse_at_equal_memory(self, seed):
-        rng = np.random.default_rng(seed)
-        # mixed per-dimension scales: the regime where a global scale hurts
-        scales = 10.0 ** rng.uniform(-1, 1, size=6)
-        item = rng.normal(size=(400, 6)) * scales
-        pb = build_pq_branch(item, subspace_dim=1, n_centroids=256, seed=seed)
-        qb = quantize_items(item)
-        assert pb.code_bytes() <= qb.q_item.nbytes
-        pq_mse = float(np.mean((pb.dequantized() - item) ** 2))
-        int8_mse = float(np.mean((qb.dequantized() - item) ** 2))
-        assert pq_mse <= int8_mse * (1 + 1e-9)
 
 
 class TestExactRerankKernel:

@@ -332,8 +332,6 @@ class TestKernelDifferential:
 def index_arrays(ann):
     """Every array a build derives from k-means, in a fixed order."""
     arrays = [ann.centroids, ann.list_indptr, ann.list_items]
-    if ann.quantized is not None:
-        arrays += [qb.q_item for qb in ann.quantized.quantized]
     if ann.pq is not None:
         for branch in ann.pq.pq:
             arrays += list(branch.codebooks) + [branch.codes]
