@@ -404,7 +404,10 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     rate = n / wall if wall > 0 else 0.0
     workers_note = f", {args.workers} workers requested" if args.workers else ""
     shards_note = f", {args.shards} shards" if args.shards > 1 else ""
-    ann_note = f", ann nprobe {ann.nprobe}/{ann.n_lists}" if ann is not None else ""
+    ann_note = ""
+    if ann is not None:
+        probe_note = f"nprobe {ann.nprobe}/{ann.n_lists} " if hasattr(ann, "n_lists") else ""
+        ann_note = f", ann {probe_note}({ann.memory_report()['kind']})"
     print(
         f"exported top-{recommendations.k} for {n} users in {wall:.2f}s "
         f"({rate:,.0f} users/s{workers_note}{shards_note}{ann_note}) -> {path}"

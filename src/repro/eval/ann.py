@@ -8,8 +8,8 @@ points against exact rankings computed through the batch runtime (so the
 "exact" side is the very kernel production uses, not a second
 implementation).
 
-The CLI's ``repro evaluate --ann-check`` and the committed
-``BENCH_ann.json`` gate both run through here.
+The CLI's ``repro evaluate --ann-check``, the lifecycle promotion gates
+and the default-operating-point recall tests all run through here.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Delta IVF builds: append new items to a frozen list layout.
 
 A steady-state catalog update adds a handful of items to a catalog of
-thousands; re-running k-means over everything (the committed
-``build_seconds`` in ``BENCH_ann.json``) to place them is the wrong cost
+thousands; re-running k-means over everything (``build_ivf``: "Build
+cost" in docs/performance.md) to place them is the wrong cost
 model.  :func:`delta_build` instead *assigns* each new item's combined
 vector to the nearest existing centroid (one ``assign_labels`` call —
 the same assignment step a full build ends with) and appends it to that

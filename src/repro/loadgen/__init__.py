@@ -24,9 +24,8 @@ a :class:`WorkloadConfig` into a list of :class:`LoadRequest`,
 :func:`arrival_times` turns an :class:`ArrivalSchedule` into timestamps,
 and the runners return a :class:`LoadReport` combining client-side
 end-to-end percentiles with the service's own
-:class:`~repro.serving.stats.ServingStats` view.  Used by
-``benchmarks/bench_service_load.py`` (the CI load gate) and ``repro
-serve --load-test``-style experiments; see docs/serving.md.
+:class:`~repro.serving.stats.ServingStats` view.  Used by ``repro
+loadtest`` and ``benchmarks/chaos_smoke.py``; see docs/serving.md.
 
 :func:`run_chaos` layers deterministic fault injection on top of the
 closed-loop discipline and audits the end-of-run books — every admitted

@@ -17,8 +17,8 @@ as :func:`bpr_loss` / :func:`l2_on_batch` but as *single* autograd nodes
 with hand-written backward closures, instead of chains of elementwise graph
 nodes.  Per training step that removes roughly a dozen intermediate arrays
 and their gradient buffers; the trainer uses the fused forms by default
-(``TrainConfig.fused_kernels``) and falls back to the composed forms for
-the pre-refactor comparison arm of ``benchmarks/bench_training.py``.
+(``TrainConfig.fused_kernels``); the composed forms are the reference the
+fused ones are tested against (docs/performance.md, "Fused kernels").
 """
 
 from __future__ import annotations

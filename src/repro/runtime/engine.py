@@ -461,7 +461,7 @@ def recommend_all(
     through the given :class:`~repro.serving.ann.IVFIndex` /
     :class:`~repro.serving.ann.PQIndex` instead of exact full-catalog
     scoring — sublinear in catalog size at the index's measured recall
-    (``BENCH_ann.json``); at full probe the exported *rankings* are
+    (docs/performance.md); at full probe the exported *rankings* are
     bit-identical to the exact ones (scores carry the 1-ULP caveat for
     differing matmul shapes that :mod:`repro.serving.retrieval` documents).
     """

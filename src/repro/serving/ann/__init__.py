@@ -34,11 +34,10 @@ Quickstart::
     service = RecommenderService(index, ann=ann)
     service.recommend(user=42)                 # two-stage, filters at re-rank
 
-``benchmarks/bench_ann.py`` sweeps ``nprobe`` x {exact, pq} fine
-scoring plus the tiered 1M-item layout and commits the
-recall/speedup/memory curve (``BENCH_ann.json``); CI gates the default
-operating point at recall@50 >= 0.95, recall@10 per arm, the declared
-memory ceiling, and fails on speed regressions.
+docs/performance.md ("Measured curve") keeps the recorded ``nprobe`` x
+{exact, pq} recall/speedup/memory curve and the tiered 1M-item run; the
+test suite holds the default operating point at recall@50 and recall@10
+>= 0.95, PQ codes at 16x under float32, and the declared memory ceiling.
 """
 
 from .archive import load_ann

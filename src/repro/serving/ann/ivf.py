@@ -26,7 +26,7 @@ lists (``nprobe >= n_lists``) makes the candidate pool the full catalog
 and the result bit-identical to exact search — the property the test
 suite pins (the usual 1-ULP caveat for degenerate matmul shapes noted in
 :mod:`repro.serving.retrieval` applies here too).  Smaller ``nprobe``
-trades recall for time along a measured curve (``BENCH_ann.json``).
+trades recall for time along a measured curve (docs/performance.md).
 
 An optional :class:`~.pq.PQIndex` companion supplies a ``pq`` scorer
 next to the exact one: each probed list is scored by ADC table lookups
@@ -60,7 +60,7 @@ def default_n_lists(n_items: int) -> int:
     classic 4-sqrt(n) heuristic, because on this numpy substrate each
     probed list costs a Python-level dispatch and the fine stage is BLAS
     (dense-friendly), so compute density per list wins over finer pruning
-    (measured in BENCH_ann.json)."""
+    (see "When to stay exact" in docs/performance.md)."""
     return max(1, min(int(n_items), int(round(math.sqrt(max(n_items, 1)) / 2.0))))
 
 
@@ -534,8 +534,8 @@ def build_ivf(
     ``n_lists`` defaults to ``~sqrt(n_items)/2`` (see
     :func:`default_n_lists` for why this substrate prefers fewer, larger
     lists) and ``nprobe`` to an eighth of the lists — the default
-    operating point the recall-gated benchmark (``BENCH_ann.json``)
-    measures.  ``pq=True`` trains per-branch *residual* product
+    operating point ``tests/serving`` and the ``serve_scan`` workload hold
+    to a recall floor.  ``pq=True`` trains per-branch *residual* product
     quantization (codes encode each item minus its list's mean — the
     IVFADC construction) and makes ``pq`` the default fine scorer (ADC
     candidates + exact re-rank).  ``train_sample`` caps how many item vectors the

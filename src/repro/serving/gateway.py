@@ -57,7 +57,6 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from ..faults import FLUSHER_CRASH, FaultPlan
-from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Tracer, maybe_span
 from .errors import (  # noqa: F401 - historical import location, re-exported
     BackendError,
@@ -150,14 +149,13 @@ class ServingGateway:
         self,
         service: RecommenderService,
         config: Optional[GatewayConfig] = None,
-        registry: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         self.service = service
         self.fault_plan = fault_plan if fault_plan is not None else service.fault_plan
         self.config = config or GatewayConfig()
-        self.registry = registry if registry is not None else service.registry
+        self.registry = service.registry
         self.tracer = service.tracer if tracer is None else tracer
         self._clock = service._clock
 

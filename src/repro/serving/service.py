@@ -294,7 +294,7 @@ class RecommenderService:
             )
         # Point-in-time gauges are refreshed by _sync_gauges — called once
         # per flush and as the metrics server's per-scrape update_fn, never
-        # per request (the submit path is latency-gated by bench_serving).
+        # per request (the submit path is the serve_hot workload's hot loop).
         self._queue_depth_gauge = self.registry.gauge(
             "serving_queue_depth", "Requests currently waiting for a flush."
         )
@@ -322,11 +322,6 @@ class RecommenderService:
     def ann(self):
         """The attached ANN index (None when serving exactly)."""
         return self.engine.ann
-
-    @classmethod
-    def from_path(cls, path: str, **kwargs) -> "RecommenderService":
-        """Stand up a service from a saved index archive (what a replica does)."""
-        return cls(EmbeddingIndex.load(path), **kwargs)
 
     def swap_index(self, index: EmbeddingIndex, ann=None) -> int:
         """Hot-swap a rebuilt (retrained, re-quantized...) index in place.

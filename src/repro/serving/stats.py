@@ -233,7 +233,7 @@ class ServingStats:
         n_requests: int,
         n_items_scored: int,
         seconds: float,
-        queue_waits: Optional[Sequence[float]] = None,
+        queue_waits: Sequence[float],
     ) -> None:
         """Account one executed batch.
 
@@ -243,16 +243,12 @@ class ServingStats:
         than an averaged-down ``seconds / n``.  ``queue_waits`` carries each
         request's time spent queued before the flush; it is added to that
         request's latency so p50/p99 are **end-to-end**, and recorded
-        separately so the wait-only distribution stays visible.  Callers
-        without wait information (e.g. direct benchmarks) omit it and get
-        the historical compute-only behavior.
+        separately so the wait-only distribution stays visible.
         """
         self._batches.inc()
         self._items_scored.inc(n_items_scored)
         self._batch_duration.observe(seconds)
-        if queue_waits is None:
-            queue_waits = [0.0] * n_requests
-        elif len(queue_waits) != n_requests:
+        if len(queue_waits) != n_requests:
             raise ValueError(
                 f"queue_waits has {len(queue_waits)} entries for {n_requests} requests"
             )

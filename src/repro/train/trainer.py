@@ -275,7 +275,7 @@ class Trainer:
         config); later epochs :meth:`~repro.runtime.BatchRuntime.refresh`
         it with the epoch's re-frozen branches — the worker pool survives,
         so per-epoch cost is one export + one broadcast instead of pool
-        startup (~28 ms per 4-process pool in BENCH_eval.json, paid every
+        startup (~28 ms per 4-process pool, docs/performance.md, paid every
         epoch before this).  Metrics are identical either way.  Models
         without a factorizable score fall back to plain per-call
         evaluation.

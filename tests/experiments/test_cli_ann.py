@@ -53,6 +53,20 @@ def test_recommend_ann_bulk_export(trained_dir, capsys):
     assert os.path.exists(out_path)
 
 
+@pytest.mark.parametrize("kind", ["ivf", "ivf-pq", "pq"])
+def test_recommend_reports_every_ann_kind(trained_dir, capsys, kind):
+    """Regression: the summary line read ``nprobe``/``n_lists`` off a PQIndex."""
+    out_path = os.path.join(trained_dir, f"bulk_{kind}.npz")
+    code, out = run_cli(
+        ["recommend", trained_dir, "--k", "5", "--ann-kind", kind, "--out", out_path],
+        capsys,
+    )
+    assert code == 0
+    assert f"({kind})" in out
+    assert ("ann nprobe" in out) == (kind != "pq")
+    assert os.path.exists(out_path)
+
+
 def test_ann_check_passes_at_full_probe(trained_dir, capsys):
     code, out = run_cli(
         ["evaluate", trained_dir, "--ann-check", "--ann-nprobe", "100000",

@@ -173,6 +173,12 @@ class TestOperatingPoints:
         assert r1 <= r6 + 1e-9 <= rall + 2e-9
         assert rall == 1.0
 
+    def test_default_nprobe_holds_the_recall_floor(self, clustered_catalog):
+        index, recalls = clustered_catalog
+        ivf = build_ivf(index, seed=0)
+        assert ivf.nprobe < ivf.n_lists  # a real operating point, not full probe
+        assert min(recalls(ivf).values()) >= 0.95
+
     def test_unknown_scorer_is_refused(self, setup):
         """``int8`` was a scorer once; it is now as unknown as any other."""
         _, _, _, ivf = setup

@@ -365,6 +365,22 @@ class TestIVFWithPQFineStage:
             scores[mask], expected[mask], rtol=1e-12, atol=1e-12
         )
 
+    @pytest.fixture(scope="class")
+    def clustered_ivf_pq(self, clustered_catalog):
+        return build_ivf(clustered_catalog[0], pq=True, seed=0)
+
+    def test_default_point_holds_the_recall_floor(self, clustered_catalog, clustered_ivf_pq):
+        _, recalls = clustered_catalog
+        ivf = clustered_ivf_pq
+        assert ivf.default_scorer == "pq" and ivf.nprobe < ivf.n_lists
+        assert min(recalls(ivf).values()) >= 0.95
+
+    def test_codes_are_16x_smaller_than_float32_factors(self, clustered_catalog, clustered_ivf_pq):
+        """Default ``subspace_dim=4``: one uint8 code per four float32 factors."""
+        index, _ = clustered_catalog
+        factor_bytes = sum(branch.item.nbytes for branch in index.branches)
+        assert clustered_ivf_pq.pq.memory_bytes() * 16 <= factor_bytes
+
     def test_memory_report_counts_pq_payload(self, setup):
         _, index = setup
         ivf = build_ivf(index, n_lists=12, seed=0, pq=True)

@@ -122,7 +122,9 @@ class TestServingStats:
 
     def test_no_queue_waits_matches_historical_behavior(self):
         stats = ServingStats(clock=FakeClock())
-        stats.record_batch(n_requests=3, n_items_scored=30, seconds=0.004)
+        stats.record_batch(
+            n_requests=3, n_items_scored=30, seconds=0.004, queue_waits=[0.0] * 3
+        )
         snap = stats.snapshot()
         assert snap["latency_p50_ms"] == pytest.approx(4.0)
         assert snap["requests"] == 0.0  # record_request is separate, as before
@@ -138,7 +140,7 @@ class TestServingStats:
         stats.record_request(warm=True)
         stats.record_request(warm=False)
         stats.record_cache(hit=True)
-        stats.record_batch(n_requests=1, n_items_scored=50, seconds=0.002)
+        stats.record_batch(n_requests=1, n_items_scored=50, seconds=0.002, queue_waits=[0.0])
         samples = parse_prometheus(registry.to_prometheus())
         assert samples[("serving_requests_total", (("route", "warm"),))] == 1
         assert samples[("serving_requests_total", (("route", "cold"),))] == 1
