@@ -150,6 +150,21 @@ def _split_item_vector(
     return out
 
 
+def _nearest_price_levels(
+    new_prices: np.ndarray, sorted_prices: np.ndarray, sorted_levels: np.ndarray
+) -> np.ndarray:
+    """Level of each of ``new_prices`` against a price table sorted once.
+
+    ``sorted_prices`` ascending (stable order), ``sorted_levels`` the levels
+    in the same order; the rule is :func:`requantize_price`'s.
+    """
+    pos = np.searchsorted(sorted_prices, new_prices)
+    last = len(sorted_prices) - 1
+    left, right = np.clip(pos - 1, 0, last), np.clip(pos, 0, last)
+    cheaper = (new_prices - sorted_prices[left]) <= (sorted_prices[right] - new_prices)
+    return sorted_levels[np.where(cheaper, left, right)]
+
+
 def requantize_price(
     new_price: float, raw_prices: np.ndarray, price_levels: np.ndarray
 ) -> int:
@@ -163,16 +178,8 @@ def requantize_price(
     price would have been quantized to originally.
     """
     order = np.argsort(raw_prices, kind="stable")
-    sorted_prices = raw_prices[order]
-    pos = int(np.searchsorted(sorted_prices, new_price))
-    if pos == 0:
-        nearest = 0
-    elif pos >= len(sorted_prices):
-        nearest = len(sorted_prices) - 1
-    else:
-        left, right = sorted_prices[pos - 1], sorted_prices[pos]
-        nearest = pos - 1 if (new_price - left) <= (right - new_price) else pos
-    return int(price_levels[order[nearest]])
+    new_prices = np.array([new_price], dtype=np.float64)
+    return int(_nearest_price_levels(new_prices, raw_prices[order], price_levels[order])[0])
 
 
 def fold_in(
@@ -257,26 +264,18 @@ def fold_in(
         # Price-less index: synthesize neutral prices so new-item levels
         # still quantize deterministically.
         base_prices = np.zeros(n_items, dtype=np.float64)
-    raw_prices = np.concatenate(
-        [base_prices, np.array([p for _, _, p in new_items], dtype=np.float64)]
-    )
+    # One sort of the pre-update table serves every new and repriced item.
+    order = np.argsort(base_prices, kind="stable")
+    sorted_prices, sorted_levels = base_prices[order], index.item_price_levels[order]
+    new_prices = np.array([p for _, _, p in new_items], dtype=np.float64)
+    raw_prices = np.concatenate([base_prices, new_prices])
     price_levels = np.concatenate(
-        [
-            index.item_price_levels,
-            np.array(
-                [
-                    requantize_price(p, base_prices, index.item_price_levels)
-                    for _, _, p in new_items
-                ],
-                dtype=np.int64,
-            ),
-        ]
+        [index.item_price_levels, _nearest_price_levels(new_prices, sorted_prices, sorted_levels)]
     )
-    for item, price in reprices.items():
-        price_levels[item] = requantize_price(
-            price, base_prices, index.item_price_levels
-        )
-        raw_prices[item] = price
+    repriced = np.fromiter(reprices, dtype=np.int64, count=len(reprices))
+    prices = np.fromiter(reprices.values(), dtype=np.float64, count=len(reprices))
+    price_levels[repriced] = _nearest_price_levels(prices, sorted_prices, sorted_levels)
+    raw_prices[repriced] = prices
 
     n_categories = max(index.n_categories, int(categories.max()) + 1 if len(categories) else 1)
 

@@ -31,7 +31,7 @@ Every probe is deterministic given the config seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -125,26 +125,34 @@ def _price_band_gate(
     users = _sample_users(index.n_users, min(8, index.n_users), config.seed, 1)
     violations: List[str] = []
     bands_checked = 0
+    # The masks and the filtered search depend on the probe's level alone:
+    # each is computed once per distinct level, reported once per probe.
+    masks: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+    leaks: Dict[int, List[int]] = {}
     for item in probes:
         level = int(levels[item])
-        in_band = PriceBandFilter(level, level).mask(index)
+        if level not in masks:
+            masks[level] = (
+                PriceBandFilter(level, level).mask(index),
+                PriceBandFilter(level + 1, None).mask(index),
+            )
+        in_band, out_band = masks[level]
         if not in_band[item]:
             violations.append(f"item {item} excluded from its own level {level}")
             continue
-        out_band = PriceBandFilter(level + 1, None).mask(index)
         if out_band[item]:
             violations.append(f"item {item} leaks into band >= {level + 1}")
             continue
-        # End-to-end: a filtered search must never return an out-of-band
-        # item — the mask applied at the fine stage must agree with the
-        # candidate's own metadata.
-        ids, _ = ann.search(users, min(10, index.n_items), candidate_mask=in_band)
-        served = ids[ids >= 0]
-        bad = served[levels[served] != level]
-        if len(bad):
+        if level not in leaks:
+            # End-to-end: a filtered search must never return an out-of-band
+            # item — the mask applied at the fine stage must agree with the
+            # candidate's own metadata.
+            ids, _ = ann.search(users, min(10, index.n_items), candidate_mask=in_band)
+            served = ids[ids >= 0]
+            leaks[level] = sorted(set(int(b) for b in served[levels[served] != level]))
+        if leaks[level]:
             violations.append(
-                f"band [{level},{level}] search returned out-of-band items "
-                f"{sorted(set(int(b) for b in bad))[:5]}"
+                f"band [{level},{level}] search returned out-of-band items {leaks[level][:5]}"
             )
         bands_checked += 1
     report.gates["price_band"] = {

@@ -135,38 +135,56 @@ def encode_record(payload: bytes) -> bytes:
 
 def _scan_segment(
     path: str,
-) -> Tuple[List[Tuple[int, int]], List[bytes], Optional[int]]:
+) -> Tuple[List[Tuple[int, int]], List[Tuple[int, bytes]], Optional[int]]:
     """Parse a segment file into raw records.
 
-    Returns ``(offsets, payloads, torn_at)`` where ``offsets`` holds one
-    ``(byte_offset, payload_len)`` per *complete* record, and ``torn_at``
-    is the byte offset of an incomplete trailing record (``None`` when the
-    file ends cleanly).  CRC validity is NOT checked here — framing only —
-    so the corruption drill can locate records inside a damaged file.
+    Returns ``(offsets, records, torn_at)`` where ``offsets`` holds one
+    ``(byte_offset, payload_len)`` per *complete* record, ``records`` its
+    ``(stored_crc, payload)``, and ``torn_at`` is the byte offset of an
+    incomplete trailing record (``None`` when the file ends cleanly).  CRC
+    validity is NOT checked here — framing only — so the corruption drill
+    can locate records inside a damaged file.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     if data[: len(SEGMENT_MAGIC)] != SEGMENT_MAGIC:
         raise JournalCorrupted(path, -1, "bad segment magic")
     offsets: List[Tuple[int, int]] = []
-    payloads: List[bytes] = []
+    records: List[Tuple[int, bytes]] = []
     pos = len(SEGMENT_MAGIC)
     while pos < len(data):
         if pos + RECORD_HEADER.size > len(data):
-            return offsets, payloads, pos  # torn header
-        length, _crc = RECORD_HEADER.unpack_from(data, pos)
+            return offsets, records, pos  # torn header
+        length, crc = RECORD_HEADER.unpack_from(data, pos)
         if pos + RECORD_HEADER.size + length > len(data):
-            return offsets, payloads, pos  # torn payload
-        payloads.append(data[pos + RECORD_HEADER.size : pos + RECORD_HEADER.size + length])
+            return offsets, records, pos  # torn payload
+        records.append((crc, data[pos + RECORD_HEADER.size : pos + RECORD_HEADER.size + length]))
         offsets.append((pos, length))
         pos += RECORD_HEADER.size + length
-    return offsets, payloads, None
+    return offsets, records, None
 
 
 def segment_record_offsets(path: str) -> List[Tuple[int, int]]:
     """``(byte_offset, payload_len)`` of each complete record (drill helper)."""
-    offsets, _payloads, _torn = _scan_segment(path)
-    return offsets
+    return _scan_segment(path)[0]
+
+
+def _read_segment(path: str, tolerate_torn_tail: bool) -> Tuple[List[Event], Optional[int]]:
+    """:func:`read_segment` plus the torn tail's byte offset, in one read of the file."""
+    offsets, records, torn_at = _scan_segment(path)
+    if torn_at is not None and not tolerate_torn_tail:
+        raise JournalCorrupted(
+            path, len(offsets), f"truncated record at byte {torn_at}"
+        )
+    events: List[Event] = []
+    for i, (crc, payload) in enumerate(records):
+        if zlib.crc32(payload) != crc:
+            raise JournalCorrupted(path, i, "payload checksum mismatch")
+        try:
+            events.append(Event.from_payload(payload))
+        except (ValueError, KeyError, json.JSONDecodeError) as error:
+            raise JournalCorrupted(path, i, f"undecodable payload: {error}") from error
+    return events, torn_at
 
 
 def read_segment(path: str, tolerate_torn_tail: bool = False) -> List[Event]:
@@ -177,23 +195,7 @@ def read_segment(path: str, tolerate_torn_tail: bool = False) -> List[Event]:
     (sealed segments end cleanly by construction).  A CRC mismatch always
     raises, naming the segment and 0-based record index.
     """
-    offsets, payloads, torn_at = _scan_segment(path)
-    if torn_at is not None and not tolerate_torn_tail:
-        raise JournalCorrupted(
-            path, len(offsets), f"truncated record at byte {torn_at}"
-        )
-    events: List[Event] = []
-    with open(path, "rb") as fh:
-        data = fh.read()
-    for i, ((pos, length), payload) in enumerate(zip(offsets, payloads)):
-        _len, crc = RECORD_HEADER.unpack_from(data, pos)
-        if zlib.crc32(payload) != crc:
-            raise JournalCorrupted(path, i, "payload checksum mismatch")
-        try:
-            events.append(Event.from_payload(payload))
-        except (ValueError, KeyError, json.JSONDecodeError) as error:
-            raise JournalCorrupted(path, i, f"undecodable payload: {error}") from error
-    return events
+    return _read_segment(path, tolerate_torn_tail)[0]
 
 
 def _segment_files(directory: str) -> Tuple[List[Tuple[int, str]], Optional[Tuple[int, str]]]:
@@ -217,30 +219,38 @@ def _segment_files(directory: str) -> Tuple[List[Tuple[int, str]], Optional[Tupl
     return sealed, (open_segments[0] if open_segments else None)
 
 
-def replay(directory: str, after_seq: int = -1) -> List[Event]:
-    """Every journaled event with ``seq > after_seq``, in order.
+def _read_segments(
+    sealed: List[Tuple[int, str]], open_segment: Optional[Tuple[int, str]]
+) -> Iterator[Tuple[List[Event], Optional[int]]]:
+    """Each segment's ``(events, torn_at)`` in journal order, each file read once.
 
-    Sealed segments must be pristine; the open segment may end torn (the
-    tail is dropped).  Sequence numbers are validated to be contiguous
-    across segment boundaries — a gap means a segment went missing and
-    raises :class:`JournalCorrupted` rather than silently skipping data.
+    Sealed segments must be pristine; the open segment — yielded last —
+    may end torn.  Sequence numbers are validated to be contiguous across
+    segment boundaries: a gap means a segment went missing and raises
+    :class:`JournalCorrupted` rather than silently skipping data.
     """
-    sealed, open_segment = _segment_files(directory)
-    events: List[Event] = []
-    expected: Optional[int] = None
-    ordered = [(sid, path, False) for sid, path in sealed]
+    ordered = [(path, False) for _sid, path in sealed]
     if open_segment is not None:
-        ordered.append((open_segment[0], open_segment[1], True))
-    for _sid, path, is_open in ordered:
-        segment_events = read_segment(path, tolerate_torn_tail=is_open)
-        for i, event in enumerate(segment_events):
+        ordered.append((open_segment[1], True))
+    expected: Optional[int] = None
+    for path, is_open in ordered:
+        events, torn_at = _read_segment(path, tolerate_torn_tail=is_open)
+        for i, event in enumerate(events):
             if expected is not None and event.seq != expected:
                 raise JournalCorrupted(
                     path, i, f"sequence gap: expected seq {expected}, found {event.seq}"
                 )
             expected = event.seq + 1
-            events.append(event)
-    return [event for event in events if event.seq > after_seq]
+        yield events, torn_at
+
+
+def replay(directory: str, after_seq: int = -1) -> List[Event]:
+    """Every journaled event with ``seq > after_seq``, in order.
+
+    Validated as :func:`_read_segments` describes; a torn tail is dropped.
+    """
+    segments = _read_segments(*_segment_files(directory))
+    return [event for events, _torn in segments for event in events if event.seq > after_seq]
 
 
 def last_seq(directory: str) -> int:
@@ -307,29 +317,30 @@ class JournalWriter:
         """Attach to the existing journal: validate, truncate a torn tail,
         reopen the open segment (or start the next one)."""
         sealed, open_segment = _segment_files(self.directory)
-        for _sid, path in sealed:  # raises JournalCorrupted on real damage
-            read_segment(path, tolerate_torn_tail=False)
         next_id = (sealed[-1][0] + 1) if sealed else 0
+        if open_segment is not None and open_segment[0] != next_id:
+            raise JournalCorrupted(
+                open_segment[1], -1,
+                f"open segment id {open_segment[0]} does not follow sealed {next_id - 1}",
+            )
+        # One pass over every file, the open segment last: raises
+        # JournalCorrupted on real damage or a missing segment.
+        events, torn_at = [], None
+        for events, torn_at in _read_segments(sealed, open_segment):
+            if events:
+                self.stats.last_seq = events[-1].seq
+        self._open_id = next_id
         if open_segment is not None:
-            open_id, path = open_segment
-            if open_id != next_id:
-                raise JournalCorrupted(
-                    path, -1, f"open segment id {open_id} does not follow sealed {next_id - 1}"
-                )
-            offsets, _payloads, torn_at = _scan_segment(path)
-            events = read_segment(path, tolerate_torn_tail=True)
+            path = open_segment[1]
             if torn_at is not None:
                 with open(path, "r+b") as fh:
                     size = fh.seek(0, os.SEEK_END)
                     fh.truncate(torn_at)
                 self.stats.recovered_torn_bytes += size - torn_at
-            self._open_id = open_id
             self._open_records = len(events)
             self._fh = open(path, "ab")
         else:
-            self._open_id = next_id
             self._start_segment()
-        self.stats.last_seq = last_seq(self.directory)
 
     def _open_path(self) -> str:
         return os.path.join(self.directory, f"segment-{self._open_id:08d}.open")

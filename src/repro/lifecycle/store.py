@@ -5,11 +5,17 @@ Directory layout under one store root::
     journal/                    write-ahead event journal (:mod:`.journal`)
     versions/
       v000001/
-        index.npz               EmbeddingIndex archive
-        ann.npz                 IVFIndex archive
-        manifest.json           written LAST — its presence commits the dir
+        index/                  EmbeddingIndex archive: metadata.json (a SHA-256
+                                per array) + one uncompressed .npy per array
+        ann/                    IVFIndex archive, same per-array layout
+        manifest.json           written LAST — its presence commits the dir;
+                                "artifacts" names the two archives above
       v000002/ ...
     CURRENT.json                atomic pointer to the live version
+
+A version is read back through the paths its manifest names, by the reader
+that takes either archive container (a root holding the older ``index.npz``
+/ ``ann.npz`` pairs still loads), every array verified against its SHA-256.
 
 Two rules make every state reachable by a crash recoverable:
 
@@ -48,8 +54,8 @@ from ..serving.index import EmbeddingIndex
 from ..train.persistence import clean_stale_archives
 
 MANIFEST_FILENAME = "manifest.json"
-INDEX_FILENAME = "index.npz"
-ANN_FILENAME = "ann.npz"
+INDEX_DIRNAME = "index"
+ANN_DIRNAME = "ann"
 CURRENT_FILENAME = "CURRENT.json"
 
 #: manifest lifecycle states
@@ -163,8 +169,8 @@ class VersionStore:
         name = self.next_version_name()
         path = self.version_path(name)
         os.makedirs(path, exist_ok=True)
-        index.save(os.path.join(path, INDEX_FILENAME))
-        ann.save(os.path.join(path, ANN_FILENAME))
+        index.save(os.path.join(path, INDEX_DIRNAME), format="dir")
+        ann.save(os.path.join(path, ANN_DIRNAME), format="dir")
         if crash_hook is not None:
             crash_hook()
         full = dict(manifest)
@@ -172,7 +178,7 @@ class VersionStore:
             {
                 "version": name,
                 "status": "candidate",
-                "artifacts": {"index": INDEX_FILENAME, "ann": ANN_FILENAME},
+                "artifacts": {"index": INDEX_DIRNAME, "ann": ANN_DIRNAME},
                 "n_users": int(index.n_users),
                 "n_items": int(index.n_items),
             }
@@ -183,12 +189,23 @@ class VersionStore:
     def load_version(
         self, name: str, mmap: bool = False
     ) -> Tuple[EmbeddingIndex, IVFIndex]:
-        """Load a committed version's index + ANN structure."""
-        path = self.version_path(name)
+        """Load a committed version's index + ANN from the archives its manifest names."""
         if not os.path.exists(self.manifest_path(name)):
             raise StoreError(f"version {name} has no manifest (torn or unknown)")
-        index = EmbeddingIndex.load(os.path.join(path, INDEX_FILENAME), mmap=mmap)
-        ann = IVFIndex.load(os.path.join(path, ANN_FILENAME), index, mmap=mmap)
+        root = self.version_path(name)
+        artifacts = self.read_manifest(name).get("artifacts") or {}
+        paths = {}
+        for kind in ("index", "ann"):
+            entry = artifacts.get(kind)
+            path = os.path.abspath(os.path.join(root, entry)) if isinstance(entry, str) else ""
+            if os.path.dirname(path) != root:
+                raise StoreError(
+                    f"version {name}: manifest names no {kind!r} archive inside "
+                    f"the version dir (artifacts: {artifacts!r})"
+                )
+            paths[kind] = path
+        index = EmbeddingIndex.load(paths["index"], mmap=mmap)
+        ann = IVFIndex.load(paths["ann"], index, mmap=mmap)
         return index, ann
 
     # ------------------------------------------------------------------

@@ -142,11 +142,12 @@ class EmbeddingIndex:
     def save(self, path: str, format: str = "npz") -> str:
         """Persist the index; ``format`` picks the container.
 
-        ``"npz"`` (default) writes the compact compressed archive; ``"dir"``
+        ``"npz"`` (default) writes one deflated file — ~18 % smaller (7 % on
+        float32 factors) for ~10x the write and ~5x the read time; ``"dir"``
         writes an uncompressed per-array directory that :meth:`load` can
-        memory-map (``mmap=True``) — the format the parallel batch-inference
-        runtime uses so worker processes attach to one on-disk copy instead
-        of each deserializing the full archive.
+        memory-map (``mmap=True``) — what the lifecycle store publishes, and
+        what the parallel batch-inference runtime attaches worker processes
+        to: one on-disk copy instead of a full archive each.
         """
         if format not in ("npz", "dir"):
             raise ValueError(f"format must be 'npz' or 'dir', got {format!r}")

@@ -10,13 +10,16 @@ Two artifact kinds share the on-disk formats:
 Two interchangeable container formats exist:
 
 * **compressed ``.npz``** — a single file whose ``__metadata__`` entry is a
-  JSON header (stored as a uint8 byte array).  Compact, but loading always
-  decompresses every array into fresh memory.
+  JSON header (stored as a uint8 byte array).  One file, the ``export`` /
+  checkpoint default; measured on a 2 000 x 24 000 index + IVF layout,
+  deflate saves 7 % on float32 factors and ~18 % overall (6.5 vs 7.9 MB)
+  for ~10x the write and ~5x the read time (233 vs 26 ms, 48 vs 10 ms).
 * **archive directory** — ``metadata.json`` plus one uncompressed ``.npy``
-  file per array (:func:`write_archive_dir`).  Loadable with
-  ``mmap=True``, in which case arrays are memory-mapped straight off disk:
-  multiple worker processes attaching to the same directory share the page
-  cache instead of each deserializing its own copy.
+  file per array (:func:`write_archive_dir`); what the lifecycle store
+  publishes.  Loadable with ``mmap=True``, in which case arrays are
+  memory-mapped straight off disk: multiple worker processes attaching to
+  the same directory share the page cache instead of each deserializing
+  its own copy.
 
 :func:`read_archive_metadata` / :func:`read_archive_arrays` accept either
 format transparently (a path that is a directory is read as one); the

@@ -202,6 +202,24 @@ class TestCorruption:
         with pytest.raises(JournalCorrupted, match="sequence gap"):
             replay(str(tmp_path))
 
+    def test_missing_segment_is_refused_when_a_writer_opens(self, tmp_path):
+        """The writer's one recovery pass keeps replay's cross-segment check."""
+        with JournalWriter(str(tmp_path), segment_records=3) as writer:
+            for event in make_events(10):
+                writer.append(event)
+        os.remove(os.path.join(str(tmp_path), "segment-00000001.wal"))
+        with pytest.raises(JournalCorrupted, match="sequence gap: expected seq 3, found 6") as info:
+            JournalWriter(str(tmp_path), segment_records=3)
+        assert info.value.segment.endswith("segment-00000002.wal") and info.value.record == 0
+
+    def test_writer_takes_last_seq_from_the_last_nonempty_segment(self, tmp_path):
+        with JournalWriter(str(tmp_path), segment_records=3) as writer:
+            for event in make_events(6):  # rotates on the 6th: the open segment is empty
+                writer.append(event)
+        assert segments(str(tmp_path), ".open") == ["segment-00000002.open"]
+        with JournalWriter(str(tmp_path), segment_records=3) as writer:
+            assert writer.next_seq == 6 and writer.stats.last_seq == last_seq(str(tmp_path))
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "segment-00000000.wal"
         path.write_bytes(b"NOTAWAL!!\n" + encode_record(b"{}"))

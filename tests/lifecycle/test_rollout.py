@@ -65,7 +65,7 @@ class TestStore:
         with pytest.raises(Boom):
             store.write_candidate(index, ann, {"parent": None}, crash_hook=hook)
         torn = os.path.join(store.versions_dir, "v000001")
-        assert os.path.exists(os.path.join(torn, "index.npz"))
+        assert os.path.exists(os.path.join(torn, "index", "metadata.json"))
         assert not os.path.exists(os.path.join(torn, "manifest.json"))
         assert store.list_versions() == []  # torn dirs are invisible
         with pytest.raises(StoreError, match="no committed manifest"):
