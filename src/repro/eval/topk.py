@@ -11,6 +11,13 @@ implementation still uses :func:`numpy.argpartition` (O(n) selection instead
 of O(n log n) sorting) but repairs the partition's arbitrary choice among
 boundary ties, so the output matches the naive reference bit-for-bit on
 every input.
+
+Scratch is bounded: the partition runs over blocks of whole rows holding at
+most :data:`SELECT_BLOCK_ELEMENTS` scores (one row if a row is wider), whose
+negated copy, ``intp`` index matrix and tie mask take ``itemsize + 9`` bytes
+a score — 3.25 MiB for float32 — whatever the input's ``rows x n``.  (The
+full sorts, taken when ``k`` is close to ``n``, allocate about what they
+return.)  Rows are independent, so blocking cannot change a result.
 """
 
 from __future__ import annotations
@@ -23,6 +30,11 @@ import numpy as np
 #: absolute: no finite score, however extreme, can leak past a mask, and
 #: ``x + NEG_INF == NEG_INF`` exactly for every finite ``x``.
 NEG_INF = -np.inf
+
+#: scores one selection block partitions at a time: small enough to stay in
+#: cache, large enough that per-block dispatch is noise.  A constant, not a
+#: knob — it moves memory, never a result.
+SELECT_BLOCK_ELEMENTS = 1 << 18
 
 
 def topk_indices(scores: np.ndarray, k: int) -> np.ndarray:
@@ -62,13 +74,22 @@ def partition_topk_rows(scores: np.ndarray, k: int):
     deterministic selection kernel in this repo (:func:`topk_indices_rows`,
     the :func:`topk_pairs_rows` fast path, the IVF fine stage) partitions
     through here and then repairs exactly the ambiguous rows, so the
-    ties-resolve-to-lowest-ids contract lives in one place.
+    ties-resolve-to-lowest-ids contract lives in one place.  Works in row
+    blocks of at most :data:`SELECT_BLOCK_ELEMENTS` scores.
     """
-    part = np.argpartition(-scores, k - 1, axis=1)[:, :k]
-    part_scores = np.take_along_axis(scores, part, axis=1)
-    threshold = part_scores.min(axis=1)
+    rows, n = scores.shape
+    part = np.empty((rows, k), dtype=np.intp)
+    part_scores = np.empty((rows, k), dtype=scores.dtype)
+    threshold = np.empty(rows, dtype=scores.dtype)
+    n_tied = np.empty(rows, dtype=np.intp)
+    step = max(1, SELECT_BLOCK_ELEMENTS // n)
+    for lo in range(0, rows, step):
+        hi, block = lo + step, scores[lo : lo + step]
+        part[lo:hi] = np.argpartition(-block, k - 1, axis=1)[:, :k]
+        part_scores[lo:hi] = np.take_along_axis(block, part[lo:hi], axis=1)
+        threshold[lo:hi] = part_scores[lo:hi].min(axis=1)
+        n_tied[lo:hi] = (block == threshold[lo:hi, None]).sum(axis=1)
     n_above = (part_scores > threshold[:, None]).sum(axis=1)
-    n_tied = (scores == threshold[:, None]).sum(axis=1)
     return part, part_scores, np.flatnonzero(n_tied > k - n_above)
 
 
@@ -77,7 +98,7 @@ def topk_indices_rows(scores: np.ndarray, k: int) -> np.ndarray:
 
     Bit-identical to calling :func:`topk_indices` on every row — the batch
     evaluation runtime depends on that for its parallel == serial contract —
-    but the partition/selection runs vectorized across the whole chunk.
+    but the partition/selection runs vectorized across row blocks.
     Rows whose k-boundary ties are ambiguous (more entries tied at the
     threshold than open slots) are repaired through the per-row kernel;
     with continuous scores that is a vanishing fraction of rows.

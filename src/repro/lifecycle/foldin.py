@@ -77,9 +77,22 @@ class FoldInStats:
     last_seq: int = -1
 
 
-def _combined_items(branches: Sequence[ScoreBranch]) -> np.ndarray:
-    """``concat_b(v_b)`` in float64 — no const column (handled in targets)."""
-    return np.hstack([np.asarray(b.item, dtype=np.float64) for b in branches])
+def _combined_item_rows(
+    branches: Sequence[ScoreBranch], new_item_rows: Dict[int, np.ndarray], rows: np.ndarray
+) -> np.ndarray:
+    """``concat_b(v_b[rows])`` in float64 — no const column (handled in
+    targets).  Ids past the frozen catalog read the folded ``new_item_rows``;
+    only the rows one solve needs are ever converted."""
+    n_items = branches[0].item.shape[0]
+    old = rows < n_items
+    out = np.empty((len(rows), sum(b.item.shape[1] for b in branches)))
+    offset = 0
+    for b, branch in enumerate(branches):
+        cols = slice(offset, offset + branch.item.shape[1])
+        out[old, cols] = branch.item[rows[old]]
+        out[~old, cols] = new_item_rows[b][rows[~old] - n_items]
+        offset = cols.stop
+    return out
 
 
 def _combined_users(branches: Sequence[ScoreBranch]) -> np.ndarray:
@@ -356,15 +369,6 @@ def fold_in(
             for b, part in enumerate(_split_item_vector(solved, branches)):
                 new_item_rows[b][item - n_items] = part
 
-    full_item_branches = [
-        np.vstack(
-            [np.asarray(branch.item, dtype=np.float64), new_item_rows[b]]
-        )
-        if len(new_items)
-        else np.asarray(branch.item, dtype=np.float64)
-        for b, branch in enumerate(branches)
-    ]
-    combined_item_full = np.hstack(full_item_branches)
     item_const_full = _weighted_item_const(branches, total_items)
 
     # Users to (re)solve: every new user, plus existing users with new
@@ -390,7 +394,7 @@ def fold_in(
             (config.seed, 0, user),
         )
         rows = np.concatenate([pos, neg])
-        X = combined_item_full[rows]
+        X = _combined_item_rows(branches, new_item_rows, rows)
         y = np.zeros(len(rows))
         y[: len(pos)] = 1.0
         y -= item_const_full[rows]
@@ -413,25 +417,19 @@ def fold_in(
                 user[uid] = np.asarray(parts[b], dtype=user.dtype)
         if len(new_user_ids):
             user = np.vstack([user, new_user_rows[b].astype(user_dtype)])
-        item = np.asarray(branch.item).copy()
+        # vstack / concatenate already copy: the catalog is copied once.
+        item = np.asarray(branch.item)
         if len(new_items):
             item = np.vstack([item, new_item_rows[b].astype(item_dtype)])
-        item_const = None
+        else:
+            item = item.copy()
+        item_const = user_const_b = None
         if branch.item_const is not None:
-            item_const = np.concatenate(
-                [
-                    np.asarray(branch.item_const).copy(),
-                    np.zeros(len(new_items), dtype=branch.item_const.dtype),
-                ]
-            )
-        user_const_b = None
+            const = np.asarray(branch.item_const)
+            item_const = np.concatenate([const, np.zeros(len(new_items), dtype=const.dtype)])
         if branch.user_const is not None:
-            user_const_b = np.concatenate(
-                [
-                    np.asarray(branch.user_const).copy(),
-                    np.zeros(len(new_user_ids), dtype=branch.user_const.dtype),
-                ]
-            )
+            const = np.asarray(branch.user_const)
+            user_const_b = np.concatenate([const, np.zeros(len(new_user_ids), dtype=const.dtype)])
         new_branches.append(
             ScoreBranch(
                 user=user,

@@ -31,6 +31,10 @@ from ..core.base import ScoreBranch, branches_dtype, score_branches
 from ..data.dataset import expand_csr_rows
 from ..eval.topk import NEG_INF, masked_topk, topk_indices_rows, topk_pairs_rows
 
+#: default widest shard: the serving engine and ``exact_rankings`` rank in
+#: ``ceil(n_items / ITEM_BLOCK_SIZE)`` shards, a ``batch x 8192`` score block
+ITEM_BLOCK_SIZE = 8192
+
 
 def shard_ranges(n_items: int, n_shards: int) -> List[Tuple[int, int]]:
     """Balanced contiguous ``[start, stop)`` item ranges (no empty shards)."""

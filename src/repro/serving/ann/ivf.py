@@ -91,16 +91,20 @@ def _local_topk_set(scores: np.ndarray, k: int) -> np.ndarray:
 def combined_item_vectors(branches: Sequence[ScoreBranch], start: int = 0) -> np.ndarray:
     """``(n_items - start, D)`` vectors of items ``start:`` whose inner
     product with a combined query reproduces the user-dependent part of
-    the exact score (float64)."""
-    parts = [np.asarray(b.item[start:], dtype=np.float64) for b in branches]
+    the exact score (float64; each branch is cast straight into its columns,
+    so no second catalog-sized float64 array is ever held)."""
     const: Optional[np.ndarray] = None
     for branch in branches:
         if branch.item_const is not None:
             term = branch.weight * np.asarray(branch.item_const[start:], dtype=np.float64)
             const = term if const is None else const + term
+    widths = [b.item.shape[1] for b in branches]
+    out = np.empty((len(branches[0].item[start:]), sum(widths) + (const is not None)))
+    for branch, stop in zip(branches, np.cumsum(widths)):
+        out[:, stop - branch.item.shape[1] : stop] = branch.item[start:]
     if const is not None:
-        parts.append(const[:, None])
-    return np.hstack(parts)
+        out[:, -1] = const
+    return out
 
 
 class IVFIndex(AnnIndex):

@@ -29,7 +29,7 @@ import numpy as np
 from ..eval.topk import masked_topk
 from ..faults import ANN_SEARCH_ERROR
 from ..obs.trace import maybe_span
-from ..runtime.sharded import ShardedIndex
+from ..runtime.sharded import ITEM_BLOCK_SIZE, ShardedIndex
 from .filters import Filter, combine_mask, combine_signature
 from .index import EmbeddingIndex
 from .resilience import is_transient
@@ -80,7 +80,7 @@ class RetrievalEngine:
     def __init__(
         self,
         index: EmbeddingIndex,
-        item_block_size: int = 8192,
+        item_block_size: int = ITEM_BLOCK_SIZE,
         mask_cache_capacity: int = 256,
         ann=None,
         tracer=None,

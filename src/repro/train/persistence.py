@@ -76,8 +76,13 @@ CHECKPOINT_KIND = "checkpoint"
 # Generic archive layer
 # ----------------------------------------------------------------------
 def _array_checksum(value: np.ndarray) -> str:
-    """SHA-256 hex digest of an array's canonical (C-order) raw bytes."""
-    return hashlib.sha256(np.asarray(value).tobytes()).hexdigest()
+    """SHA-256 hex digest of an array's canonical (C-order) raw bytes.
+
+    Hashes the buffer in place — a copy only when the array is not
+    C-contiguous — so the digest is ``tobytes()``'s without its copy.
+    """
+    flat = np.ascontiguousarray(value).reshape(-1)
+    return hashlib.sha256(flat.view(np.uint8)).hexdigest()
 
 
 def _metadata_with_checksums(metadata: Dict, arrays: Dict[str, np.ndarray]) -> Dict:

@@ -3,10 +3,13 @@
 Noise-free counters for the three loops the round stopped repeating — each
 fails at the parent commit, where the count followed the event stream — and
 the loop the once-sorted price table replaced, kept here as the reference
-it must agree with.
+it must agree with.  Beside them, a ``tracemalloc`` ceiling on fold-in's
+scratch, which the parent exceeded by converting the whole catalog.
 """
 
 import os
+import sys
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings
@@ -16,7 +19,7 @@ from repro.lifecycle import GateConfig, GateReport, LifecycleConfig, LifecycleCo
 from repro.lifecycle import foldin, gates, journal
 from repro.lifecycle.journal import Event
 
-from test_refresh_pins import catalog, churn, planted_gate_case
+from test_refresh_pins import ROOT, catalog, churn, planted_gate_case
 
 
 def reference_requantize(new_price, raw_prices, price_levels):
@@ -82,6 +85,40 @@ class TestOnceSortedPriceTable:
             del sorts[:]
             fold_in(index, events)
             assert len(sorts) == 1, f"{priced} priced events cost {len(sorts)} sorts"
+
+
+class TestFoldInScratch:
+    def test_peak_beyond_the_output_factors_is_under_half_a_catalog_copy(self):
+        """The ``refresh`` workload's catalog and one round of its events.
+
+        The parent converted the whole catalog to float64 twice (a stacked
+        copy per branch, then their hstack) for ~500 solves that each read
+        a few dozen rows, and peaked ~30 MB above its output; each solve
+        now gathers its own rows.
+        """
+        benchmarks = os.path.join(ROOT, "benchmarks")
+        if benchmarks not in sys.path:
+            sys.path.insert(0, benchmarks)
+        from e2e import inputs
+
+        index = inputs.clustered_index(2_000, 24_000, seed=3)
+        events = inputs.refresh_events(index.n_users, index.n_items, 600, seed=3000, start_seq=0)
+        assert sum(event.kind == "add_item" for event in events) > 0
+        tracemalloc.start()
+        try:
+            folded, stats = fold_in(index, events)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        factors = sum(
+            array.nbytes
+            for branch in folded.branches
+            for array in (branch.user, branch.item, branch.item_const, branch.user_const)
+            if array is not None
+        )
+        combined_f64 = index.n_items * sum(b.item.shape[1] for b in index.branches) * 8
+        assert stats.refreshed_users + stats.new_users > 100
+        assert peak - factors <= combined_f64 / 2
 
 
 class TestBandGateSearchesOncePerLevel:

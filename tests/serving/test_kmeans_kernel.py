@@ -422,6 +422,40 @@ class TestBuildDifferential:
         )
 
 
+def ref_combined_item_vectors(branches, start=0):
+    """The previous ``combined_item_vectors``: a float64 copy per branch, then
+    their ``hstack``."""
+    parts = [np.asarray(b.item[start:], dtype=np.float64) for b in branches]
+    const = None
+    for branch in branches:
+        if branch.item_const is not None:
+            term = branch.weight * np.asarray(branch.item_const[start:], dtype=np.float64)
+            const = term if const is None else const + term
+    if const is not None:
+        parts.append(const[:, None])
+    return np.hstack(parts)
+
+
+class TestCombinedItemVectors:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("start", [0, 1, 2999, 3000])
+    @pytest.mark.parametrize("consts", [(), (1,), (0, 1)], ids=["none", "one", "two"])
+    def test_equals_the_hstack_reference(self, dtype, start, consts):
+        rng = np.random.default_rng(7)
+        branches = [
+            ScoreBranch(
+                user=rng.normal(size=(4, dim)).astype(dtype),
+                item=rng.normal(size=(3000, dim)).astype(dtype),
+                item_const=rng.normal(size=3000).astype(dtype) if b in consts else None,
+                weight=weight,
+            )
+            for b, (dim, weight) in enumerate([(16, 1.0), (4, 0.37), (1, 2.5)])
+        ]
+        got = combined_item_vectors(branches, start=start)
+        assert got.shape == (3000 - start, 21 + bool(consts))
+        assert same_bytes(got, ref_combined_item_vectors(branches, start=start))
+
+
 # ----------------------------------------------------------------------
 # Work counters: tracemalloc peaks above the input
 # ----------------------------------------------------------------------
@@ -457,3 +491,13 @@ class TestWorkCounters:
         item = normal((24_000, 56), 1)
         peak = peak_bytes(lambda: build_pq_branch(item, seed=0, iters=3))
         assert peak <= 16 * MB, f"{peak / MB:.1f} MB"
+
+    def test_combined_item_vectors_peak_is_its_output(self):
+        # the benchmark catalog: 24 000 x 65 float64 = 12.5 MB of output
+        branches = index_of(*clustered_items(24_000, 0)).branches
+        out_bytes = 24_000 * 65 * 8
+        peak = peak_bytes(lambda: combined_item_vectors(branches))
+        assert peak <= out_bytes + MB, f"{peak / MB:.1f} MB"
+        # the reference also holds a float64 copy of every branch (12.3 MB)
+        ref_peak = peak_bytes(lambda: ref_combined_item_vectors(branches))
+        assert ref_peak > out_bytes + 8 * MB

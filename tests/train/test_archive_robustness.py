@@ -5,8 +5,10 @@ contents untouched; every verified load must refuse silently-corrupted
 payloads with a typed :class:`ArchiveCorrupted`.
 """
 
+import hashlib
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,12 +17,15 @@ from repro.faults import corrupt_archive
 from repro.train.persistence import (
     ArchiveCorrupted,
     CHECKSUM_KEY,
+    _array_checksum,
     clean_stale_archives,
     read_archive_arrays,
     read_archive_metadata,
     write_archive,
     write_archive_dir,
 )
+
+_GRID = np.random.default_rng(9).normal(size=(12, 10))
 
 
 @pytest.fixture
@@ -98,6 +103,39 @@ class TestChecksums:
         self._rewrite_header(path, lambda metadata: metadata[CHECKSUM_KEY].pop("weights"))
         with pytest.raises(ArchiveCorrupted, match=r"not listed \['weights'\]"):
             read_archive_arrays(path, mmap=mmap)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            _GRID,
+            np.asfortranarray(_GRID),
+            _GRID[::2, 1::3],
+            _GRID.T,
+            np.array(3.5),
+            np.zeros((0, 4)),
+            _GRID > 0,
+            (10 * _GRID).astype(np.int8),
+            _GRID.astype(np.float16)[:, ::-1],
+            _GRID.astype(">f4"),
+        ],
+        ids=[
+            "c-order", "fortran", "strided", "transposed", "0-d", "zero-size",
+            "bool", "int8", "float16-reversed", "big-endian",
+        ],
+    )
+    def test_digest_is_the_digest_of_tobytes(self, value):
+        # Every archive written so far carries this digest; it must not move.
+        assert _array_checksum(value) == hashlib.sha256(np.asarray(value).tobytes()).hexdigest()
+
+    def test_digest_hashes_the_buffer_without_copying_it(self):
+        value = np.random.default_rng(0).normal(size=(6 << 20) // 8)
+        tracemalloc.start()
+        try:
+            _array_checksum(value)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= value.nbytes / 60  # the parent's tobytes() copy was all of it
 
     def test_reserved_metadata_key_rejected(self, arrays, tmp_path):
         with pytest.raises(ValueError, match=CHECKSUM_KEY):
