@@ -4,8 +4,8 @@ Subcommands:
 
 * ``list``      — registered models and datasets
 * ``train``     — run one experiment spec end to end, write an artifact dir
-* ``evaluate``  — re-evaluate a saved artifact dir (``--workers``/``--shards``
-  parallelize the pass; results are bit-identical to serial)
+* ``evaluate``  — re-evaluate a saved artifact dir (``--workers``
+  parallelizes the pass; results are bit-identical to serial)
 * ``export``    — (re)build the serving index from a saved checkpoint
   (``--format dir`` writes the mmap-able uncompressed layout)
 * ``recommend`` — bulk top-K export for every warm user via the parallel
@@ -185,8 +185,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     tracer = _make_tracer(args, "repro-train")
     experiment = run(
         spec, artifacts_dir=artifacts_dir, verbose=not args.quiet,
-        eval_workers=args.eval_workers, eval_shards=args.eval_shards,
-        tracer=tracer,
+        eval_workers=args.eval_workers, tracer=tracer,
     )
     result = experiment.train_result
     if result is not None and result.triples_per_sec:
@@ -220,8 +219,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     tracer = _make_tracer(args, "repro-evaluate")
     start = time.perf_counter()
     metrics = experiment.evaluate(
-        ks=ks, split=args.split, workers=args.workers, shards=args.shards,
-        profiler=profiler, tracer=tracer,
+        ks=ks, split=args.split, workers=args.workers, profiler=profiler, tracer=tracer,
     )
     wall = time.perf_counter() - start
     _write_trace(tracer, args)
@@ -236,10 +234,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         # "requested": non-factorizable models and restricted sandboxes fall
         # back to serial execution, which this process cannot observe here.
         workers_note = f", {args.workers} workers requested" if args.workers else ""
-        shards_note = f", {args.shards} shards" if args.shards > 1 else ""
         print(
             f"evaluated {users:.0f} users in {wall:.2f}s "
-            f"({users / wall:,.0f} users/s{workers_note}{shards_note}; {breakdown})"
+            f"({users / wall:,.0f} users/s{workers_note}; {breakdown})"
         )
     if experiment.metrics and ks is None and args.split is None:
         drift = {
@@ -392,7 +389,6 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         k=args.k,
         users=users,
         workers=args.workers,
-        shards=args.shards,
         ann=ann,
         tracer=tracer,
     )
@@ -403,14 +399,13 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     n = len(recommendations.users)
     rate = n / wall if wall > 0 else 0.0
     workers_note = f", {args.workers} workers requested" if args.workers else ""
-    shards_note = f", {args.shards} shards" if args.shards > 1 else ""
     ann_note = ""
     if ann is not None:
         probe_note = f"nprobe {ann.nprobe}/{ann.n_lists} " if hasattr(ann, "n_lists") else ""
         ann_note = f", ann {probe_note}({ann.memory_report()['kind']})"
     print(
         f"exported top-{recommendations.k} for {n} users in {wall:.2f}s "
-        f"({rate:,.0f} users/s{workers_note}{shards_note}{ann_note}) -> {path}"
+        f"({rate:,.0f} users/s{workers_note}{ann_note}) -> {path}"
     )
     return 0
 
@@ -917,7 +912,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--eval-workers", type=int, default=0,
         help="parallel workers for the final evaluation pass (results identical)",
     )
-    train.add_argument("--eval-shards", type=int, default=1)
     train.add_argument("--quiet", action="store_true")
     _add_trace_flag(train)
     train.set_defaults(func=cmd_train)
@@ -929,10 +923,6 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument(
         "--workers", type=int, default=0,
         help="parallel evaluation workers (0 = serial; results are identical)",
-    )
-    evaluate.add_argument(
-        "--shards", type=int, default=1,
-        help="item-range shards per chunk (bounds peak score-buffer memory)",
     )
     evaluate.add_argument(
         "--check", action="store_true",
@@ -984,7 +974,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=0,
         help="parallel workers (0 = serial; results are identical)",
     )
-    recommend.add_argument("--shards", type=int, default=1, help="item-range shards")
     recommend.add_argument(
         "--ann", action="store_true",
         help="candidate-generation mode: rank through the saved/built ANN "

@@ -18,8 +18,7 @@ from typing import Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
-from ..runtime.engine import BatchRuntime, RuntimeConfig
-from ..runtime.sharded import ITEM_BLOCK_SIZE
+from ..runtime.engine import BatchRuntime
 
 
 def ann_recall_at_k(
@@ -61,15 +60,14 @@ def exact_rankings(
 ) -> Dict[int, np.ndarray]:
     """Exact top-``k`` per user from a frozen index, via the batch runtime.
 
-    Ranked in the serving engine's ``ITEM_BLOCK_SIZE`` item shards: the
-    score block stays ``chunk x 8192`` at any catalog size, and the sharded
-    merge returns the ids one full-width pass would.
+    Ranked in item shards like every exact ranking: the score block stays
+    ``chunk x ITEM_BLOCK_SIZE`` at any catalog size, and the sharded merge
+    returns the ids one full-width pass would.
     """
     exclude_csr = (
         (index.exclude_indptr, index.exclude_indices) if exclude_train else None
     )
-    config = RuntimeConfig(shards=-(-index.n_items // ITEM_BLOCK_SIZE))
-    with BatchRuntime(index, config, exclude_csr=exclude_csr) as runtime:
+    with BatchRuntime(index, exclude_csr=exclude_csr) as runtime:
         ordered, ids, _ = runtime.rank(users, k)
     return {int(user): ids[row] for row, user in enumerate(ordered)}
 

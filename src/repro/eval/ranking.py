@@ -8,9 +8,9 @@ users.
 
 Execution goes through :mod:`repro.runtime`: user chunks are ranked by the
 sharded batch-inference kernel, optionally across a process/thread worker
-pool (``workers`` / ``mode`` / ``shards``).  Those knobs change wall time
-only — rankings and metrics are bit-identical for every setting, including
-plain serial execution.  Scoring stays in the model's own dtype (a float32
+pool (``workers`` / ``mode``).  Those knobs change wall time only —
+rankings and metrics are bit-identical for every setting, including plain
+serial execution.  Scoring stays in the model's own dtype (a float32
 factorization is evaluated in float32 memory; no float64 upcast copy of the
 full-catalog score matrix is ever made).
 """
@@ -56,7 +56,6 @@ def topk_rankings(
     candidate_items: Optional[Dict[int, np.ndarray]] = None,
     workers: int = 0,
     mode: str = "auto",
-    shards: int = 1,
     profiler=None,
     runtime: Optional[BatchRuntime] = None,
     tracer=None,
@@ -69,7 +68,7 @@ def topk_rankings(
     value means unrestricted) — a silently absent user would be ranked
     against the full catalog and inflate protocol metrics, so that is a
     ``KeyError``, exactly as it was before the batch runtime existed.
-    ``workers`` / ``mode`` / ``shards`` select the execution strategy (see
+    ``workers`` / ``mode`` select the execution strategy (see
     :class:`repro.runtime.RuntimeConfig`); results are identical for every
     choice.  Models whose score does not factorize (DeepFM) are evaluated
     through their ``predict_scores`` serially.
@@ -80,8 +79,8 @@ def topk_rankings(
     per call.  A passed-in runtime must already hold the model's current
     frozen branches, and its exclusion mask must agree with
     ``exclude_train`` (checked); it is not closed here, and the
-    ``workers`` / ``mode`` / ``shards`` / ``user_chunk`` arguments are
-    ignored in its favor.
+    ``workers`` / ``mode`` / ``user_chunk`` arguments are ignored in its
+    favor.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -116,7 +115,7 @@ def topk_rankings(
         )
 
     exclude_csr = dataset.train_exclusion_csr() if exclude_train else None
-    config = RuntimeConfig(workers=workers, mode=mode, shards=shards, user_chunk=user_chunk)
+    config = RuntimeConfig(workers=workers, mode=mode, user_chunk=user_chunk)
     with BatchRuntime(branches, config, exclude_csr=exclude_csr) as live_runtime:
         ordered, ids, _ = live_runtime.rank(
             users, k, candidate_items=candidate_items, profiler=profiler, tracer=tracer
@@ -287,14 +286,13 @@ def evaluate(
     user_chunk: int = 256,
     workers: int = 0,
     mode: str = "auto",
-    shards: int = 1,
     profiler=None,
     runtime: Optional[BatchRuntime] = None,
     tracer=None,
 ) -> Dict[str, float]:
     """Recall@K / NDCG@K averaged over users with positives in ``split``.
 
-    ``workers`` / ``mode`` / ``shards`` parallelize the ranking pass (see
+    ``workers`` / ``mode`` parallelize the ranking pass (see
     :mod:`repro.runtime`); metrics are bit-identical for every setting.
     With a ``profiler``, wall time is attributed to the ``score`` / ``topk``
     / ``merge`` / ``metrics`` phases (in parallel modes the kernel phases
@@ -323,7 +321,7 @@ def evaluate(
     ):
         rankings = topk_rankings(
             model, dataset, sorted(positives), k=max(ks), exclude_train=exclude_train,
-            user_chunk=user_chunk, workers=workers, mode=mode, shards=shards,
+            user_chunk=user_chunk, workers=workers, mode=mode,
             profiler=profiler, runtime=runtime, tracer=tracer,
         )
         with maybe_span(tracer, "eval.metrics", cat="eval"):

@@ -252,24 +252,22 @@ class Experiment:
         return load_ann(path, self.index, mmap=True, tiered=config)
 
     def topk(
-        self, users: Sequence[int], k: int = 10, exclude_train: bool = True,
-        workers: int = 0, shards: int = 1,
+        self, users: Sequence[int], k: int = 10, exclude_train: bool = True, workers: int = 0,
     ) -> Dict[int, np.ndarray]:
         """Offline top-K rankings from the live model (evaluator semantics)."""
         return topk_rankings(
-            self.model, self.dataset, users, k=k, exclude_train=exclude_train,
-            workers=workers, shards=shards,
+            self.model, self.dataset, users, k=k, exclude_train=exclude_train, workers=workers,
         )
 
     def evaluate(
         self, ks: Optional[Sequence[int]] = None, split: Optional[str] = None,
-        workers: int = 0, shards: int = 1, profiler=None, tracer=None,
+        workers: int = 0, profiler=None, tracer=None,
     ):
         """Re-run the spec's eval protocol (optionally overriding ks/split).
 
-        ``workers`` / ``shards`` parallelize the pass without changing any
-        result bit (see :mod:`repro.runtime`); ``profiler`` / ``tracer``
-        observe it without changing any result bit either.
+        ``workers`` parallelizes the pass without changing any result bit
+        (see :mod:`repro.runtime`); ``profiler`` / ``tracer`` observe it
+        without changing any result bit either.
         """
         protocol = self.spec.eval
         if ks is not None or split is not None:
@@ -279,8 +277,7 @@ class Experiment:
                 exclude_train=protocol.exclude_train,
             )
         return protocol.run(
-            self.model, self.dataset, workers=workers, shards=shards,
-            profiler=profiler, tracer=tracer,
+            self.model, self.dataset, workers=workers, profiler=profiler, tracer=tracer,
         )
 
     # ------------------------------------------------------------------

@@ -30,7 +30,6 @@ def run(
     artifacts_dir: Optional[str] = None,
     verbose: bool = False,
     eval_workers: int = 0,
-    eval_shards: int = 1,
     registry: Optional[MetricsRegistry] = None,
     tracer=None,
 ) -> Experiment:
@@ -39,9 +38,9 @@ def run(
     ``spec`` may be an :class:`ExperimentSpec` or its ``to_dict`` form.
     With ``artifacts_dir`` set, the full artifact directory (spec,
     checkpoint, index, metrics, loss curve, observability snapshot) is
-    written before returning.  ``eval_workers`` / ``eval_shards``
-    parallelize the final evaluation pass (results are bit-identical to
-    serial; see :mod:`repro.runtime`).  ``registry`` / ``tracer`` are
+    written before returning.  ``eval_workers`` parallelizes the final
+    evaluation pass (results are bit-identical to serial; see
+    :mod:`repro.runtime`).  ``registry`` / ``tracer`` are
     optional :mod:`repro.obs` sinks shared with the caller (e.g. a live
     metrics endpoint); omitted, a private registry still collects the run's
     counters for the artifact snapshot.
@@ -77,8 +76,7 @@ def run(
         eval_registry = MetricsRegistry()
         eval_profiler = Profiler(registry=eval_registry)
         metrics = spec.eval.run(
-            model, dataset, workers=eval_workers, shards=eval_shards,
-            profiler=eval_profiler, tracer=tracer,
+            model, dataset, workers=eval_workers, profiler=eval_profiler, tracer=tracer,
         )
         registry.merge(eval_registry.to_json())
     if verbose:

@@ -88,12 +88,11 @@ class EvalSpec:
         self.exclude_train = bool(self.exclude_train)
 
     def run(
-        self, model, dataset, workers: int = 0, mode: str = "auto", shards: int = 1,
-        profiler=None, tracer=None,
+        self, model, dataset, workers: int = 0, mode: str = "auto", profiler=None, tracer=None,
     ) -> Dict[str, float]:
         """Evaluate ``model`` under this protocol.
 
-        ``workers`` / ``mode`` / ``shards`` are execution knobs, not part of
+        ``workers`` / ``mode`` are execution knobs, not part of
         the protocol — results are bit-identical for every setting (see
         :mod:`repro.runtime`), which is why they are call-time arguments
         rather than serialized spec fields.  ``profiler`` / ``tracer`` are
@@ -101,7 +100,7 @@ class EvalSpec:
         """
         return evaluate(
             model, dataset, split=self.split, ks=self.ks, exclude_train=self.exclude_train,
-            workers=workers, mode=mode, shards=shards, profiler=profiler, tracer=tracer,
+            workers=workers, mode=mode, profiler=profiler, tracer=tracer,
         )
 
     def to_dict(self) -> Dict[str, Any]:

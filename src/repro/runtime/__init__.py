@@ -14,8 +14,8 @@ and bulk offline recommendation export.  Three pieces:
   :func:`~repro.runtime.engine.recommend_all`, the bulk top-K exporter.
 
 The determinism contract is the point: rankings and metrics are bit-identical
-across worker counts, pool modes, and shard counts — parallelism changes wall
-time, never results.
+across worker counts and pool modes — parallelism changes wall time, never
+results — and the item-shard layout is not a setting at all.
 """
 
 from .engine import BatchRuntime, BulkRecommendations, RuntimeConfig, recommend_all

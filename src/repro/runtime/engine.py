@@ -47,14 +47,11 @@ class RuntimeConfig:
 
     workers: int = 0
     mode: str = "auto"
-    shards: int = 1
     user_chunk: int = 256
 
     def __post_init__(self) -> None:
         if self.user_chunk < 1:
             raise ValueError(f"user_chunk must be >= 1, got {self.user_chunk}")
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
 
 
 class _WorkerState:
@@ -94,7 +91,7 @@ def _build_state(spec: Dict) -> _WorkerState:
     else:
         branches = spec["branches"]
         exclude_csr = spec["exclude_csr"]
-    return _WorkerState(ShardedIndex(branches, spec["shards"]), exclude_csr, spec.get("ann"))
+    return _WorkerState(ShardedIndex(branches), exclude_csr, spec.get("ann"))
 
 
 def _init_process_worker(spec: Dict) -> None:
@@ -177,7 +174,7 @@ class BatchRuntime:
     ) -> None:
         self.config = config or RuntimeConfig()
         branches = list(getattr(source, "branches", source))
-        self._state = _WorkerState(ShardedIndex(branches, self.config.shards), exclude_csr, ann)
+        self._state = _WorkerState(ShardedIndex(branches), exclude_csr, ann)
         self.n_items = self._state.sharded.n_items
         if ann is not None and ann.n_items != self.n_items:
             raise ValueError(
@@ -219,13 +216,11 @@ class BatchRuntime:
                 "index_path": index_path,
                 "index_mmap": True,
                 "exclude": exclude_csr is not None,
-                "shards": self.config.shards,
             }
         return {
             "index_path": None,
             "branches": branches,
             "exclude_csr": exclude_csr,
-            "shards": self.config.shards,
             "ann": ann,
         }
 
@@ -250,7 +245,7 @@ class BatchRuntime:
         item id, so a different catalog needs a new runtime.
         """
         branches = list(getattr(source, "branches", source))
-        sharded = ShardedIndex(branches, self.config.shards)
+        sharded = ShardedIndex(branches)
         if sharded.n_items != self.n_items:
             raise ValueError(
                 f"refresh changed the catalog ({sharded.n_items} items vs "
@@ -442,7 +437,6 @@ def recommend_all(
     exclude_train: bool = True,
     workers: int = 0,
     mode: str = "auto",
-    shards: int = 1,
     user_chunk: int = 1024,
     profiler=None,
     ann=None,
@@ -454,7 +448,7 @@ def recommend_all(
     — one call scores the whole population against the full catalog through
     the parallel runtime and returns dense ``(users, items, scores)`` arrays
     ready to push to a key-value store.  Results are bit-identical for any
-    ``workers`` / ``mode`` / ``shards`` setting, and identical to the
+    ``workers`` / ``mode`` setting, and identical to the
     retrieval engine's unfiltered rankings for the same users.
 
     ``ann`` switches the bulk job to candidate-generation mode: chunks rank
@@ -468,7 +462,7 @@ def recommend_all(
     if users is None:
         counts = np.diff(index.exclude_indptr)
         users = np.flatnonzero(counts > 0)
-    config = RuntimeConfig(workers=workers, mode=mode, shards=shards, user_chunk=user_chunk)
+    config = RuntimeConfig(workers=workers, mode=mode, user_chunk=user_chunk)
     exclude_csr = (index.exclude_indptr, index.exclude_indices) if exclude_train else None
     with BatchRuntime(index, config, exclude_csr=exclude_csr, ann=ann) as runtime:
         ordered, ids, scores = runtime.rank(

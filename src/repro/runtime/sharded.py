@@ -15,6 +15,15 @@ result is bit-identical to single-pass selection — including tie-breaking
 across shard boundaries, which the test suite pins with crafted
 integer-score factorizations.
 
+The layout is not an option: every index splits its catalog into
+``ceil(n_items / ITEM_BLOCK_SIZE)`` shards, reading the module constant when
+it is built (tests monkeypatch it to vary the layout).  The shard count
+decides memory and wall time, never a result.
+
+Scores do not depend on batch height either: a one-row product runs
+through GEMV, whose last bit differs from the same row inside a GEMM, so a
+lone row is scored beside a copy of itself and the copy discarded.
+
 All scoring happens in the branches' own dtype (a float32 index is scored
 in float32 memory) into caller-provided buffers, so a worker evaluates
 arbitrarily many chunks with zero per-chunk score-matrix allocations.
@@ -31,8 +40,7 @@ from ..core.base import ScoreBranch, branches_dtype, score_branches
 from ..data.dataset import expand_csr_rows
 from ..eval.topk import NEG_INF, masked_topk, topk_indices_rows, topk_pairs_rows
 
-#: default widest shard: the serving engine and ``exact_rankings`` rank in
-#: ``ceil(n_items / ITEM_BLOCK_SIZE)`` shards, a ``batch x 8192`` score block
+#: widest shard: every exact ranking scores a ``batch x 8192`` block at most
 ITEM_BLOCK_SIZE = 8192
 
 
@@ -55,7 +63,8 @@ class _Buffers:
     single-branch models never pay for a second buffer.  Independent
     ``slot`` names keep differently-shaped consumers (the shard-width main
     pass vs the full-width candidate path) from thrashing each other's
-    allocation.
+    allocation.  Buffers hold at least two rows, since a lone row is scored
+    as two (see :meth:`ShardedIndex._score`).
     """
 
     def __init__(self) -> None:
@@ -69,6 +78,7 @@ class _Buffers:
         with_scratch: bool = True,
         slot: str = "main",
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        rows = max(rows, 2)
         out, scratch = self._slots.get(slot, (None, None))
         if out is None or out.dtype != dtype or out.shape[0] < rows or out.shape[1] < width:
             out = np.empty((rows, width), dtype=dtype)
@@ -82,19 +92,14 @@ class _Buffers:
 class ShardedIndex:
     """A frozen factorization split into contiguous item-range shards."""
 
-    def __init__(
-        self,
-        source: Union["EmbeddingIndex", Sequence[ScoreBranch]],
-        n_shards: int = 1,
-    ) -> None:
+    def __init__(self, source: Union["EmbeddingIndex", Sequence[ScoreBranch]]) -> None:
         branches = getattr(source, "branches", source)
         if not branches:
             raise ValueError("a sharded index needs at least one score branch")
         self.branches: List[ScoreBranch] = list(branches)
         self.n_items = self.branches[0].item.shape[0]
         self.n_users = self.branches[0].user.shape[0]
-        self.ranges = shard_ranges(self.n_items, n_shards)
-        self.n_shards = len(self.ranges)
+        self.ranges = shard_ranges(self.n_items, -(-self.n_items // ITEM_BLOCK_SIZE))
         self.dtype = branches_dtype(self.branches)
 
     @property
@@ -102,16 +107,12 @@ class ShardedIndex:
         return max(stop - start for start, stop in self.ranges)
 
     # ------------------------------------------------------------------
-    def score_shard(
-        self,
-        users: np.ndarray,
-        shard: int,
-        out: Optional[np.ndarray] = None,
-        scratch: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Scores of ``users`` against one shard's item range."""
-        start, stop = self.ranges[shard]
-        return score_branches(self.branches, users, start, stop, out=out, scratch=scratch)
+    def _score(self, users, start, stop, out, scratch) -> np.ndarray:
+        """Scores of ``users`` against items ``[start, stop)``; a lone row is
+        scored as a two-row block so its bits match any taller batch."""
+        padded = users if len(users) > 1 else np.repeat(users, 2)
+        scores = score_branches(self.branches, padded, start, stop, out=out, scratch=scratch)
+        return scores[: len(users)]
 
     # ------------------------------------------------------------------
     def topk_chunk(
@@ -171,8 +172,7 @@ class ShardedIndex:
             exclude_rows = exclude_cols = None
             if exclude_csr is not None:
                 exclude_rows, exclude_cols = expand_csr_rows(*exclude_csr, open_users)
-            rank = self._topk_single if self.n_shards == 1 else self._topk_sharded
-            open_ids, open_scores = rank(
+            open_ids, open_scores = self._topk_sharded(
                 open_users, k, exclude_rows, exclude_cols, denied, buffers, timings, with_scores
             )
             ids[open_rows] = open_ids
@@ -187,30 +187,6 @@ class ShardedIndex:
         return ids, scores
 
     # ------------------------------------------------------------------
-    def _topk_single(
-        self, users, k, exclude_rows, exclude_cols, denied, buffers, timings, with_scores
-    ):
-        out, scratch = buffers.get(
-            len(users), self.n_items, self.dtype, with_scratch=len(self.branches) > 1
-        )
-        tick = time.perf_counter()
-        scores = score_branches(self.branches, users, out=out, scratch=scratch)
-        if denied is not None:
-            scores[:, denied] = NEG_INF
-        if exclude_rows is not None:
-            scores[exclude_rows, exclude_cols] = NEG_INF
-        tock = time.perf_counter()
-        top = topk_indices_rows(scores, k).astype(np.int64, copy=False)
-        done = time.perf_counter()
-        if timings is not None:
-            timings["score"] = timings.get("score", 0.0) + (tock - tick)
-            timings["topk"] = timings.get("topk", 0.0) + (done - tock)
-        if not with_scores:
-            return top, None
-        # take_along_axis allocates fresh output — no aliasing of the
-        # reused score buffer to worry about.
-        return top, np.take_along_axis(scores, top, axis=1)
-
     def _topk_sharded(
         self, users, k, exclude_rows, exclude_cols, denied, buffers, timings, with_scores
     ):
@@ -221,9 +197,9 @@ class ShardedIndex:
         candidate_ids: List[np.ndarray] = []
         candidate_scores: List[np.ndarray] = []
         t_score = t_topk = 0.0
-        for shard, (start, stop) in enumerate(self.ranges):
+        for start, stop in self.ranges:
             tick = time.perf_counter()
-            scores = self.score_shard(users, shard, out=out, scratch=scratch)
+            scores = self._score(users, start, stop, out, scratch)
             if denied is not None:
                 scores[:, denied[start:stop]] = NEG_INF
             if exclude_rows is not None:
@@ -236,6 +212,12 @@ class ShardedIndex:
             candidate_scores.append(np.take_along_axis(scores, local, axis=1))
             t_score += tock - tick
             t_topk += time.perf_counter() - tock
+        if timings is not None:
+            timings["score"] = timings.get("score", 0.0) + t_score
+            timings["topk"] = timings.get("topk", 0.0) + t_topk
+        if len(self.ranges) == 1:  # the one shard's local top-K is the answer
+            top = candidate_ids[0].astype(np.int64, copy=False)
+            return top, candidate_scores[0] if with_scores else None
         tick = time.perf_counter()
         ids = np.hstack(candidate_ids)
         values = np.hstack(candidate_scores)
@@ -243,8 +225,6 @@ class ShardedIndex:
         top = np.take_along_axis(ids, merged, axis=1).astype(np.int64, copy=False)
         top_scores = np.take_along_axis(values, merged, axis=1) if with_scores else None
         if timings is not None:
-            timings["score"] = timings.get("score", 0.0) + t_score
-            timings["topk"] = timings.get("topk", 0.0) + t_topk
             timings["merge"] = timings.get("merge", 0.0) + (time.perf_counter() - tick)
         return top, top_scores
 
@@ -271,7 +251,7 @@ class ShardedIndex:
                 with_scratch=len(self.branches) > 1, slot="full",
             )
             tick = time.perf_counter()
-            full = score_branches(self.branches, users[rows], out=out, scratch=scratch)
+            full = self._score(users[rows], 0, self.n_items, out, scratch)
             tock = time.perf_counter()
             if timings is not None:
                 timings["score"] = timings.get("score", 0.0) + (tock - tick)

@@ -7,15 +7,16 @@ and trims its dense rows to the items the masks allow.  Offline metrics
 and online results therefore cannot disagree on ranking: they are the same
 code on the same scores.
 
-``item_block_size`` bounds the width of one scoring matmul: the catalog is
-split into ``ceil(n_items / item_block_size)`` balanced contiguous shards,
-each streamed through one ``(batch, dim) @ (dim, shard)`` product, masked,
-reduced to per-user candidates and merged exactly.  That keeps the
-item-side operand cache-resident at large catalog sizes and bounds peak
-memory at ``batch * item_block_size`` scores.  A catalog that fits in one
-shard (the default below ~8k items) is scored bit-identically to the live
-model; across shard layouts scores can differ by one ULP for degenerate
-shapes (BLAS picks a different kernel for very narrow matmuls).
+The catalog is split into ``ceil(n_items / ITEM_BLOCK_SIZE)`` balanced
+contiguous shards (see :mod:`repro.runtime.sharded`), each streamed through
+one ``(batch, dim) @ (dim, shard)`` product, masked, reduced to per-user
+candidates and merged exactly.  That keeps the item-side operand
+cache-resident at large catalog sizes and bounds peak memory at
+``batch * ITEM_BLOCK_SIZE`` scores.  A catalog that fits in one shard
+(below ~8k items) is scored bit-identically to the live model, at any batch
+height — a lone request is scored as a two-row block.  Only across shard
+layouts can scores differ by one ULP, for degenerate shapes (BLAS picks a
+different kernel for very narrow matmuls).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from ..eval.topk import masked_topk
 from ..faults import ANN_SEARCH_ERROR
 from ..obs.trace import maybe_span
-from ..runtime.sharded import ITEM_BLOCK_SIZE, ShardedIndex
+from ..runtime.sharded import ShardedIndex
 from .filters import Filter, combine_mask, combine_signature
 from .index import EmbeddingIndex
 from .resilience import is_transient
@@ -63,9 +64,7 @@ class RetrievalEngine:
     exact path one argument away.
 
     Results never contain a masked item: a user whose allowed pool is
-    smaller than ``k`` gets a shorter list.  ``item_block_size`` is the
-    widest item range one exact scoring matmul covers (see the module
-    docstring); it changes memory and speed, not rankings.
+    smaller than ``k`` gets a shorter list.
 
     ANN failure degrades, it never errors: a transient exception from
     ``ann.search`` (including an injected ``ann.search_error`` fault from an
@@ -80,15 +79,12 @@ class RetrievalEngine:
     def __init__(
         self,
         index: EmbeddingIndex,
-        item_block_size: int = ITEM_BLOCK_SIZE,
         mask_cache_capacity: int = 256,
         ann=None,
         tracer=None,
         fault_plan=None,
         on_ann_fallback=None,
     ) -> None:
-        if item_block_size < 1:
-            raise ValueError(f"item_block_size must be >= 1, got {item_block_size}")
         if ann is not None and ann.n_items != index.n_items:
             raise ValueError(
                 f"ann index covers {ann.n_items} items but the embedding index "
@@ -100,8 +96,7 @@ class RetrievalEngine:
         self.fault_plan = fault_plan
         self.on_ann_fallback = on_ann_fallback
         self.ann_fallbacks = 0
-        self.item_block_size = item_block_size
-        self._sharded = ShardedIndex(index, n_shards=-(-index.n_items // item_block_size))
+        self._sharded = ShardedIndex(index)
         self.mask_cache_capacity = mask_cache_capacity
         self._mask_cache: "OrderedDict[Tuple, Tuple[Optional[np.ndarray], np.ndarray]]" = OrderedDict()
 

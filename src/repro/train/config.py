@@ -29,7 +29,6 @@ class TrainConfig:
     eval_k: int = 50
     eval_workers: int = 0  # parallel workers for validation passes (0 = serial)
     eval_mode: str = "auto"  # validation pool mode: auto/serial/thread/process
-    eval_shards: int = 1  # item-range shards per validation chunk
     early_stop_patience: int = 0  # 0 disables early stopping
     loss: str = "bpr"  # "bpr" (standard, stable) or "bpr_eq4" (literal Eq. 4)
     fused_kernels: bool = True  # single-node BPR/L2 kernels (False: composed ops)
@@ -50,8 +49,8 @@ class TrainConfig:
             raise ValueError(f"negative_rate must be >= 1, got {self.negative_rate}")
         if self.eval_every < 0 or self.early_stop_patience < 0:
             raise ValueError("eval_every and early_stop_patience must be >= 0")
-        if self.eval_workers < 0 or self.eval_shards < 1:
-            raise ValueError("eval_workers must be >= 0 and eval_shards >= 1")
+        if self.eval_workers < 0:
+            raise ValueError(f"eval_workers must be >= 0, got {self.eval_workers}")
         if self.eval_mode not in ("auto", "serial", "thread", "process"):
             raise ValueError(
                 f"eval_mode must be auto/serial/thread/process, got {self.eval_mode!r}"
@@ -73,12 +72,15 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "TrainConfig":
-        """Rebuild a config serialized by :meth:`to_dict` (validates fields)."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(payload) - known
+        """Rebuild a config serialized by :meth:`to_dict` (validates fields).
+
+        ``eval_shards``, a retired execution knob that never changed a
+        result, is dropped so configs saved before its removal still load.
+        """
+        payload = {key: value for key, value in payload.items() if key != "eval_shards"}
+        unknown = set(payload) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown TrainConfig fields: {sorted(unknown)}")
-        payload = dict(payload)
         if "lr_milestones" in payload:
             payload["lr_milestones"] = tuple(int(m) for m in payload["lr_milestones"])
         return cls(**payload)

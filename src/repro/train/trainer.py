@@ -271,8 +271,7 @@ class Trainer:
         """One validation pass, through a runtime reused across epochs.
 
         The first validation builds a :class:`~repro.runtime.BatchRuntime`
-        (with ``eval_workers`` / ``eval_mode`` / ``eval_shards`` from the
-        config); later epochs :meth:`~repro.runtime.BatchRuntime.refresh`
+        (with ``eval_workers`` / ``eval_mode`` from the config); later epochs :meth:`~repro.runtime.BatchRuntime.refresh`
         it with the epoch's re-frozen branches — the worker pool survives,
         so per-epoch cost is one export + one broadcast instead of pool
         startup (~28 ms per 4-process pool, docs/performance.md, paid every
@@ -293,11 +292,7 @@ class Trainer:
         if self._eval_runtime is None:
             self._eval_runtime = BatchRuntime(
                 branches,
-                RuntimeConfig(
-                    workers=config.eval_workers,
-                    mode=config.eval_mode,
-                    shards=config.eval_shards,
-                ),
+                RuntimeConfig(workers=config.eval_workers, mode=config.eval_mode),
                 exclude_csr=self.dataset.train_exclusion_csr(),
             )
         else:

@@ -20,6 +20,7 @@ from repro.core.base import ScoreBranch
 from repro.eval import topk
 from repro.eval.ann import exact_rankings
 from repro.eval.topk import NEG_INF, topk_indices, topk_indices_rows, topk_pairs, topk_pairs_rows
+from repro.runtime import recommend_all
 from repro.runtime.sharded import ITEM_BLOCK_SIZE
 from repro.serving.ann.ivf import _local_topk_set
 from repro.serving.index import EmbeddingIndex
@@ -127,3 +128,12 @@ class TestScratchCeilings:
         ceiling = 4 * users * ITEM_BLOCK_SIZE * 8
         assert ceiling == 16 * MB
         assert traced_peak(lambda: exact_rankings(index, np.arange(users), 50)) <= ceiling
+
+    def test_recommend_all(self):
+        """64 users x 100 000 items at the default runtime: the parent scored
+        the catalog in one full-width block (64 x n_items scores)."""
+        users, n_items = 64, 100_000
+        index = wide_index(users, n_items)
+        ceiling = 4 * users * ITEM_BLOCK_SIZE * 8
+        assert ceiling < users * n_items * 4
+        assert traced_peak(lambda: recommend_all(index, k=50)) <= ceiling

@@ -1,4 +1,4 @@
-"""CLI surface of the batch-inference runtime: --workers/--shards, recommend,
+"""CLI surface of the batch-inference runtime: --workers, recommend,
 dir-format export, and the persisted evaluation profile."""
 
 import json
@@ -41,12 +41,13 @@ def test_metrics_json_records_eval_profile(trained_dir):
     assert profile["users_per_sec"] > 0
 
 
-def test_evaluate_parallel_matches_serial_and_prints_throughput(trained_dir, capsys):
+def test_evaluate_parallel_matches_serial_and_prints_throughput(
+    trained_dir, capsys, item_block
+):
     code, serial_out = run_cli(["evaluate", trained_dir], capsys)
     assert code == 0
-    code, parallel_out = run_cli(
-        ["evaluate", trained_dir, "--workers", "2", "--shards", "2"], capsys
-    )
+    item_block(150)  # the parallel pass ranks yelp's 180 items in 2 shards
+    code, parallel_out = run_cli(["evaluate", trained_dir, "--workers", "2"], capsys)
     assert code == 0
     assert "users/s" in parallel_out and "2 workers" in parallel_out
 

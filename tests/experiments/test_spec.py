@@ -110,3 +110,16 @@ def test_train_config_roundtrip():
     payload = json.loads(json.dumps(config.to_dict()))
     assert TrainConfig.from_dict(payload) == config
     assert config.lr_milestones == (3, 5)  # canonicalized to a tuple
+
+
+def test_specs_written_with_the_retired_eval_shards_still_load():
+    """Artifact specs written while ``eval_shards`` was a field carry
+    ``"eval_shards": 1`` in their train block; that key alone is dropped."""
+    spec = make_spec()
+    payload = json.loads(json.dumps(spec.to_dict()))
+    payload["train"]["eval_shards"] = 1
+    assert TrainConfig.from_dict(payload["train"]) == spec.train
+    assert ExperimentSpec.from_dict(payload) == spec
+    payload["train"]["eval_slices"] = 2
+    with pytest.raises(ValueError, match=r"unknown TrainConfig fields: \['eval_slices'\]"):
+        ExperimentSpec.from_dict(payload)

@@ -1,8 +1,9 @@
 """Determinism of the parallel batch-inference runtime.
 
-The contract under test: worker counts, pool modes, and shard counts are
-execution knobs — rankings, scores, and metrics are bit-identical for every
-setting, and identical to the serial reference path.
+The contract under test: worker counts and pool modes are execution knobs,
+and the item-shard layout (varied here through the ``item_block`` fixture)
+is not a knob at all — rankings, scores, and metrics are bit-identical for
+every setting and every layout, and identical to the serial reference path.
 """
 
 import numpy as np
@@ -73,52 +74,57 @@ class TestSharding:
                 assert stop == start
             assert all(stop > start for start, stop in ranges)
 
-    def test_sharded_equals_unsharded(self, setup):
+    def test_sharded_equals_unsharded(self, setup, item_block):
         dataset, model, _ = setup
         users = sorted(dataset.split_positive_sets("test"))
         reference = topk_rankings(model, dataset, users, k=25)
-        for shards in (2, 3, 8, 110):
-            got = topk_rankings(model, dataset, users, k=25, shards=shards)
+        for width in (55, 37, 14, 1):  # 2, 3, 8 and 110 shards of 110 items
+            item_block(width)
+            got = topk_rankings(model, dataset, users, k=25)
             for user in reference:
                 np.testing.assert_array_equal(got[user], reference[user])
 
-    def test_sharded_metrics_and_workers_compose(self, setup):
+    def test_sharded_metrics_and_workers_compose(self, setup, item_block):
         dataset, model, _ = setup
         reference = evaluate(model, dataset, ks=(10,))
-        assert evaluate(model, dataset, ks=(10,), shards=5, workers=3, mode="thread") == reference
-        assert evaluate(model, dataset, ks=(10,), shards=4, workers=2, mode="process") == reference
+        item_block(22)  # 5 shards
+        assert evaluate(model, dataset, ks=(10,), workers=3, mode="thread") == reference
+        item_block(28)  # 4 shards
+        assert evaluate(model, dataset, ks=(10,), workers=2, mode="process") == reference
 
-    def test_tie_breaking_across_shard_boundaries(self):
+    def test_tie_breaking_across_shard_boundaries(self, item_block):
         # Integer-valued factors make exact score ties that straddle shard
         # boundaries; selection must break them by ascending item id exactly
         # as a stable argsort of the full row would.
         values = np.array([3.0, 1.0, 3.0, 2.0, 3.0, 1.0, 2.0, 3.0, 1.0, 0.0])
         branch = ScoreBranch(user=np.ones((4, 1)), item=values[:, None])
-        for n_shards in (1, 2, 3, 5, 10):
-            sharded = ShardedIndex([branch], n_shards=n_shards)
+        for width in (10, 5, 4, 2, 1):  # 1, 2, 3, 5 and 10 shards
+            item_block(width)
+            sharded = ShardedIndex([branch])
             ids, scores = sharded.topk_chunk(np.arange(4), 6, with_scores=True)
             expected = np.argsort(-values, kind="stable")[:6]
             for row in range(4):
                 np.testing.assert_array_equal(ids[row], expected)
                 np.testing.assert_array_equal(scores[row], values[expected])
 
-    def test_tied_scores_with_exclusions_across_shards(self):
+    def test_tied_scores_with_exclusions_across_shards(self, item_block):
         values = np.tile(np.array([2.0, 1.0]), 8)  # 16 items, ties everywhere
         branch = ScoreBranch(user=np.ones((2, 1)), item=values[:, None])
         indptr = np.array([0, 3, 4])
         indices = np.array([0, 2, 14, 1])  # user 0 excludes three tied items
-        reference = ShardedIndex([branch], 1).topk_chunk(
+        reference = ShardedIndex([branch]).topk_chunk(
             np.arange(2), 5, exclude_csr=(indptr, indices)
         )[0]
-        for n_shards in (2, 4, 7):
-            got = ShardedIndex([branch], n_shards).topk_chunk(
+        for width in (8, 4, 3, 2):  # 2, 4, 6 and 8 shards
+            item_block(width)
+            got = ShardedIndex([branch]).topk_chunk(
                 np.arange(2), 5, exclude_csr=(indptr, indices)
             )[0]
             np.testing.assert_array_equal(got, reference)
 
 
 class TestFloat32Memory:
-    def test_float32_branches_never_score_in_float64(self, setup, monkeypatch):
+    def test_float32_branches_never_score_in_float64(self, setup, monkeypatch, item_block):
         dataset, model, _ = setup
         from repro.nn import precision
         from repro.runtime import sharded as sharded_module
@@ -144,7 +150,8 @@ class TestFloat32Memory:
         assert seen and all(dtype == np.float32 for dtype in seen)
         # and the float32 rankings match the float64 model's (same weights,
         # lossless comparison order)
-        reference = topk_rankings(model32, dataset, users, k=15, shards=3)
+        item_block(37)  # 3 shards
+        reference = topk_rankings(model32, dataset, users, k=15)
         for user in rankings:
             np.testing.assert_array_equal(rankings[user], reference[user])
 
@@ -163,7 +170,7 @@ class TestFloat32Memory:
 
 
 class TestCandidatePools:
-    def test_candidate_items_match_reference_kernel_under_workers(self, setup):
+    def test_candidate_items_match_reference_kernel_under_workers(self, setup, item_block):
         dataset, model, _ = setup
         rng = np.random.default_rng(9)
         users = sorted(dataset.split_positive_sets("test"))[:20]
@@ -192,8 +199,12 @@ class TestCandidatePools:
                 candidate_items=candidates.get(user),
             )
             np.testing.assert_array_equal(reference[user], expected)
-        for kwargs in ({"workers": 3, "mode": "process"}, {"shards": 4}):
-            got = topk_rankings(model, dataset, users, k=8, candidate_items=candidates, **kwargs)
+        got = topk_rankings(
+            model, dataset, users, k=8, candidate_items=candidates, workers=3, mode="process"
+        )
+        item_block(28)  # 4 shards
+        sharded = topk_rankings(model, dataset, users, k=8, candidate_items=candidates)
+        for got in (got, sharded):
             for user in users:
                 np.testing.assert_array_equal(got[user], reference[user])
 
@@ -225,6 +236,40 @@ class TestRestrictedPoolScores:
             )
         assert ids[0][0] == 2 and scores[0][0] == 2.0
         assert np.all(np.isneginf(scores[0][1:]))
+
+
+class TestBatchHeight:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_branches", [1, 3])
+    def test_a_lone_row_scores_as_it_does_inside_a_batch(self, dtype, n_branches):
+        # A one-row product runs through GEMV, whose last bit differs from
+        # the same row inside a GEMM; the open-rows pass and the restricted
+        # pools must both score a lone row the way a taller batch does.
+        rng = np.random.default_rng(n_branches)
+        branches = [
+            ScoreBranch(
+                user=rng.normal(size=(16, 64)).astype(dtype),
+                item=rng.normal(size=(3000, 64)).astype(dtype),
+                weight=1.0 / (position + 1),
+            )
+            for position in range(n_branches)
+        ]
+        sharded = ShardedIndex(branches)
+        users = np.arange(16)
+        pools = [np.sort(rng.choice(3000, size=200, replace=False)) for _ in users]
+        batch_ids, batch_scores = sharded.topk_chunk(users, 50, with_scores=True)
+        pool_ids, pool_scores = sharded.topk_chunk(
+            users, 50, candidate_items=pools, with_scores=True
+        )
+        for user in (0, 7, 15):
+            ids, scores = sharded.topk_chunk([user], 50, with_scores=True)
+            np.testing.assert_array_equal(ids[0], batch_ids[user])
+            np.testing.assert_array_equal(scores[0], batch_scores[user])
+            ids, scores = sharded.topk_chunk(
+                [user], 50, candidate_items=[pools[user]], with_scores=True
+            )
+            np.testing.assert_array_equal(ids[0], pool_ids[user])
+            np.testing.assert_array_equal(scores[0], pool_scores[user])
 
 
 class TestScorerFallback:
@@ -265,10 +310,11 @@ class TestUserRange:
 
 
 class TestRecommendAll:
-    def test_matches_retrieval_engine(self, setup):
+    def test_matches_retrieval_engine(self, setup, item_block):
         dataset, _, index = setup
-        recommendations = recommend_all(index, k=7, workers=2, shards=3)
         engine = RetrievalEngine(index)
+        item_block(37)  # the export ranks in 3 shards, the engine in one
+        recommendations = recommend_all(index, k=7, workers=2)
         results = engine.topk(recommendations.users, 7)
         for row in range(len(recommendations.users)):
             np.testing.assert_array_equal(results[row].items, recommendations.items[row])
@@ -331,23 +377,25 @@ class TestRecommendAll:
 
 
 class TestProfilerIntegration:
-    def test_eval_phases_recorded(self, setup):
+    def test_eval_phases_recorded(self, setup, item_block):
         dataset, model, _ = setup
         profiler = Profiler()
-        evaluate(model, dataset, ks=(5,), shards=3, profiler=profiler)
+        item_block(37)  # 3 shards, so there is a merge to time
+        evaluate(model, dataset, ks=(5,), profiler=profiler)
         for phase in ("score", "topk", "merge", "metrics"):
             assert profiler.seconds(phase) > 0, phase
         assert profiler.counter("evaluated_users") > 0
         assert "users_per_sec" in profiler.summary()
 
-    def test_mmap_index_runtime_parity(self, setup, tmp_path):
+    def test_mmap_index_runtime_parity(self, setup, tmp_path, item_block):
         dataset, _, index = setup
         path = index.save(str(tmp_path / "index"), format="dir")
         mapped = type(index).load(path, mmap=True)
-        config = RuntimeConfig(workers=2, mode="process", shards=2)
+        with BatchRuntime(index, RuntimeConfig(), exclude_csr=(index.exclude_indptr, index.exclude_indices)) as runtime:
+            _, reference, _ = runtime.rank(np.arange(20), 9)
+        item_block(55)  # 2 shards, rebuilt from the mapped dir in every worker
+        config = RuntimeConfig(workers=2, mode="process")
         exclude = (mapped.exclude_indptr, mapped.exclude_indices)
         with BatchRuntime(mapped, config, exclude_csr=exclude) as runtime:
             _, ids, _ = runtime.rank(np.arange(20), 9)
-        with BatchRuntime(index, RuntimeConfig(), exclude_csr=(index.exclude_indptr, index.exclude_indices)) as runtime:
-            _, reference, _ = runtime.rank(np.arange(20), 9)
         np.testing.assert_array_equal(ids, reference)

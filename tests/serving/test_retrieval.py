@@ -66,7 +66,8 @@ class TestEvalParity:
         dataset, model, index = setup
         engine = RetrievalEngine(index)
         [result] = engine.topk([4], k=5, exclude_train=False)
-        full = model.predict_scores(np.array([4]))[0]
+        # a lone request scores as it would inside any batch of two or more
+        full = model.predict_scores(np.arange(16))[4]
         np.testing.assert_array_equal(result.scores, full[result.items])
 
 
@@ -108,12 +109,16 @@ class TestExactPathDifferential:
     @pytest.mark.parametrize("block", [None, 32, 7, 1])
     @pytest.mark.parametrize("filtered", [False, True])
     @pytest.mark.parametrize("exclude_train", [False, True])
-    def test_engine_matches_oracle(self, setup, f32_index, dtype, block, filtered, exclude_train):
+    def test_engine_matches_oracle(
+        self, setup, f32_index, item_block, dtype, block, filtered, exclude_train
+    ):
         index = setup[2] if dtype == "float64" else f32_index
+        if block is not None:
+            item_block(block)
         assert index.score(np.array([0])).dtype == np.dtype(dtype)
         users = list(range(0, index.n_users, 3))
         filters = [PriceBandFilter(1, 3), CategoryFilter([0, 1, 2])] if filtered else []
-        engine = RetrievalEngine(index, item_block_size=block or index.n_items)
+        engine = RetrievalEngine(index)
         expected = oracle_topk(index, users, 12, exclude_train, engine.candidate_mask(filters))
         got = engine.topk(users, k=12, exclude_train=exclude_train, filters=filters)
         assert len(got) == len(users)
@@ -131,14 +136,15 @@ class TestExactPathDifferential:
     @pytest.mark.parametrize("block", [20, 8, 5, 3, 1])
     @pytest.mark.parametrize("filtered", [False, True])
     @pytest.mark.parametrize("exclude_train", [False, True])
-    def test_integer_ties_across_shard_boundaries(self, block, filtered, exclude_train):
+    def test_integer_ties_across_shard_boundaries(self, item_block, block, filtered, exclude_train):
         """Integer scores are exact under any matmul shape, so even block
         size 1 must agree bitwise — ties resolved by ascending item id —
         and ``k`` past the allowed pool must shrink the list, never pad it."""
         index = integer_tie_index()
         users = [0, 1, 2]
         filters = [PriceBandFilter(0, 0)] if filtered else []
-        engine = RetrievalEngine(index, item_block_size=block)
+        item_block(block)
+        engine = RetrievalEngine(index)
         mask = engine.candidate_mask(filters)
         for k in (6, 13, 50):
             expected = oracle_topk(index, users, k, exclude_train, mask)

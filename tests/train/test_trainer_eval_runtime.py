@@ -104,10 +104,11 @@ class TestRuntimeReuse:
         assert closed == [True]
         assert trainer._eval_runtime is None
 
-    def test_thread_pool_validation_matches_serial(self, dataset):
+    def test_thread_pool_validation_matches_serial(self, dataset, item_block):
         serial = pup_full(dataset, global_dim=8, category_dim=4, rng=np.random.default_rng(3))
         threaded = pup_full(dataset, global_dim=8, category_dim=4, rng=np.random.default_rng(3))
         history_serial = Trainer(serial, dataset, small_config()).fit().validation_history
+        item_block(45)  # the threaded fit validates in 2 shards of 45 items
         history_threaded = Trainer(
             threaded, dataset, small_config(eval_workers=2, eval_mode="thread")
         ).fit().validation_history
@@ -125,7 +126,7 @@ class TestRuntimeReuse:
 
 class TestConfigKnobs:
     def test_eval_runtime_fields_round_trip(self):
-        config = TrainConfig(eval_workers=4, eval_mode="thread", eval_shards=2)
+        config = TrainConfig(eval_workers=4, eval_mode="thread")
         restored = TrainConfig.from_dict(config.to_dict())
         assert restored == config
 
