@@ -28,7 +28,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from .data.registry import available_datasets
 from .experiments import PAPER_HPARAMS
@@ -61,6 +61,26 @@ def _parse_hparams(pairs: Optional[Sequence[str]]) -> Dict[str, Any]:
         key, _, value = pair.partition("=")
         hparams[key.strip()] = _parse_value(value.strip())
     return hparams
+
+
+def _int_at_least(floor: int) -> Callable[[str], int]:
+    """An argparse ``type=`` for integers ``>= floor``: anything else exits 2
+    with a usage message instead of failing deep inside a command."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = floor - 1
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {floor}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
 
 
 def _parse_ks(text: str, flag: str = "--ks") -> tuple:
@@ -285,11 +305,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             if recall < args.ann_recall_floor:
                 status = f"  FAIL (< {args.ann_recall_floor})"
                 failed = True
-            layout = (
-                f"lists={ann.n_lists}" if hasattr(ann, "n_lists") else ann.kind
-            )
             print(
-                f"ann {label} ({layout}): "
+                f"ann {label} (lists={ann.n_lists}): "
                 f"recall@{report['k']}={recall:.4f} vs exact over "
                 f"{report['evaluated_users']} users{status}"
             )
@@ -323,13 +340,6 @@ def cmd_export(args: argparse.Namespace) -> int:
         f"{index.memory_bytes() / 1e3:.0f} kB -> {path}"
     )
     if args.ann or args.ann_kind is not None or args.memory_ceiling is not None:
-        if args.memory_ceiling is not None and args.ann_kind == "pq":
-            print(
-                "--memory-ceiling needs an IVF kind (the tiered layout pages "
-                "IVF lists); use --ann-kind ivf or ivf-pq",
-                file=sys.stderr,
-            )
-            return 1
         ann = build_ann(
             index, args.ann_kind, n_lists=args.ann_lists, nprobe=args.ann_nprobe
         )
@@ -340,13 +350,9 @@ def cmd_export(args: argparse.Namespace) -> int:
             if args.memory_ceiling is not None
             else ""
         )
-        lists_note = (
-            f"{ann.n_lists} lists, default nprobe {ann.nprobe}, "
-            if hasattr(ann, "n_lists")
-            else ""
-        )
         print(
-            f"exported ANN index ({report['kind']}): {lists_note}"
+            f"exported ANN index ({report['kind']}): "
+            f"{ann.n_lists} lists, default nprobe {ann.nprobe}, "
             f"{report['bytes_per_item']:.1f} B/item"
             f"{tier_note} -> {ann_path}"
         )
@@ -401,8 +407,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     workers_note = f", {args.workers} workers requested" if args.workers else ""
     ann_note = ""
     if ann is not None:
-        probe_note = f"nprobe {ann.nprobe}/{ann.n_lists} " if hasattr(ann, "n_lists") else ""
-        ann_note = f", ann {probe_note}({ann.memory_report()['kind']})"
+        ann_note = f", ann nprobe {ann.nprobe}/{ann.n_lists} ({ann.kind})"
     print(
         f"exported top-{recommendations.k} for {n} users in {wall:.2f}s "
         f"({rate:,.0f} users/s{workers_note}{ann_note}) -> {path}"
@@ -506,16 +511,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     try:
         ann = _ann_from_args(experiment, args)
         if ann is not None:
-            if hasattr(ann, "n_lists"):
-                print(
-                    f"approximate retrieval ({ann.kind}): {ann.n_lists} lists, "
-                    f"nprobe {ann.nprobe} (filters and exclusions apply at re-rank)"
-                )
-            else:
-                print(
-                    f"approximate retrieval ({ann.kind}): "
-                    f"{ann.bytes_per_item:.1f} B/item full-scan ADC, exact re-rank"
-                )
+            print(
+                f"approximate retrieval ({ann.kind}): {ann.n_lists} lists, "
+                f"nprobe {ann.nprobe} (filters and exclusions apply at re-rank)"
+            )
         service = experiment.service(
             default_k=args.k, ann=ann, tracer=tracer,
             resilience=_resilience_from_args(args),
@@ -848,24 +847,23 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def _add_ann_build_flags(parser: argparse.ArgumentParser) -> None:
     """ANN construction knobs shared by export/serve/recommend/evaluate."""
     parser.add_argument(
-        "--ann-lists", type=int, default=None,
+        "--ann-lists", type=_positive_int, default=None,
         help="IVF list count (default: ~sqrt(n_items)/2)",
     )
     parser.add_argument(
-        "--ann-nprobe", type=int, default=None,
+        "--ann-nprobe", type=_positive_int, default=None,
         help="default lists probed per query (default: 1/8 of the lists)",
     )
     parser.add_argument(
         "--ann-kind", choices=ANN_KINDS, default=None,
-        help="index family: exact-fine IVF (default), IVF with "
-        "product-quantized ADC candidates + exact re-rank, or a "
-        "standalone full-scan PQ index",
+        help="index family: exact-fine IVF (default), or IVF with residual "
+        "product-quantized ADC candidates + exact re-rank (the tiered "
+        "layout's memory arm)",
     )
     parser.add_argument(
-        "--memory-ceiling", type=int, default=None, metavar="BYTES",
+        "--memory-ceiling", type=_non_negative_int, default=None, metavar="BYTES",
         help="tiered layout: keep the ANN index's resident footprint under "
-        "this many bytes (hot lists in RAM, the rest mmap-paged; "
-        "IVF kinds only)",
+        "this many bytes (hot lists in RAM, the rest mmap-paged)",
     )
 
 
@@ -934,7 +932,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="measure ANN recall vs exact rankings over the eval users; exit "
         "non-zero if the exact-fine arm falls below --ann-recall-floor",
     )
-    evaluate.add_argument("--ann-k", type=int, default=50, help="recall cutoff (default 50)")
+    evaluate.add_argument(
+        "--ann-k", type=_positive_int, default=50, help="recall cutoff (default 50)"
+    )
     evaluate.add_argument(
         "--ann-recall-floor", type=float, default=0.95,
         help="minimum acceptable recall@K for --ann-check (default 0.95)",
@@ -1124,7 +1124,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="promotion gate recall depth (default: %(default)s)",
         )
         sub.add_argument(
-            "--gate-nprobe", type=int, default=None,
+            "--gate-nprobe", type=_positive_int, default=None,
             help="operating point for the recall gate (default: the "
             "candidate's own nprobe)",
         )
@@ -1139,8 +1139,8 @@ def build_parser() -> argparse.ArgumentParser:
     lc_init = _lc_parser("init", "bootstrap the store from a trained artifact dir")
     lc_init.add_argument("--artifacts", required=True,
                          help="artifact directory written by `train`")
-    lc_init.add_argument("--ann-lists", type=int, default=None)
-    lc_init.add_argument("--ann-nprobe", type=int, default=None)
+    lc_init.add_argument("--ann-lists", type=_positive_int, default=None)
+    lc_init.add_argument("--ann-nprobe", type=_positive_int, default=None)
 
     lc_ingest = _lc_parser("ingest", "journal catalog events (exactly-once)")
     source = lc_ingest.add_mutually_exclusive_group(required=True)

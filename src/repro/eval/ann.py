@@ -81,14 +81,12 @@ def ann_recall_report(
     scorers: Sequence[str] = ("exact",),
     exclude_train: bool = True,
 ) -> Dict:
-    """Recall@``k`` of an ANN index across operating points, vs exact search.
+    """Recall@``k`` of an IVF index across operating points, vs exact search.
 
     ``nprobes`` defaults to the index's own default operating point; pass
     several to sweep the recall curve.  ``scorers`` selects the fine-stage
-    arms of an IVF index (``"exact"``, plus ``"pq"`` when it carries a PQ
-    companion); a full-scan index has neither knob and runs its single arm
-    under each requested label.
-    Returns a JSON-safe report keyed
+    arms (``"exact"``, plus ``"pq"`` when the index carries a PQ
+    companion).  Returns a JSON-safe report keyed
     ``arms[f"nprobe{n}_{scorer}"] -> {"recall_at_k": ...}``.
     """
     users = np.asarray(list(users), dtype=np.int64)
@@ -97,21 +95,16 @@ def ann_recall_report(
         (index.exclude_indptr, index.exclude_indices) if exclude_train else None
     )
     if nprobes is None:
-        nprobes = (getattr(ann, "nprobe", None),)
-    is_ivf = hasattr(ann, "n_lists")
+        nprobes = (ann.nprobe,)
     arms: Dict[str, Dict] = {}
     for nprobe in nprobes:
         for scorer in scorers:
-            kwargs = {"exclude_csr": exclude_csr}
-            if is_ivf:
-                kwargs["scorer"] = scorer
-                if nprobe is not None:
-                    kwargs["nprobe"] = int(nprobe)
-            ids, _ = ann.search(users, k, **kwargs)
+            ids, _ = ann.search(
+                users, k, nprobe=int(nprobe), scorer=scorer, exclude_csr=exclude_csr
+            )
             approx = {int(user): ids[row] for row, user in enumerate(users)}
-            label = f"nprobe{nprobe}_{scorer}" if nprobe is not None else scorer
-            arms[label] = {
-                "nprobe": None if nprobe is None else int(nprobe),
+            arms[f"nprobe{nprobe}_{scorer}"] = {
+                "nprobe": int(nprobe),
                 "scorer": scorer,
                 "recall_at_k": ann_recall_at_k(reference, approx, k),
             }

@@ -31,7 +31,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from ..eval.ranking import topk_rankings
-from ..serving.ann import TieredIndexConfig, build_ivf, build_pq, load_ann
+from ..serving.ann import TieredIndexConfig, build_ivf, load_ann
 from ..serving.export import ExportError, export_index
 from ..serving.index import EmbeddingIndex
 from ..serving.service import RecommenderService
@@ -53,7 +53,7 @@ OBS_FILENAME = "observability.json"
 ARTIFACT_FORMAT_VERSION = 1
 
 #: index families ``repro export --ann-kind`` builds
-ANN_KINDS = ("ivf", "ivf-pq", "pq")
+ANN_KINDS = ("ivf", "ivf-pq")
 
 
 def _write_json(path: str, payload: Dict) -> str:
@@ -73,36 +73,11 @@ def build_ann(
     kind: Optional[str] = None,
     n_lists: Optional[int] = None,
     nprobe: Optional[int] = None,
-    seed: int = 0,
-    pq_subspace_dim: int = 4,
-    pq_rotation: bool = False,
-    train_sample: Optional[int] = None,
 ):
-    """Build a fresh ANN index of ``kind`` (default ``ivf``) over ``index``.
-
-    ``n_lists`` / ``nprobe`` only shape the IVF kinds; a
-    standalone ``pq`` index has no lists to size.
-    """
+    """Build a fresh ANN index of ``kind`` (default ``ivf``) over ``index``."""
     if kind is not None and kind not in ANN_KINDS:
         raise ValueError(f"kind must be one of {ANN_KINDS}, got {kind!r}")
-    if kind == "pq":
-        return build_pq(
-            index,
-            subspace_dim=pq_subspace_dim,
-            rotation=pq_rotation,
-            seed=seed,
-            train_sample=train_sample,
-        )
-    return build_ivf(
-        index,
-        n_lists=n_lists,
-        nprobe=nprobe,
-        seed=seed,
-        pq=(kind == "ivf-pq"),
-        pq_subspace_dim=pq_subspace_dim,
-        pq_rotation=pq_rotation,
-        train_sample=train_sample,
-    )
+    return build_ivf(index, n_lists=n_lists, nprobe=nprobe, pq=(kind == "ivf-pq"))
 
 
 def stage_ann(ann, artifacts_dir: str, tiered: bool = False) -> str:
@@ -176,40 +151,29 @@ class Experiment:
         self,
         n_lists: Optional[int] = None,
         nprobe: Optional[int] = None,
-        seed: int = 0,
         kind: Optional[str] = None,
-        pq_subspace_dim: int = 4,
-        pq_rotation: bool = False,
         memory_ceiling_bytes: Optional[int] = None,
-        hot_fraction: Optional[float] = None,
-        train_sample: Optional[int] = None,
     ):
         """The experiment's ANN index: saved structure if present, else built.
 
         A saved artifact (``ann/`` dir archive or ``ann.npz``, written by
         ``repro export --ann``/``--ann-kind``) is re-attached to the
         experiment's embedding index; otherwise an index of the requested
-        ``kind`` (``ivf`` — the default, ``ivf-pq``, ``pq``) is built
-        fresh.  Explicit arguments always win over the saved artifact: a
-        requested ``nprobe`` overrides the stored default operating point
-        in place, and a requested ``n_lists`` or ``kind`` that disagrees
-        with the saved layout triggers a fresh build (both are baked into
-        the build; silently serving the old one would ignore the request).
+        ``kind`` (``ivf`` — the default, or ``ivf-pq``) is built fresh.
+        Explicit arguments always win over the saved artifact: a requested
+        ``nprobe`` overrides the stored default operating point in place,
+        and a requested ``n_lists`` or ``kind`` that disagrees with the
+        saved layout triggers a fresh build (both are baked into the build;
+        silently serving the old one would ignore the request).
 
-        ``memory_ceiling_bytes`` / ``hot_fraction`` select the **tiered**
-        loader: the saved dir archive must carry the permuted item payload
+        ``memory_ceiling_bytes`` selects the **tiered** loader: the saved
+        dir archive must carry the permuted item payload
         (``repro export --ann-kind ... --memory-ceiling``), which is then
         mmap-opened with only the hottest lists resident.
         """
-        tiered = memory_ceiling_bytes is not None or hot_fraction is not None
-        if tiered and kind == "pq":
-            raise ValueError("the tiered layout pages IVF lists; use kind 'ivf' or 'ivf-pq'")
+        tiered = memory_ceiling_bytes is not None
         config = (
-            TieredIndexConfig(
-                hot_fraction=hot_fraction, memory_ceiling_bytes=memory_ceiling_bytes
-            )
-            if tiered
-            else None
+            TieredIndexConfig(memory_ceiling_bytes=memory_ceiling_bytes) if tiered else None
         )
 
         if self.artifacts_dir is not None:
@@ -221,23 +185,12 @@ class Experiment:
                 saved = load_ann(path, self.index, mmap=tiered, tiered=config)
                 if kind not in (None, saved.kind.removeprefix("tiered-")):
                     continue  # a different kind was requested: rebuild
-                if not hasattr(saved, "n_lists"):
-                    return saved  # full-scan kinds have no layout knobs to honour
                 if n_lists is None or int(n_lists) == saved.n_lists:
                     if nprobe is not None:
                         saved.nprobe = max(1, min(int(nprobe), saved.n_lists))
                     return saved
 
-        ann = build_ann(
-            self.index,
-            kind,
-            n_lists=n_lists,
-            nprobe=nprobe,
-            seed=seed,
-            pq_subspace_dim=pq_subspace_dim,
-            pq_rotation=pq_rotation,
-            train_sample=train_sample,
-        )
+        ann = build_ann(self.index, kind, n_lists=n_lists, nprobe=nprobe)
         if not tiered:
             return ann
         # Tiered serving needs a dir archive to page from: stage one next

@@ -452,9 +452,8 @@ def recommend_all(
     retrieval engine's unfiltered rankings for the same users.
 
     ``ann`` switches the bulk job to candidate-generation mode: chunks rank
-    through the given :class:`~repro.serving.ann.IVFIndex` /
-    :class:`~repro.serving.ann.PQIndex` instead of exact full-catalog
-    scoring — sublinear in catalog size at the index's measured recall
+    through the given :class:`~repro.serving.ann.IVFIndex` instead of
+    exact full-catalog scoring — sublinear in catalog size at the index's measured recall
     (docs/performance.md); at full probe the exported *rankings* are
     bit-identical to the exact ones (scores carry the 1-ULP caveat for
     differing matmul shapes that :mod:`repro.serving.retrieval` documents).

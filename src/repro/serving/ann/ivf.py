@@ -28,10 +28,11 @@ suite pins (the usual 1-ULP caveat for degenerate matmul shapes noted in
 :mod:`repro.serving.retrieval` applies here too).  Smaller ``nprobe``
 trades recall for time along a measured curve (docs/performance.md).
 
-An optional :class:`~.pq.PQIndex` companion supplies a ``pq`` scorer
-next to the exact one: each probed list is scored by ADC table lookups
-(16-64x smaller item payload) and keeps its ADC top ``rerank_factor * k``,
-and *every* survivor is then re-scored exactly before the final
+An optional residual PQ companion (one :class:`~.pq.PQBranch` per branch,
+``build_ivf(..., pq=True)``) supplies a ``pq`` scorer next to the exact
+one: each probed list is scored by ADC table lookups (16-64x smaller item
+payload) and keeps its ADC top ``rerank_factor * k``, and *every*
+survivor is then re-scored exactly before the final
 top-``k`` — ADC chooses candidates per list, exact scoring orders them,
 so recall depends only on an item's ADC rank inside its own
 (bounded-width) list and keeps holding as catalogs grow.
@@ -48,9 +49,8 @@ from ...core.base import ScoreBranch, branches_dtype, score_branches
 from ...data.dataset import expand_csr_rows
 from ...eval.topk import NEG_INF, partition_topk_rows, topk_pairs_rows
 from ...obs.trace import maybe_span
-from .base import AnnIndex
 from .kmeans import assign_labels, cluster_sums, kmeans
-from .pq import PQIndex, build_pq_branch, score_candidates_exact, score_pq_block
+from .pq import PQBranch, build_pq_branch, score_candidates_exact, score_pq_block
 
 SCORERS = ("exact", "pq")
 
@@ -107,13 +107,15 @@ def combined_item_vectors(branches: Sequence[ScoreBranch], start: int = 0) -> np
     return out
 
 
-class IVFIndex(AnnIndex):
+class IVFIndex:
     """Cluster-pruned two-stage search over an :class:`EmbeddingIndex`.
 
     Wraps the source index (user factors and catalog metadata are shared);
     owns the coarse centroids, the list layout, and contiguous permuted
     copies of the item-side arrays.  ``nprobe`` is the default operating
-    point; every :meth:`search` can override it per call.
+    point; every :meth:`search` can override it per call.  ``pq`` is the
+    optional residual PQ companion: one :class:`~.pq.PQBranch` per branch,
+    coded in catalog order against ``pq_list_means``.
     """
 
     def __init__(
@@ -124,7 +126,7 @@ class IVFIndex(AnnIndex):
         list_items: np.ndarray,
         nprobe: int,
         seed: int = 0,
-        pq: Optional[PQIndex] = None,
+        pq: Optional[List[PQBranch]] = None,
         rerank_factor: int = 8,
         perm_items: Optional[Sequence[Tuple[np.ndarray, Optional[np.ndarray]]]] = None,
         pq_list_means: Optional[Sequence[np.ndarray]] = None,
@@ -190,12 +192,18 @@ class IVFIndex(AnnIndex):
                 for branch in index.branches
             ]
         self.pq = pq
+        self._perm_pq_codes = None
         if pq is not None:
-            if pq.n_items != self.n_items:
-                raise ValueError("PQ companion was built for a different catalog")
-            self._perm_pq_codes = [pb.codes[perm] for pb in pq.pq]
-        else:
-            self._perm_pq_codes = None
+            if len(pq) != len(index.branches):
+                raise ValueError(
+                    f"{len(pq)} PQ branches for an index with {len(index.branches)}"
+                )
+            for branch, pb in zip(index.branches, pq):
+                if pb.codes.shape[0] != self.n_items:
+                    raise ValueError("PQ companion was built for a different catalog")
+                if pb.d != branch.item.shape[1]:
+                    raise ValueError("PQ subspaces disagree with branch factor dims")
+            self._perm_pq_codes = [pb.codes[perm] for pb in pq]
         # Residual-PQ anchor: per branch, each list's mean factor row.  The
         # codes then encode item − mean(list) — within-list differences,
         # which is where ADC precision matters — and the fine stage adds
@@ -243,7 +251,7 @@ class IVFIndex(AnnIndex):
         total = self.centroids.nbytes + self.list_indptr.nbytes + self.list_items.nbytes
         if self.pq is not None:
             total += sum(codes.nbytes for codes in self._perm_pq_codes)
-            total += sum(pb.table_bytes() for pb in self.pq.pq)
+            total += sum(pb.table_bytes() for pb in self.pq)
             total += sum(m.nbytes for m in self._pq_list_means)
         return total
 
@@ -266,6 +274,36 @@ class IVFIndex(AnnIndex):
         else:
             payload = sum(b.item.nbytes for b in self._perm_branches)
         return payload / max(1, self.n_items)
+
+    def memory_report(self) -> dict:
+        """The report shape the serving stats gauge publishes."""
+        total = int(self.memory_bytes())
+        return {
+            "kind": self.kind,
+            "bytes_total": total,
+            "bytes_per_item": float(self.bytes_per_item),
+            "tiers": {"hot": total, "cold": 0},
+        }
+
+    def save(self, path: str, format: str = "npz", include_items: bool = False) -> str:
+        """Persist this index's own arrays (the source index is referenced
+        by name and shape, not duplicated) as a compact ``"npz"`` or an
+        mmap-able ``"dir"`` archive.
+
+        ``include_items=True`` also stores the *permuted* item-side factor
+        arrays — the list-contiguous payload a tiered loader pages per list
+        (see :mod:`.tiered`).
+        """
+        from .archive import save_ann  # deferred: archive imports this module
+
+        return save_ann(self, path, format, include_items)
+
+    @classmethod
+    def load(cls, path: str, index, mmap: bool = False) -> "IVFIndex":
+        """Re-attach a saved index to its source index (:func:`~.archive.load_ann`)."""
+        from .archive import load_ann  # deferred: archive imports this module
+
+        return load_ann(path, index, mmap=mmap)
 
     # ------------------------------------------------------------------
     def queries(self, users: np.ndarray) -> np.ndarray:
@@ -495,7 +533,7 @@ class IVFIndex(AnnIndex):
             return score_branches(self._perm_branches, users_sel, start, stop)
         return score_pq_block(
             self._perm_branches,
-            self.pq.pq,
+            self.pq,
             [codes[start:stop] for codes in self._perm_pq_codes],
             # item_const of a _perm_branch is already in permuted
             # order — slice it, never re-permute it
@@ -533,7 +571,7 @@ def build_ivf(
     tol: float = 0.0,
     train_sample: Optional[int] = None,
 ) -> IVFIndex:
-    """Build an :class:`IVFIndex` (and its PQ companion) from an index.
+    """Build an :class:`IVFIndex` (and its residual PQ companion) from an index.
 
     ``n_lists`` defaults to ``~sqrt(n_items)/2`` (see
     :func:`default_n_lists` for why this substrate prefers fewer, larger
@@ -573,7 +611,7 @@ def build_ivf(
 
     nprobe = default_nprobe(n_lists) if nprobe is None else int(nprobe)
     nprobe = max(1, min(nprobe, n_lists))
-    pq_index = None
+    pq_branches = None
     pq_list_means = None
     if pq:
         # Residual PQ (the IVFADC construction): codebooks quantize each
@@ -601,9 +639,6 @@ def build_ivf(
                 )
             )
             pq_list_means.append(means)
-        pq_index = PQIndex(
-            index, pq_branches, rerank_factor=rerank_factor, residual=True
-        )
     return IVFIndex(
         index,
         centroids=centroids,
@@ -611,7 +646,7 @@ def build_ivf(
         list_items=perm,
         nprobe=nprobe,
         seed=seed,
-        pq=pq_index,
+        pq=pq_branches,
         rerank_factor=rerank_factor,
         pq_list_means=pq_list_means,
     )

@@ -1,4 +1,4 @@
-"""Product quantization of frozen item factors.
+"""Product quantization of frozen item factors: the fine stage of IVF-PQ.
 
 Scalar quantization compresses each item-factor *element* to one byte —
 a 4-8x ceiling.  Product quantization compresses whole *subvectors*:
@@ -17,12 +17,15 @@ per-item arithmetic in ``d``.  Branch constants and weights are applied
 exactly, mirroring :func:`~repro.core.base.score_branches`, so PQ error
 comes only from the factor-product term.
 
-ADC scores are approximate, which is why a :class:`PQIndex` (and the
-``pq`` fine-stage arm of :class:`~.ivf.IVFIndex`) always **re-ranks**
-an over-fetched candidate pool with the exact ``score_branches`` kernel
-before returning: ADC decides *which* ``rerank_factor * k`` candidates to
-look at, exact scoring decides their order.  The recall harness in
-:mod:`repro.eval.ann` measures (not assumes) what survives.
+There is no standalone PQ index: codes only exist as the residual
+companion of an :class:`~.ivf.IVFIndex` (``build_ivf(..., pq=True)``),
+each item coded relative to its IVF list's mean factor row.  ADC scores
+are approximate, which is why the ``pq`` fine-stage arm always
+**re-ranks** an over-fetched candidate pool with the exact
+``score_branches`` kernel before returning: ADC decides *which*
+``rerank_factor * k`` candidates to look at, exact scoring decides their
+order.  The recall harness in :mod:`repro.eval.ann` measures (not
+assumes) what survives.
 
 An optional OPQ-style **learned rotation** per branch aligns the factor
 axes with the subspace grid before splitting: alternate PQ training with
@@ -39,11 +42,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ...core.base import ScoreBranch, branches_dtype
-from ...data.dataset import expand_csr_rows
-from ...eval.topk import NEG_INF, topk_indices_rows, topk_pairs_rows
-from ...obs.trace import maybe_span
-from .base import AnnIndex
+from ...core.base import ScoreBranch
 from .kmeans import assign_labels, kmeans
 
 #: uint8 codes: a codebook can never exceed this many centroids
@@ -240,30 +239,27 @@ def score_pq_block(
     item_consts: Sequence[Optional[np.ndarray]],
     users: np.ndarray,
     dtype: np.dtype,
-    means: Optional[Sequence[Optional[np.ndarray]]] = None,
+    means: Sequence[np.ndarray],
 ) -> np.ndarray:
     """ADC scores of ``users`` against pre-sliced item code blocks.
 
     ``code_blocks[b]`` / ``item_consts[b]`` are the branch-``b`` codes and
-    (exact) item constants of the block being scored — a catalog slice for
-    :meth:`PQIndex.score_block`, a permuted per-list slice for the IVF
-    fine stage.  Per branch, one float64 lookup table per subspace is
-    built from the exact user rows (rotated first when the branch carries
-    an OPQ rotation), the block score is the gathered table sum, and
-    constants/weights are applied exactly — the branch loop of
+    (exact) item constants of the block being scored — a permuted per-list
+    slice in the IVF fine stage.  Per branch, one float64 lookup table per
+    subspace is built from the exact user rows (rotated first when the
+    branch carries an OPQ rotation), the block score is the gathered table
+    sum, and constants/weights are applied exactly — the branch loop of
     :func:`~repro.core.base.score_branches`.
 
-    ``means[b]``, when given, is a ``(d,)`` vector the branch-``b`` codes
-    were *residual-encoded* against (IVF fine stage: the probed list's
-    mean factor row).  Every item in the block then scores as
-    ``u·mean + ADC(residual codes)`` — the mean dot uses the unrotated
-    user row, since an OPQ rotation applies to the residual space only.
+    ``means[b]`` is the ``(d,)`` vector the branch-``b`` codes were
+    *residual-encoded* against (the probed list's mean factor row).  Every
+    item in the block scores as ``u·mean + ADC(residual codes)`` — the mean
+    dot uses the unrotated user row, since an OPQ rotation applies to the
+    residual space only.  Zero means score the codes as plain PQ.
     """
     users = np.asarray(users, dtype=np.int64)
     dtype = np.dtype(dtype)
     total: Optional[np.ndarray] = None
-    if means is None:
-        means = [None] * len(branches)
     for branch, pb, codes, const, mean in zip(
         branches, pq_branches, code_blocks, item_consts, means
     ):
@@ -275,8 +271,7 @@ def score_pq_block(
             lut = u[:, lo:hi] @ cb.T  # (rows, n_centroids_m)
             term = lut[:, codes[:, m]]
             part64 = term if part64 is None else part64 + term
-        if mean is not None:
-            part64 = part64 + (u_raw @ np.asarray(mean, dtype=np.float64))[:, None]
+        part64 = part64 + (u_raw @ np.asarray(mean, dtype=np.float64))[:, None]
         part = part64.astype(dtype, copy=False)
         if const is not None:
             part = part + const[None, :].astype(dtype, copy=False)
@@ -329,171 +324,3 @@ def score_candidates_exact(
             total = part if total is None else total + part
         out[start:stop] = total
     return out
-
-
-class PQIndex(AnnIndex):
-    """PQ-compressed item factors over a source :class:`EmbeddingIndex`.
-
-    Wraps (not copies) the source index: user factors, constants, and
-    catalog metadata are shared; item factors are replaced by ``M`` uint8
-    codes per branch — 16-64x item-side compression.  Standalone it is a
-    full-scan approximate ANN index whose :meth:`search` always re-ranks
-    the top ``rerank_factor * k`` ADC candidates with the exact kernel;
-    inside :class:`~.ivf.IVFIndex` it supplies the ``pq`` fine-stage
-    scorer (the IVF search owns the re-rank there).
-    """
-
-    kind = "pq"
-    scorers = ("pq",)
-    default_scorer = "pq"
-
-    def __init__(
-        self,
-        index,
-        pq: List[PQBranch],
-        rerank_factor: int = 8,
-        residual: bool = False,
-    ) -> None:
-        if len(pq) != len(index.branches):
-            raise ValueError(
-                f"{len(pq)} PQ branches for an index with {len(index.branches)}"
-            )
-        for branch, pb in zip(index.branches, pq):
-            if pb.codes.shape[0] != branch.item.shape[0]:
-                raise ValueError("PQ codes disagree with branch item counts")
-            if pb.d != branch.item.shape[1]:
-                raise ValueError("PQ subspaces disagree with branch factor dims")
-        self.index = index
-        self.pq = pq
-        self.rerank_factor = max(1, int(rerank_factor))
-        #: True when the codes encode residuals against per-IVF-list means
-        #: (an :class:`~.ivf.IVFIndex` companion).  Such codes only score
-        #: correctly with the owning IVF's list means — standalone scoring
-        #: is refused rather than silently wrong.
-        self.residual = bool(residual)
-        self.n_users = index.n_users
-        self.n_items = index.n_items
-        self.dtype = branches_dtype(index.branches)
-
-    @classmethod
-    def build(
-        cls,
-        index,
-        subspace_dim: int = 4,
-        n_centroids: int = 256,
-        rotation: bool = False,
-        seed: int = 0,
-        iters: int = 25,
-        tol: float = 1e-4,
-        train_sample: Optional[int] = None,
-        rerank_factor: int = 8,
-    ) -> "PQIndex":
-        """Train per-branch PQ codebooks for every branch of ``index``."""
-        pq = [
-            build_pq_branch(
-                branch.item,
-                subspace_dim=subspace_dim,
-                n_centroids=n_centroids,
-                rotation=rotation,
-                seed=seed + 104729 * b,
-                iters=iters,
-                tol=tol,
-                train_sample=train_sample,
-            )
-            for b, branch in enumerate(index.branches)
-        ]
-        return cls(index, pq, rerank_factor=rerank_factor)
-
-    # ------------------------------------------------------------------
-    # Scoring
-    # ------------------------------------------------------------------
-    def score(self, users: np.ndarray) -> np.ndarray:
-        """Approximate dense ``(len(users), n_items)`` ADC scores."""
-        return self.score_block(users, 0, self.n_items)
-
-    def score_block(self, users: np.ndarray, start: int, stop: int) -> np.ndarray:
-        """ADC scores against the item block ``[start, stop)``."""
-        if self.residual:
-            raise ValueError(
-                "this PQIndex holds residual codes (an IVF companion); "
-                "score them through the owning IVFIndex, not standalone"
-            )
-        return score_pq_block(
-            self.index.branches,
-            self.pq,
-            [pb.codes[start:stop] for pb in self.pq],
-            [
-                None if b.item_const is None else b.item_const[start:stop]
-                for b in self.index.branches
-            ],
-            users,
-            self.dtype,
-        )
-
-    # ------------------------------------------------------------------
-    # ANN search surface (shared contract with IVFIndex)
-    # ------------------------------------------------------------------
-    def search(
-        self,
-        users: np.ndarray,
-        k: int,
-        nprobe: Optional[int] = None,
-        exclude_csr: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-        candidate_mask: Optional[np.ndarray] = None,
-        tracer=None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Full-scan ADC top candidates, exact re-rank, top-``k``.
-
-        ``nprobe`` is accepted and ignored (no coarse stage).  Masks apply
-        at the ADC stage, *before* candidate selection, so an excluded or
-        filtered item can never be resurrected by its exact re-rank score.
-        Returns dense ``(len(users), k)`` ``(ids, scores)`` with the
-        ``-1`` / ``-inf`` sentinel contract, scores exact for every
-        non-sentinel entry.
-        """
-        users = np.asarray(users, dtype=np.int64)
-        k = min(int(k), self.n_items)
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        if len(users) == 0:
-            return np.empty((0, k), dtype=np.int64), np.empty((0, k), dtype=self.dtype)
-        with maybe_span(tracer, "ann.fine.adc", cat="ann", attrs={"scorer": "pq"}):
-            scores = self.score(users)
-            if candidate_mask is not None:
-                scores[:, ~np.asarray(candidate_mask, dtype=bool)] = NEG_INF
-            if exclude_csr is not None:
-                rows, cols = expand_csr_rows(*exclude_csr, users)
-                if rows is not None:
-                    scores[rows, cols] = NEG_INF
-            m = min(self.rerank_factor * k, self.n_items)
-            cand = topk_indices_rows(scores, m).astype(np.int64, copy=False)
-            cand_adc = np.take_along_axis(scores, cand, axis=1)
-        with maybe_span(
-            tracer, "ann.rerank", cat="ann", attrs={"candidates": int(cand.shape[1])}
-        ):
-            valid = cand_adc > NEG_INF
-            exact = score_candidates_exact(self.index.branches, users, cand, self.dtype)
-            exact = np.where(valid, exact, self.dtype.type(NEG_INF))
-            merge_ids = np.where(valid, cand, self.n_items)
-        with maybe_span(tracer, "ann.merge", cat="ann"):
-            sel = topk_pairs_rows(merge_ids, exact, k)
-            top_ids = np.take_along_axis(merge_ids, sel, axis=1)
-            top_scores = np.take_along_axis(exact, sel, axis=1)
-            top_ids = np.where(top_scores > NEG_INF, top_ids, -1)
-        return top_ids, top_scores
-
-    # ------------------------------------------------------------------
-    # Memory accounting
-    # ------------------------------------------------------------------
-    def memory_bytes(self) -> int:
-        """Item-side footprint of the uint8 codes."""
-        return sum(pb.code_bytes() for pb in self.pq)
-
-    @property
-    def bytes_total(self) -> int:
-        """Everything this index owns: codes + codebooks + rotations."""
-        return self.memory_bytes() + sum(pb.table_bytes() for pb in self.pq)
-
-
-#: module-level spelling of :meth:`PQIndex.build` (mirrors ``build_ivf``)
-build_pq = PQIndex.build

@@ -210,4 +210,4 @@ class TieredIVFIndex(IVFIndex):
         """
         from .archive import load_ann  # deferred: archive imports this module
 
-        return load_ann(path, index, mmap=mmap, tiered=config, expect=cls)
+        return load_ann(path, index, mmap=mmap, tiered=config)

@@ -54,9 +54,7 @@ class RetrievalEngine:
     without letting the latter grow memory forever.
 
     ``ann`` opts the engine into approximate retrieval: an
-    :class:`~repro.serving.ann.IVFIndex` (or
-    :class:`~repro.serving.ann.PQIndex`) built over the same
-    catalog.  With one attached, :meth:`topk` routes through the ANN's
+    :class:`~repro.serving.ann.IVFIndex` built over the same catalog.  With one attached, :meth:`topk` routes through the ANN's
     two-stage search — filters and train-item exclusions apply at the
     re-rank stage, so a filtered request is ranked over exactly the items
     its masks allow, just from a cluster-pruned candidate pool instead of

@@ -8,7 +8,6 @@ from repro.data import SyntheticConfig, generate
 from repro.eval import ann_recall_at_k, ann_recall_report
 from repro.eval.ann import exact_rankings
 from repro.serving import build_ivf, export_index
-from repro.serving.ann import build_pq
 
 
 class TestAnnRecallAtK:
@@ -81,28 +80,25 @@ class TestReport:
             <= report["arms"]["nprobe8_exact"]["recall_at_k"]
         )
 
-    def test_full_scan_index_runs_its_single_arm(self, setup):
-        """A :class:`PQIndex` has no ``nprobe`` / ``scorer`` knobs: it is
-        searched as it is, under the label the caller asked for."""
+    def test_each_arm_books_its_own_search(self, setup):
+        """An arm's recall is exactly that of ``search`` at its own
+        ``nprobe`` and fine scorer — no arm falls back to another."""
         _, index = setup
-        pq = build_pq(index, seed=0)
+        ivf = build_ivf(index, n_lists=8, nprobe=2, seed=0, pq=True)
         users = np.arange(25)
-        ids, _ = pq.search(
-            users, 10, exclude_csr=(index.exclude_indptr, index.exclude_indices)
-        )
-        recall = ann_recall_at_k(
-            exact_rankings(index, users, 10),
-            {int(user): ids[row] for row, user in enumerate(users)},
-            10,
-        )
-        report = ann_recall_report(index, pq, users, k=10, scorers=pq.scorers)
-        assert report["arms"] == {
-            "pq": {"nprobe": None, "scorer": "pq", "recall_at_k": recall}
-        }
-        probed = ann_recall_report(index, pq, users, k=10, scorers=pq.scorers, nprobes=(5,))
-        assert probed["arms"] == {
-            "nprobe5_pq": {"nprobe": 5, "scorer": "pq", "recall_at_k": recall}
-        }
+        reference = exact_rankings(index, users, 10)
+        csr = (index.exclude_indptr, index.exclude_indices)
+        expected = {}
+        for scorer in ivf.scorers:
+            ids, _ = ivf.search(users, 10, nprobe=3, scorer=scorer, exclude_csr=csr)
+            recall = ann_recall_at_k(
+                reference, {int(user): ids[row] for row, user in enumerate(users)}, 10
+            )
+            expected[f"nprobe3_{scorer}"] = {
+                "nprobe": 3, "scorer": scorer, "recall_at_k": recall
+            }
+        report = ann_recall_report(index, ivf, users, k=10, scorers=ivf.scorers, nprobes=(3,))
+        assert report["arms"] == expected
 
     def test_a_type_error_inside_an_ivf_search_is_not_swallowed(self, setup):
         """The report used to catch ``TypeError`` to tell index kinds apart,

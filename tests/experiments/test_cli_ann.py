@@ -53,18 +53,23 @@ def test_recommend_ann_bulk_export(trained_dir, capsys):
     assert os.path.exists(out_path)
 
 
-@pytest.mark.parametrize("kind", ["ivf", "ivf-pq", "pq"])
+@pytest.mark.parametrize("kind", ["ivf", "ivf-pq"])
 def test_recommend_reports_every_ann_kind(trained_dir, capsys, kind):
-    """Regression: the summary line read ``nprobe``/``n_lists`` off a PQIndex."""
     out_path = os.path.join(trained_dir, f"bulk_{kind}.npz")
     code, out = run_cli(
         ["recommend", trained_dir, "--k", "5", "--ann-kind", kind, "--out", out_path],
         capsys,
     )
     assert code == 0
-    assert f"({kind})" in out
-    assert ("ann nprobe" in out) == (kind != "pq")
+    assert "ann nprobe" in out and f"({kind})" in out
     assert os.path.exists(out_path)
+
+
+def test_the_standalone_pq_kind_is_gone(trained_dir, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["recommend", trained_dir, "--k", "5", "--ann-kind", "pq"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'pq'" in capsys.readouterr().err
 
 
 def test_ann_check_passes_at_full_probe(trained_dir, capsys):
@@ -102,3 +107,32 @@ def test_explicit_knobs_override_the_saved_archive(trained_dir):
     assert experiment.ann_index(nprobe=10_000).nprobe == 6  # clamped to n_lists
     rebuilt = experiment.ann_index(n_lists=3)
     assert rebuilt.n_lists == 3  # different layout: fresh build, not the archive
+
+
+# Last in the module: a parser that let one of these through would run the
+# command against the shared artifact dir.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["serve", "{dir}", "--ann", "--ann-lists", "0", "--dry-run"], id="lists-0"),
+        pytest.param(["serve", "{dir}", "--ann", "--ann-lists", "six", "--dry-run"], id="lists-six"),
+        pytest.param(["recommend", "{dir}", "--ann", "--ann-lists", "-1"], id="lists-neg"),
+        pytest.param(["serve", "{dir}", "--ann", "--ann-nprobe", "0", "--dry-run"], id="nprobe-0"),
+        pytest.param(["evaluate", "{dir}", "--ann-check", "--ann-k", "0"], id="k-0"),
+        pytest.param(["export", "{dir}", "--ann", "--memory-ceiling", "-5"], id="ceiling-neg"),
+        pytest.param(
+            ["lifecycle", "init", "{dir}/store", "--artifacts", "{dir}", "--ann-nprobe", "0"],
+            id="lifecycle-nprobe-0",
+        ),
+        pytest.param(
+            ["lifecycle", "init", "{dir}/store", "--artifacts", "{dir}", "--gate-nprobe", "0"],
+            id="gate-nprobe-0",
+        ),
+    ],
+)
+def test_out_of_range_ann_flags_exit_2_at_the_parser(trained_dir, capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main([arg.format(dir=trained_dir) for arg in argv])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "expected an integer >=" in err

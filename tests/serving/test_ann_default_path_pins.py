@@ -88,7 +88,7 @@ def layout_digests(name, ann):
     yield f"{name}/centroids", digest(ann.centroids)
     yield f"{name}/lists", digest(ann.list_indptr, ann.list_items)
     if ann.pq is not None:
-        for b, branch in enumerate(ann.pq.pq):
+        for b, branch in enumerate(ann.pq):
             yield f"{name}/pq{b}.codebooks", digest(*branch.codebooks)
             yield f"{name}/pq{b}.codes", digest(branch.codes)
         yield f"{name}/pq.means", digest(*ann._pq_list_means)

@@ -1,9 +1,9 @@
-"""The on-disk contract of every ANN index kind.
+"""The on-disk contract of the IVF index, with and without its PQ stage.
 
 The compact ``.npz`` and the mmap-able per-array ``dir`` archive must be
 interchangeable: an index loaded from either container (mapped or read)
-must return bit-identical search results.  Every kind shares one header
-and one reader, so every kind must refuse the same four things, and the
+must return bit-identical search results.  Every loader shares one header
+and one reader, so every loader must refuse the same four things, and the
 array / header key sets are pinned so a format change cannot slip in
 unannounced.
 """
@@ -20,11 +20,9 @@ from repro.faults import corrupt_archive
 from repro.serving import export_index
 from repro.serving.ann import (
     IVFIndex,
-    PQIndex,
     TieredIndexConfig,
     TieredIVFIndex,
     build_ivf,
-    build_pq,
     load_ann,
 )
 from repro.train.persistence import ArchiveCorrupted
@@ -48,8 +46,6 @@ def index():
 
 # label -> (builder, save kwargs, scorers to compare)
 KINDS = {
-    "pq": (lambda index: build_pq(index, seed=0), {}, (None,)),
-    "pq+rotation": (lambda index: build_pq(index, seed=0, rotation=True), {}, (None,)),
     "ivf": (
         lambda index: build_ivf(index, n_lists=10, nprobe=3, seed=0),
         {},
@@ -68,6 +64,13 @@ KINDS = {
     "ivf-pq+items": (
         lambda index: build_ivf(index, n_lists=10, nprobe=3, seed=0, pq=True),
         {"include_items": True},
+        ("exact", "pq"),
+    ),
+    "ivf-pq+rotation": (
+        lambda index: build_ivf(
+            index, n_lists=10, nprobe=3, seed=0, pq=True, pq_rotation=True
+        ),
+        {},
         ("exact", "pq"),
     ),
 }
@@ -115,9 +118,7 @@ class TestRoundTrip:
         users = np.arange(35)
         csr = (index.exclude_indptr, index.exclude_indices)
         for scorer in KINDS[label][2]:
-            kwargs = {"exclude_csr": csr}
-            if scorer is not None:
-                kwargs["scorer"] = scorer
+            kwargs = {"exclude_csr": csr, "scorer": scorer}
             ids_ref, scores_ref = ann.search(users, 10, **kwargs)
             ids, scores = loaded.search(users, 10, **kwargs)
             np.testing.assert_array_equal(ids_ref, ids, err_msg=f"scorer={scorer}")
@@ -129,14 +130,14 @@ class TestRoundTrip:
         loaded = load_ann(save(ivf, tmp_path, "ivf-pq+items", fmt), index)
         assert loaded.default_scorer == "pq"
         assert loaded.rerank_factor == ivf.rerank_factor
-        assert loaded.pq.residual
+        for a, b in zip(loaded.pq, ivf.pq):
+            np.testing.assert_array_equal(a.codes, b.codes)
         for a, b in zip(loaded._pq_list_means, ivf._pq_list_means):
             np.testing.assert_array_equal(a, b)
 
 
 # loader label -> (archive to write, how to load it)
 LOADERS = {
-    "pq": ("pq", PQIndex.load),
     "ivf": ("ivf-pq", IVFIndex.load),
     "tiered": (
         "ivf-pq+items",
@@ -147,23 +148,8 @@ LOADERS = {
 }
 
 
-#: every (loader, archive of another header kind) pair
-WRONG_KIND = [
-    (loader, label)
-    for loader in sorted(LOADERS)
-    for label in ("pq", "ivf")
-    if not LOADERS[loader][0].startswith(label)
-]
-
-
 class TestHeaderChecks:
-    """One reader, so every kind refuses the same four headers."""
-
-    @pytest.mark.parametrize("loader, label", WRONG_KIND)
-    def test_wrong_kind(self, index, built, tmp_path, loader, label):
-        path = save(built(label), tmp_path, label, "dir")
-        with pytest.raises(ValueError, match="artifact, not a"):
-            LOADERS[loader][1](path, index)
+    """One reader, so every loader refuses the same four headers."""
 
     def test_an_embedding_index_is_not_an_ann_index(self, index, tmp_path):
         path = index.save(str(tmp_path / "index.npz"))
@@ -171,22 +157,30 @@ class TestHeaderChecks:
             load_ann(path, index)
 
     @pytest.mark.parametrize("loader", sorted(LOADERS))
+    @pytest.mark.parametrize(
+        "kind, fields",
+        [
+            (
+                "quantized_index",
+                {"branches": [{"scale": 0.01, "zero": 3}, {"scale": 0.02, "zero": -5}]},
+            ),
+            ("pq_index", {"rerank_factor": 8}),
+        ],
+    )
     def test_a_quantized_index_archive_is_no_longer_a_kind(
-        self, index, built, tmp_path, loader
+        self, index, built, tmp_path, loader, kind, fields
     ):
-        """The int8 tier is gone, reader included: its archive kind is as
-        foreign as an embedding index's."""
+        """The int8 tier and the standalone PQ index are gone, readers
+        included: their archive kinds are as foreign as an embedding
+        index's."""
         label, load = LOADERS[loader]
         path = save(built(label), tmp_path, label, "dir")
 
         def relabel(metadata):
-            metadata.update(
-                kind="quantized_index", format_version=1,
-                branches=[{"scale": 0.01, "zero": 3}, {"scale": 0.02, "zero": -5}],
-            )
+            metadata.update(kind=kind, format_version=1, **fields)
 
         edit_header(path, relabel)
-        with pytest.raises(ValueError, match="'quantized_index' artifact, not a"):
+        with pytest.raises(ValueError, match=f"'{kind}' artifact, not a"):
             load(path, index)
         with pytest.raises(ValueError, match="not an ANN index"):
             load_ann(path, index)
@@ -224,6 +218,18 @@ class TestHeaderChecks:
             load_ann(path, index)
 
     @pytest.mark.parametrize("loader", sorted(LOADERS))
+    def test_a_non_residual_pq_payload_is_refused(self, index, built, tmp_path, loader):
+        label, load = LOADERS[loader]
+        path = save(built(label), tmp_path, label, "dir")
+
+        def as_raw(metadata):
+            metadata["pq"]["residual"] = False
+
+        edit_header(path, as_raw)
+        with pytest.raises(ValueError, match="non-residual PQ codes"):
+            load(path, index)
+
+    @pytest.mark.parametrize("loader", sorted(LOADERS))
     def test_wrong_catalog_shape(self, index, built, tmp_path, loader):
         label, load = LOADERS[loader]
         path = save(built(label), tmp_path, label, "dir")
@@ -244,13 +250,11 @@ class TestFormatPins:
             metadata = json.load(handle)
         return metadata, set(metadata["sha256"])
 
-    def test_pq(self, built, tmp_path):
-        metadata, arrays = self.read(built("pq+rotation"), tmp_path, "pq+rotation")
-        assert (metadata["kind"], metadata["format_version"]) == ("pq_index", 1)
-        assert set(metadata) == self.COMMON | {"rerank_factor", "branches"}
-        assert set(metadata["branches"][0]) == {"n_subspaces", "splits", "rotation"}
-        assert {name for name in arrays if name.startswith("branch0.")} == {
-            f"branch0.{suffix}" for suffix in self.PQ_ARRAYS
+    def test_a_rotation_is_stored_per_branch(self, built, tmp_path):
+        metadata, arrays = self.read(built("ivf-pq+rotation"), tmp_path, "ivf-pq+rotation")
+        assert all(row["rotation"] for row in metadata["pq"]["branches"])
+        assert {name for name in arrays if name.startswith("pq.branch0.")} == {
+            f"pq.branch0.{suffix}" for suffix in self.PQ_ARRAYS
         }
 
     def test_ivf(self, built, tmp_path):
@@ -281,11 +285,11 @@ class TestFormatPins:
 
 
 class TestMemoryReports:
-    """Every ANN kind answers the same memory_report shape — the contract
+    """Every IVF variant answers the same memory_report shape — the contract
     the serving stats gauge publishes."""
 
     def test_report_shape_is_uniform(self, built):
-        for expected_kind in ("ivf", "ivf-pq", "pq"):
+        for expected_kind in ("ivf", "ivf-pq"):
             report = built(expected_kind).memory_report()
             assert report["kind"] == expected_kind
             assert set(report) >= {"kind", "bytes_total", "bytes_per_item", "tiers"}
@@ -296,11 +300,11 @@ class TestMemoryReports:
 
 
 class TestCorruptionDetection:
-    """A damaged archive of *any* ANN kind must surface as a typed
+    """A damaged archive of *any* IVF variant must surface as a typed
     :class:`ArchiveCorrupted` on load, never as silently-wrong search
     results or a bare ``KeyError``."""
 
-    @pytest.mark.parametrize("label", ["ivf", "ivf-pq", "pq"])
+    @pytest.mark.parametrize("label", ["ivf", "ivf-pq"])
     @pytest.mark.parametrize("fmt", ["npz", "dir"])
     def test_flipped_byte_refuses_to_load(self, index, built, tmp_path, label, fmt):
         ann = built(label)

@@ -252,7 +252,7 @@ class TestPersistence:
     def test_load_rejects_wrong_artifact(self, setup, tmp_path):
         _, _, index, _ = setup
         path = index.save(str(tmp_path / "index.npz"))
-        with pytest.raises(ValueError, match="not an IVF index"):
+        with pytest.raises(ValueError, match="not an ANN index"):
             IVFIndex.load(path, index)
 
     def test_load_rejects_mismatched_catalog(self, setup, tmp_path):

@@ -1,4 +1,4 @@
-"""Product quantization: codebooks, ADC scoring, re-rank, OPQ, persistence."""
+"""Product quantization: codebooks, ADC scoring, OPQ, and IVF's residual PQ fine stage."""
 
 import numpy as np
 import pytest
@@ -6,18 +6,9 @@ import pytest
 from repro.core import pup_full
 from repro.core.base import ScoreBranch, score_branches
 from repro.data import SyntheticConfig, generate
-from repro.eval.topk import NEG_INF
 from repro.serving import export_index
-from repro.serving.ann import (
-    PQBranch,
-    PQIndex,
-    build_ivf,
-    build_pq,
-    score_pq_block,
-    subspace_splits,
-)
+from repro.serving.ann import build_ivf, score_pq_block, subspace_splits
 from repro.serving.ann.pq import build_pq_branch, score_candidates_exact
-from repro.serving.index import EmbeddingIndex
 
 
 @pytest.fixture(scope="module")
@@ -33,23 +24,16 @@ def setup():
     return dataset, index
 
 
-def hand_index(item_arrays, user_arrays, consts=None):
-    """A minimal EmbeddingIndex from raw branch arrays."""
-    branches = []
-    consts = consts or [None] * len(item_arrays)
-    for user, item, const in zip(user_arrays, item_arrays, consts):
-        branches.append(ScoreBranch(user=user, item=item, item_const=const))
-    n_items = item_arrays[0].shape[0]
-    n_users = user_arrays[0].shape[0]
-    return EmbeddingIndex(
+def adc_scores(branches, pq_branches, users):
+    """Plain (non-residual) ADC over the whole catalog: zero list means."""
+    return score_pq_block(
         branches,
-        item_categories=np.zeros(n_items, dtype=np.int64),
-        item_price_levels=np.zeros(n_items, dtype=np.int64),
-        n_price_levels=4,
-        n_categories=1,
-        exclude_indptr=np.zeros(n_users + 1, dtype=np.int64),
-        exclude_indices=np.zeros(0, dtype=np.int64),
-        item_popularity=np.ones(n_items),
+        pq_branches,
+        [pb.codes for pb in pq_branches],
+        [b.item_const for b in branches],
+        users,
+        np.dtype(np.float64),
+        means=[np.zeros(pb.d) for pb in pq_branches],
     )
 
 
@@ -127,11 +111,11 @@ class TestADCScoring:
         item = rng.normal(size=(80, 8))
         user = rng.normal(size=(20, 8))
         const = rng.normal(size=80)
-        index = hand_index([item], [user], consts=[const])
-        pq = build_pq(index, subspace_dim=4, n_centroids=32, seed=0)
-        scores = pq.score(np.arange(20))
-        branch = ScoreBranch(user=user, item=pq.pq[0].dequantized(), item_const=const)
-        expected = score_branches([branch], np.arange(20), 0, 80)
+        pb = build_pq_branch(item, subspace_dim=4, n_centroids=32, seed=0)
+        branch = ScoreBranch(user=user, item=item, item_const=const)
+        scores = adc_scores([branch], [pb], np.arange(20))
+        ref = ScoreBranch(user=user, item=pb.dequantized(), item_const=const)
+        expected = score_branches([ref], np.arange(20), 0, 80)
         np.testing.assert_allclose(scores, expected, rtol=1e-10, atol=1e-10)
 
     def test_branch_weights_and_user_consts_apply_exactly(self):
@@ -141,77 +125,12 @@ class TestADCScoring:
         user_const = rng.normal(size=10)
         branch = ScoreBranch(user=user, item=item, user_const=user_const, weight=0.5)
         pb = build_pq_branch(item, subspace_dim=2, n_centroids=16, seed=0)
-        scores = score_pq_block(
-            [branch], [pb], [pb.codes], [None], np.arange(10), np.dtype(np.float64)
-        )
+        scores = adc_scores([branch], [pb], np.arange(10))
         ref = ScoreBranch(
             user=user, item=pb.dequantized(), user_const=user_const, weight=0.5
         )
         expected = score_branches([ref], np.arange(10), 0, 60)
         np.testing.assert_allclose(scores, expected, rtol=1e-10, atol=1e-10)
-
-
-class TestPQIndexSearch:
-    def test_returned_scores_are_exact(self, setup):
-        """Every non-sentinel score must be the exact kernel's value for
-        that (user, item) — ADC only chooses candidates.  (The re-rank
-        gather-einsum and the dense matmul may differ in the last ulp, so
-        the comparison is allclose at fp64 resolution, not bitwise.)"""
-        _, index = setup
-        pq = build_pq(index, seed=0)
-        users = np.arange(0, 40)
-        ids, scores = pq.search(users, 10)
-        dense = score_branches(index.branches, users, 0, index.n_items)
-        expected = np.take_along_axis(dense, np.maximum(ids, 0), axis=1)
-        mask = ids >= 0
-        np.testing.assert_allclose(
-            scores[mask], expected[mask], rtol=1e-12, atol=1e-12
-        )
-
-    def test_full_rerank_reproduces_exact_topk(self, setup):
-        """With the re-rank pool covering the whole catalog the search is
-        exhaustive exact search — ids and scores must match it."""
-        _, index = setup
-        pq = build_pq(index, seed=0, rerank_factor=index.n_items)
-        users = np.arange(25)
-        ids, scores = pq.search(users, 10)
-        dense = score_branches(index.branches, users, 0, index.n_items)
-        order = np.argsort(-dense, axis=1, kind="stable")[:, :10]
-        np.testing.assert_array_equal(ids, order)
-
-    def test_excluded_items_never_resurface(self, setup):
-        _, index = setup
-        pq = build_pq(index, seed=0)
-        users = np.arange(30)
-        csr = (index.exclude_indptr, index.exclude_indices)
-        ids, _ = pq.search(users, 15, exclude_csr=csr)
-        for row, user in enumerate(users):
-            banned = set(
-                index.exclude_indices[
-                    index.exclude_indptr[user]:index.exclude_indptr[user + 1]
-                ]
-            )
-            assert not banned.intersection(ids[row][ids[row] >= 0])
-
-    def test_candidate_mask_restricts_results(self, setup):
-        _, index = setup
-        pq = build_pq(index, seed=0)
-        mask = np.zeros(index.n_items, dtype=bool)
-        mask[:40] = True
-        ids, _ = pq.search(np.arange(10), 8, candidate_mask=mask)
-        valid = ids[ids >= 0]
-        assert valid.size and (valid < 40).all()
-
-    def test_memory_report_shape(self, setup):
-        _, index = setup
-        pq = build_pq(index, seed=0)
-        report = pq.memory_report()
-        assert report["kind"] == "pq"
-        assert report["tiers"]["hot"] == report["bytes_total"]
-        assert report["tiers"]["cold"] == 0
-        assert report["bytes_per_item"] * index.n_items == pytest.approx(
-            pq.memory_bytes()
-        )
 
 
 class TestOPQRotation:
@@ -231,10 +150,9 @@ class TestOPQRotation:
         rng = np.random.default_rng(8)
         item = rng.normal(size=(90, 8)) @ rng.normal(size=(8, 8))
         user = rng.normal(size=(15, 8))
-        index = hand_index([item], [user])
-        pq = build_pq(index, subspace_dim=4, n_centroids=32, seed=0, rotation=True)
-        scores = pq.score(np.arange(15))
-        branch = ScoreBranch(user=user, item=pq.pq[0].dequantized())
+        pb = build_pq_branch(item, subspace_dim=4, n_centroids=32, seed=0, rotation=True)
+        scores = adc_scores([ScoreBranch(user=user, item=item)], [pb], np.arange(15))
+        branch = ScoreBranch(user=user, item=pb.dequantized())
         expected = score_branches([branch], np.arange(15), 0, 90)
         np.testing.assert_allclose(scores, expected, rtol=1e-9, atol=1e-9)
 
@@ -278,17 +196,14 @@ class TestIVFWithPQFineStage:
 
     def test_companion_codes_are_residual(self, setup):
         """The IVF companion encodes residuals against per-list means
-        (IVFADC): means carry one row per (list, branch), and the residual
-        container refuses standalone scoring — its codes only mean
-        something next to the owning index's list means."""
+        (IVFADC): one code row per catalog item and one mean row per
+        (list, branch) — its codes only mean something next to them."""
         _, index = setup
         ivf = build_ivf(index, n_lists=12, nprobe=3, seed=0, pq=True)
-        assert ivf.pq.residual
-        assert ivf._pq_list_means is not None
-        for branch, means in zip(index.branches, ivf._pq_list_means):
+        assert len(ivf.pq) == len(index.branches)
+        for branch, pb, means in zip(index.branches, ivf.pq, ivf._pq_list_means):
+            assert pb.codes.shape[0] == index.n_items
             assert means.shape == (ivf.n_lists, branch.item.shape[1])
-        with pytest.raises(ValueError, match="residual"):
-            ivf.pq.search(np.arange(4), 5)
 
     def test_residual_adc_orders_within_lists_better(self, setup):
         """Within one list, residual ADC scores must track exact scores at
@@ -297,12 +212,13 @@ class TestIVFWithPQFineStage:
         differences, which decide the candidate ranks)."""
         _, index = setup
         ivf = build_ivf(index, n_lists=6, nprobe=6, seed=0, pq=True)
-        raw = build_pq(index, seed=0)
+        raw = [
+            build_pq_branch(branch.item, seed=104729 * b)
+            for b, branch in enumerate(index.branches)
+        ]
         users = np.arange(40)
         raw_err = 0.0
         res_err = 0.0
-        from repro.serving.ann.pq import score_pq_block
-
         for lst in range(ivf.n_lists):
             start, stop = int(ivf.list_indptr[lst]), int(ivf.list_indptr[lst + 1])
             if stop == start:
@@ -312,14 +228,15 @@ class TestIVFWithPQFineStage:
             members = ivf.list_items[start:stop]
             raw_scores = score_pq_block(
                 index.branches,
-                raw.pq,
-                [pb.codes[members] for pb in raw.pq],
+                raw,
+                [pb.codes[members] for pb in raw],
                 [
                     None if b.item_const is None else b.item_const[members]
                     for b in index.branches
                 ],
                 users,
                 ivf.dtype,
+                means=[np.zeros(pb.d) for pb in raw],
             )
             res_err += float(((res - exact) ** 2).sum())
             raw_err += float(((raw_scores - exact) ** 2).sum())
@@ -379,7 +296,7 @@ class TestIVFWithPQFineStage:
         """Default ``subspace_dim=4``: one uint8 code per four float32 factors."""
         index, _ = clustered_catalog
         factor_bytes = sum(branch.item.nbytes for branch in index.branches)
-        assert clustered_ivf_pq.pq.memory_bytes() * 16 <= factor_bytes
+        assert sum(pb.code_bytes() for pb in clustered_ivf_pq.pq) * 16 <= factor_bytes
 
     def test_memory_report_counts_pq_payload(self, setup):
         _, index = setup
@@ -388,27 +305,5 @@ class TestIVFWithPQFineStage:
         assert report["kind"] == "ivf-pq"
         # default scorer is pq, so the per-item payload is the code bytes
         assert report["bytes_per_item"] == pytest.approx(
-            ivf.pq.memory_bytes() / index.n_items
+            sum(pb.code_bytes() for pb in ivf.pq) / index.n_items
         )
-
-
-class TestPQPersistence:
-    @pytest.mark.parametrize("format", ["npz", "dir"])
-    def test_roundtrip_preserves_search(self, setup, tmp_path, format):
-        _, index = setup
-        pq = build_pq(index, seed=0, rotation=True)
-        path = pq.save(str(tmp_path / "pq_archive"), format=format)
-        loaded = PQIndex.load(path, index)
-        users = np.arange(30)
-        ids_a, scores_a = pq.search(users, 10)
-        ids_b, scores_b = loaded.search(users, 10)
-        np.testing.assert_array_equal(ids_a, ids_b)
-        np.testing.assert_array_equal(scores_a, scores_b)
-        assert loaded.rerank_factor == pq.rerank_factor
-
-    def test_load_rejects_wrong_kind(self, setup, tmp_path):
-        _, index = setup
-        ivf = build_ivf(index, n_lists=8, seed=0)
-        path = ivf.save(str(tmp_path / "ivf.npz"))
-        with pytest.raises(ValueError, match="not a PQ index"):
-            PQIndex.load(path, index)

@@ -118,7 +118,7 @@ class TestTierSelection:
             + tiered._item_position.nbytes
             + tiered._item_list.nbytes
             + sum(codes.nbytes for codes in tiered._perm_pq_codes)
-            + sum(cb.nbytes for pb in tiered.pq.pq for cb in pb.codebooks)
+            + sum(cb.nbytes for pb in tiered.pq for cb in pb.codebooks)
             + sum(means.nbytes for means in tiered._pq_list_means)
         )
         assert tiered.fixed_resident_bytes() == expected

@@ -333,7 +333,7 @@ def index_arrays(ann):
     """Every array a build derives from k-means, in a fixed order."""
     arrays = [ann.centroids, ann.list_indptr, ann.list_items]
     if ann.pq is not None:
-        for branch in ann.pq.pq:
+        for branch in ann.pq:
             arrays += list(branch.codebooks) + [branch.codes]
         arrays += list(ann._pq_list_means)
     return arrays
