@@ -222,27 +222,25 @@ def metrics_from_rankings(
     if (n_relevant == 0).any():
         raise ValueError("relevant set must be non-empty")
 
-    # Per-user hit mask over the top-kmax positions, built chunk-wise
-    # through a boolean membership table.  The (row, item) pairs of every
-    # user's positive set are materialized in one pass.
+    # Per-user hit mask over the top-kmax positions.  Every (row, item) pair
+    # is one int64 key ``row * n_items + item``; a ranked pair is a hit when
+    # binary search finds its key among the sorted keys of the positive
+    # sets.  Scratch is the size of ``ranked``, never ``users x n_items``.
     from itertools import chain
 
     total = int(n_relevant.sum())
     positive_cols = np.fromiter(
         chain.from_iterable(positives[user] for user in users), dtype=np.int64, count=total
     )
-    positive_rows = np.repeat(np.arange(len(users)), n_relevant)
     n_items = max(int(ranked.max()) if ranked.size else 0, int(positive_cols.max())) + 1
-
-    hits = np.zeros(ranked.shape, dtype=bool)
-    row_chunk = max(1, (8 << 20) // max(n_items, 1))  # ~8 MB table at a time
-    boundaries = np.searchsorted(positive_rows, np.arange(0, len(users) + row_chunk, row_chunk))
-    for index, start in enumerate(range(0, len(users), row_chunk)):
-        stop = min(start + row_chunk, len(users))
-        table = np.zeros((stop - start, n_items), dtype=bool)
-        lo, hi = boundaries[index], boundaries[index + 1]
-        table[positive_rows[lo:hi] - start, positive_cols[lo:hi]] = True
-        hits[start:stop] = table[np.arange(stop - start)[:, None], ranked[start:stop]]
+    row_keys = np.arange(len(users), dtype=np.int64) * n_items
+    positive_keys = np.repeat(row_keys, n_relevant)
+    positive_keys += positive_cols
+    positive_keys.sort()
+    ranked_keys = ranked + row_keys[:, None]
+    found = np.searchsorted(positive_keys, ranked_keys)
+    np.minimum(found, total - 1, out=found)
+    hits = positive_keys[found] == ranked_keys
 
     # Discount terms and ideal-DCG prefix sums, computed with the exact same
     # scalar expressions (and sequential summation order) as ndcg_at_k.

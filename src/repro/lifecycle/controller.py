@@ -67,6 +67,23 @@ class LifecycleConfig:
     probe_items_cap: int = 64
 
 
+def _pq_settings(ann: IVFIndex) -> dict:
+    """:func:`build_ivf` arguments that rebuild ``ann``'s residual-PQ
+    companion with the same subspace width, codebook size and rotation.
+
+    Subspaces split each branch into near-equal widths, so the widest one
+    is a ``pq_subspace_dim`` that gives every branch its subspace count
+    back."""
+    if ann.pq is None:
+        return {}
+    return {
+        "pq": True,
+        "pq_subspace_dim": max(hi - lo for branch in ann.pq for lo, hi in branch.splits),
+        "pq_centroids": max(cb.shape[0] for branch in ann.pq for cb in branch.codebooks),
+        "pq_rotation": ann.pq[0].rotation is not None,
+    }
+
+
 class LifecycleController:
     """Drives one version store's journal → build → promote loop."""
 
@@ -215,8 +232,12 @@ class LifecycleController:
                 new_ann, delta_stats = delta_build(ann, new_index, delta_cfg)
             except DeltaUnsupported:
                 # Typed refusal (e.g. a PQ companion): fall back to a full
-                # rebuild rather than degrade the layout silently.
-                new_ann = build_ivf(new_index, seed=ann.seed)
+                # rebuild with the live index's operating point and
+                # companion rather than degrade the layout silently.
+                new_ann = build_ivf(
+                    new_index, nprobe=ann.nprobe, seed=ann.seed,
+                    rerank_factor=ann.rerank_factor, **_pq_settings(ann),
+                )
                 delta_stats = DeltaStats(
                     n_new_items=fold_stats.new_items,
                     appended_since_recluster=0,

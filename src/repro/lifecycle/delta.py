@@ -125,14 +125,15 @@ def delta_build(
     if staleness > config.staleness_threshold:
         # Escalate: the append-placed fraction is large enough that the
         # frozen centroids no longer describe the catalog.  Re-cluster
-        # from scratch with the previous build's settings and reset the
-        # staleness counter.
+        # from scratch with the previous build's settings — its operating
+        # point included — and reset the staleness counter.
         rebuilt = build_ivf(
             new_index,
             n_lists=None,  # re-derive from the grown catalog size
-            nprobe=None,
+            nprobe=prev.nprobe,  # clipped to the new list count
             seed=prev.seed,
             iters=config.recluster_iters,
+            rerank_factor=prev.rerank_factor,
         )
         stats.reclustered = True
         stats.appended_since_recluster = 0

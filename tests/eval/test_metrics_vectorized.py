@@ -7,6 +7,8 @@ produces — same per-user summation order, same divisions.  These tests pin
 that equivalence on adversarial inputs.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -64,7 +66,7 @@ def test_more_relevant_than_k():
 
 def test_sentinel_padded_rankings_count_as_misses():
     # A BulkRecommendations row whose pool was smaller than k pads with -1;
-    # those must be plain misses, never wrap into the membership table.
+    # those must be plain misses, never wrap into another user's keys.
     rankings = {0: np.array([49, -1, -1]), 1: np.array([5, 3, -1])}
     positives = {0: {49}, 1: {3}}
     got = metrics_from_rankings(rankings, positives, (3,))
@@ -88,3 +90,43 @@ def test_rejects_empty_inputs():
         metrics_from_rankings({0: np.arange(5)}, {0: set()}, (5,))
     with pytest.raises(ValueError):
         metrics_from_rankings({0: np.arange(5)}, {0: {1}}, ())
+
+
+def test_a_neighbours_positive_is_a_miss():
+    # Membership is per (user, item): user 0 ranks exactly user 1's
+    # positives, and the last item id sits on the key boundary.
+    rankings = {0: np.array([7, 8, 9]), 1: np.array([0, 1, 2])}
+    positives = {0: {0}, 1: {7, 8, 9}}
+    got = metrics_from_rankings(rankings, positives, (3,))
+    assert got == scalar_reference(rankings, positives, (3,))
+    assert got["Recall@3"] == 0.0
+
+
+def test_sparse_ids_over_a_wide_catalog():
+    rng = np.random.default_rng(3)
+    n_items = 1_000_003
+    rankings = {user: rng.choice(n_items, size=20, replace=False) for user in range(40)}
+    positives = {
+        user: set(rankings[user][rng.integers(0, 20, size=3)].tolist())
+        | set(rng.integers(0, n_items, size=4).tolist())
+        for user in range(40)
+    }
+    got = metrics_from_rankings(rankings, positives, (5, 20))
+    assert got == scalar_reference(rankings, positives, (5, 20))
+
+
+def test_scratch_does_not_grow_with_the_catalog():
+    """``tracemalloc`` is exact per (code, input).  The membership test
+    works on keys the size of the rankings, so no ``users x n_items``
+    table is built."""
+    rng = np.random.default_rng(5)
+    n_users, n_items, kmax = 2_000, 100_000, 50
+    rankings = {user: rng.integers(0, n_items, size=kmax) for user in range(n_users)}
+    positives = {user: set(rng.integers(0, n_items, size=10).tolist()) for user in range(n_users)}
+    tracemalloc.start()
+    try:
+        metrics_from_rankings(rankings, positives, (10, kmax))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * (1 << 20), peak

@@ -215,6 +215,24 @@ class TestStaleness:
         # The rebuild re-derives its layout from the grown catalog.
         assert new_ann.n_items == grown.n_items
 
+    def test_recluster_keeps_the_operating_point(self, index):
+        prev = build_ivf(index, nprobe=7, seed=0, rerank_factor=3)
+        grown, _ = grow(index, 60, seed=2)
+        new_ann, stats = delta_build(prev, grown, DeltaConfig(staleness_threshold=0.0))
+        assert stats.reclustered
+        assert new_ann.n_lists >= 7
+        assert (new_ann.nprobe, new_ann.rerank_factor) == (7, 3)
+
+    def test_recluster_clips_nprobe_to_the_new_lists(self, index):
+        prev = build_ivf(index, nprobe=7, seed=0)
+        grown, _ = grow(index, 60, seed=2)
+        recluster = DeltaConfig(staleness_threshold=0.0)
+        new_ann, _ = delta_build(prev, grown, recluster)
+        fewer = build_ivf(index, n_lists=3, nprobe=3, seed=0)
+        wider = build_ivf(index, n_lists=new_ann.n_lists + 4, nprobe=new_ann.n_lists + 2, seed=0)
+        assert delta_build(fewer, grown, recluster)[0].nprobe == 3
+        assert delta_build(wider, grown, recluster)[0].nprobe == new_ann.n_lists
+
     def test_no_new_items_is_a_cheap_no_op_layout(self, index, ann):
         events = simulate_events(
             index.n_users, index.n_items, 30, seed=4,

@@ -30,6 +30,7 @@ from repro.lifecycle import (
     simulate_events,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.serving.ann import build_ivf
 
 
 def make_config(**gate_overrides):
@@ -229,6 +230,41 @@ class TestGateRejection:
         assert manifest["status"] == "rejected"
         assert "recall" in manifest["rejected_reason"]
         assert metrics.get("lifecycle_versions_total").value(outcome="rejected") == 1
+
+    def test_recluster_candidate_keeps_nprobe_and_promotes(self, tmp_path, index, ann):
+        controller = LifecycleController(
+            str(tmp_path / "store"),
+            config=LifecycleConfig(
+                gates=GateConfig(recall_floor=0.9, recall_users=32, parity_users=8),
+                staleness_threshold=0.0,
+            ),
+        )
+        controller.bootstrap(index, ann)
+        controller.ingest(stream(index, 120, seed=8))
+        name = controller.build()
+        assert controller.store.read_manifest(name)["reclustered"]
+        assert controller.store.load_version(name)[1].nprobe == ann.nprobe
+        promoted, report = controller.promote()
+        assert promoted == name, report.failures
+
+    def test_pq_fallback_rebuild_keeps_the_companion(self, tmp_path, index):
+        settings = dict(
+            nprobe=7, seed=0, rerank_factor=3,
+            pq=True, pq_subspace_dim=3, pq_centroids=16, pq_rotation=True,
+        )
+        controller = bootstrapped(tmp_path, index, build_ivf(index, **settings))
+        controller.ingest(stream(index, 120, seed=8))
+        name = controller.build()
+        new_index, got = controller.store.load_version(name)
+        want = build_ivf(new_index, **settings)
+        assert (got.nprobe, got.rerank_factor) == (7, 3)
+        assert got.pq is not None and len(got.pq) == len(want.pq)
+        for a, b in zip(got.pq, want.pq):
+            assert a.splits == b.splits
+            np.testing.assert_array_equal(a.rotation, b.rotation)
+            np.testing.assert_array_equal(a.codes, b.codes)
+            for ca, cb in zip(a.codebooks, b.codebooks):
+                np.testing.assert_array_equal(ca, cb)
 
     def test_no_candidate_to_promote(self, tmp_path, index, ann):
         controller = bootstrapped(tmp_path, index, ann)
