@@ -115,6 +115,80 @@ def branches_dtype(branches: List[ScoreBranch]) -> np.dtype:
     return np.result_type(*parts)
 
 
+#: OpenBLAS sends a product of at most this many output entries to its
+#: small-matrix kernel
+_SMALL_GEMM_ENTRIES = 1200
+
+#: the row multiples :data:`ROW_MULTIPLE` is probed from, smallest first
+_ROW_MULTIPLES = (24, 48, 96)
+
+
+def _padded_height(n_rows: int, width: int, multiple: int) -> int:
+    floor = _SMALL_GEMM_ENTRIES // max(width, 1) + 1
+    return -(-max(n_rows, floor) // multiple) * multiple if n_rows > 0 else 0
+
+
+def gathers_reproduce(rows: np.ndarray, cols: np.ndarray, heights) -> bool:
+    """Whether each row of ``rows @ cols.T`` keeps its bits when recomputed,
+    gathered in another order, in products of each of ``heights`` rows.
+    Which kernel a product lands on is the BLAS's business: it is observed
+    here, not assumed."""
+    full = rows @ cols.T
+    for height in heights:
+        ids = (len(rows) - 1 - np.arange(height) * 7) % len(rows)
+        if (rows[ids] @ cols.T).tobytes() != full[ids].tobytes():
+            return False
+    return True
+
+
+def _probe_row_multiple() -> int:
+    """The first of ``_ROW_MULTIPLES`` at which no probed row's bits depend
+    on its product's padded height (the last if none): float32 and float64,
+    dot lengths and widths off multiples of 8, a width past 192 and one
+    under the small-matrix floor, against a reference every candidate divides."""
+    rng = np.random.default_rng(0)
+    shapes = [
+        (dtype, d, width)
+        for dtype in (np.float32, np.float64)
+        for d, width in ((65, 203), (16, 77), (48, 33))
+    ]
+    for multiple in _ROW_MULTIPLES:
+        if all(
+            gathers_reproduce(
+                rng.standard_normal((4 * _ROW_MULTIPLES[-1], d)).astype(dtype),
+                rng.standard_normal((width, d)).astype(dtype),
+                [_padded_height(1, width, multiple) + step * multiple for step in range(3)],
+            )
+            for dtype, d, width in shapes
+        ):
+            return multiple
+    return _ROW_MULTIPLES[-1]
+
+
+#: every score or distance product runs at a multiple of this many rows
+#: (:func:`gemm_rows`); probed once per process, never configured
+ROW_MULTIPLE = _probe_row_multiple()
+
+
+def gemm_rows(n_rows: int, width: int) -> int:
+    """The height a product of ``n_rows`` rows by ``width`` columns runs at:
+    past ``_SMALL_GEMM_ENTRIES`` outputs, rounded up to :data:`ROW_MULTIPLE`.
+
+    GEMV (one row), the small-matrix kernel and a partial micro-tile's edge
+    kernel each sum a dot product in their own order; at this height, the
+    padding rows dropped, a row gets the same bits in any batch.
+    """
+    return _padded_height(n_rows, width, ROW_MULTIPLE)
+
+
+def padded_rows(ids: np.ndarray, width: int) -> np.ndarray:
+    """``ids`` followed by copies of ``ids[0]`` up to :func:`gemm_rows`
+    entries: the row gather of a product whose first ``len(ids)`` rows
+    are kept."""
+    rows = gemm_rows(len(ids), width)
+    return np.concatenate([ids, np.full(rows - len(ids), ids[0] if len(ids) else 0, ids.dtype)])
+
+
 def score_branches(
     branches: List[ScoreBranch],
     users: np.ndarray,
@@ -128,21 +202,25 @@ def score_branches(
     THE scoring kernel: :meth:`Recommender.predict_scores` (live eval) and
     :class:`~repro.serving.index.EmbeddingIndex` (frozen serving) both call
     it, which is what guarantees exported indexes reproduce live scores
-    bit-for-bit — same operations, same order, one implementation.
+    bit-for-bit — same operations, same order, one implementation.  The
+    product runs at :func:`gemm_rows` height, so a user's scores are the
+    same bits in any batch.
 
     ``out`` (and, for multi-branch factorizations, ``scratch``) lets hot
-    callers reuse preallocated buffers: results are written into
-    ``out[:len(users), :stop-start]`` and that view is returned, with no
-    per-call allocation beyond the user-row gathers.  The in-place path
-    applies the same operations in the same order as the allocating path,
-    so scores are bit-identical either way.  Buffers whose dtype does not
-    match the branches' score dtype are ignored (the allocating path runs
-    instead), so a mismatched hint can never change results.
+    callers reuse preallocated buffers of at least :func:`gemm_rows` rows:
+    results are written into ``out[:len(users), :stop-start]`` and that
+    view is returned, with no per-call allocation beyond the user-row
+    gathers.  The in-place path applies the same operations in the same
+    order as the allocating path, so scores are bit-identical either way.
+    Buffers whose dtype or height does not fit are ignored (the allocating
+    path runs instead), so a mismatched hint can never change results.
     """
+    n = len(users)
     users = np.asarray(users, dtype=np.int64)
     if stop is None:
         stop = branches[0].item.shape[0]
     width = stop - start
+    users = padded_rows(users, width)
 
     dtype = branches_dtype(branches)
     uniform = all(
@@ -174,7 +252,7 @@ def score_branches(
                 np.multiply(part, branch.weight, out=part)
             if i > 0:
                 np.add(view, part, out=view)
-        return view
+        return view[:n]
 
     total: Optional[np.ndarray] = None
     for branch in branches:
@@ -186,7 +264,7 @@ def score_branches(
         if branch.weight != 1.0:
             part = branch.weight * part
         total = part if total is None else total + part
-    return total
+    return total[:n]
 
 
 class Recommender(Module):

@@ -20,9 +20,9 @@ The layout is not an option: every index splits its catalog into
 it is built (tests monkeypatch it to vary the layout).  The shard count
 decides memory and wall time, never a result.
 
-Scores do not depend on batch height either: a one-row product runs
-through GEMV, whose last bit differs from the same row inside a GEMM, so a
-lone row is scored beside a copy of itself and the copy discarded.
+Scores do not depend on batch height or batch-mates either: every shard
+product runs at :func:`~repro.core.base.gemm_rows` height, so a row gets
+the same bits in any batch.
 
 All scoring happens in the branches' own dtype (a float32 index is scored
 in float32 memory) into caller-provided buffers, so a worker evaluates
@@ -36,7 +36,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.base import ScoreBranch, branches_dtype, score_branches
+from ..core.base import ScoreBranch, branches_dtype, gemm_rows, score_branches
 from ..data.dataset import expand_csr_rows
 from ..eval.topk import NEG_INF, masked_topk, topk_indices_rows, topk_pairs_rows
 
@@ -63,8 +63,8 @@ class _Buffers:
     single-branch models never pay for a second buffer.  Independent
     ``slot`` names keep differently-shaped consumers (the shard-width main
     pass vs the full-width candidate path) from thrashing each other's
-    allocation.  Buffers hold at least two rows, since a lone row is scored
-    as two (see :meth:`ShardedIndex._score`).
+    allocation.  Buffers hold :func:`~repro.core.base.gemm_rows` rows, the
+    height :func:`score_branches` runs its product at.
     """
 
     def __init__(self) -> None:
@@ -78,7 +78,7 @@ class _Buffers:
         with_scratch: bool = True,
         slot: str = "main",
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        rows = max(rows, 2)
+        rows = gemm_rows(rows, width)
         out, scratch = self._slots.get(slot, (None, None))
         if out is None or out.dtype != dtype or out.shape[0] < rows or out.shape[1] < width:
             out = np.empty((rows, width), dtype=dtype)
@@ -105,14 +105,6 @@ class ShardedIndex:
     @property
     def max_shard_width(self) -> int:
         return max(stop - start for start, stop in self.ranges)
-
-    # ------------------------------------------------------------------
-    def _score(self, users, start, stop, out, scratch) -> np.ndarray:
-        """Scores of ``users`` against items ``[start, stop)``; a lone row is
-        scored as a two-row block so its bits match any taller batch."""
-        padded = users if len(users) > 1 else np.repeat(users, 2)
-        scores = score_branches(self.branches, padded, start, stop, out=out, scratch=scratch)
-        return scores[: len(users)]
 
     # ------------------------------------------------------------------
     def topk_chunk(
@@ -199,7 +191,7 @@ class ShardedIndex:
         t_score = t_topk = 0.0
         for start, stop in self.ranges:
             tick = time.perf_counter()
-            scores = self._score(users, start, stop, out, scratch)
+            scores = score_branches(self.branches, users, start, stop, out=out, scratch=scratch)
             if denied is not None:
                 scores[:, denied[start:stop]] = NEG_INF
             if exclude_rows is not None:
@@ -251,7 +243,7 @@ class ShardedIndex:
                 with_scratch=len(self.branches) > 1, slot="full",
             )
             tick = time.perf_counter()
-            full = self._score(users[rows], 0, self.n_items, out, scratch)
+            full = score_branches(self.branches, users[rows], out=out, scratch=scratch)
             tock = time.perf_counter()
             if timings is not None:
                 timings["score"] = timings.get("score", 0.0) + (tock - tick)

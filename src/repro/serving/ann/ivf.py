@@ -24,8 +24,9 @@ Search is two-stage:
 Because stage 2 is exact and the lists partition the catalog, probing all
 lists (``nprobe >= n_lists``) makes the candidate pool the full catalog
 and the result bit-identical to exact search — the property the test
-suite pins (the usual 1-ULP caveat for degenerate matmul shapes noted in
-:mod:`repro.serving.retrieval` applies here too).  Smaller ``nprobe``
+suite pins.  Both stages run their products at
+:func:`~repro.core.base.gemm_rows` height: a user's probes and scores do
+not depend on who shared its batch or a list's group.  Smaller ``nprobe``
 trades recall for time along a measured curve (docs/performance.md).
 
 An optional residual PQ companion (one :class:`~.pq.PQBranch` per branch,
@@ -45,7 +46,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ...core.base import ScoreBranch, branches_dtype, score_branches
+from ...core.base import ScoreBranch, branches_dtype, gemm_rows, padded_rows, score_branches
 from ...data.dataset import expand_csr_rows
 from ...eval.topk import NEG_INF, partition_topk_rows, topk_pairs_rows
 from ...obs.trace import maybe_span
@@ -320,7 +321,9 @@ class IVFIndex:
     def probe(self, users: np.ndarray, nprobe: Optional[int] = None) -> np.ndarray:
         """The ``(len(users), nprobe)`` list ids each user would search."""
         nprobe = self._resolve_nprobe(nprobe)
-        coarse = self.queries(users) @ self.centroids.T
+        users = np.asarray(users, dtype=np.int64)
+        queries = self.queries(padded_rows(users, self.n_lists))
+        coarse = (queries @ self.centroids.T)[: len(users)]
         if nprobe >= self.n_lists:
             return np.tile(np.arange(self.n_lists), (coarse.shape[0], 1))
         return np.argpartition(-coarse, nprobe - 1, axis=1)[:, :nprobe]
@@ -433,6 +436,12 @@ class IVFIndex:
         sorted_rows = flat_rows[order]
         starts = np.flatnonzero(np.r_[True, sorted_lists[1:] != sorted_lists[:-1]])
         bounds = np.r_[starts, len(sorted_lists)]
+        # One exact score buffer for every group, gemm_rows tall for the
+        # widest list (a narrower list may need more rows: it allocates).
+        exact = scorer == "exact"
+        shape = (gemm_rows(n, int(sizes.max())), int(sizes.max()))
+        out = np.empty(shape, self.dtype) if exact else None
+        scratch = np.empty(shape, self.dtype) if exact and len(self._perm_branches) > 1 else None
 
         # begin()/finish() rather than a with-block: the loop is long and
         # an exception mid-fine leaves the span unfinished, which exporters
@@ -454,7 +463,7 @@ class IVFIndex:
             if width == 0:
                 continue
             rows = sorted_rows[lo:hi]
-            part = self._score_segment(scorer, users[rows], lst, start, stop)
+            part = self._score_segment(scorer, users[rows], lst, start, stop, out, scratch)
             seg_ids = self.list_items[start:stop]
             if mask_perm is not None:
                 part[:, ~mask_perm[start:stop]] = NEG_INF
@@ -520,9 +529,11 @@ class IVFIndex:
     # Fine-stage storage hooks (tiered layouts override these)
     # ------------------------------------------------------------------
     def _score_segment(
-        self, scorer: str, users_sel: np.ndarray, lst: int, start: int, stop: int
+        self, scorer: str, users_sel: np.ndarray, lst: int, start: int, stop: int,
+        out: Optional[np.ndarray] = None, scratch: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Fine-stage scores of one probed list for its probing users.
+        """Fine-stage scores of one probed list for its probing users
+        (exact scores into ``out`` / ``scratch`` when they fit).
 
         Storage access is funneled through this hook (and
         :meth:`_rerank_exact`) so :class:`~.tiered.TieredIVFIndex` can swap
@@ -530,7 +541,7 @@ class IVFIndex:
         touching the search loop above.
         """
         if scorer == "exact":
-            return score_branches(self._perm_branches, users_sel, start, stop)
+            return score_branches(self._perm_branches, users_sel, start, stop, out, scratch)
         return score_pq_block(
             self._perm_branches,
             self.pq,

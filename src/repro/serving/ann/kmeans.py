@@ -24,9 +24,9 @@ keep it down, and none of them moves a bit of the plain Lloyd result
   fifth to a quarter of the rows.  The test carries a slack far above
   the float64 rounding of a table entry, so a skipped point's ``argmin``
   over the full table is provably its current label; recomputed rows go
-  through the same expression (:func:`_distance_rows`) on products
-  padded onto the same BLAS kernel, and only where a probe of this BLAS
-  shows gathered rows reproduce the table (:func:`_gathers_reproduce`).
+  through the same expression (:func:`_distance_rows`) at the same
+  padded height, and only where a probe of this BLAS shows gathered rows
+  reproduce the table (:func:`~repro.core.base.gathers_reproduce`).
   A pass runs the full table instead when most points are candidates
   anyway, and when a cluster comes out empty (reseeding ranks every
   point by its exact distance).
@@ -43,6 +43,8 @@ from typing import Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
+from ...core.base import ROW_MULTIPLE, gathers_reproduce, gemm_rows, padded_rows
+
 #: byte size of the one float64 (rows x n_clusters) distance table an
 #: assignment fills chunk after chunk.  Reused, so it stays in cache
 #: instead of faulting in fresh pages each pass; assignment time is flat
@@ -55,22 +57,6 @@ _ASSIGN_TABLE_BYTES = 1 << 20
 #: from the table is off by at most ~1e-7 of ``|x| + |c|``; a skipped
 #: point clears every other centroid by hundreds of times that.
 _BOUND_SLACK = 1e-6
-
-#: a gathered product is padded to at least this many rows, and to more
-#: than ``_SMALL_GEMM_ENTRIES`` output entries.  BLAS sends one-row
-#: products through GEMV, and OpenBLAS sends a product of at most 1200
-#: output entries with a dot length of 32 or more through its small-matrix
-#: kernel; both accumulate a dot product in another order than the
-#: blocked GEMM every full-table chunk runs on.
-_SUBSET_MIN_ROWS = 32
-_SMALL_GEMM_ENTRIES = 1200
-
-#: consecutive gather heights :func:`_gathers_reproduce` checks.  Some
-#: shapes get last bits that depend on the product height modulo the
-#: GEMM micro-tile (OpenBLAS on AVX-512 with more than 192 clusters not a
-#: multiple of 8: only heights that are multiples of 12 agree); sixteen
-#: consecutive heights cover every residue of the usual tiles.
-_PROBE_HEIGHTS = 16
 
 #: when more than this share of the points are candidates, a pass runs
 #: the full table: gathering nearly every row costs more than it saves.
@@ -120,15 +106,10 @@ def _seed_distances(
 
 def _assign_table(n_points: int, n_clusters: int) -> np.ndarray:
     """The scratch table :func:`_assign_into` fills: as many rows as fit in
-    ``_ASSIGN_TABLE_BYTES`` (at least one, no more than ``n_points``)."""
+    ``_ASSIGN_TABLE_BYTES`` (no more than ``n_points``), rounded up to
+    :func:`~repro.core.base.gemm_rows` height."""
     rows = max(1, _ASSIGN_TABLE_BYTES // (8 * max(n_clusters, 1)))
-    return np.empty((max(1, min(rows, n_points)), n_clusters), dtype=np.float64)
-
-
-def _chunks(n: int, height: int) -> np.ndarray:
-    """Bounds of the fewest near-equal chunks of ``n`` rows that fit ``height``."""
-    n_chunks = -(-n // height)
-    return np.arange(n_chunks + 1) * n // max(n_chunks, 1)
+    return np.empty((gemm_rows(min(rows, n_points), n_clusters), n_clusters), dtype=np.float64)
 
 
 def _distance_rows(
@@ -171,32 +152,37 @@ def _assign_into(
     centroids: np.ndarray,
     point_norms: np.ndarray,
     second: Optional[np.ndarray] = None,
+    subset: Optional[np.ndarray] = None,
+    gather: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`assign_labels` through a caller-owned scratch ``table``;
-    ``second``, when given, receives each point's second-smallest squared
-    distance.
+    """:func:`assign_labels` of the points ``subset`` (all by default)
+    through a caller-owned scratch ``table``; ``second``, when given,
+    receives each one's second-smallest squared distance.
 
-    The rows are cut into the fewest chunks that fit the table, of
-    near-equal height, so no chunk is a short tail.  That is for the bits,
-    not the speed: BLAS sends a one-row product through GEMV and a small
-    one through small-matrix kernels (``_SMALL_GEMM_ENTRIES``), both of which
-    accumulate a long dot product in another order than the blocked GEMM
-    — a 5-row tail would get last bits its rows do not get inside a big
-    product.  Every chunk being at least half a table keeps each one, and
-    the one-shot product it stands for, on the same kernel.
+    Rows go a table height at a time, itself a
+    :func:`~repro.core.base.gemm_rows` height.  A shorter tail, and every
+    chunk of a subset, is gathered (into ``gather`` when given, never an
+    ``n x dim`` copy) with copies of its first point up to one, and the
+    padding rows are dropped: a row gets the same bits in a full pass and
+    in a recomputation of its own.
     """
-    n = points.shape[0]
+    n_clusters = centroids.shape[0]
+    n = points.shape[0] if subset is None else len(subset)
     labels = np.empty(n, dtype=np.int64)
     assigned = np.empty(n, dtype=np.float64)
     centroid_norms = np.einsum("ij,ij->i", centroids, centroids)
-    bounds = _chunks(n, table.shape[0])
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        sq = _distance_rows(
-            table[: stop - start], points[start:stop], centroids,
-            point_norms[start:stop], centroid_norms,
-        )
+    for start in range(0, n, table.shape[0]):
+        stop = min(start + table.shape[0], n)
+        rows = gemm_rows(stop - start, n_clusters)
+        if subset is None and rows == stop - start:
+            ids, chunk = slice(start, stop), points[start:stop]
+        else:
+            ids = np.arange(start, stop) if subset is None else subset[start:stop]
+            ids = padded_rows(ids, n_clusters)
+            chunk = points[ids] if gather is None else np.take(points, ids, 0, gather[:rows])
+        sq = _distance_rows(table[:rows], chunk, centroids, point_norms[ids], centroid_norms)
         labels[start:stop], assigned[start:stop] = _nearest(
-            sq, None if second is None else second[start:stop]
+            sq[: stop - start], None if second is None else second[start:stop]
         )
     return labels, assigned
 
@@ -209,10 +195,10 @@ def assign_labels(
     """Nearest-centroid assignment: ``(labels, assigned_sq_distance)``.
 
     Distances are computed a chunk of rows at a time in one fixed-size
-    scratch table (:func:`_assign_into`); each row's distances are the
-    same expression, on the same BLAS kernel, as in a one-shot
-    ``(n_points, n_clusters)`` table, so labels and distances are the same
-    bits.  Ties break toward the lowest cluster id (``argmin``).
+    scratch table (:func:`_assign_into`) at
+    :func:`~repro.core.base.gemm_rows` height, so a point's label and
+    distance are the same bits whatever points it is assigned with.  Ties
+    break toward the lowest cluster id (``argmin``).
     """
     points = np.asarray(points, dtype=np.float64)
     centroids = np.asarray(centroids, dtype=np.float64)
@@ -286,80 +272,13 @@ def _candidates(
     return np.flatnonzero(~(bar > 0.0))
 
 
-def _min_rows(n_clusters: int) -> int:
-    """Fewest rows a distance product needs to run on the blocked GEMM."""
-    return max(_SUBSET_MIN_ROWS, _SMALL_GEMM_ENTRIES // n_clusters + 1)
-
-
-def _gathers_reproduce(
-    table: np.ndarray,
-    points: np.ndarray,
-    centroids: np.ndarray,
-    point_norms: np.ndarray,
-    min_rows: int,
-) -> bool:
-    """Whether gathered products give the full table's bits on this BLAS,
-    for this shape.
-
-    Fills the first full-table chunk, then recomputes rows of it gathered
-    in another order at ``_PROBE_HEIGHTS`` consecutive heights from
-    ``min_rows``, and compares bytes.  Pruning runs only where this holds:
-    which kernel a product lands on, and how it tiles, is the BLAS's
-    business, so it is observed rather than assumed.
-    """
-    height = int(_chunks(points.shape[0], table.shape[0])[1])
-    centroid_norms = np.einsum("ij,ij->i", centroids, centroids)
-    full = _distance_rows(
-        table[:height], points[:height], centroids, point_norms[:height], centroid_norms
-    )
-    sub = np.empty((min_rows + _PROBE_HEIGHTS, centroids.shape[0]))
-    for rows in range(min_rows, min_rows + _PROBE_HEIGHTS):
-        ids = (height - 1 - np.arange(rows) * 7) % height
-        got = _distance_rows(sub[:rows], points[ids], centroids, point_norms[ids], centroid_norms)
-        if got.tobytes() != full[ids].tobytes():
-            return False
-    return True
-
-
-def _reassign(
-    table: np.ndarray,
-    gather: np.ndarray,
-    candidates: np.ndarray,
-    points: np.ndarray,
-    centroids: np.ndarray,
-    point_norms: np.ndarray,
-    labels: np.ndarray,
-    upper: np.ndarray,
-    lower: np.ndarray,
-    min_rows: int,
-) -> None:
-    """Recompute the distance rows of ``candidates`` only, in place.
-
-    Candidates are gathered a chunk at a time into the fixed ``gather``
-    scratch (never an ``n x dim`` copy) and their rows go through
-    :func:`_distance_rows` like any full-table chunk; a chunk shorter than
-    ``min_rows`` (at most the table height) is padded with copies of
-    point 0 so the product stays on the blocked GEMM kernel, and the
-    padding rows are dropped.  Writes
-    the candidates' ``labels`` and their ``upper`` / ``lower`` bounds."""
-    centroid_norms = np.einsum("ij,ij->i", centroids, centroids)
-    bounds = _chunks(len(candidates), table.shape[0])
-    ids = np.zeros(table.shape[0], dtype=np.int64)
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        height = stop - start
-        rows = max(height, min_rows)
-        ids[:height] = candidates[start:stop]
-        ids[height:rows] = 0
-        np.take(points, ids[:rows], axis=0, out=gather[:rows])
-        sq = _distance_rows(
-            table[:rows], gather[:rows], centroids, point_norms[ids[:rows]], centroid_norms
-        )
-        second = np.empty(rows)
-        nearest, assigned = _nearest(sq, second)
-        chosen = candidates[start:stop]
-        labels[chosen] = nearest[:height]
-        upper[chosen] = np.sqrt(assigned[:height])
-        lower[chosen] = np.sqrt(second[:height])
+def _prunable(table: np.ndarray, points: np.ndarray, centroids: np.ndarray) -> bool:
+    """Whether gathered distance rows give the first table chunk's bits on
+    this BLAS, for this shape, at the first padded heights a gather runs at."""
+    n_clusters = centroids.shape[0]
+    chunk = padded_rows(np.arange(min(points.shape[0], table.shape[0])), n_clusters)
+    heights = range(gemm_rows(1, n_clusters), len(chunk) + 1, ROW_MULTIPLE)
+    return n_clusters > 1 and gathers_reproduce(points[chunk], centroids, heights[:4])
 
 
 def kmeans(
@@ -396,14 +315,9 @@ def kmeans(
     labels = np.full(n, -1, dtype=np.int64)
     table = _assign_table(n, n_clusters)
 
-    # Pruning needs every full-table chunk and every padded gather on the
-    # blocked GEMM kernel, and a second cluster to be nearest to.
-    min_rows = _min_rows(n_clusters)
-    prunable = (
-        n_clusters > 1
-        and n // (len(_chunks(n, table.shape[0])) - 1) >= min_rows
-        and _gathers_reproduce(table, points, centroids, point_norms, min_rows)
-    )
+    # Pruning needs gathered rows to reproduce the table's, and a second
+    # cluster to be nearest to.
+    prunable = _prunable(table, points, centroids)
     if prunable:
         # Hamerly bounds, as distances: to the own centroid, to any other.
         upper = np.empty(n)
@@ -446,10 +360,12 @@ def kmeans(
                 np.sqrt(lower, out=lower)
         else:
             new_labels = labels.copy()
-            _reassign(
-                table, gather, candidates, points, centroids, point_norms,
-                new_labels, upper, lower, min_rows,
+            second = np.empty(len(candidates))
+            new_labels[candidates], nearest = _assign_into(
+                table, points, centroids, point_norms, second, candidates, gather
             )
+            upper[candidates] = np.sqrt(nearest)
+            lower[candidates] = np.sqrt(second)
 
         # Reseed empty clusters to the points their current centroids serve
         # worst — deterministic, and it keeps every list non-degenerate so

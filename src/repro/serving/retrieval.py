@@ -12,11 +12,11 @@ contiguous shards (see :mod:`repro.runtime.sharded`), each streamed through
 one ``(batch, dim) @ (dim, shard)`` product, masked, reduced to per-user
 candidates and merged exactly.  That keeps the item-side operand
 cache-resident at large catalog sizes and bounds peak memory at
-``batch * ITEM_BLOCK_SIZE`` scores.  A catalog that fits in one shard
-(below ~8k items) is scored bit-identically to the live model, at any batch
-height — a lone request is scored as a two-row block.  Only across shard
-layouts can scores differ by one ULP, for degenerate shapes (BLAS picks a
-different kernel for very narrow matmuls).
+``batch * ITEM_BLOCK_SIZE`` scores.  Products run at
+:func:`~repro.core.base.gemm_rows` height: a request's scores do not depend
+on batch height or batch-mates.  Across item layouts only, a float64 item
+range whose offset or width is not a multiple of 8 can give a score another
+last bit than the full-width product.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ class TestRecommendAllWithAnn:
         approx = recommend_all(index, k=15, ann=ivf)
         np.testing.assert_array_equal(exact.users, approx.users)
         np.testing.assert_array_equal(exact.items, approx.items)
-        # scores carry the usual 1-ULP caveat for differing matmul widths
+        # float64 scores: IVF lists are item ranges off multiples of 8
         np.testing.assert_allclose(exact.scores, approx.scores, rtol=1e-12)
 
     def test_pruned_bulk_export_respects_exclusions_and_padding(self, setup):

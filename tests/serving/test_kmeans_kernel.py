@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.base import ScoreBranch
+from repro.core.base import ScoreBranch, gemm_rows
 from repro.serving.ann import ivf as ivf_module
 from repro.serving.ann import pq as pq_module
 from repro.serving.ann.ivf import build_ivf, combined_item_vectors
@@ -261,16 +261,16 @@ class TestKernelDifferential:
         table = kernel._assign_table(3000, n_clusters)
         second = np.empty(3000)
         labels, assigned = kernel._assign_into(table, points, centroids, norms, second)
-        min_rows = kernel._min_rows(n_clusters)
-        if not kernel._gathers_reproduce(table, points, centroids, norms, min_rows):
+        if not kernel._prunable(table, points, centroids):
             return  # kmeans runs full passes only on this shape
         gather = np.empty((table.shape[0], dim))
-        for m in [1, 5, 31, *range(min_rows, min_rows + 40), 200, 2999]:
+        first = gemm_rows(1, n_clusters)
+        for m in [1, 5, 31, *range(first, first + 40), 200, 2999]:
             chosen = np.sort(np.random.default_rng(m).choice(3000, m, replace=False))
-            got = np.full(3000, -1), np.zeros(3000), np.zeros(3000)
-            kernel._reassign(table, gather, chosen, points, centroids, norms, *got, min_rows)
-            for a, b in zip(got, (labels, np.sqrt(assigned), np.sqrt(second))):
-                assert same_bytes(a[chosen], b[chosen]), m
+            got_second = np.empty(m)
+            got = kernel._assign_into(table, points, centroids, norms, got_second, chosen, gather)
+            for a, b in zip((*got, got_second), (labels, assigned, second)):
+                assert same_bytes(a, b[chosen]), m
 
     @pytest.mark.parametrize(
         "shape, n_clusters, rows",
@@ -278,19 +278,22 @@ class TestKernelDifferential:
             ((1500, 65), 77, 40),
             ((1500, 65), 77, 64),
             ((1500, 65), 77, 701),
-            # short dot products: even the small-matrix kernels a few-row
-            # chunk is routed to accumulate them in the same order
+            # short dot products, a few-row table: padded past the
+            # small-matrix kernel like any other chunk
             ((1501, 9), 40, 3),
             ((1501, 9), 40, 7),
         ],
     )
     def test_table_height_does_not_change_a_bit(self, monkeypatch, shape, n_clusters, rows):
         points = normal(shape, 11)
-        assert kernel._assign_table(shape[0], n_clusters).shape[0] == shape[0]
+        table = kernel._assign_table(shape[0], n_clusters)
+        assert table.shape[0] == gemm_rows(shape[0], n_clusters)
         whole = kernel.kmeans(points, n_clusters, seed=2)
         whole += kernel.assign_labels(points, whole[0])
         monkeypatch.setattr(kernel, "_ASSIGN_TABLE_BYTES", rows * n_clusters * 8)
-        assert kernel._assign_table(shape[0], n_clusters).shape == (rows, n_clusters)
+        assert kernel._assign_table(shape[0], n_clusters).shape == (
+            gemm_rows(rows, n_clusters), n_clusters
+        )
         chunked = kernel.kmeans(points, n_clusters, seed=2)
         chunked += kernel.assign_labels(points, chunked[0])
         for got, want in zip(chunked, whole):
@@ -300,7 +303,7 @@ class TestKernelDifferential:
         "shape, n_clusters",
         [
             # one row, five rows, thirteen rows past a whole number of
-            # tables: a short tail chunk would leave the blocked GEMM
+            # tables: the short tail chunk is padded to a table's kernel
             ((1703, 65), 77),
             ((3409, 65), 77),
             ((1702 * 7 + 13, 65), 77),
