@@ -215,12 +215,12 @@ def score_branches(
     Buffers whose dtype or height does not fit are ignored (the allocating
     path runs instead), so a mismatched hint can never change results.
     """
-    n = len(users)
     users = np.asarray(users, dtype=np.int64)
     if stop is None:
         stop = branches[0].item.shape[0]
     width = stop - start
-    users = padded_rows(users, width)
+    padded = padded_rows(users, width)
+    rows = len(padded)
 
     dtype = branches_dtype(branches)
     uniform = all(
@@ -233,17 +233,18 @@ def score_branches(
         out is not None
         and uniform
         and out.dtype == dtype
-        and out.shape[0] >= len(users)
+        and out.shape[0] >= rows
         and out.shape[1] >= width
     ):
         view = out[: len(users), :width]
-        part = view
         for i, branch in enumerate(branches):
+            target = out
             if i > 0:
-                if scratch is None or scratch.dtype != dtype or scratch.shape[0] < len(users) or scratch.shape[1] < width:
+                if scratch is None or scratch.dtype != dtype or scratch.shape[0] < rows or scratch.shape[1] < width:
                     scratch = np.empty_like(out)
-                part = scratch[: len(users), :width]
-            np.matmul(branch.user[users], branch.item[start:stop].T, out=part)
+                target = scratch
+            np.matmul(branch.user[padded], branch.item[start:stop].T, out=target[:rows, :width])
+            part = target[: len(users), :width]
             if branch.item_const is not None:
                 np.add(part, branch.item_const[None, start:stop], out=part)
             if branch.user_const is not None:
@@ -252,11 +253,11 @@ def score_branches(
                 np.multiply(part, branch.weight, out=part)
             if i > 0:
                 np.add(view, part, out=view)
-        return view[:n]
+        return view
 
     total: Optional[np.ndarray] = None
     for branch in branches:
-        part = branch.user[users] @ branch.item[start:stop].T
+        part = (branch.user[padded] @ branch.item[start:stop].T)[: len(users)]
         if branch.item_const is not None:
             part = part + branch.item_const[None, start:stop]
         if branch.user_const is not None:
@@ -264,7 +265,7 @@ def score_branches(
         if branch.weight != 1.0:
             part = branch.weight * part
         total = part if total is None else total + part
-    return total[:n]
+    return total
 
 
 class Recommender(Module):

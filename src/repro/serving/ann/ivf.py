@@ -46,7 +46,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ...core.base import ScoreBranch, branches_dtype, gemm_rows, padded_rows, score_branches
+from ...core.base import ScoreBranch, branches_dtype, padded_rows, score_branches
 from ...data.dataset import expand_csr_rows
 from ...eval.topk import NEG_INF, partition_topk_rows, topk_pairs_rows
 from ...obs.trace import maybe_span
@@ -436,12 +436,6 @@ class IVFIndex:
         sorted_rows = flat_rows[order]
         starts = np.flatnonzero(np.r_[True, sorted_lists[1:] != sorted_lists[:-1]])
         bounds = np.r_[starts, len(sorted_lists)]
-        # One exact score buffer for every group, gemm_rows tall for the
-        # widest list (a narrower list may need more rows: it allocates).
-        exact = scorer == "exact"
-        shape = (gemm_rows(n, int(sizes.max())), int(sizes.max()))
-        out = np.empty(shape, self.dtype) if exact else None
-        scratch = np.empty(shape, self.dtype) if exact and len(self._perm_branches) > 1 else None
 
         # begin()/finish() rather than a with-block: the loop is long and
         # an exception mid-fine leaves the span unfinished, which exporters
@@ -463,7 +457,7 @@ class IVFIndex:
             if width == 0:
                 continue
             rows = sorted_rows[lo:hi]
-            part = self._score_segment(scorer, users[rows], lst, start, stop, out, scratch)
+            part = self._score_segment(scorer, users[rows], lst, start, stop)
             seg_ids = self.list_items[start:stop]
             if mask_perm is not None:
                 part[:, ~mask_perm[start:stop]] = NEG_INF
@@ -529,11 +523,9 @@ class IVFIndex:
     # Fine-stage storage hooks (tiered layouts override these)
     # ------------------------------------------------------------------
     def _score_segment(
-        self, scorer: str, users_sel: np.ndarray, lst: int, start: int, stop: int,
-        out: Optional[np.ndarray] = None, scratch: Optional[np.ndarray] = None,
+        self, scorer: str, users_sel: np.ndarray, lst: int, start: int, stop: int
     ) -> np.ndarray:
-        """Fine-stage scores of one probed list for its probing users
-        (exact scores into ``out`` / ``scratch`` when they fit).
+        """Fine-stage scores of one probed list for its probing users.
 
         Storage access is funneled through this hook (and
         :meth:`_rerank_exact`) so :class:`~.tiered.TieredIVFIndex` can swap
@@ -541,7 +533,7 @@ class IVFIndex:
         touching the search loop above.
         """
         if scorer == "exact":
-            return score_branches(self._perm_branches, users_sel, start, stop, out, scratch)
+            return score_branches(self._perm_branches, users_sel, start, stop)
         return score_pq_block(
             self._perm_branches,
             self.pq,

@@ -164,14 +164,13 @@ class TieredIVFIndex(IVFIndex):
     # Storage hooks (the only behavioural difference from IVFIndex)
     # ------------------------------------------------------------------
     def _score_segment(
-        self, scorer: str, users_sel: np.ndarray, lst: int, start: int, stop: int,
-        out: Optional[np.ndarray] = None, scratch: Optional[np.ndarray] = None,
+        self, scorer: str, users_sel: np.ndarray, lst: int, start: int, stop: int
     ) -> np.ndarray:
         # ADC codes are always resident: only the exact fine stage
         # distinguishes hot (resident slice) from cold (mmap page-in).
         if scorer == "exact" and self.is_hot[lst]:
-            return score_branches(self._hot_branches[lst], users_sel, 0, stop - start, out, scratch)
-        return super()._score_segment(scorer, users_sel, lst, start, stop, out, scratch)
+            return score_branches(self._hot_branches[lst], users_sel, 0, stop - start)
+        return super()._score_segment(scorer, users_sel, lst, start, stop)
 
     # ------------------------------------------------------------------
     # Memory accounting
