@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 from repro.core import pup_full
-from repro.core.base import Recommender, ScoreBranch
+from repro.core.base import Recommender, ScoreBranch, gemm_rows, score_branches
 from repro.data import SyntheticConfig, generate
 from repro.eval.ranking import evaluate, metrics_from_rankings, topk_rankings
 from repro.eval.topk import masked_topk
 from repro.profiling import Profiler
 from repro.runtime import BatchRuntime, RuntimeConfig, ShardedIndex, recommend_all
-from repro.runtime.sharded import shard_ranges
+from repro.runtime.sharded import _Buffers, shard_ranges
 from repro.serving import RetrievalEngine, export_index
 
 
@@ -236,6 +236,26 @@ class TestRestrictedPoolScores:
             )
         assert ids[0][0] == 2 and scores[0][0] == 2.0
         assert np.all(np.isneginf(scores[0][1:]))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_buffers_of_gemm_rows_height_are_scored_in_place(dtype):
+    rng = np.random.default_rng(3)
+    for width in (7, 77, 203):
+        branches = [
+            ScoreBranch(
+                user=rng.normal(size=(64, d)).astype(dtype),
+                item=rng.normal(size=(width, d)).astype(dtype),
+                item_const=rng.normal(size=width).astype(dtype),
+                weight=0.5,
+            )
+            for d in (9, 4)
+        ]
+        for height in range(1, 65):
+            out, scratch = _Buffers().get(height, width, np.dtype(dtype))
+            assert out.shape == (gemm_rows(height, width), width)
+            scores = score_branches(branches, np.arange(height), out=out, scratch=scratch)
+            assert scores.shape == (height, width) and np.shares_memory(scores, out)
 
 
 class TestScorerFallback:
