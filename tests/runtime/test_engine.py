@@ -238,6 +238,40 @@ class TestRestrictedPoolScores:
         assert np.all(np.isneginf(scores[0][1:]))
 
 
+class TestBatchHeight:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_branches", [1, 3])
+    def test_a_lone_row_scores_as_it_does_inside_a_batch(self, dtype, n_branches):
+        # Every product runs at ``gemm_rows`` height, so the open-rows pass
+        # and the restricted pools must both score a lone row the way a
+        # taller batch does.
+        rng = np.random.default_rng(n_branches)
+        branches = [
+            ScoreBranch(
+                user=rng.normal(size=(16, 64)).astype(dtype),
+                item=rng.normal(size=(3000, 64)).astype(dtype),
+                weight=1.0 / (position + 1),
+            )
+            for position in range(n_branches)
+        ]
+        sharded = ShardedIndex(branches)
+        users = np.arange(16)
+        pools = [np.sort(rng.choice(3000, size=200, replace=False)) for _ in users]
+        batch_ids, batch_scores = sharded.topk_chunk(users, 50, with_scores=True)
+        pool_ids, pool_scores = sharded.topk_chunk(
+            users, 50, candidate_items=pools, with_scores=True
+        )
+        for user in (0, 7, 15):
+            ids, scores = sharded.topk_chunk([user], 50, with_scores=True)
+            np.testing.assert_array_equal(ids[0], batch_ids[user])
+            np.testing.assert_array_equal(scores[0], batch_scores[user])
+            ids, scores = sharded.topk_chunk(
+                [user], 50, candidate_items=[pools[user]], with_scores=True
+            )
+            np.testing.assert_array_equal(ids[0], pool_ids[user])
+            np.testing.assert_array_equal(scores[0], pool_scores[user])
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_buffers_of_gemm_rows_height_are_scored_in_place(dtype):
     rng = np.random.default_rng(3)

@@ -62,6 +62,14 @@ class TestEvalParity:
         for user, result in zip(users, results):
             np.testing.assert_array_equal(result.items, expected[user])
 
+    def test_scores_returned_are_model_scores(self, setup):
+        dataset, model, index = setup
+        engine = RetrievalEngine(index)
+        [result] = engine.topk([4], k=5, exclude_train=False)
+        # a lone request scores as it would inside any batch
+        full = model.predict_scores(np.arange(16))[4]
+        np.testing.assert_array_equal(result.scores, full[result.items])
+
 
 def oracle_topk(index, users, k, exclude_train, mask):
     """Per-row reference: ``masked_topk`` over the single-matmul score rows."""
