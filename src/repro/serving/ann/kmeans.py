@@ -113,19 +113,14 @@ def _assign_table(n_points: int, n_clusters: int) -> np.ndarray:
 
 
 def _distance_rows(
-    out: np.ndarray,
-    points: np.ndarray,
-    centroids: np.ndarray,
-    point_norms: np.ndarray,
-    centroid_norms: np.ndarray,
+    out: np.ndarray, point_norms: np.ndarray, centroid_norms: np.ndarray
 ) -> np.ndarray:
-    """Squared distances of ``points`` to every centroid, into ``out``.
+    """Squared distances from the products ``x.c`` in ``out``, in place.
 
-    Every assignment distance row is computed here: one matmul and four
-    in-place elementwise passes, ``max(|x|^2 - 2 x.c + |c|^2, 0)`` in that
-    order, so nothing the size of ``out`` is allocated.
+    Every assignment distance row goes through here: four elementwise
+    passes, ``max(|x|^2 - 2 x.c + |c|^2, 0)`` in that order, so nothing
+    the size of ``out`` is allocated.
     """
-    np.matmul(points, centroids.T, out=out)
     np.multiply(out, 2.0, out=out)
     np.subtract(point_norms[:, None], out, out=out)
     np.add(out, centroid_norms[None, :], out=out)
@@ -173,16 +168,18 @@ def _assign_into(
     centroid_norms = np.einsum("ij,ij->i", centroids, centroids)
     for start in range(0, n, table.shape[0]):
         stop = min(start + table.shape[0], n)
+        kept = slice(start, stop) if subset is None else subset[start:stop]
         rows = gemm_rows(stop - start, n_clusters)
         if subset is None and rows == stop - start:
-            ids, chunk = slice(start, stop), points[start:stop]
+            chunk = points[kept]
         else:
-            ids = np.arange(start, stop) if subset is None else subset[start:stop]
-            ids = padded_rows(ids, n_clusters)
+            ids = padded_rows(np.arange(start, stop) if subset is None else kept, n_clusters)
             chunk = points[ids] if gather is None else np.take(points, ids, 0, gather[:rows])
-        sq = _distance_rows(table[:rows], chunk, centroids, point_norms[ids], centroid_norms)
+        np.matmul(chunk, centroids.T, out=table[:rows])
+        del chunk  # a gathered copy is freed before the elementwise passes
+        sq = _distance_rows(table[: stop - start], point_norms[kept], centroid_norms)
         labels[start:stop], assigned[start:stop] = _nearest(
-            sq[: stop - start], None if second is None else second[start:stop]
+            sq, None if second is None else second[start:stop]
         )
     return labels, assigned
 

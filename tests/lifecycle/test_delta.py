@@ -181,10 +181,9 @@ class TestNewRowsOnly:
                 )
             )
             peaks[n_old] = traced_peak(lambda: delta_build(prev, grown))
-        # the assignment step: the same ~75 KB whatever the catalog size, a
-        # 48-row padded copy of the 30 new rows and its 48-row table among
-        # it (the whole-catalog expression is 3 MB and 12.5 MB here)
-        assert max(step_peaks.values()) < 96 * 1024
+        # the assignment step: the same ~40 KB whatever the catalog size
+        # (the whole-catalog expression is 3 MB and 12.5 MB here)
+        assert max(step_peaks.values()) < 64 * 1024
         assert abs(step_peaks[24_000] - step_peaks[6000]) < 1024
         # the whole delta build still copies the permuted factors (~400 B an
         # item), but no longer a float64 combined row (8 x 65 B) on top
