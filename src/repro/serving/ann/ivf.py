@@ -24,9 +24,10 @@ Search is two-stage:
 Because stage 2 is exact and the lists partition the catalog, probing all
 lists (``nprobe >= n_lists``) makes the candidate pool the full catalog
 and the result bit-identical to exact search — the property the test
-suite pins.  Both stages run their products at
-:func:`~repro.core.base.gemm_rows` height: a user's probes and scores do
-not depend on who shared its batch or a list's group.  Smaller ``nprobe``
+suite pins.  Both stages, the ``pq`` scorer's lookup tables included, run
+their products at :func:`~repro.core.base.gemm_rows` height: a user's
+probes and scores do not depend on who shared its batch or a list's
+group.  Smaller ``nprobe``
 trades recall for time along a measured curve (docs/performance.md).
 
 An optional residual PQ companion (one :class:`~.pq.PQBranch` per branch,

@@ -42,7 +42,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ...core.base import ScoreBranch
+from ...core.base import ScoreBranch, padded_rows
 from .kmeans import assign_labels, kmeans
 
 #: uint8 codes: a codebook can never exceed this many centroids
@@ -259,19 +259,22 @@ def score_pq_block(
     """
     users = np.asarray(users, dtype=np.int64)
     dtype = np.dtype(dtype)
+    n = len(users)
     total: Optional[np.ndarray] = None
     for branch, pb, codes, const, mean in zip(
         branches, pq_branches, code_blocks, item_consts, means
     ):
-        u_raw = np.asarray(branch.user[users], dtype=np.float64)
+        # the user-row products run at the narrowest one's gemm_rows height
+        widths = [len(cb) for cb in pb.codebooks] + ([] if pb.rotation is None else [pb.d])
+        u_raw = np.asarray(branch.user[padded_rows(users, min(widths))], dtype=np.float64)
         u = u_raw @ pb.rotation if pb.rotation is not None else u_raw
         part64: Optional[np.ndarray] = None
         for m, cb in enumerate(pb.codebooks):
             lo, hi = pb.splits[m]
-            lut = u[:, lo:hi] @ cb.T  # (rows, n_centroids_m)
+            lut = (u[:, lo:hi] @ cb.T)[:n]  # (rows, n_centroids_m)
             term = lut[:, codes[:, m]]
             part64 = term if part64 is None else part64 + term
-        part64 = part64 + (u_raw @ np.asarray(mean, dtype=np.float64))[:, None]
+        part64 = part64 + (u_raw @ np.asarray(mean, dtype=np.float64))[:n, None]
         part = part64.astype(dtype, copy=False)
         if const is not None:
             part = part + const[None, :].astype(dtype, copy=False)

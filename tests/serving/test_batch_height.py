@@ -77,7 +77,7 @@ def gateway_answers(index, users):
     return [(answer.items, answer.scores) for answer in answers]
 
 
-def paths(index, ann, tiered, pools):
+def paths(index, ann, ivf_pq, tiered, pools):
     """Each path as ``users -> [(ids, scores) per row]``."""
     sharded = ShardedIndex(index)
     engine = RetrievalEngine(index)
@@ -88,6 +88,15 @@ def paths(index, ann, tiered, pools):
 
     def each(results):
         return [(r.items, r.scores) for r in results]
+
+    def adc(u):
+        # the pq scorer's shortlist input: every list's ADC block
+        bounds = ivf_pq.list_indptr
+        scores = np.hstack([
+            ivf_pq._score_segment("pq", u, lst, bounds[lst], bounds[lst + 1])
+            for lst in range(ivf_pq.n_lists)
+        ])
+        return rows(np.broadcast_to(ivf_pq.list_items, scores.shape), scores)
 
     def bulk(u):
         exported = recommend_all(index, K, users=u)
@@ -101,6 +110,8 @@ def paths(index, ann, tiered, pools):
         "recommend_all": bulk,
         "ivf default": lambda u: rows(*ann.search(u, K, exclude_csr=exclude)),
         "ivf full": lambda u: rows(*ann.search(u, K, nprobe=ann.n_lists, exclude_csr=exclude)),
+        "ivf-pq default": lambda u: rows(*ivf_pq.search(u, K, exclude_csr=exclude)),
+        "ivf-pq adc": adc,
         "tiered": lambda u: rows(*tiered.search(u, K, exclude_csr=exclude)),
         "gateway vs recommend_many": lambda u: (
             gateway_answers(index, u)
@@ -130,6 +141,7 @@ def paths(index, ann, tiered, pools):
 def test_a_row_scores_alike_in_any_batch(dtype, width, d, height, seed):
     index = catalog(dtype, width, d, seed)
     ann = build_ivf(index, seed=0)
+    ivf_pq = build_ivf(index, seed=0, pq=True)
     tiered = TieredIVFIndex(
         index, ann.centroids, ann.list_indptr, ann.list_items, ann.nprobe,
         config=TieredIndexConfig(hot_fraction=0.5),
@@ -142,7 +154,7 @@ def test_a_row_scores_alike_in_any_batch(dtype, width, d, height, seed):
     batch = rng.choice(N_USERS, height, replace=False)
     everyone = np.arange(N_USERS)
     dense = index.score(everyone)
-    for name, path in paths(index, ann, tiered, pools).items():
+    for name, path in paths(index, ann, ivf_pq, tiered, pools).items():
         reference = path(everyone)
         for row, (ids, scores) in zip(batch, path(batch)):
             want_ids, want_scores = reference[row]
