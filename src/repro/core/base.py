@@ -14,6 +14,7 @@ Models expose two surfaces:
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -143,9 +144,11 @@ def gathers_reproduce(rows: np.ndarray, cols: np.ndarray, heights) -> bool:
 
 def _probe_row_multiple() -> int:
     """The first of ``_ROW_MULTIPLES`` at which no probed row's bits depend
-    on its product's padded height (the last if none): float32 and float64,
-    dot lengths and widths off multiples of 8, a width past 192 and one
-    under the small-matrix floor, against a reference every candidate divides."""
+    on its product's padded height: float32 and float64, dot lengths and
+    widths off multiples of 8, a width past 192 and one under the
+    small-matrix floor, against a reference every candidate divides.  If
+    none passes (a multi-threaded BLAS splits tall products by height),
+    the last is used and a ``RuntimeWarning`` says rows are not stable."""
     rng = np.random.default_rng(0)
     shapes = [
         (dtype, d, width)
@@ -162,6 +165,11 @@ def _probe_row_multiple() -> int:
             for dtype, d, width in shapes
         ):
             return multiple
+    warnings.warn(
+        f"no row multiple in {_ROW_MULTIPLES} reproduces a row's bits on this BLAS "
+        "(is it multi-threaded?): a row's scores may depend on its batch",
+        RuntimeWarning,
+    )
     return _ROW_MULTIPLES[-1]
 
 
