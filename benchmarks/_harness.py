@@ -1,10 +1,15 @@
-"""Shared infrastructure for the per-table / per-figure benchmarks.
+"""Shared recipe for the per-table / per-figure paper-claim scripts.
 
-Every benchmark file regenerates one artifact of the paper's evaluation
+Every ``bench_*.py`` file regenerates one artifact of the paper's evaluation
 section: it trains the involved models on the corresponding synthetic
 dataset, prints the same rows/series the paper reports (with the paper's
-published numbers alongside for shape comparison), and writes the report to
-``benchmarks/results/<name>.txt``.
+published numbers alongside for shape comparison), writes the report to
+``benchmarks/results/<name>.txt``, and asserts the paper's ordering.
+
+Models come from the experiment API: :func:`paper_spec` is the one
+training recipe, and :func:`trained` runs each distinct spec once per
+process, so a model several tables share (PUP on yelp appears in four) is
+trained once.
 
 Absolute numbers are not expected to match the paper (our substrate is a
 calibrated synthetic generator, not the original datasets); the *shape* —
@@ -14,77 +19,82 @@ who wins, rough factors, where curves peak — is the reproduction target.
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.data import load_dataset
+from repro.data import rank_quantize
 from repro.data.dataset import Dataset
-from repro.eval import evaluate
-from repro.experiments import PAPER_HPARAMS, build_model, model_display_name
-from repro.train import TrainConfig, train_model
+from repro.experiments import (
+    PAPER_HPARAMS,
+    Experiment,
+    ExperimentSpec,
+    resolve_model_name,
+    run,
+)
+from repro.train import train_model
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
-#: standard training recipe used by all benchmarks (paper: Adam @ 1e-2,
-#: batch 1024, BPR, lr cut by 10x twice; epochs reduced for synthetic scale)
+#: paper: Adam @ 1e-2, batch 1024, BPR, lr cut by 10x twice; epochs reduced
+#: for synthetic scale
 EPOCHS = 45
 
 
-def default_config(seed: int = 0, epochs: int = EPOCHS) -> TrainConfig:
-    """The shared training recipe: lr decays 10x at 1/2 and 3/4 of the run."""
-    return TrainConfig(
+def paper_spec(
+    model: str,
+    dataset: str,
+    *,
+    hparams: Optional[Dict[str, Any]] = None,
+    epochs: int = EPOCHS,
+    **overrides,
+) -> ExperimentSpec:
+    """The shared recipe for ``model`` on ``dataset``, seed 0.
+
+    The learning rate decays 10x at 1/2 and 3/4 of the run; evaluation is
+    Recall/NDCG at 50 and 100 on the test split, with no serving export.
+    ``hparams`` is merged over ``PAPER_HPARAMS`` (PUP's ablation variants
+    take PUP's sizes); other ``overrides`` go to
+    :meth:`ExperimentSpec.create`, e.g. ``scale``, ``seed`` or a
+    :class:`~repro.train.TrainConfig` field such as ``loss``.
+    """
+    canonical = resolve_model_name(model)
+    variant_of_pup = canonical.startswith("pup")
+    base = PAPER_HPARAMS.get(canonical, PAPER_HPARAMS["pup"] if variant_of_pup else {})
+    recipe = dict(
         epochs=epochs,
         batch_size=1024,
         learning_rate=1e-2,
         l2_weight=1e-4,
         lr_milestones=(epochs // 2, (3 * epochs) // 4),
-        seed=seed,
+        ks=(50, 100),
+        export=False,
     )
+    recipe.update(overrides)
+    return ExperimentSpec.create(canonical, dataset, hparams={**base, **(hparams or {})}, **recipe)
 
 
-def model_builders(seed: int = 0) -> Dict[str, Callable[[Dataset], object]]:
-    """Constructors for the Table II method column, in the paper's order.
+_TRAINED: Dict[str, Experiment] = {}
 
-    Built from the model registry; ``PAPER_HPARAMS`` is the shared
-    hyper-parameter table, so the benchmarks, the examples, and the CLI
-    ``compare`` subcommand all train identical configurations.
+
+def trained(spec: ExperimentSpec) -> Experiment:
+    """``run(spec)``, once per process: the :class:`Experiment` for ``spec``."""
+    key = spec.to_json()
+    if key not in _TRAINED:
+        _TRAINED[key] = run(spec)
+    return _TRAINED[key]
+
+
+def train_requantized(spec: ExperimentSpec, n_levels: int) -> Tuple[Dict[str, float], Dataset]:
+    """Train and evaluate ``spec`` on its dataset rank-quantized to ``n_levels``.
+
+    The requantized dataset is not a registry dataset, so the spec does not
+    name it and the run stays out of :func:`trained`'s memo.
     """
-    return {
-        model_display_name(name): (
-            lambda d, name=name: build_model(name, d, seed=seed, **PAPER_HPARAMS[name])
-        )
-        for name in PAPER_HPARAMS
-    }
-
-
-def train_and_eval(
-    builder: Callable[[Dataset], object],
-    dataset: Dataset,
-    ks: Iterable[int] = (50, 100),
-    seed: int = 0,
-    epochs: int = EPOCHS,
-) -> Dict[str, float]:
-    """Train one model with the shared recipe and return test metrics."""
-    model = builder(dataset)
-    train_model(model, dataset, default_config(seed=seed, epochs=epochs))
-    return evaluate(model, dataset, ks=ks)
-
-
-def trained_model(
-    builder: Callable[[Dataset], object],
-    dataset: Dataset,
-    seed: int = 0,
-    epochs: int = EPOCHS,
-):
-    """Train one model and return it (for protocol-specific evaluation)."""
-    model = builder(dataset)
-    train_model(model, dataset, default_config(seed=seed, epochs=epochs))
-    return model
-
-
-def get_dataset(name: str, **kwargs) -> Dataset:
-    """Named synthetic dataset (cached across benchmark files)."""
-    dataset, __ = load_dataset(name, **kwargs)
-    return dataset
+    base, _truth = spec.dataset.load()
+    levels = rank_quantize(base.catalog.raw_prices, base.catalog.categories, n_levels)
+    dataset = base.requantize(levels, n_levels)
+    model = spec.model.build(dataset)
+    train_model(model, dataset, spec.train)
+    return spec.eval.run(model, dataset), dataset
 
 
 def format_table(

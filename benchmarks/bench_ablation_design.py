@@ -1,7 +1,8 @@
 """Design-choice ablations beyond the paper's tables.
 
-DESIGN.md calls out three implementation decisions the paper motivates in
-prose but never tables; this bench quantifies each on the Yelp-like dataset:
+docs/experiments.md calls out three implementation decisions the paper
+motivates in prose but never tables; this bench quantifies each on the
+Yelp-like dataset:
 
 * **self-loops** in Â (Section IV-A cites SGC: "adding self-loops is of
   significant importance") — expected to help;
@@ -11,46 +12,19 @@ prose but never tables; this bench quantifies each on the Yelp-like dataset:
   standard BPR ``-ln sigma(s_i - s_j)`` the reference implementation uses.
 """
 
-import numpy as np
+from benchmarks._harness import format_table, paper_spec, trained, write_report
 
-from benchmarks._harness import default_config, format_table, get_dataset, write_report
-from repro.core import pup_full
-from repro.eval import evaluate
-from repro.train import TrainConfig, train_model
-
-
-def _train(dataset, train_config=None, **pup_kwargs):
-    model = pup_full(
-        dataset, global_dim=56, category_dim=8, rng=np.random.default_rng(0), **pup_kwargs
-    )
-    train_model(model, dataset, train_config or default_config())
-    return evaluate(model, dataset, ks=(50,))
+CONFIGURATIONS = {
+    "PUP (paper design)": paper_spec("pup", "yelp"),
+    "no self-loops": paper_spec("pup", "yelp", hparams={"self_loops": False}),
+    "0 conv layers (lookup)": paper_spec("pup", "yelp", hparams={"n_layers": 0}),
+    "2 conv layers": paper_spec("pup", "yelp", hparams={"n_layers": 2}),
+    "literal Eq.4 loss": paper_spec("pup", "yelp", loss="bpr_eq4"),
+}
 
 
-def run_design_ablation():
-    dataset = get_dataset("yelp")
-    results = {}
-    results["PUP (paper design)"] = _train(dataset)
-    results["no self-loops"] = _train(dataset, self_loops=False)
-    results["0 conv layers (lookup)"] = _train(dataset, n_layers=0)
-    results["2 conv layers"] = _train(dataset, n_layers=2)
-
-    eq4_config = default_config()
-    eq4_config = TrainConfig(
-        epochs=eq4_config.epochs,
-        batch_size=eq4_config.batch_size,
-        learning_rate=eq4_config.learning_rate,
-        l2_weight=eq4_config.l2_weight,
-        lr_milestones=eq4_config.lr_milestones,
-        seed=eq4_config.seed,
-        loss="bpr_eq4",
-    )
-    results["literal Eq.4 loss"] = _train(dataset, train_config=eq4_config)
-    return results
-
-
-def test_design_choice_ablation(benchmark):
-    results = benchmark.pedantic(run_design_ablation, rounds=1, iterations=1)
+def test_design_choice_ablation():
+    results = {name: trained(spec).metrics for name, spec in CONFIGURATIONS.items()}
 
     rows = [
         [name, f"{metrics['Recall@50']:.4f}", f"{metrics['NDCG@50']:.4f}"]

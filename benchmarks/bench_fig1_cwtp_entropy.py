@@ -7,19 +7,15 @@ across categories for a large user population.
 
 import numpy as np
 
-from benchmarks._harness import format_table, get_dataset, write_report
+from benchmarks._harness import format_table, write_report
 from repro.analysis import cwtp_entropy, entropy_histogram
+from repro.data import load_dataset
 
 
-def run_fig1():
-    dataset = get_dataset("beibei")
+def test_fig1_cwtp_entropy():
+    dataset, _truth = load_dataset("beibei")
     entropies = np.array(list(cwtp_entropy(dataset).values()))
     edges, density = entropy_histogram(dataset, bins=12)
-    return dataset, entropies, edges, density
-
-
-def test_fig1_cwtp_entropy(benchmark):
-    dataset, entropies, edges, density = benchmark.pedantic(run_fig1, rounds=1, iterations=1)
 
     rows = [
         [f"{lo:.2f}-{hi:.2f}", f"{d:.3f}", "#" * int(round(d * 40))]

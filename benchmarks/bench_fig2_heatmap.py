@@ -6,12 +6,13 @@ price level, and the preferred level differs between categories.
 
 import numpy as np
 
-from benchmarks._harness import get_dataset, write_report
+from benchmarks._harness import write_report
 from repro.analysis import render_ascii, row_concentration, user_price_category_heatmap
+from repro.data import load_dataset
 
 
-def run_fig2():
-    dataset = get_dataset("beibei")
+def test_fig2_price_category_heatmap():
+    dataset, _truth = load_dataset("beibei")
     rng = np.random.default_rng(7)
     active_users = np.unique(dataset.train.users)
     users = rng.choice(active_users, size=3, replace=False)
@@ -24,13 +25,7 @@ def run_fig2():
         heatmap = user_price_category_heatmap(dataset, int(user), normalize=False)
         if heatmap.sum() > 0:
             all_concentration.append(row_concentration(heatmap))
-    return heatmaps, concentrations, float(np.mean(all_concentration))
-
-
-def test_fig2_price_category_heatmap(benchmark):
-    heatmaps, concentrations, mean_concentration = benchmark.pedantic(
-        run_fig2, rounds=1, iterations=1
-    )
+    mean_concentration = float(np.mean(all_concentration))
 
     sections = ["Fig 2 — price-category purchase heatmaps (3 sampled users)", "=" * 58]
     for user, heatmap in heatmaps.items():

@@ -10,32 +10,18 @@ import numpy as np
 
 from benchmarks._harness import (
     PAPER_FIG5_LEVELS,
-    default_config,
     format_table,
-    get_dataset,
+    paper_spec,
+    train_requantized,
     write_report,
 )
-from repro.core import pup_full
-from repro.data import rank_quantize
-from repro.eval import evaluate
-from repro.train import train_model
 
 
-def run_fig5():
-    base = get_dataset("amazon")
-    prices = base.catalog.raw_prices
-    categories = base.catalog.categories
-    series = {}
-    for levels in PAPER_FIG5_LEVELS:
-        dataset = base.requantize(rank_quantize(prices, categories, levels), levels)
-        model = pup_full(dataset, global_dim=56, category_dim=8, rng=np.random.default_rng(0))
-        train_model(model, dataset, default_config())
-        series[levels] = evaluate(model, dataset, ks=(100,))["Recall@100"]
-    return series
-
-
-def test_fig5_price_level_sweep(benchmark):
-    series = benchmark.pedantic(run_fig5, rounds=1, iterations=1)
+def test_fig5_price_level_sweep():
+    spec = paper_spec("pup", "amazon")
+    series = {
+        levels: train_requantized(spec, levels)[0]["Recall@100"] for levels in PAPER_FIG5_LEVELS
+    }
 
     values = list(series.values())
     peak = max(values)

@@ -6,41 +6,27 @@ factorization methods (FM, DeepFM); PUP and PUP− beat GC-MC thanks to the
 price bridge; full PUP is best overall.
 """
 
-import numpy as np
-
-from benchmarks._harness import default_config, format_table, get_dataset, write_report
-from repro.baselines import FM, GCMC, DeepFM
-from repro.core import pup_full, pup_minus
+from benchmarks._harness import format_table, paper_spec, trained, write_report
 from repro.eval import build_cold_start_task, evaluate_cold_start
-from repro.train import train_model
+from repro.experiments import model_display_name
+
+MODELS = ("fm", "deepfm", "gcmc", "pup-minus", "pup")
 
 
-def builders():
-    return {
-        "FM": lambda d: FM(d, dim=64, rng=np.random.default_rng(0)),
-        "DeepFM": lambda d: DeepFM(d, dim=32, hidden=(64, 32), rng=np.random.default_rng(0)),
-        "GC-MC": lambda d: GCMC(d, dim=64, rng=np.random.default_rng(0)),
-        "PUP-": lambda d: pup_minus(d, global_dim=56, category_dim=8, rng=np.random.default_rng(0)),
-        "PUP": lambda d: pup_full(d, global_dim=56, category_dim=8, rng=np.random.default_rng(0)),
-    }
-
-
-def run_fig6():
-    dataset = get_dataset("yelp")
+def test_fig6_cold_start():
+    experiments = {model_display_name(n): trained(paper_spec(n, "yelp")) for n in MODELS}
+    dataset = experiments["PUP"].dataset
     task = build_cold_start_task(dataset)
-    results = {}
-    for name, builder in builders().items():
-        model = builder(dataset)
-        train_model(model, dataset, default_config())
-        results[name] = {
-            protocol: evaluate_cold_start(model, dataset, protocol=protocol, ks=(50,), task=task)
+    results = {
+        name: {
+            protocol: evaluate_cold_start(
+                experiment.model, dataset, protocol=protocol, ks=(50,), task=task
+            )
             for protocol in ("CIR", "UCIR")
         }
-    return results, len(task.users)
-
-
-def test_fig6_cold_start(benchmark):
-    results, n_cold_users = benchmark.pedantic(run_fig6, rounds=1, iterations=1)
+        for name, experiment in experiments.items()
+    }
+    n_cold_users = len(task.users)
 
     rows = [
         [

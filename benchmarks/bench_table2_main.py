@@ -6,30 +6,20 @@ paper): PUP best on every metric of both datasets; PaDQ below BPR-MF
 methods above plain BPR-MF; ItemPop far below everything personalized.
 """
 
-from benchmarks._harness import (
-    PAPER_TABLE2,
-    format_table,
-    get_dataset,
-    model_builders,
-    train_and_eval,
-    write_report,
-)
+from benchmarks._harness import PAPER_TABLE2, format_table, paper_spec, trained, write_report
+from repro.experiments import PAPER_HPARAMS, model_display_name
 
 METRICS = ("Recall@50", "NDCG@50", "Recall@100", "NDCG@100")
 
 
-def run_table2():
-    results = {}
-    for dataset_name in ("yelp", "beibei"):
-        dataset = get_dataset(dataset_name)
-        results[dataset_name] = {}
-        for method, builder in model_builders().items():
-            results[dataset_name][method] = train_and_eval(builder, dataset, ks=(50, 100))
-    return results
-
-
-def test_table2_main_comparison(benchmark):
-    results = benchmark.pedantic(run_table2, rounds=1, iterations=1)
+def test_table2_main_comparison():
+    results = {
+        dataset_name: {
+            model_display_name(name): trained(paper_spec(name, dataset_name)).metrics
+            for name in PAPER_HPARAMS
+        }
+        for dataset_name in ("yelp", "beibei")
+    }
 
     reports = []
     for dataset_name, method_metrics in results.items():

@@ -6,46 +6,18 @@ price alone (w/ p) clearly above the attribute-free variant; category
 alone is *not* sufficient (in the paper it even hurts Recall).
 """
 
-import numpy as np
-
-from benchmarks._harness import (
-    PAPER_TABLE3,
-    default_config,
-    format_table,
-    get_dataset,
-    write_report,
-)
-from repro.core import (
-    pup_full,
-    pup_with_category,
-    pup_with_price,
-    pup_without_price_and_category,
-)
-from repro.eval import evaluate
-from repro.train import train_model
+from benchmarks._harness import PAPER_TABLE3, format_table, paper_spec, trained, write_report
+from repro.experiments import model_display_name
 
 METRICS = ("Recall@50", "NDCG@50", "Recall@100", "NDCG@100")
 
-VARIANTS = [
-    ("PUP w/o c,p", pup_without_price_and_category),
-    ("PUP w/ c", pup_with_category),
-    ("PUP w/ p", pup_with_price),
-    ("PUP", pup_full),
-]
+VARIANTS = ("pup-mf", "pup-c", "pup-p", "pup")
 
 
-def run_table3():
-    dataset = get_dataset("amazon")
-    results = {}
-    for name, factory in VARIANTS:
-        model = factory(dataset, rng=np.random.default_rng(0), global_dim=56, category_dim=8)
-        train_model(model, dataset, default_config())
-        results[name] = evaluate(model, dataset, ks=(50, 100))
-    return results
-
-
-def test_table3_price_ablation(benchmark):
-    results = benchmark.pedantic(run_table3, rounds=1, iterations=1)
+def test_table3_price_ablation():
+    results = {
+        model_display_name(name): trained(paper_spec(name, "amazon")).metrics for name in VARIANTS
+    }
 
     rows = [
         [name]
@@ -62,7 +34,7 @@ def test_table3_price_ablation(benchmark):
             "weakest variant.  Reproduced on NDCG (ranking quality); on the",
             "synthetic substrate Recall@K of the attribute-free variant stays",
             "competitive because item co-purchases leak price implicitly at",
-            "this density (see EXPERIMENTS.md, deviation D1).",
+            "this density (see docs/experiments.md, deviation D1).",
         ],
     )
     write_report("table3_ablation", report)

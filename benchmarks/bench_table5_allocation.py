@@ -6,40 +6,18 @@ global branch takes the majority, peaks around 56/8, and degrades when the
 category branch is squeezed to almost nothing.
 """
 
-import numpy as np
-
-from benchmarks._harness import (
-    PAPER_TABLE5,
-    default_config,
-    format_table,
-    get_dataset,
-    write_report,
-)
-from repro.core import pup_full
-from repro.eval import evaluate
-from repro.train import train_model
+from benchmarks._harness import PAPER_TABLE5, format_table, paper_spec, trained, write_report
 
 ALLOCATIONS = [(16, 48), (32, 32), (48, 16), (56, 8), (60, 4)]
 
 
-def run_table5():
-    dataset = get_dataset("yelp")
-    results = {}
-    for global_dim, category_dim in ALLOCATIONS:
-        model = pup_full(
-            dataset,
-            global_dim=global_dim,
-            category_dim=category_dim,
-            rng=np.random.default_rng(0),
-        )
-        train_model(model, dataset, default_config())
-        key = f"{global_dim}/{category_dim}"
-        results[key] = evaluate(model, dataset, ks=(50,))["Recall@50"]
-    return results
-
-
-def test_table5_embedding_allocation(benchmark):
-    results = benchmark.pedantic(run_table5, rounds=1, iterations=1)
+def test_table5_embedding_allocation():
+    results = {
+        f"{g}/{c}": trained(
+            paper_spec("pup", "yelp", hparams={"global_dim": g, "category_dim": c})
+        ).metrics["Recall@50"]
+        for g, c in ALLOCATIONS
+    }
 
     rows = [
         [allocation, f"{recall:.4f}", f"{PAPER_TABLE5[allocation]:.4f}"]

@@ -6,39 +6,22 @@ large on the consistent group and small (but non-negative) on the
 inconsistent group.
 """
 
-import numpy as np
-
-from benchmarks._harness import (
-    PAPER_TABLE6,
-    default_config,
-    format_table,
-    get_dataset,
-    write_report,
-)
-from repro.baselines import DeepFM
-from repro.core import pup_full
+from benchmarks._harness import PAPER_TABLE6, format_table, paper_spec, trained, write_report
 from repro.eval import consistency_groups, evaluate_user_groups
-from repro.train import train_model
+from repro.experiments import model_display_name
 
 
-def run_table6():
-    dataset = get_dataset("beibei")
-    groups = consistency_groups(dataset)
-
-    models = {
-        "DeepFM": DeepFM(dataset, dim=32, hidden=(64, 32), rng=np.random.default_rng(0)),
-        "PUP": pup_full(dataset, global_dim=56, category_dim=8, rng=np.random.default_rng(0)),
+def test_table6_consistency_groups():
+    experiments = {
+        model_display_name(name): trained(paper_spec(name, "beibei")) for name in ("deepfm", "pup")
     }
-    results = {}
-    for name, model in models.items():
-        train_model(model, dataset, default_config())
-        results[name] = evaluate_user_groups(model, dataset, groups, ks=(50,))
+    dataset = experiments["PUP"].dataset
+    groups = consistency_groups(dataset)
+    results = {
+        name: evaluate_user_groups(experiment.model, dataset, groups, ks=(50,))
+        for name, experiment in experiments.items()
+    }
     sizes = {name: len(users) for name, users in groups.items()}
-    return results, sizes
-
-
-def test_table6_consistency_groups(benchmark):
-    results, sizes = benchmark.pedantic(run_table6, rounds=1, iterations=1)
 
     rows = []
     for group in ("consistent", "inconsistent"):

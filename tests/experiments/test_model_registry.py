@@ -36,13 +36,12 @@ def test_every_expected_model_is_registered():
 
 
 def test_every_benchmark_model_is_registered_and_buildable(dataset):
-    """Each method the benchmarks train resolves and builds via the registry."""
-    from benchmarks._harness import model_builders
-
-    for display, builder in model_builders(seed=0).items():
+    """Each Table II method the benchmarks train resolves and builds via the registry."""
+    for name, hparams in PAPER_HPARAMS.items():
+        display = model_display_name(name)
         canonical = resolve_model_name(display)  # display names are aliases
-        assert model_display_name(canonical) == display
-        model = builder(dataset)
+        assert canonical == name
+        model = build_model(name, dataset, seed=0, **hparams)
         assert isinstance(model, Recommender)
         assert model.name == display
         assert model.model_spec is not None

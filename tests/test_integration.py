@@ -15,7 +15,7 @@ def price_heavy_dataset():
     """A dataset where price is the dominant signal (strong planted effect).
 
     ``item_turnover`` puts cold items into the test split — the regime where
-    explicit price representations must generalize (see DESIGN.md).
+    explicit price representations must generalize (see docs/experiments.md).
     """
     config = SyntheticConfig(
         n_users=120,
