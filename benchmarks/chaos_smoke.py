@@ -82,7 +82,7 @@ def fetch(url: str, timeout: float = 10.0) -> bytes:
 def drill_archive_durability(artifacts: str) -> None:
     scratch = os.path.join(artifacts, "chaos-archive")
     os.makedirs(scratch, exist_ok=True)
-    path = os.path.join(scratch, "payload.npz")
+    path = os.path.join(scratch, "payload")
     rng = np.random.default_rng(0)
     arrays = {"weights": rng.normal(size=(64, 16)), "ids": np.arange(64)}
     write_archive(path, arrays, metadata={"purpose": "chaos drill"})
@@ -97,18 +97,20 @@ def drill_archive_durability(artifacts: str) -> None:
     except ArchiveCorrupted as error:
         check(victim in str(error), f"corruption error does not name {victim!r}: {error}")
 
-    # A writer that dies mid-publish leaves only staging files behind;
-    # startup must sweep them and the published archive must be untouched.
+    # A writer that dies mid-publish leaves a staging directory without its
+    # header (written last); startup must sweep it and the published
+    # archive must be untouched.
     write_archive(path, arrays, metadata={"purpose": "chaos drill"})
-    stale = os.path.join(scratch, "payload.npz.tmp-99999.npz")
-    with open(stale, "wb") as handle:
+    stale = os.path.join(scratch, "payload.tmp-99999")
+    os.makedirs(stale, exist_ok=True)
+    with open(os.path.join(stale, "weights.npy"), "wb") as handle:
         handle.write(b"half-written garbage")
     removed = clean_stale_archives(scratch)
     check(
-        any(entry.endswith("payload.npz.tmp-99999.npz") for entry in removed),
-        f"stale staging file not swept (removed: {removed})",
+        any(entry.endswith("payload.tmp-99999") for entry in removed),
+        f"stale staging directory not swept (removed: {removed})",
     )
-    check(not os.path.exists(stale), "stale staging file still on disk after sweep")
+    check(not os.path.exists(stale), "stale staging directory still on disk after sweep")
     reread = read_archive_arrays(path)
     np.testing.assert_array_equal(reread["weights"], arrays["weights"])
     print("PASS: archive durability (checksum detection + staging sweep)")

@@ -7,7 +7,6 @@ Subcommands:
 * ``evaluate``  — re-evaluate a saved artifact dir (``--workers``
   parallelizes the pass; results are bit-identical to serial)
 * ``export``    — (re)build the serving index from a saved checkpoint
-  (``--format dir`` writes the mmap-able uncompressed layout)
 * ``recommend`` — bulk top-K export for every warm user via the parallel
   batch-inference runtime
 * ``serve``     — answer recommendation queries from an artifact dir
@@ -32,7 +31,14 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from .data.registry import available_datasets
 from .experiments import PAPER_HPARAMS
-from .experiments.artifacts import ANN_KINDS, INDEX_FILENAME, Experiment, build_ann, stage_ann
+from .experiments.artifacts import (
+    ANN_KINDS,
+    INDEX_DIRNAME,
+    RECOMMENDATIONS_DIRNAME,
+    Experiment,
+    build_ann,
+    stage_ann,
+)
 from .experiments.registry import (
     available_models,
     model_display_name,
@@ -322,20 +328,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_export(args: argparse.Namespace) -> int:
     experiment = Experiment.load(args.artifacts)
-    if args.out:
-        out = args.out
-    elif args.format == "dir":
-        out = os.path.join(args.artifacts, "index")
-    else:
-        out = os.path.join(args.artifacts, INDEX_FILENAME)
     try:
         index = experiment.export(force=True)
     except ExportError as error:
         print(f"export failed: {error}", file=sys.stderr)
         return 1
-    path = index.save(out, format=args.format)
+    path = index.save(args.out or os.path.join(args.artifacts, INDEX_DIRNAME))
     print(
-        f"exported {index.model_name} index ({args.format}): {index.n_users} users x "
+        f"exported {index.model_name} index: {index.n_users} users x "
         f"{index.n_items} items, {len(index.branches)} branches, "
         f"{index.memory_bytes() / 1e3:.0f} kB -> {path}"
     )
@@ -346,7 +346,7 @@ def cmd_export(args: argparse.Namespace) -> int:
         ann_path = stage_ann(ann, args.artifacts, tiered=args.memory_ceiling is not None)
         report = ann.memory_report()
         tier_note = (
-            f", ceiling {args.memory_ceiling / 1e6:.0f} MB (tiered dir archive)"
+            f", ceiling {args.memory_ceiling / 1e6:.0f} MB (tiered archive)"
             if args.memory_ceiling is not None
             else ""
         )
@@ -400,8 +400,9 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     )
     wall = time.perf_counter() - start
     _write_trace(tracer, args)
-    out = args.out or os.path.join(args.artifacts, "recommendations.npz")
-    path = recommendations.save(out)
+    path = recommendations.save(
+        args.out or os.path.join(args.artifacts, RECOMMENDATIONS_DIRNAME)
+    )
     n = len(recommendations.users)
     rate = n / wall if wall > 0 else 0.0
     workers_note = f", {args.workers} workers requested" if args.workers else ""
@@ -945,14 +946,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     export = commands.add_parser("export", help="rebuild the serving index")
     export.add_argument("artifacts", help="artifact directory written by `train`")
-    export.add_argument(
-        "--out", help="index path (default: <artifacts>/index.npz, or <artifacts>/index for --format dir)"
-    )
-    export.add_argument(
-        "--format", choices=("npz", "dir"), default="npz",
-        help="container: compressed .npz (default) or an uncompressed per-array "
-        "directory that loads with mmap (what parallel workers attach to)",
-    )
+    export.add_argument("--out", help="index archive path (default: <artifacts>/index)")
     export.add_argument(
         "--ann", action="store_true",
         help="also build and save the approximate-retrieval index "
@@ -968,7 +962,7 @@ def build_parser() -> argparse.ArgumentParser:
     recommend.add_argument("--k", type=int, default=10)
     recommend.add_argument("--users", help="comma-separated user ids (default: all warm users)")
     recommend.add_argument(
-        "--out", help="output archive (default: <artifacts>/recommendations.npz)"
+        "--out", help="output archive (default: <artifacts>/recommendations)"
     )
     recommend.add_argument(
         "--workers", type=int, default=0,
@@ -995,7 +989,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--ann", action="store_true",
-        help="serve through approximate retrieval (saved ann.npz if present, "
+        help="serve through approximate retrieval (saved ann/ if present, "
         "else built with defaults); filters apply at re-rank",
     )
     serve.add_argument(

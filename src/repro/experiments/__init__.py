@@ -10,8 +10,8 @@ The three pieces this package adds on top of the library layers:
   dataset, a model, a :class:`~repro.train.TrainConfig` and an eval
   protocol; :func:`run` executes train → evaluate → export in one call;
 * **artifact store** (:mod:`repro.experiments.artifacts`) — ``run`` writes
-  a versioned directory (spec.json, checkpoint.npz, index.npz,
-  metrics.json, loss_curve.json) that :meth:`Experiment.load` rehydrates
+  a versioned directory (spec.json, checkpoint/, index/, metrics.json,
+  loss_curve.json) that :meth:`Experiment.load` rehydrates
   into a serving-ready object.
 
 Quickstart::

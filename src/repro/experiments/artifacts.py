@@ -4,8 +4,8 @@ One :func:`repro.experiments.run` call materializes as a directory:
 
 ======================  ==================================================
 ``spec.json``           format version + the full :class:`ExperimentSpec`
-``checkpoint.npz``      model parameters (:mod:`repro.train.persistence`)
-``index.npz``           frozen :class:`~repro.serving.EmbeddingIndex`
+``checkpoint/``         model parameters (:mod:`repro.train.persistence`)
+``index/``              frozen :class:`~repro.serving.EmbeddingIndex`
                         (absent for non-factorizable models, e.g. DeepFM)
 ``metrics.json``        eval metrics + training summary (validation-off runs
                         serialize ``best_metric``/``best_epoch`` as null)
@@ -13,6 +13,10 @@ One :func:`repro.experiments.run` call materializes as a directory:
 ``observability.json``  :meth:`repro.obs.MetricsRegistry.to_json` snapshot
                         of the run (train + eval phase counters)
 ======================  ==================================================
+
+``repro export --ann`` adds ``ann/`` and ``repro recommend`` adds
+``recommendations/``.  Every ``*/`` entry is a checksummed archive
+directory (:mod:`repro.train.persistence`).
 
 :class:`Experiment` is the live handle over those pieces — the trained
 model, its dataset, metrics, and the serving index — whether it came fresh
@@ -35,22 +39,27 @@ from ..serving.ann import TieredIndexConfig, build_ivf, load_ann
 from ..serving.export import ExportError, export_index
 from ..serving.index import EmbeddingIndex
 from ..serving.service import RecommenderService
-from ..train.persistence import clean_stale_archives, load_checkpoint, save_checkpoint
+from ..train.persistence import (
+    clean_stale_archives,
+    load_checkpoint,
+    read_archive_metadata,
+    save_checkpoint,
+)
 from ..train.trainer import TrainResult
 from .spec import ExperimentSpec
 
 SPEC_FILENAME = "spec.json"
-CHECKPOINT_FILENAME = "checkpoint.npz"
-INDEX_FILENAME = "index.npz"
-ANN_FILENAME = "ann.npz"
-#: dir-format ANN archive (mmap-able; required for tiered loading)
+CHECKPOINT_DIRNAME = "checkpoint"
+INDEX_DIRNAME = "index"
 ANN_DIRNAME = "ann"
+RECOMMENDATIONS_DIRNAME = "recommendations"
 METRICS_FILENAME = "metrics.json"
 LOSS_CURVE_FILENAME = "loss_curve.json"
 OBS_FILENAME = "observability.json"
 
-#: bump when the directory layout changes incompatibly
-ARTIFACT_FORMAT_VERSION = 1
+#: bump when the directory layout changes incompatibly (v2: every archive
+#: is a directory; v1 held ``checkpoint`` and ``index`` as single files)
+ARTIFACT_FORMAT_VERSION = 2
 
 #: index families ``repro export --ann-kind`` builds
 ANN_KINDS = ("ivf", "ivf-pq")
@@ -81,16 +90,12 @@ def build_ann(
 
 
 def stage_ann(ann, artifacts_dir: str, tiered: bool = False) -> str:
-    """Write ``ann`` where :meth:`Experiment.ann_index` looks for it.
+    """Write ``ann`` to ``ann/``, where :meth:`Experiment.ann_index` looks for it.
 
-    Tiered serving pages a dir archive that carries the permuted item
-    payload (``ann/``); everything else gets the compact ``ann.npz``.
+    Tiered serving pages the permuted item payload, so a ``tiered`` archive
+    carries it; any other archive leaves it out.
     """
-    if tiered:
-        return ann.save(
-            os.path.join(artifacts_dir, ANN_DIRNAME), format="dir", include_items=True
-        )
-    return ann.save(os.path.join(artifacts_dir, ANN_FILENAME))
+    return ann.save(os.path.join(artifacts_dir, ANN_DIRNAME), include_items=tiered)
 
 
 class Experiment:
@@ -156,45 +161,46 @@ class Experiment:
     ):
         """The experiment's ANN index: saved structure if present, else built.
 
-        A saved artifact (``ann/`` dir archive or ``ann.npz``, written by
-        ``repro export --ann``/``--ann-kind``) is re-attached to the
-        experiment's embedding index; otherwise an index of the requested
-        ``kind`` (``ivf`` — the default, or ``ivf-pq``) is built fresh.
+        A saved ``ann/`` archive (written by ``repro export --ann`` /
+        ``--ann-kind``) is re-attached to the experiment's embedding
+        index; otherwise an index of the requested ``kind`` (``ivf`` — the
+        default, or ``ivf-pq``) is built fresh.
         Explicit arguments always win over the saved artifact: a requested
         ``nprobe`` overrides the stored default operating point in place,
         and a requested ``n_lists`` or ``kind`` that disagrees with the
         saved layout triggers a fresh build (both are baked into the build;
         silently serving the old one would ignore the request).
 
-        ``memory_ceiling_bytes`` selects the **tiered** loader: the saved
-        dir archive must carry the permuted item payload
+        ``memory_ceiling_bytes`` selects the **tiered** loader: a saved
+        archive is used only if it carries the permuted item payload
         (``repro export --ann-kind ... --memory-ceiling``), which is then
-        mmap-opened with only the hottest lists resident.
+        mmap-opened with only the hottest lists resident; otherwise one is
+        built and staged.
         """
         tiered = memory_ceiling_bytes is not None
         config = (
             TieredIndexConfig(memory_ceiling_bytes=memory_ceiling_bytes) if tiered else None
         )
 
-        if self.artifacts_dir is not None:
-            # Only the staged dir archive can back a cold tier.
-            for name in (ANN_DIRNAME,) if tiered else (ANN_DIRNAME, ANN_FILENAME):
-                path = os.path.join(self.artifacts_dir, name)
-                if not os.path.exists(path):
-                    continue
-                saved = load_ann(path, self.index, mmap=tiered, tiered=config)
-                if kind not in (None, saved.kind.removeprefix("tiered-")):
-                    continue  # a different kind was requested: rebuild
-                if n_lists is None or int(n_lists) == saved.n_lists:
-                    if nprobe is not None:
-                        saved.nprobe = max(1, min(int(nprobe), saved.n_lists))
-                    return saved
+        path = self.artifacts_dir and os.path.join(self.artifacts_dir, ANN_DIRNAME)
+        # Only an archive that holds the item payload can back a cold tier.
+        if path and os.path.exists(path) and (
+            not tiered or read_archive_metadata(path)["include_items"]
+        ):
+            saved = load_ann(path, self.index, mmap=tiered, tiered=config)
+            # A different kind or list count was requested: rebuild.
+            if kind in (None, saved.kind.removeprefix("tiered-")) and (
+                n_lists is None or int(n_lists) == saved.n_lists
+            ):
+                if nprobe is not None:
+                    saved.nprobe = max(1, min(int(nprobe), saved.n_lists))
+                return saved
 
         ann = build_ann(self.index, kind, n_lists=n_lists, nprobe=nprobe)
         if not tiered:
             return ann
-        # Tiered serving needs a dir archive to page from: stage one next
-        # to the other artifacts and reopen it mmap-backed.
+        # Tiered serving needs an archive to page from: stage one next to
+        # the other artifacts and reopen it mmap-backed.
         if self.artifacts_dir is None:
             raise ValueError(
                 "tiered ANN loading needs an artifacts directory to stage "
@@ -251,7 +257,7 @@ class Experiment:
         )
         save_checkpoint(
             self.model,
-            os.path.join(artifacts_dir, CHECKPOINT_FILENAME),
+            os.path.join(artifacts_dir, CHECKPOINT_DIRNAME),
             extra={"experiment": self.spec.name, "model": self.spec.model.to_dict()},
         )
 
@@ -264,8 +270,8 @@ class Experiment:
                     f"[{self.spec.name}] serving index skipped: {error}", stacklevel=2
                 )
             else:
-                index.save(os.path.join(artifacts_dir, INDEX_FILENAME))
-                index_file = INDEX_FILENAME
+                index.save(os.path.join(artifacts_dir, INDEX_DIRNAME))
+                index_file = INDEX_DIRNAME
 
         train_summary = None
         if self.train_result is not None:
@@ -312,22 +318,27 @@ class Experiment:
                 f"{artifacts_dir!r} is not an experiment artifact directory "
                 f"(missing {SPEC_FILENAME})"
             )
-        # Sweep staging leftovers from writers that died mid-publish: every
-        # archive write stages to a `*.tmp-<pid>` sibling and renames, so
-        # anything still matching the staging pattern is garbage by definition.
-        removed = clean_stale_archives(artifacts_dir)
-        for stale in removed:
-            warnings.warn(
-                f"removed stale staging file from an interrupted write: {stale}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
         payload = _read_json(spec_path)
         version = payload.get("format_version", 1)
         if version > ARTIFACT_FORMAT_VERSION:
             raise ValueError(
                 f"artifact format v{version} is newer than this reader "
                 f"(v{ARTIFACT_FORMAT_VERSION})"
+            )
+        if version < ARTIFACT_FORMAT_VERSION:
+            raise ValueError(
+                f"{artifacts_dir!r} holds artifact format v{version}, whose "
+                "checkpoint and index are single files this reader no longer "
+                f"loads (v{ARTIFACT_FORMAT_VERSION} stores archive directories); "
+                "re-run `repro train` to write it again"
+            )
+        # Finish or sweep what writers that died mid-publish left: every
+        # archive write stages to a `*.tmp-<pid>` sibling and renames.
+        for stale in clean_stale_archives(artifacts_dir):
+            warnings.warn(
+                f"swept staging leftover of an interrupted write: {stale}",
+                RuntimeWarning,
+                stacklevel=2,
             )
         spec = ExperimentSpec.from_dict(payload["experiment"])
 
@@ -339,7 +350,7 @@ class Experiment:
         # float32 index.
         with precision(spec.precision):
             model = spec.model.build(dataset)
-        load_checkpoint(model, os.path.join(artifacts_dir, CHECKPOINT_FILENAME))
+        load_checkpoint(model, os.path.join(artifacts_dir, CHECKPOINT_DIRNAME))
         model.eval()
 
         metrics: Dict[str, float] = {}
@@ -358,7 +369,7 @@ class Experiment:
         obs_path = os.path.join(artifacts_dir, OBS_FILENAME)
         obs_snapshot = _read_json(obs_path) if os.path.exists(obs_path) else None
 
-        index_path = os.path.join(artifacts_dir, INDEX_FILENAME)
+        index_path = os.path.join(artifacts_dir, INDEX_DIRNAME)
         index = EmbeddingIndex.load(index_path) if os.path.exists(index_path) else None
         return cls(
             spec,

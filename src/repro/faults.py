@@ -31,7 +31,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-import zipfile
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
@@ -299,47 +298,31 @@ def chaos_plan(
 def corrupt_archive(path: str, array: Optional[str] = None, seed: int = 0) -> str:
     """Flip one payload byte of a stored array in an archive, in place.
 
-    Works on both archive formats (uncompressed dir and ``.npz``): the
-    metadata — including its recorded SHA-256 checksums — is left intact, so
-    a subsequent checksum-verified load raises ``ArchiveCorrupted`` exactly
-    as a real bit-flip or truncated write would.  Returns the name of the
-    corrupted array.  ``array`` picks the victim explicitly; otherwise a
-    seeded RNG chooses among the non-empty arrays.
+    The metadata — including its recorded SHA-256 checksums — is left
+    intact, so a subsequent checksum-verified load raises
+    ``ArchiveCorrupted`` exactly as a real bit-flip or truncated write
+    would.  Returns the name of the corrupted array.  ``array`` picks the
+    victim explicitly; otherwise a seeded RNG chooses among the non-empty
+    arrays.
     """
-    rng = np.random.default_rng(seed)
-    if os.path.isdir(path):
-        names = sorted(
-            f[: -len(".npy")]
-            for f in os.listdir(path)
-            if f.endswith(".npy") and os.path.getsize(os.path.join(path, f)) > 128
-        )
-        if not names:
-            raise ValueError(f"no corruptible arrays in archive dir {path!r}")
-        target = array if array is not None else names[int(rng.integers(len(names)))]
-        file_path = os.path.join(path, target + ".npy")
-        # Flip the final byte: .npy layout is header-then-raw-data, so the
-        # last byte of a non-empty array's file is always payload.
-        with open(file_path, "r+b") as fh:
-            fh.seek(-1, os.SEEK_END)
-            original = fh.read(1)[0]
-            fh.seek(-1, os.SEEK_END)
-            fh.write(bytes([original ^ 0xFF]))
-        return target
-    if not zipfile.is_zipfile(path):
-        raise ValueError(f"{path!r} is neither an archive dir nor an npz archive")
-    with np.load(path, allow_pickle=False) as archive:
-        payload = {name: np.array(archive[name]) for name in archive.files}
+    if not os.path.isdir(path):
+        raise ValueError(f"{path!r} is not an archive directory")
     names = sorted(
-        n for n, v in payload.items() if not n.startswith("__") and v.nbytes > 0
+        f[: -len(".npy")]
+        for f in os.listdir(path)
+        if f.endswith(".npy") and os.path.getsize(os.path.join(path, f)) > 128
     )
     if not names:
-        raise ValueError(f"no corruptible arrays in npz archive {path!r}")
+        raise ValueError(f"no corruptible arrays in archive dir {path!r}")
+    rng = np.random.default_rng(seed)
     target = array if array is not None else names[int(rng.integers(len(names)))]
-    victim = np.ascontiguousarray(payload[target])
-    flat = victim.reshape(-1).view(np.uint8)
-    flat[int(rng.integers(flat.size))] ^= 0xFF
-    payload[target] = victim.reshape(payload[target].shape)
-    np.savez_compressed(path, **payload)
+    # Flip the final byte: .npy layout is header-then-raw-data, so the
+    # last byte of a non-empty array's file is always payload.
+    with open(os.path.join(path, target + ".npy"), "r+b") as fh:
+        fh.seek(-1, os.SEEK_END)
+        original = fh.read(1)[0]
+        fh.seek(-1, os.SEEK_END)
+        fh.write(bytes([original ^ 0xFF]))
     return target
 
 

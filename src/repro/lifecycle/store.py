@@ -13,9 +13,8 @@ Directory layout under one store root::
       v000002/ ...
     CURRENT.json                atomic pointer to the live version
 
-A version is read back through the paths its manifest names, by the reader
-that takes either archive container (a root holding the older ``index.npz``
-/ ``ann.npz`` pairs still loads), every array verified against its SHA-256.
+A version is read back through the paths its manifest names, every array
+verified against its SHA-256.
 
 Two rules make every state reachable by a crash recoverable:
 
@@ -169,8 +168,8 @@ class VersionStore:
         name = self.next_version_name()
         path = self.version_path(name)
         os.makedirs(path, exist_ok=True)
-        index.save(os.path.join(path, INDEX_DIRNAME), format="dir")
-        ann.save(os.path.join(path, ANN_DIRNAME), format="dir")
+        index.save(os.path.join(path, INDEX_DIRNAME))
+        ann.save(os.path.join(path, ANN_DIRNAME))
         if crash_hook is not None:
             crash_hook()
         full = dict(manifest)

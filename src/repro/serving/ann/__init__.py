@@ -21,7 +21,7 @@ standalone full-scan PQ index were deleted: each lost on every axis):
   tiered layout's memory arm, never faster than the exact fine stage in
   RAM;
 * :class:`TieredIVFIndex` (:class:`TieredIndexConfig`) — the same IVF
-  search over an mmap dir archive, with the heaviest-probed lists
+  search over an mmap-ed archive, with the heaviest-probed lists
   resident in RAM and everything else OS-paged under an explicit memory
   ceiling: the 1M+ item layout.
 

@@ -1,6 +1,6 @@
 """What an IVF index looks like on disk — one writer, one reader.
 
-An archive (either container of :mod:`repro.train.persistence`) holds the
+An archive (a :mod:`repro.train.persistence` directory) holds the
 index's *own* arrays plus a header: ``kind``, ``format_version``, and the
 ``model_name`` / ``n_users`` / ``n_items`` of the source index it must be
 re-attached to.  An IVF-PQ archive embeds its residual PQ companion under
@@ -10,7 +10,6 @@ version is refused ("re-export").
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -66,10 +65,8 @@ def _decode_pq(rows: List[Dict], arrays: Arrays) -> List[PQBranch]:
     ]
 
 
-def save_ann(ann: IVFIndex, path: str, format: str = "npz", include_items: bool = False) -> str:
+def save_ann(ann: IVFIndex, path: str, include_items: bool = False) -> str:
     """Write ``ann`` to ``path`` (what :meth:`IVFIndex.save` delegates to)."""
-    if format not in ("npz", "dir"):
-        raise ValueError(f"format must be 'npz' or 'dir', got {format!r}")
     arrays: Arrays = {
         "centroids": ann.centroids,
         "list_indptr": ann.list_indptr,
@@ -101,8 +98,6 @@ def save_ann(ann: IVFIndex, path: str, format: str = "npz", include_items: bool 
         "rerank_factor": ann.rerank_factor,
         "include_items": bool(include_items),
     }
-    if format == "dir":
-        return persistence.write_archive_dir(path, arrays, metadata)
     return persistence.write_archive(path, arrays, metadata)
 
 
@@ -114,9 +109,9 @@ def load_ann(
 ) -> IVFIndex:
     """Re-attach the saved IVF index ``path`` holds to ``index``.
 
-    ``mmap=True`` memory-maps a dir archive's arrays; ``tiered`` opens an
-    ``include_items`` dir archive as a :class:`~.tiered.TieredIVFIndex`
-    under that config.
+    ``mmap=True`` memory-maps the archive's arrays; ``tiered`` opens an
+    ``include_items`` archive as a :class:`~.tiered.TieredIVFIndex` under
+    that config.
     """
     metadata = persistence.read_archive_metadata(path)
     persistence.check_header(path, metadata, IVF_KIND, _LABEL, IVF_VERSION)
@@ -126,19 +121,11 @@ def load_ann(
             f"{metadata['n_items']} items, not this index's "
             f"{index.n_users} x {index.n_items}"
         )
-    if tiered is not None:
-        if not metadata["include_items"]:
-            raise ValueError(
-                "tiered loading needs an archive saved with include_items=True "
-                "(it holds the permuted item payload the cold tier pages)"
-            )
-        if not os.path.isdir(path):
-            # A zipped .npz cannot be mapped: every "cold" list would be
-            # decompressed into RAM while the report books it as paged.
-            raise ValueError(
-                f"tiered loading needs a directory archive, and {path} is not one; "
-                'save it with format="dir", include_items=True'
-            )
+    if tiered is not None and not metadata["include_items"]:
+        raise ValueError(
+            "tiered loading needs an archive saved with include_items=True "
+            "(it holds the permuted item payload the cold tier pages)"
+        )
     arrays = persistence.read_archive_arrays(path, mmap=mmap)
     fields = dict(
         centroids=arrays["centroids"],

@@ -287,18 +287,20 @@ class IVFIndex:
             "tiers": {"hot": total, "cold": 0},
         }
 
-    def save(self, path: str, format: str = "npz", include_items: bool = False) -> str:
+    def save(self, path: str, format: str = "dir", include_items: bool = False) -> str:
         """Persist this index's own arrays (the source index is referenced
-        by name and shape, not duplicated) as a compact ``"npz"`` or an
-        mmap-able ``"dir"`` archive.
+        by name and shape, not duplicated) as an mmap-able archive directory.
 
         ``include_items=True`` also stores the *permuted* item-side factor
         arrays — the list-contiguous payload a tiered loader pages per list
-        (see :mod:`.tiered`).
+        (see :mod:`.tiered`).  ``format`` accepts only ``"dir"``, the one
+        container; it stays so callers that name the container keep running.
         """
         from .archive import save_ann  # deferred: archive imports this module
 
-        return save_ann(self, path, format, include_items)
+        if format != "dir":
+            raise ValueError(f"format must be 'dir', the only container, got {format!r}")
+        return save_ann(self, path, include_items)
 
     @classmethod
     def load(cls, path: str, index, mmap: bool = False) -> "IVFIndex":

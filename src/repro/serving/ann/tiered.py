@@ -2,9 +2,8 @@
 
 A plain :class:`~.ivf.IVFIndex` keeps its whole permuted item payload
 resident — fine at 48k items, not at 1M+.  A :class:`TieredIVFIndex`
-loads an ``include_items`` **dir archive** (one mmap-able ``.npy`` per
-array, the PR-4 format) and splits the catalog's IVF lists into two
-tiers:
+loads an ``include_items`` archive (one mmap-able ``.npy`` per array)
+and splits the catalog's IVF lists into two tiers:
 
 * **hot** — lists carrying the most probe traffic are materialized into
   RAM (contiguous per-list copies of the permuted factor slices), so the
@@ -76,8 +75,8 @@ class TieredIndexConfig:
 class TieredIVFIndex(IVFIndex):
     """IVF search over mmap-backed storage with a resident hot tier.
 
-    Built by :meth:`load` from a dir archive saved with
-    ``IVFIndex.save(path, format="dir", include_items=True)``.  Search
+    Built by :meth:`load` from an archive saved with
+    ``IVFIndex.save(path, include_items=True)``.  Search
     semantics are identical to the parent (same scorers, same masks, same
     sentinels — the storage hooks only change *where* a list's bytes live,
     never their values), so results are bit-identical to the non-tiered
@@ -202,11 +201,11 @@ class TieredIVFIndex(IVFIndex):
         config: TieredIndexConfig,
         mmap: bool = True,
     ) -> "TieredIVFIndex":
-        """Open an ``include_items`` dir archive as a tiered index.
+        """Open an ``include_items`` archive as a tiered index.
 
         ``mmap=True`` (the default, and the point) keeps the permuted
         factor payload on disk; only the selected hot lists are copied
-        into RAM.  A zipped ``.npz`` cannot be paged and is refused.
+        into RAM.
         """
         from .archive import load_ann  # deferred: archive imports this module
 

@@ -71,7 +71,7 @@ def export_index_from_checkpoint(
     strict: bool = True,
     extra: Optional[Dict] = None,
 ) -> EmbeddingIndex:
-    """Load a ``.npz`` checkpoint into ``model``, then export it.
+    """Load a saved checkpoint into ``model``, then export it.
 
     ``model`` must be constructed with the architecture the checkpoint was
     saved from (checkpoints store weights, not hyperparameters).  The

@@ -22,7 +22,6 @@ and indexes are mutually rejecting on load.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -139,18 +138,17 @@ class EmbeddingIndex:
     # ------------------------------------------------------------------
     # Serialization (reuses the train.persistence archive layer)
     # ------------------------------------------------------------------
-    def save(self, path: str, format: str = "npz") -> str:
-        """Persist the index; ``format`` picks the container.
-
-        ``"npz"`` (default) writes one deflated file — ~18 % smaller (7 % on
-        float32 factors) for ~10x the write and ~5x the read time; ``"dir"``
-        writes an uncompressed per-array directory that :meth:`load` can
+    def save(self, path: str, format: str = "dir") -> str:
+        """Persist the index as an archive directory that :meth:`load` can
         memory-map (``mmap=True``) — what the lifecycle store publishes, and
         what the parallel batch-inference runtime attaches worker processes
         to: one on-disk copy instead of a full archive each.
+
+        ``format`` accepts only ``"dir"``, the one container; it stays so
+        callers that name the container keep running.
         """
-        if format not in ("npz", "dir"):
-            raise ValueError(f"format must be 'npz' or 'dir', got {format!r}")
+        if format != "dir":
+            raise ValueError(f"format must be 'dir', the only container, got {format!r}")
         arrays: Dict[str, np.ndarray] = {
             "item_categories": self.item_categories,
             "item_price_levels": self.item_price_levels,
@@ -187,20 +185,15 @@ class EmbeddingIndex:
             "branches": branch_meta,
             "extra": self.extra,
         }
-        if format == "dir":
-            return persistence.write_archive_dir(path, arrays, metadata)
         return persistence.write_archive(path, arrays, metadata)
 
     @classmethod
     def load(cls, path: str, mmap: bool = False) -> "EmbeddingIndex":
-        """Load an index from either container format.
+        """Load an index saved by :meth:`save`.
 
-        ``mmap=True`` memory-maps the arrays of a directory-format index
-        (written with ``save(path, format="dir")``) instead of copying them
-        into process memory — attaching is near-instant and concurrent
-        workers share one page-cache copy.  Compressed ``.npz`` archives
-        are read transparently either way (``mmap`` has no effect on them;
-        the zip container cannot be mapped).
+        ``mmap=True`` memory-maps the arrays instead of copying them into
+        process memory — attaching is near-instant and concurrent workers
+        share one page-cache copy.
         """
         metadata = persistence.read_archive_metadata(path)
         persistence.check_header(
@@ -233,10 +226,7 @@ class EmbeddingIndex:
         )
         # Where this index came from, so the batch-inference runtime can tell
         # worker processes to re-attach by path (mmap) instead of shipping
-        # the arrays through pickling.  Only a directory archive is actually
-        # mapped — an .npz loaded with mmap=True is plain in-memory
-        # data, and advertising it as mapped would make workers re-decompress
-        # the archive instead of inheriting the arrays copy-on-write.
+        # the arrays through pickling.
         index.source_path = path
-        index.source_mmap = bool(mmap) and os.path.isdir(path)
+        index.source_mmap = bool(mmap)
         return index

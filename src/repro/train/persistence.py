@@ -1,43 +1,37 @@
-"""Persistence of trained artifacts: ``.npz`` archives and array directories.
+"""Persistence of trained artifacts: checksummed array directories.
 
-Two artifact kinds share the on-disk formats:
+Every artifact is one container, an **archive directory**: one
+uncompressed ``.npy`` file per array plus ``metadata.json``, a JSON header
+(:func:`write_archive`).  Four artifact kinds share it:
 
 * **model checkpoints** (:func:`save_checkpoint` / :func:`load_checkpoint`)
   — every named parameter of a :class:`~repro.core.base.Recommender`;
 * **serving indexes** (:mod:`repro.serving.index`) — frozen embedding
-  branches exported for online retrieval.
+  branches exported for online retrieval;
+* **IVF layouts** (:mod:`repro.serving.ann.archive`);
+* **bulk exports** (:class:`~repro.runtime.engine.BulkRecommendations`).
 
-Two interchangeable container formats exist:
+Any archive loads with ``mmap=True``, in which case its arrays are
+memory-mapped straight off disk: worker processes attaching to the same
+directory share the page cache instead of each deserializing a copy.
 
-* **compressed ``.npz``** — a single file whose ``__metadata__`` entry is a
-  JSON header (stored as a uint8 byte array).  One file, the ``export`` /
-  checkpoint default; measured on a 2 000 x 24 000 index + IVF layout,
-  deflate saves 7 % on float32 factors and ~18 % overall (6.5 vs 7.9 MB)
-  for ~10x the write and ~5x the read time (233 vs 26 ms, 48 vs 10 ms).
-* **archive directory** — ``metadata.json`` plus one uncompressed ``.npy``
-  file per array (:func:`write_archive_dir`); what the lifecycle store
-  publishes.  Loadable with ``mmap=True``, in which case arrays are
-  memory-mapped straight off disk: multiple worker processes attaching to
-  the same directory share the page cache instead of each deserializing
-  its own copy.
+Durability guarantees:
 
-:func:`read_archive_metadata` / :func:`read_archive_arrays` accept either
-format transparently (a path that is a directory is read as one); the
-checkpoint functions below and the serving index build on them.
-
-Durability guarantees (both formats):
-
-* **Atomic publish** — writers fill a ``*.tmp-<pid>`` staging sibling and
-  rename it into place, so a crashed export can never be loaded
-  half-written; stale staging leftovers are swept by
-  :func:`clean_stale_archives` (called on experiment load) and by the next
-  write to the same path.
-* **Content checksums** — the metadata header records a SHA-256 digest per
-  array; readers verify on load (skipped for ``mmap`` loads unless forced)
-  and raise the typed :class:`ArchiveCorrupted` naming the bad array.
-  Every load, mapped or not, also compares the stored array set with the
-  header's: a missing array, an array the header does not list, or a header
-  without checksums is refused.
+* **Atomic publish** — :func:`write_archive` fills a ``<path>.tmp-<pid>``
+  staging sibling and writes its header last, so a staging directory that
+  holds a header is a complete generation.  A fresh write renames it into
+  place.  An overwrite renames the old generation aside, renames the new
+  one in, then deletes the old.  An overwrite killed at any step leaves
+  a complete generation, old or new, that :func:`clean_stale_archives`
+  (run by ``Experiment.load`` and the lifecycle store's recovery) puts
+  back at the path if the path is missing; every other staging leftover
+  is deleted, by that sweep and by the next write to the same path.
+* **Content checksums** — the header records a SHA-256 digest per array;
+  readers verify on load (skipped for ``mmap`` loads unless forced) and
+  raise the typed :class:`ArchiveCorrupted` naming the bad array.  Every
+  load, mapped or not, also compares the stored array set with the
+  header's: a missing array, an array the header does not list, or a
+  header without checksums is refused.
 
 There are no legacy readers: :func:`check_header` refuses an artifact of
 another kind or format version, and the fix is always to re-export.
@@ -55,10 +49,11 @@ import numpy as np
 
 from ..core.base import Recommender
 
-_METADATA_KEY = "__metadata__"
-_DIR_METADATA_FILENAME = "metadata.json"
+_METADATA_FILENAME = "metadata.json"
 _NPY_SUFFIX = ".npy"
 _STAGING_TOKEN = ".tmp-"
+#: suffix of the old generation an overwrite has renamed aside
+_RETIRED_SUFFIX = ".old"
 
 #: metadata header field holding the per-array SHA-256 hex digests
 CHECKSUM_KEY = "sha256"
@@ -93,144 +88,102 @@ def _metadata_with_checksums(metadata: Dict, arrays: Dict[str, np.ndarray]) -> D
     return out
 
 
-def clean_stale_archives(directory: str) -> List[str]:
-    """Remove ``*.tmp-*`` staging leftovers a crashed writer abandoned.
+def _is_complete(path: str) -> bool:
+    """Whether a staging directory's writer got as far as its header."""
+    try:
+        read_archive_metadata(path)
+    except (OSError, ValueError):  # no header yet, or one cut off mid-write
+        return False
+    return True
 
-    Returns the paths removed.  Safe to call on any directory (missing ones
-    are a no-op); experiment/artifact loaders call this on startup so a
-    crash during a previous export can never leave half-written archives
-    around to be confused with real ones.
+
+def _sweep(directory: str, prefix: str) -> List[str]:
+    """Clear the ``prefix*.tmp-*`` staging leftovers in ``directory``.
+
+    A complete generation whose archive path is missing — an overwrite was
+    killed between its two renames — is renamed onto that path; every
+    other leftover is deleted.  Returns the leftovers' paths.
     """
-    removed: List[str] = []
+    swept: List[str] = []
     if not os.path.isdir(directory):
-        return removed
+        return swept
     for entry in sorted(os.listdir(directory)):
-        if _STAGING_TOKEN not in entry:
+        if not entry.startswith(prefix) or _STAGING_TOKEN not in entry:
             continue
         full = os.path.join(directory, entry)
-        if os.path.isdir(full):
+        target = os.path.join(directory, entry.split(_STAGING_TOKEN)[0])
+        if not os.path.lexists(target) and _is_complete(full):
+            os.rename(full, target)
+        elif os.path.isdir(full):
             shutil.rmtree(full, ignore_errors=True)
         else:
             try:
                 os.remove(full)
             except OSError:
                 continue
-        removed.append(full)
-    return removed
+        swept.append(full)
+    return swept
 
 
-def _clean_own_staging(path: str) -> None:
-    """Drop stale staging siblings of ``path`` from earlier crashed writes."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    prefix = os.path.basename(path) + _STAGING_TOKEN
-    if not os.path.isdir(directory):
-        return
-    for entry in os.listdir(directory):
-        if not entry.startswith(prefix):
-            continue
-        full = os.path.join(directory, entry)
-        if os.path.isdir(full):
-            shutil.rmtree(full, ignore_errors=True)
-        else:
-            try:
-                os.remove(full)
-            except OSError:
-                pass
+def clean_stale_archives(directory: str) -> List[str]:
+    """Finish or remove the ``*.tmp-*`` staging leftovers a crashed writer left.
+
+    Returns their paths.  Safe to call on any directory (missing ones are a
+    no-op); experiment and store loaders call this on startup, so a crash
+    during an earlier write leaves a complete archive at its path — the old
+    generation or the new one — and nothing half-written beside it.
+    """
+    return _sweep(directory, "")
 
 
 def write_archive(path: str, arrays: Dict[str, np.ndarray], metadata: Dict) -> str:
-    """Write ``arrays`` plus a JSON ``metadata`` header to ``path`` (.npz).
+    """Write an archive directory at ``path``: metadata.json + one .npy per array.
 
-    The write is staged through a ``*.tmp-<pid>`` sibling and atomically
-    renamed into place, and the header gains a SHA-256 digest per array
-    (verified by :func:`read_archive_arrays`).
-    """
-    if not path.endswith(".npz"):
-        path = path + ".npz"
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    if _METADATA_KEY in arrays:
-        raise ValueError(f"array name {_METADATA_KEY!r} is reserved for the header")
-    payload = dict(arrays)
-    payload[_METADATA_KEY] = np.frombuffer(
-        json.dumps(_metadata_with_checksums(metadata, arrays)).encode("utf-8"),
-        dtype=np.uint8,
-    )
-    _clean_own_staging(path)
-    # np.savez appends ".npz" to names that lack it, so the staging name
-    # keeps the suffix: foo.npz -> foo.npz.tmp-<pid>.npz
-    staging = f"{path}{_STAGING_TOKEN}{os.getpid()}.npz"
-    np.savez_compressed(staging, **payload)
-    os.replace(staging, path)
-    return path
-
-
-def write_archive_dir(path: str, arrays: Dict[str, np.ndarray], metadata: Dict) -> str:
-    """Write an uncompressed archive directory: metadata.json + one .npy per array.
-
-    The per-array layout is what makes ``mmap`` loading possible — a zipped
-    ``.npz`` cannot be memory-mapped.  Array names map directly to
-    filenames, so they must not contain path separators.
-
-    Every write is staged: the new generation is fully written to a
-    ``*.tmp-<pid>`` sibling directory and renamed into place, so readers
-    never see a half-written or mixed-generation archive.  A fresh write is
-    fully atomic (the rename publishes a complete directory); an overwrite
-    has a narrow no-archive window between removing the old generation and
-    the rename, which fails loudly rather than serving mixed data.  The
-    metadata header gains a SHA-256 digest per array (verified by
-    :func:`read_archive_arrays`).
+    Array names map directly to filenames, so they must not contain path
+    separators.  The header gains a SHA-256 digest per array (verified by
+    :func:`read_archive_arrays`).  The write is staged and published as
+    the module docstring describes: readers never see a half-written or
+    mixed-generation archive.
     """
     for name in arrays:
-        if os.sep in name or (os.altsep and os.altsep in name) or name == _DIR_METADATA_FILENAME:
+        if os.sep in name or (os.altsep and os.altsep in name) or name == _METADATA_FILENAME:
             raise ValueError(f"array name {name!r} cannot be used as an archive filename")
+    header = _metadata_with_checksums(metadata, arrays)
 
-    full_metadata = _metadata_with_checksums(metadata, arrays)
-
-    def _fill(target: str) -> None:
-        os.makedirs(target, exist_ok=True)
-        with open(os.path.join(target, _DIR_METADATA_FILENAME), "w") as handle:
-            json.dump(full_metadata, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        for name, value in arrays.items():
-            np.save(os.path.join(target, name + _NPY_SUFFIX), np.asarray(value))
-
-    _clean_own_staging(path)
+    _sweep(os.path.dirname(os.path.abspath(path)), os.path.basename(path) + _STAGING_TOKEN)
     staging = f"{path}{_STAGING_TOKEN}{os.getpid()}"
-    _fill(staging)
-    if os.path.isdir(path):
-        shutil.rmtree(path)
+    os.makedirs(staging)
+    for name, value in arrays.items():
+        np.save(os.path.join(staging, name + _NPY_SUFFIX), np.asarray(value))
+    with open(os.path.join(staging, _METADATA_FILENAME), "w") as handle:
+        json.dump(header, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    if not os.path.isdir(path):
+        os.rename(staging, path)
+        return path
+    retired = staging + _RETIRED_SUFFIX
+    os.rename(path, retired)
     os.rename(staging, path)
+    shutil.rmtree(retired)
     return path
-
-
-def _npz_metadata(archive, path: str) -> Dict:
-    if _METADATA_KEY not in archive:
-        raise ValueError(f"{path} is not a repro archive (missing metadata header)")
-    return json.loads(archive[_METADATA_KEY].tobytes().decode("utf-8"))
 
 
 def read_archive_metadata(path: str) -> Dict:
-    """Read only the JSON header of an archive (either container format)."""
-    if os.path.isdir(path):
-        header = os.path.join(path, _DIR_METADATA_FILENAME)
-        if not os.path.exists(header):
-            raise ValueError(f"{path} is not a repro archive directory (missing {_DIR_METADATA_FILENAME})")
-        with open(header) as handle:
-            return json.load(handle)
-    with np.load(path) as archive:
-        return _npz_metadata(archive, path)
+    """Read only the JSON header of an archive."""
+    header = os.path.join(path, _METADATA_FILENAME)
+    if os.path.exists(path) and not os.path.isfile(header):
+        raise ValueError(f"{path} is not a repro archive directory (missing {_METADATA_FILENAME})")
+    with open(header) as handle:  # a missing path raises FileNotFoundError
+        return json.load(handle)
 
 
 def read_archive_arrays(
     path: str, mmap: bool = False, verify: Optional[bool] = None
 ) -> Dict[str, np.ndarray]:
-    """Read every stored array (header excluded) from either container format.
+    """Read every stored array of an archive.
 
-    ``mmap=True`` memory-maps the arrays of a directory archive (read-only
-    views backed by the OS page cache).  Compressed ``.npz`` archives cannot
-    be mapped; the flag is silently ignored for them and the arrays are read
-    into memory as before.
+    ``mmap=True`` memory-maps the arrays (read-only views backed by the OS
+    page cache).
 
     The stored array set must match the header's checksum keys exactly —
     a missing array, an unlisted one, or a header without checksums raises
@@ -242,21 +195,14 @@ def read_archive_arrays(
     """
     if verify is None:
         verify = not mmap
-    if os.path.isdir(path):
-        metadata = read_archive_metadata(path)
-        arrays: Dict[str, np.ndarray] = {}
-        for entry in sorted(os.listdir(path)):
-            if not entry.endswith(_NPY_SUFFIX):
-                continue
-            arrays[entry[: -len(_NPY_SUFFIX)]] = np.load(
-                os.path.join(path, entry), mmap_mode="r" if mmap else None
-            )
-    else:
-        with np.load(path) as archive:
-            metadata = _npz_metadata(archive, path)
-            arrays = {
-                name: archive[name] for name in archive.files if name != _METADATA_KEY
-            }
+    metadata = read_archive_metadata(path)
+    arrays: Dict[str, np.ndarray] = {}
+    for entry in sorted(os.listdir(path)):
+        if not entry.endswith(_NPY_SUFFIX):
+            continue
+        arrays[entry[: -len(_NPY_SUFFIX)]] = np.load(
+            os.path.join(path, entry), mmap_mode="r" if mmap else None
+        )
     _verify_arrays(path, metadata.get(CHECKSUM_KEY), arrays, verify)
     return arrays
 
@@ -323,7 +269,7 @@ def check_header(
 # Model checkpoints
 # ----------------------------------------------------------------------
 def save_checkpoint(model: Recommender, path: str, extra: Dict | None = None) -> str:
-    """Serialize ``model``'s parameters to ``path`` (.npz appended if absent).
+    """Serialize ``model``'s parameters to the archive directory ``path``.
 
     Arrays are stored in their native dtype — a float32 model writes a
     float32 (half-size) checkpoint — and the header records the precision;

@@ -9,8 +9,8 @@ import pytest
 from repro.experiments import Experiment, ExperimentSpec, run
 from repro.experiments.artifacts import (
     ARTIFACT_FORMAT_VERSION,
-    CHECKPOINT_FILENAME,
-    INDEX_FILENAME,
+    CHECKPOINT_DIRNAME,
+    INDEX_DIRNAME,
     LOSS_CURVE_FILENAME,
     METRICS_FILENAME,
     SPEC_FILENAME,
@@ -38,10 +38,21 @@ def artifacts(tmp_path_factory):
 def test_run_writes_every_artifact(artifacts):
     directory, _ = artifacts
     expected = {
-        SPEC_FILENAME, CHECKPOINT_FILENAME, INDEX_FILENAME,
+        SPEC_FILENAME, CHECKPOINT_DIRNAME, INDEX_DIRNAME,
         METRICS_FILENAME, LOSS_CURVE_FILENAME,
     }
     assert expected <= set(os.listdir(directory))
+
+
+def test_format_v2_stores_every_archive_as_a_directory(artifacts):
+    directory, experiment = artifacts
+    assert ARTIFACT_FORMAT_VERSION == 2
+    for name in (CHECKPOINT_DIRNAME, INDEX_DIRNAME):
+        assert os.path.isfile(os.path.join(directory, name, "metadata.json"))
+    assert not [name for name in os.listdir(directory) if name.endswith(".npz")]
+    reloaded = Experiment.load(directory)
+    users = np.arange(experiment.dataset.n_users)
+    np.testing.assert_array_equal(reloaded.index.score(users), experiment.index.score(users))
 
 
 def test_spec_json_is_versioned_and_faithful(artifacts):
@@ -59,7 +70,7 @@ def test_metrics_json_nulls_untracked_validation_sentinels(artifacts):
     assert stored["train"]["best_metric"] is None
     assert stored["train"]["best_epoch"] is None
     assert stored["train"]["epochs_run"] == 2
-    assert stored["index"] == INDEX_FILENAME
+    assert stored["index"] == INDEX_DIRNAME
     assert set(stored["metrics"]) == {"Recall@5", "NDCG@5", "Recall@10", "NDCG@10"}
 
 
@@ -105,7 +116,7 @@ def test_export_false_skips_index(tmp_path):
         ks=(5,), export=False,
     )
     experiment = run(spec, artifacts_dir=str(tmp_path))
-    assert not os.path.exists(tmp_path / INDEX_FILENAME)
+    assert not os.path.exists(tmp_path / INDEX_DIRNAME)
     # the index is still reachable lazily from the live handle
     assert experiment.index.n_users == experiment.dataset.n_users
 
@@ -117,7 +128,7 @@ def test_non_factorizable_model_warns_and_still_reloads(tmp_path):
     )
     with pytest.warns(UserWarning, match="serving index skipped"):
         experiment = run(spec, artifacts_dir=str(tmp_path))
-    assert not os.path.exists(tmp_path / INDEX_FILENAME)
+    assert not os.path.exists(tmp_path / INDEX_DIRNAME)
 
     reloaded = Experiment.load(str(tmp_path))
     assert reloaded.metrics == pytest.approx(experiment.metrics)
@@ -125,18 +136,32 @@ def test_non_factorizable_model_warns_and_still_reloads(tmp_path):
         reloaded.service()
 
 
-def test_load_rejects_newer_format(artifacts, tmp_path):
-    directory, _ = artifacts
-    spec_path = os.path.join(directory, SPEC_FILENAME)
-    with open(spec_path) as handle:
+def spec_only_clone(directory, clone, version):
+    """``clone`` holding ``directory``'s spec.json stamped with ``version``."""
+    with open(os.path.join(directory, SPEC_FILENAME)) as handle:
         payload = json.load(handle)
-    payload["format_version"] = ARTIFACT_FORMAT_VERSION + 1
-    clone = tmp_path / "newer"
+    payload["format_version"] = version
     clone.mkdir()
     with open(clone / SPEC_FILENAME, "w") as handle:
         json.dump(payload, handle)
+    return clone
+
+
+def test_load_rejects_newer_format(artifacts, tmp_path):
+    clone = spec_only_clone(artifacts[0], tmp_path / "newer", ARTIFACT_FORMAT_VERSION + 1)
     with pytest.raises(ValueError, match="newer than this reader"):
         Experiment.load(str(clone))
+
+
+def test_load_refuses_a_v1_directory_before_touching_it(artifacts, tmp_path):
+    clone = spec_only_clone(artifacts[0], tmp_path / "v1", 1)
+    (clone / "checkpoint.npz").write_bytes(b"a v1 checkpoint")
+    (clone / "index.npz.tmp-77.npz").write_bytes(b"a v1 staging leftover")
+    with pytest.raises(ValueError, match="v1.*re-run `repro train`"):
+        Experiment.load(str(clone))
+    assert sorted(os.listdir(clone)) == [
+        "checkpoint.npz", "index.npz.tmp-77.npz", SPEC_FILENAME
+    ]
 
 
 def test_load_requires_spec_json(tmp_path):

@@ -37,7 +37,7 @@ def test_list(capsys):
 
 
 def test_train_writes_artifacts_and_prints_metrics(trained_dir, capsys):
-    assert {"spec.json", "checkpoint.npz", "index.npz", "metrics.json"} <= set(
+    assert {"spec.json", "checkpoint", "index", "metrics.json"} <= set(
         os.listdir(trained_dir)
     )
 
@@ -56,7 +56,7 @@ def test_evaluate_with_override_ks(trained_dir, capsys):
 
 
 def test_export(trained_dir, tmp_path, capsys):
-    out_path = str(tmp_path / "replica_index.npz")
+    out_path = str(tmp_path / "replica_index")
     code, out = run_cli(["export", trained_dir, "--out", out_path], capsys)
     assert code == 0
     assert os.path.exists(out_path)

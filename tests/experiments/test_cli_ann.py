@@ -1,11 +1,13 @@
 """CLI surfaces of the approximate-retrieval stack."""
 
 import os
+import shutil
 
 import pytest
 
 from repro.cli import main
-from repro.experiments.artifacts import ANN_FILENAME, Experiment
+from repro.experiments.artifacts import ANN_DIRNAME, Experiment
+from repro.train.persistence import read_archive_metadata
 
 
 def run_cli(args, capsys):
@@ -33,7 +35,7 @@ def test_export_ann_writes_the_archive(trained_dir, capsys):
     code, out = run_cli(["export", trained_dir, "--ann", "--ann-lists", "6"], capsys)
     assert code == 0
     assert "exported ANN index (ivf): 6 lists" in out
-    assert os.path.exists(os.path.join(trained_dir, ANN_FILENAME))
+    assert not read_archive_metadata(os.path.join(trained_dir, ANN_DIRNAME))["include_items"]
 
 
 def test_serve_ann_answers_queries(trained_dir, capsys):
@@ -44,7 +46,7 @@ def test_serve_ann_answers_queries(trained_dir, capsys):
 
 
 def test_recommend_ann_bulk_export(trained_dir, capsys):
-    out_path = os.path.join(trained_dir, "bulk_ann.npz")
+    out_path = os.path.join(trained_dir, "bulk_ann")
     code, out = run_cli(
         ["recommend", trained_dir, "--k", "5", "--ann", "--out", out_path], capsys
     )
@@ -55,7 +57,7 @@ def test_recommend_ann_bulk_export(trained_dir, capsys):
 
 @pytest.mark.parametrize("kind", ["ivf", "ivf-pq"])
 def test_recommend_reports_every_ann_kind(trained_dir, capsys, kind):
-    out_path = os.path.join(trained_dir, f"bulk_{kind}.npz")
+    out_path = os.path.join(trained_dir, f"bulk_{kind}")
     code, out = run_cli(
         ["recommend", trained_dir, "--k", "5", "--ann-kind", kind, "--out", out_path],
         capsys,
@@ -101,12 +103,22 @@ def test_saved_ann_reused_by_experiment_handle(trained_dir):
 
 def test_explicit_knobs_override_the_saved_archive(trained_dir):
     """Regression: --ann-nprobe/--ann-lists must not be silently ignored
-    when ann.npz exists."""
+    when ann/ exists."""
     experiment = Experiment.load(trained_dir)
     assert experiment.ann_index(nprobe=4).nprobe == 4
     assert experiment.ann_index(nprobe=10_000).nprobe == 6  # clamped to n_lists
     rebuilt = experiment.ann_index(n_lists=3)
     assert rebuilt.n_lists == 3  # different layout: fresh build, not the archive
+
+
+def test_tiered_loading_restages_an_archive_without_the_item_payload(trained_dir, tmp_path):
+    copy = str(tmp_path / "copy")
+    shutil.copytree(trained_dir, copy)
+    ann = Experiment.load(copy).ann_index(memory_ceiling_bytes=1_000_000)
+    assert ann.kind.startswith("tiered-")
+    assert read_archive_metadata(os.path.join(copy, ANN_DIRNAME))["include_items"]
+    again = Experiment.load(copy).ann_index(memory_ceiling_bytes=1_000_000)
+    assert again.n_lists == ann.n_lists
 
 
 # Last in the module: a parser that let one of these through would run the

@@ -1,5 +1,5 @@
 """CLI surface of the batch-inference runtime: --workers, recommend,
-dir-format export, and the persisted evaluation profile."""
+mmap-loadable export, and the persisted evaluation profile."""
 
 import json
 import os
@@ -58,20 +58,21 @@ def test_evaluate_parallel_matches_serial_and_prints_throughput(
     assert "reproduced to within 0.00e+00" in parallel_out
 
 
-def test_export_dir_format_loads_with_mmap(trained_dir, tmp_path, capsys):
-    out_path = str(tmp_path / "index-dir")
-    code, out = run_cli(["export", trained_dir, "--out", out_path, "--format", "dir"], capsys)
+def test_export_loads_with_mmap(trained_dir, tmp_path, capsys):
+    out_path = str(tmp_path / "index-copy")
+    code, out = run_cli(["export", trained_dir, "--out", out_path], capsys)
     assert code == 0
-    assert "(dir)" in out
     index = EmbeddingIndex.load(out_path, mmap=True)
     assert index.source_mmap
-    npz_index = EmbeddingIndex.load(os.path.join(trained_dir, "index.npz"))
+    saved = EmbeddingIndex.load(os.path.join(trained_dir, "index"))
     users = np.arange(index.n_users)
-    np.testing.assert_array_equal(index.score(users), npz_index.score(users))
+    np.testing.assert_array_equal(index.score(users), saved.score(users))
+    with pytest.raises(SystemExit):  # one container: nothing to choose
+        main(["export", trained_dir, "--format", "dir"])
 
 
 def test_recommend_bulk_export(trained_dir, tmp_path, capsys):
-    out_path = str(tmp_path / "recs.npz")
+    out_path = str(tmp_path / "recs")
     code, out = run_cli(
         ["recommend", trained_dir, "--k", "5", "--workers", "2", "--out", out_path],
         capsys,
@@ -81,7 +82,7 @@ def test_recommend_bulk_export(trained_dir, tmp_path, capsys):
     recommendations = BulkRecommendations.load(out_path)
     assert recommendations.k == 5
     assert len(recommendations.users) > 0
-    serial_path = str(tmp_path / "recs-serial.npz")
+    serial_path = str(tmp_path / "recs-serial")
     code, _ = run_cli(["recommend", trained_dir, "--k", "5", "--out", serial_path], capsys)
     assert code == 0
     serial = BulkRecommendations.load(serial_path)
@@ -90,7 +91,7 @@ def test_recommend_bulk_export(trained_dir, tmp_path, capsys):
 
 
 def test_recommend_explicit_users(trained_dir, tmp_path, capsys):
-    out_path = str(tmp_path / "recs-users.npz")
+    out_path = str(tmp_path / "recs-users")
     code, _ = run_cli(
         ["recommend", trained_dir, "--users", "3,1,2", "--out", out_path], capsys
     )

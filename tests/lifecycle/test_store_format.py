@@ -1,10 +1,9 @@
 """What a published version must keep now that it is two per-array archives.
 
 The store stopped deflating: ``versions/<v>/index/`` and ``versions/<v>/ann/``
-are checksummed directory archives.  Everything the old ``.npz`` pair
-guaranteed has to survive the move — every load verifies every array, a
-damaged or tampered version is refused by name, torn and stale leftovers
-are swept — and a root written before the move still loads.
+are checksummed directory archives.  Every load verifies every array, a
+damaged or tampered version is refused by name, and torn and stale
+leftovers are swept.
 """
 
 import os
@@ -13,10 +12,10 @@ import numpy as np
 import pytest
 
 from repro.faults import corrupt_archive
-from repro.lifecycle import LifecycleController, StoreError, VersionStore
+from repro.lifecycle import StoreError, VersionStore
 from repro.train.persistence import ArchiveCorrupted
 
-from test_rollout import bootstrapped, make_config, stream
+from test_rollout import bootstrapped, stream
 
 
 def files_under(path):
@@ -38,17 +37,6 @@ class TestLayout:
         assert "index/metadata.json" in files and "index/branch0.item.npy" in files
         assert "ann/metadata.json" in files and "ann/centroids.npy" in files
         assert not [f for f in files_under(str(tmp_path)) if f.endswith(".npz")]
-
-    def test_publishing_never_deflates(self, tmp_path, index, ann, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("write_candidate called np.savez_compressed")
-
-        monkeypatch.setattr(np, "savez_compressed", refuse)
-        store = VersionStore(str(tmp_path))
-        name = store.write_candidate(index, ann, {"parent": None})
-        loaded, loaded_ann = store.load_version(name)
-        assert np.array_equal(loaded.branches[0].item, index.branches[0].item)
-        assert np.array_equal(loaded_ann.list_items, ann.list_items)
 
     def test_loaded_arrays_are_in_memory_copies(self, tmp_path, index, ann):
         store = VersionStore(str(tmp_path))
@@ -174,43 +162,3 @@ class TestLeftoversAreSwept:
             store.load_version("v000001")
         assert store.recover()["swept"] == ["v000001"]
         assert os.listdir(store.versions_dir) == []
-
-
-class TestARootWrittenBeforeTheMoveStillLoads:
-    def legacy_root(self, tmp_path, index, ann):
-        """A live ``v000001`` laid out as the store wrote it before: two .npz files."""
-        store = VersionStore(str(tmp_path / "store"))
-        path = store.version_path("v000001")
-        os.makedirs(path)
-        index.save(os.path.join(path, "index.npz"))
-        ann.save(os.path.join(path, "ann.npz"))
-        store.write_manifest(
-            "v000001",
-            {
-                "version": "v000001", "status": "candidate", "parent": None,
-                "artifacts": {"index": "index.npz", "ann": "ann.npz"},
-                "journal_seq": -1, "appended_since_recluster": 0, "reclustered": True,
-                "probe_items": [], "n_users": index.n_users, "n_items": index.n_items,
-            },
-        )
-        store.set_current("v000001")
-        return store
-
-    def test_load_version_reads_the_npz_pair(self, tmp_path, index, ann):
-        store = self.legacy_root(tmp_path, index, ann)
-        loaded, loaded_ann = store.load_version("v000001")
-        for old, new in zip(index.branches, loaded.branches):
-            assert np.array_equal(old.item, new.item) and np.array_equal(old.user, new.user)
-        assert np.array_equal(loaded_ann.centroids, ann.centroids)
-
-    def test_a_round_on_top_of_it_publishes_the_new_layout(self, tmp_path, index, ann):
-        self.legacy_root(tmp_path, index, ann)
-        controller = LifecycleController(str(tmp_path / "store"), config=make_config())
-        controller.ingest(stream(index, 80, seed=22))
-        candidate = controller.build()
-        promoted, report = controller.promote(candidate)
-        assert promoted == candidate and report.passed
-        store = controller.store
-        assert sorted(os.listdir(store.version_path(candidate))) == ["ann", "index", "manifest.json"]
-        assert controller.rollback("back to the npz version") == "v000001"
-        assert store.load_version(store.current())[0].n_items == index.n_items

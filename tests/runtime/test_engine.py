@@ -391,7 +391,7 @@ class TestRecommendAll:
         from repro.runtime.engine import BulkRecommendations
         from repro.train.persistence import save_checkpoint
 
-        path = save_checkpoint(model, str(tmp_path / "ckpt.npz"))
+        path = save_checkpoint(model, str(tmp_path / "ckpt"))
         with pytest.raises(ValueError, match="not bulk recommendations"):
             BulkRecommendations.load(path)
 
@@ -409,7 +409,7 @@ class TestProfilerIntegration:
 
     def test_mmap_index_runtime_parity(self, setup, tmp_path, item_block):
         dataset, _, index = setup
-        path = index.save(str(tmp_path / "index"), format="dir")
+        path = index.save(str(tmp_path / "index"))
         mapped = type(index).load(path, mmap=True)
         with BatchRuntime(index, RuntimeConfig(), exclude_csr=(index.exclude_indptr, index.exclude_indices)) as runtime:
             _, reference, _ = runtime.rank(np.arange(20), 9)

@@ -6,20 +6,19 @@ the deletion, before any source edit — by running this file as a script
 (``OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python <this file>`` prints the
 table).  For plain IVF and IVF-PQ over the f32 and f64 catalogs of
 ``test_ann_default_path_pins.py`` it holds the sha256 of every file of the
-``format="dir", include_items=True`` archive (``metadata.json`` included)
-and of every array of the ``.npz`` archive (its JSON header included).  Both
-containers are byte-deterministic, so equal digests mean an archive
-exported before the deletion is exactly what the writer emits now, which
-the round trips of ``test_ann_formats.py`` prove the reader loads.  A
-digest that stops matching is a changed format, not an expectation to
-re-record.
+``include_items=True`` archive (``metadata.json`` included).  The archive
+is byte-deterministic, so equal digests mean an archive exported before the
+deletion is exactly what the writer emits now, which the round trips of
+``test_ann_formats.py`` prove the reader loads.  A digest that stops
+matching is a changed format, not an expectation to re-record.  (The
+digests of the single-file container that was deleted later were dropped
+with it; the directory digests were left as recorded.)
 """
 
 import hashlib
 import json
 import os
 
-import numpy as np
 import pytest
 
 from repro.serving.ann import build_ivf
@@ -31,15 +30,6 @@ def file_digests(name, root):
             yield f"{name}/dir/{entry}", hashlib.sha256(handle.read()).hexdigest()
 
 
-def npz_digests(name, path):
-    with np.load(path) as archive:
-        for entry in sorted(archive.files):
-            value = np.ascontiguousarray(archive[entry])
-            sha = hashlib.sha256(f"{value.dtype}{value.shape}".encode())
-            sha.update(value.tobytes())
-            yield f"{name}/npz/{entry}", sha.hexdigest()
-
-
 def all_digests(tmp_dir):
     for dtype, seed in (("float32", 1234), ("float64", 4321)):
         index = index_of(catalog(dtype, seed), N_ITEMS)
@@ -47,8 +37,7 @@ def all_digests(tmp_dir):
             ann = build_ivf(index, seed=0, pq=pq)
             name = f"{dtype}/{kind}"
             stem = f"{tmp_dir}/{dtype}-{kind}"
-            yield from file_digests(name, ann.save(stem, format="dir", include_items=True))
-            yield from npz_digests(name, ann.save(stem))
+            yield from file_digests(name, ann.save(stem, include_items=True))
 
 
 with open(os.path.join(os.path.dirname(__file__), "ann_archive_pins.json")) as _handle:

@@ -130,7 +130,7 @@ def all_digests(tmp_dir):
             ann = build_ivf(index, seed=0, **kwargs)
             yield from layout_digests(name, ann)
             yield from search_digests(name, ann, index, mask)
-            path = ann.save(f"{tmp_dir}/{dtype}-{kind}", format="dir", include_items=True)
+            path = ann.save(f"{tmp_dir}/{dtype}-{kind}", include_items=True)
             for hot_fraction in (0.0, 0.5):
                 tiered = TieredIVFIndex.load(
                     path, index, TieredIndexConfig(hot_fraction=hot_fraction)

@@ -1,8 +1,7 @@
 """The on-disk contract of the IVF index, with and without its PQ stage.
 
-The compact ``.npz`` and the mmap-able per-array ``dir`` archive must be
-interchangeable: an index loaded from either container (mapped or read)
-must return bit-identical search results.  Every loader shares one header
+An index loaded from its archive directory, mapped or read, must return
+bit-identical search results.  Every loader shares one header
 and one reader, so every loader must refuse the same four things, and the
 array / header key sets are pinned so a format change cannot slip in
 unannounced.
@@ -89,9 +88,8 @@ def built(index):
     return get
 
 
-def save(ann, tmp_path, label, fmt):
-    name = label.replace("+", "_") + (".npz" if fmt == "npz" else "_dir")
-    return ann.save(str(tmp_path / name), format=fmt, **KINDS[label][1])
+def save(ann, tmp_path, label):
+    return ann.save(str(tmp_path / label.replace("+", "_")), **KINDS[label][1])
 
 
 def edit_header(path, edit):
@@ -106,13 +104,12 @@ def edit_header(path, edit):
 
 class TestRoundTrip:
     @pytest.mark.parametrize("mmap", [False, True])
-    @pytest.mark.parametrize("fmt", ["npz", "dir"])
     @pytest.mark.parametrize("label", sorted(KINDS))
     def test_loaded_index_searches_bit_identically(
-        self, index, built, tmp_path, label, fmt, mmap
+        self, index, built, tmp_path, label, mmap
     ):
         ann = built(label)
-        loaded = load_ann(save(ann, tmp_path, label, fmt), index, mmap=mmap)
+        loaded = load_ann(save(ann, tmp_path, label), index, mmap=mmap)
         assert type(loaded) is type(ann)
         assert loaded.kind == ann.kind
         users = np.arange(35)
@@ -124,10 +121,9 @@ class TestRoundTrip:
             np.testing.assert_array_equal(ids_ref, ids, err_msg=f"scorer={scorer}")
             np.testing.assert_array_equal(scores_ref, scores, err_msg=f"scorer={scorer}")
 
-    @pytest.mark.parametrize("fmt", ["npz", "dir"])
-    def test_ivf_pq_operating_point_survives(self, index, built, tmp_path, fmt):
+    def test_ivf_pq_operating_point_survives(self, index, built, tmp_path):
         ivf = built("ivf-pq+items")
-        loaded = load_ann(save(ivf, tmp_path, "ivf-pq+items", fmt), index)
+        loaded = load_ann(save(ivf, tmp_path, "ivf-pq+items"), index)
         assert loaded.default_scorer == "pq"
         assert loaded.rerank_factor == ivf.rerank_factor
         for a, b in zip(loaded.pq, ivf.pq):
@@ -152,7 +148,7 @@ class TestHeaderChecks:
     """One reader, so every loader refuses the same four headers."""
 
     def test_an_embedding_index_is_not_an_ann_index(self, index, tmp_path):
-        path = index.save(str(tmp_path / "index.npz"))
+        path = index.save(str(tmp_path / "index"))
         with pytest.raises(ValueError, match="not an ANN index"):
             load_ann(path, index)
 
@@ -174,7 +170,7 @@ class TestHeaderChecks:
         included: their archive kinds are as foreign as an embedding
         index's."""
         label, load = LOADERS[loader]
-        path = save(built(label), tmp_path, label, "dir")
+        path = save(built(label), tmp_path, label)
 
         def relabel(metadata):
             metadata.update(kind=kind, format_version=1, **fields)
@@ -189,7 +185,7 @@ class TestHeaderChecks:
     @pytest.mark.parametrize("delta, message", [(1, "newer"), (-1, "re-export")])
     def test_other_format_version(self, index, built, tmp_path, loader, delta, message):
         label, load = LOADERS[loader]
-        path = save(built(label), tmp_path, label, "dir")
+        path = save(built(label), tmp_path, label)
 
         def bump(metadata):
             metadata["format_version"] += delta
@@ -202,7 +198,7 @@ class TestHeaderChecks:
     def test_a_v3_ivf_archive_is_refused_not_read(self, index, built, tmp_path, loader):
         """v3 carried the int8 companion; there is no compatibility reader."""
         label, load = LOADERS[loader]
-        path = save(built(label), tmp_path, label, "dir")
+        path = save(built(label), tmp_path, label)
 
         def as_v3(metadata):
             metadata.update(
@@ -220,7 +216,7 @@ class TestHeaderChecks:
     @pytest.mark.parametrize("loader", sorted(LOADERS))
     def test_a_non_residual_pq_payload_is_refused(self, index, built, tmp_path, loader):
         label, load = LOADERS[loader]
-        path = save(built(label), tmp_path, label, "dir")
+        path = save(built(label), tmp_path, label)
 
         def as_raw(metadata):
             metadata["pq"]["residual"] = False
@@ -232,7 +228,7 @@ class TestHeaderChecks:
     @pytest.mark.parametrize("loader", sorted(LOADERS))
     def test_wrong_catalog_shape(self, index, built, tmp_path, loader):
         label, load = LOADERS[loader]
-        path = save(built(label), tmp_path, label, "dir")
+        path = save(built(label), tmp_path, label)
         with pytest.raises(ValueError, match="users"):
             load(path, make_index(seed=1, n_users=30, n_items=90))
 
@@ -245,7 +241,7 @@ class TestFormatPins:
     PQ_ARRAYS = {"codes", "codebook0", "codebook1", "codebook2", "rotation"}
 
     def read(self, ann, tmp_path, label):
-        path = save(ann, tmp_path, label, "dir")
+        path = save(ann, tmp_path, label)
         with open(os.path.join(path, "metadata.json")) as handle:
             metadata = json.load(handle)
         return metadata, set(metadata["sha256"])
@@ -305,17 +301,16 @@ class TestCorruptionDetection:
     results or a bare ``KeyError``."""
 
     @pytest.mark.parametrize("label", ["ivf", "ivf-pq"])
-    @pytest.mark.parametrize("fmt", ["npz", "dir"])
-    def test_flipped_byte_refuses_to_load(self, index, built, tmp_path, label, fmt):
+    def test_flipped_byte_refuses_to_load(self, index, built, tmp_path, label):
         ann = built(label)
-        path = save(ann, tmp_path, label, fmt)
+        path = save(ann, tmp_path, label)
         victim = corrupt_archive(path, seed=1)
         with pytest.raises(ArchiveCorrupted, match=victim):
             type(ann).load(path, index)
 
     @pytest.mark.parametrize("mmap", [False, True])
     def test_deleted_array_is_named(self, index, built, tmp_path, mmap):
-        path = save(built("ivf-pq"), tmp_path, "ivf-pq", "dir")
+        path = save(built("ivf-pq"), tmp_path, "ivf-pq")
         os.remove(os.path.join(path, "pq.branch0.codes.npy"))
         with pytest.raises(ArchiveCorrupted, match="pq.branch0.codes"):
             IVFIndex.load(path, index, mmap=mmap)

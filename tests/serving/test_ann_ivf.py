@@ -237,10 +237,9 @@ class TestMasking:
 
 
 class TestPersistence:
-    @pytest.mark.parametrize("fmt", ["npz", "dir"])
-    def test_roundtrip_reproduces_searches(self, setup, fmt, tmp_path):
+    def test_roundtrip_reproduces_searches(self, setup, tmp_path):
         _, _, index, ivf = setup
-        path = ivf.save(str(tmp_path / "ann"), format=fmt)
+        path = ivf.save(str(tmp_path / "ann"))
         loaded = IVFIndex.load(path, index)
         assert loaded.nprobe == ivf.nprobe and loaded.n_lists == ivf.n_lists
         users = np.arange(25)
@@ -251,13 +250,13 @@ class TestPersistence:
 
     def test_load_rejects_wrong_artifact(self, setup, tmp_path):
         _, _, index, _ = setup
-        path = index.save(str(tmp_path / "index.npz"))
+        path = index.save(str(tmp_path / "index"))
         with pytest.raises(ValueError, match="not an ANN index"):
             IVFIndex.load(path, index)
 
     def test_load_rejects_mismatched_catalog(self, setup, tmp_path):
         _, _, index, ivf = setup
-        path = ivf.save(str(tmp_path / "ann.npz"))
+        path = ivf.save(str(tmp_path / "ann"))
         other = integer_index(n_users=index.n_users, n_items=index.n_items + 1)
         with pytest.raises(ValueError, match="built for"):
             IVFIndex.load(path, other)

@@ -27,10 +27,7 @@ def setup(tmp_path_factory):
     model.eval()
     index = export_index(model, dataset)
     ivf = build_ivf(index, n_lists=16, nprobe=4, seed=0, pq=True)
-    path = ivf.save(
-        str(tmp_path_factory.mktemp("tiered") / "ann"),
-        format="dir", include_items=True,
-    )
+    path = ivf.save(str(tmp_path_factory.mktemp("tiered") / "ann"), include_items=True)
     return dataset, index, ivf, path
 
 
@@ -175,21 +172,10 @@ class TestSearchParity:
 class TestLoading:
     def test_rejects_archive_without_items(self, setup, tmp_path):
         _, index, ivf, _ = setup
-        bare = ivf.save(str(tmp_path / "bare"), format="dir", include_items=False)
+        bare = ivf.save(str(tmp_path / "bare"), include_items=False)
         with pytest.raises(ValueError, match="include_items"):
             TieredIVFIndex.load(
                 bare, index, TieredIndexConfig(hot_fraction=0.5)
-            )
-
-    def test_rejects_an_npz_archive(self, setup, tmp_path):
-        """A zipped payload cannot be paged: loading it "tiered" used to
-        decompress every list into RAM, book it as cold and ignore the
-        ceiling."""
-        _, index, ivf, _ = setup
-        packed = ivf.save(str(tmp_path / "packed.npz"), include_items=True)
-        with pytest.raises(ValueError, match='format="dir"'):
-            TieredIVFIndex.load(
-                packed, index, TieredIndexConfig(memory_ceiling_bytes=1), mmap=True
             )
 
     def test_rejects_wrong_catalog_shape(self, setup):

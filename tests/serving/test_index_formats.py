@@ -1,4 +1,4 @@
-"""EmbeddingIndex container formats: npz vs dir, mmap loading, fallbacks."""
+"""EmbeddingIndex archive directories: round trips, mmap loading, the archive layer."""
 
 import numpy as np
 import pytest
@@ -38,12 +38,12 @@ def _assert_indexes_equal(a: EmbeddingIndex, b: EmbeddingIndex) -> None:
 class TestDirFormat:
     def test_round_trip(self, setup, tmp_path):
         _, index = setup
-        path = index.save(str(tmp_path / "index"), format="dir")
+        path = index.save(str(tmp_path / "index"))
         _assert_indexes_equal(index, EmbeddingIndex.load(path))
 
     def test_mmap_load_is_memory_mapped_and_bit_identical(self, setup, tmp_path):
         _, index = setup
-        path = index.save(str(tmp_path / "index"), format="dir")
+        path = index.save(str(tmp_path / "index"))
         mapped = EmbeddingIndex.load(path, mmap=True)
         # branch factors must be zero-copy views over the on-disk mapping
         # (canonicalization strips the memmap subclass but keeps its memory)
@@ -53,51 +53,16 @@ class TestDirFormat:
         assert mapped.source_path == path and mapped.source_mmap
         _assert_indexes_equal(index, mapped)
 
-    def test_npz_round_trip_still_works(self, setup, tmp_path):
-        _, index = setup
-        path = index.save(str(tmp_path / "index.npz"))
-        loaded = EmbeddingIndex.load(path)
-        assert loaded.source_path == path and not loaded.source_mmap
-        _assert_indexes_equal(index, loaded)
-
-    def test_mmap_flag_falls_back_for_npz(self, setup, tmp_path):
-        # Transparent: a compressed archive cannot be mapped, but loading
-        # with mmap=True must still succeed with identical contents.
-        _, index = setup
-        path = index.save(str(tmp_path / "packed.npz"))
-        loaded = EmbeddingIndex.load(path, mmap=True)
-        assert not isinstance(loaded.branches[0].user, np.memmap)
-        # not actually mapped, so it must not advertise path re-attach to the
-        # batch runtime's worker transport
-        assert not loaded.source_mmap
-        _assert_indexes_equal(index, loaded)
-
     def test_rejects_unknown_format(self, setup, tmp_path):
         _, index = setup
         with pytest.raises(ValueError, match="format"):
             index.save(str(tmp_path / "x"), format="parquet")
 
-    def test_dir_and_npz_kind_checks_match(self, setup, tmp_path):
-        dataset, index = setup
-        directory = index.save(str(tmp_path / "index"), format="dir")
-        metadata = persistence.read_archive_metadata(directory)
-        assert persistence.archive_kind(metadata) == "embedding_index"
-        # a checkpoint directory is rejected by the index loader
-        from repro.core import pup_full as build
-
-        model = build(dataset, global_dim=8, category_dim=4, rng=np.random.default_rng(1))
-        arrays = model.state_dict()
-        ckpt_dir = persistence.write_archive_dir(
-            str(tmp_path / "ckpt"), arrays, {persistence.KIND_KEY: "checkpoint"}
-        )
-        with pytest.raises(ValueError, match="not an embedding index"):
-            EmbeddingIndex.load(ckpt_dir)
-
 
 class TestArchiveDirLayer:
     def test_rejects_path_separators_in_names(self, tmp_path):
         with pytest.raises(ValueError, match="filename"):
-            persistence.write_archive_dir(
+            persistence.write_archive(
                 str(tmp_path / "a"), {"bad/name": np.zeros(2)}, {}
             )
 
@@ -109,14 +74,14 @@ class TestArchiveDirLayer:
 
     def test_overwrite_removes_stale_arrays(self, tmp_path):
         target = str(tmp_path / "arch")
-        persistence.write_archive_dir(
+        persistence.write_archive(
             target, {"a": np.zeros(2), "b": np.ones(3)}, {"kind": "test"}
         )
-        persistence.write_archive_dir(target, {"a": np.zeros(2)}, {"kind": "test"})
+        persistence.write_archive(target, {"a": np.zeros(2)}, {"kind": "test"})
         assert set(persistence.read_archive_arrays(target)) == {"a"}
 
     def test_mmap_arrays_are_read_only_views(self, tmp_path):
-        path = persistence.write_archive_dir(
+        path = persistence.write_archive(
             str(tmp_path / "arch"), {"x": np.arange(6.0)}, {"kind": "test"}
         )
         arrays = persistence.read_archive_arrays(path, mmap=True)

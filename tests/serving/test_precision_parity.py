@@ -75,7 +75,7 @@ class TestTopKParity:
 
         _, model32 = model_pair
         index = export_index(model32, dataset)
-        path = index.save(str(tmp_path / "index32.npz"))
+        path = index.save(str(tmp_path / "index32"))
         loaded = EmbeddingIndex.load(path)
         assert loaded.branches[0].user.dtype == np.float32
         np.testing.assert_array_equal(loaded.score([0, 1]), index.score([0, 1]))

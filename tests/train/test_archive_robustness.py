@@ -1,13 +1,15 @@
 """Archive durability: atomic publish, checksums, corruption detection.
 
 Every archive write must either publish completely or leave the previous
-contents untouched; every verified load must refuse silently-corrupted
-payloads with a typed :class:`ArchiveCorrupted`.
+contents in place once the loaders' staging sweep has run; every verified
+load must refuse silently-corrupted payloads with a typed
+:class:`ArchiveCorrupted`.
 """
 
 import hashlib
 import json
 import os
+import shutil
 import tracemalloc
 
 import numpy as np
@@ -22,7 +24,6 @@ from repro.train.persistence import (
     read_archive_arrays,
     read_archive_metadata,
     write_archive,
-    write_archive_dir,
 )
 
 _GRID = np.random.default_rng(9).normal(size=(12, 10))
@@ -40,32 +41,28 @@ def arrays():
 
 class TestChecksums:
     def test_roundtrip_carries_digests(self, arrays, tmp_path):
-        path = write_archive(str(tmp_path / "a.npz"), arrays, metadata={"v": 1})
+        path = write_archive(str(tmp_path / "a"), arrays, metadata={"v": 1})
         metadata = read_archive_metadata(path)
         assert set(metadata[CHECKSUM_KEY]) == set(arrays)
         loaded = read_archive_arrays(path)
         for name, value in arrays.items():
             np.testing.assert_array_equal(loaded[name], value)
 
-    @pytest.mark.parametrize("fmt", ["npz", "dir"])
-    def test_corruption_raises_typed_error(self, arrays, tmp_path, fmt):
-        if fmt == "npz":
-            path = write_archive(str(tmp_path / "c.npz"), arrays, metadata={})
-        else:
-            path = write_archive_dir(str(tmp_path / "c_dir"), arrays, metadata={})
+    def test_corruption_raises_typed_error(self, arrays, tmp_path):
+        path = write_archive(str(tmp_path / "c"), arrays, metadata={})
         victim = corrupt_archive(path, array="weights")
         with pytest.raises(ArchiveCorrupted, match="weights"):
             read_archive_arrays(path)
         assert victim == "weights"
 
     def test_verify_opt_out_loads_corrupted_payload(self, arrays, tmp_path):
-        path = write_archive(str(tmp_path / "d.npz"), arrays, metadata={})
+        path = write_archive(str(tmp_path / "d"), arrays, metadata={})
         corrupt_archive(path, array="weights")
         loaded = read_archive_arrays(path, verify=False)
         assert not np.array_equal(loaded["weights"], arrays["weights"])
 
     def test_mmap_skips_verification_by_default(self, arrays, tmp_path):
-        path = write_archive_dir(str(tmp_path / "m_dir"), arrays, metadata={})
+        path = write_archive(str(tmp_path / "m_dir"), arrays, metadata={})
         corrupt_archive(path, array="weights")
         # mmap default: no eager full read, so no verification either ...
         read_archive_arrays(path, mmap=True)
@@ -84,14 +81,14 @@ class TestChecksums:
 
     @pytest.mark.parametrize("mmap", [False, True])
     def test_header_without_checksums_is_refused(self, arrays, tmp_path, mmap):
-        path = write_archive_dir(str(tmp_path / "bare"), arrays, metadata={"v": 0})
+        path = write_archive(str(tmp_path / "bare"), arrays, metadata={"v": 0})
         self._rewrite_header(path, lambda metadata: metadata.pop(CHECKSUM_KEY))
         with pytest.raises(ArchiveCorrupted, match=CHECKSUM_KEY):
             read_archive_arrays(path, mmap=mmap)
 
     @pytest.mark.parametrize("mmap", [False, True])
     def test_missing_array_is_named(self, arrays, tmp_path, mmap):
-        path = write_archive_dir(str(tmp_path / "short"), arrays, metadata={})
+        path = write_archive(str(tmp_path / "short"), arrays, metadata={})
         os.remove(os.path.join(path, "ids.npy"))
         with pytest.raises(ArchiveCorrupted, match=r"missing \['ids'\]"):
             read_archive_arrays(path, mmap=mmap)
@@ -99,7 +96,7 @@ class TestChecksums:
     @pytest.mark.parametrize("mmap", [False, True])
     def test_array_the_header_does_not_list_is_named(self, arrays, tmp_path, mmap):
         # Stripping an array's digest used to make it load unverified.
-        path = write_archive_dir(str(tmp_path / "extra"), arrays, metadata={})
+        path = write_archive(str(tmp_path / "extra"), arrays, metadata={})
         self._rewrite_header(path, lambda metadata: metadata[CHECKSUM_KEY].pop("weights"))
         with pytest.raises(ArchiveCorrupted, match=r"not listed \['weights'\]"):
             read_archive_arrays(path, mmap=mmap)
@@ -140,28 +137,28 @@ class TestChecksums:
     def test_reserved_metadata_key_rejected(self, arrays, tmp_path):
         with pytest.raises(ValueError, match=CHECKSUM_KEY):
             write_archive(
-                str(tmp_path / "r.npz"), arrays, metadata={CHECKSUM_KEY: "stolen"}
+                str(tmp_path / "r"), arrays, metadata={CHECKSUM_KEY: "stolen"}
             )
 
 
 class TestAtomicPublish:
     def test_dir_overwrite_is_replace_not_merge(self, arrays, tmp_path):
         path = str(tmp_path / "swap")
-        write_archive_dir(path, arrays, metadata={"gen": 1})
-        write_archive_dir(path, {"only": np.arange(4.0)}, metadata={"gen": 2})
+        write_archive(path, arrays, metadata={"gen": 1})
+        write_archive(path, {"only": np.arange(4.0)}, metadata={"gen": 2})
         loaded = read_archive_arrays(path)
         assert set(loaded) == {"only"}
         assert read_archive_metadata(path)["gen"] == 2
 
     def test_no_staging_residue_after_write(self, arrays, tmp_path):
-        write_archive(str(tmp_path / "a.npz"), arrays, metadata={})
-        write_archive_dir(str(tmp_path / "a_dir"), arrays, metadata={})
+        write_archive(str(tmp_path / "a"), arrays, metadata={})
+        write_archive(str(tmp_path / "a"), arrays, metadata={})
         residue = [name for name in os.listdir(tmp_path) if ".tmp-" in name]
         assert residue == []
 
     def test_clean_stale_archives_sweeps_both_kinds(self, arrays, tmp_path):
-        published = write_archive(str(tmp_path / "keep.npz"), arrays, metadata={})
-        stale_file = tmp_path / "dead.npz.tmp-1234.npz"
+        published = write_archive(str(tmp_path / "keep"), arrays, metadata={})
+        stale_file = tmp_path / "dead.json.tmp-1234"
         stale_file.write_bytes(b"partial")
         stale_dir = tmp_path / "dead_dir.tmp-5678"
         stale_dir.mkdir()
@@ -175,3 +172,83 @@ class TestAtomicPublish:
 
     def test_clean_missing_directory_is_quiet(self, tmp_path):
         assert clean_stale_archives(str(tmp_path / "nope")) == []
+
+
+class Killed(BaseException):
+    """What a SIGKILL looks like to the code after it: nothing runs."""
+
+
+OLD = {"weights": np.arange(12.0).reshape(3, 4), "ids": np.arange(3)}
+NEW = {"weights": -np.arange(8.0).reshape(2, 4), "extra": np.ones(5)}
+
+
+class TestAnInterruptedOverwrite:
+    """Kill an overwrite at each rename / rmtree it makes: after the sweep
+    the path holds one whole generation, old or new, and nothing else."""
+
+    @staticmethod
+    def kill_at(monkeypatch, step):
+        """Make the ``step``-th rename or rmtree the last thing the writer does."""
+        calls = []
+        real_rename, real_rmtree = os.rename, shutil.rmtree
+
+        def rename(src, dst, *args, **kwargs):
+            calls.append("rename")
+            if len(calls) - 1 == step:
+                raise Killed
+            return real_rename(src, dst, *args, **kwargs)
+
+        def rmtree(path, *args, **kwargs):
+            calls.append("rmtree")
+            if len(calls) - 1 == step:
+                # killed part-way through the delete
+                os.remove(os.path.join(path, sorted(os.listdir(path))[0]))
+                raise Killed
+            return real_rmtree(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "rename", rename)
+        monkeypatch.setattr(shutil, "rmtree", rmtree)
+        return calls
+
+    @pytest.mark.parametrize("step", range(4))
+    def test_one_whole_generation_survives(self, tmp_path, monkeypatch, step):
+        path = str(tmp_path / "arch")
+        write_archive(path, OLD, metadata={"gen": 1})
+        calls = self.kill_at(monkeypatch, step)
+        try:
+            write_archive(path, NEW, metadata={"gen": 2})
+        except Killed:
+            pass
+        monkeypatch.undo()
+
+        clean_stale_archives(str(tmp_path))
+        loaded = read_archive_arrays(path)
+        generation = read_archive_metadata(path)["gen"]
+        expected = OLD if generation == 1 else NEW
+        assert sorted(loaded) == sorted(expected)
+        for name, value in expected.items():
+            np.testing.assert_array_equal(loaded[name], value)
+        assert os.listdir(tmp_path) == ["arch"]
+        # old aside, new in, old deleted: the last parameter is a clean run
+        assert calls == ["rename", "rename", "rmtree"][: step + 1]
+
+    def test_the_next_write_finishes_an_interrupted_one(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "arch")
+        write_archive(path, OLD, metadata={"gen": 1})
+        self.kill_at(monkeypatch, 1)  # the old generation is aside, the new one staged
+        with pytest.raises(Killed):
+            write_archive(path, NEW, metadata={"gen": 2})
+        monkeypatch.undo()
+        assert not os.path.exists(path)
+        write_archive(str(tmp_path / "other"), OLD, metadata={})  # another path: untouched
+        assert not os.path.exists(path)
+        write_archive(path, OLD, metadata={"gen": 3})
+        assert read_archive_metadata(path)["gen"] == 3
+        assert sorted(os.listdir(tmp_path)) == ["arch", "other"]
+
+    def test_a_staging_dir_without_its_header_is_never_published(self, tmp_path):
+        staging = tmp_path / "arch.tmp-4242"
+        staging.mkdir()
+        np.save(staging / "weights.npy", OLD["weights"])  # the header is written last
+        assert clean_stale_archives(str(tmp_path)) == [str(staging)]
+        assert os.listdir(tmp_path) == []

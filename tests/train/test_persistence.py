@@ -22,7 +22,7 @@ class TestPersistence:
     def test_roundtrip(self, dataset, tmp_path):
         model = pup_full(dataset, global_dim=12, category_dim=4, rng=np.random.default_rng(0))
         path = save_checkpoint(model, str(tmp_path / "pup"))
-        assert path.endswith(".npz")
+        assert path == str(tmp_path / "pup")
 
         clone = pup_full(dataset, global_dim=12, category_dim=4, rng=np.random.default_rng(9))
         metadata = load_checkpoint(clone, path)
@@ -55,8 +55,9 @@ class TestPersistence:
         np.testing.assert_allclose(clone.user_embedding.weight.data, model.user_embedding.weight.data)
 
     def test_rejects_non_checkpoint(self, tmp_path, dataset):
-        path = tmp_path / "junk.npz"
-        np.savez(path, a=np.zeros(3))
+        path = tmp_path / "junk"
+        path.mkdir()
+        np.save(path / "a.npy", np.zeros(3))
         model = BPRMF(dataset, dim=8, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
             load_checkpoint(model, str(path))
