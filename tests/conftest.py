@@ -1,5 +1,8 @@
 """Fixtures shared by every test package."""
 
+import os
+import shutil
+
 import pytest
 
 from repro.runtime import sharded
@@ -19,3 +22,49 @@ def item_block(monkeypatch):
         monkeypatch.setattr(sharded, "ITEM_BLOCK_SIZE", width)
 
     return set_width
+
+
+class Killed(BaseException):
+    """What a SIGKILL looks like to the code after it: nothing runs."""
+
+
+class PublishKiller:
+    """Kill an archive write at one of the renames / rmtrees it publishes with.
+
+    ``at(step)`` makes the ``step``-th ``os.rename`` or ``shutil.rmtree``
+    call the last thing the writer does (an rmtree deletes one file first,
+    as a kill part-way through the delete would) and returns the list the
+    calls are recorded in.  ``monkeypatch.undo()`` ends the kill.
+    """
+
+    Killed = Killed
+
+    def __init__(self, monkeypatch):
+        self.monkeypatch = monkeypatch
+
+    def at(self, step):
+        calls = []
+        real_rename, real_rmtree = os.rename, shutil.rmtree
+
+        def rename(src, dst, *args, **kwargs):
+            calls.append("rename")
+            if len(calls) - 1 == step:
+                raise Killed
+            return real_rename(src, dst, *args, **kwargs)
+
+        def rmtree(path, *args, **kwargs):
+            calls.append("rmtree")
+            if len(calls) - 1 == step:
+                os.remove(os.path.join(path, sorted(os.listdir(path))[0]))
+                raise Killed
+            return real_rmtree(path, *args, **kwargs)
+
+        self.monkeypatch.setattr(os, "rename", rename)
+        self.monkeypatch.setattr(shutil, "rmtree", rmtree)
+        return calls
+
+
+@pytest.fixture
+def kill_publish(monkeypatch):
+    """A :class:`PublishKiller` bound to this test's ``monkeypatch``."""
+    return PublishKiller(monkeypatch)

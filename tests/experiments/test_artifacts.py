@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -108,6 +109,29 @@ def test_rehydrated_evaluate_reproduces_stored_metrics(artifacts):
     directory, _ = artifacts
     reloaded = Experiment.load(directory)
     assert reloaded.evaluate() == pytest.approx(reloaded.metrics, abs=0)
+
+
+@pytest.mark.parametrize("step", range(6))
+def test_load_recovers_a_save_killed_at_any_publish_step(
+    artifacts, tmp_path, monkeypatch, kill_publish, step
+):
+    """Saving over a directory publishes the checkpoint (steps 0-2), then
+    the index (3-5); killed at any of them, the next load sweeps, warns,
+    and rehydrates the same model and index."""
+    directory, experiment = artifacts
+    copy = shutil.copytree(directory, str(tmp_path / "experiment"))
+    kill_publish.at(step)
+    with pytest.raises(kill_publish.Killed):
+        experiment.save(copy)
+    monkeypatch.undo()
+
+    with pytest.warns(RuntimeWarning, match="interrupted write"):
+        reloaded = Experiment.load(copy)
+    assert sorted(os.listdir(copy)) == sorted(os.listdir(directory))
+    for name, array in experiment.model.state_dict().items():
+        np.testing.assert_array_equal(array, reloaded.model.state_dict()[name])
+    users = np.arange(experiment.dataset.n_users)
+    np.testing.assert_array_equal(reloaded.index.score(users), experiment.index.score(users))
 
 
 def test_export_false_skips_index(tmp_path):

@@ -9,20 +9,27 @@ load must refuse silently-corrupted payloads with a typed
 import hashlib
 import json
 import os
-import shutil
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.core import pup_full
+from repro.data import SyntheticConfig, generate
 from repro.faults import corrupt_archive
+from repro.runtime.engine import BulkRecommendations, recommend_all
+from repro.serving import export_index
+from repro.serving.ann import build_ivf, load_ann
+from repro.serving.index import EmbeddingIndex
 from repro.train.persistence import (
     ArchiveCorrupted,
     CHECKSUM_KEY,
     _array_checksum,
     clean_stale_archives,
+    load_checkpoint,
     read_archive_arrays,
     read_archive_metadata,
+    save_checkpoint,
     write_archive,
 )
 
@@ -174,10 +181,6 @@ class TestAtomicPublish:
         assert clean_stale_archives(str(tmp_path / "nope")) == []
 
 
-class Killed(BaseException):
-    """What a SIGKILL looks like to the code after it: nothing runs."""
-
-
 OLD = {"weights": np.arange(12.0).reshape(3, 4), "ids": np.arange(3)}
 NEW = {"weights": -np.arange(8.0).reshape(2, 4), "extra": np.ones(5)}
 
@@ -186,38 +189,14 @@ class TestAnInterruptedOverwrite:
     """Kill an overwrite at each rename / rmtree it makes: after the sweep
     the path holds one whole generation, old or new, and nothing else."""
 
-    @staticmethod
-    def kill_at(monkeypatch, step):
-        """Make the ``step``-th rename or rmtree the last thing the writer does."""
-        calls = []
-        real_rename, real_rmtree = os.rename, shutil.rmtree
-
-        def rename(src, dst, *args, **kwargs):
-            calls.append("rename")
-            if len(calls) - 1 == step:
-                raise Killed
-            return real_rename(src, dst, *args, **kwargs)
-
-        def rmtree(path, *args, **kwargs):
-            calls.append("rmtree")
-            if len(calls) - 1 == step:
-                # killed part-way through the delete
-                os.remove(os.path.join(path, sorted(os.listdir(path))[0]))
-                raise Killed
-            return real_rmtree(path, *args, **kwargs)
-
-        monkeypatch.setattr(os, "rename", rename)
-        monkeypatch.setattr(shutil, "rmtree", rmtree)
-        return calls
-
     @pytest.mark.parametrize("step", range(4))
-    def test_one_whole_generation_survives(self, tmp_path, monkeypatch, step):
+    def test_one_whole_generation_survives(self, tmp_path, monkeypatch, kill_publish, step):
         path = str(tmp_path / "arch")
         write_archive(path, OLD, metadata={"gen": 1})
-        calls = self.kill_at(monkeypatch, step)
+        calls = kill_publish.at(step)
         try:
             write_archive(path, NEW, metadata={"gen": 2})
-        except Killed:
+        except kill_publish.Killed:
             pass
         monkeypatch.undo()
 
@@ -232,11 +211,13 @@ class TestAnInterruptedOverwrite:
         # old aside, new in, old deleted: the last parameter is a clean run
         assert calls == ["rename", "rename", "rmtree"][: step + 1]
 
-    def test_the_next_write_finishes_an_interrupted_one(self, tmp_path, monkeypatch):
+    def test_the_next_write_finishes_an_interrupted_one(
+        self, tmp_path, monkeypatch, kill_publish
+    ):
         path = str(tmp_path / "arch")
         write_archive(path, OLD, metadata={"gen": 1})
-        self.kill_at(monkeypatch, 1)  # the old generation is aside, the new one staged
-        with pytest.raises(Killed):
+        kill_publish.at(1)  # the old generation is aside, the new one staged
+        with pytest.raises(kill_publish.Killed):
             write_archive(path, NEW, metadata={"gen": 2})
         monkeypatch.undo()
         assert not os.path.exists(path)
@@ -252,3 +233,99 @@ class TestAnInterruptedOverwrite:
         np.save(staging / "weights.npy", OLD["weights"])  # the header is written last
         assert clean_stale_archives(str(tmp_path)) == [str(staging)]
         assert os.listdir(tmp_path) == []
+
+
+def _pup(dataset, seed):
+    model = pup_full(
+        dataset, global_dim=8, category_dim=4, rng=np.random.default_rng(seed)
+    )
+    model.eval()
+    return model
+
+
+@pytest.fixture(scope="module")
+def generations():
+    """Two distinct generations of every artifact kind, old and new."""
+    dataset = generate(
+        SyntheticConfig(
+            n_users=30, n_items=80, n_categories=3, n_price_levels=3,
+            interactions_per_user=5, seed=5,
+        )
+    )[0]
+    models = [_pup(dataset, 1), _pup(dataset, 2)]
+    indexes = [export_index(model, dataset) for model in models]
+    users = np.arange(dataset.n_users)
+    return {
+        "dataset": dataset,
+        "checkpoint": models,
+        "index": indexes,
+        "ivf": [build_ivf(indexes[0], n_lists=4, seed=seed) for seed in (0, 1)],
+        "recommendations": [
+            recommend_all(index, k=5, users=users) for index in indexes
+        ],
+    }
+
+
+def _state(kind, artifact):
+    """The arrays that tell one generation of ``kind`` from the other."""
+    if kind == "checkpoint":
+        return artifact.state_dict()
+    if kind == "index":
+        return {"scores": artifact.score(np.arange(artifact.n_users))}
+    if kind == "ivf":
+        return {
+            "centroids": artifact.centroids,
+            "list_indptr": artifact.list_indptr,
+            "list_items": artifact.list_items,
+        }
+    return {"users": artifact.users, "items": artifact.items, "scores": artifact.scores}
+
+
+def _save(kind, artifact, path):
+    if kind == "checkpoint":
+        return save_checkpoint(artifact, path)
+    return artifact.save(path)
+
+
+def _load(kind, path, generations):
+    if kind == "checkpoint":
+        model = _pup(generations["dataset"], 0)
+        load_checkpoint(model, path)
+        return model
+    if kind == "index":
+        return EmbeddingIndex.load(path)
+    if kind == "ivf":
+        return load_ann(path, generations["index"][0])
+    return BulkRecommendations.load(path)
+
+
+class TestEveryArtifactSurvivesAnInterruptedOverwrite:
+    """The guarantee above, through each artifact's own save and load: an
+    overwrite killed at any step leaves, once the loaders' sweep has run,
+    a generation the artifact's loader reads back whole, old or new."""
+
+    @pytest.mark.parametrize("step", range(4))
+    @pytest.mark.parametrize("kind", ["checkpoint", "index", "ivf", "recommendations"])
+    def test_the_loader_reads_one_whole_generation(
+        self, generations, tmp_path, monkeypatch, kill_publish, kind, step
+    ):
+        old, new = generations[kind]
+        path = str(tmp_path / kind)
+        _save(kind, old, path)
+        calls = kill_publish.at(step)
+        try:
+            _save(kind, new, path)
+        except kill_publish.Killed:
+            pass
+        monkeypatch.undo()
+        assert calls == ["rename", "rename", "rmtree"][: step + 1]
+
+        clean_stale_archives(str(tmp_path))
+        assert os.listdir(tmp_path) == [kind]
+        loaded = _state(kind, _load(kind, path, generations))
+        # once the old generation is renamed aside, the sweep rolls the
+        # complete new one forward
+        expected = _state(kind, old if step == 0 else new)
+        assert sorted(loaded) == sorted(expected)
+        for name, value in expected.items():
+            np.testing.assert_array_equal(loaded[name], value)
