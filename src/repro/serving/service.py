@@ -24,7 +24,8 @@ price-profile fallback (:mod:`repro.serving.fallback`), optionally
 personalized by a request-supplied price profile.  *Deliver*: build the
 answer, write the cache (:meth:`RecommenderService.invalidate` drops
 entries explicitly), resolve or fail the request, and book its end-to-end
-latency into :class:`~repro.serving.stats.ServingStats`.
+latency into :class:`~repro.serving.stats.ServingStats`.  Answers are
+read-only, and a cache hit is the cached :class:`Recommendation` itself.
 
 *Guard* (opt-in via ``resilience=ResilienceConfig()``): each group consults
 a circuit breaker, retries transient backend errors with exponential
@@ -56,7 +57,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -116,9 +117,14 @@ class Request:
         return (self.k, self.exclude_train, combine_signature(self.filters))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Recommendation:
-    """Ranked answer for one request."""
+    """Ranked answer for one request: frozen, with read-only arrays.
+
+    One object may reach every caller of a key (a cache hit is the cached
+    answer itself), so neither it nor its arrays can be changed in place;
+    copy first (``np.array(rec.items)``) to post-process.
+    """
 
     user: int
     items: np.ndarray
@@ -130,7 +136,7 @@ class Recommendation:
         return len(self.items)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DegradedResponse(Recommendation):
     """A degraded answer: real data, reduced quality guarantee, tagged.
 
@@ -146,12 +152,22 @@ class DegradedResponse(Recommendation):
     stage: str = ""
 
 
-def _copy(rec: Recommendation, cached: bool = False) -> Recommendation:
-    """Fresh arrays: the cache and a caller never share a mutable buffer."""
-    return Recommendation(
-        user=rec.user, items=rec.items.copy(), scores=rec.scores.copy(),
-        source=rec.source, cached=cached,
-    )
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array`` made read-only, owning its data.
+
+    A view is copied first, so an answer (and the cache entry sharing its
+    arrays) never pins the larger buffer it was sliced from.
+    """
+    if array.base is not None:
+        array = array.copy()
+    array.flags.writeable = False
+    return array
+
+
+# Shared by every handle born resolved (a cache hit, which never enters the
+# queue, so nothing finalizes it): a hit builds no event of its own.
+_RESOLVED = threading.Event()
+_RESOLVED.set()
 
 
 class PendingRecommendation:
@@ -166,16 +182,24 @@ class PendingRecommendation:
     the gateway's flusher) to resolve it, raising :class:`ResultTimeout` on
     expiry.  A request that failed during its batch re-raises its error
     here — one poisoned request never orphans the rest of a batch.
+
+    Passing ``result`` makes the handle born resolved: a cache hit, booked
+    at enqueue.
     """
 
-    def __init__(self, service: "RecommenderService", request: Request) -> None:
+    def __init__(
+        self,
+        service: "RecommenderService",
+        request: Request,
+        result: Optional[Recommendation] = None,
+    ) -> None:
         self._service = service
         self.request = request
         self.enqueued_at = 0.0
         self.flush_due = False
-        self._result: Optional[Recommendation] = None
+        self._result = result
         self._error: Optional[Exception] = None
-        self._done = threading.Event()
+        self._done = threading.Event() if result is None else _RESOLVED
         self._finalize_lock = threading.Lock()
         self._span = None  # request span, finished at resolve/fail time
 
@@ -407,10 +431,10 @@ class RecommenderService:
         )
         if request.k < 1:
             raise ValueError(f"k must be >= 1, got {request.k}")
-        pending = PendingRecommendation(self, request)
         self.stats.record_request(warm=warm)
+        span = None
         if self.tracer is not None:
-            pending._span = self.tracer.begin(
+            span = self.tracer.begin(
                 "request",
                 cat="serving",
                 attrs={"user": request.user, "k": request.k, "warm": warm},
@@ -422,7 +446,7 @@ class RecommenderService:
         # single most expensive no-op on the serving hot path.
         if self.tracer is not None and self.cache_capacity > 0:
             with self.tracer.span(
-                "cache.lookup", cat="serving", parent_id=pending._span.span_id
+                "cache.lookup", cat="serving", parent_id=span.span_id
             ) as lookup:
                 cached = self._cache_get(request.cache_key())
                 lookup.set_attr("hit", cached is not None)
@@ -430,9 +454,15 @@ class RecommenderService:
             cached = self._cache_get(request.cache_key())
         self.stats.record_cache(hit=cached is not None)
         if cached is not None:
-            pending._resolve(_copy(cached, cached=True))
-            return pending
+            # The cached answer itself, on a handle born resolved; its
+            # outcome and span are booked here, once.
+            self.stats.record_outcome("ok")
+            if span is not None:
+                span.finish(source=cached.source, cached=True)
+            return PendingRecommendation(self, request, cached)
 
+        pending = PendingRecommendation(self, request)
+        pending._span = span
         with self._lock:
             pending.enqueued_at = self._clock()
             self._queue.append(pending)
@@ -671,7 +701,7 @@ class RecommenderService:
             for pending in entries:
                 stale = self._cache_get(pending.request.cache_key())
                 results.append(
-                    _copy(stale) if stale is not None
+                    stale if stale is not None
                     else self._rank_from_profile(pending.request, rows)
                 )
         self._deliver(entries, results, began, COLD, self.index.n_items, degraded_by=prefix)
@@ -718,6 +748,7 @@ class RecommenderService:
         ladder prefix) is tagged with its stage, counted, and never cached,
         so a recovered backend serves fresh answers.  Latency is booked for
         exactly the requests answered here, each with its real queue wait.
+        Each answer's arrays are made read-only here, once.
         """
         seconds = self._clock() - began
         waits = []
@@ -728,16 +759,16 @@ class RecommenderService:
             try:
                 if isinstance(result, Exception):
                     raise result
+                items, scores = _read_only(result.items), _read_only(result.scores)
                 if degraded_by is None:
                     answer = Recommendation(
-                        user=request.user, items=result.items, scores=result.scores,
-                        source=source,
+                        user=request.user, items=items, scores=scores, source=source,
                     )
                     self._cache_put(request.cache_key(), answer)
                 else:
                     stale = isinstance(result, Recommendation)
                     answer = DegradedResponse(
-                        user=request.user, items=result.items, scores=result.scores,
+                        user=request.user, items=items, scores=scores,
                         source=result.source if stale else source, cached=stale,
                         stage=f"{degraded_by}_{'cache' if stale else 'profile'}",
                     )
@@ -780,10 +811,10 @@ class RecommenderService:
                 self._cache.move_to_end(key)
             return hit
 
-    def _cache_put(self, key: Tuple, value: Recommendation) -> None:
+    def _cache_put(self, key: Tuple, answer: Recommendation) -> None:
         if self.cache_capacity < 1:
             return
-        entry = _copy(value)  # the caller owns the object we hand back
+        entry = replace(answer, cached=True)  # what every hit of the key is handed
         with self._lock:
             self._cache[key] = entry
             self._cache.move_to_end(key)

@@ -1,16 +1,21 @@
 """RecommenderService: routing, micro-batching, caching, stats."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.core import pup_full
 from repro.data import SyntheticConfig, generate
 from repro.eval import topk_rankings
+from repro.faults import SCORER_ERROR, FaultPlan, FaultSpec
 from repro.serving import (
     COLD,
     WARM,
+    DegradedResponse,
     PriceBandFilter,
     RecommenderService,
+    ResilienceConfig,
     export_index,
 )
 
@@ -242,17 +247,45 @@ class TestCache:
         assert service.cache_size == 2
         assert not service.recommend(1).cached
 
-    def test_caller_mutation_cannot_corrupt_cache(self, setup):
+    def test_answers_are_read_only_and_cannot_corrupt_cache(self, setup):
+        """A miss, a hit and a degraded stale answer all refuse an in-place
+        write; later hits stay bit-identical; a copy is the caller's own."""
+        _, _, index = setup
+        plan = FaultPlan([FaultSpec(SCORER_ERROR, times=(1,))])
+        service = make_service(
+            index, resilience=ResilienceConfig(retries=0, backoff_s=0.0), fault_plan=plan,
+        )
+        first = service.recommend(9)
+        expected = (first.items.tobytes(), first.scores.tobytes())
+        # Capacity 0 for one enqueue stands in for a request queued before a
+        # concurrent flush cached its key; the scorer then fails its batch.
+        service.cache_capacity = 0
+        queued = service.enqueue(9)
+        service.cache_capacity = 1024
+        service.flush()
+        stale = queued.result()
+        assert isinstance(stale, DegradedResponse) and stale.stage == "error_cache"
+        hit = service.recommend(9)
+        assert hit.cached
+        for answer in (first, hit, stale):
+            for array in (answer.items, answer.scores):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[:] = -1
+        again = service.recommend(9)
+        assert (again.items.tobytes(), again.scores.tobytes()) == expected
+        own = np.array(again.items)
+        own[:] = -2  # the caller's copy is writeable and detached
+        assert service.recommend(9).items.tobytes() == expected[0]
+
+    def test_answers_pickle_round_trip(self, setup):
         _, _, index = setup
         service = make_service(index)
-        first = service.recommend(9)
-        expected = first.items.copy()
-        first.items[:] = -1  # caller post-processes in place
-        again = service.recommend(9)
-        assert again.cached
-        np.testing.assert_array_equal(again.items, expected)
-        again.items[:] = -2  # mutating a hit must not poison later hits
-        np.testing.assert_array_equal(service.recommend(9).items, expected)
+        service.recommend(9)
+        hit = service.recommend(9)
+        clone = pickle.loads(pickle.dumps(hit))
+        assert type(clone) is type(hit) and clone.cached and clone.user == hit.user
+        np.testing.assert_array_equal(clone.items, hit.items)
+        np.testing.assert_array_equal(clone.scores, hit.scores)
 
     def test_cache_disabled(self, setup):
         _, _, index = setup
