@@ -61,7 +61,7 @@ def exact_rankings(
     """Exact top-``k`` per user from a frozen index, via the batch runtime.
 
     Ranked in item shards like every exact ranking: the score block stays
-    ``chunk x ITEM_BLOCK_SIZE`` at any catalog size, and the sharded merge
+    ``ROW_BLOCK x ITEM_BLOCK_SIZE`` at any catalog size, and the sharded merge
     returns the ids one full-width pass would.
     """
     exclude_csr = (

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-import networkx as nx
 import numpy as np
 import scipy.sparse as sp
 
@@ -251,14 +250,3 @@ class HeteroGraph:
             matrix = self.adjacency() + sp.identity(self.n_nodes, format="csr")
             self._degrees = np.asarray(matrix.sum(axis=1)).ravel()
         return self._degrees
-
-    def to_networkx(self) -> nx.Graph:
-        """Export to networkx with a ``node_type`` attribute, for inspection."""
-        graph = nx.Graph()
-        for node in range(self.n_nodes):
-            graph.add_node(node, node_type=self.space.node_type(node))
-        adjacency = self.adjacency().tocoo()
-        for row, col in zip(adjacency.row, adjacency.col):
-            if row < col:
-                graph.add_edge(int(row), int(col))
-        return graph

@@ -17,8 +17,8 @@ integer-score factorizations.
 
 The layout is not an option: every index splits its catalog into
 ``ceil(n_items / ITEM_BLOCK_SIZE)`` shards, reading the module constant when
-it is built (tests monkeypatch it to vary the layout).  The shard count
-decides memory and wall time, never a result.
+it is built, and every call ranks its rows ``ROW_BLOCK`` at a time (tests
+monkeypatch both).  The layout decides memory and wall time, never a result.
 
 Scores do not depend on batch height or batch-mates either: every shard
 product runs at :func:`~repro.core.base.gemm_rows` height, so a row gets
@@ -40,8 +40,12 @@ from ..core.base import ScoreBranch, branches_dtype, gemm_rows, score_branches
 from ..data.dataset import expand_csr_rows
 from ..eval.topk import NEG_INF, masked_topk, topk_indices_rows, topk_pairs_rows
 
-#: widest shard: every exact ranking scores a ``batch x 8192`` block at most
+#: widest shard: every exact ranking scores a ``ROW_BLOCK x 8192`` block at most
 ITEM_BLOCK_SIZE = 8192
+
+#: open rows ranked per pass: a multiple of every ``ROW_MULTIPLE`` candidate,
+#: so a full block over a full-width shard needs no padding rows
+ROW_BLOCK = 96
 
 
 def shard_ranges(n_items: int, n_shards: int) -> List[Tuple[int, int]]:
@@ -159,17 +163,17 @@ class ShardedIndex:
 
         ids = np.full((rows, k), -1, dtype=np.int64)
         scores = np.full((rows, k), NEG_INF, dtype=self.dtype) if with_scores else None
-        if len(open_rows):
-            open_users = users[open_rows]
+        for first in range(0, len(open_rows), ROW_BLOCK):
+            block = open_rows[first : first + ROW_BLOCK]
             exclude_rows = exclude_cols = None
             if exclude_csr is not None:
-                exclude_rows, exclude_cols = expand_csr_rows(*exclude_csr, open_users)
-            open_ids, open_scores = self._topk_sharded(
-                open_users, k, exclude_rows, exclude_cols, denied, buffers, timings, with_scores
+                exclude_rows, exclude_cols = expand_csr_rows(*exclude_csr, users[block])
+            block_ids, block_scores = self._topk_sharded(
+                users[block], k, exclude_rows, exclude_cols, denied, buffers, timings, with_scores
             )
-            ids[open_rows] = open_ids
+            ids[block] = block_ids
             if with_scores:
-                scores[open_rows] = open_scores
+                scores[block] = block_scores
 
         if restricted:
             self._apply_candidates(

@@ -8,11 +8,12 @@ and online results therefore cannot disagree on ranking: they are the same
 code on the same scores.
 
 The catalog is split into ``ceil(n_items / ITEM_BLOCK_SIZE)`` balanced
-contiguous shards (see :mod:`repro.runtime.sharded`), each streamed through
-one ``(batch, dim) @ (dim, shard)`` product, masked, reduced to per-user
-candidates and merged exactly.  That keeps the item-side operand
+contiguous shards (see :mod:`repro.runtime.sharded`) and the batch into
+blocks of ``ROW_BLOCK`` rows; each block streams through one
+``(rows, dim) @ (dim, shard)`` product per shard, masked, reduced to
+per-user candidates and merged exactly.  That keeps the item-side operand
 cache-resident at large catalog sizes and bounds peak memory at
-``batch * ITEM_BLOCK_SIZE`` scores.  Products run at
+``ROW_BLOCK * ITEM_BLOCK_SIZE`` scores at any batch size.  Products run at
 :func:`~repro.core.base.gemm_rows` height: a request's scores do not depend
 on batch height or batch-mates.  Across item layouts only, a float64 item
 range whose offset or width is not a multiple of 8 can give a score another

@@ -24,6 +24,22 @@ def item_block(monkeypatch):
     return set_width
 
 
+@pytest.fixture
+def row_block(monkeypatch):
+    """Set how many open rows exact scoring ranks at once, for one test.
+
+    Like the item layout, the row block is not an option: every
+    ``ShardedIndex.topk_chunk`` call reads
+    :data:`repro.runtime.sharded.ROW_BLOCK`, so this is how a test puts
+    block edges between the rows of one call.
+    """
+
+    def set_rows(rows: int) -> None:
+        monkeypatch.setattr(sharded, "ROW_BLOCK", rows)
+
+    return set_rows
+
+
 class Killed(BaseException):
     """What a SIGKILL looks like to the code after it: nothing runs."""
 

@@ -1,8 +1,13 @@
 """Tests for the unified heterogeneous graph and normalized adjacency."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.data import Dataset, InteractionTable, ItemCatalog
 from repro.graph import HeteroGraph, NodeSpace
 
@@ -124,20 +129,21 @@ class TestHeteroGraph:
         # item 0: user 0 + category 0 + price 0 + self = 4
         assert degrees[3] == 4.0
 
-    def test_to_networkx(self):
+    def test_nodes_edges_and_node_types(self):
         graph = HeteroGraph(make_dataset())
-        g = graph.to_networkx()
-        assert g.number_of_nodes() == 11
-        assert g.number_of_edges() == 12
-        assert g.nodes[0]["node_type"] == "user"
-        assert g.nodes[9]["node_type"] == "price"
+        adjacency = graph.adjacency()
+        assert adjacency.shape == (11, 11)
+        assert adjacency.diagonal().sum() == 0
+        assert (adjacency != adjacency.T).nnz == 0
+        assert adjacency.nnz == 2 * 12  # 12 undirected edges
+        assert graph.space.node_type(0) == "user"
+        assert graph.space.node_type(9) == "price"
 
     def test_price_reachable_from_user_in_two_hops(self):
-        import networkx as nx
-
-        g = HeteroGraph(make_dataset()).to_networkx()
+        adjacency = HeteroGraph(make_dataset()).adjacency()
         # user 0 -> item 0 -> price node 9: the paper's "items as bridge".
-        assert nx.shortest_path_length(g, source=0, target=9) == 2
+        assert adjacency[0, 9] == 0
+        assert (adjacency @ adjacency)[0, 9] > 0
 
     def test_propagation_matches_manual_average(self):
         """Â x must equal the hand-computed neighbor average (Eq. 2)."""
@@ -148,3 +154,15 @@ class TestHeteroGraph:
         # user 0 neighbors: items 0,1 -> global ids 3,4 plus self 0.
         expected_user0 = (x[3] + x[4] + x[0]) / 3.0
         np.testing.assert_allclose(out[0], expected_user0)
+
+
+def test_import_leaves_networkx_out():
+    """The graph is scipy CSR end to end: importing the package loads no
+    networkx, which would cost every process ~11 MB of resident memory."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, repro; print('networkx' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.stdout.strip() == "False"
