@@ -15,6 +15,13 @@ Design notes
 * ``backward()`` runs a topological sort over the recorded graph and calls the
   per-node backward closures in reverse order, exactly like a micro-grad style
   engine but with full ndarray broadcasting support.
+* The graph is released as it is walked: once a non-leaf node's closure has
+  run, so has every consumer of the node, and the walk drops its ``.grad``,
+  closure and parent edges.  Forward intermediates and interior gradients
+  die with their last consumer, not with the loss; only leaves (every
+  ``Parameter``) keep ``.grad``.  Released closures become a sentinel, so a
+  second ``backward()`` through a walked graph raises ``RuntimeError``.
+  There is no ``retain_graph``: rebuild the graph to differentiate again.
 * Broadcasting is undone in the backward pass by :func:`unbroadcast`, which
   sums gradients over broadcast dimensions.
 * Sparse support: :meth:`Tensor.sparse_matmul` multiplies a *constant*
@@ -168,10 +175,17 @@ class Tensor:
         self.grad = None
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
-        """Run reverse-mode autodiff from this tensor.
+        """Run reverse-mode autodiff from this tensor, releasing the graph.
 
         ``grad`` defaults to ones, which is only sensible for scalar losses —
         a ValueError is raised for non-scalar tensors without an explicit seed.
+
+        Gradients accumulate into the ``.grad`` of leaves (tensors without a
+        backward closure, such as every ``Parameter``).  Every other node,
+        this tensor included, is released as soon as its closure has run:
+        interior ``.grad`` is not kept.  Reaching a released node — a second
+        ``backward()``, or one through a tensor of an already walked graph —
+        raises ``RuntimeError``.
         """
         if grad is None:
             if self.data.size != 1:
@@ -187,7 +201,7 @@ class Tensor:
                     f"seed gradient shape {grad.shape} != tensor shape {self.shape}"
                 )
 
-        order: list[Tensor] = []
+        order: list[Optional[Tensor]] = []
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
         # Iterative DFS post-order: avoids recursion limits on deep graphs.
@@ -204,15 +218,20 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
 
-        self._accumulate_or_seed(grad)
-        for node in reversed(order):
-            if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn(node.grad)
-
-    def _accumulate_or_seed(self, grad: np.ndarray) -> None:
-        # The root of backward() always needs a grad buffer even when it is an
-        # intermediate node (requires_grad may be False on pure outputs).
         self._accumulate_any(grad)
+        # Reverse post-order puts every consumer of a node before it, so once
+        # its closure has run nothing reads the node's gradient, closure or
+        # parents again; clearing its slot lets the node itself go too.
+        for index in range(len(order) - 1, -1, -1):
+            node = order[index]
+            order[index] = None
+            if node._backward_fn is None:
+                continue
+            if node.grad is not None:
+                node._backward_fn(node.grad)
+            node.grad = None
+            node._backward_fn = _released
+            node._parents = ()
 
     # ------------------------------------------------------------------
     # Binary arithmetic
@@ -520,6 +539,14 @@ class Tensor:
         mask = (rand < keep).astype(self.data.dtype)
         mask /= keep
         return self * Tensor(mask, dtype=self.data.dtype)
+
+
+def _released(grad: np.ndarray) -> None:
+    """Stands in for the closure of a node whose backward already ran."""
+    raise RuntimeError(
+        "backward() reached a node of a graph that was already walked and "
+        "released; build the graph again to differentiate it again"
+    )
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:

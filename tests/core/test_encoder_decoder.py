@@ -130,11 +130,13 @@ class TestPairwiseInteraction:
         with pytest.raises(ValueError):
             pairwise_interaction([Tensor(np.ones((2, 2))), Tensor(np.ones((3, 2)))])
 
-    def test_gradient_matches_finite_difference(self):
+    @pytest.mark.parametrize("dtype", ("float32", "float64"))
+    def test_gradient_matches_finite_difference(self, check_grads, dtype):
         rng = np.random.default_rng(3)
-        a = rng.normal(size=(4, 3))
-        b = rng.normal(size=(4, 3))
-
-        ta = Tensor(a, requires_grad=True)
-        pairwise_interaction([ta, Tensor(b)]).sum().backward()
-        np.testing.assert_allclose(ta.grad, b, atol=1e-10)
+        features = [rng.normal(size=(4, 3)).astype(dtype) for _ in range(3)]
+        weights = Tensor(rng.normal(size=4).astype(dtype))
+        grads = check_grads(
+            lambda *tensors: (pairwise_interaction(list(tensors)) * weights).sum(), *features
+        )
+        __, b, c = features
+        np.testing.assert_allclose(grads[0], (b + c) * weights.data[:, None], rtol=1e-5)

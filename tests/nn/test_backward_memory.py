@@ -1,0 +1,117 @@
+"""``Tensor.backward`` releases the graph as it walks it.
+
+One PUP training step at yelp x1 (Eq. 5-6 propagation over the whole
+graph, then the batch gathers, the fused BPR loss and the batch L2 term) is
+measured with ``tracemalloc`` from the end of the forward pass through
+``backward()`` and ``Adam.step()``.  A walk that keeps every forward
+intermediate and every interior gradient alive until the loss is dropped
+peaks at about twice the forward graph's live bytes; one that frees each
+node once its backward has run stays close to the graph itself.
+
+The walk also leaves every ``Parameter`` with its ``.grad``, keeps no
+interior node reachable from the loss, and refuses a second walk.
+"""
+
+import gc
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from repro.core import pup_full
+from repro.data import NegativeSampler, load_dataset
+from repro.nn import Adam, Tensor, fused_bpr_loss, fused_l2_on_batch, precision
+
+#: peak above the pre-forward base, over the forward graph's live bytes
+PEAK_RATIO_CEILING = 1.25
+
+
+def pup_step_setup(dtype):
+    dataset, _ = load_dataset("yelp", scale=1)
+    with precision(dtype):
+        model = pup_full(dataset, global_dim=56, category_dim=8, rng=np.random.default_rng(0))
+    model.train()
+    optimizer = Adam(model.parameters(), lr=1e-2)
+    sampler = NegativeSampler(dataset, np.random.default_rng(1))
+    users, pos_items, neg_items = next(sampler.epoch_batches(1024))
+    return model, optimizer, (users, pos_items, neg_items)
+
+
+def pup_loss(model, users, pos_items, neg_items):
+    pos_scores, neg_scores, reg = model.bpr_forward(users, pos_items, neg_items)
+    return fused_bpr_loss(pos_scores, neg_scores) + fused_l2_on_batch(reg, 1e-4, len(users))
+
+
+def reachable(root):
+    """Every tensor the loss still holds, through parents or closures."""
+    seen, stack = {id(root): root}, [root]
+    while stack:
+        node = stack.pop()
+        cells = getattr(node._backward_fn, "__closure__", None) or ()
+        held = list(node._parents) + [cell.cell_contents for cell in cells]
+        for other in held:
+            if isinstance(other, Tensor) and id(other) not in seen:
+                seen[id(other)] = other
+                stack.append(other)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("dtype", ("float32", "float64"))
+def test_step_peak_stays_near_the_forward_graph(dtype):
+    model, optimizer, batch = pup_step_setup(dtype)
+    optimizer.zero_grad()
+    pup_loss(model, *batch).backward()  # warm every lazy buffer once
+    optimizer.step()
+    optimizer.zero_grad()
+    gc.collect()
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = pup_loss(model, *batch)
+        graph_bytes = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        loss.backward()
+        optimizer.step()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+    assert graph_bytes > 0
+    ratio = peak / graph_bytes
+    assert ratio <= PEAK_RATIO_CEILING, f"step peak {ratio:.2f}x the forward graph"
+
+
+@pytest.mark.parametrize("dtype", ("float32", "float64"))
+def test_walk_keeps_parameter_grads_and_releases_the_interior(dtype):
+    model, optimizer, batch = pup_step_setup(dtype)
+    loss = pup_loss(model, *batch)
+    loss.backward()
+    for name, param in model.named_parameters():
+        assert param.grad is not None and param.grad.shape == param.shape, name
+    assert reachable(loss) == [loss]
+    assert loss.grad is None
+
+
+def test_second_backward_raises():
+    x = Tensor(np.arange(3.0), requires_grad=True)
+    loss = (x * x).sum()
+    loss.backward()
+    np.testing.assert_array_equal(x.grad, [0.0, 2.0, 4.0])
+    with pytest.raises(RuntimeError):
+        loss.backward()
+    np.testing.assert_array_equal(x.grad, [0.0, 2.0, 4.0])
+
+
+def test_backward_through_a_walked_interior_tensor_raises():
+    x = Tensor(np.arange(3.0), requires_grad=True)
+    hidden = x.tanh()
+    hidden.sum().backward()
+    with pytest.raises(RuntimeError):
+        (hidden * 2.0).sum().backward()
+
+
+def test_leaf_root_keeps_its_grad():
+    x = Tensor(np.ones(1), requires_grad=True)
+    x.backward()
+    np.testing.assert_array_equal(x.grad, [1.0])

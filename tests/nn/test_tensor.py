@@ -7,22 +7,6 @@ import scipy.sparse as sp
 from repro.nn import Tensor, concat
 
 
-def numeric_grad(func, x, eps=1e-6):
-    """Central finite differences of a scalar function w.r.t. ndarray x."""
-    grad = np.zeros_like(x)
-    flat = x.reshape(-1)
-    grad_flat = grad.reshape(-1)
-    for index in range(flat.size):
-        original = flat[index]
-        flat[index] = original + eps
-        plus = func(x)
-        flat[index] = original - eps
-        minus = func(x)
-        flat[index] = original
-        grad_flat[index] = (plus - minus) / (2 * eps)
-    return grad
-
-
 class TestForward:
     def test_add(self):
         out = Tensor([1.0, 2.0]) + Tensor([3.0, 4.0])
@@ -178,17 +162,13 @@ class TestForward:
 class TestGradients:
     """Analytic gradients must match central finite differences."""
 
-    def check(self, build, shape, seed=0, atol=1e-5):
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=shape)
+    @pytest.fixture(autouse=True)
+    def _bind_check_grads(self, check_grads):
+        self.check_grads = check_grads
 
-        def scalar(arr):
-            return build(Tensor(arr)).data.sum()
-
-        expected = numeric_grad(scalar, x.copy())
-        t = Tensor(x, requires_grad=True)
-        build(t).sum().backward()
-        np.testing.assert_allclose(t.grad, expected, atol=atol)
+    def check(self, build, shape, seed=0):
+        x = np.random.default_rng(seed).normal(size=shape)
+        self.check_grads(lambda t: build(t).sum(), x)
 
     def test_add(self):
         self.check(lambda t: t + t, (3, 2))
@@ -239,10 +219,7 @@ class TestGradients:
         a = rng.normal(size=(4, 3))
 
         x = rng.normal(size=(3, 2))
-        expected = numeric_grad(lambda arr: (a @ arr).sum(), x.copy())
-        t = Tensor(x, requires_grad=True)
-        Tensor(a).matmul(t).sum().backward()
-        np.testing.assert_allclose(t.grad, expected, atol=1e-5)
+        self.check_grads(lambda t: Tensor(a).matmul(t).sum(), x)
 
     def test_sum_axis0(self):
         self.check(lambda t: t.sum(axis=0), (3, 4))
@@ -276,11 +253,7 @@ class TestGradients:
         dense[dense < 0.3] = 0.0
         mat = sp.csr_matrix(dense)
         x = rng.normal(size=(4, 3))
-
-        expected = numeric_grad(lambda arr: (dense @ arr).sum(), x.copy())
-        t = Tensor(x, requires_grad=True)
-        t.sparse_matmul(mat).sum().backward()
-        np.testing.assert_allclose(t.grad, expected, atol=1e-5)
+        self.check_grads(lambda t: t.sparse_matmul(mat).sum(), x)
 
     def test_concat_grad(self):
         a = Tensor(np.ones((2, 2)), requires_grad=True)
