@@ -1,6 +1,6 @@
-"""CI gate for fault tolerance: chaos load, crash recovery, durable archives.
+"""CI gate for fault tolerance: chaos load, ANN degradation, durable archives.
 
-Four drills against a trained artifact directory, each deterministic
+Three drills against a trained artifact directory, each deterministic
 (seeded :class:`repro.faults.FaultPlan`), each exiting non-zero on
 violation:
 
@@ -8,16 +8,11 @@ violation:
    :class:`~repro.train.persistence.ArchiveCorrupted` (never load as
    silently wrong numbers), and stale ``*.tmp-*`` staging leftovers from a
    writer that died mid-publish must be swept on startup.
-2. **Worker crash recovery** — a process-pool map with an injected worker
-   crash must still return the exact serial result (the pool respawns the
-   worker and retries the lost chunk), and an unrecoverable crash storm
-   must fail loudly with :class:`~repro.runtime.pool.WorkerCrashed`
-   instead of hanging.
-3. **ANN failure degradation** — a service whose ANN index throws on every
+2. **ANN failure degradation** — a service whose ANN index throws on every
    search must answer bit-identically to exact full-catalog retrieval
    (the first rung of the degradation ladder loses availability headroom,
    not correctness).
-4. **Chaos closed loop** — a seeded fault plan (scorer errors + stalls,
+3. **Chaos closed loop** — a seeded fault plan (scorer errors + stalls,
    flusher crashes) under concurrent closed-loop load: the run must
    finish (no deadlock), p99 must stay bounded, and the books must
    balance *as scraped from the live /metrics endpoint*:
@@ -41,7 +36,6 @@ import numpy as np
 from repro.experiments import Experiment
 from repro.faults import (
     FLUSHER_CRASH,
-    POOL_WORKER_CRASH,
     SCORER_DELAY,
     SCORER_ERROR,
     FaultPlan,
@@ -51,8 +45,6 @@ from repro.faults import (
 from repro.loadgen import WorkloadConfig, build_workload, run_chaos
 from repro.obs import parse_prometheus
 from repro.obs.server import MetricsServer
-from repro.runtime import WorkerPool
-from repro.runtime.pool import WorkerCrashed
 from repro.serving import GatewayConfig, ResilienceConfig, ServingGateway
 from repro.train.persistence import (
     ArchiveCorrupted,
@@ -117,39 +109,7 @@ def drill_archive_durability(artifacts: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# Drill 2: worker crash recovery
-# ----------------------------------------------------------------------
-def _square_sum(chunk: np.ndarray) -> float:
-    return float(np.sum(chunk.astype(np.float64) ** 2))
-
-
-def drill_worker_crash_recovery() -> None:
-    chunks = [np.arange(i, i + 8) for i in range(0, 64, 8)]
-    expected = [_square_sum(chunk) for chunk in chunks]
-
-    plan = FaultPlan([FaultSpec(POOL_WORKER_CRASH, times=(2,))])
-    pool = WorkerPool(workers=2, mode="process", fault_plan=plan)
-    with pool:
-        got = pool.map(_square_sum, chunks)
-    check(got == expected, f"recovered map differs from serial: {got} != {expected}")
-    check(pool.worker_deaths >= 1, "injected crash never registered a worker death")
-    check(pool.chunk_retries >= 1, "lost chunk was never retried")
-
-    # Every dispatch crashes the worker: retries must exhaust into a loud
-    # typed failure, not a hang.
-    storm = FaultPlan([FaultSpec(POOL_WORKER_CRASH, probability=1.0)])
-    pool = WorkerPool(workers=2, mode="process", fault_plan=storm, max_chunk_retries=1)
-    try:
-        with pool:
-            pool.map(_square_sum, chunks[:2])
-        check(False, "crash storm completed instead of raising WorkerCrashed")
-    except WorkerCrashed:
-        pass
-    print("PASS: worker crash recovery (retry + bounded give-up)")
-
-
-# ----------------------------------------------------------------------
-# Drill 3: ANN failure falls back to exact search, bit-identically
+# Drill 2: ANN failure falls back to exact search, bit-identically
 # ----------------------------------------------------------------------
 class _DeadANN:
     """An ANN index whose every search fails (transiently)."""
@@ -192,7 +152,7 @@ def drill_ann_fallback_parity(experiment: Experiment) -> None:
 
 
 # ----------------------------------------------------------------------
-# Drill 4: chaos closed loop with live-scrape accounting
+# Drill 3: chaos closed loop with live-scrape accounting
 # ----------------------------------------------------------------------
 def drill_chaos_load(experiment: Experiment) -> None:
     # Hand-placed occurrences rather than chaos_plan()'s spacing: the
@@ -310,7 +270,6 @@ def main() -> int:
     try:
         experiment = Experiment.load(artifacts)
         drill_archive_durability(artifacts)
-        drill_worker_crash_recovery()
         drill_ann_fallback_parity(experiment)
         drill_chaos_load(experiment)
     except AssertionError as failure:

@@ -618,7 +618,6 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
 
         plan = chaos_plan(
             seed=args.chaos_seed,
-            worker_crashes=0,  # the CLI service runs an in-process scorer
             scorer_errors=args.chaos_scorer_errors,
             ann_failures=args.chaos_ann_failures if args.ann else 0,
             flusher_crashes=args.chaos_flusher_crashes,

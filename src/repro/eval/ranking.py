@@ -7,10 +7,9 @@ samples"); the model ranks them and Recall@K / NDCG@K are averaged over
 users.
 
 Execution goes through :mod:`repro.runtime`: user chunks are ranked by the
-sharded batch-inference kernel, optionally across a process/thread worker
-pool (``workers`` / ``mode``).  Those knobs change wall time only —
-rankings and metrics are bit-identical for every setting, including plain
-serial execution.  Scoring stays in the model's own dtype (a float32
+sharded batch-inference kernel, optionally across ``workers`` threads.
+That knob changes wall time only — rankings and metrics are bit-identical
+for every count, including plain serial execution.  Scoring stays in the model's own dtype (a float32
 factorization is evaluated in float32 memory; no float64 upcast copy of the
 full-catalog score matrix is ever made).
 """
@@ -55,7 +54,6 @@ def topk_rankings(
     user_chunk: int = 256,
     candidate_items: Optional[Dict[int, np.ndarray]] = None,
     workers: int = 0,
-    mode: str = "auto",
     profiler=None,
     runtime: Optional[BatchRuntime] = None,
     tracer=None,
@@ -68,19 +66,18 @@ def topk_rankings(
     value means unrestricted) — a silently absent user would be ranked
     against the full catalog and inflate protocol metrics, so that is a
     ``KeyError``, exactly as it was before the batch runtime existed.
-    ``workers`` / ``mode`` select the execution strategy (see
+    ``workers`` sets the ranking threads (see
     :class:`repro.runtime.RuntimeConfig`); results are identical for every
-    choice.  Models whose score does not factorize (DeepFM) are evaluated
+    count.  Models whose score does not factorize (DeepFM) are evaluated
     through their ``predict_scores`` serially.
 
     ``runtime`` lets callers that evaluate repeatedly (benchmark loops,
     recurring bulk jobs) reuse one :class:`~repro.runtime.BatchRuntime` —
-    amortizing worker-pool startup — instead of this function building one
+    amortizing thread-pool startup — instead of this function building one
     per call.  A passed-in runtime must already hold the model's current
     frozen branches, and its exclusion mask must agree with
     ``exclude_train`` (checked); it is not closed here, and the
-    ``workers`` / ``mode`` / ``user_chunk`` arguments are ignored in its
-    favor.
+    ``workers`` / ``user_chunk`` arguments are ignored in its favor.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -115,7 +112,7 @@ def topk_rankings(
         )
 
     exclude_csr = dataset.train_exclusion_csr() if exclude_train else None
-    config = RuntimeConfig(workers=workers, mode=mode, user_chunk=user_chunk)
+    config = RuntimeConfig(workers=workers, user_chunk=user_chunk)
     with BatchRuntime(branches, config, exclude_csr=exclude_csr) as live_runtime:
         ordered, ids, _ = live_runtime.rank(
             users, k, candidate_items=candidate_items, profiler=profiler, tracer=tracer
@@ -283,18 +280,17 @@ def evaluate(
     exclude_train: bool = True,
     user_chunk: int = 256,
     workers: int = 0,
-    mode: str = "auto",
     profiler=None,
     runtime: Optional[BatchRuntime] = None,
     tracer=None,
 ) -> Dict[str, float]:
     """Recall@K / NDCG@K averaged over users with positives in ``split``.
 
-    ``workers`` / ``mode`` parallelize the ranking pass (see
-    :mod:`repro.runtime`); metrics are bit-identical for every setting.
+    ``workers`` parallelizes the ranking pass over threads (see
+    :mod:`repro.runtime`); metrics are bit-identical for every count.
     With a ``profiler``, wall time is attributed to the ``score`` / ``topk``
-    / ``merge`` / ``metrics`` phases (in parallel modes the kernel phases
-    are summed worker CPU seconds).  ``runtime`` reuses a caller-managed
+    / ``merge`` / ``metrics`` phases (with workers the kernel phases are
+    summed thread CPU seconds).  ``runtime`` reuses a caller-managed
     :class:`~repro.runtime.BatchRuntime` across calls (see
     :func:`topk_rankings`).
     """
@@ -319,7 +315,7 @@ def evaluate(
     ):
         rankings = topk_rankings(
             model, dataset, sorted(positives), k=max(ks), exclude_train=exclude_train,
-            user_chunk=user_chunk, workers=workers, mode=mode,
+            user_chunk=user_chunk, workers=workers,
             profiler=profiler, runtime=runtime, tracer=tracer,
         )
         with maybe_span(tracer, "eval.metrics", cat="eval"):
@@ -327,6 +323,6 @@ def evaluate(
                 metrics = metrics_from_rankings(rankings, positives, ks)
     profiler.count("evaluated_users", len(positives))
     # Wall clock for throughput: the kernel phases are summed across
-    # workers in parallel modes and would understate users/sec.
+    # threads and would understate users/sec.
     profiler.count("eval_wall_seconds", time.perf_counter() - start)
     return metrics

@@ -88,19 +88,19 @@ class EvalSpec:
         self.exclude_train = bool(self.exclude_train)
 
     def run(
-        self, model, dataset, workers: int = 0, mode: str = "auto", profiler=None, tracer=None,
+        self, model, dataset, workers: int = 0, profiler=None, tracer=None,
     ) -> Dict[str, float]:
         """Evaluate ``model`` under this protocol.
 
-        ``workers`` / ``mode`` are execution knobs, not part of
-        the protocol — results are bit-identical for every setting (see
-        :mod:`repro.runtime`), which is why they are call-time arguments
-        rather than serialized spec fields.  ``profiler`` / ``tracer`` are
+        ``workers`` is an execution knob, not part of the protocol —
+        results are bit-identical for every count (see
+        :mod:`repro.runtime`), which is why it is a call-time argument
+        rather than a serialized spec field.  ``profiler`` / ``tracer`` are
         observation hooks (:mod:`repro.obs`) and change nothing either.
         """
         return evaluate(
             model, dataset, split=self.split, ks=self.ks, exclude_train=self.exclude_train,
-            workers=workers, mode=mode, profiler=profiler, tracer=tracer,
+            workers=workers, profiler=profiler, tracer=tracer,
         )
 
     def to_dict(self) -> Dict[str, Any]:

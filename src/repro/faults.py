@@ -1,11 +1,11 @@
 """Deterministic fault injection for chaos tests and the chaos loadgen.
 
-The resilience layer (worker crash recovery, flusher supervision, circuit
-breaker, degradation ladder) is only trustworthy if its failure paths can be
+The resilience layer (flusher supervision, circuit breaker, degradation
+ladder, lifecycle crash recovery) is only trustworthy if its failure paths can be
 exercised *on demand*, repeatably.  This module provides that trigger: a
 seeded :class:`FaultPlan` holding one :class:`FaultSpec` per named injection
-point.  Components that support injection (``WorkerPool``,
-``RecommenderService``, ``RetrievalEngine``, ``ServingGateway``) accept an
+point.  Components that support injection (``RecommenderService``,
+``RetrievalEngine``, ``ServingGateway``, ``LifecycleController``) accept an
 optional plan and consult it at their injection point; production code paths
 pass ``None`` and pay a single ``is None`` check.
 
@@ -39,9 +39,6 @@ import numpy as np
 # ---------------------------------------------------------------------------
 # Named injection points (the fault-point catalog; see docs/robustness.md)
 # ---------------------------------------------------------------------------
-POOL_WORKER_CRASH = "pool.worker_crash"
-"""A process worker dies (``os._exit``) while holding a dispatched chunk."""
-
 SCORER_ERROR = "service.scorer_error"
 """The warm scoring path raises mid-batch (poisoned scorer call)."""
 
@@ -67,7 +64,6 @@ LIFECYCLE_PROMOTE_CRASH = "lifecycle.promote_crash"
 #: there means — ``repro loadtest --list-fault-points`` and the fault-point
 #: table in docs/robustness.md both render from this registry.
 FAULT_POINTS: Dict[str, str] = {
-    POOL_WORKER_CRASH: "a process-pool worker dies while holding a dispatched chunk",
     SCORER_ERROR: "the warm scoring path raises mid-batch (poisoned scorer call)",
     SCORER_DELAY: "the warm scoring path stalls for delay_s (slow or hung scorer)",
     ANN_SEARCH_ERROR: "the ANN index raises from search() (exact-search fallback)",
@@ -132,10 +128,7 @@ class FaultPlan:
 
     The plan is consulted via :meth:`should_fire` / :meth:`maybe_fail` /
     :meth:`maybe_delay`; unknown points never fire, so a component can
-    consult unconditionally.  The plan is picklable (the lock is rebuilt),
-    but process workers do **not** consult it — cross-process determinism is
-    kept by consulting in the parent and shipping a crash marker (see
-    ``runtime/pool.py``).
+    consult unconditionally.  The plan is picklable (the lock is rebuilt).
     """
 
     def __init__(self, specs: Sequence[FaultSpec] = (), seed: int = 0) -> None:
@@ -240,7 +233,6 @@ class FaultPlan:
 def chaos_plan(
     seed: int = 0,
     *,
-    worker_crashes: int = 1,
     scorer_errors: int = 1,
     ann_failures: int = 1,
     flusher_crashes: int = 1,
@@ -265,8 +257,6 @@ def chaos_plan(
         return tuple(offset + spacing * i for i in range(count))
 
     specs = []
-    if worker_crashes:
-        specs.append(FaultSpec(POOL_WORKER_CRASH, times=stagger(1, worker_crashes)))
     if scorer_errors:
         specs.append(FaultSpec(SCORER_ERROR, times=stagger(3, scorer_errors)))
     if ann_failures:

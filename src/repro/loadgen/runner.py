@@ -18,8 +18,8 @@ Under chaos (a :class:`~repro.faults.FaultPlan` installed in the stack)
 two more outcome classes appear and the runners account for both:
 degraded answers (:class:`~repro.serving.service.DegradedResponse`,
 counted in ``n_degraded``) and typed post-admission failures
-(``DeadlineExceeded`` / ``FlusherCrashed`` / ``BackendError`` /
-``WorkerCrashed`` …, counted by class name in ``n_failed``).  A stored
+(``DeadlineExceeded`` / ``FlusherCrashed`` / ``BackendError`` …,
+counted by class name in ``n_failed``).  A stored
 error must never kill a worker thread — every admitted request resolves
 to exactly one of ok / degraded / timeout / failed.
 """

@@ -8,14 +8,14 @@ Three pieces, one spine:
   Prometheus text exposition and JSON.
 * :mod:`repro.obs.trace` — :class:`Tracer` context-manager spans with
   parent/child linkage, exported as Chrome-trace-event JSON (Perfetto)
-  or JSONL; span records ship across process boundaries as plain dicts.
+  or JSONL; spans opened on any thread land in one tracer.
 * :mod:`repro.obs.server` — a stdlib HTTP :class:`MetricsServer` with
   ``/metrics``, ``/stats``, and ``/healthz`` (``repro serve
   --metrics-port``).
 
 Everything downstream — :class:`~repro.serving.stats.ServingStats`, the
-:class:`~repro.profiling.Profiler`, the batch runtime's cross-worker
-aggregation, the CLI's ``--trace-out`` — is built on these primitives.
+:class:`~repro.profiling.Profiler`, the batch runtime's per-chunk
+spans and timings, the CLI's ``--trace-out`` — is built on these primitives.
 See ``docs/observability.md`` for the metric catalog and trace workflow.
 """
 

@@ -5,18 +5,17 @@ stack, the batch-inference runtime, the trainer's profiler — and the one
 place exporters read from.  Three design rules make that work:
 
 * **Thread safety.**  Every mutation happens under the registry lock, so a
-  metric can be shared by the thread-mode worker pool, the serving queue,
-  and a scrape thread without torn read-modify-writes.
+  metric can be shared by the batch runtime's chunk threads, the serving
+  queue, and a scrape thread without torn read-modify-writes.
 
 * **Mergeability.**  :class:`Histogram` uses *fixed log-spaced buckets*
   (the same layout in every process by construction), so two histograms —
   one per worker process, say — merge by adding bucket counts, and the
   merged percentiles are exactly what one process observing all the samples
   would report.  This is the property the sliding-window
-  :class:`~repro.serving.stats.LatencyRecorder` cannot offer, and why the
-  cross-process aggregation in :mod:`repro.runtime` ships registry
-  snapshots (:meth:`MetricsRegistry.to_json`) back over the result path
-  and folds them in with :meth:`MetricsRegistry.merge`.
+  :class:`~repro.serving.stats.LatencyRecorder` cannot offer, and what
+  :meth:`MetricsRegistry.merge` relies on to fold one registry's snapshot
+  (:meth:`MetricsRegistry.to_json`) into another.
 
 * **Plain-data export.**  :meth:`MetricsRegistry.to_json` is a JSON-safe
   dict that round-trips through ``merge``; :meth:`to_prometheus` renders

@@ -11,14 +11,9 @@ call boundaries (a serving request that is admitted in ``submit`` and
 resolved in a later ``flush``) use the manual :meth:`Tracer.begin` /
 :meth:`Span.finish` pair, which does *not* touch the nesting stack.
 
-Cross-process spans: worker processes record into their own tracer and
-ship ``tracer.records()`` (plain dicts) back over the result path; the
-parent folds them in with :meth:`Tracer.extend`.  Records carry ``pid`` /
-``tid``, so merged timelines separate naturally per worker track.  Span
-timestamps come from ``time.perf_counter`` — on Linux that is
-``CLOCK_MONOTONIC``, which ``fork`` children share, so parent and worker
-spans are directly comparable; on spawn-style platforms tracks may carry a
-constant offset (each track is still internally consistent).
+Spans opened on other threads (the batch runtime's chunk workers) name
+their parent explicitly and land in the same tracer.  Records carry
+``pid`` / ``tid``, so a timeline separates naturally per thread track.
 
 The clock is injectable for deterministic tests, and a disabled tracer
 degrades to no-ops so instrumented code never needs ``if tracer:`` guards
@@ -32,7 +27,7 @@ import json
 import os
 import threading
 import time
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 #: record keys every span dict carries (the JSONL / wire schema)
 SPAN_FIELDS = (
@@ -130,6 +125,7 @@ class _NullSpan:
         pass
 
     span_id = None
+    trace_id = None
 
 
 _NULL_SPAN = _NullSpan()
@@ -184,8 +180,6 @@ class Tracer:
         self._records: List[Dict] = []
         self._ids = itertools.count(1)
         self._stack = threading.local()
-        # Cached per tracer: a worker process creates its own tracer after
-        # fork (see repro.runtime.engine), so the pid never goes stale.
         self._pid = os.getpid()
         self._id_prefix = f"{self._pid}-"
 
@@ -252,21 +246,9 @@ class Tracer:
 
     # ------------------------------------------------------------------
     def records(self) -> List[Dict]:
-        """Finished spans as plain dicts (the cross-process wire format)."""
+        """Finished spans as plain dicts (the JSONL record format)."""
         with self._lock:
             return [dict(record) for record in self._records]
-
-    def extend(self, records: Iterable[Dict]) -> int:
-        """Fold foreign span records in (e.g. shipped from worker processes)."""
-        added = 0
-        with self._lock:
-            for record in records:
-                missing = [field for field in SPAN_FIELDS if field not in record]
-                if missing:
-                    raise ValueError(f"span record is missing fields {missing}")
-                self._records.append(dict(record))
-                added += 1
-        return added
 
     def clear(self) -> None:
         with self._lock:
@@ -287,7 +269,6 @@ class Tracer:
         in ``args`` so the tree is recoverable from the file alone.
         """
         events: List[Dict] = []
-        names: Dict[int, str] = {}
         for record in self.records():
             if record["end"] is None:
                 continue
@@ -308,16 +289,14 @@ class Tracer:
                     },
                 }
             )
-            names.setdefault(record["pid"], self.process_name or "repro")
-        for pid, name in names.items():
-            label = name if pid == os.getpid() else f"{name} worker"
+        if events:
             events.append(
                 {
                     "name": "process_name",
                     "ph": "M",
-                    "pid": pid,
+                    "pid": self._pid,
                     "tid": 0,
-                    "args": {"name": label},
+                    "args": {"name": self.process_name or "repro"},
                 }
             )
         return {"traceEvents": events, "displayTimeUnit": "ms"}

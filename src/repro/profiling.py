@@ -14,8 +14,8 @@ Since the observability layer landed, the profiler is a *thin view over a*
 and counters are stored as labelled registry counters
 (``profiler_phase_seconds_total{phase=...}`` etc.), so anything a profiler
 measures is automatically visible on a ``/metrics`` endpoint sharing that
-registry, merges across processes with the registry's snapshot/merge path,
-and is safe under the thread-mode worker pool (every mutation happens
+registry, merges with the registry's snapshot/merge path, and is safe
+under the batch runtime's chunk threads (every mutation happens
 under the registry lock — the bare-dict read-modify-write race the old
 implementation had is gone).  Pass ``registry=`` to aggregate several
 profilers into one surface; the default is a private registry, preserving

@@ -3,35 +3,32 @@
 :class:`BatchRuntime` turns a frozen factorization (an
 :class:`~repro.serving.index.EmbeddingIndex` or raw branches) plus an
 exclusion mask into a reusable executor: ``rank(users, k)`` splits the
-users into fixed-size chunks, dispatches them to a
-:class:`~repro.runtime.pool.WorkerPool`, and reassembles results in user
-order.  The chunk layout depends only on ``user_chunk`` — never on the
-worker count or pool mode — and every chunk runs the same
-:meth:`~repro.runtime.sharded.ShardedIndex.topk_chunk` kernel, which is
-what makes rankings bit-identical across serial, threaded, and
-multi-process execution.
+users into fixed-size chunks, runs them on a thread pool (inline when
+``workers <= 1``), and returns results in user order.  The chunk layout
+depends only on ``user_chunk`` — never on the worker count — and every
+chunk runs the same :meth:`~repro.runtime.sharded.ShardedIndex.topk_chunk`
+kernel, which is what makes rankings bit-identical across serial and
+threaded execution.
 
-Worker transport: process pools prefer the ``fork`` start method, so the
-factorization is inherited copy-on-write — zero copies, zero pickling.
-When the runtime is built from an index loaded with
-``EmbeddingIndex.load(path, mmap=True)``, workers instead re-attach to the
-on-disk directory by path, mapping the same page-cache copy (this is also
-what makes ``spawn``-only platforms cheap).  Each worker keeps one
-preallocated score buffer per thread, so steady-state evaluation performs
-no per-chunk score-matrix allocations.
+Threads share the factorization: nothing is copied, pickled or re-attached.
+A chunk spends its time in BLAS products, partitions and sorts, which
+release the GIL (docs/performance.md, "Worker model").  Each thread keeps
+one preallocated score buffer, so steady-state evaluation performs no
+per-chunk score-matrix allocations.
 """
 
 from __future__ import annotations
 
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..core.base import ScoreBranch
-from ..obs.trace import Tracer, maybe_span
-from .pool import WorkerPool
+from ..obs.trace import maybe_span
 from .sharded import ShardedIndex, _Buffers
 
 #: profiler phase names the runtime reports (mirrors the trainer's phases)
@@ -46,16 +43,17 @@ class RuntimeConfig:
     """Execution knobs — none of them can change results, only wall time."""
 
     workers: int = 0
-    mode: str = "auto"
     user_chunk: int = 256
 
     def __post_init__(self) -> None:
+        if self.workers < 0:
+            raise ValueError(f"workers must be >= 0, got {self.workers}")
         if self.user_chunk < 1:
             raise ValueError(f"user_chunk must be >= 1, got {self.user_chunk}")
 
 
 class _WorkerState:
-    """Per-process (or shared, for threads) kernel state with local buffers."""
+    """Kernel state shared by every thread, with per-thread score buffers."""
 
     def __init__(
         self,
@@ -75,64 +73,26 @@ class _WorkerState:
         return buffers
 
 
-#: process-pool worker state, populated by :func:`_init_process_worker`
-_PROCESS_STATE: Optional[_WorkerState] = None
-
-
-def _build_state(spec: Dict) -> _WorkerState:
-    if spec.get("index_path") is not None:
-        from ..serving.index import EmbeddingIndex  # deferred: avoids a cycle
-
-        index = EmbeddingIndex.load(spec["index_path"], mmap=spec.get("index_mmap", False))
-        branches = index.branches
-        exclude_csr = (
-            (index.exclude_indptr, index.exclude_indices) if spec["exclude"] else None
-        )
-    else:
-        branches = spec["branches"]
-        exclude_csr = spec["exclude_csr"]
-    return _WorkerState(ShardedIndex(branches), exclude_csr, spec.get("ann"))
-
-
-def _init_process_worker(spec: Dict) -> None:
-    global _PROCESS_STATE
-    _PROCESS_STATE = _build_state(spec)
-
-
-def _rank_chunk_process(payload) -> Tuple[int, np.ndarray, Optional[np.ndarray], Dict, Optional[List]]:
-    chunk_id, ids, scores, timings, spans = _rank_chunk(_PROCESS_STATE, payload)
-    # Item ids always fit int32 (catalogs are nowhere near 2**31); halving
-    # the result payload halves the pickle/IPC cost of the hot direction.
-    return chunk_id, ids.astype(np.int32, copy=False), scores, timings, spans
-
-
 def _rank_chunk(
-    state: _WorkerState, payload
-) -> Tuple[int, np.ndarray, Optional[np.ndarray], Dict, Optional[List]]:
+    state: _WorkerState, payload, tracer, parent
+) -> Tuple[np.ndarray, Optional[np.ndarray], Dict]:
     """Rank one chunk; the worker half of the runtime's determinism contract.
 
-    ``payload[5]`` is an optional trace context ``{"trace_id", "parent_id"}``
-    from the parent's tracer.  When present, the chunk records its spans
-    into a worker-local :class:`Tracer` and ships them back as plain dicts
-    in the result tuple — the same pickle path the rankings take — for the
-    parent to fold in with ``Tracer.extend``.  ``perf_counter`` is
-    CLOCK_MONOTONIC on Linux, shared by forked children, so worker span
-    timestamps land on the parent's timeline.
+    The chunk's ``chunk.rank`` span goes straight into the caller's
+    ``tracer`` as a child of ``parent`` (the call's ``runtime.rank`` span),
+    which links it on any thread.
     """
-    chunk_id, users, k, with_scores, candidates, trace_ctx = payload
+    chunk_id, users, k, with_scores, candidates = payload
     timings: Dict[str, float] = {}
-    tracer = Tracer(process_name="runtime-worker") if trace_ctx is not None else None
     with maybe_span(
         tracer,
         "chunk.rank",
         cat="runtime",
-        trace_id=trace_ctx["trace_id"] if trace_ctx else None,
-        parent_id=trace_ctx["parent_id"] if trace_ctx else None,
+        trace_id=parent.trace_id,
+        parent_id=parent.span_id,
         attrs={"chunk_id": chunk_id, "n_users": len(users)},
     ):
         if state.ann is not None:
-            import time
-
             tick = time.perf_counter()
             ids, scores = state.ann.search(
                 users, k, exclude_csr=state.exclude_csr, tracer=tracer
@@ -150,8 +110,7 @@ def _rank_chunk(
                 with_scores=with_scores,
                 timings=timings,
             )
-    spans = tracer.records() if tracer is not None else None
-    return chunk_id, ids, scores, timings, spans
+    return ids, scores, timings
 
 
 class BatchRuntime:
@@ -161,7 +120,10 @@ class BatchRuntime:
     of :class:`~repro.core.base.ScoreBranch` factors.  ``exclude_csr`` is
     the per-user exclusion mask as ``(indptr, indices)``; pass
     ``exclude_csr=None`` for unmasked ranking.  The runtime is a context
-    manager; ``close()`` tears the pool down.
+    manager; ``close()`` shuts its threads down.
+
+    An exception raised while ranking a chunk reaches the :meth:`rank`
+    caller as itself; the runtime stays usable.
     """
 
     def __init__(
@@ -170,7 +132,6 @@ class BatchRuntime:
         config: Optional[RuntimeConfig] = None,
         exclude_csr: Optional[Tuple[np.ndarray, np.ndarray]] = None,
         ann=None,
-        fault_plan=None,
     ) -> None:
         self.config = config or RuntimeConfig()
         branches = list(getattr(source, "branches", source))
@@ -181,48 +142,11 @@ class BatchRuntime:
                 f"ann index covers {ann.n_items} items but the factorization "
                 f"has {self.n_items}"
             )
-
-        self._pool = WorkerPool(
-            workers=self.config.workers,
-            mode=self.config.mode,
-            initializer=_init_process_worker,
-            initargs=(self._worker_spec(source, branches, exclude_csr, ann),),
-            fault_plan=fault_plan,
+        self._executor = (
+            ThreadPoolExecutor(max_workers=self.config.workers)
+            if self.config.workers > 1
+            else None
         )
-        self.mode = self._pool.mode
-
-    def _worker_spec(self, source, branches, exclude_csr, ann) -> Dict:
-        """Spec the process-pool workers rebuild their state from.
-
-        An index that knows its on-disk mmap location is shipped as a path
-        (workers attach to the shared on-disk copy); everything else ships
-        the arrays themselves — free under fork (inherited), a one-time
-        copy under spawn.  An ANN index always ships as arrays: it wraps
-        live objects a path cannot rebuild.
-        """
-        index_path = getattr(source, "source_path", None)
-        index_mmap = bool(getattr(source, "source_mmap", False))
-        if index_path is not None and index_mmap and exclude_csr is not None:
-            exclude_is_index_own = exclude_csr[0] is getattr(source, "exclude_indptr", None)
-        else:
-            exclude_is_index_own = False
-        if (
-            ann is None
-            and index_path is not None
-            and index_mmap
-            and (exclude_csr is None or exclude_is_index_own)
-        ):
-            return {
-                "index_path": index_path,
-                "index_mmap": True,
-                "exclude": exclude_csr is not None,
-            }
-        return {
-            "index_path": None,
-            "branches": branches,
-            "exclude_csr": exclude_csr,
-            "ann": ann,
-        }
 
     def refresh(
         self,
@@ -230,15 +154,10 @@ class BatchRuntime:
         exclude_csr=_KEEP,
         ann=_KEEP,
     ) -> None:
-        """Point this runtime at updated factors without pool teardown.
+        """Point this runtime at updated factors, keeping its threads.
 
         The steady-state shape of a validation loop: the model's frozen
-        branches change every epoch, but the worker pool (and its startup
-        cost) should be paid once per fit, not once per evaluate.  Local
-        state is swapped in place; process-pool workers receive the new
-        spec through :meth:`WorkerPool.reinitialize` (one barrier
-        broadcast — under ``fork`` that re-pickles the branch arrays once
-        per worker, still far cheaper than re-forking a pool).
+        branches change every epoch, but the runtime is built once per fit.
 
         ``exclude_csr`` / ``ann`` default to keeping their current values.
         The catalog size must not change — chunk results are merged by
@@ -261,8 +180,6 @@ class BatchRuntime:
                 f"has {self.n_items}"
             )
         self._state = _WorkerState(sharded, exclude_csr, ann)
-        if self._pool.mode == "process":
-            self._pool.reinitialize(self._worker_spec(source, branches, exclude_csr, ann))
 
     @property
     def has_exclusions(self) -> bool:
@@ -291,11 +208,10 @@ class BatchRuntime:
         unless ``with_scores``).  ``candidate_items`` optionally restricts
         per-user pools (cold-start protocols).  With a ``profiler``, the
         per-chunk ``score`` / ``topk`` / ``merge`` seconds are accumulated
-        under those phase names — summed across workers, so in parallel
-        modes they are CPU seconds, not wall time.  With a ``tracer``, each
-        chunk records a ``chunk.rank`` span (child of this call's
-        ``runtime.rank`` span) in its worker and ships it back over the
-        result path, process mode included.
+        under those phase names — summed across threads, so with workers
+        they are CPU seconds, not wall time.  With a ``tracer``, each
+        chunk records a ``chunk.rank`` span, child of this call's
+        ``runtime.rank`` span.
         """
         users = np.asarray(list(users), dtype=np.int64)
         k = min(int(k), self.n_items)
@@ -318,15 +234,8 @@ class BatchRuntime:
             tracer,
             "runtime.rank",
             cat="runtime",
-            attrs={"n_users": len(users), "k": k, "mode": self.mode},
+            attrs={"n_users": len(users), "k": k, "workers": self.config.workers},
         ) as rank_span:
-            trace_ctx = None
-            if tracer is not None and tracer.enabled:
-                trace_ctx = {
-                    "trace_id": rank_span.trace_id,
-                    "parent_id": rank_span.span_id,
-                }
-
             chunk = self.config.user_chunk
             payloads = []
             for chunk_id, start in enumerate(range(0, len(users), chunk)):
@@ -334,34 +243,35 @@ class BatchRuntime:
                 candidates = None
                 if candidate_items is not None:
                     candidates = [candidate_items.get(int(user)) for user in chunk_users]
-                payloads.append((chunk_id, chunk_users, k, with_scores, candidates, trace_ctx))
+                payloads.append((chunk_id, chunk_users, k, with_scores, candidates))
 
-            if self._pool.mode == "process":
-                results = self._pool.map(_rank_chunk_process, payloads)
+            state = self._state
+
+            def run(payload):
+                return _rank_chunk(state, payload, tracer, rank_span)
+
+            if self._executor is None:
+                results = [run(payload) for payload in payloads]
             else:
-                state = self._state
-                results = self._pool.map(lambda payload: _rank_chunk(state, payload), payloads)
+                results = list(self._executor.map(run, payloads))
 
-            results.sort(key=lambda item: item[0])
-            ids = np.vstack([item[1] for item in results]).astype(np.int64, copy=False)
-            scores = np.vstack([item[2] for item in results]) if with_scores else None
+            ids = np.vstack([item[0] for item in results]).astype(np.int64, copy=False)
+            scores = np.vstack([item[1] for item in results]) if with_scores else None
             if profiler is not None:
                 totals: Dict[str, float] = {}
-                for _, _, _, timings, _ in results:
+                for _, _, timings in results:
                     for name, seconds in timings.items():
                         totals[name] = totals.get(name, 0.0) + seconds
                 for name in EVAL_PHASES:
                     if name in totals:
                         profiler.add_seconds(name, totals[name])
                 profiler.count("chunks", len(payloads))
-            if tracer is not None:
-                for _, _, _, _, spans in results:
-                    if spans:
-                        tracer.extend(spans)
         return users, ids, scores
 
     def close(self) -> None:
-        self._pool.close()
+        if self._executor is not None:
+            self._executor.shutdown(wait=True)
+            self._executor = None
 
     def __enter__(self) -> "BatchRuntime":
         return self
@@ -436,7 +346,6 @@ def recommend_all(
     users: Optional[Sequence[int]] = None,
     exclude_train: bool = True,
     workers: int = 0,
-    mode: str = "auto",
     user_chunk: int = 1024,
     profiler=None,
     ann=None,
@@ -448,7 +357,7 @@ def recommend_all(
     — one call scores the whole population against the full catalog through
     the parallel runtime and returns dense ``(users, items, scores)`` arrays
     ready to push to a key-value store.  Results are bit-identical for any
-    ``workers`` / ``mode`` setting, and identical to the
+    ``workers`` setting, and identical to the
     retrieval engine's unfiltered rankings for the same users.
 
     ``ann`` switches the bulk job to candidate-generation mode: chunks rank
@@ -461,7 +370,7 @@ def recommend_all(
     if users is None:
         counts = np.diff(index.exclude_indptr)
         users = np.flatnonzero(counts > 0)
-    config = RuntimeConfig(workers=workers, mode=mode, user_chunk=user_chunk)
+    config = RuntimeConfig(workers=workers, user_chunk=user_chunk)
     exclude_csr = (index.exclude_indptr, index.exclude_indices) if exclude_train else None
     with BatchRuntime(index, config, exclude_csr=exclude_csr, ann=ann) as runtime:
         ordered, ids, scores = runtime.rank(

@@ -64,5 +64,4 @@ class BackendError(GatewayError):
 
 # Related error types that live with their owning layers (the serving
 # package must stay importable without dragging those layers' errors here):
-#   repro.runtime.pool.WorkerCrashed   — process worker died, retries exhausted
 #   repro.train.persistence.ArchiveCorrupted — archive checksum mismatch on load

@@ -65,10 +65,6 @@ class EmbeddingIndex:
         self.n_items = n_items
         self.model_name = model_name
         self.extra = dict(extra or {})
-        #: set by :meth:`load` — lets the batch runtime re-attach workers by path
-        self.source_path: Optional[str] = None
-        self.source_mmap: bool = False
-
         self.item_categories = np.asarray(item_categories, dtype=np.int64)
         self.item_price_levels = np.asarray(item_price_levels, dtype=np.int64)
         self.n_price_levels = int(n_price_levels)
@@ -140,9 +136,7 @@ class EmbeddingIndex:
     # ------------------------------------------------------------------
     def save(self, path: str, format: str = "dir") -> str:
         """Persist the index as an archive directory that :meth:`load` can
-        memory-map (``mmap=True``) — what the lifecycle store publishes, and
-        what the parallel batch-inference runtime attaches worker processes
-        to: one on-disk copy instead of a full archive each.
+        memory-map (``mmap=True``) — what the lifecycle store publishes.
 
         ``format`` accepts only ``"dir"``, the one container; it stays so
         callers that name the container keep running.
@@ -192,7 +186,7 @@ class EmbeddingIndex:
         """Load an index saved by :meth:`save`.
 
         ``mmap=True`` memory-maps the arrays instead of copying them into
-        process memory — attaching is near-instant and concurrent workers
+        process memory — attaching is near-instant and concurrent processes
         share one page-cache copy.
         """
         metadata = persistence.read_archive_metadata(path)
@@ -211,7 +205,7 @@ class EmbeddingIndex:
                     weight=meta["weight"],
                 )
             )
-        index = cls(
+        return cls(
             branches=branches,
             item_categories=arrays["item_categories"],
             item_price_levels=arrays["item_price_levels"],
@@ -224,9 +218,3 @@ class EmbeddingIndex:
             model_name=metadata["model_name"],
             extra=metadata.get("extra") or {},
         )
-        # Where this index came from, so the batch-inference runtime can tell
-        # worker processes to re-attach by path (mmap) instead of shipping
-        # the arrays through pickling.
-        index.source_path = path
-        index.source_mmap = bool(mmap)
-        return index

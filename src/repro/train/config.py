@@ -13,6 +13,10 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, Sequence
 
 
+#: execution knobs that no longer exist; old spec.json files still carry them
+_RETIRED_FIELDS = ("eval_shards", "eval_mode")
+
+
 @dataclass
 class TrainConfig:
     """Hyper-parameters for :class:`~repro.train.trainer.Trainer`."""
@@ -27,8 +31,7 @@ class TrainConfig:
     seed: int = 0
     eval_every: int = 0  # 0 disables validation tracking
     eval_k: int = 50
-    eval_workers: int = 0  # parallel workers for validation passes (0 = serial)
-    eval_mode: str = "auto"  # validation pool mode: auto/serial/thread/process
+    eval_workers: int = 0  # validation threads (0 = serial)
     early_stop_patience: int = 0  # 0 disables early stopping
     loss: str = "bpr"  # "bpr" (standard, stable) or "bpr_eq4" (literal Eq. 4)
     fused_kernels: bool = True  # single-node BPR/L2 kernels (False: composed ops)
@@ -51,10 +54,6 @@ class TrainConfig:
             raise ValueError("eval_every and early_stop_patience must be >= 0")
         if self.eval_workers < 0:
             raise ValueError(f"eval_workers must be >= 0, got {self.eval_workers}")
-        if self.eval_mode not in ("auto", "serial", "thread", "process"):
-            raise ValueError(
-                f"eval_mode must be auto/serial/thread/process, got {self.eval_mode!r}"
-            )
         if self.early_stop_patience and not self.eval_every:
             raise ValueError("early stopping requires eval_every > 0")
         if self.loss not in ("bpr", "bpr_eq4"):
@@ -74,10 +73,13 @@ class TrainConfig:
     def from_dict(cls, payload: Dict[str, Any]) -> "TrainConfig":
         """Rebuild a config serialized by :meth:`to_dict` (validates fields).
 
-        ``eval_shards``, a retired execution knob that never changed a
-        result, is dropped so configs saved before its removal still load.
+        ``eval_shards`` and ``eval_mode``, retired execution knobs that never
+        changed a result, are dropped so configs saved before their removal
+        still load.
         """
-        payload = {key: value for key, value in payload.items() if key != "eval_shards"}
+        payload = {
+            key: value for key, value in payload.items() if key not in _RETIRED_FIELDS
+        }
         unknown = set(payload) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown TrainConfig fields: {sorted(unknown)}")

@@ -12,7 +12,7 @@ uncompressed ``.npy`` file per array plus ``metadata.json``, a JSON header
 * **bulk exports** (:class:`~repro.runtime.engine.BulkRecommendations`).
 
 Any archive loads with ``mmap=True``, in which case its arrays are
-memory-mapped straight off disk: worker processes attaching to the same
+memory-mapped straight off disk: processes attaching to the same
 directory share the page cache instead of each deserializing a copy.
 
 Durability guarantees:

@@ -271,13 +271,11 @@ class Trainer:
         """One validation pass, through a runtime reused across epochs.
 
         The first validation builds a :class:`~repro.runtime.BatchRuntime`
-        (with ``eval_workers`` / ``eval_mode`` from the config); later epochs :meth:`~repro.runtime.BatchRuntime.refresh`
-        it with the epoch's re-frozen branches — the worker pool survives,
-        so per-epoch cost is one export + one broadcast instead of pool
-        startup (~28 ms per 4-process pool, docs/performance.md, paid every
-        epoch before this).  Metrics are identical either way.  Models
-        without a factorizable score fall back to plain per-call
-        evaluation.
+        with ``eval_workers`` threads; later epochs
+        :meth:`~repro.runtime.BatchRuntime.refresh` it with the epoch's
+        re-frozen branches, so its threads live for the whole fit.  Metrics
+        are identical either way.  Models without a factorizable score fall
+        back to plain per-call evaluation.
         """
         self.model.eval()
         if len(self.dataset.validation) == 0:
@@ -292,7 +290,7 @@ class Trainer:
         if self._eval_runtime is None:
             self._eval_runtime = BatchRuntime(
                 branches,
-                RuntimeConfig(workers=config.eval_workers, mode=config.eval_mode),
+                RuntimeConfig(workers=config.eval_workers),
                 exclude_csr=self.dataset.train_exclusion_csr(),
             )
         else:

@@ -81,8 +81,7 @@ def item_block(monkeypatch):
 
     The shard layout is not an option anywhere: every ``ShardedIndex``
     derives it from :data:`repro.runtime.sharded.ITEM_BLOCK_SIZE` when it is
-    built, so this is how a test ranks a catalog in many shards.  Forked
-    process workers inherit the patched value.
+    built, so this is how a test ranks a catalog in many shards.
     """
 
     def set_width(width: int) -> None:

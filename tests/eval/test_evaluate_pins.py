@@ -13,7 +13,7 @@ and of the ``evaluate`` metrics.
 The tests replay the table at the default block width and at widths that
 split both catalogs into many unequal shards — 7 (narrower than the
 ranking depth, so every shard hands its whole range to the merge), 89 and
-128 — once with forked process workers.  A digest that stops matching is a
+128 — once with two worker threads.  A digest that stops matching is a
 changed result, not an expectation to re-record.
 """
 
@@ -85,9 +85,9 @@ def test_digests_match_the_parent(item_block, width):
     assert dict(all_digests()) == PINS
 
 
-def test_digests_match_the_parent_in_process_workers(item_block):
+def test_digests_match_the_parent_in_thread_workers(item_block):
     item_block(WIDTHS[1])
-    assert dict(all_digests(workers=2, mode="process")) == PINS
+    assert dict(all_digests(workers=2)) == PINS
 
 
 if __name__ == "__main__":

@@ -63,7 +63,8 @@ def test_export_loads_with_mmap(trained_dir, tmp_path, capsys):
     code, out = run_cli(["export", trained_dir, "--out", out_path], capsys)
     assert code == 0
     index = EmbeddingIndex.load(out_path, mmap=True)
-    assert index.source_mmap
+    user = index.branches[0].user
+    assert isinstance(user, np.memmap) or isinstance(user.base, np.memmap)
     saved = EmbeddingIndex.load(os.path.join(trained_dir, "index"))
     users = np.arange(index.n_users)
     np.testing.assert_array_equal(index.score(users), saved.score(users))

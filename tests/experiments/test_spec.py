@@ -123,3 +123,17 @@ def test_specs_written_with_the_retired_eval_shards_still_load():
     payload["train"]["eval_slices"] = 2
     with pytest.raises(ValueError, match=r"unknown TrainConfig fields: \['eval_slices'\]"):
         ExperimentSpec.from_dict(payload)
+
+
+def test_spec_json_written_with_the_retired_eval_mode_still_loads(tmp_path):
+    """Artifact dirs written while ``eval_mode`` picked the validation pool
+    (serial / thread / process) carry it in spec.json's train block; the
+    key is dropped on load, whatever its value."""
+    spec = make_spec()
+    for value in ("auto", "process"):
+        payload = json.loads(json.dumps(spec.to_dict()))
+        payload["train"]["eval_mode"] = value
+        path = tmp_path / f"spec-{value}.json"
+        path.write_text(json.dumps({"format_version": 2, "experiment": payload}, indent=2))
+        assert ExperimentSpec.load(str(path)) == spec
+    assert "eval_mode" not in spec.to_dict()["train"]

@@ -43,7 +43,6 @@ class TestLayout:
         loaded, loaded_ann = store.load_version(store.write_candidate(index, ann, {}))
         assert not isinstance(loaded.branches[0].item, np.memmap)
         assert not isinstance(loaded_ann.list_items, np.memmap)
-        assert loaded.source_mmap is False
 
 
 class TestDamageIsRefusedByName:

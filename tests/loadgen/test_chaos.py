@@ -99,7 +99,7 @@ class TestRunChaos:
         # per request vary with scheduler timing.
         def run_once():
             plan = chaos_plan(
-                seed=5, worker_crashes=0, scorer_errors=2,
+                seed=5, scorer_errors=2,
                 ann_failures=0, flusher_crashes=0, scorer_delays=1,
                 scorer_delay_s=0.001,
             )

@@ -4,11 +4,12 @@ The contract the CI obs-smoke arm enforces, pinned here as a test: a
 traced, registry-backed :class:`RecommenderService` serves requests whose
 metrics scrape as strictly parseable Prometheus exposition over HTTP and
 whose spans form one complete tree per request — admission → cache lookup
-→ flush → batch → engine/topk — with process-mode worker spans landing in
-the same Chrome trace.
+→ flush → batch → engine/topk — with the batch runtime's worker-thread
+spans landing in the same Chrome trace.
 """
 
 import json
+import threading
 import urllib.request
 
 import numpy as np
@@ -121,20 +122,22 @@ class TestRequestSpanTree:
         assert names.count("request") == 2
 
 
-class TestProcessModeTrace:
+class TestThreadedTrace:
     def test_worker_spans_land_in_the_chrome_trace(self, index):
         tracer = Tracer(process_name="parent")
-        config = RuntimeConfig(workers=2, mode="process", user_chunk=16)
+        config = RuntimeConfig(workers=2, user_chunk=16)
         with BatchRuntime(index, config) as runtime:
-            if runtime.mode != "process":
-                pytest.skip("process pool unavailable in this sandbox")
             runtime.rank(np.arange(32), k=5, tracer=tracer)
         trace = tracer.to_chrome_trace()
         complete = [e for e in trace["traceEvents"] if e.get("ph") == "X"]
-        pids = {e["pid"] for e in complete}
-        assert len(pids) >= 2  # parent + at least one worker track
+        # one process track, named once
         metas = [e for e in trace["traceEvents"] if e.get("ph") == "M"]
-        assert {m["pid"] for m in metas} == pids
+        assert [m["pid"] for m in metas] == [complete[0]["pid"]]
+        assert {e["pid"] for e in complete} == {complete[0]["pid"]}
+        assert metas[0]["args"]["name"] == "parent"
         chunk_spans = [e for e in complete if e["name"] == "chunk.rank"]
+        assert len(chunk_spans) == 2
+        # chunks ran on worker-thread tracks, not the caller's
+        assert all(e["tid"] != threading.get_ident() for e in chunk_spans)
         rank_id = next(e for e in complete if e["name"] == "runtime.rank")["args"]["span_id"]
         assert all(e["args"]["parent_id"] == rank_id for e in chunk_spans)

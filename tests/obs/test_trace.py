@@ -92,19 +92,7 @@ class TestSpans:
         assert all(r["parent_id"] is None for r in tracer.records())
 
 
-class TestMerging:
-    def test_extend_accepts_foreign_records(self):
-        worker = Tracer(clock=FakeClock())
-        with worker.span("chunk", attrs={"chunk_id": 3}):
-            pass
-        parent = Tracer()
-        assert parent.extend(worker.records()) == 1
-        assert parent.records()[0]["attrs"]["chunk_id"] == 3
-
-    def test_extend_rejects_malformed_records(self):
-        with pytest.raises(ValueError, match="missing fields"):
-            Tracer().extend([{"name": "x"}])
-
+class TestRecords:
     def test_span_fields_cover_records(self):
         tracer = Tracer(clock=FakeClock())
         with tracer.span("x"):
@@ -151,10 +139,7 @@ class TestExport:
         tracer = self._tracer_with_tree()
         path = tracer.write(str(tmp_path / "trace.jsonl"))
         lines = [json.loads(line) for line in open(path)]
-        assert len(lines) == 2
-        other = Tracer()
-        other.extend(lines)
-        assert len(other) == 2
+        assert lines == tracer.records()
 
     def test_write_dispatches_on_extension(self, tmp_path):
         tracer = self._tracer_with_tree()

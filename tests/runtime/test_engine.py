@@ -1,7 +1,7 @@
 """Determinism of the parallel batch-inference runtime.
 
-The contract under test: worker counts and pool modes are execution knobs,
-and the item-shard layout (varied here through the ``item_block`` fixture)
+The contract under test: the worker count is an execution knob, and the
+item-shard layout (varied here through the ``item_block`` fixture)
 is not a knob at all — rankings, scores, and metrics are bit-identical for
 every setting and every layout, and identical to the serial reference path.
 """
@@ -34,17 +34,12 @@ def setup():
 
 
 class TestWorkerInvariance:
-    def test_rankings_bit_identical_across_workers_and_modes(self, setup):
+    def test_rankings_bit_identical_across_worker_counts(self, setup):
         dataset, model, _ = setup
         users = sorted(dataset.split_positive_sets("test"))
         reference = topk_rankings(model, dataset, users, k=20)
-        for kwargs in (
-            {"workers": 1},
-            {"workers": 3, "mode": "thread"},
-            {"workers": 4, "mode": "process"},
-            {"workers": 2, "mode": "auto"},
-        ):
-            got = topk_rankings(model, dataset, users, k=20, **kwargs)
+        for workers in (1, 2, 3, 4):
+            got = topk_rankings(model, dataset, users, k=20, workers=workers)
             assert got.keys() == reference.keys()
             for user in reference:
                 np.testing.assert_array_equal(got[user], reference[user])
@@ -52,8 +47,8 @@ class TestWorkerInvariance:
     def test_metrics_bit_identical_across_workers(self, setup):
         dataset, model, _ = setup
         reference = evaluate(model, dataset, ks=(5, 20))
-        for kwargs in ({"workers": 4, "mode": "process"}, {"workers": 2, "mode": "thread"}):
-            assert evaluate(model, dataset, ks=(5, 20), **kwargs) == reference
+        for workers in (4, 2):
+            assert evaluate(model, dataset, ks=(5, 20), workers=workers) == reference
 
     def test_chunk_size_does_not_change_results(self, setup):
         dataset, model, _ = setup
@@ -88,9 +83,9 @@ class TestSharding:
         dataset, model, _ = setup
         reference = evaluate(model, dataset, ks=(10,))
         item_block(22)  # 5 shards
-        assert evaluate(model, dataset, ks=(10,), workers=3, mode="thread") == reference
+        assert evaluate(model, dataset, ks=(10,), workers=3) == reference
         item_block(28)  # 4 shards
-        assert evaluate(model, dataset, ks=(10,), workers=2, mode="process") == reference
+        assert evaluate(model, dataset, ks=(10,), workers=2) == reference
 
     def test_tie_breaking_across_shard_boundaries(self, item_block):
         # Integer-valued factors make exact score ties that straddle shard
@@ -200,7 +195,7 @@ class TestCandidatePools:
             )
             np.testing.assert_array_equal(reference[user], expected)
         got = topk_rankings(
-            model, dataset, users, k=8, candidate_items=candidates, workers=3, mode="process"
+            model, dataset, users, k=8, candidate_items=candidates, workers=3
         )
         item_block(28)  # 4 shards
         sharded = topk_rankings(model, dataset, users, k=8, candidate_items=candidates)
@@ -413,9 +408,94 @@ class TestProfilerIntegration:
         mapped = type(index).load(path, mmap=True)
         with BatchRuntime(index, RuntimeConfig(), exclude_csr=(index.exclude_indptr, index.exclude_indices)) as runtime:
             _, reference, _ = runtime.rank(np.arange(20), 9)
-        item_block(55)  # 2 shards, rebuilt from the mapped dir in every worker
-        config = RuntimeConfig(workers=2, mode="process")
+        item_block(55)  # 2 shards, scored off the mapped dir by two threads
+        config = RuntimeConfig(workers=2)
         exclude = (mapped.exclude_indptr, mapped.exclude_indices)
         with BatchRuntime(mapped, config, exclude_csr=exclude) as runtime:
             _, ids, _ = runtime.rank(np.arange(20), 9)
         np.testing.assert_array_equal(ids, reference)
+
+
+class TestThreadWorkers:
+    @pytest.mark.parametrize("workers", [0, 2, 3])
+    def test_a_chunk_error_reaches_the_caller_as_itself(self, setup, monkeypatch, workers):
+        _, _, index = setup
+        csr = (index.exclude_indptr, index.exclude_indices)
+        users = np.arange(40)
+        with BatchRuntime(index, RuntimeConfig(), exclude_csr=csr) as fresh:
+            _, expected, _ = fresh.rank(users, 9)
+
+        boom = RuntimeError("chunk failed")
+        original = ShardedIndex.topk_chunk
+
+        def flaky(self, chunk_users, k, **kwargs):
+            if 21 in chunk_users:  # the third chunk of five
+                raise boom
+            return original(self, chunk_users, k, **kwargs)
+
+        config = RuntimeConfig(workers=workers, user_chunk=8)
+        with BatchRuntime(index, config, exclude_csr=csr) as runtime:
+            monkeypatch.setattr(ShardedIndex, "topk_chunk", flaky)
+            with pytest.raises(RuntimeError) as raised:
+                runtime.rank(users, 9)
+            assert raised.value is boom
+            monkeypatch.undo()
+            # the runtime survives the failed call and ranks correctly
+            _, ids, _ = runtime.rank(users, 9)
+        np.testing.assert_array_equal(ids, expected)
+
+    def test_results_stay_in_user_order_when_chunks_finish_out_of_order(
+        self, setup, monkeypatch
+    ):
+        import time
+
+        _, _, index = setup
+        users = np.arange(60)[::-1]  # descending ids: order is the caller's
+        with BatchRuntime(index, RuntimeConfig(user_chunk=5)) as serial:
+            _, expected, _ = serial.rank(users, 6)
+        original = ShardedIndex.topk_chunk
+
+        def slow_early_chunks(self, chunk_users, k, **kwargs):
+            # earlier chunks (higher ids here) sleep longest, so later
+            # chunks finish first on the other threads
+            time.sleep(0.0004 * int(chunk_users[0]))
+            return original(self, chunk_users, k, **kwargs)
+
+        monkeypatch.setattr(ShardedIndex, "topk_chunk", slow_early_chunks)
+        with BatchRuntime(index, RuntimeConfig(workers=4, user_chunk=5)) as runtime:
+            ordered, ids, _ = runtime.rank(users, 6)
+        np.testing.assert_array_equal(ordered, users)
+        np.testing.assert_array_equal(ids, expected)
+
+    def test_more_threads_than_cores_lose_no_chunk_and_share_no_buffer(self, setup):
+        # A short switch interval forces thread switches inside the chunk
+        # kernel and the tracer's unlocked appends: a shared score buffer
+        # would corrupt rankings, a lost append would drop a span.
+        import sys
+
+        from repro.obs.trace import Tracer
+
+        _, _, index = setup
+        users = np.tile(np.arange(60), 5)
+        with BatchRuntime(index, RuntimeConfig(user_chunk=3)) as serial:
+            _, expected_ids, expected_scores = serial.rank(users, 8, with_scores=True)
+        tracer = Tracer()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with BatchRuntime(index, RuntimeConfig(workers=8, user_chunk=3)) as runtime:
+                for _ in range(3):
+                    _, ids, scores = runtime.rank(users, 8, with_scores=True, tracer=tracer)
+                    np.testing.assert_array_equal(ids, expected_ids)
+                    np.testing.assert_array_equal(scores, expected_scores)
+        finally:
+            sys.setswitchinterval(interval)
+        records = tracer.records()
+        assert sum(r["name"] == "chunk.rank" for r in records) == 3 * 100
+        assert len({r["span_id"] for r in records}) == len(records)
+
+    def test_config_rejects_bad_knobs(self):
+        with pytest.raises(ValueError, match="workers"):
+            RuntimeConfig(workers=-1)
+        with pytest.raises(ValueError, match="user_chunk"):
+            RuntimeConfig(user_chunk=0)

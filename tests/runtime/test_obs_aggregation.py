@@ -1,14 +1,14 @@
-"""Cross-process observability: worker spans ship back and merge at parent.
+"""Threaded observability: chunk spans and timings land with the caller.
 
 The contract: a traced ``BatchRuntime.rank`` produces one ``runtime.rank``
 span plus one ``chunk.rank`` span per dispatched chunk, linked
 parent→child — and that structure is identical (span names, counts,
-linkage) whether the chunks ran serially, on threads, or in worker
-processes, because process-mode spans ride home on the same pickle path as
-the rankings.
+linkage) whether the chunks ran serially or on worker threads, because
+every chunk records straight into the caller's tracer under an explicit
+parent.
 """
 
-import os
+import threading
 
 import numpy as np
 import pytest
@@ -19,7 +19,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.profiling import Profiler
 from repro.runtime import BatchRuntime, RuntimeConfig
-from repro.runtime.pool import WorkerPool
 from repro.serving import export_index
 
 
@@ -36,19 +35,19 @@ def setup():
     return dataset, model, index
 
 
-def _rank_with_tracer(index, users, mode, workers):
+def _rank_with_tracer(index, users, workers):
     tracer = Tracer(process_name="test-parent")
-    config = RuntimeConfig(workers=workers, mode=mode, user_chunk=16)
+    config = RuntimeConfig(workers=workers, user_chunk=16)
     with BatchRuntime(index, config) as runtime:
         runtime.rank(users, k=5, tracer=tracer)
-    return tracer, runtime
+    return tracer
 
 
 class TestSpanAggregation:
     def test_serial_rank_records_rank_and_chunk_spans(self, setup):
         _, _, index = setup
         users = np.arange(40)
-        tracer, _ = _rank_with_tracer(index, users, mode="serial", workers=0)
+        tracer = _rank_with_tracer(index, users, workers=0)
         records = tracer.records()
         by_name = {}
         for record in records:
@@ -59,19 +58,20 @@ class TestSpanAggregation:
         for chunk in by_name["chunk.rank"]:
             assert chunk["parent_id"] == rank_id
 
-    def test_process_mode_ships_worker_spans_back(self, setup):
+    def test_thread_workers_record_chunk_spans_into_the_callers_tracer(self, setup):
         _, _, index = setup
         users = np.arange(48)
-        tracer, runtime = _rank_with_tracer(index, users, mode="process", workers=3)
-        if runtime.mode != "process":
-            pytest.skip("process pool unavailable in this sandbox")
+        tracer = _rank_with_tracer(index, users, workers=3)
         records = tracer.records()
         chunks = [r for r in records if r["name"] == "chunk.rank"]
         assert len(chunks) == 3
-        rank_id = next(r for r in records if r["name"] == "runtime.rank")["span_id"]
-        assert all(c["parent_id"] == rank_id for c in chunks)
-        # worker spans carry the worker's pid, not the parent's
-        assert all(c["pid"] != os.getpid() for c in chunks)
+        rank = next(r for r in records if r["name"] == "runtime.rank")
+        # linked to the call's span across threads, in the call's trace
+        assert all(c["parent_id"] == rank["span_id"] for c in chunks)
+        assert all(c["trace_id"] == rank["trace_id"] for c in chunks)
+        # chunk spans carry a worker thread's tid, not the caller's
+        assert all(c["tid"] != threading.get_ident() for c in chunks)
+        assert rank["tid"] == threading.get_ident()
         # every chunk id arrived exactly once
         assert sorted(c["attrs"]["chunk_id"] for c in chunks) == [0, 1, 2]
 
@@ -79,17 +79,37 @@ class TestSpanAggregation:
         _, _, index = setup
         users = np.arange(32)
 
-        def shape(mode, workers):
-            tracer, runtime = _rank_with_tracer(index, users, mode=mode, workers=workers)
-            names = sorted(r["name"] for r in tracer.records())
-            return names, runtime.mode
+        def shape(workers):
+            records = _rank_with_tracer(index, users, workers=workers).records()
+            names = sorted(r["name"] for r in records)
+            rank_id = next(r for r in records if r["name"] == "runtime.rank")["span_id"]
+            parents = sorted(
+                r["parent_id"] == rank_id for r in records if r["name"] == "chunk.rank"
+            )
+            return names, parents
 
-        serial_names, _ = shape("serial", 0)
-        thread_names, _ = shape("thread", 2)
-        process_names, process_mode = shape("process", 2)
-        assert thread_names == serial_names
-        if process_mode == "process":
-            assert process_names == serial_names
+        serial = shape(0)
+        assert shape(2) == serial
+        assert shape(3) == serial
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_ann_spans_nest_under_their_chunk_on_its_thread(self, setup, workers):
+        from repro.serving import build_ivf
+
+        _, _, index = setup
+        ivf = build_ivf(index, n_lists=4, nprobe=2, seed=0)
+        tracer = Tracer()
+        config = RuntimeConfig(workers=workers, user_chunk=16)
+        with BatchRuntime(index, config, ann=ivf) as runtime:
+            runtime.rank(np.arange(40), k=5, tracer=tracer)
+        records = tracer.records()
+        chunks = {r["span_id"]: r for r in records if r["name"] == "chunk.rank"}
+        assert len(chunks) == 3
+        coarse = [r for r in records if r["name"] == "ann.coarse"]
+        assert len(coarse) == 3
+        for span in coarse:
+            chunk = chunks[span["parent_id"]]
+            assert span["tid"] == chunk["tid"]
 
     def test_untraced_rank_records_nothing(self, setup):
         _, _, index = setup
@@ -105,27 +125,16 @@ class TestSpanAggregation:
 
 
 class TestMetricAggregation:
-    def test_profiler_timings_merge_across_process_workers(self, setup):
+    def test_profiler_timings_merge_across_thread_workers(self, setup):
         _, _, index = setup
         registry = MetricsRegistry()
         profiler = Profiler(registry=registry)
-        config = RuntimeConfig(workers=3, mode="process", user_chunk=16)
+        config = RuntimeConfig(workers=3, user_chunk=16)
         with BatchRuntime(index, config) as runtime:
             runtime.rank(np.arange(48), k=5, profiler=profiler)
-        # worker-side kernel seconds landed in the parent's registry
+        # worker-thread kernel seconds landed in the caller's registry
         assert profiler.seconds("score") > 0
         assert profiler.seconds("topk") > 0
         assert profiler.counter("chunks") == 3
         assert registry.get("profiler_phase_seconds_total").value(phase="score") > 0
 
-    def test_pool_registry_counts_dispatches(self):
-        registry = MetricsRegistry()
-        pool = WorkerPool(workers=0, registry=registry)
-        try:
-            assert pool.map(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
-            assert pool.map(lambda x: x, [7]) == [7]
-        finally:
-            pool.close()
-        assert registry.get("pool_map_calls_total").value(mode="serial") == 2
-        assert registry.get("pool_payloads_total").value(mode="serial") == 4
-        assert registry.get("pool_map_seconds").count() == 2

@@ -6,7 +6,7 @@ import pytest
 from repro.core import pup_full
 from repro.core.base import ScoreBranch
 from repro.data import SyntheticConfig, generate
-from repro.runtime import BatchRuntime, RuntimeConfig, WorkerPool, recommend_all
+from repro.runtime import BatchRuntime, RuntimeConfig, recommend_all
 from repro.serving import build_ivf, export_index
 
 
@@ -45,14 +45,12 @@ class TestRecommendAllWithAnn:
             # dense sentinel contract: -1 ids carry -inf scores
             assert np.isneginf(bulk.scores[row][items < 0]).all()
 
-    def test_ann_mode_identical_across_pool_modes(self, setup):
+    def test_ann_mode_identical_across_worker_counts(self, setup):
         _, index = setup
         ivf = build_ivf(index, n_lists=8, nprobe=3, seed=0)
         serial = recommend_all(index, k=10, ann=ivf)
-        threaded = recommend_all(index, k=10, ann=ivf, workers=2, mode="thread")
+        threaded = recommend_all(index, k=10, ann=ivf, workers=2)
         np.testing.assert_array_equal(serial.items, threaded.items)
-        procs = recommend_all(index, k=10, ann=ivf, workers=2, mode="process")
-        np.testing.assert_array_equal(serial.items, procs.items)
 
     def test_candidate_pools_and_ann_are_mutually_exclusive(self, setup):
         _, index = setup
@@ -74,8 +72,8 @@ class TestRecommendAllWithAnn:
 
 
 class TestRefresh:
-    @pytest.mark.parametrize("workers,mode", [(0, "auto"), (2, "thread"), (2, "process")])
-    def test_refresh_matches_fresh_runtime(self, setup, workers, mode):
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_refresh_matches_fresh_runtime(self, setup, workers):
         """After refresh(new_branches), rankings == a runtime built on them."""
         _, index = setup
         rng = np.random.default_rng(9)
@@ -86,11 +84,9 @@ class TestRefresh:
             )
             for branch in index.branches
         ]
-        config = RuntimeConfig(workers=workers, mode=mode)
+        config = RuntimeConfig(workers=workers)
         users = np.arange(40)
         with BatchRuntime(index.branches, config) as runtime:
-            if mode == "process" and runtime.mode != "process":
-                pytest.skip("process pools unavailable in this sandbox")
             before = runtime.rank(users, 10)[1]
             runtime.refresh(new_branches)
             after = runtime.rank(users, 10)[1]
@@ -132,45 +128,3 @@ class TestRefresh:
             with pytest.raises(ValueError, match="changed the catalog"):
                 runtime.refresh(smaller)
 
-
-class TestPoolReinitialize:
-    def test_serial_and_thread_rerun_local_initializer(self):
-        seen = []
-
-        def init(tag):
-            seen.append(tag)
-
-        pool = WorkerPool(workers=0, initializer=init, initargs=("a",), initialize_local=True)
-        assert seen == ["a"]
-        pool.reinitialize("b")
-        assert seen == ["a", "b"]
-        pool.close()
-
-    def test_process_pool_broadcast_reaches_every_worker(self):
-        pool = WorkerPool(
-            workers=2, mode="process",
-            initializer=_set_state, initargs=(1,),
-        )
-        if pool.mode != "process":
-            pool.close()
-            pytest.skip("process pools unavailable in this sandbox")
-        try:
-            assert set(pool.map(_get_state, range(8))) == {1}
-            pool.reinitialize(2)
-            assert set(pool.map(_get_state, range(8))) == {2}
-            pool.reinitialize(3)
-            assert set(pool.map(_get_state, range(8))) == {3}
-        finally:
-            pool.close()
-
-
-_STATE = None
-
-
-def _set_state(value):
-    global _STATE
-    _STATE = value
-
-
-def _get_state(_payload):
-    return _STATE

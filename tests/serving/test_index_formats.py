@@ -50,7 +50,6 @@ class TestDirFormat:
         user = mapped.branches[0].user
         assert isinstance(user, np.memmap) or isinstance(user.base, np.memmap)
         assert not user.flags.writeable
-        assert mapped.source_path == path and mapped.source_mmap
         _assert_indexes_equal(index, mapped)
 
     def test_rejects_unknown_format(self, setup, tmp_path):

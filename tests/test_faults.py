@@ -21,7 +21,6 @@ from repro.faults import (
     LIFECYCLE_INGEST_CRASH,
     LIFECYCLE_PROMOTE_CRASH,
     POINTS,
-    POOL_WORKER_CRASH,
     SCORER_DELAY,
     SCORER_ERROR,
     FaultPlan,
@@ -69,7 +68,7 @@ class TestScheduling:
 
     def test_unknown_point_is_always_quiet(self):
         plan = FaultPlan([FaultSpec(SCORER_ERROR, times=(0,))])
-        assert not plan.should_fire(POOL_WORKER_CRASH)
+        assert not plan.should_fire(FLUSHER_CRASH)
         plan.maybe_fail(ANN_SEARCH_ERROR)
 
     def test_probability_schedule_is_seed_deterministic(self):
@@ -101,27 +100,20 @@ class TestScheduling:
         assert snap[SCORER_ERROR] == {"occurrences": 4, "fires": 2}
         assert plan.total_fires() == 2
 
-    def test_plan_pickles_for_process_pool_transport(self):
-        plan = FaultPlan([FaultSpec(POOL_WORKER_CRASH, times=(1,))], seed=3)
-        clone = pickle.loads(pickle.dumps(plan))
-        assert not clone.should_fire(POOL_WORKER_CRASH)
-        assert clone.should_fire(POOL_WORKER_CRASH)
-
 
 class TestChaosPlan:
     def test_covers_requested_points(self):
         plan = chaos_plan(
-            seed=1, worker_crashes=1, scorer_errors=2, ann_failures=1,
+            seed=1, scorer_errors=2, ann_failures=1,
             flusher_crashes=1, scorer_delays=1,
         )
         assert set(plan.points()) == {
-            POOL_WORKER_CRASH, SCORER_ERROR, ANN_SEARCH_ERROR,
-            FLUSHER_CRASH, SCORER_DELAY,
+            SCORER_ERROR, ANN_SEARCH_ERROR, FLUSHER_CRASH, SCORER_DELAY,
         }
         assert len(plan.spec(SCORER_ERROR).times) == 2
 
     def test_zero_counts_drop_points(self):
-        plan = chaos_plan(seed=1, worker_crashes=0, scorer_errors=1,
+        plan = chaos_plan(seed=1, scorer_errors=1,
                           ann_failures=0, flusher_crashes=0)
         assert set(plan.points()) == {SCORER_ERROR}
 
@@ -133,7 +125,7 @@ class TestChaosPlan:
 
     def test_lifecycle_counts_create_specs(self):
         plan = chaos_plan(
-            seed=1, worker_crashes=0, scorer_errors=0, ann_failures=0,
+            seed=1, scorer_errors=0, ann_failures=0,
             flusher_crashes=0, ingest_crashes=2, build_crashes=1, promote_crashes=1,
         )
         assert set(plan.points()) == {
@@ -146,7 +138,7 @@ class TestFaultPointRegistry:
     def test_every_point_constant_is_registered(self):
         assert POINTS == tuple(FAULT_POINTS)
         for point in (
-            POOL_WORKER_CRASH, SCORER_ERROR, SCORER_DELAY, ANN_SEARCH_ERROR,
+            SCORER_ERROR, SCORER_DELAY, ANN_SEARCH_ERROR,
             FLUSHER_CRASH, LIFECYCLE_INGEST_CRASH, LIFECYCLE_BUILD_CRASH,
             LIFECYCLE_PROMOTE_CRASH,
         ):

@@ -110,7 +110,7 @@ class TestRuntimeReuse:
         history_serial = Trainer(serial, dataset, small_config()).fit().validation_history
         item_block(45)  # the threaded fit validates in 2 shards of 45 items
         history_threaded = Trainer(
-            threaded, dataset, small_config(eval_workers=2, eval_mode="thread")
+            threaded, dataset, small_config(eval_workers=2)
         ).fit().validation_history
         assert history_serial == history_threaded
 
@@ -126,13 +126,9 @@ class TestRuntimeReuse:
 
 class TestConfigKnobs:
     def test_eval_runtime_fields_round_trip(self):
-        config = TrainConfig(eval_workers=4, eval_mode="thread")
+        config = TrainConfig(eval_workers=4)
         restored = TrainConfig.from_dict(config.to_dict())
         assert restored == config
-
-    def test_invalid_eval_mode_rejected(self):
-        with pytest.raises(ValueError, match="eval_mode"):
-            TrainConfig(eval_mode="gpu")
 
     def test_negative_eval_workers_rejected(self):
         with pytest.raises(ValueError, match="eval_workers"):
