@@ -16,7 +16,7 @@ from ..core.base import Recommender
 from ..experiments.registry import register_model
 from ..core.decoder import pairwise_interaction
 from ..data.dataset import Dataset
-from ..nn import MLP, Embedding, Parameter, Tensor, concat
+from ..nn import MLP, Embedding, Parameter, Tensor, concat, init
 
 
 @register_model("deepfm")
@@ -41,8 +41,8 @@ class DeepFM(Recommender):
         self.item_embedding = Embedding(self.n_items, dim, rng=rng, std=embedding_std)
         self.category_embedding = Embedding(self.n_categories, dim, rng=rng, std=embedding_std)
         self.price_embedding = Embedding(self.n_price_levels, dim, rng=rng, std=embedding_std)
-        self.user_bias = Parameter(np.zeros(self.n_users), name="user_bias")
-        self.item_bias = Parameter(np.zeros(self.n_items), name="item_bias")
+        self.user_bias = Parameter(init.zeros((self.n_users,)), name="user_bias")
+        self.item_bias = Parameter(init.zeros((self.n_items,)), name="item_bias")
         self.mlp = MLP([4 * dim, *hidden, 1], rng=rng, dropout=dropout)
 
     # ------------------------------------------------------------------
@@ -85,7 +85,7 @@ class DeepFM(Recommender):
         users = np.asarray(users, dtype=np.int64)
         self.eval()
         n_users = len(users)
-        scores = np.zeros((n_users, self.n_items))
+        scores = np.zeros((n_users, self.n_items), dtype=self.user_bias.dtype)
         all_items = np.arange(self.n_items)
         for start in range(0, self.n_items, item_chunk):
             chunk = all_items[start : start + item_chunk]

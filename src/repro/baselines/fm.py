@@ -16,7 +16,7 @@ from ..core.base import Recommender, ScoreBranch
 from ..experiments.registry import register_model
 from ..core.decoder import pairwise_interaction, pairwise_interaction_numpy
 from ..data.dataset import Dataset
-from ..nn import Embedding, Parameter, Tensor
+from ..nn import Embedding, Parameter, Tensor, init
 
 
 @register_model("fm")
@@ -47,10 +47,10 @@ class FM(Recommender):
             Embedding(self.n_price_levels, dim, rng=rng, std=embedding_std) if use_price else None
         )
         # First-order weights.
-        self.user_bias = Parameter(np.zeros(self.n_users), name="user_bias")
-        self.item_bias = Parameter(np.zeros(self.n_items), name="item_bias")
-        self.category_bias = Parameter(np.zeros(self.n_categories), name="category_bias")
-        self.price_bias = Parameter(np.zeros(self.n_price_levels), name="price_bias")
+        self.user_bias = Parameter(init.zeros((self.n_users,)), name="user_bias")
+        self.item_bias = Parameter(init.zeros((self.n_items,)), name="item_bias")
+        self.category_bias = Parameter(init.zeros((self.n_categories,)), name="category_bias")
+        self.price_bias = Parameter(init.zeros((self.n_price_levels,)), name="price_bias")
 
     # ------------------------------------------------------------------
     def _gather_features(self, users: np.ndarray, items: np.ndarray) -> List[Tensor]:

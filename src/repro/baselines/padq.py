@@ -47,9 +47,11 @@ class PaDQ(Recommender):
         self.item_embedding = Embedding(self.n_items, dim, rng=rng, std=embedding_std)
         self.price_embedding = Embedding(self.n_price_levels, dim, rng=rng, std=embedding_std)
 
-        # Target matrices for the generative reconstruction terms.
-        self._user_price = self._build_user_price_matrix(dataset)
-        self._item_price = np.zeros((self.n_items, self.n_price_levels))
+        # Target matrices for the generative reconstruction terms, in the
+        # parameters' dtype so a float32 loss stays float32.
+        dtype = self.user_embedding.weight.dtype
+        self._user_price = self._build_user_price_matrix(dataset).astype(dtype)
+        self._item_price = np.zeros((self.n_items, self.n_price_levels), dtype=dtype)
         self._item_price[np.arange(self.n_items), self.item_price_levels] = 1.0
 
     @staticmethod

@@ -87,3 +87,24 @@ def test_training_loss_gradient(check_grads, name, dtype, fused):
     grads = check_grads(loss, *params)
     assert all(grad.dtype == param.dtype for grad, param in zip(grads, params))
     assert any(np.any(grad) for grad in grads)
+
+
+@pytest.mark.parametrize("name", TRAINABLE)
+def test_float32_graph_never_promotes(name):
+    # A float64 constant anywhere in the graph (a bias, a target matrix)
+    # silently promotes the whole step; under float32 the scores, the loss,
+    # every parameter and every gradient stay float32.
+    with precision("float32"):
+        model = build_model(name, DATASET, seed=0)
+        model.train()
+        batch = next(NegativeSampler(DATASET, np.random.default_rng(1)).epoch_batches(16))
+        pos_scores, neg_scores, _ = model.bpr_forward(*batch)
+        loss = training_loss(model, batch, fused=True)
+        loss.backward()
+    assert pos_scores.dtype == neg_scores.dtype == np.float32
+    assert loss.dtype == np.float32
+    model.eval()
+    assert model.predict_scores(np.arange(3)).dtype == np.float32
+    for param_name, param in model.named_parameters():
+        assert param.dtype == np.float32, param_name
+        assert param.grad is not None and param.grad.dtype == np.float32, param_name
