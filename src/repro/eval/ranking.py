@@ -9,9 +9,9 @@ users.
 Execution goes through :mod:`repro.runtime`: user chunks are ranked by the
 sharded batch-inference kernel, optionally across ``workers`` threads.
 That knob changes wall time only — rankings and metrics are bit-identical
-for every count, including plain serial execution.  Scoring stays in the model's own dtype (a float32
-factorization is evaluated in float32 memory; no float64 upcast copy of the
-full-catalog score matrix is ever made).
+for every count, including plain serial execution.  Scoring stays in the
+model's own dtype (a float32 factorization is evaluated in float32 memory;
+no float64 upcast copy of the full-catalog score matrix is ever made).
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Deterministic fault injection for chaos tests and the chaos loadgen.
 
 The resilience layer (flusher supervision, circuit breaker, degradation
-ladder, lifecycle crash recovery) is only trustworthy if its failure paths can be
-exercised *on demand*, repeatably.  This module provides that trigger: a
+ladder, lifecycle crash recovery) is only trustworthy if its failure paths
+can be exercised *on demand*, repeatably.  This module provides that trigger: a
 seeded :class:`FaultPlan` holding one :class:`FaultSpec` per named injection
 point.  Components that support injection (``RecommenderService``,
 ``RetrievalEngine``, ``ServingGateway``, ``LifecycleController``) accept an

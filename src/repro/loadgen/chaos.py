@@ -125,8 +125,8 @@ def run_chaos(
     """Drive a closed-loop run under fault injection and audit the books.
 
     ``plan`` defaults to the plan already installed in the gateway; pass
-    it explicitly only to snapshot a plan shared more widely.  The audit runs after a full drain,
-    so in-flight work cannot smear the counters.
+    it explicitly only to snapshot a plan shared more widely.  The audit
+    runs after a full drain, so in-flight work cannot smear the counters.
     """
     plan = plan if plan is not None else gateway.fault_plan
     report = run_closed_loop(

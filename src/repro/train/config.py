@@ -31,7 +31,7 @@ class TrainConfig:
     seed: int = 0
     eval_every: int = 0  # 0 disables validation tracking
     eval_k: int = 50
-    eval_workers: int = 0  # validation threads (0 = serial)
+    eval_workers: int = 0  # parallel workers for validation passes (0 = serial)
     early_stop_patience: int = 0  # 0 disables early stopping
     loss: str = "bpr"  # "bpr" (standard, stable) or "bpr_eq4" (literal Eq. 4)
     fused_kernels: bool = True  # single-node BPR/L2 kernels (False: composed ops)
