@@ -12,10 +12,19 @@ Subcommands:
 * ``serve``     — answer recommendation queries from an artifact dir
   (``--metrics-port`` exposes a live Prometheus ``/metrics`` endpoint;
   ``--hold`` keeps it up for scraping)
+* ``loadtest``  — drive synthetic load through the gateway (``--chaos``
+  injects seeded faults and audits that every request resolved once)
+* ``lifecycle`` — ``init`` / ``ingest`` / ``build`` / ``promote`` /
+  ``rollback`` / ``status`` of a versioned, journaled serving catalog
 * ``compare``   — train several models on one dataset, print a table
 
 ``train`` / ``evaluate`` / ``recommend`` / ``serve`` accept ``--trace-out``
 to record a Chrome-trace span timeline (see ``docs/observability.md``).
+
+A flag that sets a config field takes its default and type from that
+field, and the config's own checks are its bounds: each command builds its
+configs before it loads an artifact or trains, so a value a config rejects
+exits 2 with the usage line before any work.
 
 Every subcommand goes through :mod:`repro.experiments`; nothing here
 touches model factories or training loops directly.
@@ -24,10 +33,13 @@ touches model factories or training loops directly.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
-from typing import Any, Callable, Dict, List, Optional, Sequence
+import time
+import typing
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .data.registry import available_datasets
 from .experiments import PAPER_HPARAMS
@@ -47,31 +59,112 @@ from .experiments.registry import (
 )
 from .experiments.runner import run
 from .experiments.spec import ExperimentSpec
+from .faults import chaos_plan, describe_fault_points
+from .lifecycle import Event, GateConfig, LifecycleConfig, LifecycleController, simulate_events
+from .lifecycle.journal import last_seq
+from .loadgen import ArrivalSchedule, WorkloadConfig, build_workload
+from .loadgen import run_chaos, run_closed_loop, run_open_loop
 from .profiling import Profiler
+from .runtime import RuntimeConfig, recommend_all
 from .serving.export import ExportError
+from .serving.gateway import GatewayConfig, ServingGateway
+from .serving.resilience import ResilienceConfig
+
+#: config field -> (option, metavar, help) for a group of config flags
+_FlagTable = Dict[str, Tuple[str, Optional[str], Optional[str]]]
 
 
-def _parse_value(text: str) -> Any:
-    """Best-effort typed parse of a ``--hparam key=value`` value."""
+def _add_config_flags(parser: argparse.ArgumentParser, config: type, flags: _FlagTable) -> None:
+    """One flag per ``flags`` entry, whose default and type are the field's.
+
+    ``Optional[X]`` parses as ``X``; a bool field is a switch that flips
+    its default (``--no-degrade`` for ``degrade=True``).  The flag stores
+    under the field's name, where :func:`_config_from_args` reads it.
+    """
+    hints = typing.get_type_hints(config)
+    defaults = {field.name: field.default for field in dataclasses.fields(config)}
+    for name, (option, metavar, help) in flags.items():
+        kind = hints[name]
+        if typing.get_origin(kind) is typing.Union:
+            kind = next(arg for arg in typing.get_args(kind) if arg is not type(None))
+        if kind is bool:
+            how = {"action": "store_false" if defaults[name] else "store_true"}
+        else:
+            how = {"type": kind, "metavar": metavar}
+        parser.add_argument(option, dest=name, default=defaults[name], help=help, **how)
+
+
+def _config_from_args(
+    args: argparse.Namespace, factory: Callable, fields: Iterable[str] = (), **values
+):
+    """``factory(**values)`` plus the parsed flags named by ``fields``.
+
+    A ``ValueError`` or ``KeyError`` from the factory's checks is a usage
+    error: it exits 2 with the subcommand's usage line.
+    """
+    values.update((name, getattr(args, name)) for name in fields)
     try:
-        return json.loads(text)
+        return factory(**values)
+    except (KeyError, ValueError) as error:
+        args.parser.error(str(error.args[0]) if error.args else repr(error))
+
+
+_GATEWAY_FLAGS: _FlagTable = {
+    "max_queue_depth": ("--queue-depth", "N", "gateway admission-queue bound; requests "
+                        "beyond it are shed with Overloaded (default: %(default)s)"),
+    "max_wait_ms": ("--max-wait-ms", "MS", "gateway latency trigger: flush a partial batch "
+                    "once its oldest request has waited this long (default: %(default)s)"),
+    "rate_limit": ("--rate-limit", "RPS", "per-tenant token-bucket rate limit in "
+                   "requests/second (default: unlimited)"),
+    "deadline_ms": ("--deadline-ms", "MS", "per-request deadline: a request still queued "
+                    "after this long fails with DeadlineExceeded instead of running late "
+                    "(default: none)"),
+}
+_RESILIENCE_FLAGS: _FlagTable = {
+    "retries": ("--retries", "N", "retry a failed batch up to N times before degrading "
+                "(with --resilience; default: %(default)s)"),
+    "degrade": ("--no-degrade", None, "fail with BackendError instead of serving degraded "
+                "answers once retries are exhausted (with --resilience)"),
+}
+_WORKLOAD_FLAGS: _FlagTable = {
+    "n_requests": ("--requests", "N", "workload size (default: %(default)s)"),
+    "cold_fraction": ("--cold-fraction", "F", "fraction of requests from never-seen users "
+                      "(default: %(default)s)"),
+}
+_ARRIVAL_FLAGS: _FlagTable = {
+    "rate": ("--rate-qps", "QPS", "open-loop arrival rate (default: %(default)s)"),
+}
+_GATE_FLAGS: _FlagTable = {
+    "seed": ("--seed", "SEED", None),
+    "recall_floor": ("--recall-floor", "RECALL_FLOOR", "promotion gate: minimum recall@k "
+                     "vs exact (default: %(default)s)"),
+    "recall_k": ("--recall-k", "RECALL_K", "promotion gate recall depth (default: %(default)s)"),
+    "nprobe": ("--gate-nprobe", "GATE_NPROBE", "operating point for the recall gate "
+               "(default: the candidate's own nprobe)"),
+}
+_STALENESS_FLAGS: _FlagTable = {
+    "staleness_threshold": ("--staleness-threshold", "STALENESS_THRESHOLD", "append-placed "
+                            "catalog fraction that forces a full re-cluster "
+                            "(default: %(default)s)"),
+}
+
+
+def _hparam(text: str) -> Tuple[str, Any]:
+    """An argparse ``type=`` for ``--hparam key=value``; the value is read
+    as JSON when it parses, else kept as a string."""
+    key, sep, value = text.partition("=")
+    if not sep:
+        raise argparse.ArgumentTypeError(f"expected key=value, got {text!r}")
+    key, value = key.strip(), value.strip()
+    try:
+        return key, json.loads(value)
     except json.JSONDecodeError:
-        return text
-
-
-def _parse_hparams(pairs: Optional[Sequence[str]]) -> Dict[str, Any]:
-    hparams: Dict[str, Any] = {}
-    for pair in pairs or ():
-        if "=" not in pair:
-            raise SystemExit(f"--hparam expects key=value, got {pair!r}")
-        key, _, value = pair.partition("=")
-        hparams[key.strip()] = _parse_value(value.strip())
-    return hparams
+        return key, value
 
 
 def _int_at_least(floor: int) -> Callable[[str], int]:
-    """An argparse ``type=`` for integers ``>= floor``: anything else exits 2
-    with a usage message instead of failing deep inside a command."""
+    """An argparse ``type=`` for integers ``>= floor``, for values no config
+    owns: anything else exits 2 with a usage message."""
 
     def parse(text: str) -> int:
         try:
@@ -89,11 +182,12 @@ _positive_int = _int_at_least(1)
 _non_negative_int = _int_at_least(0)
 
 
-def _parse_ks(text: str, flag: str = "--ks") -> tuple:
+def _int_list(text: str) -> Tuple[int, ...]:
+    """An argparse ``type=`` for comma-separated integers (``--ks 50,100``)."""
     try:
         return tuple(int(k) for k in text.split(","))
     except ValueError:
-        raise SystemExit(f"{flag} expects comma-separated integers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
 def _print_metrics(metrics: Dict[str, float], indent: str = "  ") -> None:
@@ -144,74 +238,36 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 
 def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
+    # The experiment flags are absent unless given (argparse.SUPPRESS), so
+    # ExperimentSpec.create and TrainConfig supply every default.
+    given = {
+        dest: getattr(args, dest) for dest in args.experiment_flags if hasattr(args, dest)
+    }
     if args.spec:
         # A spec file is the complete experiment; silently overriding parts
         # of it from flags would record the wrong experiment in spec.json.
-        conflicting = [
-            flag
-            for flag, value in (
-                ("--model", args.model),
-                ("--dataset", args.dataset),
-                ("--scale", args.scale),
-                ("--seed", args.seed),
-                ("--data-seed", args.data_seed),
-                ("--epochs", args.epochs),
-                ("--batch-size", args.batch_size),
-                ("--lr", args.lr),
-                ("--l2", args.l2),
-                ("--lr-milestones", args.lr_milestones),
-                ("--eval-every", args.eval_every),
-                ("--ks", args.ks),
-                ("--split", args.split),
-                ("--hparam", args.hparam),
-                ("--name", args.name),
-                ("--precision", args.precision),
-            )
-            if value is not None
-        ] + (["--no-export"] if args.no_export else [])
-        if conflicting:
+        if given:
+            conflicting = ", ".join(args.experiment_flags[dest] for dest in given)
             raise SystemExit(
-                f"--spec is a complete experiment; drop {', '.join(conflicting)} "
+                f"--spec is a complete experiment; drop {conflicting} "
                 "or edit the spec file instead"
             )
         return ExperimentSpec.load(args.spec)
-    if not args.model or not args.dataset:
+    if "model" not in given or "dataset" not in given:
         raise SystemExit("train needs --model and --dataset (or --spec FILE)")
-    train_kwargs: Dict[str, Any] = {"epochs": 40 if args.epochs is None else args.epochs}
-    if args.batch_size is not None:
-        train_kwargs["batch_size"] = args.batch_size
-    if args.lr is not None:
-        train_kwargs["learning_rate"] = args.lr
-    if args.l2 is not None:
-        train_kwargs["l2_weight"] = args.l2
-    if args.lr_milestones is not None:
-        train_kwargs["lr_milestones"] = _parse_ks(args.lr_milestones, "--lr-milestones")
-    if args.eval_every is not None:
-        train_kwargs["eval_every"] = args.eval_every
-    train_kwargs["verbose"] = not args.quiet
-    return ExperimentSpec.create(
-        args.model,
-        args.dataset,
-        hparams=_parse_hparams(args.hparam),
-        seed=0 if args.seed is None else args.seed,
-        scale=1.0 if args.scale is None else args.scale,
-        data_seed=0 if args.data_seed is None else args.data_seed,
-        ks=_parse_ks(args.ks or "50,100"),
-        split=args.split or "test",
-        export=not args.no_export,
-        name=args.name,
-        precision=args.precision or "float64",
-        **train_kwargs,
-    )
+    if "hparams" in given:
+        given["hparams"] = dict(given["hparams"])
+    return _config_from_args(args, ExperimentSpec.create, verbose=not args.quiet, **given)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
+    eval_workers = _config_from_args(args, RuntimeConfig, ["workers"]).workers
     artifacts_dir = args.out or os.path.join("runs", spec.name)
     tracer = _make_tracer(args, "repro-train")
     experiment = run(
         spec, artifacts_dir=artifacts_dir, verbose=not args.quiet,
-        eval_workers=args.eval_workers, tracer=tracer,
+        eval_workers=eval_workers, tracer=tracer,
     )
     result = experiment.train_result
     if result is not None and result.triples_per_sec:
@@ -237,15 +293,13 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    import time
-
+    workers = _config_from_args(args, RuntimeConfig, ["workers"]).workers
     experiment = Experiment.load(args.artifacts)
-    ks = _parse_ks(args.ks) if args.ks else None
     profiler = Profiler()
     tracer = _make_tracer(args, "repro-evaluate")
     start = time.perf_counter()
     metrics = experiment.evaluate(
-        ks=ks, split=args.split, workers=args.workers, profiler=profiler, tracer=tracer,
+        ks=args.ks, split=args.split, workers=workers, profiler=profiler, tracer=tracer,
     )
     wall = time.perf_counter() - start
     _write_trace(tracer, args)
@@ -257,14 +311,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         # Phase shares come from the profiler (summed worker CPU seconds in
         # parallel modes); throughput is quoted over wall time.
         breakdown = profiler.format_phases()
-        # "requested": non-factorizable models and restricted sandboxes fall
-        # back to serial execution, which this process cannot observe here.
-        workers_note = f", {args.workers} workers requested" if args.workers else ""
+        # "requested": a model whose score does not factorize is evaluated
+        # serially whatever the count, which this process cannot observe here.
+        workers_note = f", {workers} workers requested" if workers else ""
         print(
             f"evaluated {users:.0f} users in {wall:.2f}s "
             f"({users / wall:,.0f} users/s{workers_note}; {breakdown})"
         )
-    if experiment.metrics and ks is None and args.split is None:
+    if experiment.metrics and args.ks is None and args.split is None:
         drift = {
             name: abs(metrics[name] - stored)
             for name, stored in experiment.metrics.items()
@@ -376,10 +430,7 @@ def _ann_from_args(experiment: Experiment, args: argparse.Namespace, force: bool
 
 
 def cmd_recommend(args: argparse.Namespace) -> int:
-    import time
-
-    from .runtime import recommend_all
-
+    workers = _config_from_args(args, RuntimeConfig, ["workers"]).workers
     experiment = Experiment.load(args.artifacts)
     try:
         index = experiment.index
@@ -391,12 +442,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     tracer = _make_tracer(args, "repro-recommend")
     start = time.perf_counter()
     recommendations = recommend_all(
-        index,
-        k=args.k,
-        users=users,
-        workers=args.workers,
-        ann=ann,
-        tracer=tracer,
+        index, k=args.k, users=users, workers=workers, ann=ann, tracer=tracer
     )
     wall = time.perf_counter() - start
     _write_trace(tracer, args)
@@ -405,7 +451,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     )
     n = len(recommendations.users)
     rate = n / wall if wall > 0 else 0.0
-    workers_note = f", {args.workers} workers requested" if args.workers else ""
+    workers_note = f", {workers} workers requested" if workers else ""
     ann_note = ""
     if ann is not None:
         ann_note = f", ann nprobe {ann.nprobe}/{ann.n_lists} ({ann.kind})"
@@ -416,15 +462,6 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resilience_from_args(args: argparse.Namespace):
-    """A ResilienceConfig when --resilience asked for one, else None."""
-    if not getattr(args, "resilience", False):
-        return None
-    from .serving.resilience import ResilienceConfig
-
-    return ResilienceConfig(retries=args.retries, degrade=not args.no_degrade)
-
-
 def _add_resilience_flags(parser: argparse.ArgumentParser) -> None:
     """Retry/breaker/degradation knobs shared by serve and loadtest."""
     parser.add_argument(
@@ -433,57 +470,7 @@ def _add_resilience_flags(parser: argparse.ArgumentParser) -> None:
         "with exponential backoff, trip a circuit breaker on sustained "
         "failure, degrade to cached/profile answers (docs/robustness.md)",
     )
-    parser.add_argument(
-        "--retries", type=int, default=2, metavar="N",
-        help="retry a failed batch up to N times before degrading "
-        "(with --resilience; default: %(default)s)",
-    )
-    parser.add_argument(
-        "--no-degrade", action="store_true",
-        help="fail with BackendError instead of serving degraded answers "
-        "once retries are exhausted (with --resilience)",
-    )
-
-
-def _add_gateway_flags(parser: argparse.ArgumentParser) -> None:
-    """Admission/timer knobs (the GatewayConfig fields) shared by serve and loadtest."""
-    parser.add_argument(
-        "--queue-depth", type=int, default=1024, metavar="N",
-        help="gateway admission-queue bound; requests beyond it are shed "
-        "with Overloaded (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--max-wait-ms", type=float, default=2.0, metavar="MS",
-        help="gateway latency trigger: flush a partial batch once its oldest "
-        "request has waited this long (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--rate-limit", type=float, default=None, metavar="RPS",
-        help="per-tenant token-bucket rate limit in requests/second "
-        "(default: unlimited)",
-    )
-    parser.add_argument(
-        "--deadline-ms", type=float, default=None, metavar="MS",
-        help="per-request deadline: a request still queued after this long "
-        "fails with DeadlineExceeded instead of running late "
-        "(default: none)",
-    )
-
-
-def _gateway_from_args(service, args: argparse.Namespace, fault_plan=None):
-    """A ServingGateway over ``service`` configured by ``_add_gateway_flags``."""
-    from .serving.gateway import GatewayConfig, ServingGateway
-
-    return ServingGateway(
-        service,
-        GatewayConfig(
-            max_queue_depth=args.queue_depth,
-            max_wait_ms=args.max_wait_ms,
-            rate_limit=args.rate_limit,
-            deadline_ms=args.deadline_ms,
-        ),
-        fault_plan=fault_plan,
-    )
+    _add_config_flags(parser, ResilienceConfig, _RESILIENCE_FLAGS)
 
 
 def _start_metrics_server(service, gateway, args: argparse.Namespace):
@@ -503,10 +490,10 @@ def _start_metrics_server(service, gateway, args: argparse.Namespace):
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    import time
-
     if args.hold and args.metrics_port is None:
         raise SystemExit("--hold keeps the metrics endpoint up; it needs --metrics-port")
+    gateway_config = _config_from_args(args, GatewayConfig, _GATEWAY_FLAGS)
+    resilience = _config_from_args(args, ResilienceConfig, _RESILIENCE_FLAGS)
     experiment = Experiment.load(args.artifacts)
     tracer = _make_tracer(args, "repro-serve")
     try:
@@ -518,26 +505,27 @@ def cmd_serve(args: argparse.Namespace) -> int:
             )
         service = experiment.service(
             default_k=args.k, ann=ann, tracer=tracer,
-            resilience=_resilience_from_args(args),
+            resilience=resilience if args.resilience else None,
         )
     except ExportError as error:
         print(f"cannot serve this artifact: {error}", file=sys.stderr)
         return 1
     if service.resilience is not None:
         print(
-            f"resilience: {service.resilience.config.retries} retries, "
+            f"resilience: {resilience.retries} retries, "
             "circuit breaker armed, degradation ladder on"
         )
 
     gateway = None
     if args.gateway:
-        gateway = _gateway_from_args(service, args)
+        gateway = ServingGateway(service, gateway_config)
         limit_note = (
-            f", {args.rate_limit:g} req/s per tenant" if args.rate_limit else ""
+            f", {gateway_config.rate_limit:g} req/s per tenant"
+            if gateway_config.rate_limit else ""
         )
         print(
-            f"gateway: queue depth {args.queue_depth}, "
-            f"max wait {args.max_wait_ms:g} ms{limit_note}"
+            f"gateway: queue depth {gateway_config.max_queue_depth}, "
+            f"max wait {gateway_config.max_wait_ms:g} ms{limit_note}"
         )
 
     server = _start_metrics_server(service, gateway, args)
@@ -589,33 +577,20 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
     the end-of-run books: every admitted request must resolve exactly once
     as ok / degraded / failed.  Exit code 1 on an accounting violation.
     """
-    import json as _json
-
     if args.list_fault_points:
-        from .faults import describe_fault_points
-
         for point, description in describe_fault_points().items():
             print(f"{point:28s} {description}")
         return 0
     if args.artifacts is None:
-        print("artifacts directory is required (or use --list-fault-points)",
-              file=sys.stderr)
-        return 2
+        args.parser.error("artifacts directory is required (or use --list-fault-points)")
+    gateway_config = _config_from_args(args, GatewayConfig, _GATEWAY_FLAGS)
+    resilience = _config_from_args(args, ResilienceConfig, _RESILIENCE_FLAGS)
+    workload = _config_from_args(args, WorkloadConfig, _WORKLOAD_FLAGS)
+    schedule = _config_from_args(args, ArrivalSchedule, _ARRIVAL_FLAGS)
 
     experiment = Experiment.load(args.artifacts)
-    from .loadgen import (
-        ArrivalSchedule,
-        WorkloadConfig,
-        build_workload,
-        run_chaos,
-        run_closed_loop,
-        run_open_loop,
-    )
-
     plan = None
     if args.chaos:
-        from .faults import chaos_plan
-
         plan = chaos_plan(
             seed=args.chaos_seed,
             scorer_errors=args.chaos_scorer_errors,
@@ -623,10 +598,6 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
             flusher_crashes=args.chaos_flusher_crashes,
             scorer_delays=args.chaos_scorer_delays,
         )
-        if not args.resilience:
-            # Chaos without resilience just proves requests fail; the
-            # interesting run is faults + the ladder, so default it on.
-            args.resilience = True
 
     try:
         ann = None
@@ -635,30 +606,26 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
         service = experiment.service(
             default_k=args.k,
             ann=ann,
-            resilience=_resilience_from_args(args),
+            # Chaos without resilience just proves requests fail; the
+            # interesting run is faults + the ladder, so --chaos turns it on.
+            resilience=resilience if args.resilience or args.chaos else None,
             fault_plan=plan,
         )
     except ExportError as error:
         print(f"cannot serve this artifact: {error}", file=sys.stderr)
         return 1
 
-    gateway = _gateway_from_args(service, args, fault_plan=plan)
+    gateway = ServingGateway(service, gateway_config, fault_plan=plan)
     server = _start_metrics_server(service, gateway, args)
 
-    workload = build_workload(
-        WorkloadConfig(
-            n_requests=args.requests,
-            n_users=service.index.n_users,
-            cold_fraction=args.cold_fraction,
-        ),
+    requests = build_workload(
+        dataclasses.replace(workload, n_users=service.index.n_users),
         seed=args.workload_seed,
     )
     exit_code = 0
     try:
         if args.chaos:
-            chaos_report = run_chaos(
-                gateway, workload, plan=plan, threads=args.threads
-            )
+            chaos_report = run_chaos(gateway, requests, plan=plan, threads=args.threads)
             payload = chaos_report.to_dict()
             if chaos_report.ok:
                 print("chaos audit: books balance "
@@ -668,13 +635,9 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
                     print(f"chaos audit FAILED: {violation}", file=sys.stderr)
                 exit_code = 1
         elif args.mode == "closed":
-            payload = run_closed_loop(
-                gateway, workload, threads=args.threads
-            ).to_dict()
+            payload = run_closed_loop(gateway, requests, threads=args.threads).to_dict()
         else:
-            payload = run_open_loop(
-                gateway, workload, schedule=ArrivalSchedule(rate=args.rate_qps)
-            ).to_dict()
+            payload = run_open_loop(gateway, requests, schedule=schedule).to_dict()
         report = payload["load"] if args.chaos else payload
         print(
             f"{report['n_requests']} requests: {report['n_ok']} ok, "
@@ -684,7 +647,7 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
         )
         if args.out:
             with open(args.out, "w") as sink:
-                _json.dump(payload, sink, indent=2, sort_keys=True)
+                json.dump(payload, sink, indent=2, sort_keys=True)
             print(f"report written to {args.out}")
     finally:
         if server is not None:
@@ -693,124 +656,102 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
     return exit_code
 
 
-def cmd_lifecycle(args: argparse.Namespace) -> int:
-    """Drive the streaming catalog lifecycle against a version store.
-
-    ``init`` bootstraps the store from a trained artifact dir; ``ingest``
-    journals events (``--simulate`` synthesizes a deterministic stream,
-    ``--events`` reads JSONL); ``build`` folds the journal into a
-    candidate version; ``promote`` gates and flips; ``rollback`` returns
-    to the live version's parent; ``status`` prints the store state.
-    Exit code 1 when a promotion is rejected by the gates.
-    """
-    import json as _json
-
-    from .lifecycle import (
-        Event,
-        GateConfig,
-        LifecycleConfig,
-        LifecycleController,
-        simulate_events,
-    )
-
-    gates = GateConfig(
-        recall_k=args.recall_k,
-        recall_floor=args.recall_floor,
-        nprobe=args.gate_nprobe,
-        seed=args.seed,
-    )
-    controller = LifecycleController(
-        args.store,
-        config=LifecycleConfig(
-            gates=gates, staleness_threshold=args.staleness_threshold
-        ),
-    )
+def _controller(
+    args: argparse.Namespace, config: Optional[LifecycleConfig] = None
+) -> LifecycleController:
+    """The ``lifecycle`` store's controller; opening it runs crash recovery."""
+    controller = LifecycleController(args.store, config=config)
     if controller.recovery["swept"] or controller.recovery["restamped"]:
         print(f"recovery: {controller.recovery}")
+    return controller
 
-    if args.lifecycle_command == "init":
-        experiment = Experiment.load(args.artifacts)
-        ann = experiment.ann_index(
-            n_lists=args.ann_lists, nprobe=args.ann_nprobe
-        )
-        name = controller.bootstrap(experiment.index, ann)
-        print(f"bootstrapped {name} (live)")
-        return 0
 
-    if args.lifecycle_command == "ingest":
-        if args.simulate is not None:
-            live = controller.store.current()
-            if live is None:
-                print("store has no live version; run `lifecycle init` first",
-                      file=sys.stderr)
-                return 1
-            manifest = controller.store.read_manifest(live)
-            from .lifecycle.journal import last_seq as _last_seq
+def cmd_lifecycle_init(args: argparse.Namespace) -> int:
+    controller = _controller(args)
+    experiment = Experiment.load(args.artifacts)
+    ann = experiment.ann_index(n_lists=args.ann_lists, nprobe=args.ann_nprobe)
+    name = controller.bootstrap(experiment.index, ann)
+    print(f"bootstrapped {name} (live)")
+    return 0
 
-            events = simulate_events(
-                n_users=int(manifest["n_users"]),
-                n_items=int(manifest["n_items"]),
-                count=args.simulate,
-                seed=args.seed,
-                start_seq=_last_seq(controller.store.journal_dir) + 1,
-            )
-        else:
-            with open(args.events, "r", encoding="utf-8") as fh:
-                events = [
-                    Event(**_json.loads(line))
-                    for line in fh
-                    if line.strip()
-                ]
-        stats = controller.ingest(events)
-        print(
-            f"ingested {stats['appended']} events "
-            f"({stats['skipped']} duplicates skipped), "
-            f"journal at seq {stats['last_seq']}"
-        )
-        return 0
 
-    if args.lifecycle_command == "build":
-        name = controller.build()
-        if name is None:
-            print("journal holds nothing past the live version; no candidate built")
-            return 0
-        manifest = controller.store.read_manifest(name)
-        fold = manifest["fold"]
-        print(
-            f"candidate {name}: +{fold['new_users']} users, "
-            f"+{fold['new_items']} items, {fold['interactions']} interactions, "
-            f"{fold['reprices']} reprices; "
-            f"{'re-clustered' if manifest['reclustered'] else 'delta build'} "
-            f"(staleness {manifest.get('staleness', 0):.3f})"
-        )
-        return 0
-
-    if args.lifecycle_command == "promote":
-        name, report = controller.promote(candidate=args.candidate)
-        for gate, result in report.gates.items():
-            print(f"gate {gate}: {result}")
-        if name is None:
-            for failure in report.failures:
-                print(f"promotion REJECTED: {failure}", file=sys.stderr)
+def cmd_lifecycle_ingest(args: argparse.Namespace) -> int:
+    controller = _controller(args)
+    if args.simulate is not None:
+        live = controller.store.current()
+        if live is None:
+            print("store has no live version; run `lifecycle init` first",
+                  file=sys.stderr)
             return 1
-        print(f"promoted {name} (live)")
-        return 0
+        manifest = controller.store.read_manifest(live)
+        events = simulate_events(
+            n_users=int(manifest["n_users"]),
+            n_items=int(manifest["n_items"]),
+            count=args.simulate,
+            seed=args.seed,
+            start_seq=last_seq(controller.store.journal_dir) + 1,
+        )
+    else:
+        with open(args.events, "r", encoding="utf-8") as fh:
+            events = [Event(**json.loads(line)) for line in fh if line.strip()]
+    stats = controller.ingest(events)
+    print(
+        f"ingested {stats['appended']} events "
+        f"({stats['skipped']} duplicates skipped), "
+        f"journal at seq {stats['last_seq']}"
+    )
+    return 0
 
-    if args.lifecycle_command == "rollback":
-        name = controller.rollback(reason=args.reason)
-        print(f"rolled back; {name} is live")
-        return 0
 
-    # status
-    payload = controller.status()
-    print(_json.dumps(payload, indent=2, sort_keys=True))
+def cmd_lifecycle_build(args: argparse.Namespace) -> int:
+    controller = _controller(
+        args, _config_from_args(args, LifecycleConfig, _STALENESS_FLAGS)
+    )
+    name = controller.build()
+    if name is None:
+        print("journal holds nothing past the live version; no candidate built")
+        return 0
+    manifest = controller.store.read_manifest(name)
+    fold = manifest["fold"]
+    print(
+        f"candidate {name}: +{fold['new_users']} users, "
+        f"+{fold['new_items']} items, {fold['interactions']} interactions, "
+        f"{fold['reprices']} reprices; "
+        f"{'re-clustered' if manifest['reclustered'] else 'delta build'} "
+        f"(staleness {manifest.get('staleness', 0):.3f})"
+    )
+    return 0
+
+
+def cmd_lifecycle_promote(args: argparse.Namespace) -> int:
+    """Gate the candidate and flip CURRENT on a pass; exit 1 on a rejection."""
+    gates = _config_from_args(args, GateConfig, _GATE_FLAGS)
+    controller = _controller(args, LifecycleConfig(gates=gates))
+    name, report = controller.promote(candidate=args.candidate)
+    for gate, result in report.gates.items():
+        print(f"gate {gate}: {result}")
+    if name is None:
+        for failure in report.failures:
+            print(f"promotion REJECTED: {failure}", file=sys.stderr)
+        return 1
+    print(f"promoted {name} (live)")
+    return 0
+
+
+def cmd_lifecycle_rollback(args: argparse.Namespace) -> int:
+    name = _controller(args).rollback(reason=args.reason)
+    print(f"rolled back; {name} is live")
+    return 0
+
+
+def cmd_lifecycle_status(args: argparse.Namespace) -> int:
+    print(json.dumps(_controller(args).status(), indent=2, sort_keys=True))
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     names = args.models.split(",") if args.models else list(PAPER_HPARAMS)
-    ks = _parse_ks(args.ks)
-    metric_names = [f"{metric}@{k}" for k in ks for metric in ("Recall", "NDCG")]
+    metric_names = [f"{metric}@{k}" for k in args.ks for metric in ("Recall", "NDCG")]
 
     rows: List[List[str]] = []
     for name in names:
@@ -822,7 +763,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             scale=args.scale,
             epochs=args.epochs,
             lr_milestones=(args.epochs // 2, (3 * args.epochs) // 4),
-            ks=ks,
+            ks=args.ks,
             export=False,
         )
         experiment = run(spec, verbose=not args.quiet)
@@ -844,8 +785,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # Parser
 # ----------------------------------------------------------------------
-def _add_ann_build_flags(parser: argparse.ArgumentParser) -> None:
-    """ANN construction knobs shared by export/serve/recommend/evaluate."""
+def _add_ann_build_flags(parser: argparse.ArgumentParser, layout: bool = True) -> None:
+    """ANN construction knobs shared by export/serve/recommend/evaluate
+    (and, without the ``layout`` pair, ``lifecycle init``)."""
     parser.add_argument(
         "--ann-lists", type=_positive_int, default=None,
         help="IVF list count (default: ~sqrt(n_items)/2)",
@@ -854,6 +796,8 @@ def _add_ann_build_flags(parser: argparse.ArgumentParser) -> None:
         "--ann-nprobe", type=_positive_int, default=None,
         help="default lists probed per query (default: 1/8 of the lists)",
     )
+    if not layout:
+        return
     parser.add_argument(
         "--ann-kind", choices=ANN_KINDS, default=None,
         help="index family: exact-fine IVF (default), or IVF with residual "
@@ -867,6 +811,14 @@ def _add_ann_build_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _command(commands, name: str, func: Callable, **kwargs) -> argparse.ArgumentParser:
+    """A subcommand parser; ``func`` runs it, and its own usage line reports
+    the values its configs reject."""
+    parser = commands.add_parser(name, **kwargs)
+    parser.set_defaults(func=func, parser=parser)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -874,54 +826,67 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    commands.add_parser("list", help="registered models and datasets").set_defaults(
-        func=cmd_list
-    )
+    _command(commands, "list", cmd_list, help="registered models and datasets")
 
-    train = commands.add_parser("train", help="run one experiment, write artifacts")
-    train.add_argument("--model", help="registry name (see `list`)")
-    train.add_argument("--dataset", help="dataset name (see `list`)")
+    train = _command(commands, "train", cmd_train, help="run one experiment, write artifacts")
+    experiment_flags: Dict[str, str] = {}
+
+    def experiment_flag(option: str, **kwargs) -> None:
+        """A flag that becomes an ``ExperimentSpec.create`` argument only
+        when given."""
+        action = train.add_argument(option, default=argparse.SUPPRESS, **kwargs)
+        experiment_flags[action.dest] = option
+
+    experiment_flag("--model", help="registry name (see `list`)")
+    experiment_flag("--dataset", help="dataset name (see `list`)")
     train.add_argument("--spec", help="load a full ExperimentSpec JSON instead of flags")
-    train.add_argument("--scale", type=float, help="dataset scale (default 1.0)")
-    train.add_argument("--seed", type=int, help="model init + training seed (default 0)")
-    train.add_argument("--data-seed", type=int)
-    train.add_argument("--epochs", type=int, help="default 40")
-    train.add_argument("--batch-size", type=int)
-    train.add_argument("--lr", type=float)
-    train.add_argument("--l2", type=float)
-    train.add_argument("--lr-milestones", help="comma-separated epoch numbers")
-    train.add_argument("--eval-every", type=int)
-    train.add_argument("--ks", help="eval cutoffs, comma-separated (default 50,100)")
-    train.add_argument("--split", choices=("train", "validation", "test"))
-    train.add_argument(
-        "--hparam", action="append", metavar="KEY=VALUE", help="model hyper-parameter"
+    experiment_flag("--scale", type=float, help="dataset scale (default 1.0)")
+    experiment_flag("--seed", type=int, help="model init + training seed (default 0)")
+    experiment_flag("--data-seed", type=int)
+    experiment_flag("--epochs", type=int, help="default 40")
+    experiment_flag("--batch-size", type=int)
+    experiment_flag("--lr", type=float, dest="learning_rate", metavar="LR")
+    experiment_flag("--l2", type=float, dest="l2_weight", metavar="L2")
+    experiment_flag("--lr-milestones", type=_int_list, help="comma-separated epoch numbers")
+    experiment_flag("--eval-every", type=int)
+    experiment_flag(
+        "--ks", type=_int_list, help="eval cutoffs, comma-separated (default 50,100)"
     )
-    train.add_argument("--name", help="experiment name (default: <model>_<dataset>)")
+    experiment_flag("--split", choices=("train", "validation", "test"))
+    experiment_flag(
+        "--hparam", type=_hparam, action="append", dest="hparams", metavar="KEY=VALUE",
+        help="model hyper-parameter",
+    )
+    experiment_flag("--name", help="experiment name (default: <model>_<dataset>)")
     train.add_argument("--out", help="artifact directory (default: runs/<name>)")
-    train.add_argument("--no-export", action="store_true", help="skip the serving index")
-    train.add_argument(
+    experiment_flag(
+        "--no-export", action="store_false", dest="export", help="skip the serving index"
+    )
+    experiment_flag(
         "--precision",
         choices=("float32", "float64"),
         help="compute precision for build+train+export, recorded in spec.json "
         "(default float64; float32 is ~2x training throughput, see "
         "docs/performance.md)",
     )
-    train.add_argument(
-        "--eval-workers", type=int, default=0,
-        help="parallel workers for the final evaluation pass (results identical)",
-    )
+    _add_config_flags(train, RuntimeConfig, {"workers": (
+        "--eval-workers", "EVAL_WORKERS",
+        "parallel workers for the final evaluation pass (results identical)",
+    )})
     train.add_argument("--quiet", action="store_true")
     _add_trace_flag(train)
-    train.set_defaults(func=cmd_train)
+    train.set_defaults(experiment_flags=experiment_flags)
 
-    evaluate = commands.add_parser("evaluate", help="re-evaluate a saved artifact dir")
-    evaluate.add_argument("artifacts", help="artifact directory written by `train`")
-    evaluate.add_argument("--ks", help="override eval cutoffs")
-    evaluate.add_argument("--split", choices=("train", "validation", "test"))
-    evaluate.add_argument(
-        "--workers", type=int, default=0,
-        help="parallel evaluation workers (0 = serial; results are identical)",
+    evaluate = _command(
+        commands, "evaluate", cmd_evaluate, help="re-evaluate a saved artifact dir"
     )
+    evaluate.add_argument("artifacts", help="artifact directory written by `train`")
+    evaluate.add_argument("--ks", type=_int_list, help="override eval cutoffs")
+    evaluate.add_argument("--split", choices=("train", "validation", "test"))
+    _add_config_flags(evaluate, RuntimeConfig, {"workers": (
+        "--workers", "WORKERS",
+        "parallel evaluation workers (0 = serial; results are identical)",
+    )})
     evaluate.add_argument(
         "--check", action="store_true",
         help="exit non-zero unless stored metrics.json is reproduced to 1e-12 "
@@ -941,9 +906,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_ann_build_flags(evaluate)
     _add_trace_flag(evaluate)
-    evaluate.set_defaults(func=cmd_evaluate)
 
-    export = commands.add_parser("export", help="rebuild the serving index")
+    export = _command(commands, "export", cmd_export, help="rebuild the serving index")
     export.add_argument("artifacts", help="artifact directory written by `train`")
     export.add_argument("--out", help="index archive path (default: <artifacts>/index)")
     export.add_argument(
@@ -952,21 +916,19 @@ def build_parser() -> argparse.ArgumentParser:
         "(IVF lists) next to the embedding index",
     )
     _add_ann_build_flags(export)
-    export.set_defaults(func=cmd_export)
 
-    recommend = commands.add_parser(
-        "recommend", help="bulk top-K export for every warm user"
+    recommend = _command(
+        commands, "recommend", cmd_recommend, help="bulk top-K export for every warm user"
     )
     recommend.add_argument("artifacts", help="artifact directory written by `train`")
-    recommend.add_argument("--k", type=int, default=10)
+    recommend.add_argument("--k", type=_positive_int, default=10)
     recommend.add_argument("--users", help="comma-separated user ids (default: all warm users)")
     recommend.add_argument(
         "--out", help="output archive (default: <artifacts>/recommendations)"
     )
-    recommend.add_argument(
-        "--workers", type=int, default=0,
-        help="parallel workers (0 = serial; results are identical)",
-    )
+    _add_config_flags(recommend, RuntimeConfig, {"workers": (
+        "--workers", "WORKERS", "parallel workers (0 = serial; results are identical)",
+    )})
     recommend.add_argument(
         "--ann", action="store_true",
         help="candidate-generation mode: rank through the saved/built ANN "
@@ -974,12 +936,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_ann_build_flags(recommend)
     _add_trace_flag(recommend)
-    recommend.set_defaults(func=cmd_recommend)
 
-    serve = commands.add_parser("serve", help="answer queries from an artifact dir")
+    serve = _command(commands, "serve", cmd_serve, help="answer queries from an artifact dir")
     serve.add_argument("artifacts", help="artifact directory written by `train`")
     serve.add_argument("--users", help="comma-separated user ids")
-    serve.add_argument("--k", type=int, default=10)
+    serve.add_argument("--k", type=_positive_int, default=10)
     serve.add_argument(
         "--dry-run",
         action="store_true",
@@ -1007,14 +968,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve through the concurrent gateway (bounded admission queue, "
         "dual-trigger batching, per-tenant rate limits; docs/serving.md)",
     )
-    _add_gateway_flags(serve)
+    _add_config_flags(serve, GatewayConfig, _GATEWAY_FLAGS)
     _add_resilience_flags(serve)
     _add_ann_build_flags(serve)
     _add_trace_flag(serve)
-    serve.set_defaults(func=cmd_serve)
 
-    loadtest = commands.add_parser(
-        "loadtest",
+    loadtest = _command(
+        commands, "loadtest", cmd_loadtest,
         help="drive synthetic load through the gateway; --chaos injects "
         "deterministic faults and audits the accounting",
     )
@@ -1027,13 +987,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="print every named fault-injection point (the registry all "
         "chaos plans and docs draw from) and exit",
     )
-    loadtest.add_argument("--k", type=int, default=10)
+    loadtest.add_argument("--k", type=_positive_int, default=10)
+    _add_config_flags(loadtest, WorkloadConfig, _WORKLOAD_FLAGS)
+    # a smaller default run than the library's WorkloadConfig
+    loadtest.set_defaults(n_requests=500)
     loadtest.add_argument(
-        "--requests", type=int, default=500, metavar="N",
-        help="workload size (default: %(default)s)",
-    )
-    loadtest.add_argument(
-        "--threads", type=int, default=8, metavar="N",
+        "--threads", type=_positive_int, default=8, metavar="N",
         help="closed-loop client threads (default: %(default)s)",
     )
     loadtest.add_argument(
@@ -1041,14 +1000,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="load discipline: closed loop (sustainable throughput) or "
         "open loop (wall-clock arrivals; exposes backpressure)",
     )
-    loadtest.add_argument(
-        "--rate-qps", type=float, default=1000.0, metavar="QPS",
-        help="open-loop arrival rate (default: %(default)s)",
-    )
-    loadtest.add_argument(
-        "--cold-fraction", type=float, default=0.05, metavar="F",
-        help="fraction of requests from never-seen users (default: %(default)s)",
-    )
+    _add_config_flags(loadtest, ArrivalSchedule, _ARRIVAL_FLAGS)
     loadtest.add_argument(
         "--workload-seed", type=int, default=0,
         help="workload generation seed (same seed → identical request list)",
@@ -1069,33 +1021,24 @@ def build_parser() -> argparse.ArgumentParser:
         "--chaos-seed", type=int, default=0,
         help="fault-plan seed (same seed → identical fault schedule)",
     )
-    loadtest.add_argument(
-        "--chaos-scorer-errors", type=int, default=2, metavar="N",
-        help="deterministic scorer exceptions to inject (default: %(default)s)",
-    )
-    loadtest.add_argument(
-        "--chaos-scorer-delays", type=int, default=1, metavar="N",
-        help="slow-scorer stalls to inject (default: %(default)s)",
-    )
-    loadtest.add_argument(
-        "--chaos-flusher-crashes", type=int, default=1, metavar="N",
-        help="gateway flusher crashes to inject (default: %(default)s)",
-    )
-    loadtest.add_argument(
-        "--chaos-ann-failures", type=int, default=1, metavar="N",
-        help="ANN search failures to inject with --ann (default: %(default)s)",
-    )
-    _add_gateway_flags(loadtest)
+    for fault, default, what in (
+        ("scorer-errors", 2, "deterministic scorer exceptions to inject"),
+        ("scorer-delays", 1, "slow-scorer stalls to inject"),
+        ("flusher-crashes", 1, "gateway flusher crashes to inject"),
+        ("ann-failures", 1, "ANN search failures to inject with --ann"),
+    ):
+        loadtest.add_argument(
+            f"--chaos-{fault}", type=_non_negative_int, default=default, metavar="N",
+            help=f"{what} (default: %(default)s)",
+        )
+    _add_config_flags(loadtest, GatewayConfig, _GATEWAY_FLAGS)
     loadtest.add_argument(
         "--metrics-port", type=int, metavar="PORT",
         help="expose /metrics on 127.0.0.1:PORT for the duration of the run "
         "(0 = ephemeral; the bound port is printed)",
     )
-    loadtest.add_argument(
-        "--out", metavar="PATH", help="write the full report as JSON"
-    )
+    loadtest.add_argument("--out", metavar="PATH", help="write the full report as JSON")
     _add_resilience_flags(loadtest)
-    loadtest.set_defaults(func=cmd_loadtest)
 
     lifecycle = commands.add_parser(
         "lifecycle",
@@ -1104,38 +1047,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lc_commands = lifecycle.add_subparsers(dest="lifecycle_command", required=True)
 
-    def _lc_parser(name: str, help: str) -> argparse.ArgumentParser:
-        sub = lc_commands.add_parser(name, help=help)
+    def lifecycle_command(name: str, func: Callable, help: str) -> argparse.ArgumentParser:
+        sub = _command(lc_commands, name, func, help=help)
         sub.add_argument("store", help="version-store root directory")
-        sub.add_argument("--seed", type=int, default=0)
-        sub.add_argument(
-            "--recall-floor", type=float, default=0.95,
-            help="promotion gate: minimum recall@k vs exact (default: %(default)s)",
-        )
-        sub.add_argument(
-            "--recall-k", type=int, default=50,
-            help="promotion gate recall depth (default: %(default)s)",
-        )
-        sub.add_argument(
-            "--gate-nprobe", type=_positive_int, default=None,
-            help="operating point for the recall gate (default: the "
-            "candidate's own nprobe)",
-        )
-        sub.add_argument(
-            "--staleness-threshold", type=float, default=0.25,
-            help="append-placed catalog fraction that forces a full "
-            "re-cluster (default: %(default)s)",
-        )
-        sub.set_defaults(func=cmd_lifecycle)
         return sub
 
-    lc_init = _lc_parser("init", "bootstrap the store from a trained artifact dir")
+    lc_init = lifecycle_command(
+        "init", cmd_lifecycle_init, "bootstrap the store from a trained artifact dir"
+    )
     lc_init.add_argument("--artifacts", required=True,
                          help="artifact directory written by `train`")
-    lc_init.add_argument("--ann-lists", type=_positive_int, default=None)
-    lc_init.add_argument("--ann-nprobe", type=_positive_int, default=None)
+    _add_ann_build_flags(lc_init, layout=False)
 
-    lc_ingest = _lc_parser("ingest", "journal catalog events (exactly-once)")
+    lc_ingest = lifecycle_command(
+        "ingest", cmd_lifecycle_ingest, "journal catalog events (exactly-once)"
+    )
+    lc_ingest.add_argument("--seed", type=int, default=0)
     source = lc_ingest.add_mutually_exclusive_group(required=True)
     source.add_argument(
         "--simulate", type=int, metavar="N",
@@ -1146,20 +1073,32 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSONL file of events (seq/kind/user/item/price/category)",
     )
 
-    _lc_parser("build", "fold the journal into a candidate version")
+    lc_build = lifecycle_command(
+        "build", cmd_lifecycle_build, "fold the journal into a candidate version"
+    )
+    _add_config_flags(lc_build, LifecycleConfig, _STALENESS_FLAGS)
 
-    lc_promote = _lc_parser("promote", "gate a candidate; flip CURRENT on pass")
+    lc_promote = lifecycle_command(
+        "promote", cmd_lifecycle_promote, "gate a candidate; flip CURRENT on pass"
+    )
+    _add_config_flags(lc_promote, GateConfig, _GATE_FLAGS)
     lc_promote.add_argument(
         "--candidate", default=None,
         help="candidate version name (default: newest candidate)",
     )
 
-    lc_rollback = _lc_parser("rollback", "return to the live version's parent")
+    lc_rollback = lifecycle_command(
+        "rollback", cmd_lifecycle_rollback, "return to the live version's parent"
+    )
     lc_rollback.add_argument("--reason", default="manual rollback")
 
-    _lc_parser("status", "print the store + journal state as JSON")
+    lifecycle_command(
+        "status", cmd_lifecycle_status, "print the store + journal state as JSON"
+    )
 
-    compare = commands.add_parser("compare", help="train several models, print a table")
+    compare = _command(
+        commands, "compare", cmd_compare, help="train several models, print a table"
+    )
     compare.add_argument(
         "--models", help="comma-separated registry names (default: the Table II eight)"
     )
@@ -1167,9 +1106,8 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--scale", type=float, default=0.5)
     compare.add_argument("--epochs", type=int, default=25)
     compare.add_argument("--seed", type=int, default=0)
-    compare.add_argument("--ks", default="50,100")
+    compare.add_argument("--ks", type=_int_list, default="50,100")
     compare.add_argument("--quiet", action="store_true")
-    compare.set_defaults(func=cmd_compare)
 
     return parser
 

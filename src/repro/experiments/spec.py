@@ -43,6 +43,8 @@ class DatasetSpec:
                 f"unknown dataset {self.name!r}; available: {available_datasets()}"
             )
         self.scale = float(self.scale)
+        if self.scale <= 0:
+            raise ValueError(f"scale must be > 0, got {self.scale}")
         self.seed = int(self.seed)
         self.kwargs = _jsonify(dict(self.kwargs))
 

@@ -66,6 +66,12 @@ class LifecycleConfig:
     #: cap on re-priced/new item ids recorded per manifest for gate probes
     probe_items_cap: int = 64
 
+    def __post_init__(self) -> None:
+        if self.staleness_threshold < 0:
+            raise ValueError(
+                f"staleness_threshold must be >= 0, got {self.staleness_threshold}"
+            )
+
 
 def _pq_settings(ann: IVFIndex) -> dict:
     """:func:`build_ivf` arguments that rebuild ``ann``'s residual-PQ

@@ -63,6 +63,14 @@ class GateConfig:
     probe_items: int = 32  # cap on per-promotion price-band probes
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.recall_k < 1:
+            raise ValueError(f"recall_k must be >= 1, got {self.recall_k}")
+        if not 0.0 <= self.recall_floor <= 1.0:
+            raise ValueError(f"recall_floor must be in [0, 1], got {self.recall_floor}")
+        if self.nprobe is not None and self.nprobe < 1:
+            raise ValueError(f"nprobe must be None or >= 1, got {self.nprobe}")
+
 
 @dataclass
 class GateReport:

@@ -161,10 +161,14 @@ def test_serve_dry_run_overrides_users(trained_dir, capsys):
 
 
 def test_bad_lr_milestones_error_names_the_flag(capsys):
-    with pytest.raises(SystemExit, match="--lr-milestones"):
+    with pytest.raises(SystemExit) as exit_info:
         main(
             ["train", "--model", "pup", "--dataset", "yelp", "--lr-milestones", "5,x"]
         )
+    assert exit_info.value.code == 2
+    assert "argument --lr-milestones: expected comma-separated integers" in (
+        capsys.readouterr().err
+    )
 
 
 def test_train_requires_model_and_dataset():

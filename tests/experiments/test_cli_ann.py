@@ -136,10 +136,6 @@ def test_tiered_loading_restages_an_archive_without_the_item_payload(trained_dir
             ["lifecycle", "init", "{dir}/store", "--artifacts", "{dir}", "--ann-nprobe", "0"],
             id="lifecycle-nprobe-0",
         ),
-        pytest.param(
-            ["lifecycle", "init", "{dir}/store", "--artifacts", "{dir}", "--gate-nprobe", "0"],
-            id="gate-nprobe-0",
-        ),
     ],
 )
 def test_out_of_range_ann_flags_exit_2_at_the_parser(trained_dir, capsys, argv):

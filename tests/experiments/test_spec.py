@@ -94,6 +94,12 @@ def test_dataset_spec_rejects_unknown_dataset():
         DatasetSpec("movielens")
 
 
+@pytest.mark.parametrize("scale", [0, -1.0])
+def test_dataset_spec_rejects_a_non_positive_scale(scale):
+    with pytest.raises(ValueError, match="scale must be > 0"):
+        DatasetSpec("yelp", scale=scale)
+
+
 def test_eval_spec_validates_protocol():
     with pytest.raises(ValueError, match="split"):
         EvalSpec(split="holdout")

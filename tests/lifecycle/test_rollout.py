@@ -33,8 +33,8 @@ from repro.obs.metrics import MetricsRegistry
 from repro.serving.ann import build_ivf
 
 
-def make_config(**gate_overrides):
-    gates = GateConfig(nprobe=7, recall_users=32, parity_users=8, **gate_overrides)
+def make_config():
+    gates = GateConfig(nprobe=7, recall_users=32, parity_users=8)
     return LifecycleConfig(gates=gates, segment_records=64)
 
 
@@ -218,7 +218,10 @@ class TestGateRejection:
 
         strict = LifecycleController(
             str(tmp_path / "store"),
-            config=make_config(recall_floor=1.01),
+            # one probed list cannot find every exact neighbour
+            config=LifecycleConfig(gates=GateConfig(
+                nprobe=1, recall_floor=1.0, recall_users=32, parity_users=8,
+            )),
             metrics=metrics,
         )
         promoted, report = strict.promote(candidate)
@@ -358,3 +361,27 @@ class TestCrashRecovery:
         assert payload["current"] == "v000001"
         assert payload["journal"] == {"last_seq": 24, "lag": 25}
         assert [v["version"] for v in payload["versions"]] == ["v000001"]
+
+
+class TestConfigChecks:
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"recall_k": 0}, "recall_k must be >= 1"),
+            ({"recall_floor": -0.1}, r"recall_floor must be in \[0, 1\]"),
+            ({"recall_floor": 1.01}, r"recall_floor must be in \[0, 1\]"),
+            ({"nprobe": 0}, "nprobe must be None or >= 1"),
+        ],
+    )
+    def test_gate_config_rejects(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            GateConfig(**overrides)
+
+    def test_gate_config_accepts_its_bounds(self):
+        GateConfig(recall_k=1, recall_floor=0.0, nprobe=1)
+        GateConfig(recall_floor=1.0, nprobe=None)
+
+    def test_lifecycle_config_staleness_threshold(self):
+        assert LifecycleConfig(staleness_threshold=0.0).staleness_threshold == 0.0
+        with pytest.raises(ValueError, match="staleness_threshold must be >= 0"):
+            LifecycleConfig(staleness_threshold=-0.5)
