@@ -128,7 +128,7 @@ class FaultPlan:
 
     The plan is consulted via :meth:`should_fire` / :meth:`maybe_fail` /
     :meth:`maybe_delay`; unknown points never fire, so a component can
-    consult unconditionally.  The plan is picklable (the lock is rebuilt).
+    consult unconditionally.
     """
 
     def __init__(self, specs: Sequence[FaultSpec] = (), seed: int = 0) -> None:
@@ -145,16 +145,6 @@ class FaultPlan:
             p: np.random.default_rng(np.random.SeedSequence([self.seed, i]))
             for i, p in enumerate(sorted(self._specs))
         }
-
-    # -- pickling (the lock is not picklable) ---------------------------
-    def __getstate__(self) -> Dict:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: Dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def points(self) -> Tuple[str, ...]:

@@ -90,7 +90,9 @@ class Tensor:
     Parameters
     ----------
     data:
-        The wrapped array (coerced to float64).
+        The wrapped array. An array already in a supported precision keeps
+        its dtype; anything else is coerced to the precision policy's
+        default (see :func:`_as_array`).
     requires_grad:
         Whether gradients should be accumulated into ``.grad``.
     parents:
@@ -400,16 +402,7 @@ class Tensor:
         return self._unary(np.tanh, lambda g, x, y: g * (1.0 - y * y))
 
     def sigmoid(self) -> "Tensor":
-        def _sig(x: np.ndarray) -> np.ndarray:
-            # Numerically stable split on sign.
-            out = np.empty_like(x)
-            pos = x >= 0
-            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-            ex = np.exp(x[~pos])
-            out[~pos] = ex / (1.0 + ex)
-            return out
-
-        return self._unary(_sig, lambda g, x, y: g * y * (1.0 - y))
+        return self._unary(_stable_sigmoid, lambda g, x, y: g * y * (1.0 - y))
 
     def relu(self) -> "Tensor":
         return self._unary(
@@ -550,6 +543,7 @@ def _released(grad: np.ndarray) -> None:
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic function, split on sign so ``exp`` never overflows."""
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))

@@ -9,10 +9,10 @@ place exporters read from.  Three design rules make that work:
   queue, and a scrape thread without torn read-modify-writes.
 
 * **Mergeability.**  :class:`Histogram` uses *fixed log-spaced buckets*
-  (the same layout in every process by construction), so two histograms —
-  one per worker process, say — merge by adding bucket counts, and the
-  merged percentiles are exactly what one process observing all the samples
-  would report.  This is the property the sliding-window
+  (the same layout in every registry by construction), so two histograms —
+  an evaluation pass's private registry and the run's, say — merge by
+  adding bucket counts, and the merged percentiles are exactly what one
+  registry observing all the samples would report.  This is the property the sliding-window
   :class:`~repro.serving.stats.LatencyRecorder` cannot offer, and what
   :meth:`MetricsRegistry.merge` relies on to fold one registry's snapshot
   (:meth:`MetricsRegistry.to_json`) into another.
@@ -509,7 +509,7 @@ class MetricsRegistry:
         return out
 
     def merge(self, snapshot: Dict) -> None:
-        """Fold a :meth:`to_json` snapshot (e.g. from a worker process) in.
+        """Fold a :meth:`to_json` snapshot (e.g. an evaluation pass's) in.
 
         Counters and histogram counts/sums add; gauges take the incoming
         value (last write wins — a point-in-time reading has no meaningful

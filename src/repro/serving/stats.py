@@ -4,7 +4,7 @@ Since the observability layer landed, :class:`ServingStats` is backed by a
 :class:`~repro.obs.metrics.MetricsRegistry` — every count and latency the
 service records lands in named registry series (``serving_requests_total``,
 ``serving_request_latency_seconds``, ...) so a ``/metrics`` endpoint or a
-cross-process merge sees exactly what :meth:`ServingStats.snapshot` reports.
+registry merge sees exactly what :meth:`ServingStats.snapshot` reports.
 The snapshot keys themselves are unchanged: dashboards and the CLI keep
 reading the same 13 fields they always have.
 

@@ -6,7 +6,6 @@ the spec validation, and the archive corruption helper.
 """
 
 import os
-import pickle
 import subprocess
 import sys
 
@@ -149,13 +148,6 @@ class TestFaultPointRegistry:
         assert table == FAULT_POINTS and table is not FAULT_POINTS
         for point, description in table.items():
             assert description and "\n" not in description, point
-
-    def test_hard_kill_spec_pickles(self):
-        plan = FaultPlan(
-            [FaultSpec(LIFECYCLE_BUILD_CRASH, times=(0,), hard_kill=True)]
-        )
-        clone = pickle.loads(pickle.dumps(plan))
-        assert clone.spec(LIFECYCLE_BUILD_CRASH).hard_kill
 
     def test_hard_kill_terminates_the_process(self, tmp_path):
         # os._exit(137) cannot be exercised in-process; prove it in a child.
