@@ -16,6 +16,7 @@ Subcommands:
   injects seeded faults and audits that every request resolved once)
 * ``lifecycle`` — ``init`` / ``ingest`` / ``build`` / ``promote`` /
   ``rollback`` / ``status`` of a versioned, journaled serving catalog
+  (a request the store refuses ends in ``error: <message>``, exit 1)
 * ``compare``   — train several models on one dataset, print a table
 
 ``train`` / ``evaluate`` / ``recommend`` / ``serve`` accept ``--trace-out``
@@ -60,7 +61,14 @@ from .experiments.registry import (
 from .experiments.runner import run
 from .experiments.spec import ExperimentSpec
 from .faults import chaos_plan, describe_fault_points
-from .lifecycle import Event, GateConfig, LifecycleConfig, LifecycleController, simulate_events
+from .lifecycle import (
+    Event,
+    GateConfig,
+    LifecycleConfig,
+    LifecycleController,
+    StoreError,
+    simulate_events,
+)
 from .lifecycle.journal import last_seq
 from .loadgen import ArrivalSchedule, WorkloadConfig, build_workload
 from .loadgen import run_chaos, run_closed_loop, run_open_loop
@@ -666,6 +674,21 @@ def _controller(
     return controller
 
 
+def _store_refusals_exit_1(command: Callable[[argparse.Namespace], int]) -> Callable:
+    """``command``, with a request the store refuses (rolling back with no
+    parent, promoting with no candidate, ...) ending in one line —
+    ``error: <message>`` on stderr — and exit 1, not a traceback."""
+
+    def run_command(args: argparse.Namespace) -> int:
+        try:
+            return command(args)
+        except StoreError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 1
+
+    return run_command
+
+
 def cmd_lifecycle_init(args: argparse.Namespace) -> int:
     controller = _controller(args)
     experiment = Experiment.load(args.artifacts)
@@ -680,9 +703,7 @@ def cmd_lifecycle_ingest(args: argparse.Namespace) -> int:
     if args.simulate is not None:
         live = controller.store.current()
         if live is None:
-            print("store has no live version; run `lifecycle init` first",
-                  file=sys.stderr)
-            return 1
+            raise StoreError("store has no live version; run `lifecycle init` first")
         manifest = controller.store.read_manifest(live)
         events = simulate_events(
             n_users=int(manifest["n_users"]),
@@ -753,12 +774,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
     names = args.models.split(",") if args.models else list(PAPER_HPARAMS)
     metric_names = [f"{metric}@{k}" for k in args.ks for metric in ("Recall", "NDCG")]
 
-    rows: List[List[str]] = []
-    for name in names:
-        spec = ExperimentSpec.create(
-            name,
+    def spec(model: str) -> ExperimentSpec:
+        return ExperimentSpec.create(
+            model,
             args.dataset,
-            hparams=dict(PAPER_HPARAMS.get(resolve_model_name(name), {})),
+            hparams=dict(PAPER_HPARAMS.get(resolve_model_name(model), {})),
             seed=args.seed,
             scale=args.scale,
             epochs=args.epochs,
@@ -766,6 +786,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
             ks=args.ks,
             export=False,
         )
+
+    # every spec is resolved and checked before the first one trains
+    specs = [_config_from_args(args, spec, model=name) for name in names]
+    rows: List[List[str]] = []
+    for spec in specs:
         experiment = run(spec, verbose=not args.quiet)
         rows.append(
             [model_display_name(spec.model.name)]
@@ -1048,7 +1073,7 @@ def build_parser() -> argparse.ArgumentParser:
     lc_commands = lifecycle.add_subparsers(dest="lifecycle_command", required=True)
 
     def lifecycle_command(name: str, func: Callable, help: str) -> argparse.ArgumentParser:
-        sub = _command(lc_commands, name, func, help=help)
+        sub = _command(lc_commands, name, _store_refusals_exit_1(func), help=help)
         sub.add_argument("store", help="version-store root directory")
         return sub
 

@@ -37,6 +37,13 @@ NEG_INF = -np.inf
 SELECT_BLOCK_ELEMENTS = 1 << 18
 
 
+def _row_index(rows: int) -> np.ndarray:
+    """``(rows, 1)`` row numbers: ``a[_row_index(len(a)), idx]`` picks
+    ``idx``'s columns row by row, as ``np.take_along_axis(a, idx, axis=1)``
+    does, without its per-call index bookkeeping."""
+    return np.arange(rows)[:, None]
+
+
 def topk_indices(scores: np.ndarray, k: int) -> np.ndarray:
     """Indices of the ``k`` largest entries, best first, ties by lowest index.
 
@@ -86,7 +93,7 @@ def partition_topk_rows(scores: np.ndarray, k: int):
     for lo in range(0, rows, step):
         hi, block = lo + step, scores[lo : lo + step]
         part[lo:hi] = np.argpartition(-block, k - 1, axis=1)[:, :k]
-        part_scores[lo:hi] = np.take_along_axis(block, part[lo:hi], axis=1)
+        part_scores[lo:hi] = block[_row_index(len(block)), part[lo:hi]]
         threshold[lo:hi] = part_scores[lo:hi].min(axis=1)
         n_tied[lo:hi] = (block == threshold[lo:hi, None]).sum(axis=1)
     n_above = (part_scores > threshold[:, None]).sum(axis=1)
@@ -119,10 +126,10 @@ def topk_indices_rows(scores: np.ndarray, k: int) -> np.ndarray:
     # Selected ids in ascending order per row, then a stable sort on the
     # negated scores: ties at equal score keep ascending id — exactly the
     # (score desc, id asc) order topk_indices produces.
+    rix = _row_index(rows)
     selected = np.sort(part, axis=1)
-    selected_scores = np.take_along_axis(scores, selected, axis=1)
-    order = np.argsort(-selected_scores, axis=1, kind="stable")
-    top = np.take_along_axis(selected, order, axis=1)
+    order = np.argsort(-scores[rix, selected], axis=1, kind="stable")
+    top = selected[rix, order]
 
     # The partition's choice among boundary ties is arbitrary whenever more
     # entries tie at the threshold than there are slots left above it.
@@ -175,21 +182,18 @@ def topk_pairs_rows(item_ids: np.ndarray, scores: np.ndarray, k: int) -> np.ndar
     if rows == 0:
         return np.empty((0, k), dtype=np.intp)
 
+    rix = _row_index(rows)
     if k * 4 >= length:
         # Narrow matrices: two stable row sorts (a stable sort of a sort
         # is a lexsort) beat partition + repair bookkeeping.
         by_id = np.argsort(item_ids, axis=1, kind="stable")
-        scores_by_id = np.take_along_axis(scores, by_id, axis=1)
-        by_score = np.argsort(-scores_by_id, axis=1, kind="stable")
-        order = np.take_along_axis(by_id, by_score, axis=1)
-        return order[:, :k]
+        by_score = np.argsort(-scores[rix, by_id], axis=1, kind="stable")
+        return by_id[rix, by_score][:, :k]
 
     part, part_scores, ambiguous = partition_topk_rows(scores, k)
-    part_ids = np.take_along_axis(item_ids, part, axis=1)
-    by_id = np.argsort(part_ids, axis=1, kind="stable")
-    scores_by_id = np.take_along_axis(part_scores, by_id, axis=1)
-    by_score = np.argsort(-scores_by_id, axis=1, kind="stable")
-    order = np.take_along_axis(part, np.take_along_axis(by_id, by_score, axis=1), axis=1)
+    by_id = np.argsort(item_ids[rix, part], axis=1, kind="stable")
+    by_score = np.argsort(-part_scores[rix, by_id], axis=1, kind="stable")
+    order = part[rix, by_id[rix, by_score]]
 
     # Rows where more entries tie at the k-th score than there are slots
     # left: the partition picked an arbitrary tied subset, the contract

@@ -81,10 +81,11 @@ def save_ann(ann: IVFIndex, path: str, include_items: bool = False) -> str:
         # the raw-code companions older writers produced.
         pq_meta = {"branches": rows, "rerank_factor": ann.rerank_factor, "residual": True}
     if include_items:
-        for i, branch in enumerate(ann._perm_branches):
-            arrays[f"perm.branch{i}.item"] = branch.item
+        # the list-ordered payload a tiered reader pages, gathered here
+        for i, branch in enumerate(ann.index.branches):
+            arrays[f"perm.branch{i}.item"] = branch.item[ann.list_items]
             if branch.item_const is not None:
-                arrays[f"perm.branch{i}.item_const"] = branch.item_const
+                arrays[f"perm.branch{i}.item_const"] = branch.item_const[ann.list_items]
     metadata = {
         persistence.KIND_KEY: IVF_KIND,
         "format_version": IVF_VERSION,
@@ -124,7 +125,7 @@ def load_ann(
     if tiered is not None and not metadata["include_items"]:
         raise ValueError(
             "tiered loading needs an archive saved with include_items=True "
-            "(it holds the permuted item payload the cold tier pages)"
+            "(it holds the list-ordered item payload the cold tier pages)"
         )
     arrays = persistence.read_archive_arrays(path, mmap=mmap)
     fields = dict(

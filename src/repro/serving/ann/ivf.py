@@ -13,27 +13,31 @@ Search is two-stage:
 1. **coarse** — one ``(batch, D) @ (D, n_lists)`` matmul against the
    centroids; each user probes its top-``nprobe`` lists;
 2. **fine** — the probed lists' items are scored *exactly* in the index
-   dtype.  Item factors are stored contiguously per list (a permuted copy
-   of each branch's factor matrix), so the fine stage is a
-   :func:`~repro.core.base.score_branches` call per (list, probing-users)
-   group — THE scoring kernel, no gathers on the request path — and the
+   dtype.  The index keeps no item factors of its own: once per ``search``
+   call, each probed list's rows are gathered from the source index into
+   scratch that belongs to that call, sized to the widest list, and scored
+   by one :func:`~repro.core.base.score_branches` call per (list,
+   probing-users) group — THE scoring kernel, on a contiguous block with
+   the layout a list-ordered copy would have, so the same bits.  The
    per-user candidate pools merge through
    :func:`~repro.eval.topk.topk_pairs_rows`, the same deterministic
    (score desc, item id asc) order every exact path uses.
 
 Because stage 2 is exact and the lists partition the catalog, probing all
 lists (``nprobe >= n_lists``) makes the candidate pool the full catalog
-and the result bit-identical to exact search — the property the test
-suite pins.  Both stages, the ``pq`` scorer's lookup tables included, run
-their products at :func:`~repro.core.base.gemm_rows` height: a user's
-probes and scores do not depend on who shared its batch or a list's
-group.  Smaller ``nprobe``
-trades recall for time along a measured curve (docs/performance.md).
+and the ranking exact search's — the property the test suite pins (score
+bits too, but for the last-bit caveats ``docs/performance.md`` lists).
+Both stages, the ``pq`` scorer's lookup tables included, run their
+products at :func:`~repro.core.base.gemm_rows` height: a user's probes and
+scores do not depend on who shared its batch or a list's group.  Smaller
+``nprobe`` trades recall for time along a measured curve
+(docs/performance.md).
 
 An optional residual PQ companion (one :class:`~.pq.PQBranch` per branch,
 ``build_ivf(..., pq=True)``) supplies a ``pq`` scorer next to the exact
-one: each probed list is scored by ADC table lookups (16-64x smaller item
-payload) and keeps its ADC top ``rerank_factor * k``, and *every*
+one: each probed list's codes and constants are gathered like the exact
+stage's rows and scored by ADC table lookups (16-64x smaller item
+payload), each list keeps its ADC top ``rerank_factor * k``, and *every*
 survivor is then re-scored exactly before the final
 top-``k`` — ADC chooses candidates per list, exact scoring orders them,
 so recall depends only on an item's ADC rank inside its own
@@ -112,12 +116,14 @@ def combined_item_vectors(branches: Sequence[ScoreBranch], start: int = 0) -> np
 class IVFIndex:
     """Cluster-pruned two-stage search over an :class:`EmbeddingIndex`.
 
-    Wraps the source index (user factors and catalog metadata are shared);
-    owns the coarse centroids, the list layout, and contiguous permuted
-    copies of the item-side arrays.  ``nprobe`` is the default operating
-    point; every :meth:`search` can override it per call.  ``pq`` is the
-    optional residual PQ companion: one :class:`~.pq.PQBranch` per branch,
-    coded in catalog order against ``pq_list_means``.
+    Wraps the source index and shares all of its factors; owns only the
+    coarse centroids, the list layout (``list_items`` must be a
+    permutation of the catalog) and its inverse maps.  ``nprobe`` is the
+    default operating point; every :meth:`search` can override it per call.
+    ``pq`` is the optional residual PQ companion: one
+    :class:`~.pq.PQBranch` per branch, coded in catalog order against
+    ``pq_list_means``.  Only :class:`~.tiered.TieredIVFIndex` keeps a
+    list-ordered item payload.
     """
 
     def __init__(
@@ -130,7 +136,6 @@ class IVFIndex:
         seed: int = 0,
         pq: Optional[List[PQBranch]] = None,
         rerank_factor: int = 8,
-        perm_items: Optional[Sequence[Tuple[np.ndarray, Optional[np.ndarray]]]] = None,
         pq_list_means: Optional[Sequence[np.ndarray]] = None,
     ) -> None:
         self.index = index
@@ -146,55 +151,32 @@ class IVFIndex:
             raise ValueError("centroid count disagrees with the list layout")
         #: permutation: global item id of each slot in list-contiguous order
         self.list_items = np.asarray(list_items, dtype=np.int64)
-        if self.list_items.shape != (self.n_items,):
-            raise ValueError("list_items must be a permutation of the catalog")
+        sizes = np.diff(self.list_indptr)
+        if self.list_indptr[0] != 0 or self.list_indptr[-1] != self.n_items or (sizes < 0).any():
+            raise ValueError("list_indptr must rise from 0 to n_items")
         self.nprobe = int(nprobe)
         if not 1 <= self.nprobe <= self.n_lists:
             raise ValueError(f"nprobe must be in [1, {self.n_lists}], got {nprobe}")
 
         # Inverse layout maps: for any global item id, which list holds it
-        # and at which slot of the permuted storage — O(1) lookups that let
+        # and at which slot of the list order — O(1) lookups that let
         # exclusion masks scatter straight into the fine stage's scored
-        # blocks instead of key-searching every candidate.
-        self._item_position = np.empty(self.n_items, dtype=np.int64)
-        self._item_position[self.list_items] = np.arange(self.n_items)
+        # blocks instead of key-searching every candidate.  Filling the
+        # slot map proves ``list_items`` a permutation of the catalog, which
+        # is what lets the fine stage gather with ``mode="clip"``.
+        items = self.list_items
+        if items.shape != (self.n_items,) or (
+            self.n_items and (items.min() < 0 or items.max() >= self.n_items)
+        ):
+            raise ValueError("list_items must be a permutation of range(n_items)")
+        self._item_position = np.full(self.n_items, -1, dtype=np.int64)
+        self._item_position[items] = np.arange(self.n_items)
+        if (self._item_position < 0).any():
+            raise ValueError("list_items must be a permutation of range(n_items)")
         self._item_list = np.empty(self.n_items, dtype=np.int64)
-        self._item_list[self.list_items] = np.repeat(
-            np.arange(self.n_lists), np.diff(self.list_indptr)
-        )
+        self._item_list[items] = np.repeat(np.arange(self.n_lists), sizes)
 
-        # Contiguous per-list item-side storage: the fine stage slices these
-        # instead of gathering scattered rows per request.  A caller that
-        # already has the permuted arrays — a tiered loader holding mmap
-        # views of an ``include_items`` archive — passes them as
-        # ``perm_items`` so no gathered RAM copy is ever made.
-        perm = self.list_items
-        if perm_items is not None:
-            if len(perm_items) != len(index.branches):
-                raise ValueError("one permuted item array pair per branch")
-            self._perm_branches = [
-                ScoreBranch(
-                    user=branch.user,
-                    item=item,
-                    item_const=item_const,
-                    user_const=branch.user_const,
-                    weight=branch.weight,
-                )
-                for branch, (item, item_const) in zip(index.branches, perm_items)
-            ]
-        else:
-            self._perm_branches = [
-                ScoreBranch(
-                    user=branch.user,
-                    item=branch.item[perm],
-                    item_const=None if branch.item_const is None else branch.item_const[perm],
-                    user_const=branch.user_const,
-                    weight=branch.weight,
-                )
-                for branch in index.branches
-            ]
         self.pq = pq
-        self._perm_pq_codes = None
         if pq is not None:
             if len(pq) != len(index.branches):
                 raise ValueError(
@@ -205,7 +187,6 @@ class IVFIndex:
                     raise ValueError("PQ companion was built for a different catalog")
                 if pb.d != branch.item.shape[1]:
                     raise ValueError("PQ subspaces disagree with branch factor dims")
-            self._perm_pq_codes = [pb.codes[perm] for pb in pq]
         # Residual-PQ anchor: per branch, each list's mean factor row.  The
         # codes then encode item − mean(list) — within-list differences,
         # which is where ADC precision matters — and the fine stage adds
@@ -248,22 +229,19 @@ class IVFIndex:
         return np.diff(self.list_indptr)
 
     def _structure_bytes(self) -> int:
-        """Everything but the permuted factor payload: centroids, list
-        layout, PQ codes, codebooks and list means."""
-        total = self.centroids.nbytes + self.list_indptr.nbytes + self.list_items.nbytes
+        """Everything this index holds of its own: centroids, list layout
+        and its inverse maps, and the PQ codes, codebooks and list means.
+        The item factors belong to the source index and are not counted."""
+        total = sum(
+            a.nbytes
+            for a in (
+                self.centroids, self.list_indptr, self.list_items,
+                self._item_position, self._item_list,
+            )
+        )
         if self.pq is not None:
-            total += sum(codes.nbytes for codes in self._perm_pq_codes)
-            total += sum(pb.table_bytes() for pb in self.pq)
+            total += sum(pb.code_bytes() + pb.table_bytes() for pb in self.pq)
             total += sum(m.nbytes for m in self._pq_list_means)
-        return total
-
-    def memory_bytes(self) -> int:
-        """Footprint of the IVF-owned arrays (permuted factors + structure)."""
-        total = self._structure_bytes()
-        for branch in self._perm_branches:
-            total += branch.item.nbytes
-            if branch.item_const is not None:
-                total += branch.item_const.nbytes
         return total
 
     @property
@@ -272,14 +250,15 @@ class IVFIndex:
         (f32/f64 factors for ``exact``, uint8 PQ codes for ``pq``) — the
         number the compression ladder compares."""
         if self.default_scorer == "pq":
-            payload = sum(codes.nbytes for codes in self._perm_pq_codes)
+            payload = sum(pb.code_bytes() for pb in self.pq)
         else:
-            payload = sum(b.item.nbytes for b in self._perm_branches)
+            payload = sum(b.item.nbytes for b in self.index.branches)
         return payload / max(1, self.n_items)
 
     def memory_report(self) -> dict:
-        """The report shape the serving stats gauge publishes."""
-        total = int(self.memory_bytes())
+        """The report shape the serving stats gauge publishes: what this
+        index owns, all of it resident."""
+        total = int(self._structure_bytes())
         return {
             "kind": self.kind,
             "bytes_total": total,
@@ -291,9 +270,9 @@ class IVFIndex:
         """Persist this index's own arrays (the source index is referenced
         by name and shape, not duplicated) as an mmap-able archive directory.
 
-        ``include_items=True`` also stores the *permuted* item-side factor
-        arrays — the list-contiguous payload a tiered loader pages per list
-        (see :mod:`.tiered`).  ``format`` accepts only ``"dir"``, the one
+        ``include_items=True`` also stores the item-side factor arrays in
+        list order, gathered at write time — the list-contiguous payload a
+        tiered loader pages per list (see :mod:`.tiered`).  ``format`` accepts only ``"dir"``, the one
         container; it stays so callers that name the container keep running.
         """
         from .archive import save_ann  # deferred: archive imports this module
@@ -452,6 +431,7 @@ class IVFIndex:
             if tracer is not None
             else None
         )
+        scratch = self._fine_scratch(scorer)
         for seg in range(len(starts)):
             lo, hi = bounds[seg], bounds[seg + 1]
             lst = int(sorted_lists[lo])
@@ -460,7 +440,7 @@ class IVFIndex:
             if width == 0:
                 continue
             rows = sorted_rows[lo:hi]
-            part = self._score_segment(scorer, users[rows], lst, start, stop)
+            part = self._score_segment(scorer, users[rows], lst, start, stop, scratch)
             seg_ids = self.list_items[start:stop]
             if mask_perm is not None:
                 part[:, ~mask_perm[start:stop]] = NEG_INF
@@ -478,7 +458,7 @@ class IVFIndex:
             if width > local_cap:
                 local = _local_topk_set(part, local_cap)
                 seg_out_ids = seg_ids[local]
-                seg_out_scores = np.take_along_axis(part, local, axis=1)
+                seg_out_scores = part[np.arange(len(rows))[:, None], local]
                 width = local_cap
             else:
                 seg_out_ids = np.broadcast_to(seg_ids[None, :], part.shape)
@@ -511,8 +491,8 @@ class IVFIndex:
 
         with maybe_span(tracer, "ann.merge", cat="ann"):
             sel = topk_pairs_rows(ids, scores, k)
-            top_ids = np.take_along_axis(ids, sel, axis=1)
-            top_scores = np.take_along_axis(scores, sel, axis=1)
+            rix = np.arange(n)[:, None]
+            top_ids, top_scores = ids[rix, sel], scores[rix, sel]
             top_ids = np.where(top_scores > NEG_INF, top_ids, -1)
         if top_ids.shape[1] < k:  # pool smaller than k: pad to the dense contract
             pad = k - top_ids.shape[1]
@@ -525,42 +505,81 @@ class IVFIndex:
     # ------------------------------------------------------------------
     # Fine-stage storage hooks (tiered layouts override these)
     # ------------------------------------------------------------------
+    def _fine_scratch(self, scorer: str, rows: Optional[int] = None):
+        """One search call's gather targets, ``rows`` rows each (default:
+        the widest list's), so concurrent calls share no buffer.
+
+        ``exact``: the source branches with scratch item sides, so a
+        gathered list scores through :func:`score_branches` as one
+        contiguous block — the layout, and so the bits, of a slice of a
+        list-ordered copy.  ``pq``: per branch, a code buffer and an
+        item-constant buffer (``None`` where the branch has no constant).
+        """
+        rows = int(self.list_sizes().max()) if rows is None else int(rows)
+
+        def buffer(source):
+            return None if source is None else np.empty((rows,) + source.shape[1:], source.dtype)
+
+        if scorer == "exact":
+            return [
+                ScoreBranch(
+                    user=branch.user,
+                    item=buffer(branch.item),
+                    item_const=buffer(branch.item_const),
+                    user_const=branch.user_const,
+                    weight=branch.weight,
+                )
+                for branch in self.index.branches
+            ]
+        return [
+            (buffer(pb.codes), buffer(branch.item_const))
+            for branch, pb in zip(self.index.branches, self.pq)
+        ]
+
     def _score_segment(
-        self, scorer: str, users_sel: np.ndarray, lst: int, start: int, stop: int
+        self, scorer: str, users_sel: np.ndarray, lst: int, start: int, stop: int,
+        scratch=None,
     ) -> np.ndarray:
         """Fine-stage scores of one probed list for its probing users.
 
-        Storage access is funneled through this hook (and
-        :meth:`_rerank_exact`) so :class:`~.tiered.TieredIVFIndex` can swap
-        what backs a list — hot resident copy vs cold mmap page — without
-        touching the search loop above.
+        The list's rows are gathered from the source index into
+        ``scratch`` (:meth:`_fine_scratch`; made for this list alone when
+        not given).  Storage access is funneled through this hook (and
+        :meth:`_rerank_exact`) so :class:`~.tiered.TieredIVFIndex` can
+        score its own list-ordered payload without touching the search
+        loop above.
         """
+        width = stop - start
+        scratch = self._fine_scratch(scorer, width) if scratch is None else scratch
+        slots = self.list_items[start:stop]
         if scorer == "exact":
-            return score_branches(self._perm_branches, users_sel, start, stop)
+            for branch, block in zip(self.index.branches, scratch):
+                branch.item.take(slots, axis=0, out=block.item[:width], mode="clip")
+                if branch.item_const is not None:
+                    branch.item_const.take(slots, out=block.item_const[:width], mode="clip")
+            return score_branches(scratch, users_sel, 0, width)
+        codes, consts = [], []
+        for branch, pb, (code_buf, const_buf) in zip(self.index.branches, self.pq, scratch):
+            codes.append(pb.codes.take(slots, axis=0, out=code_buf[:width], mode="clip"))
+            consts.append(
+                None
+                if const_buf is None
+                else branch.item_const.take(slots, out=const_buf[:width], mode="clip")
+            )
         return score_pq_block(
-            self._perm_branches,
+            self.index.branches,
             self.pq,
-            [codes[start:stop] for codes in self._perm_pq_codes],
-            # item_const of a _perm_branch is already in permuted
-            # order — slice it, never re-permute it
-            [
-                None if b.item_const is None else b.item_const[start:stop]
-                for b in self._perm_branches
-            ],
+            codes,
+            consts,
             users_sel,
             self.dtype,
             means=[m[lst] for m in self._pq_list_means],
         )
 
     def _rerank_exact(self, users: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-        """Exact scores for ``(len(users), m)`` global candidate ids.
-
-        Gathers from the permuted storage through ``_item_position`` — the
-        same arrays the fine stage slices, so for a tiered index a cold
-        candidate costs one page fault, not a resident copy.
-        """
-        positions = self._item_position[np.asarray(candidates, dtype=np.int64)]
-        return score_candidates_exact(self._perm_branches, users, positions, self.dtype)
+        """Exact scores for ``(len(users), m)`` global candidate ids,
+        gathered straight from the source index."""
+        return score_candidates_exact(self.index.branches, users, candidates, self.dtype)
 
 
 def build_ivf(

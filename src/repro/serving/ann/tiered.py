@@ -1,16 +1,18 @@
 """Hot/cold tiered memory layout for IVF indexes.
 
-A plain :class:`~.ivf.IVFIndex` keeps its whole permuted item payload
-resident — fine at 48k items, not at 1M+.  A :class:`TieredIVFIndex`
-loads an ``include_items`` archive (one mmap-able ``.npy`` per array)
-and splits the catalog's IVF lists into two tiers:
+A plain :class:`~.ivf.IVFIndex` keeps no item factors of its own: it
+gathers each probed list's rows from its resident source index.  A
+:class:`TieredIVFIndex` is the one index kind with a list-ordered item
+payload of its own: it loads an ``include_items`` archive (one mmap-able
+``.npy`` per array) and splits the catalog's IVF lists into two tiers:
 
 * **hot** — lists carrying the most probe traffic are materialized into
-  RAM (contiguous per-list copies of the permuted factor slices), so the
-  exact fine stage for popular lists never touches the page cache;
+  RAM (contiguous per-list copies of the list-ordered factor slices), so
+  the exact fine stage for popular lists never touches the page cache;
 * **cold** — every other list stays an mmap view; the first probe of a
   cold list page-faults it in and the OS pages it back out under memory
-  pressure.  No code path ever gathers a full-catalog copy.
+  pressure.  Loaded from an archive, no code path gathers a full-catalog
+  copy.
 
 Hot selection is by **access mass**: probe a deterministic sample of
 users at the index's default ``nprobe``, count how often each list is
@@ -32,12 +34,13 @@ final candidate pool touches (pages) the cold factor slices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ...core.base import ScoreBranch, score_branches
 from .ivf import IVFIndex
+from .pq import score_candidates_exact
 
 #: deterministic seed offset for the access-mass probe sample, so tier
 #: selection never aliases the build seed's other draws
@@ -76,16 +79,44 @@ class TieredIVFIndex(IVFIndex):
     """IVF search over mmap-backed storage with a resident hot tier.
 
     Built by :meth:`load` from an archive saved with
-    ``IVFIndex.save(path, include_items=True)``.  Search
-    semantics are identical to the parent (same scorers, same masks, same
-    sentinels — the storage hooks only change *where* a list's bytes live,
-    never their values), so results are bit-identical to the non-tiered
-    index built from the same archive.
+    ``IVFIndex.save(path, include_items=True)``, whose list-ordered item
+    arrays arrive as ``perm_items`` (one ``(item, item_const)`` pair per
+    branch); without them the payload is gathered from the source index
+    into RAM.  Search semantics are identical to the parent (same scorers,
+    same masks, same sentinels — the storage hooks only change *where* a
+    list's bytes live, never their values), so results are bit-identical
+    to the non-tiered index built from the same archive.
     """
 
-    def __init__(self, *args, config: TieredIndexConfig, **kwargs) -> None:
+    def __init__(
+        self,
+        *args,
+        config: TieredIndexConfig,
+        perm_items: Optional[Sequence[Tuple[np.ndarray, Optional[np.ndarray]]]] = None,
+        **kwargs,
+    ) -> None:
         super().__init__(*args, **kwargs)
         self.config = config
+        if perm_items is None:
+            perm_items = [
+                (
+                    branch.item[self.list_items],
+                    None if branch.item_const is None else branch.item_const[self.list_items],
+                )
+                for branch in self.index.branches
+            ]
+        if len(perm_items) != len(self.index.branches):
+            raise ValueError("one list-ordered item array pair per branch")
+        self._perm_branches = [
+            ScoreBranch(
+                user=branch.user,
+                item=item,
+                item_const=item_const,
+                user_const=branch.user_const,
+                weight=branch.weight,
+            )
+            for branch, (item, item_const) in zip(self.index.branches, perm_items)
+        ]
         # Per-branch byte size of one item row (factors + optional const).
         self._row_bytes = [
             branch.item.itemsize * branch.item.shape[1]
@@ -113,9 +144,7 @@ class TieredIVFIndex(IVFIndex):
 
     def fixed_resident_bytes(self) -> int:
         """The always-resident floor: everything but the factor payload."""
-        return int(
-            self._structure_bytes() + self._item_position.nbytes + self._item_list.nbytes
-        )
+        return int(self._structure_bytes())
 
     def _select_hot(self) -> None:
         mass = self.access_mass()
@@ -139,7 +168,7 @@ class TieredIVFIndex(IVFIndex):
         self.hot_lists = np.sort(np.asarray(hot, dtype=np.int64))
         self._hot_bytes = spent
         # Materialize the hot lists: one contiguous RAM copy per
-        # (list, branch) of the permuted slice, prebuilt as ScoreBranch
+        # (list, branch) of the list-ordered slice, prebuilt as ScoreBranch
         # objects so the fine stage costs zero per-request setup.
         self._hot_branches: Dict[int, List[ScoreBranch]] = {}
         for lst in hot:
@@ -162,14 +191,28 @@ class TieredIVFIndex(IVFIndex):
     # ------------------------------------------------------------------
     # Storage hooks (the only behavioural difference from IVFIndex)
     # ------------------------------------------------------------------
+    def _fine_scratch(self, scorer: str, rows: Optional[int] = None):
+        # the exact fine stage scores this index's own slices, gathering nothing
+        return None if scorer == "exact" else super()._fine_scratch(scorer, rows)
+
     def _score_segment(
-        self, scorer: str, users_sel: np.ndarray, lst: int, start: int, stop: int
+        self, scorer: str, users_sel: np.ndarray, lst: int, start: int, stop: int,
+        scratch=None,
     ) -> np.ndarray:
-        # ADC codes are always resident: only the exact fine stage
-        # distinguishes hot (resident slice) from cold (mmap page-in).
-        if scorer == "exact" and self.is_hot[lst]:
+        # ADC reads only resident codes and constants, as the parent does:
+        # only the exact fine stage distinguishes hot (resident slice) from
+        # cold (mmap page-in).
+        if scorer != "exact":
+            return super()._score_segment(scorer, users_sel, lst, start, stop, scratch)
+        if self.is_hot[lst]:
             return score_branches(self._hot_branches[lst], users_sel, 0, stop - start)
-        return super()._score_segment(scorer, users_sel, lst, start, stop)
+        return score_branches(self._perm_branches, users_sel, start, stop)
+
+    def _rerank_exact(self, users: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+        # through the list-ordered payload: a cold candidate costs one page
+        # fault, not a resident copy
+        positions = self._item_position[np.asarray(candidates, dtype=np.int64)]
+        return score_candidates_exact(self._perm_branches, users, positions, self.dtype)
 
     # ------------------------------------------------------------------
     # Memory accounting
@@ -203,7 +246,7 @@ class TieredIVFIndex(IVFIndex):
     ) -> "TieredIVFIndex":
         """Open an ``include_items`` archive as a tiered index.
 
-        ``mmap=True`` (the default, and the point) keeps the permuted
+        ``mmap=True`` (the default, and the point) keeps the list-ordered
         factor payload on disk; only the selected hot lists are copied
         into RAM.
         """

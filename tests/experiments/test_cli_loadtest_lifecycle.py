@@ -140,3 +140,37 @@ def test_lifecycle_zero_staleness_threshold_reclusters(trained_dir, tmp_path, ca
     )
     assert code == 0
     assert "re-clustered" in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["rollback"], "has no parent to roll back to"),
+        (["promote"], "no candidate version to promote"),
+    ],
+    ids=["rollback-without-parent", "promote-without-candidate"],
+)
+def test_a_store_refusal_is_one_line_and_exit_1(trained_dir, tmp_path, capsys, argv, message):
+    store = str(tmp_path / "lc")
+    assert main(["lifecycle", "init", store, "--artifacts", trained_dir]) == 0
+    capsys.readouterr()
+    code = main(["lifecycle", argv[0], store, *argv[1:]])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["rollback"], "nothing is live; cannot roll back"),
+        (["ingest", "--simulate", "5"], "store has no live version; run `lifecycle init` first"),
+    ],
+    ids=["rollback", "ingest"],
+)
+def test_a_store_refusal_before_init_is_one_line_and_exit_1(tmp_path, capsys, argv, message):
+    code = main(["lifecycle", argv[0], str(tmp_path / "lc"), *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: {message}\n"

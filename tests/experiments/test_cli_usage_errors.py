@@ -36,6 +36,9 @@ BAD_VALUES = {
     "promote-recall-floor": ["lifecycle", "promote", "{tmp}/store", "--recall-floor", "2"],
     "promote-recall-k": ["lifecycle", "promote", "{tmp}/store", "--recall-k", "0"],
     "build-staleness": ["lifecycle", "build", "{tmp}/store", "--staleness-threshold", "-1"],
+    # compare builds every spec before the first one trains
+    "compare-models": ["compare", "--models", "itempop,nope"],
+    "compare-scale": ["compare", "--scale", "-1"],
 }
 
 #: the lifecycle flags, and the subcommands that read each one

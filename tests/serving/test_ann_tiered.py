@@ -114,7 +114,7 @@ class TestTierSelection:
             + tiered.list_items.nbytes
             + tiered._item_position.nbytes
             + tiered._item_list.nbytes
-            + sum(codes.nbytes for codes in tiered._perm_pq_codes)
+            + sum(pb.codes.nbytes for pb in tiered.pq)
             + sum(cb.nbytes for pb in tiered.pq for cb in pb.codebooks)
             + sum(means.nbytes for means in tiered._pq_list_means)
         )
