@@ -12,7 +12,10 @@ resolved in a later ``flush``) use the manual :meth:`Tracer.begin` /
 :meth:`Span.finish` pair, which does *not* touch the nesting stack.
 
 Spans opened on other threads (the batch runtime's chunk workers) name
-their parent explicitly and land in the same tracer.  Records carry
+their parent explicitly and land in the same tracer.  A span opened
+without a ``trace_id`` takes its parent's, whether the parent is the
+enclosing ``span()`` or named by ``parent_id``, as long as the parent is
+still open.  Records carry
 ``pid`` / ``tid``, so a timeline separates naturally per thread track.
 
 The clock is injectable for deterministic tests, and a disabled tracer
@@ -83,6 +86,8 @@ class Span:
             self.attrs.update(attrs)
         tracer = self._tracer
         self.end = end = tracer.clock()
+        if self.trace_id is not None:
+            tracer._open_trace_ids.pop(self.span_id, None)
         tracer._records.append(
             {
                 "name": self.name,
@@ -180,6 +185,8 @@ class Tracer:
         self._records: List[Dict] = []
         self._ids = itertools.count(1)
         self._stack = threading.local()
+        #: trace id of every open span that carries one, for its children
+        self._open_trace_ids: Dict[str, str] = {}
         self._pid = os.getpid()
         self._id_prefix = f"{self._pid}-"
 
@@ -212,7 +219,8 @@ class Tracer:
 
         Does not join the per-thread nesting stack — this is for intervals
         whose start and end live in different calls (an in-flight request).
-        ``parent_id`` defaults to the thread's current ``span()`` context.
+        ``parent_id`` defaults to the thread's current ``span()`` context,
+        and ``trace_id`` to the parent's while the parent is open.
         """
         if not self.enabled:
             return _NULL_SPAN
@@ -220,7 +228,11 @@ class Tracer:
             stack = getattr(self._stack, "items", None)
             if stack:
                 parent_id = stack[-1]
+        if trace_id is None and parent_id is not None:
+            trace_id = self._open_trace_ids.get(parent_id)
         span = Span(self, name, cat, trace_id, self._next_id(), parent_id, self.clock())
+        if trace_id is not None:
+            self._open_trace_ids[span.span_id] = trace_id
         if attrs:
             span.attrs.update(attrs)
         return span

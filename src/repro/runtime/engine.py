@@ -88,7 +88,6 @@ def _rank_chunk(
         tracer,
         "chunk.rank",
         cat="runtime",
-        trace_id=parent.trace_id,
         parent_id=parent.span_id,
         attrs={"chunk_id": chunk_id, "n_users": len(users)},
     ):

@@ -68,6 +68,33 @@ class TestSpans:
         assert record["parent_id"] == "foreign-1"
         assert record["trace_id"] == "req-9"
 
+    def test_children_inherit_the_parent_trace_id(self):
+        tracer = Tracer(clock=FakeClock())
+
+        def work():
+            with tracer.span("worker", parent_id=outer.span_id):
+                pass
+
+        with tracer.span("outer", trace_id="req-1") as outer:
+            with tracer.span("scoped"):
+                with tracer.span("grandchild"):
+                    pass
+            tracer.begin("begun").finish()
+            worker = threading.Thread(target=work)
+            worker.start()
+            worker.join()
+            with tracer.span("own", trace_id="req-2"):
+                pass
+        tracer.begin("late", parent_id=outer.span_id).finish()
+        tracer.begin("orphan").finish()
+        trace_ids = {r["name"]: r["trace_id"] for r in tracer.records()}
+        assert trace_ids == {
+            "outer": "req-1", "scoped": "req-1", "grandchild": "req-1",
+            "begun": "req-1", "worker": "req-1", "own": "req-2",
+            # a closed parent hands nothing on, and no parent means no trace
+            "late": None, "orphan": None,
+        }
+
     def test_disabled_tracer_is_noop(self):
         tracer = Tracer(enabled=False)
         with tracer.span("work") as span:
