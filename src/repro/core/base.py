@@ -120,8 +120,18 @@ def branches_dtype(branches: List[ScoreBranch]) -> np.dtype:
 #: small-matrix kernel
 _SMALL_GEMM_ENTRIES = 1200
 
-#: the row multiples :data:`ROW_MULTIPLE` is probed from, smallest first
+#: the multiples :data:`ROW_MULTIPLE` and :data:`COL_MULTIPLE` are probed
+#: from, smallest first
 _ROW_MULTIPLES = (24, 48, 96)
+_COL_MULTIPLES = (8, 16, 32)
+
+#: ``(dtype, dot length, width)`` of the probed products: lengths and widths
+#: off multiples of 8, a width past 192 and one under the small-matrix floor
+_PROBE_SHAPES = [
+    (dtype, d, width)
+    for dtype in (np.float32, np.float64)
+    for d, width in ((65, 203), (16, 77), (48, 33))
+]
 
 
 def _padded_height(n_rows: int, width: int, multiple: int) -> int:
@@ -142,40 +152,56 @@ def gathers_reproduce(rows: np.ndarray, cols: np.ndarray, heights) -> bool:
     return True
 
 
-def _probe_row_multiple() -> int:
-    """The first of ``_ROW_MULTIPLES`` at which no probed row's bits depend
-    on its product's padded height: float32 and float64, dot lengths and
-    widths off multiples of 8, a width past 192 and one under the
-    small-matrix floor, against a reference every candidate divides.  If
-    none passes (a multi-threaded BLAS splits tall products by height),
-    the last is used and a ``RuntimeWarning`` says rows are not stable."""
-    rng = np.random.default_rng(0)
-    shapes = [
-        (dtype, d, width)
-        for dtype in (np.float32, np.float64)
-        for d, width in ((65, 203), (16, 77), (48, 33))
-    ]
-    for multiple in _ROW_MULTIPLES:
-        if all(
-            gathers_reproduce(
-                rng.standard_normal((4 * _ROW_MULTIPLES[-1], d)).astype(dtype),
-                rng.standard_normal((width, d)).astype(dtype),
-                [_padded_height(1, width, multiple) + step * multiple for step in range(3)],
-            )
-            for dtype, d, width in shapes
-        ):
+def _first_multiple(multiples, reproduces, unstable: str) -> int:
+    """The first of ``multiples`` that ``reproduces``; if none does (a
+    multi-threaded BLAS splits large products), the last, and a
+    ``RuntimeWarning`` that ``unstable``."""
+    for multiple in multiples:
+        if reproduces(multiple):
             return multiple
-    warnings.warn(
-        f"no row multiple in {_ROW_MULTIPLES} reproduces a row's bits on this BLAS "
-        "(is it multi-threaded?): a row's scores may depend on its batch",
-        RuntimeWarning,
+    warnings.warn(f"no multiple in {multiples} reproduces on this BLAS: {unstable}", RuntimeWarning)
+    return multiples[-1]
+
+
+def _rows_reproduce(multiple: int) -> bool:
+    """No probed row's bits depend on its product's padded height, against
+    a reference every candidate divides."""
+    rng = np.random.default_rng(0)
+    return all(
+        gathers_reproduce(
+            rng.standard_normal((4 * _ROW_MULTIPLES[-1], d)).astype(dtype),
+            rng.standard_normal((width, d)).astype(dtype),
+            [_padded_height(1, width, multiple) + step * multiple for step in range(3)],
+        )
+        for dtype, d, width in _PROBE_SHAPES
     )
-    return _ROW_MULTIPLES[-1]
+
+
+def _cols_reproduce(multiple: int) -> bool:
+    """No probed column's bits depend on where its product's window of
+    items starts or how many it spans, against the product over a table
+    every candidate divides."""
+    rng = np.random.default_rng(1)
+    for dtype, d, width in _PROBE_SHAPES:
+        users = rng.standard_normal((2 * _ROW_MULTIPLES[-1], d)).astype(dtype)
+        n_items = -(-width // _COL_MULTIPLES[-1]) * _COL_MULTIPLES[-1]
+        items = rng.standard_normal((n_items, d)).astype(dtype)
+        full = users @ items.T
+        for cols in (multiple, 3 * multiple):
+            for lo in (1, len(items) - cols - 3):
+                window = slice(lo, lo + cols)
+                if lo >= 0 and (users @ items[window].T).tobytes() != full[:, window].tobytes():
+                    return False
+    return True
 
 
 #: every score or distance product runs at a multiple of this many rows
 #: (:func:`gemm_rows`); probed once per process, never configured
-ROW_MULTIPLE = _probe_row_multiple()
+ROW_MULTIPLE = _first_multiple(_ROW_MULTIPLES, _rows_reproduce, "a row's scores may depend on its batch")
+
+#: every score product spans a multiple of this many items
+#: (:func:`gemm_cols`); probed once per process, never configured
+COL_MULTIPLE = _first_multiple(_COL_MULTIPLES, _cols_reproduce, "a score may depend on its item layout")
 
 
 def gemm_rows(n_rows: int, width: int) -> int:
@@ -189,12 +215,46 @@ def gemm_rows(n_rows: int, width: int) -> int:
     return _padded_height(n_rows, width, ROW_MULTIPLE)
 
 
+def gemm_cols(width: int) -> int:
+    """The item count a score product over ``width`` items runs at, rounded
+    up to :data:`COL_MULTIPLE`: over this many items of one table, the extra
+    columns dropped, a score gets the same bits in any item layout."""
+    return -(-width // COL_MULTIPLE) * COL_MULTIPLE
+
+
 def padded_rows(ids: np.ndarray, width: int) -> np.ndarray:
     """``ids`` followed by copies of ``ids[0]`` up to :func:`gemm_rows`
     entries: the row gather of a product whose first ``len(ids)`` rows
     are kept."""
-    rows = gemm_rows(len(ids), width)
-    return np.concatenate([ids, np.full(rows - len(ids), ids[0] if len(ids) else 0, ids.dtype)])
+    return np.concatenate((ids, ids[:1].repeat(gemm_rows(len(ids), width) - len(ids))))
+
+
+def _product(user, item, users, pads: dict, start: int, stop: int, out=None) -> np.ndarray:
+    """``user[users] @ item[start:stop].T`` from products of :func:`gemm_rows`
+    rows by :func:`gemm_cols` items of ``item``: the window at ``start``,
+    shifted left at the table's end; where none fits, a body of whole
+    multiples and the last :data:`COL_MULTIPLE` items; a shorter table is
+    copied, zero-padded.  The body, or the one product, lands in ``out``;
+    ``pads`` keeps the padded ``users`` per product width across branches."""
+    width, n = stop - start, len(item)
+    cols = gemm_cols(width)
+    if cols <= n:
+        lo = min(start, n - cols)
+        if cols not in pads:
+            pads[cols] = padded_rows(users, cols)
+        target = None if out is None else out[: len(pads[cols]), :cols]
+        product = np.matmul(user[pads[cols]], item[lo : lo + cols].T, out=target)
+        return product[: len(users), start - lo : stop - lo]
+    if n < COL_MULTIPLE:
+        table = np.concatenate([item, np.zeros((cols - n, item.shape[1]), item.dtype)])
+        return _product(user, table, users, pads, start, stop, out)
+    body = width - width % COL_MULTIPLE
+    if out is None:
+        out = np.empty((gemm_rows(len(users), body), width), np.result_type(user, item))
+    _product(user, item, users, pads, start, start + body, out)
+    tail = _product(user, item, users, pads, stop - COL_MULTIPLE, stop)
+    out[: len(users), body:width] = tail[:, body - width :]
+    return out[: len(users), :width]
 
 
 def score_branches(
@@ -210,62 +270,54 @@ def score_branches(
     THE scoring kernel: :meth:`Recommender.predict_scores` (live eval) and
     :class:`~repro.serving.index.EmbeddingIndex` (frozen serving) both call
     it, which is what guarantees exported indexes reproduce live scores
-    bit-for-bit — same operations, same order, one implementation.  The
-    product runs at :func:`gemm_rows` height, so a user's scores are the
-    same bits in any batch.
+    bit-for-bit — same operations, same order, one implementation.  Each
+    product runs at :func:`gemm_rows` height and :func:`gemm_cols` width,
+    so a score is the same bits in any batch and any item layout.
 
     ``out`` (and, for multi-branch factorizations, ``scratch``) lets hot
-    callers reuse preallocated buffers of at least :func:`gemm_rows` rows:
-    results are written into ``out[:len(users), :stop-start]`` and that
-    view is returned, with no per-call allocation beyond the user-row
-    gathers.  The in-place path applies the same operations in the same
-    order as the allocating path, so scores are bit-identical either way.
-    Buffers whose dtype or height does not fit are ignored (the allocating
-    path runs instead), so a mismatched hint can never change results.
+    callers reuse preallocated :func:`gemm_rows` x :func:`gemm_cols`
+    buffers: results are written into ``out`` and a view of it is returned,
+    with no per-call allocation beyond the user-row gathers.  The in-place
+    path applies the same operations in the same order as the allocating
+    path, so scores are bit-identical either way.  Buffers whose dtype or
+    shape does not fit are ignored (the allocating path runs instead), so a
+    mismatched hint can never change results.
     """
     users = np.asarray(users, dtype=np.int64)
+    n_items = branches[0].item.shape[0]
     if stop is None:
-        stop = branches[0].item.shape[0]
+        stop = n_items
     width = stop - start
-    padded = padded_rows(users, width)
-    rows = len(padded)
+    cols, pads = gemm_cols(width), {}
+    # the product written into the buffer: the body, when no window fits
+    split = cols > n_items >= COL_MULTIPLE
+    rows = gemm_rows(len(users), width - width % COL_MULTIPLE if split else cols)
 
-    dtype = branches_dtype(branches)
-    uniform = all(
-        branch.user.dtype == dtype and branch.item.dtype == dtype
-        and (branch.item_const is None or branch.item_const.dtype == dtype)
-        and (branch.user_const is None or branch.user_const.dtype == dtype)
-        for branch in branches
-    )
-    if (
-        out is not None
-        and uniform
-        and out.dtype == dtype
-        and out.shape[0] >= rows
-        and out.shape[1] >= width
-    ):
-        view = out[: len(users), :width]
+    dtypes = {f.dtype for b in branches for f in (b.user, b.item, b.item_const, b.user_const) if f is not None}
+    dtype = np.result_type(*dtypes)
+
+    def fits(buffer: Optional[np.ndarray]) -> bool:
+        return buffer is not None and buffer.dtype == dtype and (
+            buffer.shape[0] >= rows and buffer.shape[1] >= cols
+        )
+
+    if len(dtypes) == 1 and fits(out):
         for i, branch in enumerate(branches):
-            target = out
-            if i > 0:
-                if scratch is None or scratch.dtype != dtype or scratch.shape[0] < rows or scratch.shape[1] < width:
-                    scratch = np.empty_like(out)
-                target = scratch
-            np.matmul(branch.user[padded], branch.item[start:stop].T, out=target[:rows, :width])
-            part = target[: len(users), :width]
+            if i and not fits(scratch):
+                scratch = np.empty_like(out)
+            part = _product(branch.user, branch.item, users, pads, start, stop, scratch if i else out)
             if branch.item_const is not None:
                 np.add(part, branch.item_const[None, start:stop], out=part)
             if branch.user_const is not None:
                 np.add(part, branch.user_const[users][:, None], out=part)
             if branch.weight != 1.0:
                 np.multiply(part, branch.weight, out=part)
-            if i > 0:
-                np.add(view, part, out=view)
+            view = np.add(view, part, out=view) if i else part
         return view
 
     total: Optional[np.ndarray] = None
     for branch in branches:
-        part = (branch.user[padded] @ branch.item[start:stop].T)[: len(users)]
+        part = _product(branch.user, branch.item, users, pads, start, stop)
         if branch.item_const is not None:
             part = part + branch.item_const[None, start:stop]
         if branch.user_const is not None:

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Set
 
 import numpy as np
-import scipy.sparse as sp
 
 
 @dataclass
@@ -214,17 +213,6 @@ class Dataset:
             np.cumsum(counts, out=indptr[1:])
             self._train_csr = (indptr, items.astype(np.int64))
         return self._train_csr
-
-    def train_matrix(self) -> sp.csr_matrix:
-        """Binary user-item matrix over the training split."""
-        data = np.ones(len(self.train))
-        matrix = sp.coo_matrix(
-            (data, (self.train.users, self.train.items)),
-            shape=(self.n_users, self.n_items),
-        )
-        matrix.sum_duplicates()
-        matrix.data[:] = 1.0
-        return matrix.tocsr()
 
     def item_popularity(self) -> np.ndarray:
         """Training interaction count per item (ItemPop baseline)."""

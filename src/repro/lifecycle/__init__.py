@@ -27,7 +27,7 @@ from .controller import (
 )
 from .delta import DeltaConfig, DeltaStats, DeltaMismatch, DeltaUnsupported, delta_build
 from .foldin import FoldInConfig, FoldInError, FoldInStats, fold_in
-from .gates import GateConfig, GateFailed, GateReport, run_gates
+from .gates import GateConfig, GateReport, run_gates
 from .journal import (
     Event,
     JournalCorrupted,
@@ -54,7 +54,6 @@ __all__ = [
     "FoldInStats",
     "fold_in",
     "GateConfig",
-    "GateFailed",
     "GateReport",
     "run_gates",
     "Event",

@@ -41,15 +41,6 @@ from ..serving.filters import PriceBandFilter
 from ..serving.index import EmbeddingIndex
 
 
-class GateFailed(RuntimeError):
-    """A candidate failed a promotion gate; names the gate and evidence."""
-
-    def __init__(self, gate: str, detail: str) -> None:
-        super().__init__(f"gate {gate!r} failed: {detail}")
-        self.gate = gate
-        self.detail = detail
-
-
 @dataclass(frozen=True)
 class GateConfig:
     recall_k: int = 50
@@ -77,13 +68,6 @@ class GateReport:
     passed: bool = True
     gates: Dict[str, Dict] = field(default_factory=dict)
     failures: List[str] = field(default_factory=list)
-
-    def ensure(self) -> None:
-        """Raise :class:`GateFailed` for the first failure, if any."""
-        if not self.passed:
-            first = self.failures[0]
-            gate, _, detail = first.partition(": ")
-            raise GateFailed(gate, detail or first)
 
 
 def _sample_users(n_users: int, count: int, seed: int, salt: int) -> np.ndarray:

@@ -29,16 +29,6 @@ def xavier_uniform(rng: np.random.Generator, shape: tuple, dtype=None) -> np.nda
     return rng.uniform(-limit, limit, size=shape).astype(resolve_dtype(dtype), copy=False)
 
 
-def xavier_normal(rng: np.random.Generator, shape: tuple, dtype=None) -> np.ndarray:
-    """Glorot/Xavier normal init."""
-    if len(shape) < 2:
-        fan_in = fan_out = shape[0]
-    else:
-        fan_in, fan_out = shape[0], shape[1]
-    std = np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape).astype(resolve_dtype(dtype), copy=False)
-
-
 def zeros(shape: tuple, dtype=None) -> np.ndarray:
     """All-zeros init (biases)."""
     return np.zeros(shape, dtype=resolve_dtype(dtype))

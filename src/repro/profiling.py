@@ -97,10 +97,6 @@ class Profiler:
         """Sum over all phases."""
         return sum(self._phases().values())
 
-    def phase_seconds(self, names) -> float:
-        """Sum over a subset of phases (absent phases count as 0)."""
-        return sum(self._phase_seconds.value_for((name,)) for name in names)
-
     # ------------------------------------------------------------------
     # Counters
     # ------------------------------------------------------------------

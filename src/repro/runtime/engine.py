@@ -362,9 +362,8 @@ def recommend_all(
     ``ann`` switches the bulk job to candidate-generation mode: chunks rank
     through the given :class:`~repro.serving.ann.IVFIndex` instead of
     exact full-catalog scoring — sublinear in catalog size at the index's measured recall
-    (docs/performance.md); at full probe the exported rankings are
-    bit-identical to the exact ones (float64 scores carry the item-layout
-    caveat that :mod:`repro.serving.retrieval` documents).
+    (docs/performance.md); at full probe the exported rankings and scores
+    are bit-identical to the exact ones.
     """
     if users is None:
         counts = np.diff(index.exclude_indptr)

@@ -36,7 +36,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.base import ScoreBranch, branches_dtype, gemm_rows, score_branches
+from ..core.base import ScoreBranch, branches_dtype, gemm_cols, gemm_rows, score_branches
 from ..data.dataset import expand_csr_rows
 from ..eval.topk import NEG_INF, masked_topk, topk_indices_rows, topk_pairs_rows
 
@@ -67,8 +67,8 @@ class _Buffers:
     single-branch models never pay for a second buffer.  Independent
     ``slot`` names keep differently-shaped consumers (the shard-width main
     pass vs the full-width candidate path) from thrashing each other's
-    allocation.  Buffers hold :func:`~repro.core.base.gemm_rows` rows, the
-    height :func:`score_branches` runs its product at.
+    allocation.  Buffers are :func:`~repro.core.base.gemm_rows` by
+    :func:`~repro.core.base.gemm_cols`, the shape :func:`score_branches` runs at.
     """
 
     def __init__(self) -> None:
@@ -82,10 +82,10 @@ class _Buffers:
         with_scratch: bool = True,
         slot: str = "main",
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        rows = gemm_rows(rows, width)
+        rows, cols = gemm_rows(rows, width), gemm_cols(width)
         out, scratch = self._slots.get(slot, (None, None))
-        if out is None or out.dtype != dtype or out.shape[0] < rows or out.shape[1] < width:
-            out = np.empty((rows, width), dtype=dtype)
+        if out is None or out.dtype != dtype or out.shape[0] < rows or out.shape[1] < cols:
+            out = np.empty((rows, cols), dtype=dtype)
             scratch = None
         if with_scratch and scratch is None:
             scratch = np.empty_like(out)

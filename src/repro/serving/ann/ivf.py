@@ -15,22 +15,20 @@ Search is two-stage:
 2. **fine** — the probed lists' items are scored *exactly* in the index
    dtype.  The index keeps no item factors of its own: once per ``search``
    call, each probed list's rows are gathered from the source index into
-   scratch that belongs to that call, sized to the widest list, and scored
-   by one :func:`~repro.core.base.score_branches` call per (list,
-   probing-users) group — THE scoring kernel, on a contiguous block with
-   the layout a list-ordered copy would have, so the same bits.  The
-   per-user candidate pools merge through
+   scratch that belongs to that call, sized to ``gemm_cols`` of the widest
+   list, and scored by one :func:`~repro.core.base.score_branches` call per
+   (list, probing-users) group — THE scoring kernel.  The per-user
+   candidate pools merge through
    :func:`~repro.eval.topk.topk_pairs_rows`, the same deterministic
    (score desc, item id asc) order every exact path uses.
 
 Because stage 2 is exact and the lists partition the catalog, probing all
 lists (``nprobe >= n_lists``) makes the candidate pool the full catalog
-and the ranking exact search's — the property the test suite pins (score
-bits too, but for the last-bit caveats ``docs/performance.md`` lists).
-Both stages, the ``pq`` scorer's lookup tables included, run their
-products at :func:`~repro.core.base.gemm_rows` height: a user's probes and
-scores do not depend on who shared its batch or a list's group.  Smaller
-``nprobe`` trades recall for time along a measured curve
+and the ranking exact search's, score bits included — the property the
+test suite pins.  Both stages, the ``pq`` scorer's lookup tables included,
+run their products at :func:`~repro.core.base.gemm_rows` height: a user's
+probes and scores do not depend on who shared its batch or a list's group.
+Smaller ``nprobe`` trades recall for time along a measured curve
 (docs/performance.md).
 
 An optional residual PQ companion (one :class:`~.pq.PQBranch` per branch,
@@ -51,7 +49,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ...core.base import ScoreBranch, branches_dtype, padded_rows, score_branches
+from ...core.base import ScoreBranch, branches_dtype, gemm_cols, padded_rows, score_branches
 from ...data.dataset import expand_csr_rows
 from ...eval.topk import NEG_INF, partition_topk_rows, topk_pairs_rows
 from ...obs.trace import maybe_span
@@ -506,19 +504,20 @@ class IVFIndex:
     # Fine-stage storage hooks (tiered layouts override these)
     # ------------------------------------------------------------------
     def _fine_scratch(self, scorer: str, rows: Optional[int] = None):
-        """One search call's gather targets, ``rows`` rows each (default:
-        the widest list's), so concurrent calls share no buffer.
+        """One search call's gather targets, ``gemm_cols(rows)`` rows each
+        (default: the widest list's), so concurrent calls share no buffer.
 
         ``exact``: the source branches with scratch item sides, so a
         gathered list scores through :func:`score_branches` as one
-        contiguous block — the layout, and so the bits, of a slice of a
-        list-ordered copy.  ``pq``: per branch, a code buffer and an
+        contiguous block.  Its product's ``gemm_cols`` padding items are
+        zeros or rows gathered earlier in the call: always finite, and no
+        kept column reads them.  ``pq``: per branch, a code buffer and an
         item-constant buffer (``None`` where the branch has no constant).
         """
-        rows = int(self.list_sizes().max()) if rows is None else int(rows)
+        rows = gemm_cols(int(self.list_sizes().max()) if rows is None else int(rows))
 
         def buffer(source):
-            return None if source is None else np.empty((rows,) + source.shape[1:], source.dtype)
+            return None if source is None else np.zeros((rows,) + source.shape[1:], source.dtype)
 
         if scorer == "exact":
             return [

@@ -202,12 +202,6 @@ class CircuitBreaker:
                 if rate >= self.error_threshold:
                     self._set_state(OPEN)
 
-    def error_rate(self) -> float:
-        with self._lock:
-            if not self._events:
-                return 0.0
-            return sum(self._events) / len(self._events)
-
 
 class ResiliencePolicy:
     """A configured breaker + backoff schedule, wired to obs metrics.

@@ -14,10 +14,9 @@ blocks of ``ROW_BLOCK`` rows; each block streams through one
 per-user candidates and merged exactly.  That keeps the item-side operand
 cache-resident at large catalog sizes and bounds peak memory at
 ``ROW_BLOCK * ITEM_BLOCK_SIZE`` scores at any batch size.  Products run at
-:func:`~repro.core.base.gemm_rows` height: a request's scores do not depend
-on batch height or batch-mates.  Across item layouts only, a float64 item
-range whose offset or width is not a multiple of 8 can give a score another
-last bit than the full-width product.
+:func:`~repro.core.base.gemm_rows` height and
+:func:`~repro.core.base.gemm_cols` width: a request's scores do not depend
+on batch height, batch-mates or item layout.
 """
 
 from __future__ import annotations

@@ -126,18 +126,6 @@ class TestDataset:
         assert ds.split_positive_sets("test") == {2: {1}}
         assert ds.split_positive_sets("validation") == {1: {0}}
 
-    def test_train_matrix_binary(self):
-        matrix = tiny_dataset().train_matrix()
-        assert matrix.shape == (3, 4)
-        assert matrix.sum() == 4
-        assert matrix[0, 1] == 1.0
-
-    def test_train_matrix_duplicates_collapse(self):
-        catalog = tiny_catalog()
-        train = InteractionTable([0, 0], [1, 1], [0.0, 1.0])
-        ds = Dataset("dup", 1, 4, catalog, train, InteractionTable([], [], []), InteractionTable([], [], []))
-        assert ds.train_matrix()[0, 1] == 1.0
-
     def test_item_popularity(self):
         pop = tiny_dataset().item_popularity()
         np.testing.assert_array_equal(pop, [1, 1, 1, 1])

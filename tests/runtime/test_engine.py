@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core import pup_full
-from repro.core.base import Recommender, ScoreBranch, gemm_rows, score_branches
+from repro.core.base import Recommender, ScoreBranch, gemm_cols, gemm_rows, score_branches
 from repro.data import SyntheticConfig, generate
 from repro.eval.ranking import evaluate, metrics_from_rankings, topk_rankings
 from repro.eval.topk import masked_topk
@@ -282,7 +282,7 @@ def test_buffers_of_gemm_rows_height_are_scored_in_place(dtype):
         ]
         for height in range(1, 65):
             out, scratch = _Buffers().get(height, width, np.dtype(dtype))
-            assert out.shape == (gemm_rows(height, width), width)
+            assert out.shape == (gemm_rows(height, width), gemm_cols(width))
             scores = score_branches(branches, np.arange(height), out=out, scratch=scratch)
             assert scores.shape == (height, width) and np.shares_memory(scores, out)
 

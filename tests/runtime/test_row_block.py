@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.base import ROW_MULTIPLE, ScoreBranch
+from repro.core.base import ROW_MULTIPLE, ScoreBranch, score_branches
 from repro.runtime import recommend_all, sharded
 from repro.runtime.sharded import ShardedIndex
 from repro.serving.index import EmbeddingIndex
@@ -176,3 +176,24 @@ class TestScoreScratchFollowsTheRowBlock:
         ceiling = self.ceiling(users)
         assert ceiling < 10 * MiB
         assert traced_peak(lambda: engine.topk(np.arange(users), self.k)) <= ceiling
+
+
+def test_a_catalog_off_the_column_multiple_is_not_copied():
+    """One shard of 5 403 items runs as a 5 400-item body and an 8-item
+    tail of the same table, so a warm call, and its scoring alone, peak
+    within 64 KiB of the same call at 5 400 items.  A per-call copy of the
+    padded table (1.4 MB here) moves the scoring peak; the call's peak is
+    the selection's, which a copy freed before it does not reach."""
+    users = np.arange(96)
+    peaks = []
+    for n_items in (5_400, 5_403):
+        index = ShardedIndex(serve_catalog(96, n_items))
+        buffers = sharded._Buffers()
+        index.topk_chunk(users, 50, buffers=buffers)
+        out, scratch = buffers.get(96, n_items, index.dtype)
+        peaks.append((
+            traced_peak(lambda: index.topk_chunk(users, 50, buffers=buffers)),
+            traced_peak(lambda: score_branches(index.branches, users, out=out, scratch=scratch)),
+        ))
+    for at_5400, at_5403 in zip(*peaks):
+        assert at_5403 <= at_5400 + 64 * 1024, peaks

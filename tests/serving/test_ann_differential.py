@@ -15,12 +15,8 @@ What is asserted is what ``docs/serving.md`` promises:
 * plain and tiered are the same arithmetic on blocks of the same layout, so
   ids and score bits agree in either dtype, at the default probe and at
   full probe;
-* at full probe the exact scorer is exact search: same ids, and in float32
-  the same score bits.  In float64 a list off a multiple of 8 may move a
-  last bit against the full-width product, so only ids are compared there.
-  A one-item list is an exception in float32 too: its product runs as a
-  matrix-vector one, which sums in another order, so its item's score bits
-  are not compared (the gap is open on ROADMAP item 1);
+* at full probe the exact scorer is exact search: same ids and the same
+  score bits in either dtype, whatever the lists' widths and offsets;
 * the pq scorer re-ranks its shortlist exactly; with integer factors (every
   product exact) and each list short enough to be re-ranked whole, it is
   exact search too, bits included.
@@ -30,7 +26,7 @@ import os
 import tempfile
 
 import numpy as np
-from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.core.base import ScoreBranch
 from repro.serving import AllowListFilter, RetrievalEngine
@@ -109,7 +105,6 @@ def test_every_item_layout_answers_alike(
 ):
     index = catalog(dtype, n_items, d, integer, seed)
     ann = build_ivf(index, n_lists=n_lists, seed=seed, pq=(scorer == "pq"))
-    assume((ann.list_sizes() % 8).any())  # some list starts or ends off a multiple of 8
     users = np.arange(N_USERS)
     rng = np.random.default_rng(seed + 1)
     mask = None
@@ -141,13 +136,8 @@ def test_every_item_layout_answers_alike(
         users, k, exclude_train=exclude, filters=filters, use_ann=False
     )
     ids, scores = full
-    alone = ann.list_sizes()[ann._item_list] == 1
     for row, result in enumerate(reference):
         kept = ids[row] >= 0
         assert np.array_equal(ids[row][kept], result.items), row
         assert not kept[len(result.items):].any(), row
-        if integer:
-            assert scores[row][kept].tobytes() == result.scores.tobytes(), row
-        elif dtype is np.float32:
-            bits = ~alone[result.items]
-            assert scores[row][kept][bits].tobytes() == result.scores[bits].tobytes(), row
+        assert scores[row][kept].tobytes() == result.scores.tobytes(), row

@@ -161,9 +161,9 @@ def test_a_row_scores_alike_in_any_batch(dtype, width, d, height, seed):
             assert np.array_equal(ids, want_ids), (name, row)
             assert scores.dtype == want_scores.dtype
             assert scores.tobytes() == want_scores.tobytes(), (name, row)
-        if name.startswith(("ivf", "tiered")):
-            continue  # float64 lists off a multiple of 8 may move a last bit
-        # the exact paths' reference rows are the index's own scores
+        if name.startswith("ivf-pq"):
+            continue  # ADC scores, and a re-rank by einsum (ROADMAP item 11)
+        # every other path's reference rows are the index's own scores
         ids, scores = reference[batch[0]]
         real = scores > -np.inf
         assert dense[batch[0], ids[real]].tobytes() == scores[real].tobytes(), name

@@ -125,13 +125,7 @@ class TestExactPathDifferential:
         for result, (items, scores) in zip(got, expected):
             assert result.scores.dtype == np.dtype(dtype)
             np.testing.assert_array_equal(result.items, items)
-            if block == 1:
-                # BLAS takes a different kernel for (B, d) @ (d, 1) than for
-                # a full gemm, so scores may drift in the last bits.
-                rtol = 1e-12 if dtype == "float64" else 1e-5
-                np.testing.assert_allclose(result.scores, scores, rtol=rtol)
-            else:
-                np.testing.assert_array_equal(result.scores, scores)
+            assert result.scores.tobytes() == scores.tobytes()
 
     @pytest.mark.parametrize("block", [20, 8, 5, 3, 1])
     @pytest.mark.parametrize("filtered", [False, True])
