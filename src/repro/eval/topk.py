@@ -22,7 +22,7 @@ return.)  Rows are independent, so blocking cannot change a result.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +42,27 @@ def _row_index(rows: int) -> np.ndarray:
     ``idx``'s columns row by row, as ``np.take_along_axis(a, idx, axis=1)``
     does, without its per-call index bookkeeping."""
     return np.arange(rows)[:, None]
+
+
+def denied_rows(
+    candidate_mask: Optional[np.ndarray], mask_rows: Optional[np.ndarray], rows: int
+) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+    """``(denied stack, row -> stack index)`` for a kernel's allow-mask.
+
+    A 1-D ``(n_items,)`` mask is every row's: a one-mask stack with every row
+    pointing at it.  An ``(n_masks, n_items)`` stack needs ``mask_rows``.
+    """
+    if candidate_mask is None:
+        return None, None
+    denied = ~np.atleast_2d(np.asarray(candidate_mask, dtype=bool))
+    if mask_rows is None:
+        if denied.shape[0] != 1:
+            raise ValueError("a stack of candidate masks needs mask_rows")
+        return denied, np.zeros(rows, dtype=np.intp)
+    mask_rows = np.asarray(mask_rows, dtype=np.intp)
+    if mask_rows.shape != (rows,):
+        raise ValueError(f"mask_rows needs one entry per row ({rows}), got {mask_rows.shape}")
+    return denied, mask_rows
 
 
 def topk_indices(scores: np.ndarray, k: int) -> np.ndarray:

@@ -38,7 +38,7 @@ import numpy as np
 
 from ..core.base import ScoreBranch, branches_dtype, gemm_cols, gemm_rows, score_branches
 from ..data.dataset import expand_csr_rows
-from ..eval.topk import NEG_INF, masked_topk, topk_indices_rows, topk_pairs_rows
+from ..eval.topk import NEG_INF, denied_rows, masked_topk, topk_indices_rows, topk_pairs_rows
 
 #: widest shard: every exact ranking scores a ``ROW_BLOCK x 8192`` block at most
 ITEM_BLOCK_SIZE = 8192
@@ -121,6 +121,7 @@ class ShardedIndex:
         with_scores: bool = False,
         timings: Optional[dict] = None,
         candidate_mask: Optional[np.ndarray] = None,
+        mask_rows: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """Exact top-``k`` item ids (and optionally scores) for a user chunk.
 
@@ -129,8 +130,11 @@ class ShardedIndex:
         optional allowed-id array per chunk user — restricts pools the way
         the cold-start protocols do, and routes those rows through the
         per-row :func:`masked_topk` reference kernel.  ``candidate_mask`` is
-        one boolean ``(n_items,)`` allow-mask shared by every row (the
-        serving filters); it cannot be combined with ``candidate_items``.
+        the serving filters' boolean allow-mask: either one ``(n_items,)``
+        mask for every row, or an ``(n_masks, n_items)`` stack with
+        ``mask_rows`` naming each row's mask; each shard masks its block
+        with its rows' slices of the stack, so no ``(rows, n_items)`` mask
+        is ever built.  It cannot be combined with ``candidate_items``.
         ``timings`` accumulates ``score`` / ``topk`` / ``merge`` seconds in
         place.
         """
@@ -144,7 +148,7 @@ class ShardedIndex:
             return (empty, np.empty((0, k), dtype=self.dtype)) if with_scores else (empty, None)
         if candidate_mask is not None and candidate_items is not None:
             raise ValueError("candidate_mask and candidate_items are mutually exclusive")
-        denied = None if candidate_mask is None else ~np.asarray(candidate_mask, dtype=bool)
+        denied, mask_rows = denied_rows(candidate_mask, mask_rows, rows)
         buffers = buffers or _Buffers()
 
         # Rows with a restricted pool go through the reference kernel only —
@@ -168,8 +172,10 @@ class ShardedIndex:
             exclude_rows = exclude_cols = None
             if exclude_csr is not None:
                 exclude_rows, exclude_cols = expand_csr_rows(*exclude_csr, users[block])
+            block_denied = None if denied is None else (denied, mask_rows[block])
             block_ids, block_scores = self._topk_sharded(
-                users[block], k, exclude_rows, exclude_cols, denied, buffers, timings, with_scores
+                users[block], k, exclude_rows, exclude_cols, block_denied, buffers, timings,
+                with_scores,
             )
             ids[block] = block_ids
             if with_scores:
@@ -197,7 +203,8 @@ class ShardedIndex:
             tick = time.perf_counter()
             scores = score_branches(self.branches, users, start, stop, out=out, scratch=scratch)
             if denied is not None:
-                scores[:, denied[start:stop]] = NEG_INF
+                stack, stack_rows = denied
+                scores[stack[stack_rows, start:stop]] = NEG_INF
             if exclude_rows is not None:
                 inside = (exclude_cols >= start) & (exclude_cols < stop)
                 if inside.any():

@@ -51,7 +51,7 @@ import numpy as np
 
 from ...core.base import ScoreBranch, branches_dtype, gemm_cols, padded_rows, score_branches
 from ...data.dataset import expand_csr_rows
-from ...eval.topk import NEG_INF, partition_topk_rows, topk_pairs_rows
+from ...eval.topk import NEG_INF, denied_rows, partition_topk_rows, topk_pairs_rows
 from ...obs.trace import maybe_span
 from .kmeans import assign_labels, cluster_sums, kmeans
 from .pq import PQBranch, build_pq_branch, score_candidates_exact, score_pq_block
@@ -323,6 +323,7 @@ class IVFIndex:
         scorer: Optional[str] = None,
         exclude_csr: Optional[Tuple[np.ndarray, np.ndarray]] = None,
         candidate_mask: Optional[np.ndarray] = None,
+        mask_rows: Optional[np.ndarray] = None,
         tracer=None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Two-stage top-``k`` for a batch of users.
@@ -330,7 +331,10 @@ class IVFIndex:
         ``scorer`` defaults to the index's :attr:`default_scorer` —
         ``exact`` unless a PQ companion is attached.  ``exclude_csr`` is
         the per-user train-positive mask as ``(indptr, indices)``;
-        ``candidate_mask`` a boolean ``(n_items,)`` filter mask.  Both
+        ``candidate_mask`` the boolean filter allow-mask: one ``(n_items,)``
+        mask for every row, or an ``(n_masks, n_items)`` stack with
+        ``mask_rows`` naming each row's mask (permuted to list order once
+        per call; a segment masks its rows with their own slices).  Both
         apply at the fine stage: probed candidates that are excluded or
         filtered are pushed to ``-inf`` *after* scoring, so masking never
         changes which lists are probed (a filtered request probes the same
@@ -366,11 +370,9 @@ class IVFIndex:
         # local selection — so a filtered request keeps the full fine
         # ranking of its allowed pool (never crowded out by filtered
         # items), while the probe geometry stays mask-independent.
-        mask_perm = (
-            None
-            if candidate_mask is None
-            else np.asarray(candidate_mask, dtype=bool)[self.list_items]
-        )
+        denied, mask_rows = denied_rows(candidate_mask, mask_rows, n)
+        if denied is not None:
+            denied = denied[:, self.list_items]
         # Exclusion pairs, grouped by the list that holds the excluded item:
         # each (user, item) exclusion can only surface in that one list, so
         # the fine stage scatters exclusions per segment in O(1) per pair.
@@ -440,8 +442,8 @@ class IVFIndex:
             rows = sorted_rows[lo:hi]
             part = self._score_segment(scorer, users[rows], lst, start, stop, scratch)
             seg_ids = self.list_items[start:stop]
-            if mask_perm is not None:
-                part[:, ~mask_perm[start:stop]] = NEG_INF
+            if denied is not None:
+                part[denied[mask_rows[rows], start:stop]] = NEG_INF
             if ex_by_list is not None:
                 ex_lists, ex_users, ex_positions = ex_by_list
                 a, b = np.searchsorted(ex_lists, [lst, lst + 1])

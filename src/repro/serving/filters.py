@@ -3,8 +3,8 @@
 A :class:`Filter` restricts the item pool a request may recommend from.
 Filters compose by intersection (:func:`combine_mask` / the ``&`` operator)
 and every filter exposes a stable :meth:`signature` so the service can use
-filtered requests as cache keys and batch requests with identical pools
-together.
+filtered requests as cache keys and the engine can build one mask per
+distinct pool in a batch.
 
 Masks are boolean ``(n_items,)`` arrays evaluated against an
 :class:`~repro.serving.index.EmbeddingIndex`; they depend only on the item
@@ -28,7 +28,7 @@ class Filter:
         raise NotImplementedError
 
     def signature(self) -> Tuple:
-        """Hashable identity used for caching and request batching."""
+        """Hashable identity keying the result and mask caches."""
         raise NotImplementedError
 
     def __and__(self, other: "Filter") -> "AllOf":

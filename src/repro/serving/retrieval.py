@@ -1,11 +1,13 @@
 """Batched top-K retrieval over a frozen :class:`EmbeddingIndex`.
 
-There is one exact path: :meth:`RetrievalEngine.topk` hands the batch to
+There is one path: :meth:`RetrievalEngine.topk_rows` hands the batch, at
+its largest ``k`` and with one filter mask per row, to
 :meth:`repro.runtime.sharded.ShardedIndex.topk_chunk` — the kernel the
 offline evaluator, ``recommend_all`` and the lifecycle gates rank with —
-and trims its dense rows to the items the masks allow.  Offline metrics
-and online results therefore cannot disagree on ranking: they are the same
-code on the same scores.
+and trims each dense row to its own ``k`` and the items its masks allow
+(:meth:`~RetrievalEngine.topk` is the every-row-alike case).  Offline
+metrics and online results therefore cannot disagree on ranking: they are
+the same code on the same scores.
 
 The catalog is split into ``ceil(n_items / ITEM_BLOCK_SIZE)`` balanced
 contiguous shards (see :mod:`repro.runtime.sharded`) and the batch into
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,20 +56,21 @@ class RetrievalEngine:
     without letting the latter grow memory forever.
 
     ``ann`` opts the engine into approximate retrieval: an
-    :class:`~repro.serving.ann.IVFIndex` built over the same catalog.  With one attached, :meth:`topk` routes through the ANN's
-    two-stage search — filters and train-item exclusions apply at the
-    re-rank stage, so a filtered request is ranked over exactly the items
-    its masks allow, just from a cluster-pruned candidate pool instead of
-    the full catalog.  Per-request opt-out (``use_ann=False``) keeps the
-    exact path one argument away.
+    :class:`~repro.serving.ann.IVFIndex` built over the same catalog.  With
+    one attached, :meth:`topk_rows` routes through the ANN's two-stage
+    search — filters and train-item exclusions apply at the re-rank stage,
+    so a filtered request is ranked over exactly the items its masks allow,
+    just from a cluster-pruned candidate pool instead of the full catalog.
+    Per-request opt-out (``use_ann=False``) keeps the exact path one
+    argument away.
 
     Results never contain a masked item: a user whose allowed pool is
     smaller than ``k`` gets a shorter list.
 
     ANN failure degrades, it never errors: a transient exception from
     ``ann.search`` (including an injected ``ann.search_error`` fault from an
-    attached :class:`~repro.faults.FaultPlan`) makes :meth:`topk` fall back
-    to the exact path for that batch — the results are the ones the
+    attached :class:`~repro.faults.FaultPlan`) makes :meth:`topk_rows` fall
+    back to the exact path for that batch — the results are the ones the
     exact engine would have served anyway, so the fallback is bit-identical
     correct, just slower.  ``on_ann_fallback`` (an ``error -> None``
     callable) observes each fallback; without one a ``RuntimeWarning`` is
@@ -137,22 +140,51 @@ class RetrievalEngine:
         filters: Sequence[Filter] = (),
         use_ann: Optional[bool] = None,
     ) -> List[RetrievalResult]:
-        """Top-``k`` recommendations for a batch of warm users.
+        """Top-``k`` recommendations for a batch of warm users, one filter set
+        for all of them (:meth:`topk_rows` with every row alike)."""
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        n = len(users)
+        return self.topk_rows(users, [k] * n, [filters] * n, exclude_train, use_ann)
+
+    def topk_rows(
+        self,
+        users: Sequence[int],
+        ks: Sequence[int],
+        row_filters: Sequence[Sequence[Filter]],
+        exclude_train: bool = True,
+        use_ann: Optional[bool] = None,
+    ) -> List[RetrievalResult]:
+        """Top-``ks[i]`` for each warm user ``users[i]``, under its own filters.
+
+        One kernel call ranks every row at ``max(ks)``; each answer is then
+        trimmed to its own ``k``.  Both kernels rank by the (score desc, item
+        id asc) order, so a row's top-``k`` is the first ``k`` of its
+        top-``max(ks)``, bits included — except under an IVF-PQ scorer,
+        whose shortlist grows with ``k`` (see
+        :meth:`RecommenderService.flush`).  ``row_filters`` holds one filter
+        set per row; rows sharing a signature share one cached mask.
 
         ``use_ann`` overrides the engine default (``None`` = use the
         attached ANN index when there is one): ``False`` forces the exact
         path for this call, ``True`` requires an ANN index.
         """
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
         users = np.asarray(users, dtype=np.int64)
+        ks = np.asarray(ks, dtype=np.int64)
+        if ks.shape != users.shape:
+            raise ValueError(f"{len(ks)} ks for {len(users)} users")
         if len(users) == 0:
             return []
+        if ks.min() < 1:
+            raise ValueError(f"k must be >= 1, got {int(ks.min())}")
         if users.min() < 0 or users.max() >= self.index.n_users:
             raise ValueError(
                 f"user id out of range [0, {self.index.n_users}); "
                 "route unseen users through the cold-start fallback"
             )
+        if len(row_filters) != len(users):
+            raise ValueError(f"{len(row_filters)} filter sets for {len(users)} users")
+        k = int(ks.max())
         if use_ann is None:
             use_ann = self.ann is not None
         if use_ann:
@@ -166,7 +198,8 @@ class RetrievalEngine:
                     attrs={"path": "ann", "n_users": len(users), "k": k},
                 ):
                     return self._search(
-                        self.ann.search, users, k, exclude_train, filters, tracer=self.tracer
+                        self.ann.search, users, ks, exclude_train, row_filters,
+                        tracer=self.tracer,
                     )
             except Exception as error:
                 if not is_transient(error):
@@ -178,11 +211,36 @@ class RetrievalEngine:
             attrs={"path": "exact", "n_users": len(users), "k": k},
         ):
             return self._search(
-                self._sharded.topk_chunk, users, k, exclude_train, filters, with_scores=True
+                self._sharded.topk_chunk, users, ks, exclude_train, row_filters,
+                with_scores=True,
             )
 
-    def _search(self, kernel, users, k, exclude_train, filters, **kwargs) -> List[RetrievalResult]:
-        """Run a dense top-K kernel under the request's masks; trim its rows.
+    def _row_masks(
+        self, row_filters: Sequence[Sequence[Filter]]
+    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+        """``(n_signatures, n_items)`` allow-mask stack and each row's index
+        into it, one cached mask per distinct filter signature; ``(None,
+        None)`` when no row is filtered."""
+        if not any(row_filters):
+            return None, None
+        slots: Dict[Tuple, int] = {}
+        masks: List[np.ndarray] = []
+        rows = np.empty(len(row_filters), dtype=np.intp)
+        for row, filters in enumerate(row_filters):
+            signature = combine_signature(filters)
+            slot = slots.get(signature)
+            if slot is None:
+                slot = slots[signature] = len(masks)
+                mask = self.candidate_mask(filters)
+                masks.append(np.ones(self.index.n_items, dtype=bool) if mask is None else mask)
+            rows[row] = slot
+        return np.stack(masks), rows
+
+    def _search(
+        self, kernel, users, ks, exclude_train, row_filters, **kwargs
+    ) -> List[RetrievalResult]:
+        """Run a dense top-K kernel at ``max(ks)`` under the rows' masks; trim
+        each row to its own ``k``, then drop its padding.
 
         Both kernels pad a row whose allowed pool is shorter than ``k``: the
         ANN search with id ``-1`` / score ``-inf``, the exact kernel with
@@ -193,15 +251,17 @@ class RetrievalEngine:
         exclude_csr = (
             (self.index.exclude_indptr, self.index.exclude_indices) if exclude_train else None
         )
+        mask, mask_rows = self._row_masks(row_filters)
         ids, scores = kernel(
-            users, k, exclude_csr=exclude_csr,
-            candidate_mask=self.candidate_mask(filters), **kwargs,
+            users, int(ks.max()), exclude_csr=exclude_csr,
+            candidate_mask=mask, mask_rows=mask_rows, **kwargs,
         )
-        keep = scores > -np.inf
-        return [
-            RetrievalResult(items=ids[row][keep[row]], scores=scores[row][keep[row]])
-            for row in range(len(ids))
-        ]
+        results = []
+        for row, k in enumerate(ks):
+            row_ids, row_scores = ids[row, :k], scores[row, :k]
+            keep = row_scores > -np.inf
+            results.append(RetrievalResult(items=row_ids[keep], scores=row_scores[keep]))
+        return results
 
     def _note_ann_fallback(self, error: BaseException) -> None:
         self.ann_fallbacks += 1

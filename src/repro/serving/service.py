@@ -11,21 +11,23 @@ A request's whole path lives here, in stage order:
    blocking caller (``sync``: ``result()``, ``recommend_many``,
    ``swap_index``), and counted once per non-empty flush in
    ``gateway_flushes_total{trigger}`` / ``gateway_batch_size``.  One
-   linear pass: take the queue → expire deadlines → group by ranking
-   parameters (k, exclusion, filter signature) and warm/cold → guard →
-   rank → deliver.
+   linear pass: take the queue → expire deadlines → group into lanes (warm
+   users by train exclusion; cold users by price profile) → guard → rank →
+   deliver.
 
-*Rank*: a group of **warm** users (known id with training history) is one
-batched retrieval — N single-user matmuls become one
-``(N, d) @ (d, n_items)`` matmul, which is where the serving throughput
-comes from — with item ids identical to the offline evaluator's; **cold**
-users (unseen id, or known but history-free) are ranked from the
-price-profile fallback (:mod:`repro.serving.fallback`), optionally
-personalized by a request-supplied price profile.  *Deliver*: build the
-answer, write the cache (:meth:`RecommenderService.invalidate` drops
-entries explicitly), resolve or fail the request, and book its end-to-end
-latency into :class:`~repro.serving.stats.ServingStats`.  Answers are
-read-only, and a cache hit is the cached :class:`Recommendation` itself.
+*Rank*: the **warm** lane (known ids with training history) is one batched
+retrieval whatever its requests' ``k`` and filters — ranked at the lane's
+largest ``k``, each row under its own filter mask, each answer trimmed to
+its own ``k`` — so N single-user matmuls become one ``(N, d) @ (d,
+n_items)`` matmul, which is where the serving throughput comes from, with
+item ids identical to the offline evaluator's; **cold** users (unseen id,
+or known but history-free) are ranked from the price-profile fallback
+(:mod:`repro.serving.fallback`), optionally personalized by a
+request-supplied price profile.  *Deliver*: build the answer, write the
+cache (:meth:`RecommenderService.invalidate` drops entries explicitly),
+resolve or fail the request, and book its end-to-end latency into
+:class:`~repro.serving.stats.ServingStats`.  Answers are read-only, and a
+cache hit is the cached :class:`Recommendation` itself.
 
 *Guard* (opt-in via ``resilience=ResilienceConfig()``): each group consults
 a circuit breaker, retries transient backend errors with exponential
@@ -91,8 +93,7 @@ class Request:
 
     ``deadline_at`` (absolute, service-clock seconds) is enforced at flush
     time; it is identity-irrelevant — two requests differing only in
-    deadline share a cache entry and a batch group — so it appears in
-    neither :meth:`cache_key` nor :meth:`batch_key`.
+    deadline share a cache entry — so it is not part of :meth:`cache_key`.
     """
 
     user: int
@@ -111,10 +112,6 @@ class Request:
             combine_signature(self.filters),
             profile,
         )
-
-    def batch_key(self) -> Tuple:
-        """Requests sharing this key can be answered by one batched matmul."""
-        return (self.k, self.exclude_train, combine_signature(self.filters))
 
 
 @dataclass(frozen=True)
@@ -552,6 +549,14 @@ class RecommenderService:
         ``_flush_lock`` (so the whole snapshot is answered by one
         consistent engine, even across a concurrent :meth:`swap_index`).
         Two racing flushes operate on disjoint snapshots.
+
+        Warm requests are grouped by ``exclude_train`` alone: one retrieval
+        ranks a group at its largest ``k`` and trims each answer, which the
+        (score desc, id asc) order makes bit-identical to ranking it alone.
+        An IVF-PQ default scorer breaks that: its per-list shortlist is
+        ``rerank_factor * k``, so a row ranked at a larger ``k`` re-ranks a
+        larger pool and may answer differently — under PQ, ``k`` stays in
+        the warm group key.
         """
         with self._lock:
             if not self._queue:
@@ -582,21 +587,23 @@ class RecommenderService:
                 with maybe_span(
                     self.tracer, "flush", cat="serving", attrs={"n_requests": len(queue)}
                 ):
-                    # Per batch key: the warm lane, then one cold lane per price
-                    # profile (one fallback score row alive at a time).  Routed
-                    # against the index this flush answers from, hence in here.
-                    groups: "OrderedDict[Tuple, Dict]" = OrderedDict()
+                    # A warm lane per exclusion (and per k under PQ), a cold
+                    # lane per price profile (one fallback score row alive at
+                    # a time).  Routed against the index this flush answers
+                    # from, hence in here.
+                    ann = self.engine.ann
+                    per_k = ann is not None and ann.default_scorer == "pq"
+                    groups: "OrderedDict[Tuple, List[PendingRecommendation]]" = OrderedDict()
                     for pending in live:
                         request = pending.request
-                        lane = WARM if self.index.is_warm(request.user) else _profile_key(request)
-                        lanes = groups.setdefault(request.batch_key(), {WARM: []})
-                        lanes.setdefault(lane, []).append(pending)
-                    for lanes in groups.values():
-                        warm = lanes.pop(WARM)
-                        if warm:
-                            self._run_group(self._answer_warm, warm)
-                        for cold in lanes.values():
-                            self._run_group(self._answer_cold, cold)
+                        if self.index.is_warm(request.user):
+                            key = (WARM, request.exclude_train, request.k if per_k else None)
+                        else:
+                            key = (COLD, _profile_key(request))
+                        groups.setdefault(key, []).append(pending)
+                    for key, entries in groups.items():
+                        answer = self._answer_warm if key[0] == WARM else self._answer_cold
+                        self._run_group(answer, entries)
             finally:
                 # Never strand a waiter: anything still unresolved (only
                 # reachable if the grouping machinery itself failed) fails
@@ -652,23 +659,24 @@ class RecommenderService:
         self._answer_degraded(entries, prefix="breaker")
 
     def _answer_warm(self, entries: List[PendingRecommendation]) -> None:
-        """One batched retrieval for a group of warm users."""
+        """One batched retrieval for a group of warm users, each at its own
+        ``k`` under its own filters (one ``exclude_train`` per group)."""
         if self.fault_plan is not None:
             # Chaos drill hooks: a slow scorer stalls the batch, a poisoned
             # scorer raises — exercised before any compute, like a failure
             # in the first matmul would be.
             self.fault_plan.maybe_delay(SCORER_DELAY)
             self.fault_plan.maybe_fail(SCORER_ERROR)
-        first = entries[0].request
+        requests = [pending.request for pending in entries]
         began = self._clock()
         with maybe_span(
             self.tracer, "batch.warm", cat="serving", attrs={"n_requests": len(entries)}
         ):
-            results = self.engine.topk(
-                [pending.request.user for pending in entries],
-                k=first.k,
-                exclude_train=first.exclude_train,
-                filters=first.filters,
+            results = self.engine.topk_rows(
+                [request.user for request in requests],
+                [request.k for request in requests],
+                [request.filters for request in requests],
+                exclude_train=requests[0].exclude_train,
             )
         self._deliver(entries, results, began, WARM, len(entries) * self.index.n_items)
 

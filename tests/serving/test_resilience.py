@@ -137,7 +137,7 @@ class TestRetries:
         def poisoned(*args, **kwargs):
             raise ValueError("bad topk arguments")
 
-        monkeypatch.setattr(service.engine, "topk", poisoned)
+        monkeypatch.setattr(service.engine, "topk_rows", poisoned)
         with pytest.raises(ValueError, match="bad topk arguments"):
             service.recommend(3)
         assert service.stats.retries == 0

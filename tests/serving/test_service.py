@@ -175,21 +175,23 @@ class TestMicroBatching:
     def test_group_failure_does_not_orphan_other_groups(self, setup, monkeypatch):
         _, _, index = setup
         service = make_service(index, max_batch_size=100, cache_capacity=0)
-        poisoned = service.submit(0, k=3)
-        healthy = service.submit(1, k=4)  # different k -> different batch group
+        poisoned = service.submit(0, k=3, exclude_train=False)
+        healthy = service.submit(1, k=4)  # other exclusion -> other warm group
+        also_poisoned = service.submit(2, k=5, exclude_train=False)
 
-        real_topk = service.engine.topk
+        real_topk_rows = service.engine.topk_rows
 
-        def exploding_topk(users, k, **kwargs):
-            if k == 3:
+        def exploding_topk_rows(users, ks, row_filters, exclude_train=True, **kwargs):
+            if not exclude_train:
                 raise RuntimeError("index shard offline")
-            return real_topk(users, k=k, **kwargs)
+            return real_topk_rows(users, ks, row_filters, exclude_train=exclude_train, **kwargs)
 
-        monkeypatch.setattr(service.engine, "topk", exploding_topk)
+        monkeypatch.setattr(service.engine, "topk_rows", exploding_topk_rows)
         service.flush()
         assert len(healthy.result().items) == 4
-        with pytest.raises(RuntimeError, match="shard offline"):
-            poisoned.result()
+        for pending in (poisoned, also_poisoned):
+            with pytest.raises(RuntimeError, match="shard offline"):
+                pending.result()
 
 
 class TestCache:

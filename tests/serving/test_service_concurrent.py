@@ -160,25 +160,24 @@ class TestResultTimeout:
 
 class TestFailureIsolation:
     def test_failed_group_does_not_poison_other_groups(self, setup):
-        """One batch group blowing up fails *its* requests via result();
-        requests in other groups of the same flush still succeed."""
+        """The warm lane blowing up fails *its* requests via result();
+        the cold lane of the same flush still succeeds."""
         _, _, index = setup
         service = RecommenderService(index, default_k=5, max_batch_size=10**9, cache_capacity=0)
         boom = RuntimeError("injected failure")
-        real_topk = service.engine.topk
 
-        def exploding_topk(users, k, exclude_train=True, filters=()):
-            if k == 7:  # only the k=7 group fails
-                raise boom
-            return real_topk(users, k=k, exclude_train=exclude_train, filters=filters)
+        def exploding_topk_rows(*args, **kwargs):
+            raise boom
 
-        service.engine.topk = exploding_topk
-        doomed = service.submit(0, k=7)
-        survivor = service.submit(1, k=5)
+        service.engine.topk_rows = exploding_topk_rows
+        doomed = [service.submit(0, k=7), service.submit(1, k=5)]
+        survivor = service.submit(index.n_users + 500)
         service.flush()
-        with pytest.raises(RuntimeError, match="injected failure"):
-            doomed.result(timeout=1.0)
-        assert survivor.result(timeout=1.0).user == 1
+        for pending in doomed:
+            with pytest.raises(RuntimeError, match="injected failure"):
+                pending.result(timeout=1.0)
+        rec = survivor.result(timeout=1.0)
+        assert rec.source == COLD and len(rec.items) == 5
 
     def test_single_cold_request_failure_is_isolated(self, setup):
         """Per-request isolation inside one cold profile group: a request
