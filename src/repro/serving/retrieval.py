@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -141,29 +141,38 @@ class RetrievalEngine:
         use_ann: Optional[bool] = None,
     ) -> List[RetrievalResult]:
         """Top-``k`` recommendations for a batch of warm users, one filter set
-        for all of them (:meth:`topk_rows` with every row alike)."""
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        n = len(users)
-        return self.topk_rows(users, [k] * n, [filters] * n, exclude_train, use_ann)
+        for all of them (:meth:`topk_rows` with every row alike; a filter
+        that cannot be evaluated raises)."""
+        results = self.topk_rows(users, k, [filters] * len(users), exclude_train, use_ann)
+        for result in results:
+            if isinstance(result, Exception):
+                raise result
+        return results
 
     def topk_rows(
         self,
         users: Sequence[int],
-        ks: Sequence[int],
+        ks: Union[int, Sequence[int]],
         row_filters: Sequence[Sequence[Filter]],
         exclude_train: bool = True,
         use_ann: Optional[bool] = None,
-    ) -> List[RetrievalResult]:
+    ) -> List[Union[RetrievalResult, Exception]]:
         """Top-``ks[i]`` for each warm user ``users[i]``, under its own filters.
 
-        One kernel call ranks every row at ``max(ks)``; each answer is then
-        trimmed to its own ``k``.  Both kernels rank by the (score desc, item
-        id asc) order, so a row's top-``k`` is the first ``k`` of its
-        top-``max(ks)``, bits included — except under an IVF-PQ scorer,
-        whose shortlist grows with ``k`` (see
-        :meth:`RecommenderService.flush`).  ``row_filters`` holds one filter
-        set per row; rows sharing a signature share one cached mask.
+        ``ks`` is one ``k`` per row, or one ``k`` for every row.  One kernel
+        call ranks every row at ``max(ks)``; each answer is then trimmed to
+        its own ``k``.  Both kernels rank by the (score desc, item id asc)
+        order, so a row's top-``k`` is the first ``k`` of its top-``max(ks)``,
+        bits included.  An ANN whose ``default_scorer`` is ``"pq"`` breaks
+        that: its per-list shortlist is ``rerank_factor * k``, so a row
+        ranked at a larger ``k`` re-ranks a larger pool and may answer
+        differently — under PQ, each distinct ``k`` gets its own kernel call.
+
+        ``row_filters`` holds one filter set per row; rows sharing a
+        signature share one cached mask, built once per call.  A filter set
+        whose mask raises (an out-of-range id, a raw-price band on an index
+        without raw prices) fails only its own rows: their entries are the
+        exception, *returned*, not raised, and the other rows are ranked.
 
         ``use_ann`` overrides the engine default (``None`` = use the
         attached ANN index when there is one): ``False`` forces the exact
@@ -171,25 +180,45 @@ class RetrievalEngine:
         """
         users = np.asarray(users, dtype=np.int64)
         ks = np.asarray(ks, dtype=np.int64)
-        if ks.shape != users.shape:
+        if ks.size and ks.min() < 1:
+            raise ValueError(f"k must be >= 1, got {int(ks.min())}")
+        if ks.ndim and ks.shape != users.shape:
             raise ValueError(f"{len(ks)} ks for {len(users)} users")
+        ks = np.broadcast_to(ks, users.shape)
+        if len(row_filters) != len(users):
+            raise ValueError(f"{len(row_filters)} filter sets for {len(users)} users")
         if len(users) == 0:
             return []
-        if ks.min() < 1:
-            raise ValueError(f"k must be >= 1, got {int(ks.min())}")
         if users.min() < 0 or users.max() >= self.index.n_users:
             raise ValueError(
                 f"user id out of range [0, {self.index.n_users}); "
                 "route unseen users through the cold-start fallback"
             )
-        if len(row_filters) != len(users):
-            raise ValueError(f"{len(row_filters)} filter sets for {len(users)} users")
-        k = int(ks.max())
         if use_ann is None:
             use_ann = self.ann is not None
+        if use_ann and self.ann is None:
+            raise ValueError("use_ann=True but no ANN index is attached")
+        results: List[Union[RetrievalResult, Exception, None]] = [None] * len(users)
+        mask, mask_rows = self._row_masks(row_filters, results)
+        ok = np.flatnonzero([result is None for result in results])
+        if use_ann and getattr(self.ann, "default_scorer", None) == "pq":
+            parts = [ok[ks[ok] == k] for k in np.unique(ks[ok])]
+        else:
+            parts = [ok] if len(ok) else []
+        for rows in parts:
+            ranked = self._rank(
+                users[rows], ks[rows], exclude_train, mask,
+                None if mask_rows is None else mask_rows[rows], use_ann,
+            )
+            for row, result in zip(rows, ranked):
+                results[row] = result
+        return results
+
+    def _rank(self, users, ks, exclude_train, mask, mask_rows, use_ann) -> List[RetrievalResult]:
+        """One kernel call for a batch at ``max(ks)``: the ANN when asked,
+        the exact path when not or when the ANN fails transiently."""
+        k = int(ks.max())
         if use_ann:
-            if self.ann is None:
-                raise ValueError("use_ann=True but no ANN index is attached")
             try:
                 if self.fault_plan is not None:
                     self.fault_plan.maybe_fail(ANN_SEARCH_ERROR)
@@ -198,7 +227,7 @@ class RetrievalEngine:
                     attrs={"path": "ann", "n_users": len(users), "k": k},
                 ):
                     return self._search(
-                        self.ann.search, users, ks, exclude_train, row_filters,
+                        self.ann.search, users, ks, exclude_train, mask, mask_rows,
                         tracer=self.tracer,
                     )
             except Exception as error:
@@ -211,33 +240,44 @@ class RetrievalEngine:
             attrs={"path": "exact", "n_users": len(users), "k": k},
         ):
             return self._search(
-                self._sharded.topk_chunk, users, ks, exclude_train, row_filters,
+                self._sharded.topk_chunk, users, ks, exclude_train, mask, mask_rows,
                 with_scores=True,
             )
 
     def _row_masks(
-        self, row_filters: Sequence[Sequence[Filter]]
+        self, row_filters: Sequence[Sequence[Filter]], results: List
     ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
         """``(n_signatures, n_items)`` allow-mask stack and each row's index
         into it, one cached mask per distinct filter signature; ``(None,
-        None)`` when no row is filtered."""
+        None)`` when no row is filtered.  A signature whose mask raises
+        puts the exception in ``results`` at each of its rows instead."""
         if not any(row_filters):
             return None, None
-        slots: Dict[Tuple, int] = {}
+        slots: Dict[Tuple, Union[int, Exception]] = {}
         masks: List[np.ndarray] = []
-        rows = np.empty(len(row_filters), dtype=np.intp)
+        rows = np.zeros(len(row_filters), dtype=np.intp)
         for row, filters in enumerate(row_filters):
             signature = combine_signature(filters)
             slot = slots.get(signature)
             if slot is None:
-                slot = slots[signature] = len(masks)
-                mask = self.candidate_mask(filters)
-                masks.append(np.ones(self.index.n_items, dtype=bool) if mask is None else mask)
-            rows[row] = slot
+                try:
+                    mask = self.candidate_mask(filters)
+                except Exception as error:  # noqa: BLE001 - fails its own rows
+                    slot = error
+                else:
+                    slot = len(masks)
+                    masks.append(np.ones(self.index.n_items, dtype=bool) if mask is None else mask)
+                slots[signature] = slot
+            if isinstance(slot, Exception):
+                results[row] = slot
+            else:
+                rows[row] = slot
+        if not masks:
+            return None, None
         return np.stack(masks), rows
 
     def _search(
-        self, kernel, users, ks, exclude_train, row_filters, **kwargs
+        self, kernel, users, ks, exclude_train, mask, mask_rows, **kwargs
     ) -> List[RetrievalResult]:
         """Run a dense top-K kernel at ``max(ks)`` under the rows' masks; trim
         each row to its own ``k``, then drop its padding.
@@ -251,7 +291,6 @@ class RetrievalEngine:
         exclude_csr = (
             (self.index.exclude_indptr, self.index.exclude_indices) if exclude_train else None
         )
-        mask, mask_rows = self._row_masks(row_filters)
         ids, scores = kernel(
             users, int(ks.max()), exclude_csr=exclude_csr,
             candidate_mask=mask, mask_rows=mask_rows, **kwargs,

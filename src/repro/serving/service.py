@@ -550,13 +550,10 @@ class RecommenderService:
         consistent engine, even across a concurrent :meth:`swap_index`).
         Two racing flushes operate on disjoint snapshots.
 
-        Warm requests are grouped by ``exclude_train`` alone: one retrieval
-        ranks a group at its largest ``k`` and trims each answer, which the
-        (score desc, id asc) order makes bit-identical to ranking it alone.
-        An IVF-PQ default scorer breaks that: its per-list shortlist is
-        ``rerank_factor * k``, so a row ranked at a larger ``k`` re-ranks a
-        larger pool and may answer differently — under PQ, ``k`` stays in
-        the warm group key.
+        Warm requests are grouped by ``exclude_train`` alone: one
+        :meth:`RetrievalEngine.topk_rows` call answers a group whatever its
+        requests' ``k`` and filters, each answer bit-identical to the one
+        the request gets alone.
         """
         with self._lock:
             if not self._queue:
@@ -587,17 +584,14 @@ class RecommenderService:
                 with maybe_span(
                     self.tracer, "flush", cat="serving", attrs={"n_requests": len(queue)}
                 ):
-                    # A warm lane per exclusion (and per k under PQ), a cold
-                    # lane per price profile (one fallback score row alive at
-                    # a time).  Routed against the index this flush answers
-                    # from, hence in here.
-                    ann = self.engine.ann
-                    per_k = ann is not None and ann.default_scorer == "pq"
+                    # A warm lane per exclusion, a cold lane per price profile
+                    # (one fallback score row alive at a time).  Routed
+                    # against the index this flush answers from, hence in here.
                     groups: "OrderedDict[Tuple, List[PendingRecommendation]]" = OrderedDict()
                     for pending in live:
                         request = pending.request
                         if self.index.is_warm(request.user):
-                            key = (WARM, request.exclude_train, request.k if per_k else None)
+                            key = (WARM, request.exclude_train)
                         else:
                             key = (COLD, _profile_key(request))
                         groups.setdefault(key, []).append(pending)
@@ -660,7 +654,9 @@ class RecommenderService:
 
     def _answer_warm(self, entries: List[PendingRecommendation]) -> None:
         """One batched retrieval for a group of warm users, each at its own
-        ``k`` under its own filters (one ``exclude_train`` per group)."""
+        ``k`` under its own filters (one ``exclude_train`` per group).  A
+        filter set the index cannot evaluate comes back as its rows' error
+        and fails only those requests."""
         if self.fault_plan is not None:
             # Chaos drill hooks: a slow scorer stalls the batch, a poisoned
             # scorer raises — exercised before any compute, like a failure

@@ -3,8 +3,8 @@
 ``RecommenderService.flush`` answers all of a flush's warm requests with
 one retrieval per ``exclude_train`` value: ranked at the lane's largest
 ``k``, each row under its own filter mask, each answer trimmed to its own
-``k``.  Under an IVF-PQ default scorer ``k`` stays in the group key,
-because the PQ shortlist grows with ``k``.
+``k``.  Under an IVF-PQ default scorer the engine gives each distinct ``k``
+its own kernel call, because the PQ shortlist grows with ``k``.
 
 * The differential draws a mixed flush (``k`` in 1-60, zero to five price
   bands per request with signatures repeating across requests, both
@@ -14,6 +14,9 @@ because the PQ shortlist grows with ``k``.
   the items and score bytes of the same request flushed alone.
 * The counter test pins the grouping itself: 64 warm requests over two
   ``k`` and six filter signatures are one batch.
+* A filter the index cannot evaluate fails only its own requests, and a
+  duck-typed ANN with no ``default_scorer`` still serves a mixed flush
+  (through the exact fallback).
 """
 
 import os
@@ -25,7 +28,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.core.base import ScoreBranch
 from repro.runtime.sharded import ShardedIndex
-from repro.serving import PriceBandFilter, RecommenderService
+from repro.serving import AllowListFilter, PriceBandFilter, RecommenderService
 from repro.serving.ann import TieredIndexConfig, TieredIVFIndex, build_ivf
 from repro.serving.index import EmbeddingIndex
 
@@ -179,25 +182,96 @@ def test_one_flush_of_warm_requests_is_one_batch(priced_index, path):
     assert (len(answers[0].items), len(answers[6].items)) == (10, 50)
 
 
-def test_ivf_pq_keeps_k_in_its_group_key(priced_index):
+def test_ivf_pq_ranks_each_k_apart(priced_index):
     """PQ re-ranks a ``rerank_factor * k`` shortlist per list, so a k=10 row
-    ranked at k=50 could answer differently: the flush keeps the two ``k``
-    apart, and every k=10 answer is the one it gets alone."""
-    service = RecommenderService(
-        priced_index, ann=build_ivf(priced_index, seed=0, **COARSE_PQ),
-        max_batch_size=10**9, cache_capacity=0,
-    )
+    ranked at k=50 could answer differently: the flush is still one batch,
+    but the engine searches the two ``k`` apart, and every k=10 answer is
+    the one it gets alone."""
+    ann = build_ivf(priced_index, seed=0, **COARSE_PQ)
+    service = RecommenderService(priced_index, ann=ann, max_batch_size=10**9, cache_capacity=0)
     assert service.ann.default_scorer == "pq"
+    searched = []
+    search = ann.search
+
+    def counting_search(users, k, **kwargs):
+        searched.append(k)
+        return search(users, k, **kwargs)
+
+    ann.search = counting_search
     requests = scan_mix()
     before = service.stats.batches
     answers = serve(service, requests)
-    assert service.stats.batches - before == 2
+    assert service.stats.batches - before == 1
+    assert sorted(searched) == [10, 50]
     for request, answer in zip(requests, answers):
         if request["k"] != 10:
             continue
         [alone] = serve(service, [request])
         assert np.array_equal(answer.items, alone.items), request
         assert answer.scores.tobytes() == alone.scores.tobytes(), request
+
+
+@pytest.mark.parametrize("path", ["exact", "ivf"])
+def test_a_bad_filter_fails_only_its_own_requests(priced_index, path):
+    """Masks are built at flush time, inside the one warm retrieval: a filter
+    the index cannot evaluate (an out-of-range allow-list id, a raw-price
+    band on an index exported without raw prices) fails its own requests
+    with its own error, and every other request of the flush is answered
+    as it would be alone."""
+    assert priced_index.item_raw_prices is None
+    ann = None if path == "exact" else build_ivf(priced_index, seed=0)
+    service = RecommenderService(priced_index, ann=ann, max_batch_size=10**9, cache_capacity=0)
+    bad = {
+        0: ([AllowListFilter([priced_index.n_items + 3])], IndexError),
+        1: ([PriceBandFilter(max_level=9.5, use_raw_prices=True)], ValueError),
+    }
+    requests = scan_mix()
+    for row in range(0, 64, 5):
+        request = requests[row]
+        request["filters"] = bad[row % 2][0] + list(request["filters"])
+    pending = [service.submit(**request) for request in requests]
+    assert service.flush() == len(requests)
+    for row, (request, handle) in enumerate(zip(requests, pending)):
+        if row % 5 == 0:
+            with pytest.raises(bad[row % 2][1]):
+                handle.result()
+            continue
+        [alone] = serve(service, [request])
+        answer = handle.result()
+        assert np.array_equal(answer.items, alone.items), request
+        assert answer.scores.tobytes() == alone.scores.tobytes(), request
+    assert service.stats.batches == 1 + len(requests) - len(range(0, 64, 5))
+    with pytest.raises(IndexError):
+        service.engine.topk([0, 1], 5, filters=bad[0][0])
+
+
+class _OfflineANN:
+    """The chaos drill's dead ANN: ``n_items``, a ``memory_report`` and a
+    ``search`` that always fails transiently — nothing more."""
+
+    kind = "offline"
+
+    def __init__(self, n_items):
+        self.n_items = n_items
+
+    def search(self, *args, **kwargs):
+        raise RuntimeError("ann shard offline")
+
+    def memory_report(self):
+        return {"kind": self.kind, "tiers": {"hot": 0, "cold": 0}}
+
+
+def test_a_duck_typed_ann_falls_back_to_exact_for_a_mixed_flush(priced_index):
+    offline = RecommenderService(
+        priced_index, ann=_OfflineANN(priced_index.n_items), max_batch_size=10**9,
+        cache_capacity=0,
+    )
+    exact = RecommenderService(priced_index, max_batch_size=10**9, cache_capacity=0)
+    requests = scan_mix()
+    for got, want in zip(serve(offline, requests), serve(exact, requests)):
+        assert np.array_equal(got.items, want.items)
+        assert got.scores.tobytes() == want.scores.tobytes()
+    assert offline.engine.ann_fallbacks == 1
 
 
 def test_a_mask_stack_needs_its_row_index(priced_index):
