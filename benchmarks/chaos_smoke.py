@@ -5,7 +5,7 @@ Three drills against a trained artifact directory, each deterministic
 violation:
 
 1. **Archive durability** — a corrupted archive must fail loudly with
-   :class:`~repro.train.persistence.ArchiveCorrupted` (never load as
+   :class:`~repro.archive.ArchiveCorrupted` (never load as
    silently wrong numbers), and stale ``*.tmp-*`` staging leftovers from a
    writer that died mid-publish must be swept on startup.
 2. **ANN failure degradation** — a service whose ANN index throws on every
@@ -46,7 +46,7 @@ from repro.loadgen import WorkloadConfig, build_workload, run_chaos
 from repro.obs import parse_prometheus
 from repro.obs.server import MetricsServer
 from repro.serving import GatewayConfig, ResilienceConfig, ServingGateway
-from repro.train.persistence import (
+from repro.archive import (
     ArchiveCorrupted,
     clean_stale_archives,
     read_archive_arrays,

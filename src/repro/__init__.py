@@ -19,6 +19,7 @@ Public API tour:
 * :mod:`repro.analysis` — CWTP entropy and price-category heatmaps
 * :mod:`repro.nn`     — the NumPy autograd substrate (precision policy,
   fused kernels)
+* :mod:`repro.scoring`, :mod:`repro.archive` — the NumPy-only leaves serving runs on
 * :mod:`repro.obs`    — metrics registry (Prometheus/JSON exporters), span
   tracing (Chrome trace), live ``/metrics`` endpoint (docs/observability.md)
 * :mod:`repro.profiling` — scoped timers/counters behind ``TrainResult.profile``
@@ -50,47 +51,26 @@ The same pipeline is reachable from the shell: ``python -m repro train
 
 __version__ = "1.2.0"
 
-from . import analysis, baselines, core, data, eval, experiments, graph, loadgen, nn, obs, profiling, serving, train
-from .data.registry import available_datasets, load_dataset
-from .experiments import (
-    Experiment,
-    ExperimentSpec,
-    ModelSpec,
-    available_models,
-    build_model,
-)
-from .experiments import run as run_experiment
-from .nn import precision, set_default_dtype
-from .obs import MetricsRegistry, MetricsServer, Tracer
-from .profiling import Profiler
+from ._lazy import lazy_exports
 
-__all__ = [
-    "precision",
-    "set_default_dtype",
-    "Profiler",
-    "profiling",
-    "obs",
-    "MetricsRegistry",
-    "MetricsServer",
-    "Tracer",
-    "analysis",
-    "baselines",
-    "core",
-    "data",
-    "eval",
-    "experiments",
-    "graph",
-    "loadgen",
-    "nn",
-    "serving",
-    "train",
-    "available_datasets",
-    "available_models",
-    "build_model",
-    "load_dataset",
-    "Experiment",
-    "ExperimentSpec",
-    "ModelSpec",
-    "run_experiment",
-    "__version__",
-]
+_LAZY = {
+    **{name: "." + name for name in (
+        "analysis", "baselines", "core", "data", "eval", "experiments", "graph",
+        "loadgen", "nn", "obs", "profiling", "serving", "train",
+    )},
+    "available_datasets": ".data.registry",
+    "load_dataset": ".data.registry",
+    **dict.fromkeys(
+        ("Experiment", "ExperimentSpec", "ModelSpec", "available_models", "build_model"),
+        ".experiments",
+    ),
+    "run_experiment": ".experiments:run",
+    "precision": ".nn",
+    "set_default_dtype": ".nn",
+    **dict.fromkeys(("MetricsRegistry", "MetricsServer", "Tracer"), ".obs"),
+    "Profiler": ".profiling",
+}
+
+__all__ = [*_LAZY, "__version__"]
+
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)

@@ -105,27 +105,6 @@ class ItemCatalog:
         )
 
 
-def expand_csr_rows(indptr: np.ndarray, indices: np.ndarray, users: np.ndarray):
-    """Expand CSR slices for ``users`` into ``(rows, cols)`` scatter pairs.
-
-    ``rows`` indexes into ``users`` (0..len(users)-1) and ``cols`` is the
-    concatenation of ``indices[indptr[u]:indptr[u+1]]`` per user — computed
-    as one vectorized multi-range gather, no per-user Python loop.  Returns
-    ``(None, None)`` when every selected slice is empty.  Shared by the
-    batch-inference kernel and the serial evaluation fallback for masking
-    train positives out of score matrices.
-    """
-    starts = indptr[users]
-    counts = indptr[users + 1] - starts
-    total = int(counts.sum())
-    if not total:
-        return None, None
-    rows = np.repeat(np.arange(len(users)), counts)
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    positions = np.repeat(starts - offsets, counts) + np.arange(total)
-    return rows, indices[positions]
-
-
 @dataclass
 class Dataset:
     """A complete price-aware recommendation dataset with a fixed split."""

@@ -21,8 +21,9 @@ from typing import Dict, Iterable, List, Optional, Sequence
 import numpy as np
 
 from ..core.base import Recommender
-from ..data.dataset import Dataset, expand_csr_rows
+from ..data.dataset import Dataset
 from ..runtime.engine import BatchRuntime, RuntimeConfig
+from ..scoring import expand_csr_rows
 from .metrics import mean_metric, ndcg_at_k, recall_at_k
 from .topk import masked_topk, topk_indices_rows
 

@@ -25,13 +25,12 @@ Quickstart::
     experiment = Experiment.load("runs/pup_yelp")   # later / elsewhere
     experiment.service().recommend(user=42)
 
-The registry is imported eagerly (model modules register themselves
-through it); spec/runner/artifacts load lazily so that registering a model
-during package import cannot create an import cycle.
+The registry is imported eagerly, and then the model packages, which
+register themselves through it; spec/runner/artifacts load lazily so that
+registering a model during package import cannot create an import cycle.
 """
 
-from importlib import import_module
-
+from .._lazy import lazy_exports
 from .registry import (
     PAPER_HPARAMS,
     ModelSpec,
@@ -42,6 +41,7 @@ from .registry import (
     register_model,
     resolve_model_name,
 )
+from .. import baselines, core  # noqa: F401 - importing the models registers them
 
 _LAZY = {
     "DatasetSpec": ".spec",
@@ -64,13 +64,4 @@ __all__ = [
     *sorted(_LAZY),
 ]
 
-
-def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(module, __name__), name)
-
-
-def __dir__() -> list:
-    return sorted(set(globals()) | set(_LAZY))
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)

@@ -16,13 +16,15 @@ One :func:`repro.experiments.run` call materializes as a directory:
 
 ``repro export --ann`` adds ``ann/`` and ``repro recommend`` adds
 ``recommendations/``.  Every ``*/`` entry is a checksummed archive
-directory (:mod:`repro.train.persistence`).
+directory (:mod:`repro.archive`).
 
 :class:`Experiment` is the live handle over those pieces — the trained
 model, its dataset, metrics, and the serving index — whether it came fresh
 out of a run or was rehydrated with :meth:`Experiment.load`.  Rehydration
-is exact: the reloaded model serves the same top-K as the in-process model
-did before saving.
+reads the JSON files and ``index/``; the dataset and the model are rebuilt
+on first use, so serving a saved index never touches them.  It is exact:
+the reloaded model serves the same top-K as the in-process model did
+before saving.
 """
 
 from __future__ import annotations
@@ -34,17 +36,15 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from .. import __version__
+from ..archive import clean_stale_archives, read_archive_metadata
 from ..eval.ranking import topk_rankings
+from ..nn import precision
 from ..serving.ann import TieredIndexConfig, build_ivf, load_ann
 from ..serving.export import ExportError, export_index
 from ..serving.index import EmbeddingIndex
 from ..serving.service import RecommenderService
-from ..train.persistence import (
-    clean_stale_archives,
-    load_checkpoint,
-    read_archive_metadata,
-    save_checkpoint,
-)
+from ..train.persistence import load_checkpoint, save_checkpoint
 from ..train.trainer import TrainResult
 from .spec import ExperimentSpec
 
@@ -99,13 +99,17 @@ def stage_ann(ann, artifacts_dir: str, tiered: bool = False) -> str:
 
 
 class Experiment:
-    """A spec plus everything it produced: model, metrics, serving index."""
+    """A spec plus everything it produced: model, metrics, serving index.
+
+    ``dataset`` and ``model`` may be None when ``artifacts_dir`` holds the
+    checkpoint: each is then rebuilt on first access.
+    """
 
     def __init__(
         self,
         spec: ExperimentSpec,
-        dataset,
-        model,
+        dataset=None,
+        model=None,
         train_result: Optional[TrainResult] = None,
         metrics: Optional[Dict[str, float]] = None,
         index: Optional[EmbeddingIndex] = None,
@@ -114,8 +118,8 @@ class Experiment:
         obs_snapshot: Optional[Dict] = None,
     ) -> None:
         self.spec = spec
-        self.dataset = dataset
-        self.model = model
+        self._dataset = dataset
+        self._model = model
         self.train_result = train_result
         self.metrics = dict(metrics or {})
         self._index = index
@@ -127,6 +131,29 @@ class Experiment:
         #: run's registry (train + eval phase counters); persisted as
         #: ``observability.json``
         self.obs_snapshot = obs_snapshot
+
+    @property
+    def dataset(self):
+        """The spec's dataset, regenerated on first access (deterministic)."""
+        if self._dataset is None:
+            self._dataset, _truth = self.spec.dataset.load()
+        return self._dataset
+
+    @property
+    def model(self):
+        """The trained model, rebuilt from ``checkpoint/`` on first access.
+
+        Rebuilt in the recorded precision: a float32 experiment must come
+        back as a float32 model, or live scores would drift from the saved
+        float32 index.
+        """
+        if self._model is None:
+            with precision(self.spec.precision):
+                model = self.spec.model.build(self.dataset)
+            load_checkpoint(model, os.path.join(self.artifacts_dir, CHECKPOINT_DIRNAME))
+            model.eval()
+            self._model = model
+        return self._model
 
     # ------------------------------------------------------------------
     # Serving surface
@@ -244,8 +271,6 @@ class Experiment:
     # ------------------------------------------------------------------
     def save(self, artifacts_dir: str) -> str:
         """Write the full artifact directory; returns its path."""
-        from .. import __version__  # deferred: repro/__init__ imports this package
-
         os.makedirs(artifacts_dir, exist_ok=True)
         _write_json(
             os.path.join(artifacts_dir, SPEC_FILENAME),
@@ -307,10 +332,11 @@ class Experiment:
     def load(cls, artifacts_dir: str) -> "Experiment":
         """Rehydrate a saved experiment into a serving-ready handle.
 
-        The dataset is rebuilt from its spec (synthetic generation is
-        deterministic), the model is reconstructed through the registry and
-        restored from the checkpoint, and the saved index is loaded if
-        present (otherwise it is re-exported lazily on first use).
+        Reads ``spec.json``, the metrics, the loss curve, the observability
+        snapshot and the saved index.  The dataset (rebuilt from its spec;
+        synthetic generation is deterministic) and the model (rebuilt
+        through the registry, restored from the checkpoint) are built on
+        first use, and so is the index when none was saved.
         """
         spec_path = os.path.join(artifacts_dir, SPEC_FILENAME)
         if not os.path.exists(spec_path):
@@ -342,17 +368,6 @@ class Experiment:
             )
         spec = ExperimentSpec.from_dict(payload["experiment"])
 
-        from ..nn import precision  # deferred: keeps this module import-light
-
-        dataset, _truth = spec.dataset.load()
-        # Rebuild in the recorded precision: a float32 experiment must come
-        # back as a float32 model, or live scores would drift from the saved
-        # float32 index.
-        with precision(spec.precision):
-            model = spec.model.build(dataset)
-        load_checkpoint(model, os.path.join(artifacts_dir, CHECKPOINT_DIRNAME))
-        model.eval()
-
         metrics: Dict[str, float] = {}
         train_result = None
         eval_profile = None
@@ -373,8 +388,6 @@ class Experiment:
         index = EmbeddingIndex.load(index_path) if os.path.exists(index_path) else None
         return cls(
             spec,
-            dataset,
-            model,
             train_result=train_result,
             metrics=metrics,
             index=index,

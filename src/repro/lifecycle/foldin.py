@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..core.base import ScoreBranch
+from ..scoring import ScoreBranch
 from ..serving.index import EmbeddingIndex
 from .journal import Event
 

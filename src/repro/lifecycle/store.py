@@ -48,9 +48,9 @@ import re
 import shutil
 from typing import Dict, List, Optional, Tuple
 
+from ..archive import clean_stale_archives
 from ..serving.ann.ivf import IVFIndex
 from ..serving.index import EmbeddingIndex
-from ..train.persistence import clean_stale_archives
 
 MANIFEST_FILENAME = "manifest.json"
 INDEX_DIRNAME = "index"

@@ -33,13 +33,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..serving.gateway import (
-    GatewayClosed,
-    GatewayError,
-    Overloaded,
-    RateLimited,
-    ServingGateway,
-)
+from ..serving.errors import GatewayClosed, GatewayError, Overloaded, RateLimited
+from ..serving.gateway import ServingGateway
 from ..serving.service import DegradedResponse, ResultTimeout
 from .workload import ArrivalSchedule, LoadRequest, arrival_times
 

@@ -27,8 +27,9 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.base import ScoreBranch
+from .. import archive
 from ..obs.trace import maybe_span
+from ..scoring import ScoreBranch
 from .sharded import ShardedIndex, _Buffers
 
 #: profiler phase names the runtime reports (mirrors the trainer's phases)
@@ -116,7 +117,7 @@ class BatchRuntime:
     """A reusable parallel executor for full-catalog top-K over many users.
 
     ``source`` is an :class:`~repro.serving.index.EmbeddingIndex` or a list
-    of :class:`~repro.core.base.ScoreBranch` factors.  ``exclude_csr`` is
+    of :class:`~repro.scoring.ScoreBranch` factors.  ``exclude_csr`` is
     the per-user exclusion mask as ``(indptr, indices)``; pass
     ``exclude_csr=None`` for unmasked ranking.  The runtime is a context
     manager; ``close()`` shuts its threads down.
@@ -311,13 +312,11 @@ class BulkRecommendations:
         return self.items[rows[0]], self.scores[rows[0]]
 
     def save(self, path: str) -> str:
-        from ..train import persistence  # deferred: train imports eval imports runtime
-
-        return persistence.write_archive(
+        return archive.write_archive(
             path,
             {"users": self.users, "items": self.items, "scores": self.scores},
             {
-                persistence.KIND_KEY: BULK_KIND,
+                archive.KIND_KEY: BULK_KIND,
                 "model_name": self.model_name,
                 "k": int(self.k),
                 "n_users": int(len(self.users)),
@@ -326,11 +325,9 @@ class BulkRecommendations:
 
     @classmethod
     def load(cls, path: str) -> "BulkRecommendations":
-        from ..train import persistence  # deferred: train imports eval imports runtime
-
-        metadata = persistence.read_archive_metadata(path)
-        persistence.check_header(path, metadata, BULK_KIND, "bulk recommendations")
-        arrays = persistence.read_archive_arrays(path)
+        metadata = archive.read_archive_metadata(path)
+        archive.check_header(path, metadata, BULK_KIND, "bulk recommendations")
+        arrays = archive.read_archive_arrays(path)
         return cls(
             users=arrays["users"],
             items=arrays["items"],

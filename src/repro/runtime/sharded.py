@@ -2,7 +2,7 @@
 
 A :class:`ShardedIndex` partitions the item catalog of an
 :class:`~repro.serving.index.EmbeddingIndex` (or a raw list of
-:class:`~repro.core.base.ScoreBranch` factors) into contiguous ranges.
+:class:`~repro.scoring.ScoreBranch` factors) into contiguous ranges.
 Full-catalog top-K for a chunk of users is computed shard by shard —
 score the shard, mask exclusions that fall inside it, select the local
 top-K — and the per-shard candidates merge through
@@ -21,7 +21,7 @@ it is built, and every call ranks its rows ``ROW_BLOCK`` at a time (tests
 monkeypatch both).  The layout decides memory and wall time, never a result.
 
 Scores do not depend on batch height or batch-mates either: every shard
-product runs at :func:`~repro.core.base.gemm_rows` height, so a row gets
+product runs at :func:`~repro.scoring.gemm_rows` height, so a row gets
 the same bits in any batch.
 
 All scoring happens in the branches' own dtype (a float32 index is scored
@@ -36,9 +36,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.base import ScoreBranch, branches_dtype, gemm_cols, gemm_rows, score_branches
-from ..data.dataset import expand_csr_rows
 from ..eval.topk import NEG_INF, denied_rows, masked_topk, topk_indices_rows, topk_pairs_rows
+from ..scoring import ScoreBranch, branches_dtype, expand_csr_rows, gemm_cols, gemm_rows, score_branches
 
 #: widest shard: every exact ranking scores a ``ROW_BLOCK x 8192`` block at most
 ITEM_BLOCK_SIZE = 8192
@@ -67,8 +66,8 @@ class _Buffers:
     single-branch models never pay for a second buffer.  Independent
     ``slot`` names keep differently-shaped consumers (the shard-width main
     pass vs the full-width candidate path) from thrashing each other's
-    allocation.  Buffers are :func:`~repro.core.base.gemm_rows` by
-    :func:`~repro.core.base.gemm_cols`, the shape :func:`score_branches` runs at.
+    allocation.  Buffers are :func:`~repro.scoring.gemm_rows` by
+    :func:`~repro.scoring.gemm_cols`, the shape :func:`score_branches` runs at.
     """
 
     def __init__(self) -> None:

@@ -1,6 +1,6 @@
 """What an IVF index looks like on disk — one writer, one reader.
 
-An archive (a :mod:`repro.train.persistence` directory) holds the
+An archive (a :mod:`repro.archive` directory) holds the
 index's *own* arrays plus a header: ``kind``, ``format_version``, and the
 ``model_name`` / ``n_users`` / ``n_items`` of the source index it must be
 re-attached to.  An IVF-PQ archive embeds its residual PQ companion under
@@ -14,7 +14,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ...train import persistence
+from ...archive import KIND_KEY, check_header, read_archive_arrays, read_archive_metadata, write_archive
 from .ivf import IVFIndex
 from .pq import PQBranch
 from .tiered import TieredIndexConfig, TieredIVFIndex
@@ -87,7 +87,7 @@ def save_ann(ann: IVFIndex, path: str, include_items: bool = False) -> str:
             if branch.item_const is not None:
                 arrays[f"perm.branch{i}.item_const"] = branch.item_const[ann.list_items]
     metadata = {
-        persistence.KIND_KEY: IVF_KIND,
+        KIND_KEY: IVF_KIND,
         "format_version": IVF_VERSION,
         "model_name": ann.index.model_name,
         "n_users": ann.n_users,
@@ -99,7 +99,7 @@ def save_ann(ann: IVFIndex, path: str, include_items: bool = False) -> str:
         "rerank_factor": ann.rerank_factor,
         "include_items": bool(include_items),
     }
-    return persistence.write_archive(path, arrays, metadata)
+    return write_archive(path, arrays, metadata)
 
 
 def load_ann(
@@ -114,8 +114,8 @@ def load_ann(
     ``include_items`` archive as a :class:`~.tiered.TieredIVFIndex` under
     that config.
     """
-    metadata = persistence.read_archive_metadata(path)
-    persistence.check_header(path, metadata, IVF_KIND, _LABEL, IVF_VERSION)
+    metadata = read_archive_metadata(path)
+    check_header(path, metadata, IVF_KIND, _LABEL, IVF_VERSION)
     if metadata["n_items"] != index.n_items or metadata["n_users"] != index.n_users:
         raise ValueError(
             f"{path} holds {_LABEL} built for {metadata['n_users']} users x "
@@ -127,7 +127,7 @@ def load_ann(
             "tiered loading needs an archive saved with include_items=True "
             "(it holds the list-ordered item payload the cold tier pages)"
         )
-    arrays = persistence.read_archive_arrays(path, mmap=mmap)
+    arrays = read_archive_arrays(path, mmap=mmap)
     fields = dict(
         centroids=arrays["centroids"],
         list_indptr=arrays["list_indptr"],

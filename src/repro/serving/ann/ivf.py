@@ -16,7 +16,7 @@ Search is two-stage:
    dtype.  The index keeps no item factors of its own: once per ``search``
    call, each probed list's rows are gathered from the source index into
    scratch that belongs to that call, sized to ``gemm_cols`` of the widest
-   list, and scored by one :func:`~repro.core.base.score_branches` call per
+   list, and scored by one :func:`~repro.scoring.score_branches` call per
    (list, probing-users) group — THE scoring kernel.  The per-user
    candidate pools merge through
    :func:`~repro.eval.topk.topk_pairs_rows`, the same deterministic
@@ -26,7 +26,7 @@ Because stage 2 is exact and the lists partition the catalog, probing all
 lists (``nprobe >= n_lists``) makes the candidate pool the full catalog
 and the ranking exact search's, score bits included — the property the
 test suite pins.  Both stages, the ``pq`` scorer's lookup tables included,
-run their products at :func:`~repro.core.base.gemm_rows` height: a user's
+run their products at :func:`~repro.scoring.gemm_rows` height: a user's
 probes and scores do not depend on who shared its batch or a list's group.
 Smaller ``nprobe`` trades recall for time along a measured curve
 (docs/performance.md).
@@ -49,10 +49,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ...core.base import ScoreBranch, branches_dtype, gemm_cols, padded_rows, score_branches
-from ...data.dataset import expand_csr_rows
 from ...eval.topk import NEG_INF, denied_rows, partition_topk_rows, topk_pairs_rows
 from ...obs.trace import maybe_span
+from ...scoring import ScoreBranch, branches_dtype, expand_csr_rows, gemm_cols, padded_rows, score_branches
 from .kmeans import assign_labels, cluster_sums, kmeans
 from .pq import PQBranch, build_pq_branch, score_candidates_exact, score_pq_block
 

@@ -26,7 +26,7 @@ keep it down, and none of them moves a bit of the plain Lloyd result
   over the full table is provably its current label; recomputed rows go
   through the same expression (:func:`_distance_rows`) at the same
   padded height, and only where a probe of this BLAS shows gathered rows
-  reproduce the table (:func:`~repro.core.base.gathers_reproduce`).
+  reproduce the table (:func:`~repro.scoring.gathers_reproduce`).
   A pass runs the full table instead when most points are candidates
   anyway, and when a cluster comes out empty (reseeding ranks every
   point by its exact distance).
@@ -41,9 +41,8 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
-from ...core.base import ROW_MULTIPLE, gathers_reproduce, gemm_rows, padded_rows
+from ...scoring import ROW_MULTIPLE, gathers_reproduce, gemm_rows, padded_rows
 
 #: byte size of the one float64 (rows x n_clusters) distance table an
 #: assignment fills chunk after chunk.  Reused, so it stays in cache
@@ -107,7 +106,7 @@ def _seed_distances(
 def _assign_table(n_points: int, n_clusters: int) -> np.ndarray:
     """The scratch table :func:`_assign_into` fills: as many rows as fit in
     ``_ASSIGN_TABLE_BYTES`` (no more than ``n_points``), rounded up to
-    :func:`~repro.core.base.gemm_rows` height."""
+    :func:`~repro.scoring.gemm_rows` height."""
     rows = max(1, _ASSIGN_TABLE_BYTES // (8 * max(n_clusters, 1)))
     return np.empty((gemm_rows(min(rows, n_points), n_clusters), n_clusters), dtype=np.float64)
 
@@ -155,7 +154,7 @@ def _assign_into(
     receives each one's second-smallest squared distance.
 
     Rows go a table height at a time, itself a
-    :func:`~repro.core.base.gemm_rows` height.  A shorter tail, and every
+    :func:`~repro.scoring.gemm_rows` height.  A shorter tail, and every
     chunk of a subset, is gathered (into ``gather`` when given, never an
     ``n x dim`` copy) with copies of its first point up to one, and the
     padding rows are dropped: a row gets the same bits in a full pass and
@@ -193,7 +192,7 @@ def assign_labels(
 
     Distances are computed a chunk of rows at a time in one fixed-size
     scratch table (:func:`_assign_into`) at
-    :func:`~repro.core.base.gemm_rows` height, so a point's label and
+    :func:`~repro.scoring.gemm_rows` height, so a point's label and
     distance are the same bits whatever points it is assigned with.  Ties
     break toward the lowest cluster id (``argmin``).
     """
@@ -232,6 +231,8 @@ def _member_sums(
     The other points get empty CSR rows, so a cluster all of whose points
     are members sums the same rows in the same order — the same bits —
     and ``points`` is never gathered."""
+    import scipy.sparse as sp  # here alone: loading an IVF never needs scipy
+
     indptr = np.zeros(len(labels) + 1, dtype=np.int64)
     np.cumsum(members, out=indptr[1:])
     onehot = sp.csr_matrix(

@@ -14,7 +14,7 @@ exact, and per query row one lookup table per subspace is built as
 ``LUT_m = u_m @ codebook_m.T``; the approximate inner product of a block
 of items is then ``sum_m LUT_m[:, codes[:, m]]`` — pure table gathers, no
 per-item arithmetic in ``d``.  Branch constants and weights are applied
-exactly, mirroring :func:`~repro.core.base.score_branches`, so PQ error
+exactly, mirroring :func:`~repro.scoring.score_branches`, so PQ error
 comes only from the factor-product term.
 
 There is no standalone PQ index: codes only exist as the residual
@@ -42,7 +42,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ...core.base import ScoreBranch, padded_rows
+from ...scoring import ScoreBranch, padded_rows
 from .kmeans import assign_labels, kmeans
 
 #: uint8 codes: a codebook can never exceed this many centroids
@@ -249,7 +249,7 @@ def score_pq_block(
     subspace is built from the exact user rows (rotated first when the
     branch carries an OPQ rotation), the block score is the gathered table
     sum, and constants/weights are applied exactly — the branch loop of
-    :func:`~repro.core.base.score_branches`.
+    :func:`~repro.scoring.score_branches`.
 
     ``means[b]`` is the ``(d,)`` vector the branch-``b`` codes were
     *residual-encoded* against (the probed list's mean factor row).  Every
@@ -296,7 +296,7 @@ def score_candidates_exact(
     """Exact scores of per-user candidate id matrices (the re-rank kernel).
 
     ``candidates`` is ``(len(users), m)`` global item ids.  Semantics
-    mirror :func:`~repro.core.base.score_branches` — per-branch gathered
+    mirror :func:`~repro.scoring.score_branches` — per-branch gathered
     dot products plus exact constants and weights — but against a ragged
     per-user candidate set instead of a contiguous block, so the product
     is a gather-einsum.  Chunked over users to bound the ``(chunk, m, d)``

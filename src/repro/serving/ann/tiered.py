@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ...core.base import ScoreBranch, score_branches
+from ...scoring import ScoreBranch, score_branches
 from .ivf import IVFIndex
 from .pq import score_candidates_exact
 

@@ -4,12 +4,6 @@ Every way a request can fail to produce a normal answer has a named class
 here, so callers (and the loadgen's outcome accounting) can distinguish
 *shed* (admission said no), *failed* (the backend gave up), and
 *infrastructure* (the gateway itself broke) without string-matching.
-
-The admission errors used to live in ``serving/gateway.py``; they moved
-here so the service layer can raise gateway-visible errors (deadlines,
-backend failures) without importing the gateway — ``gateway.py`` re-exports
-every name, so existing ``from repro.serving.gateway import Overloaded``
-imports keep working.
 """
 
 from __future__ import annotations
@@ -64,4 +58,4 @@ class BackendError(GatewayError):
 
 # Related error types that live with their owning layers (the serving
 # package must stay importable without dragging those layers' errors here):
-#   repro.train.persistence.ArchiveCorrupted — archive checksum mismatch on load
+#   repro.archive.ArchiveCorrupted — archive checksum mismatch on load

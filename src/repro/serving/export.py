@@ -3,7 +3,7 @@
 This is the one-time expensive step of the serving pipeline: graph
 propagation runs once here, after which the index answers queries with
 dense matmuls only.  Works for every model whose score factorizes into
-:class:`~repro.core.base.ScoreBranch` terms (PUP and all its variants,
+:class:`~repro.scoring.ScoreBranch` terms (PUP and all its variants,
 BPR-MF, LightGCN, NGCF, GC-MC, FM, PaDQ, ItemPop); models with
 non-factorizable scorers (DeepFM's MLP tower) raise
 :class:`ExportError` with an explanation.
@@ -11,12 +11,13 @@ non-factorizable scorers (DeepFM's MLP tower) raise
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
-from ..core.base import Recommender
-from ..data.dataset import Dataset
-from ..train.persistence import load_checkpoint
 from .index import EmbeddingIndex
+
+if TYPE_CHECKING:
+    from ..core.base import Recommender
+    from ..data.dataset import Dataset
 
 
 class ExportError(RuntimeError):
@@ -78,6 +79,8 @@ def export_index_from_checkpoint(
     checkpoint's metadata is carried into the index's ``extra`` under
     ``"checkpoint"``.
     """
+    from ..train.persistence import load_checkpoint  # deferred: serving stays off the training stack
+
     metadata = load_checkpoint(model, checkpoint_path, strict=strict)
     merged = dict(extra or {})
     merged.setdefault("checkpoint", {k: v for k, v in metadata.items() if k != "parameter_names"})

@@ -58,15 +58,7 @@ import numpy as np
 
 from ..faults import FLUSHER_CRASH, FaultPlan
 from ..obs.trace import Tracer, maybe_span
-from .errors import (  # noqa: F401 - historical import location, re-exported
-    BackendError,
-    DeadlineExceeded,
-    FlusherCrashed,
-    GatewayClosed,
-    GatewayError,
-    Overloaded,
-    RateLimited,
-)
+from .errors import FlusherCrashed, GatewayClosed, GatewayError, Overloaded, RateLimited
 from .filters import Filter
 from .service import PendingRecommendation, RecommenderService
 from .stats import FLUSH_TRIGGERS
@@ -239,7 +231,7 @@ class ServingGateway:
         no — a shed request costs the caller one exception and the service
         nothing at all.  ``deadline_ms`` (default: the config's) bounds the
         request's queue wait; an expired request fails with
-        :class:`DeadlineExceeded` at flush time.
+        :class:`~repro.serving.errors.DeadlineExceeded` at flush time.
         """
         if deadline_ms is None:
             deadline_ms = self.config.deadline_ms

@@ -3,7 +3,7 @@
 An :class:`EmbeddingIndex` is everything the online path needs, decoupled
 from the model that produced it:
 
-* the :class:`~repro.core.base.ScoreBranch` factors (graph propagation
+* the :class:`~repro.scoring.ScoreBranch` factors (graph propagation
   already applied — scoring is dense matmuls only);
 * the item catalog columns used by candidate filters (category, price
   level, raw price);
@@ -16,7 +16,7 @@ exporting model: the branch loop applies the same operations in the same
 order the models' vectorized inference paths use.
 
 Serialization reuses the checkpoint archive layer
-(:mod:`repro.train.persistence`) with its own ``kind`` tag, so checkpoints
+(:mod:`repro.archive`) with its own ``kind`` tag, so checkpoints
 and indexes are mutually rejecting on load.
 """
 
@@ -26,8 +26,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..core.base import ScoreBranch, score_branches
-from ..train import persistence
+from .. import archive
+from ..scoring import ScoreBranch, score_branches
 
 INDEX_KIND = "embedding_index"
 
@@ -95,7 +95,7 @@ class EmbeddingIndex:
         """Scores against the contiguous item block ``[start, stop)``.
 
         ``score`` is the full-range special case.  Scoring is
-        :func:`~repro.core.base.score_branches` — the
+        :func:`~repro.scoring.score_branches` — the
         *same function* the live models' ``predict_scores`` runs — so
         full-range scores are bit-identical to the live model by
         construction.
@@ -132,7 +132,7 @@ class EmbeddingIndex:
         return total
 
     # ------------------------------------------------------------------
-    # Serialization (reuses the train.persistence archive layer)
+    # Serialization (the repro.archive layer)
     # ------------------------------------------------------------------
     def save(self, path: str, format: str = "dir") -> str:
         """Persist the index as an archive directory that :meth:`load` can
@@ -169,7 +169,7 @@ class EmbeddingIndex:
                 }
             )
         metadata = {
-            persistence.KIND_KEY: INDEX_KIND,
+            archive.KIND_KEY: INDEX_KIND,
             "format_version": FORMAT_VERSION,
             "model_name": self.model_name,
             "n_users": self.n_users,
@@ -179,7 +179,7 @@ class EmbeddingIndex:
             "branches": branch_meta,
             "extra": self.extra,
         }
-        return persistence.write_archive(path, arrays, metadata)
+        return archive.write_archive(path, arrays, metadata)
 
     @classmethod
     def load(cls, path: str, mmap: bool = False) -> "EmbeddingIndex":
@@ -189,11 +189,11 @@ class EmbeddingIndex:
         process memory — attaching is near-instant and concurrent processes
         share one page-cache copy.
         """
-        metadata = persistence.read_archive_metadata(path)
-        persistence.check_header(
+        metadata = archive.read_archive_metadata(path)
+        archive.check_header(
             path, metadata, INDEX_KIND, "an embedding index", FORMAT_VERSION
         )
-        arrays = persistence.read_archive_arrays(path, mmap=mmap)
+        arrays = archive.read_archive_arrays(path, mmap=mmap)
         branches = []
         for i, meta in enumerate(metadata["branches"]):
             branches.append(

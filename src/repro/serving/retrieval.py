@@ -16,8 +16,8 @@ blocks of ``ROW_BLOCK`` rows; each block streams through one
 per-user candidates and merged exactly.  That keeps the item-side operand
 cache-resident at large catalog sizes and bounds peak memory at
 ``ROW_BLOCK * ITEM_BLOCK_SIZE`` scores at any batch size.  Products run at
-:func:`~repro.core.base.gemm_rows` height and
-:func:`~repro.core.base.gemm_cols` width: a request's scores do not depend
+:func:`~repro.scoring.gemm_rows` height and
+:func:`~repro.scoring.gemm_cols` width: a request's scores do not depend
 on batch height, batch-mates or item layout.
 """
 

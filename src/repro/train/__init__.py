@@ -1,15 +1,8 @@
-"""Training loop and configuration."""
+"""Training loop, configuration and model checkpoints."""
 
 from .config import TrainConfig
 from .trainer import TrainResult, Trainer, train_model
-from .persistence import (
-    load_checkpoint,
-    load_metadata,
-    read_archive_arrays,
-    read_archive_metadata,
-    save_checkpoint,
-    write_archive,
-)
+from .persistence import load_checkpoint, load_metadata, save_checkpoint
 
 __all__ = [
     "TrainConfig",
@@ -19,7 +12,4 @@ __all__ = [
     "load_checkpoint",
     "load_metadata",
     "save_checkpoint",
-    "write_archive",
-    "read_archive_metadata",
-    "read_archive_arrays",
 ]

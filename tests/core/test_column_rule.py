@@ -1,10 +1,10 @@
 """A score's bits do not depend on the item range it is scored in.
 
-:func:`~repro.core.base.score_branches` runs every product over
-:func:`~repro.core.base.gemm_cols` items of the same table: a window
+:func:`~repro.scoring.score_branches` runs every product over
+:func:`~repro.scoring.gemm_cols` items of the same table: a window
 shifted left at the table's end, a body-and-tail split where no window
 fits, a zero-padded copy of a table shorter than
-:data:`~repro.core.base.COL_MULTIPLE`.  Each test holds every ``[start,
+:data:`~repro.scoring.COL_MULTIPLE`.  Each test holds every ``[start,
 stop)`` range to the bytes of one product over the whole table, zero-padded
 to a multiple of ``COL_MULTIPLE`` items.
 """
@@ -12,7 +12,7 @@ to a multiple of ``COL_MULTIPLE`` items.
 import numpy as np
 import pytest
 
-from repro.core.base import (
+from repro.scoring import (
     COL_MULTIPLE,
     ScoreBranch,
     gemm_cols,

@@ -27,7 +27,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.base import ScoreBranch
+from repro.scoring import ScoreBranch
 from repro.eval.ann import exact_rankings
 from repro.eval.topk import NEG_INF, topk_indices_rows, topk_pairs_rows
 from repro.serving.ann.ivf import _local_topk_set

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.base import ScoreBranch
+from repro.scoring import ScoreBranch
 from repro.eval import topk
 from repro.eval.ann import exact_rankings
 from repro.eval.topk import NEG_INF, topk_indices, topk_indices_rows, topk_pairs, topk_pairs_rows

@@ -7,7 +7,10 @@ import shutil
 import numpy as np
 import pytest
 
-from repro.experiments import Experiment, ExperimentSpec, run
+from repro.archive import ArchiveCorrupted
+from repro.cli import main
+from repro.experiments import DatasetSpec, Experiment, ExperimentSpec, ModelSpec, run
+from repro.experiments import artifacts as artifacts_module
 from repro.experiments.artifacts import (
     ARTIFACT_FORMAT_VERSION,
     CHECKPOINT_DIRNAME,
@@ -16,6 +19,7 @@ from repro.experiments.artifacts import (
     METRICS_FILENAME,
     SPEC_FILENAME,
 )
+from repro.faults import corrupt_archive
 from repro.serving import ExportError
 
 
@@ -191,3 +195,65 @@ def test_load_refuses_a_v1_directory_before_touching_it(artifacts, tmp_path):
 def test_load_requires_spec_json(tmp_path):
     with pytest.raises(FileNotFoundError, match="artifact directory"):
         Experiment.load(str(tmp_path))
+
+
+@pytest.fixture
+def rebuilds(monkeypatch):
+    """Every dataset load, model build and checkpoint restore, by name."""
+    calls = []
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, **kw: calls.append(name) or real(*a, **kw))
+
+    spy(DatasetSpec, "load")
+    spy(ModelSpec, "build")
+    spy(artifacts_module, "load_checkpoint")
+    return calls
+
+
+@pytest.mark.parametrize("command", ["service", "serve", "recommend", "loadtest", "lifecycle init"])
+def test_serving_reads_the_index_not_the_experiment(artifacts, tmp_path, rebuilds, command):
+    """Serving a saved index regenerates no dataset and restores no model."""
+    directory, _ = artifacts
+    argv = {
+        "serve": ["serve", directory, "--dry-run"],
+        "recommend": ["recommend", directory, "--k", "5", "--out", str(tmp_path / "recs")],
+        "loadtest": ["loadtest", directory, "--requests", "20", "--threads", "1"],
+        "lifecycle init": ["lifecycle", "init", str(tmp_path / "store"), "--artifacts", directory],
+    }
+    if command == "service":
+        Experiment.load(directory).service().recommend_many([0, 1])
+    else:
+        assert main(argv[command]) == 0
+    assert rebuilds == []
+    # the spies are live: first use of the model rebuilds it
+    Experiment.load(directory).model
+    assert rebuilds == ["load", "build", "load_checkpoint"]
+
+
+def test_a_corrupt_checkpoint_fails_at_first_use_of_the_model(artifacts, tmp_path):
+    """The index verifies its own checksums, so it serves while the
+    checkpoint beside it is corrupt; the model and evaluation refuse."""
+    directory, _ = artifacts
+    users = list(range(12))
+    expected = Experiment.load(directory).service(default_k=10).recommend_many(users)
+    copy = shutil.copytree(directory, str(tmp_path / "experiment"))
+    corrupt_archive(os.path.join(copy, CHECKPOINT_DIRNAME), seed=1)
+
+    reloaded = Experiment.load(copy)
+    served = reloaded.service(default_k=10).recommend_many(users)
+    for got, want in zip(served, expected):
+        assert got.items.tobytes() == want.items.tobytes()
+        assert got.scores.tobytes() == want.scores.tobytes()
+    with pytest.raises(ArchiveCorrupted):
+        reloaded.model
+    with pytest.raises(ArchiveCorrupted):
+        Experiment.load(copy).evaluate()
+
+
+def test_a_corrupt_index_fails_at_load(artifacts, tmp_path):
+    copy = shutil.copytree(artifacts[0], str(tmp_path / "experiment"))
+    corrupt_archive(os.path.join(copy, INDEX_DIRNAME), seed=1)
+    with pytest.raises(ArchiveCorrupted):
+        Experiment.load(copy)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.cli import main
 from repro.experiments.artifacts import ANN_DIRNAME, Experiment
-from repro.train.persistence import read_archive_metadata
+from repro.archive import read_archive_metadata
 
 
 def run_cli(args, capsys):

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core.base import ScoreBranch
+from repro.scoring import ScoreBranch
 from repro.eval.ann import ann_recall_at_k, exact_rankings
 from repro.lifecycle.delta import (
     DeltaConfig,

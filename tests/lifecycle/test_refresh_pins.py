@@ -33,7 +33,7 @@ import sys
 import numpy as np
 import pytest
 
-from repro.core.base import ScoreBranch
+from repro.scoring import ScoreBranch
 from repro.lifecycle import GateConfig, fold_in, journal_digest, run_gates, simulate_events
 from repro.serving.ann import build_ivf
 from repro.serving.index import EmbeddingIndex

@@ -13,7 +13,7 @@ import pytest
 
 from repro.faults import corrupt_archive
 from repro.lifecycle import StoreError, VersionStore
-from repro.train.persistence import ArchiveCorrupted
+from repro.archive import ArchiveCorrupted
 
 from test_rollout import bootstrapped, stream
 

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from repro.core import pup_full
-from repro.core.base import Recommender, ScoreBranch, gemm_cols, gemm_rows, score_branches
+from repro.core.base import Recommender
+from repro.scoring import ScoreBranch, gemm_cols, gemm_rows, score_branches
 from repro.data import SyntheticConfig, generate
 from repro.eval.ranking import evaluate, metrics_from_rankings, topk_rankings
 from repro.eval.topk import masked_topk
@@ -181,7 +182,7 @@ class TestCandidatePools:
         reference = topk_rankings(model, dataset, users, k=8, candidate_items=candidates)
         # reference semantics per user, via masked_topk on the live scores
         branches = model.export_embeddings()
-        from repro.core.base import score_branches
+        from repro.scoring import score_branches
 
         scores = score_branches(branches, np.asarray(users))
         train_pos = dataset.train_positive_sets()

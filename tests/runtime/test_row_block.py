@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.base import ROW_MULTIPLE, ScoreBranch, score_branches
+from repro.scoring import ROW_MULTIPLE, ScoreBranch, score_branches
 from repro.runtime import recommend_all, sharded
 from repro.runtime.sharded import ShardedIndex
 from repro.serving.index import EmbeddingIndex

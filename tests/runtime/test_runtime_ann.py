@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import pup_full
-from repro.core.base import ScoreBranch
+from repro.scoring import ScoreBranch
 from repro.data import SyntheticConfig, generate
 from repro.runtime import BatchRuntime, RuntimeConfig, recommend_all
 from repro.serving import build_ivf, export_index

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.base import ScoreBranch
+from repro.scoring import ScoreBranch
 from repro.runtime import BatchRuntime, RuntimeConfig
 
 

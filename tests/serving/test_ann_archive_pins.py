@@ -27,7 +27,7 @@ import pytest
 
 from repro.faults import corrupt_archive
 from repro.serving.ann import build_ivf, load_ann
-from repro.train.persistence import ArchiveCorrupted
+from repro.archive import ArchiveCorrupted
 from test_ann_default_path_pins import N_ITEMS, catalog, index_of
 
 def file_digests(name, root):

@@ -21,7 +21,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.base import ScoreBranch
+from repro.scoring import ScoreBranch
 from repro.lifecycle.delta import delta_build
 from repro.serving.ann import TieredIndexConfig, TieredIVFIndex, build_ivf
 from repro.serving.index import EmbeddingIndex

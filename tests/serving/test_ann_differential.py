@@ -28,7 +28,7 @@ import tempfile
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from repro.core.base import ScoreBranch
+from repro.scoring import ScoreBranch
 from repro.serving import AllowListFilter, RetrievalEngine
 from repro.serving.ann import TieredIndexConfig, TieredIVFIndex, build_ivf
 from repro.serving.index import EmbeddingIndex

@@ -24,7 +24,7 @@ from repro.serving.ann import (
     build_ivf,
     load_ann,
 )
-from repro.train.persistence import ArchiveCorrupted
+from repro.archive import ArchiveCorrupted
 
 
 def make_index(seed, n_users=60, n_items=240):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import pup_full
-from repro.core.base import ScoreBranch, score_branches
+from repro.scoring import ScoreBranch, score_branches
 from repro.data import SyntheticConfig, generate
 from repro.serving import export_index
 from repro.serving.ann import build_ivf, score_pq_block, subspace_splits

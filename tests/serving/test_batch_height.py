@@ -14,7 +14,7 @@ drawn width, so the reference batch is itself at a padded height.
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from repro.core.base import ScoreBranch
+from repro.scoring import ScoreBranch
 from repro.runtime import ShardedIndex, recommend_all
 from repro.serving import (
     GatewayConfig,

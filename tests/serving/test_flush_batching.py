@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from repro.core.base import ScoreBranch
+from repro.scoring import ScoreBranch
 from repro.runtime.sharded import ShardedIndex
 from repro.serving import AllowListFilter, PriceBandFilter, RecommenderService
 from repro.serving.ann import TieredIndexConfig, TieredIVFIndex, build_ivf

@@ -7,7 +7,8 @@ from repro.baselines import BPRMF, FM
 from repro.core import pup_full
 from repro.data import SyntheticConfig, generate
 from repro.serving import EmbeddingIndex, export_index
-from repro.train import read_archive_metadata, save_checkpoint
+from repro.archive import read_archive_metadata
+from repro.train import save_checkpoint
 
 
 @pytest.fixture(scope="module")

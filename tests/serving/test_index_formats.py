@@ -6,7 +6,7 @@ import pytest
 from repro.core import pup_full
 from repro.data import SyntheticConfig, generate
 from repro.serving import EmbeddingIndex, export_index
-from repro.train import persistence
+from repro import archive as persistence
 
 
 @pytest.fixture(scope="module")

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.base import ScoreBranch, gemm_rows
+from repro.scoring import ScoreBranch, gemm_rows
 from repro.serving.ann import ivf as ivf_module
 from repro.serving.ann import pq as pq_module
 from repro.serving.ann.ivf import build_ivf, combined_item_vectors

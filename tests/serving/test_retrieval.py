@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import pup_full
-from repro.core.base import ScoreBranch
+from repro.scoring import ScoreBranch
 from repro.data import SyntheticConfig, generate
 from repro.eval import masked_topk, topk_rankings
 from repro.nn import precision

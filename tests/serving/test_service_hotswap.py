@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core import pup_full
-from repro.core.base import ScoreBranch
+from repro.scoring import ScoreBranch
 from repro.data import SyntheticConfig, generate
 from repro.serving import (
     PriceBandFilter,

@@ -29,7 +29,7 @@ from repro.faults import (
     corrupt_archive,
     describe_fault_points,
 )
-from repro.train.persistence import write_archive
+from repro.archive import write_archive
 
 
 class TestFaultSpec:

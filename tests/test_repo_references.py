@@ -1,6 +1,8 @@
-"""Scripts and root JSON files named by CI, the README, the docs and the verify skill exist."""
+"""Scripts, root JSON files and ``repro.*`` names cited by CI, the README,
+the docs and the verify skill exist."""
 
 import glob
+import importlib
 import os
 import re
 
@@ -23,6 +25,8 @@ PATTERNS = (
 )
 #: upper-case JSON that is not a repo file: the version store's live pointer
 NOT_REPO_FILES = {"CURRENT.json"}
+#: a dotted ``repro.<...>`` name, not a path (``src/repro/...``)
+DOTTED_NAME = re.compile(r"(?<![\w/.])repro(?:\.\w+)+")
 
 
 def named_paths(text):
@@ -49,3 +53,28 @@ def test_citations_and_store_files_are_not_repo_paths():
         "rewrites `CURRENT.json`; see benchmarks/lifecycle_smoke.py and `BENCHMARK.json`"
     )
     assert named_paths(text) == {"benchmarks/lifecycle_smoke.py", "BENCHMARK.json"}
+
+
+def resolves(name):
+    """Import ``name``'s longest importable module prefix, then ``getattr``
+    the rest."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(target, attr):
+                return False
+            target = getattr(target, attr)
+        return True
+    return False
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_named_repro_names_resolve(source):
+    with open(os.path.join(ROOT, source)) as handle:
+        named = set(DOTTED_NAME.findall(handle.read()))
+    stale = sorted(name for name in named if not resolves(name))
+    assert not stale, f"{source} names code that does not exist: {stale}"

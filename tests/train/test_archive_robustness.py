@@ -21,17 +21,16 @@ from repro.runtime.engine import BulkRecommendations, recommend_all
 from repro.serving import export_index
 from repro.serving.ann import build_ivf, load_ann
 from repro.serving.index import EmbeddingIndex
-from repro.train.persistence import (
+from repro.archive import (
     ArchiveCorrupted,
     CHECKSUM_KEY,
     _array_checksum,
     clean_stale_archives,
-    load_checkpoint,
     read_archive_arrays,
     read_archive_metadata,
-    save_checkpoint,
     write_archive,
 )
+from repro.train.persistence import load_checkpoint, save_checkpoint
 
 _GRID = np.random.default_rng(9).normal(size=(12, 10))
 
