@@ -13,10 +13,18 @@ are supported for ablations).
 The forward pass is split in two so the trainer and the serving exporter
 share one code path:
 
-* :meth:`GCNEncoder.propagate` — the full-graph propagation, producing the
-  complete node table (autograd :class:`~repro.nn.Tensor` for training,
-  plain NumPy via :meth:`propagate_inference` for export/eval);
+* :meth:`GCNEncoder.propagate` — the rows a training step reads of the
+  propagated node table (autograd :class:`~repro.nn.Tensor`); plain NumPy
+  over every row via :meth:`propagate_inference` for export/eval;
 * :meth:`GCNEncoder.gather` — per-batch row lookup from a propagated table.
+
+A step's decoder reads only its batch's user, item, category and price rows,
+so the last layer multiplies only ``Â[rows]`` (the rows of a minibatch's
+receptive field, as in GraphSAGE).  Earlier layers feed every node of the
+last one and stay whole.  Each row is the same sum in the same order as in
+the whole product, and the backward ``Â[rows]ᵀ · G`` adds the same terms in
+the same order less the ``+0.0`` of unread rows: the step's bits do not
+change.
 
 ``Â`` and its transpose (needed by every backward pass) are constant
 subgraphs: they are built once per encoder, in the encoder's precision,
@@ -25,9 +33,10 @@ instead of per forward call.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..graph.hetero import HeteroGraph
 from ..nn import Dropout, Embedding, Module, Tensor
@@ -63,17 +72,43 @@ class GCNEncoder(Module):
             self_loops=self_loops, dtype=dtype
         )
 
-    def propagate(self) -> Tensor:
-        """Propagated node representations, shape ``(n_nodes, dim)``.
+    def restrict(self, rows: np.ndarray) -> Tuple[sp.csr_matrix, sp.csr_matrix]:
+        """``Â[rows]`` and its CSR transpose: the last layer's operands for
+        a step that reads the sorted, distinct node ids ``rows``."""
+        adjacency = self._adjacency[rows]
+        return adjacency, adjacency.T.tocsr()
 
-        With ``n_layers=0`` this degrades to the raw embedding table (a
-        useful ablation: PUP without graph convolution).
+    def propagate(
+        self,
+        rows: Optional[np.ndarray] = None,
+        operands: Optional[Tuple[sp.csr_matrix, sp.csr_matrix]] = None,
+    ) -> Tensor:
+        """Rows ``rows`` of the propagated node table, ``(len(rows), dim)``.
+
+        ``rows`` are sorted, distinct node ids (every node when omitted);
+        ``operands`` is :meth:`restrict` of them, passed in by a caller that
+        shares one slice between encoders over the same adjacency.  With
+        ``n_layers=0`` the rows are the raw embeddings (a useful ablation:
+        PUP without graph convolution).  Dropout draws its mask over the
+        whole table, so the RNG stream advances as for every row, and keeps
+        the mask's ``rows``.
         """
+        if rows is None:
+            rows = np.arange(self.graph.n_nodes)
+            operands = (self._adjacency, self._adjacency_t)
         out = self.embedding.all()
-        for _ in range(self.n_layers):
+        for _ in range(self.n_layers - 1):
             out = out.sparse_matmul(self._adjacency, transpose=self._adjacency_t).tanh()
-        if self.dropout is not None:
-            out = self.dropout(out)
+        if self.n_layers:
+            adjacency, transpose = operands or self.restrict(rows)
+            out = out.sparse_matmul(adjacency, transpose=transpose).tanh()
+        else:
+            out = out.gather_rows(rows)
+        mask = None if self.dropout is None else self.dropout.mask(
+            (self.graph.n_nodes, self.dim), out.dtype
+        )
+        if mask is not None:
+            out = out * Tensor(mask[rows])
         return out
 
     def __call__(self) -> Tensor:

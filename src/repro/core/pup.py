@@ -107,57 +107,94 @@ class PUP(Recommender):
     # ------------------------------------------------------------------
     # Training path (autograd)
     # ------------------------------------------------------------------
+    def _step_tables(
+        self, users: np.ndarray, item_batches: Tuple[np.ndarray, ...]
+    ) -> Tuple[Tensor, Optional[Tensor], np.ndarray]:
+        """Propagate the rows a step reads, once per branch.
+
+        The rows are the batch's users and its items' item, price and
+        category nodes (as the variant has them), found with a boolean mark
+        over the nodes.  ``Â[rows]`` and its transpose are sliced once and
+        shared: both encoders hold the same cached adjacency.  Returns the
+        two restricted tables and the node -> table row map.
+        """
+        mark = np.zeros(self.global_graph.n_nodes, dtype=bool)
+        mark[users] = True
+        for items in item_batches:
+            mark[self._item_nodes[items]] = True
+            if self.use_price:
+                mark[self._price_nodes_of_item[items]] = True
+            if self.use_category:
+                mark[self._category_nodes_of_item[items]] = True
+        rows = np.flatnonzero(mark)
+        row_of = np.cumsum(mark) - 1
+        operands = self.global_encoder.restrict(rows) if self.global_encoder.n_layers else None
+        global_table = self.global_encoder.propagate(rows, operands)
+        category_table = None
+        if self.two_branch:
+            category_table = self.category_encoder.propagate(rows, operands)
+        return global_table, category_table, row_of
+
     def _branch_features(
-        self, table: Tensor, users: np.ndarray, items: np.ndarray, branch: str
+        self,
+        table: Tensor,
+        row_of: np.ndarray,
+        users: np.ndarray,
+        items: np.ndarray,
+        branch: str,
     ) -> List[Tensor]:
         """Gather the decoder's feature embeddings for one branch.
 
-        The full-graph propagation (``table``) happens once per step in
-        :meth:`GCNEncoder.propagate`; this is the per-batch ``gather`` half
-        of the encoder's propagate/gather split.
+        ``table`` holds the rows of the step's nodes, propagated once per
+        step by :meth:`GCNEncoder.propagate`; ``row_of`` maps a node id to
+        its row.  This is the per-batch ``gather`` half of the encoder's
+        propagate/gather split.
         """
-        gather = GCNEncoder.gather
-        user_rows = gather(table, users)
+
+        def gather(node_ids: np.ndarray) -> Tensor:
+            return GCNEncoder.gather(table, row_of[node_ids])
+
+        user_rows = gather(users)
         if branch == "global":
-            features = [user_rows, gather(table, self._item_nodes[items])]
+            features = [user_rows, gather(self._item_nodes[items])]
             if self.use_price:
-                features.append(gather(table, self._price_nodes_of_item[items]))
+                features.append(gather(self._price_nodes_of_item[items]))
             if self.use_category and not self.two_branch:
                 # Slim "w/ c" variant folds the category into the one decoder;
                 # the full model handles categories in the dedicated branch.
-                features.append(gather(table, self._category_nodes_of_item[items]))
+                features.append(gather(self._category_nodes_of_item[items]))
             return features
         # category branch: user, category, price (items only bridge)
         return [
             user_rows,
-            gather(table, self._category_nodes_of_item[items]),
-            gather(table, self._price_nodes_of_item[items]),
+            gather(self._category_nodes_of_item[items]),
+            gather(self._price_nodes_of_item[items]),
         ]
 
     def _score_from_tables(
         self,
         global_table: Tensor,
         category_table: Optional[Tensor],
+        row_of: np.ndarray,
         users: np.ndarray,
         items: np.ndarray,
     ) -> Tuple[Tensor, List[Tensor]]:
-        global_feats = self._branch_features(global_table, users, items, "global")
+        global_feats = self._branch_features(global_table, row_of, users, items, "global")
         if len(global_feats) == 2:
             score = (global_feats[0] * global_feats[1]).sum(axis=1)
         else:
             score = pairwise_interaction(global_feats)
         reg = list(global_feats)
         if self.two_branch:
-            cat_feats = self._branch_features(category_table, users, items, "category")
+            cat_feats = self._branch_features(category_table, row_of, users, items, "category")
             score = score + pairwise_interaction(cat_feats) * self.alpha
             reg.extend(cat_feats)
         return score, reg
 
     def score_pairs(self, users: np.ndarray, items: np.ndarray) -> Tensor:
         users, items = self._check_pair_shapes(users, items)
-        global_table = self.global_encoder()
-        category_table = self.category_encoder() if self.two_branch else None
-        score, __ = self._score_from_tables(global_table, category_table, users, items)
+        tables = self._step_tables(users, (items,))
+        score, __ = self._score_from_tables(*tables, users, items)
         return score
 
     def bpr_forward(
@@ -166,10 +203,9 @@ class PUP(Recommender):
         """One propagation pass shared by positive and negative scores."""
         users, pos_items = self._check_pair_shapes(users, pos_items)
         __, neg_items = self._check_pair_shapes(users, neg_items)
-        global_table = self.global_encoder()
-        category_table = self.category_encoder() if self.two_branch else None
-        pos_score, pos_reg = self._score_from_tables(global_table, category_table, users, pos_items)
-        neg_score, neg_reg = self._score_from_tables(global_table, category_table, users, neg_items)
+        tables = self._step_tables(users, (pos_items, neg_items))
+        pos_score, pos_reg = self._score_from_tables(*tables, users, pos_items)
+        neg_score, neg_reg = self._score_from_tables(*tables, users, neg_items)
         return pos_score, neg_score, pos_reg + neg_reg
 
     # ------------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import init
 from .module import Module, Parameter
-from .tensor import Tensor
+from .tensor import Tensor, dropout_mask
 
 
 class Embedding(Module):
@@ -97,6 +97,17 @@ class Dropout(Module):
 
     def __call__(self, inputs: Tensor) -> Tensor:
         return inputs.dropout(self.rate, self.rng, training=self.training)
+
+    def mask(self, shape: tuple, dtype) -> Optional[np.ndarray]:
+        """The multiplier :meth:`__call__` applies to a ``shape`` input.
+
+        ``None`` where the layer is the identity (eval mode, rate 0).
+        Drawing it over a whole table and keeping some of its rows advances
+        ``rng`` exactly as dropping out the whole table would.
+        """
+        if not self.training or self.rate <= 0.0:
+            return None
+        return dropout_mask(shape, dtype, self.rate, self.rng)
 
 
 class MLP(Module):

@@ -521,18 +521,26 @@ class Tensor:
         """Inverted dropout on features. Identity when not training or rate==0."""
         if not training or rate <= 0.0:
             return self
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-        keep = 1.0 - rate
-        # Draw uniforms natively in the tensor's dtype (float32 draws are
-        # half the memory traffic); the keep-mask math runs in place.
-        if self.data.dtype == np.float32:
-            rand = rng.random(self.shape, dtype=np.float32)
-        else:
-            rand = rng.random(self.shape)
-        # The mask overwrites the draws: one pass, no second buffer.
-        np.divide(rand < keep, self.data.dtype.type(keep), out=rand)
-        return self * Tensor(rand, dtype=self.data.dtype)
+        return self * Tensor(dropout_mask(self.shape, self.data.dtype, rate, rng))
+
+
+def dropout_mask(shape: tuple, dtype, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """Inverted-dropout multipliers ``(u < keep) / keep`` over ``shape``.
+
+    The uniforms ``u`` are one ``rng.random(shape)`` call, drawn natively in
+    ``dtype`` (float32 draws are half the memory traffic); the mask then
+    overwrites them in place: one pass, no second buffer.
+    """
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    dtype = np.dtype(dtype)
+    keep = 1.0 - rate
+    if dtype == np.float32:
+        rand = rng.random(shape, dtype=np.float32)
+    else:
+        rand = rng.random(shape)
+    np.divide(rand < keep, dtype.type(keep), out=rand)
+    return rand
 
 
 def _released(grad: np.ndarray) -> None:

@@ -266,6 +266,16 @@ def _fail_all(entries: Sequence[PendingRecommendation], error: Exception) -> Non
             pending._fail(error)
 
 
+def _count_ann_fallback(stats: ServingStats) -> Callable[[BaseException], None]:
+    """Engine hook: one ANN search failed and was served exactly instead.
+
+    It holds the stats, not the service: a bound method would close a
+    service -> engine -> service cycle, and a replaced service would keep
+    its index and ANN index alive until the cyclic collector ran.
+    """
+    return lambda error: stats.record_fallback("ann_exact")
+
+
 class RecommenderService:
     """Micro-batching, caching, scenario-routing front-end over one index."""
 
@@ -289,22 +299,22 @@ class RecommenderService:
         self.index = index
         self.tracer = tracer
         self.fault_plan = fault_plan
+        self._clock = clock or time.perf_counter
+        self.stats = ServingStats(clock=self._clock, registry=registry)
         self.engine = RetrievalEngine(
             index, ann=ann, tracer=tracer, fault_plan=fault_plan,
-            on_ann_fallback=self._on_ann_fallback,
+            on_ann_fallback=_count_ann_fallback(self.stats),
         )
         self.fallback = PriceProfileFallback(index)
         self.default_k = default_k
         self.max_batch_size = max_batch_size
         self.cache_capacity = cache_capacity
-        self._clock = clock or time.perf_counter
         # _lock guards queue + cache; _flush_lock serializes batch execution
         # against swap_index (see the module docstring's concurrency contract)
         self._lock = threading.RLock()
         self._flush_lock = threading.RLock()
         self._cache: "OrderedDict[Tuple, Recommendation]" = OrderedDict()
         self._queue: List[PendingRecommendation] = []
-        self.stats = ServingStats(clock=self._clock, registry=registry)
         self.registry = self.stats.registry
         # Resilience is opt-in: None keeps the historical contract (backend
         # errors propagate raw; no breaker, no retries, no degradation).
@@ -334,10 +344,6 @@ class RecommenderService:
         ann = self.engine.ann
         report = None if ann is None else ann.memory_report()
         self.stats.set_ann_index_bytes(report)
-
-    def _on_ann_fallback(self, error: BaseException) -> None:
-        """Engine hook: one ANN search failed and was served exactly instead."""
-        self.stats.record_fallback("ann_exact")
 
     @property
     def ann(self):
@@ -374,7 +380,7 @@ class RecommenderService:
             self.flush()
             engine = RetrievalEngine(
                 index, ann=ann, tracer=self.tracer, fault_plan=self.fault_plan,
-                on_ann_fallback=self._on_ann_fallback,
+                on_ann_fallback=_count_ann_fallback(self.stats),
             )
             fallback = PriceProfileFallback(index)
             with self._lock:

@@ -2,7 +2,7 @@
 
 from .config import TrainConfig
 from .trainer import TrainResult, Trainer, train_model
-from .persistence import load_checkpoint, load_metadata, save_checkpoint
+from .persistence import load_checkpoint, save_checkpoint
 
 __all__ = [
     "TrainConfig",
@@ -10,6 +10,5 @@ __all__ = [
     "Trainer",
     "train_model",
     "load_checkpoint",
-    "load_metadata",
     "save_checkpoint",
 ]

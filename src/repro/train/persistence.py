@@ -38,18 +38,13 @@ def save_checkpoint(model: Recommender, path: str, extra: Dict | None = None) ->
     return write_archive(path, state, metadata)
 
 
-def load_metadata(path: str) -> Dict:
-    """Read only the metadata header of a checkpoint."""
-    return read_archive_metadata(path)
-
-
 def load_checkpoint(model: Recommender, path: str, strict: bool = True) -> Dict:
     """Restore parameters into ``model``; returns the checkpoint metadata.
 
     With ``strict=True`` the checkpoint's model class and shape bookkeeping
     must match the target model exactly.
     """
-    metadata = load_metadata(path)
+    metadata = read_archive_metadata(path)
     check_header(path, metadata, CHECKPOINT_KIND, "a model checkpoint")
     if strict:
         if metadata["model_class"] != type(model).__name__:

@@ -1,9 +1,10 @@
 """The BPR training loop shared by PUP and every trainable baseline.
 
 Implements the paper's semi-supervised graph auto-encoder training: the
-encoder runs on the full graph, the decoder only reconstructs user-item
-edges via the BPR pairwise objective (Eq. 4) with L2 regularization on the
-batch embeddings, Adam, and a step lr decay.
+encoder runs on the full graph (PUP's last layer computes only the rows a
+batch reads), the decoder only reconstructs user-item edges via the BPR
+pairwise objective (Eq. 4) with L2 regularization on the batch embeddings,
+Adam, and a step lr decay.
 
 Every fit is profiled: wall time is attributed to ``sampling`` / ``forward``
 / ``backward`` / ``step`` (plus ``validate``) via :class:`repro.profiling.Profiler`,

@@ -6,6 +6,9 @@ that hits the stale cache would serve index-A items as if they were
 index-B results.  ``swap_index`` must make that impossible.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -133,3 +136,27 @@ class TestSwapInvalidatesResultCache:
             service.recommend(u)
         assert service.invalidate(warm[0]) == 1
         assert service.recommend(warm[1]).cached
+
+
+class TestReplacedStateIsFreedByReferenceCounting:
+    """Nothing in a service points back at it: a dropped service, and the
+    engine (with its ANN index) that ``swap_index`` replaces, are freed
+    when their last reference goes, not when the cyclic collector runs."""
+
+    def test_dropped_service_and_swapped_out_engine_die_without_gc(self, index):
+        ann = build_ivf(index, n_lists=6, nprobe=6, seed=0)
+        user = warm_user(index)
+        gc.collect()
+        gc.disable()
+        try:
+            service = RecommenderService(index, default_k=10, ann=ann)
+            service.recommend(user)
+            old_engine = weakref.ref(service.engine)
+            service.swap_index(rebuilt_index(index))
+            service.recommend(user)
+            assert old_engine() is None
+            dropped = weakref.ref(service)
+            del service
+            assert dropped() is None
+        finally:
+            gc.enable()

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.archive import read_archive_metadata
 from repro.baselines import BPRMF
 from repro.core import pup_full
 from repro.data import SyntheticConfig, generate
-from repro.train import load_checkpoint, load_metadata, save_checkpoint
+from repro.train import load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +35,7 @@ class TestPersistence:
     def test_metadata_only(self, dataset, tmp_path):
         model = BPRMF(dataset, dim=8, rng=np.random.default_rng(0))
         path = save_checkpoint(model, str(tmp_path / "mf"), extra={"note": "hello"})
-        metadata = load_metadata(path)
+        metadata = read_archive_metadata(path)
         assert metadata["model_name"] == "BPR-MF"
         assert metadata["n_users"] == dataset.n_users
         assert metadata["extra"]["note"] == "hello"
