@@ -72,16 +72,19 @@ class GCNEncoder(Module):
             self_loops=self_loops, dtype=dtype
         )
 
-    def restrict(self, rows: np.ndarray) -> Tuple[sp.csr_matrix, sp.csr_matrix]:
-        """``Â[rows]`` and its CSR transpose: the last layer's operands for
-        a step that reads the sorted, distinct node ids ``rows``."""
+    def restrict(self, rows: np.ndarray) -> Tuple[sp.csr_matrix, sp.csc_matrix]:
+        """``Â[rows]`` and its transpose: the last layer's operands for a
+        step that reads the sorted, distinct node ids ``rows``.
+
+        The transpose is the CSC view of the slice's own arrays, so a step
+        builds no second copy of it."""
         adjacency = self._adjacency[rows]
-        return adjacency, adjacency.T.tocsr()
+        return adjacency, adjacency.T
 
     def propagate(
         self,
         rows: Optional[np.ndarray] = None,
-        operands: Optional[Tuple[sp.csr_matrix, sp.csr_matrix]] = None,
+        operands: Optional[Tuple[sp.csr_matrix, sp.spmatrix]] = None,
     ) -> Tensor:
         """Rows ``rows`` of the propagated node table, ``(len(rows), dim)``.
 

@@ -13,6 +13,10 @@ import numpy as np
 
 from .module import Parameter
 
+#: elements per block of Adam's update: 128 KiB of float32 per operand.
+#: Smaller blocks pay more in per-call overhead than they gain in cache.
+ADAM_BLOCK = 1 << 15
+
 
 class Optimizer:
     """Base optimizer holding a parameter list."""
@@ -58,12 +62,15 @@ class SGD(Optimizer):
 class Adam(Optimizer):
     """Adam (Kingma & Ba, 2015) with bias correction.
 
-    The update runs fully in place: moment buffers and one scratch buffer
-    per parameter are preallocated once (in the parameter's own dtype, so a
-    float32 model keeps float32 optimizer state), and every step reuses them
-    instead of allocating ``m_hat``/``v_hat``/update temporaries per call —
-    the optimizer is pure memory traffic, so the allocation-free form is
-    measurably faster on large embedding tables.
+    Every row of every parameter is updated every step, fully in place.
+    The two moment buffers are preallocated once per parameter (flat, in
+    the parameter's own dtype, so a float32 model keeps float32 optimizer
+    state).  The update's 13 ufunc passes run per block of
+    :data:`ADAM_BLOCK` elements of the flattened parameter, through one
+    block-sized scratch buffer shared by every parameter: a block's
+    operands stay in cache across the passes, and no full-size temporary
+    is ever allocated.  Each element's arithmetic is the same as in one
+    whole-array pass, so the result is bit-identical to it.
     """
 
     def __init__(
@@ -80,34 +87,50 @@ class Adam(Optimizer):
         self.beta1, self.beta2 = beta1, beta2
         self.eps = eps
         self._step_count = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
-        self._scratch = [np.empty_like(p.data) for p in self.params]
+        self._m = [np.zeros(p.data.size, dtype=p.data.dtype) for p in self.params]
+        self._v = [np.zeros(p.data.size, dtype=p.data.dtype) for p in self.params]
+        # Raw bytes, viewed in each parameter's dtype in turn.
+        itemsize = max(p.data.dtype.itemsize for p in self.params)
+        self._scratch = np.empty(ADAM_BLOCK * itemsize, dtype=np.uint8)
 
     def step(self) -> None:
         self._step_count += 1
         bias1 = 1.0 - self.beta1**self._step_count
         bias2 = 1.0 - self.beta2**self._step_count
-        for param, m, v, scratch in zip(self.params, self._m, self._v, self._scratch):
+        for param, m, v in zip(self.params, self._m, self._v):
             if param.grad is None:
                 continue
-            grad = param.grad
-            # m <- beta1*m + (1-beta1)*grad
-            m *= self.beta1
-            np.multiply(grad, 1.0 - self.beta1, out=scratch)
-            m += scratch
-            # v <- beta2*v + (1-beta2)*grad^2
-            v *= self.beta2
-            np.multiply(grad, grad, out=scratch)
-            scratch *= 1.0 - self.beta2
-            v += scratch
-            # param <- param - (lr/bias1) * m / (sqrt(v/bias2) + eps)
-            np.divide(v, bias2, out=scratch)
-            np.sqrt(scratch, out=scratch)
-            scratch += self.eps
-            np.divide(m, scratch, out=scratch)
-            scratch *= self.lr / bias1
-            param.data -= scratch
+            # A reshape of a non-contiguous array is a copy: the update
+            # would land in it and be lost.
+            assert param.data.flags.c_contiguous, "Adam updates contiguous parameters in place"
+            data = param.data.reshape(-1)
+            grad = param.grad.reshape(-1)
+            scratch = self._scratch.view(data.dtype)
+            for start in range(0, data.size, ADAM_BLOCK):
+                stop = min(start + ADAM_BLOCK, data.size)
+                self._update(
+                    data[start:stop], grad[start:stop], m[start:stop], v[start:stop],
+                    scratch[: stop - start], bias1, bias2,
+                )
+
+    def _update(self, data, grad, m, v, scratch, bias1: float, bias2: float) -> None:
+        """One block of the update; every argument is a 1-D view."""
+        # m <- beta1*m + (1-beta1)*grad
+        m *= self.beta1
+        np.multiply(grad, 1.0 - self.beta1, out=scratch)
+        m += scratch
+        # v <- beta2*v + (1-beta2)*grad^2
+        v *= self.beta2
+        np.multiply(grad, grad, out=scratch)
+        scratch *= 1.0 - self.beta2
+        v += scratch
+        # param <- param - (lr/bias1) * m / (sqrt(v/bias2) + eps)
+        np.divide(v, bias2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += self.eps
+        np.divide(m, scratch, out=scratch)
+        scratch *= self.lr / bias1
+        data -= scratch
 
 
 class StepDecay:

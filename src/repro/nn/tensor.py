@@ -256,15 +256,25 @@ class Tensor:
             return Tensor(out_data)
         return Tensor(out_data, requires_grad=requires, parents=(self, other_t), backward_fn=_backward)
 
-    def _accumulate_any(self, grad: np.ndarray) -> None:
+    def _accumulate_any(self, grad: np.ndarray, owned: bool = False) -> None:
         """Accumulate gradient whether this is a leaf or an interior node.
 
         The first contribution is a single-pass copy (not zeros + add): the
         incoming array may be shared between parents or be a broadcast view,
-        so it must not be adopted in place.
+        so it must not be adopted in place.  ``owned=True`` says the caller
+        made ``grad`` itself and keeps no reference to it; an owned array of
+        this node's dtype and shape is adopted without the copy.
         """
         if self.grad is None:
-            self.grad = np.array(grad, dtype=self.data.dtype)
+            if (
+                owned
+                and isinstance(grad, np.ndarray)
+                and grad.dtype == self.data.dtype
+                and grad.shape == self.data.shape
+            ):
+                self.grad = grad
+            else:
+                self.grad = np.array(grad, dtype=self.data.dtype)
         else:
             self.grad += grad
 
@@ -341,12 +351,12 @@ class Tensor:
                 if other_t.data.ndim == 1:
                     self._accumulate_any(np.outer(grad, other_t.data) if grad.ndim else grad * other_t.data)
                 else:
-                    self._accumulate_any(grad @ other_t.data.T)
+                    self._accumulate_any(grad @ other_t.data.T, owned=True)
             if other_t.requires_grad or other_t._parents:
                 if self.data.ndim == 1:
                     other_t._accumulate_any(np.outer(self.data, grad))
                 else:
-                    other_t._accumulate_any(self.data.T @ grad)
+                    other_t._accumulate_any(self.data.T @ grad, owned=True)
 
         if not track:
             return Tensor(out_data)
@@ -381,7 +391,7 @@ class Tensor:
             t = cached[0]
             if t.dtype != grad.dtype:
                 t = t.astype(grad.dtype)
-            self._accumulate_any(t @ grad)
+            self._accumulate_any(t @ grad, owned=True)
 
         return Tensor(out_data, requires_grad=self.requires_grad, parents=(self,), backward_fn=_backward)
 
@@ -392,7 +402,7 @@ class Tensor:
         out_data = forward(self.data)
 
         def _backward(grad: np.ndarray) -> None:
-            self._accumulate_any(backward(grad, self.data, out_data))
+            self._accumulate_any(backward(grad, self.data, out_data), owned=True)
 
         if not (self.requires_grad or self._parents):
             return Tensor(out_data)

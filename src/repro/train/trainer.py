@@ -134,7 +134,8 @@ class Trainer:
 
         Non-trainable models (ItemPop) return an empty result immediately.
         If validation tracking is enabled, the model is restored to its best
-        validation checkpoint before returning.
+        validation checkpoint before returning.  The parameters' gradients
+        are released on the way out, so a fitted model holds no ``.grad``.
         """
         result = TrainResult()
         if not self.model.trainable:
@@ -203,6 +204,9 @@ class Trainer:
                         if config.early_stop_patience and bad_evals >= config.early_stop_patience:
                             break
         finally:
+            # A finished model holds no gradients: the next fit in the same
+            # process would otherwise build its tables beside them.
+            optimizer.zero_grad()
             if self._eval_runtime is not None:
                 self._eval_runtime.close()
                 self._eval_runtime = None

@@ -146,6 +146,14 @@ def test_restricted_operands_are_the_dense_rows_and_their_transpose(case):
     assert adjacency.dtype == transpose.dtype == np.dtype(case["dtype"])
 
 
+def test_restricted_transpose_is_a_view_of_the_rows():
+    dataset = generate(SyntheticConfig(n_users=8, n_items=12, seed=5))[0]
+    encoder = encoder_pair(dataset, np.float32, 1, 0.0, 3)[0]
+    adjacency, transpose = encoder.restrict(np.array([0, 3, 4, 9]))
+    assert np.shares_memory(transpose.data, adjacency.data)
+    assert np.shares_memory(transpose.indices, adjacency.indices)
+
+
 @st.composite
 def pup_cases(draw):
     dataset = draw(small_datasets())

@@ -112,6 +112,12 @@ class TestTrainer:
         train_model(model, dataset, TrainConfig(epochs=2))
         assert not model.training
 
+    @pytest.mark.parametrize("eval_every", (0, 1))
+    def test_fitted_model_holds_no_gradients(self, dataset, eval_every):
+        model = pup_full(dataset, global_dim=8, category_dim=4, rng=np.random.default_rng(0))
+        train_model(model, dataset, TrainConfig(epochs=2, eval_every=eval_every))
+        assert [name for name, param in model.named_parameters() if param.grad is not None] == []
+
     def test_final_loss_property(self):
         result = TrainResult()
         with pytest.raises(ValueError):
