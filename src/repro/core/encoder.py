@@ -20,15 +20,18 @@ share one code path:
 
 A step's decoder reads only its batch's user, item, category and price rows,
 so the last layer multiplies only ``Â[rows]`` (the rows of a minibatch's
-receptive field, as in GraphSAGE).  Earlier layers feed every node of the
-last one and stay whole.  Each row is the same sum in the same order as in
-the whole product, and the backward ``Â[rows]ᵀ · G`` adds the same terms in
-the same order less the ``+0.0`` of unread rows: the step's bits do not
-change.
+receptive field, as in GraphSAGE) and dropout draws its mask over those
+rows only.  Earlier layers feed every node of the last one and stay whole.
+Each row is the same sum in the same order as in the whole product, and the
+backward ``Â[rows]ᵀ · G`` adds the same terms in the same order less the
+``+0.0`` of unread rows.  Each read row still gets iid Bernoulli(keep)/keep
+multipliers and unread rows never reach the loss, so the method is the
+paper's; only the dropout RNG stream differs from a whole-table draw.
 
 ``Â`` and its transpose (needed by every backward pass) are constant
 subgraphs: they are built once per encoder, in the encoder's precision,
-instead of per forward call.
+instead of per forward call.  A step's ``Â[rows]ᵀ`` is the CSC view of the
+slice, not a copy.
 """
 
 from __future__ import annotations
@@ -92,9 +95,9 @@ class GCNEncoder(Module):
         ``operands`` is :meth:`restrict` of them, passed in by a caller that
         shares one slice between encoders over the same adjacency.  With
         ``n_layers=0`` the rows are the raw embeddings (a useful ablation:
-        PUP without graph convolution).  Dropout draws its mask over the
-        whole table, so the RNG stream advances as for every row, and keeps
-        the mask's ``rows``.
+        PUP without graph convolution).  Dropout draws its mask over these
+        rows alone: every returned row gets its own iid multipliers, and a
+        row the step does not read gets none.
         """
         if rows is None:
             rows = np.arange(self.graph.n_nodes)
@@ -107,11 +110,9 @@ class GCNEncoder(Module):
             out = out.sparse_matmul(adjacency, transpose=transpose).tanh()
         else:
             out = out.gather_rows(rows)
-        mask = None if self.dropout is None else self.dropout.mask(
-            (self.graph.n_nodes, self.dim), out.dtype
-        )
+        mask = None if self.dropout is None else self.dropout.mask((len(rows), self.dim), out.dtype)
         if mask is not None:
-            out = out * Tensor(mask[rows])
+            out = out * Tensor(mask)
         return out
 
     def __call__(self) -> Tensor:

@@ -101,9 +101,9 @@ class Dropout(Module):
     def mask(self, shape: tuple, dtype) -> Optional[np.ndarray]:
         """The multiplier :meth:`__call__` applies to a ``shape`` input.
 
-        ``None`` where the layer is the identity (eval mode, rate 0).
-        Drawing it over a whole table and keeping some of its rows advances
-        ``rng`` exactly as dropping out the whole table would.
+        ``None`` where the layer is the identity (eval mode, rate 0).  The
+        draw advances ``rng`` exactly as dropping out a ``shape`` input
+        would; a caller that reads some rows of a table asks for those.
         """
         if not self.training or self.rate <= 0.0:
             return None

@@ -2,12 +2,13 @@
 
 A training step reads only its batch's user, item, category and price rows
 of the propagated table, so ``GCNEncoder.propagate(rows)`` multiplies only
-``Â[rows]`` in the last layer and keeps only ``rows`` of a dropout mask it
-still draws over the whole table.  The oracle is the full-table
-propagation this path replaced, written out below as ``full_table``: every
-node through every layer, then dropout over the whole table, then the
-gathers.  The differential draws small datasets, both dtypes, 0-2 layers,
-dropout on and off and batches with repeated ids, and asserts
+``Â[rows]`` in the last layer and draws its dropout mask over ``rows``
+alone.  The oracle is written out below as ``full_table``: every node
+through every layer, then the read-row draw (``len(rows)`` rows of iid
+Bernoulli(keep)/keep multipliers, from the same generator) placed at
+``rows`` of a full-table mask that is zero elsewhere, then the gathers.
+The differential draws small datasets, both dtypes, 0-2 layers, dropout on
+and off and batches with repeated ids, and asserts
 
 * the restricted rows are the oracle's rows, byte for byte, and the
   dropout RNG ends in the same state;
@@ -15,9 +16,10 @@ dropout on and off and batches with repeated ids, and asserts
   ``+0.0`` terms are gone, so a zero may change sign);
 * one Adam step leaves byte-equal parameters.
 
-The counter at the end pins the saving without timing anything: in one
-PUP ``bpr_forward`` the last layer's sparse operand has one row per
-distinct node the batch reads, not one per node of the graph.
+The counters at the end pin the saving without timing anything: in one
+PUP ``bpr_forward`` the last layer's sparse operand and each dropout mask
+have one row per distinct node the batch reads, not one per node of the
+graph.
 """
 
 import numpy as np
@@ -28,25 +30,44 @@ from hypothesis import strategies as st
 from repro.core import GCNEncoder, PUP
 from repro.data import NegativeSampler, SyntheticConfig, generate
 from repro.graph import HeteroGraph
-from repro.nn import Adam, Tensor, fused_bpr_loss, fused_l2_on_batch, precision
+from repro.nn import Adam, Dropout, Tensor, fused_bpr_loss, fused_l2_on_batch, precision
 
 DTYPES = (np.float32, np.float64)
 
 
-def full_table(encoder: GCNEncoder) -> Tensor:
-    """The oracle: propagate every node, then drop out the whole table."""
+def full_table(encoder: GCNEncoder, rows: np.ndarray) -> Tensor:
+    """The oracle: propagate every node, then drop out the rows read."""
     out = encoder.embedding.all()
     for _ in range(encoder.n_layers):
         out = out.sparse_matmul(encoder._adjacency, transpose=encoder._adjacency_t).tanh()
     if encoder.dropout is not None:
-        out = encoder.dropout(out)
+        dtype = out.dtype
+        keep = 1.0 - encoder.dropout.rate
+        uniforms = encoder.dropout.rng.random((len(rows), encoder.dim), dtype=dtype)
+        mask = np.zeros(out.shape, dtype=dtype)
+        mask[rows] = (uniforms < keep) / dtype.type(keep)
+        out = out * Tensor(mask)
     return out
+
+
+def read_rows(model: PUP, users, *item_batches) -> np.ndarray:
+    """The distinct node ids a PUP step reads."""
+    space = model.global_graph.space
+    ids = [users]
+    for items in item_batches:
+        ids.append(space.item(items))
+        if model.use_price:
+            ids.append(space.price(model.item_price_levels[items]))
+        if model.use_category:
+            ids.append(space.category(model.item_categories[items]))
+    return np.unique(np.concatenate(ids))
 
 
 def oracle_bpr_forward(model: PUP, users, pos_items, neg_items):
     """``PUP.bpr_forward`` over full tables: the gathers read node ids."""
-    global_table = full_table(model.global_encoder)
-    category_table = full_table(model.category_encoder) if model.two_branch else None
+    rows = read_rows(model, users, pos_items, neg_items)
+    global_table = full_table(model.global_encoder, rows)
+    category_table = full_table(model.category_encoder, rows) if model.two_branch else None
     identity = np.arange(model.global_graph.n_nodes)
     tables = (global_table, category_table, identity)
     pos_score, pos_reg = model._score_from_tables(*tables, users, pos_items)
@@ -113,7 +134,7 @@ def test_rows_gradients_and_adam_step_match_the_full_table(case):
 
     restricted = row_encoder.propagate(rows)
     full = full_encoder.propagate() if case["dropout"] == 0.0 else None
-    oracle = full_table(full_encoder)
+    oracle = full_table(full_encoder, rows)
     assert restricted.shape == (len(rows), 5)
     assert restricted.data.tobytes() == oracle.data[rows].tobytes()
     if full is not None:
@@ -210,40 +231,40 @@ def test_pup_step_matches_the_full_table_step(case):
 
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("n_layers", (1, 2))
-def test_row_path_gradient_matches_a_central_difference(check_grads, dtype, n_layers):
+@pytest.mark.parametrize("dropout", (0.0, 0.3))
+def test_row_path_gradient_matches_a_central_difference(check_grads, dtype, n_layers, dropout):
     dataset = generate(SyntheticConfig(n_users=8, n_items=12, n_categories=3, n_price_levels=3,
                                        interactions_per_user=4, seed=5))[0]
-    encoder = encoder_pair(dataset, dtype, n_layers, 0.0, 3)[0]
+    encoder = encoder_pair(dataset, dtype, n_layers, dropout, 3)[0]
     rng = np.random.default_rng(4)
     ids = rng.integers(0, encoder.graph.n_nodes, size=15)
     rows = np.unique(ids)
     weights = rng.standard_normal((len(ids), 5)).astype(dtype)
 
     def loss(weight):
+        if encoder.dropout is not None:
+            # the same read-row mask at every evaluation of the difference
+            encoder.dropout.rng = np.random.default_rng(9)
         return gather_loss(encoder.propagate(rows), np.searchsorted(rows, ids), weights)
 
     grads = check_grads(loss, encoder.embedding.weight)
     assert np.abs(grads[0]).sum() > 0
 
 
-@pytest.mark.parametrize("n_layers", (1, 2))
-def test_last_layer_multiplies_only_the_rows_the_batch_reads(monkeypatch, n_layers):
+def batch_and_reads(n_layers):
     dataset = generate(SyntheticConfig(n_users=300, n_items=400, seed=2))[0]
     model = PUP(dataset, global_dim=8, category_dim=4, n_layers=n_layers,
                 rng=np.random.default_rng(0))
-    users, pos_items, neg_items = next(
-        NegativeSampler(dataset, np.random.default_rng(1)).epoch_batches(64)
-    )
-    space = model.global_graph.space
-    items = np.concatenate([pos_items, neg_items])
-    read = np.unique(np.concatenate([
-        users,
-        space.item(items),
-        space.price(dataset.item_price_levels[items]),
-        space.category(dataset.item_categories[items]),
-    ]))
+    batch = next(NegativeSampler(dataset, np.random.default_rng(1)).epoch_batches(64))
+    read = read_rows(model, *batch)
+    assert len(read) < model.global_graph.n_nodes
+    return model, batch, read
+
+
+@pytest.mark.parametrize("n_layers", (1, 2))
+def test_last_layer_multiplies_only_the_rows_the_batch_reads(monkeypatch, n_layers):
+    model, (users, pos_items, neg_items), read = batch_and_reads(n_layers)
     n_nodes = model.global_graph.n_nodes
-    assert len(read) < n_nodes
 
     shapes, original = [], Tensor.sparse_matmul
 
@@ -255,3 +276,18 @@ def test_last_layer_multiplies_only_the_rows_the_batch_reads(monkeypatch, n_laye
     model.bpr_forward(users, pos_items, neg_items)
     per_encoder = [(n_nodes, n_nodes)] * (n_layers - 1) + [(len(read), n_nodes)]
     assert shapes == per_encoder * 2
+
+
+@pytest.mark.parametrize("n_layers", (0, 1, 2))
+def test_dropout_draws_one_row_per_node_the_batch_reads(monkeypatch, n_layers):
+    model, batch, read = batch_and_reads(n_layers)
+    model.train()
+    shapes, original = [], Dropout.mask
+
+    def counting(layer, shape, dtype):
+        shapes.append(shape)
+        return original(layer, shape, dtype)
+
+    monkeypatch.setattr(Dropout, "mask", counting)
+    model.bpr_forward(*batch)
+    assert shapes == [(len(read), 8), (len(read), 4)]
