@@ -13,10 +13,16 @@ A change to how gradients are propagated or buffered that keeps the
 arithmetic must keep every digest.  A digest that stops matching is a
 changed result, not an expectation to re-record.
 
-The six ``{fm,deepfm,padq}/float32/*`` digests were re-recorded once, in
-their own commit, when those models stopped building float64 biases and
-targets: their float32 steps had been computed in float64.  The other 42
-are the original recording.
+Two sets of digests were re-recorded, each once and in its own commit:
+
+* the six ``{fm,deepfm,padq}/float32/*``, when those models stopped
+  building float64 biases and targets: their float32 steps had been
+  computed in float64;
+* the twenty ``{pup,pup-c,pup-mf,pup-minus,pup-p}/{float32,float64}/*``,
+  when PUP's encoders started drawing their dropout masks over only the
+  rows a step reads: the method is unchanged, the RNG stream moved.
+
+The other 22 are the original recording.
 """
 
 import hashlib
