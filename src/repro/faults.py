@@ -304,47 +304,3 @@ def corrupt_archive(path: str, array: Optional[str] = None, seed: int = 0) -> st
         fh.seek(-1, os.SEEK_END)
         fh.write(bytes([original ^ 0xFF]))
     return target
-
-
-def corrupt_journal(
-    segment_path: str,
-    record: Optional[int] = None,
-    seed: int = 0,
-    truncate: bool = False,
-) -> int:
-    """Damage one record of a journal segment file, in place.
-
-    The journal-side sibling of :func:`corrupt_archive`.  Default mode
-    flips one payload byte of record ``record`` (seeded choice when not
-    given), leaving the stored CRC32 intact so a replay raises the typed
-    :class:`repro.lifecycle.journal.JournalCorrupted` naming exactly that
-    record.  ``truncate=True`` instead cuts the file partway through the
-    *final* record — the torn-tail shape a SIGKILL mid-append leaves, which
-    replay must tolerate (for an open segment) rather than error on.
-    Returns the 0-based index of the damaged record.
-    """
-    from .lifecycle.journal import RECORD_HEADER, segment_record_offsets
-
-    offsets = segment_record_offsets(segment_path)
-    if not offsets:
-        raise ValueError(f"no records to corrupt in journal segment {segment_path!r}")
-    rng = np.random.default_rng(seed)
-    if truncate:
-        index = len(offsets) - 1
-        offset, length = offsets[index]
-        # Keep the header plus a strict prefix of the payload: the torn
-        # shape of an append that died mid-write.
-        keep = offset + RECORD_HEADER.size + int(rng.integers(max(1, length)))
-        with open(segment_path, "r+b") as fh:
-            fh.truncate(keep)
-        return index
-    index = int(rng.integers(len(offsets))) if record is None else int(record)
-    if not 0 <= index < len(offsets):
-        raise ValueError(f"record {index} out of range (segment has {len(offsets)})")
-    offset, length = offsets[index]
-    with open(segment_path, "r+b") as fh:
-        fh.seek(offset + RECORD_HEADER.size + int(rng.integers(max(1, length))))
-        original = fh.read(1)[0]
-        fh.seek(-1, os.SEEK_CUR)
-        fh.write(bytes([original ^ 0xFF]))
-    return index

@@ -2,7 +2,7 @@
 
 This package replaces PyTorch for the reproduction: reverse-mode autograd
 :class:`~repro.nn.tensor.Tensor`, embedding/linear/dropout layers, SGD/Adam
-optimizers with step decay, and the BPR/BCE losses used in the paper.
+optimizers with step decay, and the BPR losses used in the paper.
 """
 
 from .precision import default_dtype, precision, resolve_dtype, set_default_dtype
@@ -13,7 +13,6 @@ from .optim import SGD, Adam, StepDecay
 from .losses import (
     bpr_loss,
     bpr_loss_paper_eq4,
-    bce_loss,
     fused_bpr_loss,
     fused_l2_on_batch,
     l2_regularization,
@@ -37,7 +36,6 @@ __all__ = [
     "StepDecay",
     "bpr_loss",
     "bpr_loss_paper_eq4",
-    "bce_loss",
     "fused_bpr_loss",
     "fused_l2_on_batch",
     "l2_regularization",

@@ -1,4 +1,4 @@
-"""Loss functions: BPR pairwise ranking loss, BCE, and L2 regularization.
+"""Loss functions: BPR pairwise ranking loss and L2 regularization.
 
 The paper (Eq. 4) trains all models with Bayesian Personalized Ranking:
 
@@ -87,16 +87,6 @@ def bpr_loss_paper_eq4(pos_scores: Tensor, neg_scores: Tensor, eps: float = 1e-8
     """
     diff = pos_scores.sigmoid() - neg_scores.sigmoid()
     return -((diff.relu() + eps).log()).mean()
-
-
-def bce_loss(scores: Tensor, labels: Tensor) -> Tensor:
-    """Binary cross-entropy on raw scores (logits), numerically stable.
-
-    ``mean( softplus(s) - s*y )`` == ``-mean( y log p + (1-y) log(1-p) )``.
-    """
-    if scores.shape != labels.shape:
-        raise ValueError(f"score/label shapes differ: {scores.shape} vs {labels.shape}")
-    return (scores.softplus() - scores * labels).mean()
 
 
 def l2_regularization(params: Iterable[Parameter], weight: float) -> Tensor:

@@ -7,10 +7,11 @@ would have — bit-identical, verified via ``journal_digest``.
 
 import os
 
+import numpy as np
 import pytest
 
-from repro.faults import corrupt_journal
 from repro.lifecycle.journal import (
+    RECORD_HEADER,
     Event,
     JournalCorrupted,
     JournalWriter,
@@ -38,6 +39,42 @@ def make_events(count, start=0):
 
 def segments(directory, suffix):
     return sorted(f for f in os.listdir(directory) if f.endswith(suffix))
+
+
+def corrupt_journal(segment_path, record=None, seed=0, truncate=False):
+    """Damage one record of a journal segment file, in place.
+
+    Default mode flips one payload byte of record ``record`` (seeded choice
+    when not given), leaving the stored CRC32 intact so a replay raises
+    ``JournalCorrupted`` naming exactly that record.  ``truncate=True``
+    instead cuts the file partway through the *final* record — the
+    torn-tail shape a SIGKILL mid-append leaves, which replay must
+    tolerate (for an open segment) rather than error on.  Returns the
+    0-based index of the damaged record.
+    """
+    offsets = segment_record_offsets(segment_path)
+    if not offsets:
+        raise ValueError(f"no records to corrupt in journal segment {segment_path!r}")
+    rng = np.random.default_rng(seed)
+    if truncate:
+        index = len(offsets) - 1
+        offset, length = offsets[index]
+        # Keep the header plus a strict prefix of the payload: the torn
+        # shape of an append that died mid-write.
+        keep = offset + RECORD_HEADER.size + int(rng.integers(max(1, length)))
+        with open(segment_path, "r+b") as fh:
+            fh.truncate(keep)
+        return index
+    index = int(rng.integers(len(offsets))) if record is None else int(record)
+    if not 0 <= index < len(offsets):
+        raise ValueError(f"record {index} out of range (segment has {len(offsets)})")
+    offset, length = offsets[index]
+    with open(segment_path, "r+b") as fh:
+        fh.seek(offset + RECORD_HEADER.size + int(rng.integers(max(1, length))))
+        original = fh.read(1)[0]
+        fh.seek(-1, os.SEEK_CUR)
+        fh.write(bytes([original ^ 0xFF]))
+    return index
 
 
 class TestEvent:

@@ -90,7 +90,6 @@ LOSSES = {
     "bpr_loss": [normal(6), normal(6)],
     "fused_bpr_loss": [normal(6), normal(6)],
     "bpr_loss_paper_eq4": [shifted(2.0, 6), shifted(-2.0, 6)],
-    "bce_loss": [normal(6), lambda rng: (rng.random(6) < 0.5).astype(float)],
     "l2_regularization": [normal(3, 4), normal(5)],
     "l2_on_batch": [normal(4, 3), normal(4, 3), normal(4, 2)],
     "fused_l2_on_batch": [normal(4, 3), normal(4, 3), normal(4, 2)],

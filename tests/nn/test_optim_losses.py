@@ -9,7 +9,6 @@ from repro.nn import (
     Parameter,
     StepDecay,
     Tensor,
-    bce_loss,
     bpr_loss,
     bpr_loss_paper_eq4,
     l2_on_batch,
@@ -126,24 +125,6 @@ class TestBPRLoss:
         good = bpr_loss_paper_eq4(Tensor([2.0]), Tensor([-2.0])).item()
         bad = bpr_loss_paper_eq4(Tensor([-2.0]), Tensor([2.0])).item()
         assert bad > good
-
-
-class TestBCELoss:
-    def test_matches_reference(self):
-        scores = Tensor([0.0, 2.0, -2.0])
-        labels = Tensor([1.0, 1.0, 0.0])
-        p = 1.0 / (1.0 + np.exp(-scores.data))
-        expected = -np.mean(labels.data * np.log(p) + (1 - labels.data) * np.log(1 - p))
-        np.testing.assert_allclose(bce_loss(scores, labels).item(), expected, atol=1e-10)
-
-    def test_stable_at_extremes(self):
-        loss = bce_loss(Tensor([1000.0, -1000.0]), Tensor([1.0, 0.0]))
-        assert np.isfinite(loss.item())
-        np.testing.assert_allclose(loss.item(), 0.0, atol=1e-9)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            bce_loss(Tensor([1.0]), Tensor([1.0, 0.0]))
 
 
 class TestL2:
