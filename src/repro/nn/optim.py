@@ -100,9 +100,10 @@ class Adam(Optimizer):
         for param, m, v in zip(self.params, self._m, self._v):
             if param.grad is None:
                 continue
-            # A reshape of a non-contiguous array is a copy: the update
-            # would land in it and be lost.
-            assert param.data.flags.c_contiguous, "Adam updates contiguous parameters in place"
+            if not param.data.flags.c_contiguous:
+                # A reshape of a non-contiguous array is a copy: the update
+                # would land in it and be lost.
+                raise ValueError(f"Adam updates C-contiguous parameters in place, got {param!r}")
             data = param.data.reshape(-1)
             grad = param.grad.reshape(-1)
             scratch = self._scratch.view(data.dtype)

@@ -113,5 +113,5 @@ def test_a_non_contiguous_parameter_is_refused():
     optimizer = Adam([param], lr=1e-2)
     param.data = np.zeros((4, 6)).T
     param.grad = np.ones((6, 4))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="contiguous"):
         optimizer.step()
