@@ -16,7 +16,12 @@ everything the endpoint promises:
 * the written Chrome trace is valid trace-event JSON holding one complete
   span tree per served request, including the ``gateway.admit`` /
   ``gateway.batch`` spans the gateway wraps around admission and flushes
-  and the ``ann.coarse`` / ``ann.merge`` spans of the two-stage search.
+  and the ``ann.coarse`` / ``ann.merge`` spans of the two-stage search,
+* the train trace ``repro train --trace-out <artifacts_dir>/train_trace.json``
+  wrote holds ``train.sampling`` / ``train.forward`` / ``train.backward`` /
+  ``train.step`` spans parented to ``train.epoch``, and each phase's
+  ``seconds`` in ``metrics.json``'s ``train.profile`` is that phase's summed
+  span durations (to 1 µs per call: the trace stores microseconds).
 
 Any violation exits non-zero, which is the CI failure.
 
@@ -171,6 +176,35 @@ def validate_trace(path: str) -> None:
         )
 
 
+def validate_train_trace(artifacts: str) -> None:
+    path = os.path.join(artifacts, "train_trace.json")
+    check(os.path.exists(path), f"train trace {path} was not written")
+    with open(path) as handle:
+        events = [e for e in json.load(handle)["traceEvents"] if e.get("ph") == "X"]
+    with open(os.path.join(artifacts, "metrics.json")) as handle:
+        phases = json.load(handle)["train"]["profile"]["phases"]
+    epochs = {e["args"]["span_id"] for e in events if e["name"] == "train.epoch"}
+    check(bool(epochs), "train trace has no train.epoch span")
+    for phase in ("sampling", "forward", "backward", "step"):
+        spans = [e for e in events if e["name"] == f"train.{phase}"]
+        check(bool(spans), f"train trace is missing train.{phase} spans")
+        check(
+            all(e["args"]["parent_id"] in epochs for e in spans),
+            f"a train.{phase} span is not parented to a train.epoch span",
+        )
+        recorded = phases[phase]
+        check(
+            recorded["calls"] == len(spans),
+            f"train.profile {phase} calls {recorded['calls']} != {len(spans)} spans",
+        )
+        traced_us = sum(e["dur"] for e in spans)
+        check(
+            abs(recorded["seconds"] * 1e6 - traced_us) <= len(spans),
+            f"train.profile {phase} seconds {recorded['seconds']} != "
+            f"summed span durations {traced_us} us",
+        )
+
+
 def main() -> int:
     if len(sys.argv) != 2:
         print(__doc__, file=sys.stderr)
@@ -210,6 +244,7 @@ def main() -> int:
         validate_exposition(fetch(f"{base}/metrics").decode())
         validate_stats(fetch(f"{base}/stats"))
         validate_trace(trace_path)
+        validate_train_trace(artifacts)
     except AssertionError as failure:
         print(f"FAIL: {failure}", file=sys.stderr)
         return 1
@@ -219,7 +254,7 @@ def main() -> int:
     print(
         f"PASS: /metrics parseable with {len(REQUIRED_FAMILIES)} core + "
         f"{len(GATEWAY_FAMILIES)} gateway families, /stats stable, "
-        f"trace at {trace_path} complete"
+        f"trace at {trace_path} complete, train trace matches train.profile"
     )
     return 0
 

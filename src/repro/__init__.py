@@ -21,9 +21,8 @@ Public API tour:
   fused kernels)
 * :mod:`repro.scoring`, :mod:`repro.archive` — the NumPy-only leaves serving runs on
 * :mod:`repro.obs`    — metrics registry (Prometheus/JSON exporters), span
-  tracing (Chrome trace), live ``/metrics`` endpoint (docs/observability.md)
-* :mod:`repro.profiling` — scoped timers/counters behind ``TrainResult.profile``
-  (a thin view over a :class:`repro.obs.MetricsRegistry`)
+  tracing (Chrome trace; the spans behind ``TrainResult.profile``), live
+  ``/metrics`` endpoint (docs/observability.md)
 
 Quickstart (declarative experiment API)::
 
@@ -56,7 +55,7 @@ from ._lazy import lazy_exports
 _LAZY = {
     **{name: "." + name for name in (
         "analysis", "baselines", "core", "data", "eval", "experiments", "graph",
-        "loadgen", "nn", "obs", "profiling", "serving", "train",
+        "loadgen", "nn", "obs", "serving", "train",
     )},
     "available_datasets": ".data.registry",
     "load_dataset": ".data.registry",
@@ -68,7 +67,6 @@ _LAZY = {
     "precision": ".nn",
     "set_default_dtype": ".nn",
     **dict.fromkeys(("MetricsRegistry", "MetricsServer", "Tracer"), ".obs"),
-    "Profiler": ".profiling",
 }
 
 __all__ = [*_LAZY, "__version__"]

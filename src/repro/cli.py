@@ -43,6 +43,7 @@ import typing
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .data.registry import available_datasets
+from .eval.ranking import eval_profile
 from .experiments import PAPER_HPARAMS
 from .experiments.artifacts import (
     ANN_KINDS,
@@ -72,7 +73,7 @@ from .lifecycle import (
 from .lifecycle.journal import last_seq
 from .loadgen import ArrivalSchedule, WorkloadConfig, build_workload
 from .loadgen import run_chaos, run_closed_loop, run_open_loop
-from .profiling import Profiler
+from .obs.trace import Tracer
 from .runtime import RuntimeConfig, recommend_all
 from .serving.export import ExportError
 from .serving.gateway import GatewayConfig, ServingGateway
@@ -207,8 +208,6 @@ def _make_tracer(args: argparse.Namespace, process_name: str):
     """A :class:`repro.obs.Tracer` when ``--trace-out`` was given, else None."""
     if getattr(args, "trace_out", None) is None:
         return None
-    from .obs.trace import Tracer
-
     return Tracer(process_name=process_name)
 
 
@@ -303,22 +302,23 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     workers = _config_from_args(args, RuntimeConfig, ["workers"]).workers
     experiment = Experiment.load(args.artifacts)
-    profiler = Profiler()
-    tracer = _make_tracer(args, "repro-evaluate")
-    start = time.perf_counter()
-    metrics = experiment.evaluate(
-        ks=args.ks, split=args.split, workers=workers, profiler=profiler, tracer=tracer,
-    )
-    wall = time.perf_counter() - start
-    _write_trace(tracer, args)
+    trace = _make_tracer(args, "repro-evaluate")
+    tracer = trace if trace is not None else Tracer()
+    metrics = experiment.evaluate(ks=args.ks, split=args.split, workers=workers, tracer=tracer)
+    _write_trace(trace, args)
     label = args.split or experiment.spec.eval.split
     print(f"{experiment.spec.name} metrics ({label}):")
     _print_metrics(metrics)
-    users = profiler.counter("evaluated_users")
+    profile = eval_profile(tracer)
+    users = profile["counters"]["evaluated_users"]
+    wall = profile["counters"]["eval_wall_seconds"]
     if users and wall > 0:
-        # Phase shares come from the profiler (summed worker CPU seconds in
-        # parallel modes); throughput is quoted over wall time.
-        breakdown = profiler.format_phases()
+        # Phase shares are of summed span seconds (worker threads overlap);
+        # throughput is over the ``eval`` span's wall time, which leaves out
+        # rebuilding the model from its checkpoint.
+        breakdown = " ".join(
+            f"{name} {phase['share']:.0%}" for name, phase in profile["phases"].items()
+        )
         # "requested": a model whose score does not factorize is evaluated
         # serially whatever the count, which this process cannot observe here.
         workers_note = f", {workers} workers requested" if workers else ""

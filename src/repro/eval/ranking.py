@@ -12,6 +12,13 @@ That knob changes wall time only — rankings and metrics are bit-identical
 for every count, including plain serial execution.  Scoring stays in the
 model's own dtype (a float32 factorization is evaluated in float32 memory;
 no float64 upcast copy of the full-catalog score matrix is ever made).
+
+Timing is spans only.  A traced :func:`evaluate` records ``eval`` →
+``eval.metrics`` and the ranking's chunk spans; :func:`eval_profile` turns
+one call's records into ``metrics.json``'s ``eval_profile``.  With workers
+the kernel spans overlap in time, so phase seconds are summed thread
+seconds while ``users_per_sec`` is quoted over the ``eval`` span's wall
+time.  Untraced, no span is made.
 """
 
 from __future__ import annotations
@@ -22,10 +29,20 @@ import numpy as np
 
 from ..core.base import Recommender
 from ..data.dataset import Dataset
+from ..obs.trace import Tracer, maybe_span, span_profile
 from ..runtime.engine import BatchRuntime, RuntimeConfig
 from ..scoring import expand_csr_rows
 from .metrics import mean_metric, ndcg_at_k, recall_at_k
 from .topk import masked_topk, topk_indices_rows
+
+#: span name -> ``eval_profile`` phase
+EVAL_SPANS = {
+    "chunk.score": "score",
+    "chunk.topk": "topk",
+    "chunk.merge": "merge",
+    "chunk.ann_search": "ann_search",
+    "eval.metrics": "metrics",
+}
 
 
 def _export_branches(model: Recommender):
@@ -55,7 +72,6 @@ def topk_rankings(
     user_chunk: int = 256,
     candidate_items: Optional[Dict[int, np.ndarray]] = None,
     workers: int = 0,
-    profiler=None,
     runtime: Optional[BatchRuntime] = None,
     tracer=None,
 ) -> Dict[int, np.ndarray]:
@@ -100,23 +116,21 @@ def topk_rankings(
                 f"an exclusion mask but exclude_train={exclude_train}; rebuild the "
                 "runtime to match the protocol"
             )
-        ordered, ids, _ = runtime.rank(
-            users, k, candidate_items=candidate_items, profiler=profiler, tracer=tracer
-        )
+        ordered, ids, _ = runtime.rank(users, k, candidate_items=candidate_items, tracer=tracer)
         return {int(user): ids[row] for row, user in enumerate(ordered)}
 
     branches = _export_branches(model)
     if branches is None:
         return _rank_with_scorer(
             model.predict_scores, dataset, users, k, exclude_train, user_chunk,
-            candidate_items, profiler,
+            candidate_items, tracer,
         )
 
     exclude_csr = dataset.train_exclusion_csr() if exclude_train else None
     config = RuntimeConfig(workers=workers, user_chunk=user_chunk)
     with BatchRuntime(branches, config, exclude_csr=exclude_csr) as live_runtime:
         ordered, ids, _ = live_runtime.rank(
-            users, k, candidate_items=candidate_items, profiler=profiler, tracer=tracer
+            users, k, candidate_items=candidate_items, tracer=tracer
         )
     return {int(user): ids[row] for row, user in enumerate(ordered)}
 
@@ -129,53 +143,50 @@ def _rank_with_scorer(
     exclude_train: bool,
     user_chunk: int,
     candidate_items: Optional[Dict[int, np.ndarray]],
-    profiler,
+    tracer,
 ) -> Dict[int, np.ndarray]:
     """Serial fallback for models without a frozen factorization.
 
     Chunks still rank through the vectorized row kernel in the scorer's own
     dtype; the score matrix is copied once per chunk (the scorer may hand
-    out views of internal state, and masking happens in place).
+    out views of internal state, and masking happens in place).  With a
+    ``tracer``, each chunk records a ``chunk.score`` and a ``chunk.topk``
+    span.
     """
-    import time
-
     indptr, indices = dataset.train_exclusion_csr() if exclude_train else (None, None)
     k = min(k, dataset.n_items)
     rankings: Dict[int, np.ndarray] = {}
     for start in range(0, len(users), user_chunk):
         chunk = users[start : start + user_chunk]
-        tick = time.perf_counter()
-        scores = np.asarray(scorer(chunk))
-        if scores.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-            scores = scores.astype(np.float64)
-        else:
-            scores = scores.copy()
-        if indptr is not None:
-            rows, cols = expand_csr_rows(indptr, indices, chunk)
-            if rows is not None:
-                scores[rows, cols] = -np.inf
-        tock = time.perf_counter()
-        top = topk_indices_rows(scores, k).astype(np.int64, copy=False)
-        for row, user in enumerate(chunk):
-            user = int(user)
-            candidates = None if candidate_items is None else candidate_items.get(user)
-            if candidates is not None:
-                exclude = None
-                if indptr is not None:
-                    exclude = indices[indptr[user] : indptr[user + 1]]
-                rankings[user] = masked_topk(
-                    scores[row],
-                    k,
-                    # already masked in place above; passing exclude again is
-                    # a no-op but keeps the reference-kernel call shape
-                    exclude_items=exclude if exclude is not None and len(exclude) else None,
-                    candidate_items=candidates,
-                )
+        with maybe_span(tracer, "chunk.score", cat="eval"):
+            scores = np.asarray(scorer(chunk))
+            if scores.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
+                scores = scores.astype(np.float64)
             else:
-                rankings[user] = top[row]
-        if profiler is not None:
-            profiler.add_seconds("score", tock - tick)
-            profiler.add_seconds("topk", time.perf_counter() - tock)
+                scores = scores.copy()
+            if indptr is not None:
+                rows, cols = expand_csr_rows(indptr, indices, chunk)
+                if rows is not None:
+                    scores[rows, cols] = -np.inf
+        with maybe_span(tracer, "chunk.topk", cat="eval"):
+            top = topk_indices_rows(scores, k).astype(np.int64, copy=False)
+            for row, user in enumerate(chunk):
+                user = int(user)
+                candidates = None if candidate_items is None else candidate_items.get(user)
+                if candidates is not None:
+                    exclude = None
+                    if indptr is not None:
+                        exclude = indices[indptr[user] : indptr[user + 1]]
+                    rankings[user] = masked_topk(
+                        scores[row],
+                        k,
+                        # already masked in place above; passing exclude again is
+                        # a no-op but keeps the reference-kernel call shape
+                        exclude_items=exclude if exclude is not None and len(exclude) else None,
+                        candidate_items=candidates,
+                    )
+                else:
+                    rankings[user] = top[row]
     return rankings
 
 
@@ -281,7 +292,6 @@ def evaluate(
     exclude_train: bool = True,
     user_chunk: int = 256,
     workers: int = 0,
-    profiler=None,
     runtime: Optional[BatchRuntime] = None,
     tracer=None,
 ) -> Dict[str, float]:
@@ -289,11 +299,10 @@ def evaluate(
 
     ``workers`` parallelizes the ranking pass over threads (see
     :mod:`repro.runtime`); metrics are bit-identical for every count.
-    With a ``profiler``, wall time is attributed to the ``score`` / ``topk``
-    / ``merge`` / ``metrics`` phases (with workers the kernel phases are
-    summed thread CPU seconds).  ``runtime`` reuses a caller-managed
-    :class:`~repro.runtime.BatchRuntime` across calls (see
-    :func:`topk_rankings`).
+    With a ``tracer``, the pass records an ``eval`` span, its chunk spans
+    and an ``eval.metrics`` span (:func:`eval_profile` summarizes them).
+    ``runtime`` reuses a caller-managed :class:`~repro.runtime.BatchRuntime`
+    across calls (see :func:`topk_rankings`).
     """
     ks = sorted(set(int(k) for k in ks))
     if not ks:
@@ -302,28 +311,36 @@ def evaluate(
     if not positives:
         raise ValueError(f"split {split!r} has no interactions to evaluate")
 
-    import time
-
-    from ..profiling import Profiler
-
-    if profiler is None:
-        profiler = Profiler(enabled=False)
-    from ..obs.trace import maybe_span
-
-    start = time.perf_counter()
     with maybe_span(
         tracer, "eval", cat="eval", attrs={"split": split, "n_users": len(positives)}
     ):
         rankings = topk_rankings(
             model, dataset, sorted(positives), k=max(ks), exclude_train=exclude_train,
-            user_chunk=user_chunk, workers=workers,
-            profiler=profiler, runtime=runtime, tracer=tracer,
+            user_chunk=user_chunk, workers=workers, runtime=runtime, tracer=tracer,
         )
         with maybe_span(tracer, "eval.metrics", cat="eval"):
-            with profiler.phase("metrics"):
-                metrics = metrics_from_rankings(rankings, positives, ks)
-    profiler.count("evaluated_users", len(positives))
-    # Wall clock for throughput: the kernel phases are summed across
-    # threads and would understate users/sec.
-    profiler.count("eval_wall_seconds", time.perf_counter() - start)
+            metrics = metrics_from_rankings(rankings, positives, ks)
     return metrics
+
+
+def eval_profile(tracer: Tracer, since: int = 0) -> Dict:
+    """``eval_profile`` of the :func:`evaluate` calls ``tracer`` recorded after ``since``.
+
+    Phases are :data:`EVAL_SPANS`; with workers they sum thread seconds.
+    Counters: ``evaluated_users`` and ``eval_wall_seconds`` (the ``eval``
+    spans' ``n_users`` and wall time, so ``users_per_sec`` is a wall-clock
+    rate) and ``chunks`` (``chunk.rank`` spans).
+    """
+    profile = span_profile(tracer, EVAL_SPANS, since)
+    users = chunks = 0
+    wall = 0.0
+    for record in tracer.records()[since:]:
+        if record["name"] == "eval":
+            users += record["attrs"]["n_users"]
+            wall += record["end"] - record["start"]
+        elif record["name"] == "chunk.rank":
+            chunks += 1
+    profile["counters"] = {"chunks": chunks, "evaluated_users": users, "eval_wall_seconds": wall}
+    if wall > 0:
+        profile["users_per_sec"] = users / wall
+    return profile

@@ -10,8 +10,6 @@ One :func:`repro.experiments.run` call materializes as a directory:
 ``metrics.json``        eval metrics + training summary (validation-off runs
                         serialize ``best_metric``/``best_epoch`` as null)
 ``loss_curve.json``     per-epoch losses + validation history
-``observability.json``  :meth:`repro.obs.MetricsRegistry.to_json` snapshot
-                        of the run (train + eval phase counters)
 ======================  ==================================================
 
 ``repro export --ann`` adds ``ann/`` and ``repro recommend`` adds
@@ -55,7 +53,6 @@ ANN_DIRNAME = "ann"
 RECOMMENDATIONS_DIRNAME = "recommendations"
 METRICS_FILENAME = "metrics.json"
 LOSS_CURVE_FILENAME = "loss_curve.json"
-OBS_FILENAME = "observability.json"
 
 #: bump when the directory layout changes incompatibly (v2: every archive
 #: is a directory; v1 held ``checkpoint`` and ``index`` as single files)
@@ -115,7 +112,6 @@ class Experiment:
         index: Optional[EmbeddingIndex] = None,
         artifacts_dir: Optional[str] = None,
         eval_profile: Optional[Dict] = None,
-        obs_snapshot: Optional[Dict] = None,
     ) -> None:
         self.spec = spec
         self._dataset = dataset
@@ -124,13 +120,9 @@ class Experiment:
         self.metrics = dict(metrics or {})
         self._index = index
         self.artifacts_dir = artifacts_dir
-        #: profiler summary of the evaluation pass (score/topk/merge/metrics
+        #: span summary of the evaluation pass (score/topk/merge/metrics
         #: phases); persisted in metrics.json next to the training profile
         self.eval_profile = eval_profile
-        #: full :meth:`repro.obs.MetricsRegistry.to_json` snapshot of the
-        #: run's registry (train + eval phase counters); persisted as
-        #: ``observability.json``
-        self.obs_snapshot = obs_snapshot
 
     @property
     def dataset(self):
@@ -247,13 +239,13 @@ class Experiment:
 
     def evaluate(
         self, ks: Optional[Sequence[int]] = None, split: Optional[str] = None,
-        workers: int = 0, profiler=None, tracer=None,
+        workers: int = 0, tracer=None,
     ):
         """Re-run the spec's eval protocol (optionally overriding ks/split).
 
         ``workers`` parallelizes the pass without changing any result bit
-        (see :mod:`repro.runtime`); ``profiler`` / ``tracer`` observe it
-        without changing any result bit either.
+        (see :mod:`repro.runtime`); ``tracer`` observes it without changing
+        any result bit either.
         """
         protocol = self.spec.eval
         if ks is not None or split is not None:
@@ -263,7 +255,7 @@ class Experiment:
                 exclude_train=protocol.exclude_train,
             )
         return protocol.run(
-            self.model, self.dataset, workers=workers, profiler=profiler, tracer=tracer,
+            self.model, self.dataset, workers=workers, tracer=tracer,
         )
 
     # ------------------------------------------------------------------
@@ -323,8 +315,6 @@ class Experiment:
                 "index": index_file,
             },
         )
-        if self.obs_snapshot is not None:
-            _write_json(os.path.join(artifacts_dir, OBS_FILENAME), self.obs_snapshot)
         self.artifacts_dir = artifacts_dir
         return artifacts_dir
 
@@ -332,8 +322,8 @@ class Experiment:
     def load(cls, artifacts_dir: str) -> "Experiment":
         """Rehydrate a saved experiment into a serving-ready handle.
 
-        Reads ``spec.json``, the metrics, the loss curve, the observability
-        snapshot and the saved index.  The dataset (rebuilt from its spec;
+        Reads ``spec.json``, the metrics, the loss curve and the saved
+        index.  The dataset (rebuilt from its spec;
         synthetic generation is deterministic) and the model (rebuilt
         through the registry, restored from the checkpoint) are built on
         first use, and so is the index when none was saved.
@@ -381,9 +371,6 @@ class Experiment:
             if stored.get("train") is not None or curves:
                 train_result = TrainResult.from_dict({**(stored.get("train") or {}), **curves})
 
-        obs_path = os.path.join(artifacts_dir, OBS_FILENAME)
-        obs_snapshot = _read_json(obs_path) if os.path.exists(obs_path) else None
-
         index_path = os.path.join(artifacts_dir, INDEX_DIRNAME)
         index = EmbeddingIndex.load(index_path) if os.path.exists(index_path) else None
         return cls(
@@ -393,5 +380,4 @@ class Experiment:
             index=index,
             artifacts_dir=artifacts_dir,
             eval_profile=eval_profile,
-            obs_snapshot=obs_snapshot,
         )

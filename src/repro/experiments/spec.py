@@ -90,19 +90,19 @@ class EvalSpec:
         self.exclude_train = bool(self.exclude_train)
 
     def run(
-        self, model, dataset, workers: int = 0, profiler=None, tracer=None,
+        self, model, dataset, workers: int = 0, tracer=None,
     ) -> Dict[str, float]:
         """Evaluate ``model`` under this protocol.
 
         ``workers`` is an execution knob, not part of the protocol —
         results are bit-identical for every count (see
         :mod:`repro.runtime`), which is why it is a call-time argument
-        rather than a serialized spec field.  ``profiler`` / ``tracer`` are
-        observation hooks (:mod:`repro.obs`) and change nothing either.
+        rather than a serialized spec field.  ``tracer`` is an observation
+        hook (:mod:`repro.obs`) and changes nothing either.
         """
         return evaluate(
             model, dataset, split=self.split, ks=self.ks, exclude_train=self.exclude_train,
-            workers=workers, profiler=profiler, tracer=tracer,
+            workers=workers, tracer=tracer,
         )
 
     def to_dict(self) -> Dict[str, Any]:

@@ -13,9 +13,11 @@ Three pieces, one spine:
   ``/metrics``, ``/stats``, and ``/healthz`` (``repro serve
   --metrics-port``).
 
-Everything downstream — :class:`~repro.serving.stats.ServingStats`, the
-:class:`~repro.profiling.Profiler`, the batch runtime's per-chunk
-spans and timings, the CLI's ``--trace-out`` — is built on these primitives.
+Everything downstream is built on these primitives:
+:class:`~repro.serving.stats.ServingStats` on the registry; the trainer's
+and the evaluator's phase timing, the batch runtime's per-chunk spans and
+the CLI's ``--trace-out`` on spans (``TrainResult.profile`` and
+``eval_profile`` are :func:`~repro.obs.trace.span_profile` summaries).
 See ``docs/observability.md`` for the metric catalog and trace workflow.
 """
 

@@ -1,8 +1,9 @@
 """Thread-safe metrics primitives: Counter / Gauge / Histogram with labels.
 
-The registry is the one place every subsystem reports into — the serving
-stack, the batch-inference runtime, the trainer's profiler — and the one
-place exporters read from.  Three design rules make that work:
+The registry is the one place the serving stack (service, gateway,
+resilience layer) reports counts into, and the one place exporters read
+from; offline timing is spans (:mod:`repro.obs.trace`).  Three design
+rules make that work:
 
 * **Thread safety.**  Every mutation happens under the registry lock, so a
   metric can be shared by the batch runtime's chunk threads, the serving
@@ -10,8 +11,7 @@ place exporters read from.  Three design rules make that work:
 
 * **Mergeability.**  :class:`Histogram` uses *fixed log-spaced buckets*
   (the same layout in every registry by construction), so two histograms —
-  an evaluation pass's private registry and the run's, say — merge by
-  adding bucket counts, and the merged percentiles are exactly what one
+  two replicas' registries, say — merge by adding bucket counts, and the merged percentiles are exactly what one
   registry observing all the samples would report.  This is the property the sliding-window
   :class:`~repro.serving.stats.LatencyRecorder` cannot offer, and what
   :meth:`MetricsRegistry.merge` relies on to fold one registry's snapshot

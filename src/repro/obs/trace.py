@@ -18,9 +18,13 @@ enclosing ``span()`` or named by ``parent_id``, as long as the parent is
 still open.  Records carry
 ``pid`` / ``tid``, so a timeline separates naturally per thread track.
 
-The clock is injectable for deterministic tests, and a disabled tracer
-degrades to no-ops so instrumented code never needs ``if tracer:`` guards
-once it holds one.
+The clock is injectable for deterministic tests.  Code that may run
+untraced holds ``tracer=None`` and opens spans through :func:`maybe_span`,
+a shared no-op context on that path.
+
+The trainer and the evaluator time their phases with spans only:
+:func:`span_profile` sums a tracer's spans into the phase / share summary
+that ``TrainResult.profile`` and ``metrics.json``'s ``eval_profile`` carry.
 """
 
 from __future__ import annotations
@@ -119,7 +123,7 @@ class Span:
 
 
 class _NullSpan:
-    """What a disabled tracer hands out: attribute writes vanish."""
+    """What :func:`maybe_span` hands out without a tracer: writes vanish."""
 
     __slots__ = ()
 
@@ -155,7 +159,7 @@ class _ScopedSpan:
 
 
 class _NullContext:
-    """Disabled-tracer context: hands out the null span, records nothing."""
+    """The untraced context: hands out the null span, records nothing."""
 
     __slots__ = ()
 
@@ -175,10 +179,8 @@ class Tracer:
     def __init__(
         self,
         clock: Optional[Callable[[], float]] = None,
-        enabled: bool = True,
         process_name: Optional[str] = None,
     ) -> None:
-        self.enabled = enabled
         self.clock = clock or time.perf_counter
         self.process_name = process_name
         self._lock = threading.Lock()
@@ -222,8 +224,6 @@ class Tracer:
         ``parent_id`` defaults to the thread's current ``span()`` context,
         and ``trace_id`` to the parent's while the parent is open.
         """
-        if not self.enabled:
-            return _NULL_SPAN
         if parent_id is None:
             stack = getattr(self._stack, "items", None)
             if stack:
@@ -251,8 +251,6 @@ class Tracer:
         ``@contextmanager`` machinery costs about as much as the span
         bookkeeping itself on hot paths.
         """
-        if not self.enabled:
-            return _NULL_CONTEXT
         span = self.begin(name, cat=cat, attrs=attrs, trace_id=trace_id, parent_id=parent_id)
         return _ScopedSpan(span, self._stack_list())
 
@@ -342,3 +340,41 @@ def maybe_span(tracer: Optional[Tracer], name: str, **kwargs):
     if tracer is None:
         return _NULL_CONTEXT
     return tracer.span(name, **kwargs)
+
+
+def span_profile(
+    tracer: Tracer, phases: Dict[str, str], since: int = 0, base: Optional[Dict] = None
+) -> Dict:
+    """Phase profile of the spans ``tracer`` recorded after record ``since``.
+
+    ``phases`` maps span names to phase keys; a phase's ``seconds`` is the
+    summed duration of its spans and ``calls`` their count, and spans with
+    other names are skipped.  ``base`` is an earlier profile to add onto,
+    so a caller can fold records in as they come and drop them.  The result
+    is ``{"total_seconds", "phases": {key: {"seconds", "calls", "share"}},
+    "counters"}``, with ``counters`` carried over from ``base``.
+    """
+    sums = {}
+    if base:
+        sums = {key: [entry["seconds"], entry["calls"]] for key, entry in base["phases"].items()}
+    with tracer._lock:
+        records = tracer._records[since:]
+    for record in records:
+        key = phases.get(record["name"])
+        if key is not None:
+            entry = sums.setdefault(key, [0.0, 0])
+            entry[0] += record["end"] - record["start"]
+            entry[1] += 1
+    total = sum(seconds for seconds, _ in sums.values())
+    return {
+        "total_seconds": total,
+        "phases": {
+            key: {
+                "seconds": sums[key][0],
+                "calls": sums[key][1],
+                "share": sums[key][0] / total if total > 0 else 0.0,
+            }
+            for key in sorted(sums)
+        },
+        "counters": dict(base["counters"]) if base else {},
+    }

@@ -15,12 +15,17 @@ A chunk spends its time in BLAS products, partitions and sorts, which
 release the GIL (docs/performance.md, "Worker model").  Each thread keeps
 one preallocated score buffer, so steady-state evaluation performs no
 per-chunk score-matrix allocations.
+
+With a ``tracer``, a call records one ``runtime.rank`` span and one
+``chunk.rank`` span per chunk, and each chunk's kernel records its
+``chunk.score`` / ``chunk.topk`` / ``chunk.merge`` spans (or one
+``chunk.ann_search`` span through an ANN index) beneath it, on the thread
+that ran it.  Those kernel spans are the evaluator's phases.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple, Union
@@ -31,9 +36,6 @@ from .. import archive
 from ..obs.trace import maybe_span
 from ..scoring import ScoreBranch
 from .sharded import ShardedIndex, _Buffers
-
-#: profiler phase names the runtime reports (mirrors the trainer's phases)
-EVAL_PHASES = ("score", "topk", "merge", "ann_search")
 
 #: sentinel for :meth:`BatchRuntime.refresh` arguments meaning "keep current"
 _KEEP = object()
@@ -76,7 +78,7 @@ class _WorkerState:
 
 def _rank_chunk(
     state: _WorkerState, payload, tracer, parent
-) -> Tuple[np.ndarray, Optional[np.ndarray], Dict]:
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Rank one chunk; the worker half of the runtime's determinism contract.
 
     The chunk's ``chunk.rank`` span goes straight into the caller's
@@ -84,7 +86,6 @@ def _rank_chunk(
     which links it on any thread.
     """
     chunk_id, users, k, with_scores, candidates = payload
-    timings: Dict[str, float] = {}
     with maybe_span(
         tracer,
         "chunk.rank",
@@ -93,11 +94,10 @@ def _rank_chunk(
         attrs={"chunk_id": chunk_id, "n_users": len(users)},
     ):
         if state.ann is not None:
-            tick = time.perf_counter()
-            ids, scores = state.ann.search(
-                users, k, exclude_csr=state.exclude_csr, tracer=tracer
-            )
-            timings["ann_search"] = time.perf_counter() - tick
+            with maybe_span(tracer, "chunk.ann_search", cat="runtime"):
+                ids, scores = state.ann.search(
+                    users, k, exclude_csr=state.exclude_csr, tracer=tracer
+                )
             if not with_scores:
                 scores = None
         else:
@@ -108,9 +108,9 @@ def _rank_chunk(
                 candidate_items=candidates,
                 buffers=state.buffers(),
                 with_scores=with_scores,
-                timings=timings,
+                tracer=tracer,
             )
-    return ids, scores, timings
+    return ids, scores
 
 
 class BatchRuntime:
@@ -198,7 +198,6 @@ class BatchRuntime:
         k: int,
         with_scores: bool = False,
         candidate_items: Optional[Dict[int, np.ndarray]] = None,
-        profiler=None,
         tracer=None,
     ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
         """Top-``k`` over the full catalog for every user, in user order.
@@ -206,12 +205,10 @@ class BatchRuntime:
         Returns ``(users, ids, scores)`` where ``ids`` is an
         ``(len(users), min(k, n_items))`` int64 matrix (``scores`` is None
         unless ``with_scores``).  ``candidate_items`` optionally restricts
-        per-user pools (cold-start protocols).  With a ``profiler``, the
-        per-chunk ``score`` / ``topk`` / ``merge`` seconds are accumulated
-        under those phase names — summed across threads, so with workers
-        they are CPU seconds, not wall time.  With a ``tracer``, each
+        per-user pools (cold-start protocols).  With a ``tracer``, each
         chunk records a ``chunk.rank`` span, child of this call's
-        ``runtime.rank`` span.
+        ``runtime.rank`` span, with its kernel spans beneath it (module
+        docstring).
         """
         users = np.asarray(list(users), dtype=np.int64)
         k = min(int(k), self.n_items)
@@ -257,15 +254,6 @@ class BatchRuntime:
 
             ids = np.vstack([item[0] for item in results]).astype(np.int64, copy=False)
             scores = np.vstack([item[1] for item in results]) if with_scores else None
-            if profiler is not None:
-                totals: Dict[str, float] = {}
-                for _, _, timings in results:
-                    for name, seconds in timings.items():
-                        totals[name] = totals.get(name, 0.0) + seconds
-                for name in EVAL_PHASES:
-                    if name in totals:
-                        profiler.add_seconds(name, totals[name])
-                profiler.count("chunks", len(payloads))
         return users, ids, scores
 
     def close(self) -> None:
@@ -343,7 +331,6 @@ def recommend_all(
     exclude_train: bool = True,
     workers: int = 0,
     user_chunk: int = 1024,
-    profiler=None,
     ann=None,
     tracer=None,
 ) -> BulkRecommendations:
@@ -368,9 +355,7 @@ def recommend_all(
     config = RuntimeConfig(workers=workers, user_chunk=user_chunk)
     exclude_csr = (index.exclude_indptr, index.exclude_indices) if exclude_train else None
     with BatchRuntime(index, config, exclude_csr=exclude_csr, ann=ann) as runtime:
-        ordered, ids, scores = runtime.rank(
-            users, k, with_scores=True, profiler=profiler, tracer=tracer
-        )
+        ordered, ids, scores = runtime.rank(users, k, with_scores=True, tracer=tracer)
     # A -inf score means the selection ran past the user's unexcluded pool
     # and padded with masked entries; exporting those ids would recommend
     # already-bought items the online path never emits.  Replace with the

@@ -27,16 +27,21 @@ the same bits in any batch.
 All scoring happens in the branches' own dtype (a float32 index is scored
 in float32 memory) into caller-provided buffers, so a worker evaluates
 arbitrarily many chunks with zero per-chunk score-matrix allocations.
+
+With a ``tracer``, every shard of every row block records a
+``chunk.score`` and a ``chunk.topk`` span, and every multi-shard block a
+``chunk.merge`` span; they are the evaluator's ``score`` / ``topk`` /
+``merge`` phases.
 """
 
 from __future__ import annotations
 
-import time
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..eval.topk import NEG_INF, denied_rows, masked_topk, topk_indices_rows, topk_pairs_rows
+from ..obs.trace import maybe_span
 from ..scoring import ScoreBranch, branches_dtype, expand_csr_rows, gemm_cols, gemm_rows, score_branches
 
 #: widest shard: every exact ranking scores a ``ROW_BLOCK x 8192`` block at most
@@ -118,7 +123,7 @@ class ShardedIndex:
         candidate_items: Optional[Sequence[Optional[np.ndarray]]] = None,
         buffers: Optional[_Buffers] = None,
         with_scores: bool = False,
-        timings: Optional[dict] = None,
+        tracer=None,
         candidate_mask: Optional[np.ndarray] = None,
         mask_rows: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
@@ -134,8 +139,8 @@ class ShardedIndex:
         ``mask_rows`` naming each row's mask; each shard masks its block
         with its rows' slices of the stack, so no ``(rows, n_items)`` mask
         is ever built.  It cannot be combined with ``candidate_items``.
-        ``timings`` accumulates ``score`` / ``topk`` / ``merge`` seconds in
-        place.
+        ``tracer`` records the ``chunk.score`` / ``chunk.topk`` /
+        ``chunk.merge`` spans (module docstring).
         """
         users = np.asarray(users, dtype=np.int64)
         rows = len(users)
@@ -173,7 +178,7 @@ class ShardedIndex:
                 exclude_rows, exclude_cols = expand_csr_rows(*exclude_csr, users[block])
             block_denied = None if denied is None else (denied, mask_rows[block])
             block_ids, block_scores = self._topk_sharded(
-                users[block], k, exclude_rows, exclude_cols, block_denied, buffers, timings,
+                users[block], k, exclude_rows, exclude_cols, block_denied, buffers, tracer,
                 with_scores,
             )
             ids[block] = block_ids
@@ -183,13 +188,13 @@ class ShardedIndex:
         if restricted:
             self._apply_candidates(
                 users, k, candidate_items, exclude_csr, ids, scores, buffers, restricted,
-                timings,
+                tracer,
             )
         return ids, scores
 
     # ------------------------------------------------------------------
     def _topk_sharded(
-        self, users, k, exclude_rows, exclude_cols, denied, buffers, timings, with_scores
+        self, users, k, exclude_rows, exclude_cols, denied, buffers, tracer, with_scores
     ):
         rows = len(users)
         out, scratch = buffers.get(
@@ -197,42 +202,33 @@ class ShardedIndex:
         )
         candidate_ids: List[np.ndarray] = []
         candidate_scores: List[np.ndarray] = []
-        t_score = t_topk = 0.0
         for start, stop in self.ranges:
-            tick = time.perf_counter()
-            scores = score_branches(self.branches, users, start, stop, out=out, scratch=scratch)
-            if denied is not None:
-                stack, stack_rows = denied
-                scores[stack[stack_rows, start:stop]] = NEG_INF
-            if exclude_rows is not None:
-                inside = (exclude_cols >= start) & (exclude_cols < stop)
-                if inside.any():
-                    scores[exclude_rows[inside], exclude_cols[inside] - start] = NEG_INF
-            tock = time.perf_counter()
-            local = topk_indices_rows(scores, min(k, stop - start))
-            candidate_ids.append(local + start)
-            candidate_scores.append(np.take_along_axis(scores, local, axis=1))
-            t_score += tock - tick
-            t_topk += time.perf_counter() - tock
-        if timings is not None:
-            timings["score"] = timings.get("score", 0.0) + t_score
-            timings["topk"] = timings.get("topk", 0.0) + t_topk
+            with maybe_span(tracer, "chunk.score", cat="runtime"):
+                scores = score_branches(self.branches, users, start, stop, out=out, scratch=scratch)
+                if denied is not None:
+                    stack, stack_rows = denied
+                    scores[stack[stack_rows, start:stop]] = NEG_INF
+                if exclude_rows is not None:
+                    inside = (exclude_cols >= start) & (exclude_cols < stop)
+                    if inside.any():
+                        scores[exclude_rows[inside], exclude_cols[inside] - start] = NEG_INF
+            with maybe_span(tracer, "chunk.topk", cat="runtime"):
+                local = topk_indices_rows(scores, min(k, stop - start))
+                candidate_ids.append(local + start)
+                candidate_scores.append(np.take_along_axis(scores, local, axis=1))
         if len(self.ranges) == 1:  # the one shard's local top-K is the answer
             top = candidate_ids[0].astype(np.int64, copy=False)
             return top, candidate_scores[0] if with_scores else None
-        tick = time.perf_counter()
-        ids = np.hstack(candidate_ids)
-        values = np.hstack(candidate_scores)
-        merged = topk_pairs_rows(ids, values, k)
-        top = np.take_along_axis(ids, merged, axis=1).astype(np.int64, copy=False)
-        top_scores = np.take_along_axis(values, merged, axis=1) if with_scores else None
-        if timings is not None:
-            timings["merge"] = timings.get("merge", 0.0) + (time.perf_counter() - tick)
+        with maybe_span(tracer, "chunk.merge", cat="runtime"):
+            ids = np.hstack(candidate_ids)
+            values = np.hstack(candidate_scores)
+            merged = topk_pairs_rows(ids, values, k)
+            top = np.take_along_axis(ids, merged, axis=1).astype(np.int64, copy=False)
+            top_scores = np.take_along_axis(values, merged, axis=1) if with_scores else None
         return top, top_scores
 
     def _apply_candidates(
-        self, users, k, candidate_items, exclude_csr, ids, scores, buffers, restricted,
-        timings=None,
+        self, users, k, candidate_items, exclude_csr, ids, scores, buffers, restricted, tracer
     ):
         """Rank rows with restricted pools through the reference kernel.
 
@@ -252,33 +248,29 @@ class ShardedIndex:
                 len(rows), self.n_items, self.dtype,
                 with_scratch=len(self.branches) > 1, slot="full",
             )
-            tick = time.perf_counter()
-            full = score_branches(self.branches, users[rows], out=out, scratch=scratch)
-            tock = time.perf_counter()
-            if timings is not None:
-                timings["score"] = timings.get("score", 0.0) + (tock - tick)
-            for position, row in enumerate(batch):
-                exclude = None
-                if exclude_csr is not None:
-                    indptr, indices = exclude_csr
-                    user = users[row]
-                    exclude = indices[indptr[user] : indptr[user + 1]]
-                top = masked_topk(
-                    full[position],
-                    k,
-                    exclude_items=exclude if exclude is not None and len(exclude) else None,
-                    candidate_items=candidate_items[row],
-                )
-                ids[row, : len(top)] = top
-                if scores is not None:
-                    # Report the *masked* scores, matching the unrestricted
-                    # paths: selections past the allowed pool (or excluded)
-                    # are -inf, never the raw model score.
-                    allowed = np.isin(top, candidate_items[row])
-                    if exclude is not None and len(exclude):
-                        allowed &= ~np.isin(top, exclude)
-                    scores[row, : len(top)] = np.where(
-                        allowed, full[position, top], NEG_INF
+            with maybe_span(tracer, "chunk.score", cat="runtime"):
+                full = score_branches(self.branches, users[rows], out=out, scratch=scratch)
+            with maybe_span(tracer, "chunk.topk", cat="runtime"):
+                for position, row in enumerate(batch):
+                    exclude = None
+                    if exclude_csr is not None:
+                        indptr, indices = exclude_csr
+                        user = users[row]
+                        exclude = indices[indptr[user] : indptr[user + 1]]
+                    top = masked_topk(
+                        full[position],
+                        k,
+                        exclude_items=exclude if exclude is not None and len(exclude) else None,
+                        candidate_items=candidate_items[row],
                     )
-            if timings is not None:
-                timings["topk"] = timings.get("topk", 0.0) + (time.perf_counter() - tock)
+                    ids[row, : len(top)] = top
+                    if scores is not None:
+                        # Report the *masked* scores, matching the unrestricted
+                        # paths: selections past the allowed pool (or excluded)
+                        # are -inf, never the raw model score.
+                        allowed = np.isin(top, candidate_items[row])
+                        if exclude is not None and len(exclude):
+                            allowed &= ~np.isin(top, exclude)
+                        scores[row, : len(top)] = np.where(
+                            allowed, full[position, top], NEG_INF
+                        )

@@ -21,7 +21,7 @@ Quickstart::
 """
 
 from .index import EmbeddingIndex, INDEX_KIND
-from .export import ExportError, export_index, export_index_from_checkpoint
+from .export import ExportError, export_index
 from .ann import IVFIndex, build_ivf
 from .filters import (
     AllOf,
@@ -75,7 +75,6 @@ __all__ = [
     "build_ivf",
     "ExportError",
     "export_index",
-    "export_index_from_checkpoint",
     "Filter",
     "PriceBandFilter",
     "CategoryFilter",

@@ -1,4 +1,4 @@
-"""Offline export: trained model (or checkpoint) → :class:`EmbeddingIndex`.
+"""Offline export: trained model → :class:`EmbeddingIndex`.
 
 This is the one-time expensive step of the serving pipeline: graph
 propagation runs once here, after which the index answers queries with
@@ -64,24 +64,3 @@ def export_index(
         extra=extra,
     )
 
-
-def export_index_from_checkpoint(
-    checkpoint_path: str,
-    model: Recommender,
-    dataset: Dataset,
-    strict: bool = True,
-    extra: Optional[Dict] = None,
-) -> EmbeddingIndex:
-    """Load a saved checkpoint into ``model``, then export it.
-
-    ``model`` must be constructed with the architecture the checkpoint was
-    saved from (checkpoints store weights, not hyperparameters).  The
-    checkpoint's metadata is carried into the index's ``extra`` under
-    ``"checkpoint"``.
-    """
-    from ..train.persistence import load_checkpoint  # deferred: serving stays off the training stack
-
-    metadata = load_checkpoint(model, checkpoint_path, strict=strict)
-    merged = dict(extra or {})
-    merged.setdefault("checkpoint", {k: v for k, v in metadata.items() if k != "parameter_names"})
-    return export_index(model, dataset, extra=merged)

@@ -6,15 +6,17 @@ batch reads), the decoder only reconstructs user-item edges via the BPR
 pairwise objective (Eq. 4) with L2 regularization on the batch embeddings,
 Adam, and a step lr decay.
 
-Every fit is profiled: wall time is attributed to ``sampling`` / ``forward``
-/ ``backward`` / ``step`` (plus ``validate``) via :class:`repro.profiling.Profiler`,
-surfaced on :attr:`TrainResult.profile` and — with ``verbose`` — as a
-per-epoch progress line with throughput (triples/sec).
+Every fit is timed with spans: ``train.sampling`` / ``train.forward`` /
+``train.backward`` / ``train.step`` under each ``train.epoch``, and
+``train.validate``.  They go into the caller's tracer, or into a private
+one made per epoch, so an untraced fit holds at most one epoch of records.
+:func:`repro.obs.trace.span_profile` folds them into
+:attr:`TrainResult.profile`, which ``verbose`` also prints per epoch with
+the throughput (triples/sec).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -34,11 +36,14 @@ from ..nn import (
     fused_l2_on_batch,
     l2_on_batch,
 )
-from ..profiling import Profiler
+from ..obs.trace import Tracer, span_profile
 from .config import TrainConfig
 
 #: the phases that make up pure training time (excludes validation)
 TRAIN_PHASES = ("sampling", "forward", "backward", "step")
+
+#: span name -> ``TrainResult.profile`` phase
+TRAIN_SPANS = {**{f"train.{phase}": phase for phase in TRAIN_PHASES}, "train.validate": "validate"}
 
 
 @dataclass
@@ -50,7 +55,7 @@ class TrainResult:
     best_metric: float = -np.inf
     best_epoch: int = -1
     epochs_run: int = 0
-    #: JSON-safe profiler summary (phase seconds/shares, triples/sec); None
+    #: JSON-safe span summary (phase seconds/shares, triples/sec); None
     #: for non-trainable models that skip the loop
     profile: Optional[Dict] = None
 
@@ -112,18 +117,13 @@ class Trainer:
         model: Recommender,
         dataset: Dataset,
         config: Optional[TrainConfig] = None,
-        registry=None,
         tracer=None,
     ) -> None:
         self.model = model
         self.dataset = dataset
         self.config = config or TrainConfig()
         self._rng = np.random.default_rng(self.config.seed)
-        #: populated by :meth:`fit`; inspectable afterwards.  Passing a
-        #: ``registry`` surfaces the phase counters on a shared /metrics
-        #: endpoint; a ``tracer`` records one span per epoch and per
-        #: validation pass.
-        self.profiler = Profiler(registry=registry)
+        #: records every span of a fit, and its validation passes' spans
         self.tracer = tracer
         #: one batch runtime reused across every validation pass of a fit
         #: (pool startup is paid once, not per epoch); see :meth:`_validate`
@@ -142,56 +142,55 @@ class Trainer:
             return result
 
         config = self.config
-        profiler = self.profiler
-        profiler.reset()
         sampler = NegativeSampler(self.dataset, self._rng, rate=config.negative_rate)
         optimizer = Adam(self.model.parameters(), lr=config.learning_rate)
         schedule = StepDecay(optimizer, milestones=config.lr_milestones, factor=config.lr_decay)
         best_state = None
         bad_evals = 0
-
-        from ..obs.trace import maybe_span
+        profile = None
+        fit_triples = fit_batches = 0
 
         try:
             for epoch in range(1, config.epochs + 1):
+                tracer = self.tracer if self.tracer is not None else Tracer()
+                mark = len(tracer)
                 self.model.train()
                 epoch_loss, n_batches, epoch_triples = 0.0, 0, 0
-                epoch_start = time.perf_counter()
                 batches = sampler.epoch_batches(config.batch_size)
-                with maybe_span(
-                    self.tracer, "train.epoch", cat="train", attrs={"epoch": epoch}
-                ) as epoch_span:
+                with tracer.span("train.epoch", cat="train", attrs={"epoch": epoch}) as epoch_span:
                     while True:
-                        with profiler.phase("sampling"):
+                        with tracer.span("train.sampling", cat="train"):
                             batch = next(batches, None)
                         if batch is None:
                             break
                         users, pos_items, neg_items = batch
-                        epoch_loss += self._step(optimizer, users, pos_items, neg_items)
+                        epoch_loss += self._step(tracer, optimizer, users, pos_items, neg_items)
                         n_batches += 1
                         epoch_triples += len(users)
                     epoch_span.set_attr("n_batches", n_batches)
                 schedule.step()
-                epoch_seconds = time.perf_counter() - epoch_start
-                profiler.count("triples", epoch_triples)
-                profiler.count("batches", n_batches)
-                profiler.count("epochs")
+                fit_triples += epoch_triples
+                fit_batches += n_batches
+                profile = span_profile(tracer, TRAIN_SPANS, mark, profile)
                 result.epoch_losses.append(epoch_loss / max(n_batches, 1))
                 result.epochs_run = epoch
                 if config.verbose:
-                    throughput = epoch_triples / epoch_seconds if epoch_seconds > 0 else 0.0
+                    seconds = epoch_span.end - epoch_span.start
+                    throughput = epoch_triples / seconds if seconds > 0 else 0.0
+                    shares = " ".join(
+                        f"{name} {phase['share']:.0%}" for name, phase in profile["phases"].items()
+                    )
                     print(
                         f"[{self.model.name}] epoch {epoch:3d}/{config.epochs} "
                         f"loss={result.epoch_losses[-1]:.4f} lr={schedule.current_lr:g} "
-                        f"{throughput:,.0f} triples/s ({profiler.format_phases()})"
+                        f"{throughput:,.0f} triples/s ({shares})"
                     )
 
                 if config.eval_every and epoch % config.eval_every == 0:
-                    with maybe_span(
-                        self.tracer, "train.validate", cat="train", attrs={"epoch": epoch}
-                    ):
-                        with profiler.phase("validate"):
-                            metrics = self._validate()
+                    mark = len(tracer)
+                    with tracer.span("train.validate", cat="train", attrs={"epoch": epoch}):
+                        metrics = self._validate()
+                    profile = span_profile(tracer, TRAIN_SPANS, mark, profile)
                     result.validation_history.append(metrics)
                     metric = metrics[f"Recall@{config.eval_k}"]
                     if metric > result.best_metric:
@@ -214,7 +213,16 @@ class Trainer:
         if best_state is not None:
             self.model.load_state_dict(best_state)
         self.model.eval()
-        result.profile = self._profile_summary()
+        profile["counters"] = {
+            "triples": fit_triples, "batches": fit_batches, "epochs": result.epochs_run,
+        }
+        # Throughput over pure-train time: validation is a phase of its own.
+        phases = profile["phases"]
+        train_seconds = sum(phases[name]["seconds"] for name in TRAIN_PHASES if name in phases)
+        profile["train_seconds"] = train_seconds
+        if train_seconds > 0:
+            profile["triples_per_sec"] = fit_triples / train_seconds
+        result.profile = profile
         return result
 
     # ------------------------------------------------------------------
@@ -235,22 +243,16 @@ class Trainer:
             )
         return state
 
-    def _profile_summary(self) -> Dict:
-        """Profiler summary with throughput computed over pure-train time."""
-        profiler = self.profiler
-        summary = profiler.summary()
-        train_seconds = sum(profiler.seconds(p) for p in TRAIN_PHASES)
-        summary["train_seconds"] = train_seconds
-        if train_seconds > 0:
-            summary["triples_per_sec"] = profiler.counter("triples") / train_seconds
-        return summary
-
     def _step(
-        self, optimizer: Adam, users: np.ndarray, pos_items: np.ndarray, neg_items: np.ndarray
+        self,
+        tracer: Tracer,
+        optimizer: Adam,
+        users: np.ndarray,
+        pos_items: np.ndarray,
+        neg_items: np.ndarray,
     ) -> float:
         config = self.config
-        profiler = self.profiler
-        with profiler.phase("forward"):
+        with tracer.span("train.forward", cat="train"):
             pos_scores, neg_scores, reg_tensors = self.model.bpr_forward(
                 users, pos_items, neg_items
             )
@@ -265,10 +267,10 @@ class Trainer:
             auxiliary = self.model.auxiliary_loss(users, pos_items)
             if auxiliary is not None:
                 loss = loss + auxiliary
-        with profiler.phase("backward"):
+        with tracer.span("train.backward", cat="train"):
             optimizer.zero_grad()
             loss.backward()
-        with profiler.phase("step"):
+        with tracer.span("train.step", cat="train"):
             optimizer.step()
         return loss.item()
 
@@ -314,8 +316,7 @@ def train_model(
     model: Recommender,
     dataset: Dataset,
     config: Optional[TrainConfig] = None,
-    registry=None,
     tracer=None,
 ) -> TrainResult:
     """Convenience one-liner used by examples and benchmarks."""
-    return Trainer(model, dataset, config, registry=registry, tracer=tracer).fit()
+    return Trainer(model, dataset, config, tracer=tracer).fit()

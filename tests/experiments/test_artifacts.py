@@ -49,6 +49,71 @@ def test_run_writes_every_artifact(artifacts):
     assert expected <= set(os.listdir(directory))
 
 
+def test_run_writes_no_observability_json(artifacts):
+    directory, _ = artifacts
+    assert set(os.listdir(directory)) == {
+        SPEC_FILENAME, CHECKPOINT_DIRNAME, INDEX_DIRNAME,
+        METRICS_FILENAME, LOSS_CURVE_FILENAME,
+    }
+
+
+def test_a_directory_holding_observability_json_still_loads(artifacts, tmp_path):
+    """Directories written before spans replaced the profiler carry the
+    registry snapshot file; the reader ignores it."""
+    directory, experiment = artifacts
+    clone = str(tmp_path / "older")
+    shutil.copytree(directory, clone)
+    snapshot = {"profiler_phase_seconds_total": {"type": "counter", "series": []}}
+    with open(os.path.join(clone, "observability.json"), "w") as handle:
+        json.dump(snapshot, handle)
+    reloaded = Experiment.load(clone)
+    assert reloaded.metrics == experiment.metrics
+    assert reloaded.eval_profile == json.loads(json.dumps(experiment.eval_profile))
+    assert not hasattr(reloaded, "obs_snapshot")
+    assert reloaded.evaluate() == experiment.metrics
+
+
+def test_eval_profile_keeps_the_recorded_key_sets(artifacts):
+    """The key sets ``metrics.json`` held before spans replaced the profiler."""
+    directory, _ = artifacts
+    with open(os.path.join(directory, METRICS_FILENAME)) as handle:
+        stored = json.load(handle)
+    profile = stored["eval_profile"]
+    assert set(profile) == {"total_seconds", "phases", "counters", "users_per_sec"}
+    assert set(profile["phases"]) == {"score", "topk", "metrics"}
+    assert set(profile["counters"]) == {"chunks", "evaluated_users", "eval_wall_seconds"}
+    train = stored["train"]["profile"]
+    assert set(train) == {
+        "total_seconds", "phases", "counters", "train_seconds", "triples_per_sec",
+    }
+    assert set(train["phases"]) == {"sampling", "forward", "backward", "step"}
+    assert set(train["counters"]) == {"triples", "batches", "epochs"}
+
+
+def test_a_traced_run_profiles_only_its_final_evaluation(tmp_path):
+    from repro.obs import Tracer
+
+    spec = ExperimentSpec.create(
+        "bprmf", "yelp", scale=0.2, hparams={"dim": 8}, epochs=2, eval_every=1,
+        eval_k=5, ks=(5,),
+    )
+    tracer = Tracer()
+    experiment = run(spec, tracer=tracer)
+    records = tracer.records()
+    final = [r for r in records if r["name"] == "eval"][-1]  # after two validations
+    window = [r for r in records if r["start"] >= final["start"]]
+    profile = experiment.eval_profile
+    for phase in ("score", "topk", "metrics"):
+        name = "eval.metrics" if phase == "metrics" else f"chunk.{phase}"
+        spans = [r for r in window if r["name"] == name]
+        assert profile["phases"][phase]["calls"] == len(spans) > 0
+        assert profile["phases"][phase]["seconds"] == pytest.approx(
+            sum(r["end"] - r["start"] for r in spans), rel=1e-12
+        )
+    assert profile["counters"]["eval_wall_seconds"] == final["end"] - final["start"]
+    assert experiment.train_result.profile["phases"]["validate"]["calls"] == 2
+
+
 def test_format_v2_stores_every_archive_as_a_directory(artifacts):
     directory, experiment = artifacts
     assert ARTIFACT_FORMAT_VERSION == 2

@@ -3,6 +3,7 @@ mmap-loadable export, and the persisted evaluation profile."""
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +40,35 @@ def test_metrics_json_records_eval_profile(trained_dir):
     assert {"score", "topk", "metrics"} <= set(profile["phases"])
     assert profile["counters"]["evaluated_users"] > 0
     assert profile["users_per_sec"] > 0
+
+
+def test_train_prints_the_throughput_line(tmp_path, capsys):
+    code, out = run_cli([*TRAIN_ARGS, "--out", str(tmp_path / "run")], capsys)
+    assert code == 0
+    (line,) = [line for line in out.splitlines() if line.startswith("training throughput")]
+    assert re.fullmatch(
+        r"training throughput: [\d,]+ triples/s over \d+\.\d\ds "
+        r"\(sampling \d+% forward \d+% backward \d+% step \d+%\)",
+        line,
+    ), line
+
+
+def test_evaluate_prints_the_users_per_second_breakdown(trained_dir, tmp_path, capsys):
+    trace_path = str(tmp_path / "eval.json")
+    code, out = run_cli(["evaluate", trained_dir, "--trace-out", trace_path], capsys)
+    assert code == 0
+    (line,) = [line for line in out.splitlines() if line.startswith("evaluated ")]
+    match = re.fullmatch(
+        r"evaluated (\d+) users in \d+\.\d\ds "
+        r"\(([\d,]+) users/s; metrics \d+% score \d+% topk \d+%\)",
+        line,
+    )
+    assert match, line
+    # the rate is the eval span's: model rebuilding is not evaluation
+    (run,) = [e for e in json.load(open(trace_path))["traceEvents"] if e["name"] == "eval"]
+    assert int(match.group(1)) == run["args"]["n_users"]
+    rate = run["args"]["n_users"] / (run["dur"] / 1e6)
+    assert abs(int(match.group(2).replace(",", "")) - rate) <= 1
 
 
 def test_evaluate_parallel_matches_serial_and_prints_throughput(

@@ -1,4 +1,4 @@
-"""Tracer: deterministic spans, linkage, Chrome-trace schema, merging."""
+"""Tracer: deterministic spans, linkage, Chrome-trace schema, profiles."""
 
 import json
 import os
@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.obs.trace import SPAN_FIELDS, Tracer, maybe_span
+from repro.obs.trace import SPAN_FIELDS, Tracer, maybe_span, span_profile
 
 
 class FakeClock:
@@ -95,13 +95,6 @@ class TestSpans:
             "late": None, "orphan": None,
         }
 
-    def test_disabled_tracer_is_noop(self):
-        tracer = Tracer(enabled=False)
-        with tracer.span("work") as span:
-            span.set_attr("k", 1)
-        assert tracer.begin("x").span_id is None
-        assert len(tracer) == 0
-
     def test_threads_get_independent_stacks(self):
         tracer = Tracer()
         seen = {}
@@ -184,3 +177,62 @@ class TestMaybeSpan:
         with maybe_span(tracer, "x", attrs={"a": 1}):
             pass
         assert tracer.records()[0]["attrs"] == {"a": 1}
+
+
+class StepClock:
+    """Returns the queued readings in order: each span's start, then end."""
+
+    def __init__(self, readings):
+        self.readings = list(readings)
+
+    def __call__(self):
+        return self.readings.pop(0)
+
+
+class TestSpanProfile:
+    PHASES = {"job.a": "a", "job.b": "b"}
+
+    def test_phases_sum_durations_and_count_spans_and_skip_other_names(self):
+        tracer = Tracer(clock=StepClock([0.0, 1.0, 1.0, 4.0, 4.0, 5.0, 5.0, 100.0]))
+        for name in ("job.a", "job.b", "job.a", "other"):
+            with tracer.span(name):
+                pass
+        profile = span_profile(tracer, self.PHASES)
+        assert profile == {
+            "total_seconds": 5.0,
+            "phases": {
+                "a": {"seconds": 2.0, "calls": 2, "share": 0.4},
+                "b": {"seconds": 3.0, "calls": 1, "share": 0.6},
+            },
+            "counters": {},
+        }
+        assert list(profile["phases"]) == ["a", "b"]  # sorted by phase key
+
+    def test_folding_windows_onto_a_base_equals_one_pass(self):
+        clock = StepClock([0.0, 2.0, 2.0, 3.0, 3.0, 7.0, 7.0, 8.0])
+        tracer = Tracer(clock=clock)
+        with tracer.span("job.a"):
+            pass
+        with tracer.span("job.b"):
+            pass
+        first = span_profile(tracer, self.PHASES)
+        first["counters"] = {"n": 2}
+        mark = len(tracer)
+        with tracer.span("job.a"):
+            pass
+        with tracer.span("job.a"):
+            pass
+        folded = span_profile(tracer, self.PHASES, since=mark, base=first)
+        whole = span_profile(tracer, self.PHASES)
+        assert folded["phases"] == whole["phases"]
+        assert folded["total_seconds"] == whole["total_seconds"] == 8.0
+        assert folded["counters"] == {"n": 2}  # carried over from the base
+        assert folded["phases"]["a"] == {"seconds": 7.0, "calls": 3, "share": 7.0 / 8.0}
+
+    def test_no_matching_spans_is_an_empty_profile(self):
+        tracer = Tracer()
+        with tracer.span("other"):
+            pass
+        assert span_profile(tracer, self.PHASES) == {
+            "total_seconds": 0.0, "phases": {}, "counters": {},
+        }

@@ -13,9 +13,10 @@ from repro.core import pup_full
 from repro.core.base import Recommender
 from repro.scoring import ScoreBranch, gemm_cols, gemm_rows, score_branches
 from repro.data import SyntheticConfig, generate
-from repro.eval.ranking import evaluate, metrics_from_rankings, topk_rankings
+from repro.eval.ranking import eval_profile, evaluate, metrics_from_rankings, topk_rankings
 from repro.eval.topk import masked_topk
-from repro.profiling import Profiler
+from repro.obs import trace
+from repro.obs.trace import Tracer
 from repro.runtime import BatchRuntime, RuntimeConfig, ShardedIndex, recommend_all
 from repro.runtime.sharded import _Buffers, shard_ranges
 from repro.serving import RetrievalEngine, export_index
@@ -392,16 +393,101 @@ class TestRecommendAll:
             BulkRecommendations.load(path)
 
 
+def _span_totals(records, name):
+    spans = [r for r in records if r["name"] == name]
+    return sum(r["end"] - r["start"] for r in spans), len(spans)
+
+
 class TestProfilerIntegration:
     def test_eval_phases_recorded(self, setup, item_block):
         dataset, model, _ = setup
-        profiler = Profiler()
+        tracer = Tracer()
         item_block(37)  # 3 shards, so there is a merge to time
-        evaluate(model, dataset, ks=(5,), profiler=profiler)
+        evaluate(model, dataset, ks=(5,), tracer=tracer)
+        profile = eval_profile(tracer)
         for phase in ("score", "topk", "merge", "metrics"):
-            assert profiler.seconds(phase) > 0, phase
-        assert profiler.counter("evaluated_users") > 0
-        assert "users_per_sec" in profiler.summary()
+            assert profile["phases"][phase]["seconds"] > 0, phase
+        assert profile["counters"]["evaluated_users"] == len(dataset.split_positive_sets("test"))
+        assert profile["users_per_sec"] > 0
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_eval_profile_is_the_chunk_spans(self, setup, item_block, workers, n_shards):
+        dataset, model, _ = setup
+        item_block(-(-dataset.n_items // n_shards))
+        tracer = Tracer()
+        evaluate(model, dataset, ks=(5,), user_chunk=16, workers=workers, tracer=tracer)
+        records = tracer.records()
+        profile = eval_profile(tracer)
+        n_chunks = _span_totals(records, "chunk.rank")[1]
+        n_users = len(dataset.split_positive_sets("test"))
+        assert n_chunks == -(-n_users // 16)
+        # 16 rows make one row block: a score and a top-k span per shard,
+        # and one merge per chunk once there are two shards
+        expected_calls = {"score": n_chunks * n_shards, "topk": n_chunks * n_shards}
+        if n_shards > 1:
+            expected_calls["merge"] = n_chunks
+        for phase, calls in expected_calls.items():
+            seconds, spans = _span_totals(records, f"chunk.{phase}")
+            assert profile["phases"][phase]["calls"] == spans == calls
+            assert profile["phases"][phase]["seconds"] == pytest.approx(seconds, rel=1e-12)
+        assert set(profile["phases"]) == {*expected_calls, "metrics"}
+        (run,) = [r for r in records if r["name"] == "eval"]
+        wall = run["end"] - run["start"]
+        assert profile["counters"] == {
+            "chunks": n_chunks, "evaluated_users": n_users, "eval_wall_seconds": wall,
+        }
+        assert profile["users_per_sec"] == n_users / wall
+
+    def test_eval_profile_is_the_chunk_spans_on_the_candidate_pool_path(self, setup):
+        _, _, index = setup
+        users = np.arange(40)
+        pools = {int(user): np.arange(user % 7, 110, 3) for user in users}
+        tracer = Tracer()
+        with BatchRuntime(index, RuntimeConfig(user_chunk=16)) as runtime:
+            runtime.rank(users, k=5, candidate_items=pools, tracer=tracer)
+        records = tracer.records()
+        profile = eval_profile(tracer)
+        # every row is restricted: one full-width score and one reference
+        # top-k span per chunk (16 rows fit one 64-row sub-batch)
+        for phase in ("score", "topk"):
+            seconds, spans = _span_totals(records, f"chunk.{phase}")
+            assert profile["phases"][phase]["calls"] == spans == 3
+            assert profile["phases"][phase]["seconds"] == pytest.approx(seconds, rel=1e-12)
+        assert set(profile["phases"]) == {"score", "topk"}
+        assert profile["counters"]["chunks"] == 3
+
+    def test_untraced_evaluate_creates_no_span(self, setup, monkeypatch, item_block):
+        dataset, model, _ = setup
+        item_block(37)  # every kernel phase, merge included, has a call site
+        made = []
+
+        class CountingSpan(trace.Span):
+            def __init__(self, *args, **kwargs):
+                made.append(args[1])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(trace, "Span", CountingSpan)
+        traced = Tracer()
+        evaluate(model, dataset, ks=(5,), workers=2, tracer=traced)
+        assert len(made) == len(traced) > 0  # the patch does see spans
+        made.clear()
+        evaluate(model, dataset, ks=(5,), workers=2)
+        assert made == []
+
+    def test_scorer_fallback_records_score_and_topk_spans(self, setup):
+        from repro.baselines import DeepFM
+
+        dataset, _, _ = setup
+        model = DeepFM(dataset, rng=np.random.default_rng(0))
+        model.eval()
+        tracer = Tracer()
+        evaluate(model, dataset, ks=(5,), user_chunk=16, tracer=tracer)
+        profile = eval_profile(tracer)
+        n_chunks = -(-len(dataset.split_positive_sets("test")) // 16)
+        assert profile["phases"]["score"]["calls"] == n_chunks
+        assert profile["phases"]["topk"]["calls"] == n_chunks
+        assert profile["counters"]["chunks"] == 0  # no batch runtime on this path
 
     def test_mmap_index_runtime_parity(self, setup, tmp_path, item_block):
         dataset, _, index = setup

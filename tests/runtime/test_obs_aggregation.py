@@ -1,8 +1,9 @@
-"""Threaded observability: chunk spans and timings land with the caller.
+"""Threaded observability: chunk spans and their kernel spans land with the caller.
 
 The contract: a traced ``BatchRuntime.rank`` produces one ``runtime.rank``
 span plus one ``chunk.rank`` span per dispatched chunk, linked
-parent→child — and that structure is identical (span names, counts,
+parent→child, with each chunk's ``chunk.score`` / ``chunk.topk`` spans
+beneath it — and that structure is identical (span names, counts,
 linkage) whether the chunks ran serially or on worker threads, because
 every chunk records straight into the caller's tracer under an explicit
 parent.
@@ -15,9 +16,8 @@ import pytest
 
 from repro.core import pup_full
 from repro.data import SyntheticConfig, generate
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer
-from repro.profiling import Profiler
+from repro.eval.ranking import EVAL_SPANS
+from repro.obs.trace import Tracer, span_profile
 from repro.runtime import BatchRuntime, RuntimeConfig
 from repro.serving import export_index
 
@@ -105,36 +105,39 @@ class TestSpanAggregation:
         records = tracer.records()
         chunks = {r["span_id"]: r for r in records if r["name"] == "chunk.rank"}
         assert len(chunks) == 3
+        searches = {r["span_id"]: r for r in records if r["name"] == "chunk.ann_search"}
+        assert len(searches) == 3
         coarse = [r for r in records if r["name"] == "ann.coarse"]
         assert len(coarse) == 3
         for span in coarse:
-            chunk = chunks[span["parent_id"]]
-            assert span["tid"] == chunk["tid"]
+            search = searches[span["parent_id"]]
+            chunk = chunks[search["parent_id"]]
+            assert span["tid"] == search["tid"] == chunk["tid"]
 
     def test_untraced_rank_records_nothing(self, setup):
         _, _, index = setup
         with BatchRuntime(index, RuntimeConfig(user_chunk=16)) as runtime:
             runtime.rank(np.arange(20), k=5)  # no tracer: must not raise
 
-    def test_disabled_tracer_ships_no_spans(self, setup):
-        _, _, index = setup
-        tracer = Tracer(enabled=False)
-        with BatchRuntime(index, RuntimeConfig(user_chunk=16)) as runtime:
-            runtime.rank(np.arange(20), k=5, tracer=tracer)
-        assert len(tracer) == 0
 
 
 class TestMetricAggregation:
     def test_profiler_timings_merge_across_thread_workers(self, setup):
         _, _, index = setup
-        registry = MetricsRegistry()
-        profiler = Profiler(registry=registry)
+        tracer = Tracer()
         config = RuntimeConfig(workers=3, user_chunk=16)
         with BatchRuntime(index, config) as runtime:
-            runtime.rank(np.arange(48), k=5, profiler=profiler)
-        # worker-thread kernel seconds landed in the caller's registry
-        assert profiler.seconds("score") > 0
-        assert profiler.seconds("topk") > 0
-        assert profiler.counter("chunks") == 3
-        assert registry.get("profiler_phase_seconds_total").value(phase="score") > 0
+            runtime.rank(np.arange(48), k=5, tracer=tracer)
+        # worker-thread kernel spans landed in the caller's tracer, each
+        # under its own chunk on that chunk's thread
+        records = tracer.records()
+        chunks = {r["span_id"]: r for r in records if r["name"] == "chunk.rank"}
+        assert len(chunks) == 3
+        kernel = [r for r in records if r["name"] in ("chunk.score", "chunk.topk")]
+        assert len(kernel) == 6  # one shard, one row block per chunk
+        for span in kernel:
+            assert span["tid"] == chunks[span["parent_id"]]["tid"]
+        phases = span_profile(tracer, EVAL_SPANS)["phases"]
+        assert phases["score"]["seconds"] > 0 and phases["score"]["calls"] == 3
+        assert phases["topk"]["seconds"] > 0 and phases["topk"]["calls"] == 3
 

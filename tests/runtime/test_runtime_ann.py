@@ -62,13 +62,17 @@ class TestRecommendAllWithAnn:
                 runtime.rank([0, 1], 5, candidate_items={0: None, 1: None})
 
     def test_ann_search_profiled_under_its_own_phase(self, setup):
-        from repro.profiling import Profiler
+        from repro.eval.ranking import eval_profile
+        from repro.obs import Tracer
 
         _, index = setup
         ivf = build_ivf(index, n_lists=8, nprobe=2, seed=0)
-        profiler = Profiler()
-        recommend_all(index, k=5, ann=ivf, profiler=profiler)
-        assert profiler.seconds("ann_search") > 0
+        tracer = Tracer()
+        recommend_all(index, k=5, ann=ivf, tracer=tracer)
+        phases = eval_profile(tracer)["phases"]
+        assert set(phases) == {"ann_search"}
+        assert phases["ann_search"]["seconds"] > 0
+        assert phases["ann_search"]["calls"] == eval_profile(tracer)["counters"]["chunks"]
 
 
 class TestRefresh:

@@ -12,8 +12,7 @@ from repro.core import (
     pup_without_price_and_category,
 )
 from repro.data import SyntheticConfig, generate
-from repro.serving import ExportError, export_index, export_index_from_checkpoint
-from repro.train import save_checkpoint
+from repro.serving import ExportError, export_index
 
 
 @pytest.fixture(scope="module")
@@ -80,16 +79,3 @@ class TestExportParity:
         assert not index.is_warm(dataset.n_users)
         assert not index.is_warm(-1)
 
-
-class TestCheckpointExport:
-    def test_checkpoint_to_index_matches_direct_export(self, dataset, tmp_path):
-        model = pup_full(dataset, global_dim=10, category_dim=4, rng=np.random.default_rng(7))
-        model.eval()
-        path = save_checkpoint(model, str(tmp_path / "pup"))
-        direct = export_index(model, dataset)
-
-        clone = pup_full(dataset, global_dim=10, category_dim=4, rng=np.random.default_rng(99))
-        via_ckpt = export_index_from_checkpoint(path, clone, dataset)
-        users = np.arange(dataset.n_users)
-        np.testing.assert_array_equal(via_ckpt.score(users), direct.score(users))
-        assert via_ckpt.extra["checkpoint"]["model_class"] == "PUP"

@@ -1,17 +1,25 @@
-"""Profiler unit tests + its wiring into Trainer (profile, progress line,
-best-checkpoint no-aliasing guarantee)."""
+"""The trainer's span timing (``TrainResult.profile``, the progress line)
+and its best-checkpoint no-aliasing guarantee."""
 
 import json
-import time
+import re
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.baselines import BPRMF
 from repro.data import SyntheticConfig, generate
-from repro.profiling import Profiler
+from repro.obs.trace import Tracer
 from repro.train import TrainConfig, Trainer
+from repro.train import trainer as trainer_module
 from repro.train.trainer import TRAIN_PHASES, TrainResult
+
+#: ``TrainResult.profile``'s key sets, as recorded before spans replaced the
+#: profiler (a PUP fit with validation)
+PROFILE_KEYS = {"total_seconds", "phases", "counters", "train_seconds", "triples_per_sec"}
+PROFILE_PHASES = {"sampling", "forward", "backward", "step", "validate"}
+PROFILE_COUNTERS = {"triples", "batches", "epochs"}
 
 
 @pytest.fixture(scope="module")
@@ -21,58 +29,6 @@ def dataset():
         interactions_per_user=10, seed=31,
     )
     return generate(config)[0]
-
-
-class TestProfiler:
-    def test_phase_accumulates_time_and_calls(self):
-        profiler = Profiler()
-        for _ in range(3):
-            with profiler.phase("work"):
-                time.sleep(0.001)
-        assert profiler.seconds("work") >= 0.003
-        assert profiler.summary()["phases"]["work"]["calls"] == 3
-
-    def test_counters_and_rate(self):
-        profiler = Profiler()
-        profiler.add_seconds("step", 2.0)
-        profiler.count("triples", 100)
-        profiler.count("triples", 100)
-        assert profiler.counter("triples") == 200
-        assert profiler.rate("triples", per="step") == pytest.approx(100.0)
-        assert profiler.rate("triples") == pytest.approx(100.0)
-
-    def test_summary_is_json_safe_with_shares(self):
-        profiler = Profiler()
-        profiler.add_seconds("a", 1.0)
-        profiler.add_seconds("b", 3.0)
-        profiler.count("triples", 8)
-        summary = json.loads(json.dumps(profiler.summary()))
-        assert summary["phases"]["b"]["share"] == pytest.approx(0.75)
-        assert summary["triples_per_sec"] == pytest.approx(2.0)
-
-    def test_disabled_profiler_is_noop(self):
-        profiler = Profiler(enabled=False)
-        with profiler.phase("work"):
-            pass
-        profiler.count("triples", 5)
-        assert profiler.total_seconds() == 0.0
-        assert profiler.counter("triples") == 0.0
-
-    def test_untimed_phase_reads_zero(self):
-        assert Profiler().seconds("never") == 0.0
-
-    def test_format_phases(self):
-        profiler = Profiler()
-        profiler.add_seconds("fwd", 1.0)
-        profiler.add_seconds("bwd", 1.0)
-        assert "fwd 50%" in profiler.format_phases()
-
-    def test_reset(self):
-        profiler = Profiler()
-        profiler.add_seconds("a", 1.0)
-        profiler.count("n", 2)
-        profiler.reset()
-        assert profiler.total_seconds() == 0.0 and profiler.counter("n") == 0.0
 
 
 class TestTrainerProfiling:
@@ -118,6 +74,79 @@ class TestTrainerProfiling:
             result.profile["phases"][p]["seconds"] for p in TRAIN_PHASES
         )
         assert result.profile["train_seconds"] == pytest.approx(train_seconds)
+
+    def test_profile_keeps_the_recorded_key_sets(self, dataset):
+        model = BPRMF(dataset, dim=8, rng=np.random.default_rng(0))
+        config = TrainConfig(epochs=2, eval_every=1, eval_k=10)
+        profile = Trainer(model, dataset, config).fit().profile
+        assert set(profile) == PROFILE_KEYS
+        assert set(profile["phases"]) == PROFILE_PHASES
+        for phase in profile["phases"].values():
+            assert set(phase) == {"seconds", "calls", "share"}
+        assert set(profile["counters"]) == PROFILE_COUNTERS
+
+    def test_phase_seconds_are_the_summed_spans_in_the_callers_tracer(self, dataset):
+        model = BPRMF(dataset, dim=8, rng=np.random.default_rng(0))
+        config = TrainConfig(epochs=3, eval_every=1, eval_k=10, batch_size=128)
+        tracer = Tracer()
+        result = Trainer(model, dataset, config, tracer=tracer).fit()
+        records = tracer.records()
+        epochs = {r["span_id"] for r in records if r["name"] == "train.epoch"}
+        assert len(epochs) == 3
+        for phase, entry in result.profile["phases"].items():
+            spans = [r for r in records if r["name"] == f"train.{phase}"]
+            assert entry["calls"] == len(spans)
+            assert entry["seconds"] == pytest.approx(
+                sum(r["end"] - r["start"] for r in spans), rel=1e-12, abs=1e-12
+            )
+            if phase != "validate":
+                assert all(r["parent_id"] in epochs for r in spans)
+        batches = result.profile["counters"]["batches"]
+        assert result.profile["phases"]["forward"]["calls"] == batches
+        # one sampling call per batch plus the one that finds the epoch done
+        assert result.profile["phases"]["sampling"]["calls"] == batches + 3
+        assert result.profile["phases"]["validate"]["calls"] == 3
+
+    def test_untraced_fit_keeps_at_most_one_epoch_of_records(self, dataset, monkeypatch):
+        alive = []
+        largest = []
+
+        class CountingTracer(Tracer):
+            def __init__(self, *args, **kwargs):
+                live = [ref() for ref in alive if ref() is not None]
+                largest.append(sum(len(tracer) for tracer in live))
+                super().__init__(*args, **kwargs)
+                alive.append(weakref.ref(self))
+
+        monkeypatch.setattr(trainer_module, "Tracer", CountingTracer)
+        model = BPRMF(dataset, dim=8, rng=np.random.default_rng(0))
+        config = TrainConfig(epochs=4, eval_every=1, eval_k=10, batch_size=128)
+        result = Trainer(model, dataset, config).fit()
+        assert len(alive) == 4  # one private tracer per epoch
+        steps = result.profile["counters"]["batches"] // 4
+        # four phase spans a step, the sampling call that ends the epoch,
+        # train.epoch and train.validate
+        one_epoch = 4 * steps + 3
+        assert largest == [0, one_epoch, one_epoch, one_epoch]
+        assert all(ref() is None for ref in alive)  # nothing outlives the fit
+
+    def test_early_stopped_fit_still_profiles_its_last_validation(self, dataset):
+        model = BPRMF(dataset, dim=8, rng=np.random.default_rng(0))
+        config = TrainConfig(
+            epochs=30, eval_every=1, eval_k=10, early_stop_patience=1, learning_rate=0.5,
+        )
+        result = Trainer(model, dataset, config).fit()
+        assert result.epochs_run < 30  # the loop broke out early
+        assert result.profile["phases"]["validate"]["calls"] == len(result.validation_history)
+        assert result.profile["counters"]["epochs"] == result.epochs_run
+
+    def test_verbose_line_shows_each_phase_share(self, dataset, capsys):
+        model = BPRMF(dataset, dim=8, rng=np.random.default_rng(0))
+        Trainer(model, dataset, TrainConfig(epochs=1, verbose=True, seed=0)).fit()
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        assert re.search(
+            r"triples/s \(backward \d+% forward \d+% sampling \d+% step \d+%\)$", line
+        ), line
 
 
 class TestBestCheckpointAliasing:
