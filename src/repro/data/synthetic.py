@@ -134,16 +134,24 @@ def generate(config: SyntheticConfig) -> tuple[Dataset, SyntheticGroundTruth]:
     popularity_interest = 0.5 * log_popularity
     match_scale = 2.0 * config.price_match_width**2
     block_rows = max(1, _BLOCK_BYTES // (8 * config.n_items))
+    # Every block is computed into the same two buffers.  Fresh blocks
+    # would come from the malloc heap, and whether the per-user draws'
+    # small arrays had split the holes the last ones left — which differs
+    # from run to run — would decide whether the heap grows by a block.
+    utility_rows = np.empty((min(block_rows, config.n_users), config.n_items))
+    scratch_rows = np.empty_like(utility_rows)
     items_out = []
     for start in range(0, config.n_users, block_rows):
         block = slice(start, start + block_rows)
+        rows = min(block_rows, config.n_users - start)
+        utility, scratch = utility_rows[:rows], scratch_rows[:rows]
         # Interest: latent taste + category affinity + item popularity.
-        utility = user_latents[block] @ item_latents.T
+        np.matmul(user_latents[block], item_latents.T, out=utility)
         utility /= np.sqrt(config.latent_dim)
-        utility += category_interest[block][:, item_categories]
+        utility += np.take(category_interest[block], item_categories, axis=1, out=scratch)
         utility += popularity_interest
         # Gaussian price match centred on the user's WTP in the item's category.
-        match = wtp[block][:, item_categories]
+        match = np.take(wtp[block], item_categories, axis=1, out=scratch)
         np.subtract(price_percentile, match, out=match)
         np.square(match, out=match)
         np.negative(match, out=match)

@@ -45,6 +45,7 @@ so recall depends only on an item's ADC rank inside its own
 from __future__ import annotations
 
 import math
+import mmap
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -95,14 +96,23 @@ def combined_item_vectors(branches: Sequence[ScoreBranch], start: int = 0) -> np
     """``(n_items - start, D)`` vectors of items ``start:`` whose inner
     product with a combined query reproduces the user-dependent part of
     the exact score (float64; each branch is cast straight into its columns,
-    so no second catalog-sized float64 array is ever held)."""
+    so no second catalog-sized float64 array is ever held).
+
+    The output lives in an anonymous mapping of its own, whose pages go
+    back to the system when it is released.  Taken from the malloc heap,
+    a block this size either fits a hole earlier frees left or grows the
+    heap, by a layout that differs from run to run, and so does the
+    process's peak resident memory (docs/performance.md, "Why a peak can
+    take more than one value")."""
     const: Optional[np.ndarray] = None
     for branch in branches:
         if branch.item_const is not None:
             term = branch.weight * np.asarray(branch.item_const[start:], dtype=np.float64)
             const = term if const is None else const + term
     widths = [b.item.shape[1] for b in branches]
-    out = np.empty((len(branches[0].item[start:]), sum(widths) + (const is not None)))
+    rows, cols = len(branches[0].item[start:]), sum(widths) + (const is not None)
+    mapping = mmap.mmap(-1, max(rows * cols * 8, 1))
+    out = np.frombuffer(mapping, dtype=np.float64, count=rows * cols).reshape(rows, cols)
     for branch, stop in zip(branches, np.cumsum(widths)):
         out[:, stop - branch.item.shape[1] : stop] = branch.item[start:]
     if const is not None:

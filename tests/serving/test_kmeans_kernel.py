@@ -498,6 +498,22 @@ class TestWorkCounters:
         ref_peak = peak_bytes(lambda: ref_combined_item_vectors(branches))
         assert ref_peak > out_bytes + 8 * MB
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
+    def test_combined_item_vectors_live_outside_the_malloc_heap(self):
+        # Freeing a 16 MB array raises glibc's mmap threshold past the
+        # 12.5 MB output, so an output taken from malloc lands in [heap].
+        np.ones(2 * MB)
+        out = combined_item_vectors(index_of(*clustered_items(24_000, 0)).branches)
+        with open("/proc/self/maps") as maps:
+            heap = [
+                [int(end, 16) for end in line.split()[0].split("-")]
+                for line in maps
+                if line.rstrip().endswith("[heap]")
+            ]
+        assert not any(low <= out.ctypes.data < high for low, high in heap)
+        out[:] = 1.0  # writable, like the np.empty it replaced
+        assert out.flags.c_contiguous and out.sum() == out.size
+
 
 if __name__ == "__main__":
     print(json.dumps(dict(all_pins()), indent=4))
