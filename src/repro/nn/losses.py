@@ -10,15 +10,10 @@ difference.  The de-facto standard BPR is ``-ln sigma(s_i - s_j)``
 stable form as :func:`bpr_loss` (what the reference PUP code uses) and keep
 the literal Eq. 4 as :func:`bpr_loss_paper_eq4` for fidelity experiments.
 
-Fused kernels
--------------
-:func:`fused_bpr_loss` and :func:`fused_l2_on_batch` compute the same values
-as :func:`bpr_loss` / :func:`l2_on_batch` but as *single* autograd nodes
-with hand-written backward closures, instead of chains of elementwise graph
-nodes.  Per training step that removes roughly a dozen intermediate arrays
-and their gradient buffers; the trainer uses the fused forms by default
-(``TrainConfig.fused_kernels``); the composed forms are the reference the
-fused ones are tested against (docs/performance.md, "Fused kernels").
+:func:`fused_bpr_loss` and :func:`fused_l2_on_batch` compute the values of
+:func:`bpr_loss` / :func:`l2_on_batch` as *single* registered primitives
+instead of chains of elementwise ones; the trainer uses them by default
+(``TrainConfig.fused_kernels``, docs/performance.md, "The tape").
 """
 
 from __future__ import annotations
@@ -28,7 +23,7 @@ from typing import Iterable
 import numpy as np
 
 from .module import Parameter
-from .tensor import Tensor, _stable_sigmoid
+from .tensor import Deferred, Tensor, _stable_sigmoid, apply, defvjp, row_blocks
 
 
 def bpr_loss(pos_scores: Tensor, neg_scores: Tensor) -> Tensor:
@@ -46,36 +41,27 @@ def bpr_loss(pos_scores: Tensor, neg_scores: Tensor) -> Tensor:
 
 
 def fused_bpr_loss(pos_scores: Tensor, neg_scores: Tensor) -> Tensor:
-    """Numerically-stable fused BPR: ``mean softplus(neg - pos)`` as one node.
-
-    Forward computes ``log(1 + exp(neg - pos))`` directly on the arrays and
-    caches ``sigmoid(neg - pos)``; backward distributes
-    ``±sigmoid(margin) / n`` to the two score tensors in a single pass.
-    Matches :func:`bpr_loss` to within floating-point round-off.
-    """
+    """:func:`bpr_loss` as one op that saves only ``sigmoid(neg - pos)``;
+    its VJP hands ``∓sigmoid(margin) / n`` to the two score tensors."""
     if pos_scores.shape != neg_scores.shape:
         raise ValueError(
             f"positive/negative score shapes differ: {pos_scores.shape} vs {neg_scores.shape}"
         )
-    margin = neg_scores.data - pos_scores.data
-    out_data = np.asarray(np.logaddexp(0.0, margin).mean(), dtype=margin.dtype)
-    sig = _stable_sigmoid(margin)
-    scale = 1.0 / max(margin.size, 1)
-    requires = pos_scores.requires_grad or neg_scores.requires_grad
-    track = requires or pos_scores._parents or neg_scores._parents
+    return apply("fused_bpr_loss", pos_scores, neg_scores)
 
-    def _backward(grad: np.ndarray) -> None:
-        g = sig * (grad * scale)
-        if neg_scores.requires_grad or neg_scores._parents:
-            neg_scores._accumulate_any(g)
-        if pos_scores.requires_grad or pos_scores._parents:
-            pos_scores._accumulate_any(-g)
 
-    if not track:
-        return Tensor(out_data)
-    return Tensor(
-        out_data, requires_grad=requires, parents=(pos_scores, neg_scores), backward_fn=_backward
-    )
+def _bpr_forward(needs, pos, neg):
+    margin = neg - pos
+    out = np.asarray(np.logaddexp(0.0, margin).mean(), dtype=margin.dtype)
+    return out, (_stable_sigmoid(margin), 1.0 / max(margin.size, 1))
+
+
+def _bpr_vjp(grad, sig, scale):
+    g = sig * (grad * scale)
+    return -g, g
+
+
+defvjp("fused_bpr_loss", _bpr_forward, _bpr_vjp)
 
 
 def bpr_loss_paper_eq4(pos_scores: Tensor, neg_scores: Tensor, eps: float = 1e-8) -> Tensor:
@@ -119,33 +105,40 @@ def l2_on_batch(embeddings: Iterable[Tensor], weight: float, batch_size: int) ->
 
 
 def fused_l2_on_batch(embeddings: Iterable[Tensor], weight: float, batch_size: int) -> Tensor:
-    """Fused form of :func:`l2_on_batch`: one node over all embedding slices.
-
-    Forward is a flat ``sum(e·e)`` accumulated in float64 (the reduction is
-    the numerically delicate part); backward adds ``2·(weight/batch)·e`` to
-    each slice with no intermediate squared arrays.
-    """
+    """:func:`l2_on_batch` as one op: a flat ``sum(e·e)`` accumulated in
+    float64, whose VJP defers ``2·(weight/batch)·e`` into each slice's
+    gradient until that gradient is read (no squared intermediates)."""
     embeddings = list(embeddings)
     if not embeddings:
         raise ValueError("fused_l2_on_batch needs at least one tensor")
     if batch_size <= 0:
         raise ValueError(f"batch_size must be positive, got {batch_size}")
-    scale = weight / batch_size
+    return apply("fused_l2_on_batch", *embeddings, scale=weight / batch_size)
+
+
+def _l2_forward(needs, *embeddings, scale):
     total = 0.0
     for emb in embeddings:
-        flat = emb.data.reshape(-1)
+        flat = emb.reshape(-1)
         total += float(np.dot(flat, flat))
-    out_data = np.asarray(total * scale, dtype=embeddings[0].data.dtype)
-    requires = any(e.requires_grad for e in embeddings)
-    track = requires or any(e._parents for e in embeddings)
+    kept = tuple(emb if need else None for emb, need in zip(embeddings, needs))
+    return np.asarray(total * scale, dtype=embeddings[0].dtype), (scale,) + kept
 
-    def _backward(grad: np.ndarray) -> None:
-        for emb in embeddings:
-            if emb.requires_grad or emb._parents:
-                emb._accumulate_any((2.0 * scale * grad) * emb.data)
 
-    if not track:
-        return Tensor(out_data)
-    return Tensor(
-        out_data, requires_grad=requires, parents=tuple(embeddings), backward_fn=_backward
-    )
+def _l2_vjp(grad, scale, *embeddings):
+    factor = 2.0 * scale * grad
+
+    def part(emb):
+        def add(buffer):
+            if buffer is None:
+                return factor * emb
+            for rows in row_blocks(emb) if emb.ndim else [()]:
+                buffer[rows] += factor * emb[rows]
+            return buffer
+
+        return Deferred(add)
+
+    return [None if emb is None else part(emb) for emb in embeddings]
+
+
+defvjp("fused_l2_on_batch", _l2_forward, _l2_vjp)

@@ -1,38 +1,34 @@
 """A small reverse-mode automatic differentiation engine on NumPy arrays.
 
-This module is the computational substrate for the whole reproduction: the
-paper implements its models in PyTorch, which is not available offline, so we
-provide an equivalent (scalar-loss, reverse-mode) autograd ``Tensor``.
+The paper implements its models in PyTorch, which is not available offline,
+so this module provides an equivalent (scalar-loss, reverse-mode) autograd
+:class:`Tensor` over ``float32`` / ``float64`` arrays (the precision policy
+in :mod:`repro.nn.precision`); scalar constants take the tensor's dtype, so
+a graph stays in one precision end to end.
 
-Design notes
-------------
-* A :class:`Tensor` wraps an ``np.ndarray`` (``float32`` or ``float64``,
-  governed by the precision policy in :mod:`repro.nn.precision`), an optional
-  gradient buffer, and a closure that propagates gradients to its parents.
-  Ops derive their output dtype from their operands and scalar constants are
-  coerced to the tensor's own dtype, so a graph built under one policy stays
-  in that precision end to end.
-* ``backward()`` runs a topological sort over the recorded graph and calls the
-  per-node backward closures in reverse order, exactly like a micro-grad style
-  engine but with full ndarray broadcasting support.
-* The graph is released as it is walked: once a non-leaf node's closure has
-  run, so has every consumer of the node, and the walk drops its ``.grad``,
-  closure and parent edges.  Forward intermediates and interior gradients
-  die with their last consumer, not with the loss; only leaves (every
-  ``Parameter``) keep ``.grad``.  Released closures become a sentinel, so a
-  second ``backward()`` through a walked graph raises ``RuntimeError``.
-  There is no ``retain_graph``: rebuild the graph to differentiate again.
-* Broadcasting is undone in the backward pass by :func:`unbroadcast`, which
-  sums gradients over broadcast dimensions.
-* Sparse support: :meth:`Tensor.sparse_matmul` multiplies a *constant*
-  ``scipy.sparse`` matrix with a dense tensor.  The graph adjacency matrix in
-  GCNs is constant, so gradients only flow to the dense operand — this is all
-  the paper's encoder needs, and it keeps the engine simple.
+* Every differentiable op is a registered primitive (:func:`defvjp`): a
+  ``forward(needs, *arrays, **params)`` returning the output and the arrays
+  its VJP reads (only those the inputs in ``needs`` will want), and a
+  ``vjp(grad, *saved)`` returning one contribution per input.  :func:`apply`
+  leaves a :class:`Record` on the output — the inputs' gradient slots, the
+  saved arrays, a gradient slot — and no forward output, so an intermediate
+  no VJP reads dies with its ``Tensor``.  The fused losses and the pairwise
+  decoder register the same way.
+* ``backward()`` orders the records the root depends on into a tape
+  (depth-first post-order), walks it in reverse, so every consumer runs
+  before what it reads, and releases each record once its VJP has run;
+  only leaves (every ``Parameter``) keep ``.grad``.  Reaching a released
+  record raises ``RuntimeError``: rebuild the graph to differentiate again.
+* A contribution is an array (adopted if the VJP just made it, else copied
+  or added), a function of the slot's buffer (the embedding gather scatters
+  into it), or :class:`Deferred` until the slot is read.
+* The sparse operand of :meth:`Tensor.sparse_matmul` (a GCN adjacency) is a
+  constant: gradients flow to the dense operand only.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -65,12 +61,8 @@ def _as_array(value: ArrayLike, dtype=None) -> np.ndarray:
 
 
 def unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum ``grad`` down to ``shape``, undoing NumPy broadcasting.
-
-    Used by binary-op backward passes: if ``a + b`` broadcast ``b`` up to the
-    result shape, the gradient flowing back to ``b`` must be summed over the
-    broadcast axes so that ``b.grad.shape == b.shape``.
-    """
+    """Sum ``grad`` down to ``shape``, undoing NumPy broadcasting (if
+    ``a + b`` broadcast ``b``, ``b``'s gradient sums over the broadcast axes)."""
     if grad.shape == shape:
         return grad
     # Sum over leading axes added by broadcasting.
@@ -84,47 +76,152 @@ def unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+class Primitive(NamedTuple):
+    """A registered op: ``forward(needs, *arrays, **params) -> (out, saved)``
+    and ``vjp(grad, *saved)`` -> one contribution (or None) per input."""
+
+    forward: Callable
+    vjp: Callable
+
+
+class Deferred(NamedTuple):
+    """A contribution ``add(buffer) -> buffer`` applied, after those before
+    it, when its slot's gradient is next read.  A fused VJP defers a part
+    that reads only arrays the tape keeps anyway, so an input's gradient is
+    not built until its own record needs it."""
+
+    add: Callable
+
+
+#: op name -> :class:`Primitive`; every op a :class:`Record` can name
+REGISTRY: Dict[str, Primitive] = {}
+
+
+def defvjp(name: str, forward: Callable, vjp: Callable) -> None:
+    REGISTRY[name] = Primitive(forward, vjp)
+
+
+class Record:
+    """What backward needs of one op: the inputs' gradient slots (a leaf
+    ``Tensor``, another record, or None where no gradient is wanted), the
+    arrays the VJP reads, and this output's own gradient slot."""
+
+    __slots__ = ("op", "inputs", "saved", "grad", "shape", "dtype")
+
+    def __init__(self, op: str, inputs: tuple, saved: tuple, out: np.ndarray) -> None:
+        self.op, self.inputs, self.saved, self.grad = op, inputs, saved, None
+        self.shape, self.dtype = out.shape, out.dtype
+
+    def release(self) -> None:
+        self.op, self.inputs, self.saved, self.grad = None, (), None, None
+
+
+def apply(op: str, *inputs: "Tensor", **params) -> "Tensor":
+    """Run primitive ``op`` on ``inputs``; record it if any input needs a gradient."""
+    needs = tuple(tensor.requires_grad for tensor in inputs)
+    out, saved = REGISTRY[op].forward(needs, *(tensor.data for tensor in inputs), **params)
+    result = Tensor(out, requires_grad=any(needs))
+    if result.requires_grad:
+        slots = tuple(
+            (tensor._record or tensor) if need else None for tensor, need in zip(inputs, needs)
+        )
+        result._record = Record(op, slots, saved, result.data)
+    return result
+
+
+class _Walk:
+    """Adds contributions into gradient slots during one ``backward()``."""
+
+    def __init__(self) -> None:
+        #: id(slot) -> (slot, its deferred contributions, oldest first)
+        self.deferred: Dict[int, tuple] = {}
+
+    def read(self, slot) -> None:  # apply the slot's deferred contributions
+        slot, parts = self.deferred.pop(id(slot), (slot, ()))
+        for part in parts:
+            slot.grad = part.add(slot.grad)
+
+    def run(self, record: Record) -> None:
+        """Run ``record``'s VJP into its inputs' slots, then release it."""
+        self.read(record)
+        if record.grad is not None:
+            adopted: list = []
+            parts = REGISTRY[record.op].vjp(record.grad, *record.saved)
+            for slot, part in zip(record.inputs, parts):
+                if slot is not None and part is not None:
+                    self.add(slot, part, adopted)
+        record.release()
+
+    def add(self, slot, part, adopted: list) -> None:
+        """Add ``part`` into ``slot.grad``.  The first array is adopted when
+        the VJP just made it (a base array given to no other slot, listed
+        in ``adopted``) and copied otherwise."""
+        if isinstance(part, Deferred):
+            self.deferred.setdefault(id(slot), (slot, []))[1].append(part)
+            return
+        self.read(slot)
+        if callable(part):
+            slot.grad = part(slot.grad)
+        elif slot.grad is not None:
+            slot.grad += part
+        elif (
+            isinstance(part, np.ndarray)
+            and part.base is None
+            and (part.dtype, part.shape) == (slot.dtype, slot.shape)
+            and not any(part is other for other in adopted)
+        ):
+            adopted.append(part)
+            slot.grad = part
+        else:
+            slot.grad = np.array(part, dtype=slot.dtype)
+
+
+def _tape(root: Record) -> list:
+    """The records ``root`` depends on, each after every record it reads."""
+    order: list = []
+    visited: set[int] = set()
+    stack: list = [(root, False)]
+    # Iterative DFS post-order: avoids recursion limits on deep graphs.
+    while stack:
+        record, processed = stack.pop()
+        if processed:
+            order.append(record)
+        elif id(record) not in visited:
+            if record.op is None:
+                raise RuntimeError("backward() reached a record of an already walked graph")
+            visited.add(id(record))
+            stack.append((record, True))
+            for slot in record.inputs:
+                if isinstance(slot, Record) and id(slot) not in visited:
+                    stack.append((slot, False))
+    return order
+
+
+def _unary(op: str) -> Callable:
+    def method(self: "Tensor") -> "Tensor":
+        return apply(op, self)
+
+    method.__name__ = op
+    return method
+
+
 class Tensor:
     """An ndarray with reverse-mode autograd.
 
-    Parameters
-    ----------
-    data:
-        The wrapped array. An array already in a supported precision keeps
-        its dtype; anything else is coerced to the precision policy's
-        default (see :func:`_as_array`).
-    requires_grad:
-        Whether gradients should be accumulated into ``.grad``.
-    parents:
-        Graph edges used for the topological sort (internal).
-    backward_fn:
-        Closure receiving the upstream gradient, responsible for accumulating
-        into each parent's ``.grad`` (internal).
-    name:
-        Optional debugging label.
+    ``data`` keeps a supported precision (anything else is coerced to the
+    policy default, :func:`_as_array`); ``requires_grad`` makes it a leaf
+    whose ``.grad`` gradients accumulate into; ``name`` labels it.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_record", "name")
 
-    def __init__(
-        self,
-        data: ArrayLike,
-        requires_grad: bool = False,
-        parents: Iterable["Tensor"] = (),
-        backward_fn: Optional[Callable[[np.ndarray], None]] = None,
-        name: str = "",
-        dtype=None,
-    ) -> None:
+    def __init__(self, data: ArrayLike, requires_grad: bool = False, name: str = "", dtype=None) -> None:
         self.data = _as_array(data, dtype=dtype)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
-        self._parents = tuple(parents)
-        self._backward_fn = backward_fn
+        self._record: Optional[Record] = None
         self.name = name
 
-    # ------------------------------------------------------------------
-    # Introspection helpers
-    # ------------------------------------------------------------------
     @property
     def shape(self) -> tuple:
         return self.data.shape
@@ -164,160 +261,65 @@ class Tensor:
         """A detached copy cast to ``dtype`` (no gradient flow)."""
         return Tensor(self.data.astype(resolve_dtype(dtype)), requires_grad=False)
 
-    # ------------------------------------------------------------------
-    # Gradient bookkeeping
-    # ------------------------------------------------------------------
-    def _accumulate(self, grad: np.ndarray) -> None:
-        if not self.requires_grad:
-            return
-        self._accumulate_any(grad)
-
     def zero_grad(self) -> None:
         """Reset the accumulated gradient."""
         self.grad = None
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
-        """Run reverse-mode autodiff from this tensor, releasing the graph.
+        """Run reverse-mode autodiff from this tensor, releasing the tape.
 
-        ``grad`` defaults to ones, which is only sensible for scalar losses —
-        a ValueError is raised for non-scalar tensors without an explicit seed.
-
-        Gradients accumulate into the ``.grad`` of leaves (tensors without a
-        backward closure, such as every ``Parameter``).  Every other node,
-        this tensor included, is released as soon as its closure has run:
-        interior ``.grad`` is not kept.  Reaching a released node — a second
-        ``backward()``, or one through a tensor of an already walked graph —
-        raises ``RuntimeError``.
+        ``grad`` (the seed) defaults to ones, for a scalar only.  Gradients
+        accumulate into the ``.grad`` of leaves; a released record — a second
+        ``backward()``, or one through a tensor of a walked graph — raises
+        ``RuntimeError`` before any gradient moves.
         """
         if grad is None:
             if self.data.size != 1:
-                raise ValueError(
-                    "backward() without an explicit gradient requires a scalar "
-                    f"tensor, got shape {self.shape}"
-                )
-            grad = np.ones_like(self.data)
+                raise ValueError(f"backward() without a seed needs a scalar, got shape {self.shape}")
+            seed = np.ones_like(self.data)
         else:
-            grad = _as_array(grad, dtype=self.data.dtype)
-            if grad.shape != self.data.shape:
-                raise ValueError(
-                    f"seed gradient shape {grad.shape} != tensor shape {self.shape}"
-                )
+            seed = np.array(_as_array(grad, dtype=self.data.dtype))
+            if seed.shape != self.data.shape:
+                raise ValueError(f"seed gradient shape {seed.shape} != tensor shape {self.shape}")
+        walk = _Walk()
+        if self._record is None:
+            walk.add(self, seed, [])
+            return
+        tape = _tape(self._record)
+        self._record.grad = seed
+        # Reverse post-order puts every consumer of a record before it, so
+        # once its VJP has run nothing reads its gradient or saved arrays.
+        for index in range(len(tape) - 1, -1, -1):
+            walk.run(tape[index])
+            tape[index] = None
+        for slot, _ in list(walk.deferred.values()):
+            walk.read(slot)  # leaves
 
-        order: list[Optional[Tensor]] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        # Iterative DFS post-order: avoids recursion limits on deep graphs.
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                order.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in visited:
-                    stack.append((parent, False))
-
-        self._accumulate_any(grad)
-        # Reverse post-order puts every consumer of a node before it, so once
-        # its closure has run nothing reads the node's gradient, closure or
-        # parents again; clearing its slot lets the node itself go too.
-        for index in range(len(order) - 1, -1, -1):
-            node = order[index]
-            order[index] = None
-            if node._backward_fn is None:
-                continue
-            if node.grad is not None:
-                node._backward_fn(node.grad)
-            node.grad = None
-            node._backward_fn = _released
-            node._parents = ()
-
-    # ------------------------------------------------------------------
-    # Binary arithmetic
-    # ------------------------------------------------------------------
-    def _binary(self, other: ArrayLike, forward, backward_self, backward_other) -> "Tensor":
+    def _operand(self, other: ArrayLike) -> "Tensor":
         # Non-tensor operands adopt this tensor's dtype so scalar constants
         # never promote a float32 graph to float64.
-        other_t = other if isinstance(other, Tensor) else Tensor(other, dtype=self.data.dtype)
-        out_data = forward(self.data, other_t.data)
-        requires = self.requires_grad or other_t.requires_grad
-        track = requires or self._parents or other_t._parents
-
-        def _backward(grad: np.ndarray) -> None:
-            if self.requires_grad or self._parents:
-                self._accumulate_any(unbroadcast(backward_self(grad, self.data, other_t.data), self.shape))
-            if other_t.requires_grad or other_t._parents:
-                other_t._accumulate_any(unbroadcast(backward_other(grad, self.data, other_t.data), other_t.shape))
-
-        if not track:
-            return Tensor(out_data)
-        return Tensor(out_data, requires_grad=requires, parents=(self, other_t), backward_fn=_backward)
-
-    def _accumulate_any(self, grad: np.ndarray, owned: bool = False) -> None:
-        """Accumulate gradient whether this is a leaf or an interior node.
-
-        The first contribution is a single-pass copy (not zeros + add): the
-        incoming array may be shared between parents or be a broadcast view,
-        so it must not be adopted in place.  ``owned=True`` says the caller
-        made ``grad`` itself and keeps no reference to it; an owned array of
-        this node's dtype and shape is adopted without the copy.
-        """
-        if self.grad is None:
-            if (
-                owned
-                and isinstance(grad, np.ndarray)
-                and grad.dtype == self.data.dtype
-                and grad.shape == self.data.shape
-            ):
-                self.grad = grad
-            else:
-                self.grad = np.array(grad, dtype=self.data.dtype)
-        else:
-            self.grad += grad
+        return other if isinstance(other, Tensor) else Tensor(other, dtype=self.data.dtype)
 
     def __add__(self, other: ArrayLike) -> "Tensor":
-        return self._binary(
-            other,
-            lambda a, b: a + b,
-            lambda g, a, b: g,
-            lambda g, a, b: g,
-        )
+        return apply("add", self, self._operand(other))
 
     def __radd__(self, other: ArrayLike) -> "Tensor":
         return self.__add__(other)
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
-        return self._binary(
-            other,
-            lambda a, b: a - b,
-            lambda g, a, b: g,
-            lambda g, a, b: -g,
-        )
+        return apply("sub", self, self._operand(other))
 
     def __rsub__(self, other: ArrayLike) -> "Tensor":
         return Tensor(other).__sub__(self)
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
-        return self._binary(
-            other,
-            lambda a, b: a * b,
-            lambda g, a, b: g * b,
-            lambda g, a, b: g * a,
-        )
+        return apply("mul", self, self._operand(other))
 
     def __rmul__(self, other: ArrayLike) -> "Tensor":
         return self.__mul__(other)
 
     def __truediv__(self, other: ArrayLike) -> "Tensor":
-        return self._binary(
-            other,
-            lambda a, b: a / b,
-            lambda g, a, b: g / b,
-            lambda g, a, b: -g * a / (b * b),
-        )
+        return apply("truediv", self, self._operand(other))
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
         return Tensor(other).__truediv__(self)
@@ -326,135 +328,39 @@ class Tensor:
         return self.__mul__(-1.0)
 
     def __pow__(self, exponent: float) -> "Tensor":
-        exponent = float(exponent)
-        out_data = self.data**exponent
-
-        def _backward(grad: np.ndarray) -> None:
-            self._accumulate_any(grad * exponent * self.data ** (exponent - 1.0))
-
-        if not (self.requires_grad or self._parents):
-            return Tensor(out_data)
-        return Tensor(out_data, requires_grad=self.requires_grad, parents=(self,), backward_fn=_backward)
+        return apply("pow", self, exponent=float(exponent))
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
         return self.matmul(other)
 
     def matmul(self, other: "Tensor") -> "Tensor":
         """Dense matrix multiply with gradients to both operands."""
-        other_t = other if isinstance(other, Tensor) else Tensor(other, dtype=self.data.dtype)
-        out_data = self.data @ other_t.data
-        requires = self.requires_grad or other_t.requires_grad
-        track = requires or self._parents or other_t._parents
-
-        def _backward(grad: np.ndarray) -> None:
-            if self.requires_grad or self._parents:
-                if other_t.data.ndim == 1:
-                    self._accumulate_any(np.outer(grad, other_t.data) if grad.ndim else grad * other_t.data)
-                else:
-                    self._accumulate_any(grad @ other_t.data.T, owned=True)
-            if other_t.requires_grad or other_t._parents:
-                if self.data.ndim == 1:
-                    other_t._accumulate_any(np.outer(self.data, grad))
-                else:
-                    other_t._accumulate_any(self.data.T @ grad, owned=True)
-
-        if not track:
-            return Tensor(out_data)
-        return Tensor(out_data, requires_grad=requires, parents=(self, other_t), backward_fn=_backward)
+        return apply("matmul", self, self._operand(other))
 
     def sparse_matmul(self, matrix: sp.spmatrix, transpose: Optional[sp.spmatrix] = None) -> "Tensor":
-        """Compute ``matrix @ self`` for a constant sparse ``matrix``.
-
-        The sparse operand (a graph adjacency) receives no gradient; the
-        gradient w.r.t. the dense operand is ``matrix.T @ grad``.  Callers on
-        a hot path (GCN encoders) pass the precomputed ``transpose`` so it is
-        not rebuilt on every forward; otherwise it is derived lazily when the
-        backward pass first needs it.
-        """
+        """``matrix @ self`` for a constant sparse ``matrix``; the gradient
+        is ``matrix.T @ grad``.  GCN encoders pass the precomputed
+        ``transpose``; otherwise backward derives it."""
         if not sp.issparse(matrix):
             raise TypeError(f"expected a scipy sparse matrix, got {type(matrix)!r}")
+        if transpose is not None and not sp.issparse(transpose):
+            raise TypeError(f"expected a sparse transpose, got {type(transpose)!r}")
         csr = matrix.tocsr()
         if csr.dtype != self.data.dtype:
             csr = csr.astype(self.data.dtype)
-        out_data = csr @ self.data
+        return apply("sparse_matmul", self, matrix=csr, transpose=transpose)
 
-        if not (self.requires_grad or self._parents):
-            return Tensor(out_data)
+    # Elementwise nonlinearities, registered below; softplus is log(1 + e^x).
+    tanh = _unary("tanh")
+    sigmoid = _unary("sigmoid")
+    relu = _unary("relu")
+    exp = _unary("exp")
+    log = _unary("log")
+    sqrt = _unary("sqrt")
+    softplus = _unary("softplus")
 
-        if transpose is not None and not sp.issparse(transpose):
-            raise TypeError(f"expected a sparse transpose, got {type(transpose)!r}")
-        cached = [transpose]
-
-        def _backward(grad: np.ndarray) -> None:
-            if cached[0] is None:
-                cached[0] = csr.T.tocsr()
-            t = cached[0]
-            if t.dtype != grad.dtype:
-                t = t.astype(grad.dtype)
-            self._accumulate_any(t @ grad, owned=True)
-
-        return Tensor(out_data, requires_grad=self.requires_grad, parents=(self,), backward_fn=_backward)
-
-    # ------------------------------------------------------------------
-    # Elementwise nonlinearities
-    # ------------------------------------------------------------------
-    def _unary(self, forward, backward) -> "Tensor":
-        out_data = forward(self.data)
-
-        def _backward(grad: np.ndarray) -> None:
-            self._accumulate_any(backward(grad, self.data, out_data), owned=True)
-
-        if not (self.requires_grad or self._parents):
-            return Tensor(out_data)
-        return Tensor(out_data, requires_grad=self.requires_grad, parents=(self,), backward_fn=_backward)
-
-    def tanh(self) -> "Tensor":
-        return self._unary(np.tanh, lambda g, x, y: g * (1.0 - y * y))
-
-    def sigmoid(self) -> "Tensor":
-        return self._unary(_stable_sigmoid, lambda g, x, y: g * y * (1.0 - y))
-
-    def relu(self) -> "Tensor":
-        return self._unary(
-            lambda x: np.maximum(x, 0.0),
-            lambda g, x, y: g * (x > 0.0),
-        )
-
-    def exp(self) -> "Tensor":
-        return self._unary(np.exp, lambda g, x, y: g * y)
-
-    def log(self) -> "Tensor":
-        return self._unary(np.log, lambda g, x, y: g / x)
-
-    def sqrt(self) -> "Tensor":
-        return self._unary(np.sqrt, lambda g, x, y: g * 0.5 / y)
-
-    def softplus(self) -> "Tensor":
-        """log(1 + exp(x)) computed stably; used by the BPR loss."""
-        return self._unary(
-            lambda x: np.logaddexp(0.0, x),
-            lambda g, x, y: g * _stable_sigmoid(x),
-        )
-
-    # ------------------------------------------------------------------
-    # Reductions and shaping
-    # ------------------------------------------------------------------
     def sum(self, axis: Optional[Union[int, tuple]] = None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
-
-        def _backward(grad: np.ndarray) -> None:
-            # _accumulate_any copies on first touch, so broadcast views are safe.
-            if axis is None:
-                self._accumulate_any(np.broadcast_to(grad, self.shape))
-            else:
-                g = grad
-                if not keepdims:
-                    g = np.expand_dims(g, axis=axis)
-                self._accumulate_any(np.broadcast_to(g, self.shape))
-
-        if not (self.requires_grad or self._parents):
-            return Tensor(out_data)
-        return Tensor(out_data, requires_grad=self.requires_grad, parents=(self,), backward_fn=_backward)
+        return apply("sum", self, axis=axis, keepdims=keepdims)
 
     def mean(self, axis: Optional[Union[int, tuple]] = None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -468,70 +374,181 @@ class Tensor:
     def reshape(self, *shape: int) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out_data = self.data.reshape(shape)
-        original = self.shape
-
-        def _backward(grad: np.ndarray) -> None:
-            self._accumulate_any(grad.reshape(original))
-
-        if not (self.requires_grad or self._parents):
-            return Tensor(out_data)
-        return Tensor(out_data, requires_grad=self.requires_grad, parents=(self,), backward_fn=_backward)
+        return apply("reshape", self, shape=shape)
 
     def transpose(self) -> "Tensor":
-        out_data = self.data.T
-
-        def _backward(grad: np.ndarray) -> None:
-            self._accumulate_any(grad.T)
-
-        if not (self.requires_grad or self._parents):
-            return Tensor(out_data)
-        return Tensor(out_data, requires_grad=self.requires_grad, parents=(self,), backward_fn=_backward)
+        return apply("transpose", self)
 
     @property
     def T(self) -> "Tensor":  # noqa: N802 - mirrors numpy's .T
         return self.transpose()
 
     def gather_rows(self, indices: np.ndarray) -> "Tensor":
-        """Select rows by integer index (embedding lookup).
-
-        Backward scatters gradients with :func:`scatter_add_rows`, so
-        repeated indices accumulate correctly — essential for mini-batches
-        sharing users.
-        """
-        idx = np.asarray(indices, dtype=np.int64)
-        out_data = self.data[idx]
-
-        def _backward(grad: np.ndarray) -> None:
-            # Scatter straight into the grad buffer: allocating a full-table
-            # temporary and adding it afterwards would double the memory
-            # traffic of the most frequent backward op in the stack.
-            if self.grad is None:
-                self.grad = np.zeros_like(self.data)
-            scatter_add_rows(self.grad, idx, grad)
-
-        if not (self.requires_grad or self._parents):
-            return Tensor(out_data)
-        return Tensor(out_data, requires_grad=self.requires_grad, parents=(self,), backward_fn=_backward)
+        """Select rows by integer index (embedding lookup); backward
+        scatters with :func:`scatter_add_rows`, so repeated ids accumulate."""
+        return apply("gather_rows", self, idx=np.asarray(indices, dtype=np.int64))
 
     def slice_cols(self, start: int, stop: int) -> "Tensor":
         """Column slice [start:stop) with gradient routing back to the slice."""
-        out_data = self.data[:, start:stop]
-
-        def _backward(grad: np.ndarray) -> None:
-            if self.grad is None:
-                self.grad = np.zeros_like(self.data)
-            self.grad[:, start:stop] += grad
-
-        if not (self.requires_grad or self._parents):
-            return Tensor(out_data)
-        return Tensor(out_data, requires_grad=self.requires_grad, parents=(self,), backward_fn=_backward)
+        return apply("slice_cols", self, start=start, stop=stop)
 
     def dropout(self, rate: float, rng: np.random.Generator, training: bool = True) -> "Tensor":
         """Inverted dropout on features. Identity when not training or rate==0."""
         if not training or rate <= 0.0:
             return self
         return self * Tensor(dropout_mask(self.shape, self.data.dtype, rate, rng))
+
+
+# The primitives.
+def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic function, split on sign so ``exp`` never overflows."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _defbinary(name: str, fn, d_a, d_b, a_reads: str, b_reads: str) -> None:
+    """A broadcasting binary op whose ``d_a(g, a, b)`` reads the operands
+    named in ``a_reads`` ("a", "b" or both): the forward keeps only those."""
+
+    def forward(needs, a, b):
+        reads = (a_reads if needs[0] else "") + (b_reads if needs[1] else "")
+        kept = (a if "a" in reads else None, b if "b" in reads else None)
+        return fn(a, b), (needs, a.shape, b.shape) + kept
+
+    def vjp(grad, needs, a_shape, b_shape, a, b):
+        return (
+            unbroadcast(d_a(grad, a, b), a_shape) if needs[0] else None,
+            unbroadcast(d_b(grad, a, b), b_shape) if needs[1] else None,
+        )
+
+    defvjp(name, forward, vjp)
+
+
+_defbinary("add", np.add, lambda g, a, b: g, lambda g, a, b: g, "", "")
+_defbinary("sub", np.subtract, lambda g, a, b: g, lambda g, a, b: -g, "", "")
+_defbinary("mul", np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a, "b", "a")
+_defbinary("truediv", np.divide, lambda g, a, b: g / b, lambda g, a, b: -g * a / (b * b), "b", "ab")
+
+
+def _defunary(name: str, fn, vjp, reads_output: bool) -> None:
+    """An elementwise op whose ``vjp(g, v)`` reads its output (``v = y``)
+    or its input (``v = x``), never both."""
+
+    def forward(needs, x):
+        y = fn(x)
+        return y, (y if reads_output else x,)
+
+    defvjp(name, forward, lambda grad, v: (vjp(grad, v),))
+
+
+_defunary("tanh", np.tanh, lambda g, y: g * (1.0 - y * y), True)
+_defunary("sigmoid", _stable_sigmoid, lambda g, y: g * y * (1.0 - y), True)
+_defunary("relu", lambda x: np.maximum(x, 0.0), lambda g, x: g * (x > 0.0), False)
+_defunary("exp", np.exp, lambda g, y: g * y, True)
+_defunary("log", np.log, lambda g, x: g / x, False)
+_defunary("sqrt", np.sqrt, lambda g, y: g * 0.5 / y, True)
+_defunary("softplus", lambda x: np.logaddexp(0.0, x), lambda g, x: g * _stable_sigmoid(x), False)
+
+defvjp(
+    "pow",
+    lambda needs, x, exponent: (x**exponent, (x, exponent)),
+    lambda grad, x, exponent: (grad * exponent * x ** (exponent - 1.0),),
+)
+
+
+def _matmul_vjp(grad, b, a):
+    da = db = None
+    if b is not None:
+        if b.ndim == 1:
+            da = np.outer(grad, b) if grad.ndim else grad * b
+        else:
+            da = grad @ b.T
+    if a is not None:
+        db = np.outer(a, grad) if a.ndim == 1 else a.T @ grad
+    return da, db
+
+
+defvjp("matmul", lambda needs, a, b: (a @ b, (b if needs[0] else None, a if needs[1] else None)), _matmul_vjp)
+
+
+def _sparse_matmul_vjp(grad, matrix, transpose):
+    if transpose is None:
+        transpose = matrix.T.tocsr()
+    if transpose.dtype != grad.dtype:
+        transpose = transpose.astype(grad.dtype)
+    return (transpose @ grad,)
+
+
+defvjp(
+    "sparse_matmul",
+    lambda needs, x, matrix, transpose: (matrix @ x, (matrix if transpose is None else None, transpose)),
+    _sparse_matmul_vjp,
+)
+
+
+def _sum_vjp(grad, shape, axis, keepdims):
+    # A broadcast view: the slot copies it on first touch.
+    if axis is not None and not keepdims:
+        grad = np.expand_dims(grad, axis=axis)
+    return (np.broadcast_to(grad, shape),)
+
+
+defvjp(
+    "sum",
+    lambda needs, x, axis, keepdims: (x.sum(axis=axis, keepdims=keepdims), (x.shape, axis, keepdims)),
+    _sum_vjp,
+)
+defvjp("reshape", lambda needs, x, shape: (x.reshape(shape), (x.shape,)), lambda g, shape: (g.reshape(shape),))
+defvjp("transpose", lambda needs, x: (x.T, ()), lambda grad: (grad.T,))
+
+
+def _into(shape: tuple, dtype, write: Callable) -> Callable:
+    """A contribution that ``write``s into the slot's buffer (zeros until
+    first touched).  The gather scatters this way: a full-table temporary
+    added afterwards would double the traffic of the most frequent op."""
+
+    def add(buffer):
+        if buffer is None:
+            buffer = np.zeros(shape, dtype=dtype)
+        write(buffer)
+        return buffer
+
+    return add
+
+
+defvjp(
+    "gather_rows",
+    lambda needs, x, idx: (x[idx], (idx, x.shape, x.dtype)),
+    lambda grad, idx, shape, dtype: (
+        _into(shape, dtype, lambda buffer: scatter_add_rows(buffer, idx, grad)),
+    ),
+)
+
+
+def _slice_cols_vjp(grad, start, stop, shape, dtype):
+    def write(buffer):
+        buffer[:, start:stop] += grad
+
+    return (_into(shape, dtype, write),)
+
+
+defvjp(
+    "slice_cols",
+    lambda needs, x, start, stop: (x[:, start:stop], (start, stop, x.shape, x.dtype)),
+    _slice_cols_vjp,
+)
+
+
+def _concat_forward(needs, *arrays, axis):
+    splits = np.cumsum([array.shape[axis] for array in arrays[:-1]])
+    return np.concatenate(arrays, axis=axis), (splits, axis)
+
+
+defvjp("concat", _concat_forward, lambda grad, splits, axis: np.split(grad, splits, axis=axis))
 
 
 def dropout_mask(shape: tuple, dtype, rate: float, rng: np.random.Generator) -> np.ndarray:
@@ -553,16 +570,20 @@ def dropout_mask(shape: tuple, dtype, rate: float, rng: np.random.Generator) -> 
     return rand
 
 
-def _released(grad: np.ndarray) -> None:
-    """Stands in for the closure of a node whose backward already ran."""
-    raise RuntimeError(
-        "backward() reached a node of a graph that was already walked and "
-        "released; build the graph again to differentiate it again"
-    )
+#: elements one pass of a blocked kernel takes: an ``np.add.at`` call of
+#: :func:`scatter_add_rows`, or the temporaries of a deferred contribution
+BLOCK_ELEMENTS = 1 << 13
+
+
+def row_blocks(array: np.ndarray) -> list:
+    """Slices of ``array``'s rows, each at most :data:`BLOCK_ELEMENTS`
+    elements (and at least one row), that cover it in order."""
+    step = max(1, BLOCK_ELEMENTS * len(array) // max(array.size, 1))
+    return [slice(start, start + step) for start in range(0, len(array), step)]
 
 
 def scatter_add_rows(buffer: np.ndarray, indices: np.ndarray, values: np.ndarray) -> None:
-    """``np.add.at(buffer, indices, values)`` as one 1-D ``np.add.at``.
+    """``np.add.at(buffer, indices, values)`` as 1-D ``np.add.at`` calls.
 
     ``values`` has shape ``indices.shape + buffer.shape[1:]``: row
     ``indices[p]`` of ``buffer`` receives ``values[p]``.  Each index becomes
@@ -591,20 +612,17 @@ def scatter_add_rows(buffer: np.ndarray, indices: np.ndarray, values: np.ndarray
     if not memory.flags.c_contiguous:
         raise ValueError("scatter_add_rows needs a dense buffer to write in place")
     steps = [stride // buffer.itemsize for stride in buffer.strides]
-    offsets = idx.reshape(-1) * steps[0]
+    cols = np.zeros((), dtype=np.int64)  # a row's element offsets, row-major
     for size, step in zip(buffer.shape[1:], steps[1:]):
-        offsets = offsets[..., None] + np.arange(size, dtype=np.int64) * step
-    np.add.at(memory.reshape(-1), offsets.reshape(-1), np.asarray(values).reshape(-1))
-
-
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """The logistic function, split on sign so ``exp`` never overflows."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+        cols = cols[..., None] + np.arange(size, dtype=np.int64) * step
+    cols, idx = cols.reshape(-1), idx.reshape(-1)
+    values = np.asarray(values).reshape(len(idx), cols.size)
+    # Blocks of rows in index order add the same values in the same order,
+    # and bound the int64 offsets (and add.at's copy of them), which are
+    # twice a float32 block's bytes.
+    for rows in row_blocks(values):
+        offsets = idx[rows, None] * steps[0] + cols
+        np.add.at(memory.reshape(-1), offsets.reshape(-1), values[rows].reshape(-1))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -612,22 +630,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = list(tensors)
     if not tensors:
         raise ValueError("concat() requires at least one tensor")
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-    requires = any(t.requires_grad for t in tensors)
-    track = requires or any(t._parents for t in tensors)
-
-    def _backward(grad: np.ndarray) -> None:
-        for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            if tensor.requires_grad or tensor._parents:
-                slicer = [slice(None)] * grad.ndim
-                slicer[axis] = slice(start, stop)
-                tensor._accumulate_any(grad[tuple(slicer)])
-
-    if not track:
-        return Tensor(out_data)
-    return Tensor(out_data, requires_grad=requires, parents=tuple(tensors), backward_fn=_backward)
+    return apply("concat", *tensors, axis=axis)
 
 
 def stack_sum(tensors: Sequence[Tensor]) -> Tensor:

@@ -148,11 +148,15 @@ def gathers_reproduce(rows: np.ndarray, cols: np.ndarray, heights) -> bool:
 def _first_multiple(multiples, reproduces, unstable: str) -> int:
     """The first of ``multiples`` that ``reproduces``; if none does (a
     multi-threaded BLAS splits large products), the last, and a
-    ``RuntimeWarning`` that ``unstable``."""
+    ``RuntimeWarning`` that ``unstable``, naming the fix."""
     for multiple in multiples:
         if reproduces(multiple):
             return multiple
-    warnings.warn(f"no multiple in {multiples} reproduces on this BLAS: {unstable}", RuntimeWarning)
+    warnings.warn(
+        f"no multiple in {multiples} reproduces on this BLAS, so {multiples[-1]} is used and "
+        f"{unstable}; set OPENBLAS_NUM_THREADS=1 before NumPy loads (python -m repro does)",
+        RuntimeWarning,
+    )
     return multiples[-1]
 
 

@@ -252,6 +252,9 @@ class Trainer:
         neg_items: np.ndarray,
     ) -> float:
         config = self.config
+        # The last step's gradients go before the forward pass builds its
+        # tape beside them.
+        optimizer.zero_grad()
         with tracer.span("train.forward", cat="train"):
             pos_scores, neg_scores, reg_tensors = self.model.bpr_forward(
                 users, pos_items, neg_items
@@ -268,7 +271,6 @@ class Trainer:
             if auxiliary is not None:
                 loss = loss + auxiliary
         with tracer.span("train.backward", cat="train"):
-            optimizer.zero_grad()
             loss.backward()
         with tracer.span("train.step", cat="train"):
             optimizer.step()

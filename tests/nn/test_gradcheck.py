@@ -4,7 +4,8 @@ Each case builds a scalar from one primitive (or loss) and hands it to the
 shared ``check_grads`` fixture (``tests/conftest.py``), in float32 and
 float64.  Non-scalar outputs are reduced through a fixed random weighting,
 so the upstream gradient a primitive sees is not all ones.  Coverage tests
-fail when a new ``Tensor`` op or a new loss has no case here.
+fail when a new ``Tensor`` op, a new loss or a new entry of the primitive
+registry (``repro.nn.tensor.REGISTRY``) has no case here.
 """
 
 import inspect
@@ -13,7 +14,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.core import pairwise_interaction
 from repro.nn import Tensor, concat, losses, stack_sum
+from repro.nn.tensor import REGISTRY
 
 DTYPES = ("float32", "float64")
 
@@ -83,6 +86,10 @@ PRIMITIVES = {
     "concat": (lambda a, b: concat([a, b], axis=0), [normal(2, 4), normal(3, 4)]),
     "concat[axis 1]": (lambda a, b: concat([a, b], axis=1), [normal(3, 2), normal(3, 4)]),
     "stack_sum": (lambda a, b, c: stack_sum([a, b, c]), [normal(3, 4), normal(3, 4), normal(4)]),
+    "pairwise_interaction": (
+        lambda a, b, c: pairwise_interaction([a, b, c]), [normal(5, 3), normal(5, 3), normal(5, 3)]
+    ),
+    "pairwise_interaction[two]": (lambda a, b: pairwise_interaction([a, b]), [normal(4, 2), normal(4, 2)]),
 }
 
 #: loss -> one input maker per tensor argument
@@ -136,9 +143,30 @@ def test_every_tensor_op_has_a_case():
 def test_every_loss_has_a_case():
     defined = {
         name for name, fn in inspect.getmembers(losses, inspect.isfunction)
-        if fn.__module__ == losses.__name__
+        if fn.__module__ == losses.__name__ and not name.startswith("_")
     }
     assert defined == set(LOSSES)
+
+
+def recorded_ops(out):
+    """The registry entries a tape from ``out`` records."""
+    ops, stack = set(), [out._record]
+    while stack:
+        record = stack.pop()
+        ops.add(record.op)
+        stack.extend(slot for slot in record.inputs if slot is not None and not isinstance(slot, Tensor))
+    return ops
+
+
+def test_every_registry_entry_has_a_case():
+    covered = set()
+    for fn, makers in PRIMITIVES.values():
+        leaves = [Tensor(array, requires_grad=True) for array in inputs(makers, "float64")]
+        covered |= recorded_ops(fn(*leaves))
+    for name, makers in LOSSES.items():
+        leaves = [Tensor(array, requires_grad=True) for array in inputs(makers, "float64")]
+        covered |= recorded_ops(call_loss(name, leaves))
+    assert set(REGISTRY) <= covered, sorted(set(REGISTRY) - covered)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)

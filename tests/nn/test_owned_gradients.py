@@ -1,13 +1,14 @@
-"""A node adopts the gradient array its consumer's backward just made.
+"""A gradient slot adopts the array its consumer's VJP just made.
 
 ``sparse_matmul``'s ``Âᵀ · G``, ``matmul``'s two products and an
-elementwise op's backward make a fresh array that nothing else holds, and
-pass it to ``_accumulate_any`` as owned: the node keeps it instead of
-copying it.  Shared arrays and broadcast views are still copied.
+elementwise op's VJP make a fresh array that nothing else holds: the walk
+keeps it instead of copying it.  Shared arrays (an ``add``'s gradient goes
+to both inputs), views and broadcast views are still copied.
 
 * After ``backward()`` no two leaves' ``.grad`` share memory with each
-  other, and none shares memory with any array of the forward pass: over a
-  graph of every op that adopts, and over one PUP training step.
+  other, and none shares memory with any array of the forward pass — a
+  tensor's data or an array a tape record saved: over a graph of every op
+  that adopts, and over one PUP training step.
 * ``tracemalloc`` counts the copy: a backward into a leaf through a sparse
   or dense product holds two ``(n, d)`` tables at its peak (the root's
   gradient and the product), where copying the product made it three.
@@ -22,18 +23,25 @@ import scipy.sparse as sp
 from repro.core import pup_full
 from repro.data import NegativeSampler, SyntheticConfig, generate
 from repro.nn import Parameter, Tensor, fused_bpr_loss, fused_l2_on_batch, precision
+from repro.nn.tensor import Record
 
 
 @pytest.fixture
 def forward_arrays(monkeypatch):
-    """Every array a ``Tensor`` is built around from here on."""
-    arrays, original = [], Tensor.__init__
+    """Every array a ``Tensor`` is built around, or a tape record saves,
+    from here on."""
+    arrays, tensor_init, record_init = [], Tensor.__init__, Record.__init__
 
     def recording(self, *args, **kwargs):
-        original(self, *args, **kwargs)
+        tensor_init(self, *args, **kwargs)
         arrays.append(self.data)
 
+    def saving(self, op, inputs, saved, out):
+        record_init(self, op, inputs, saved, out)
+        arrays.extend(array for array in saved if isinstance(array, np.ndarray))
+
     monkeypatch.setattr(Tensor, "__init__", recording)
+    monkeypatch.setattr(Record, "__init__", saving)
     return arrays
 
 

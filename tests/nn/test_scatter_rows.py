@@ -1,9 +1,10 @@
-"""The embedding-gather backward: one flattened ``np.add.at``, bit for bit.
+"""The embedding-gather backward: flattened ``np.add.at`` calls, bit for bit.
 
 ``scatter_add_rows(buffer, ids, values)`` must leave ``buffer`` holding
 exactly the bytes ``np.add.at(buffer, ids, values)`` would: every element
-receives the same values in the same (index) order.  The differential
-draws 1-D, 2-D and 3-D tables in both dtypes, 1-D and 2-D id arrays with
+receives the same values in the same (index) order, however many rows one
+``np.add.at`` call takes (``BLOCK_ELEMENTS``).  The differential draws
+that block, 1-D, 2-D and 3-D tables in both dtypes, 1-D and 2-D id arrays with
 one id planted 300 times (a PUP batch of 1 024 repeats a category or
 price-level id 120-306 times), negative ids, buffers
 holding ``-0.0`` / ``inf`` / ``nan``, non-contiguous incoming gradients
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 from repro.core import pup_full
 from repro.data import NegativeSampler, SyntheticConfig, generate
 from repro.nn import Adam, Tensor, fused_bpr_loss, fused_l2_on_batch, precision
+from repro.nn import tensor
 from repro.nn.tensor import scatter_add_rows
 
 TRAILING = ((), (1,), (8,), (56,), (3, 4))
@@ -62,12 +64,16 @@ def scatter_cases(draw):
 
 
 @settings(max_examples=120, deadline=None)
-@given(scatter_cases())
-def test_scatter_matches_add_at_byte_for_byte(case):
+@given(scatter_cases(), st.sampled_from((1, 7, 64, tensor.BLOCK_ELEMENTS)))
+def test_scatter_matches_add_at_byte_for_byte(case, block):
     buffer, ids, values = case
     expected = buffer.copy()
     np.add.at(expected, ids, values)
-    scatter_add_rows(buffer, ids, values)
+    default, tensor.BLOCK_ELEMENTS = tensor.BLOCK_ELEMENTS, block
+    try:
+        scatter_add_rows(buffer, ids, values)
+    finally:
+        tensor.BLOCK_ELEMENTS = default
     assert buffer.tobytes() == expected.tobytes()
 
 
