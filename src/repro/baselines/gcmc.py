@@ -45,10 +45,9 @@ class GCMC(Recommender):
         self._adjacency = bipartite_normalized_adjacency(
             dataset, dtype=self.embedding.weight.data.dtype
         )
-        self._adjacency_t = self._adjacency.T.tocsr()
 
     def _propagate(self) -> Tensor:
-        out = self.embedding.all().sparse_matmul(self._adjacency, transpose=self._adjacency_t)
+        out = self.embedding.all().sparse_matmul(self._adjacency, transpose=self._adjacency.T)
         out = self.transform(out).tanh()
         if self.dropout is not None:
             out = self.dropout(out)

@@ -66,7 +66,6 @@ class NGCF(Recommender):
         self._adjacency = bipartite_normalized_adjacency(
             dataset, dtype=self.user_embedding.weight.data.dtype
         )
-        self._adjacency_t = self._adjacency.T.tocsr()
 
     # ------------------------------------------------------------------
     def _input_table(self) -> Tensor:
@@ -78,7 +77,7 @@ class NGCF(Recommender):
 
     def _propagate(self) -> Tensor:
         e0 = self._input_table()
-        aggregated = e0.sparse_matmul(self._adjacency, transpose=self._adjacency_t)
+        aggregated = e0.sparse_matmul(self._adjacency, transpose=self._adjacency.T)
         interact = aggregated * e0
         e1 = _leaky_relu(self.w_aggregate(aggregated) + self.w_interact(interact))
         if self.dropout is not None:

@@ -28,10 +28,11 @@ backward ``Â[rows]ᵀ · G`` adds the same terms in the same order less the
 multipliers and unread rows never reach the loss, so the method is the
 paper's; only the dropout RNG stream differs from a whole-table draw.
 
-``Â`` and its transpose (needed by every backward pass) are constant
-subgraphs: they are built once per encoder, in the encoder's precision,
-instead of per forward call.  A step's ``Â[rows]ᵀ`` is the CSC view of the
-slice, not a copy.
+``Â`` is a constant subgraph: it is built once per graph, in the encoder's
+precision, instead of per forward call.  Every backward pass multiplies by
+a transpose that is the CSC view of its CSR operand's own arrays — ``Â.T``
+for a whole-table layer, ``Â[rows]ᵀ`` for a step's last — so no second
+copy of either is built.
 """
 
 from __future__ import annotations
@@ -71,9 +72,6 @@ class GCNEncoder(Module):
         self.dropout = Dropout(dropout, rng=rng) if dropout > 0 else None
         dtype = self.embedding.weight.data.dtype
         self._adjacency = graph.normalized_adjacency(self_loops=self_loops, dtype=dtype)
-        self._adjacency_t = graph.normalized_adjacency_transpose(
-            self_loops=self_loops, dtype=dtype
-        )
 
     def restrict(self, rows: np.ndarray) -> Tuple[sp.csr_matrix, sp.csc_matrix]:
         """``Â[rows]`` and its transpose: the last layer's operands for a
@@ -101,10 +99,10 @@ class GCNEncoder(Module):
         """
         if rows is None:
             rows = np.arange(self.graph.n_nodes)
-            operands = (self._adjacency, self._adjacency_t)
+            operands = (self._adjacency, self._adjacency.T)
         out = self.embedding.all()
         for _ in range(self.n_layers - 1):
-            out = out.sparse_matmul(self._adjacency, transpose=self._adjacency_t).tanh()
+            out = out.sparse_matmul(self._adjacency, transpose=self._adjacency.T).tanh()
         if self.n_layers:
             adjacency, transpose = operands or self.restrict(rows)
             out = out.sparse_matmul(adjacency, transpose=transpose).tanh()

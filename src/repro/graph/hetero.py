@@ -127,6 +127,10 @@ class HeteroGraph:
         Drop the corresponding attribute edges *and nodes are kept but
         isolated* (they only self-loop), which matches removing the factor
         from the model while keeping tensor shapes stable for ablations.
+
+    The graph keeps the dataset's train interactions and item attributes by
+    reference, never a copy, and derives its edge list when
+    :meth:`adjacency` is called; only the row-normalized forms are cached.
     """
 
     def __init__(
@@ -156,32 +160,19 @@ class HeteroGraph:
             n_price_levels=dataset.n_price_levels,
             n_profiles=n_profiles if user_profiles is not None else 0,
         )
+        if user_profiles is not None:
+            NodeSpace._check(user_profiles, 0, n_profiles, "profile")
         self.include_prices = include_prices
         self.include_categories = include_categories
-
-        rows = [self.space.user(dataset.train.users)]
-        cols = [self.space.item(dataset.train.items)]
-
-        item_ids = np.arange(dataset.n_items)
-        if include_categories:
-            rows.append(self.space.item(item_ids))
-            cols.append(self.space.category(dataset.item_categories))
-        if include_prices:
-            rows.append(self.space.item(item_ids))
-            cols.append(self.space.price(dataset.item_price_levels))
-        if user_profiles is not None:
-            rows.append(self.space.user(np.arange(dataset.n_users)))
-            cols.append(self.space.profile(user_profiles))
-
-        self._rows = np.concatenate(rows)
-        self._cols = np.concatenate(cols)
-        # Constant-subgraph caches: the adjacency, its row-normalized forms
-        # and the degree norms never change after construction, so they are
-        # built at most once per (variant, dtype) instead of per forward.
-        # Cached matrices are shared — callers must treat them as read-only.
-        self._adjacency: Optional[sp.csr_matrix] = None
+        self._interactions = (dataset.train.users, dataset.train.items)
+        self._item_categories = dataset.item_categories
+        self._item_price_levels = dataset.item_price_levels
+        self._user_profiles = user_profiles
+        # Constant-subgraph cache: the row-normalized forms never change
+        # after construction, so each is built at most once per (variant,
+        # dtype) instead of per forward.  Cached matrices are shared —
+        # callers must treat them as read-only.
         self._normalized: dict = {}
-        self._degrees: Optional[np.ndarray] = None
 
     @property
     def n_nodes(self) -> int:
@@ -192,17 +183,34 @@ class HeteroGraph:
         """Undirected edge count (before self-loops, deduplicated)."""
         return int(self.adjacency().nnz // 2)
 
+    def _edges(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Global (row, col) node ids of every edge, one direction each."""
+        space = self.space
+        users, items = self._interactions
+        rows = [space.user(users)]
+        cols = [space.item(items)]
+        item_ids = np.arange(space.n_items)
+        if self.include_categories:
+            rows.append(space.item(item_ids))
+            cols.append(space.category(self._item_categories))
+        if self.include_prices:
+            rows.append(space.item(item_ids))
+            cols.append(space.price(self._item_price_levels))
+        if self._user_profiles is not None:
+            rows.append(space.user(np.arange(space.n_users)))
+            cols.append(space.profile(self._user_profiles))
+        return np.concatenate(rows), np.concatenate(cols)
+
     def adjacency(self) -> sp.csr_matrix:
-        """Symmetric binary adjacency A (no self-loops, duplicates collapsed)."""
-        if self._adjacency is None:
-            n = self.n_nodes
-            data = np.ones(len(self._rows))
-            upper = sp.coo_matrix((data, (self._rows, self._cols)), shape=(n, n))
-            matrix = upper + upper.T
-            matrix = matrix.tocsr()
-            matrix.data[:] = 1.0
-            self._adjacency = matrix
-        return self._adjacency
+        """Symmetric binary adjacency A (no self-loops, duplicates collapsed).
+
+        Built on each call: only :meth:`normalized_adjacency` is cached."""
+        n = self.n_nodes
+        rows, cols = self._edges()
+        upper = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+        matrix = (upper + upper.T).tocsr()
+        matrix.data[:] = 1.0
+        return matrix
 
     def normalized_adjacency(self, self_loops: bool = True, dtype=None) -> sp.csr_matrix:
         """The paper's Eq. 5: ``Â = f(A + I)`` where f row-averages.
@@ -231,11 +239,11 @@ class HeteroGraph:
         return self._normalized[key]
 
     def normalized_adjacency_transpose(self, self_loops: bool = True, dtype=None) -> sp.csr_matrix:
-        """CSR transpose of :meth:`normalized_adjacency`, cached alongside it.
+        """CSR copy of :meth:`normalized_adjacency`'s transpose, cached beside it.
 
-        The backward pass of every propagation multiplies by ``Â.T``;
-        building that transpose once here (instead of per backward call)
-        is one of the constant-subgraph caches of the compute refactor.
+        No encoder reads it: a backward pass multiplies by ``Â.T`` as the
+        CSC view of ``Â``'s own arrays, which costs no second matrix.  It
+        stays for callers that want the row-major copy.
         """
         key = (bool(self_loops), np.dtype(dtype or np.float64).str, True)
         if key not in self._normalized:
@@ -246,7 +254,4 @@ class HeteroGraph:
 
     def degrees(self) -> np.ndarray:
         """Node degrees including the self-loop (|N_i| in Eq. 1-2)."""
-        if self._degrees is None:
-            matrix = self.adjacency() + sp.identity(self.n_nodes, format="csr")
-            self._degrees = np.asarray(matrix.sum(axis=1)).ravel()
-        return self._degrees
+        return np.asarray(self.adjacency().sum(axis=1)).ravel() + 1.0

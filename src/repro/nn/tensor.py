@@ -310,7 +310,7 @@ class Tensor:
         return apply("sub", self, self._operand(other))
 
     def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return Tensor(other).__sub__(self)
+        return self._operand(other).__sub__(self)
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
         return apply("mul", self, self._operand(other))
@@ -322,7 +322,7 @@ class Tensor:
         return apply("truediv", self, self._operand(other))
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return Tensor(other).__truediv__(self)
+        return self._operand(other).__truediv__(self)
 
     def __neg__(self) -> "Tensor":
         return self.__mul__(-1.0)
@@ -339,8 +339,8 @@ class Tensor:
 
     def sparse_matmul(self, matrix: sp.spmatrix, transpose: Optional[sp.spmatrix] = None) -> "Tensor":
         """``matrix @ self`` for a constant sparse ``matrix``; the gradient
-        is ``matrix.T @ grad``.  GCN encoders pass the precomputed
-        ``transpose``; otherwise backward derives it."""
+        is ``matrix.T @ grad``.  GCN encoders pass ``transpose`` as the CSC
+        view of their operand (no copy); otherwise backward derives it."""
         if not sp.issparse(matrix):
             raise TypeError(f"expected a scipy sparse matrix, got {type(matrix)!r}")
         if transpose is not None and not sp.issparse(transpose):

@@ -11,7 +11,8 @@ Three pieces, one spine:
   or JSONL; spans opened on any thread land in one tracer.
 * :mod:`repro.obs.server` — a stdlib HTTP :class:`MetricsServer` with
   ``/metrics``, ``/stats``, and ``/healthz`` (``repro serve
-  --metrics-port``).
+  --metrics-port``).  It loads on first access, so a process that never
+  serves metrics never imports ``http.server`` (and with it ``ssl``).
 
 Everything downstream is built on these primitives:
 :class:`~repro.serving.stats.ServingStats` on the registry; the trainer's
@@ -21,6 +22,7 @@ the CLI's ``--trace-out`` on spans (``TrainResult.profile`` and
 See ``docs/observability.md`` for the metric catalog and trace workflow.
 """
 
+from .._lazy import lazy_exports
 from .metrics import (
     DEFAULT_BUCKETS,
     Counter,
@@ -30,7 +32,6 @@ from .metrics import (
     log_buckets,
     parse_prometheus,
 )
-from .server import MetricsServer
 from .trace import Span, Tracer, maybe_span
 
 __all__ = [
@@ -46,3 +47,5 @@ __all__ = [
     "maybe_span",
     "parse_prometheus",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {"MetricsServer": ".server"})

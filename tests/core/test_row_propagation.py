@@ -39,7 +39,7 @@ def full_table(encoder: GCNEncoder, rows: np.ndarray) -> Tensor:
     """The oracle: propagate every node, then drop out the rows read."""
     out = encoder.embedding.all()
     for _ in range(encoder.n_layers):
-        out = out.sparse_matmul(encoder._adjacency, transpose=encoder._adjacency_t).tanh()
+        out = out.sparse_matmul(encoder._adjacency, transpose=encoder._adjacency.T).tanh()
     if encoder.dropout is not None:
         dtype = out.dtype
         keep = 1.0 - encoder.dropout.rate

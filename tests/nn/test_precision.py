@@ -78,6 +78,19 @@ class TestTensorDtype:
         for result in (x * 2.0, x + 1.0, x / 3.0, x - 0.5, -x, x**2.0, x.mean()):
             assert result.dtype == np.float32, result
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("policy", ["float32", "float64"])
+    def test_reflected_constants_take_the_tensor_dtype(self, dtype, policy):
+        with precision(policy):
+            x = Tensor(np.full(4, 2.0, dtype=dtype), requires_grad=True)
+            for result in (1.5 - x, 2.0 / x):
+                assert result.dtype == dtype, result
+                result.sum().backward()
+                assert x.grad.dtype == dtype
+                x.zero_grad()
+        np.testing.assert_array_equal((1.5 - x).data, np.full(4, -0.5, dtype=dtype))
+        np.testing.assert_array_equal((2.0 / x).data, np.ones(4, dtype=dtype))
+
     def test_ops_and_grads_stay_float32(self):
         x = Tensor(np.ones((3, 2), dtype=np.float32), requires_grad=True)
         w = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)

@@ -41,6 +41,26 @@ def test_serving_imports_leave_the_training_stack_out():
     assert [name for name in TRAINING_STACK if name in loaded] == []
 
 
+def test_training_and_serving_imports_load_no_http_stack():
+    """``http.server`` pulls in ``http.client`` and ``ssl`` (~2 MB resident);
+    only a process that serves metrics should pay for them."""
+    loaded = run_python(
+        "import json, sys, repro.serving, repro.lifecycle, repro.train, repro.eval; "
+        "print(json.dumps(sorted(sys.modules)))"
+    )
+    assert [name for name in ("http.server", "ssl") if name in loaded] == []
+
+
+def test_metrics_server_resolves_on_first_use():
+    loaded = run_python(
+        "import json, sys, repro, repro.obs; before = 'http.server' in sys.modules; "
+        "from repro.obs import MetricsServer; from repro.obs.server import MetricsServer as cls; "
+        "print(json.dumps([before, MetricsServer is cls, repro.MetricsServer is cls, "
+        "'MetricsServer' in dir(repro.obs), 'http.server' in sys.modules]))"
+    )
+    assert loaded == [False, True, True, True, True]
+
+
 def test_bare_import_loads_no_subpackage():
     loaded = run_python(
         "import json, sys, repro; "
