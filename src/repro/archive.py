@@ -14,6 +14,9 @@ uncompressed ``.npy`` file per array plus ``metadata.json``, a JSON header
 Any archive loads with ``mmap=True``, in which case its arrays are
 memory-mapped straight off disk: processes attaching to the same
 directory share the page cache instead of each deserializing a copy.
+Otherwise each array is copied into a private anonymous mapping of its
+own (:func:`mapped_empty`), not the malloc heap, so a dropped artifact —
+an index a swap or a promote replaced — gives its pages back whole.
 
 Durability guarantees:
 
@@ -31,7 +34,8 @@ Durability guarantees:
   raise the typed :class:`ArchiveCorrupted` naming the bad array.  Every
   load, mapped or not, also compares the stored array set with the
   header's: a missing array, an array the header does not list, or a
-  header without checksums is refused.
+  header without checksums is refused, and so is a ``.npy`` file cut
+  short of the bytes its own header promises.
 
 There are no legacy readers: :func:`check_header` refuses an artifact of
 another kind or format version, and the fix is always to re-export.
@@ -43,6 +47,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import mmap
 import os
 import shutil
 from typing import Dict, List, Optional
@@ -76,6 +82,23 @@ def _array_checksum(value: np.ndarray) -> str:
     """
     flat = np.ascontiguousarray(value).reshape(-1)
     return hashlib.sha256(flat.view(np.uint8)).hexdigest()
+
+
+def mapped_empty(shape, dtype, order: str = "C") -> np.ndarray:
+    """``np.empty`` whose buffer is a private anonymous mapping of its own.
+
+    Writable and private like a malloc'd array (a forked child's writes
+    stay the child's), but never carved from the malloc heap, so its pages
+    go back to the system whole when the array is released.  Taken from
+    the heap, a catalog-sized block either fits a hole earlier frees left
+    or grows the heap, by a layout that differs from run to run, and a
+    freed one stays resident as a hole (docs/performance.md, "Why a peak
+    can take more than one value").
+    """
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    buffer = mmap.mmap(-1, max(nbytes, 1), access=mmap.ACCESS_COPY)
+    return np.ndarray(shape, dtype=dtype, buffer=buffer, order=order)
 
 
 def _metadata_with_checksums(metadata: Dict, arrays: Dict[str, np.ndarray]) -> Dict:
@@ -181,7 +204,8 @@ def read_archive_arrays(
     """Read every stored array of an archive.
 
     ``mmap=True`` memory-maps the arrays (read-only views backed by the OS
-    page cache).
+    page cache); otherwise each is copied into a :func:`mapped_empty`
+    buffer, with ``np.load``'s dtype, shape, order and writability.
 
     The stored array set must match the header's checksum keys exactly —
     a missing array, an unlisted one, or a header without checksums raises
@@ -189,7 +213,8 @@ def read_archive_arrays(
     SHA-256 comparison itself: the default (``None``) hashes except for
     ``mmap`` loads — hashing a mapped array would page the whole file in,
     defeating the point of mapping — and can be forced either way.  A
-    mismatch raises :class:`ArchiveCorrupted`.
+    mismatch raises :class:`ArchiveCorrupted`, and so does a ``.npy`` file
+    whose header is unreadable or whose payload is shorter than it says.
     """
     if verify is None:
         verify = not mmap
@@ -198,11 +223,53 @@ def read_archive_arrays(
     for entry in sorted(os.listdir(path)):
         if not entry.endswith(_NPY_SUFFIX):
             continue
-        arrays[entry[: -len(_NPY_SUFFIX)]] = np.load(
-            os.path.join(path, entry), mmap_mode="r" if mmap else None
-        )
+        name = entry[: -len(_NPY_SUFFIX)]
+        arrays[name] = _read_npy(path, name, mmap)
     _verify_arrays(path, metadata.get(CHECKSUM_KEY), arrays, verify)
     return arrays
+
+
+_HEADER_READERS = {
+    (1, 0): np.lib.format.read_array_header_1_0,
+    (2, 0): np.lib.format.read_array_header_2_0,
+}
+
+
+def _read_npy(path: str, name: str, mapped: bool) -> np.ndarray:
+    """One stored array: a read-only map of its file, or a private copy.
+
+    Parses the ``.npy`` header as ``np.load`` does and, like
+    ``np.load(allow_pickle=False)``, refuses object arrays.
+    """
+    file = os.path.join(path, name + _NPY_SUFFIX)
+    with open(file, "rb") as handle:
+        try:
+            version = np.lib.format.read_magic(handle)
+            if version not in _HEADER_READERS:
+                raise ValueError(f"unsupported .npy format version {version}")
+            shape, fortran, dtype = _HEADER_READERS[version](handle)
+        except ValueError as error:
+            raise ArchiveCorrupted(
+                f"array {name!r} in archive {path!r} has no readable .npy header ({error})"
+            ) from error
+        if dtype.hasobject:
+            raise ValueError("Object arrays cannot be loaded when allow_pickle=False")
+        order = "F" if fortran else "C"
+        offset = handle.tell()
+        nbytes = math.prod(shape) * dtype.itemsize
+        if mapped:
+            stored = os.fstat(handle.fileno()).st_size - offset
+        else:
+            out = mapped_empty(shape, dtype, order)
+            stored = handle.readinto(out.reshape(-1, order="A").view(np.uint8))
+    if stored < nbytes:
+        raise ArchiveCorrupted(
+            f"array {name!r} in archive {path!r} is truncated: its header promises "
+            f"{nbytes} bytes of data, the file holds {stored}"
+        )
+    if mapped:
+        return np.memmap(file, dtype=dtype, mode="r", offset=offset, shape=shape, order=order)
+    return out
 
 
 def _verify_arrays(

@@ -45,11 +45,11 @@ so recall depends only on an item's ADC rank inside its own
 from __future__ import annotations
 
 import math
-import mmap
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ...archive import mapped_empty
 from ...eval.topk import NEG_INF, denied_rows, partition_topk_rows, topk_pairs_rows
 from ...obs.trace import maybe_span
 from ...scoring import ScoreBranch, branches_dtype, expand_csr_rows, gemm_cols, padded_rows, score_branches
@@ -98,12 +98,10 @@ def combined_item_vectors(branches: Sequence[ScoreBranch], start: int = 0) -> np
     the exact score (float64; each branch is cast straight into its columns,
     so no second catalog-sized float64 array is ever held).
 
-    The output lives in an anonymous mapping of its own, whose pages go
-    back to the system when it is released.  Taken from the malloc heap,
-    a block this size either fits a hole earlier frees left or grows the
-    heap, by a layout that differs from run to run, and so does the
-    process's peak resident memory (docs/performance.md, "Why a peak can
-    take more than one value")."""
+    The output is :func:`~repro.archive.mapped_empty`, a private anonymous
+    mapping whose pages go back to the system when it is released, not a
+    malloc heap block whose placement moves the process's peak resident
+    memory from run to run."""
     const: Optional[np.ndarray] = None
     for branch in branches:
         if branch.item_const is not None:
@@ -111,8 +109,7 @@ def combined_item_vectors(branches: Sequence[ScoreBranch], start: int = 0) -> np
             const = term if const is None else const + term
     widths = [b.item.shape[1] for b in branches]
     rows, cols = len(branches[0].item[start:]), sum(widths) + (const is not None)
-    mapping = mmap.mmap(-1, max(rows * cols * 8, 1))
-    out = np.frombuffer(mapping, dtype=np.float64, count=rows * cols).reshape(rows, cols)
+    out = mapped_empty((rows, cols), np.float64)
     for branch, stop in zip(branches, np.cumsum(widths)):
         out[:, stop - branch.item.shape[1] : stop] = branch.item[start:]
     if const is not None:

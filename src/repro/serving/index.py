@@ -187,7 +187,9 @@ class EmbeddingIndex:
 
         ``mmap=True`` memory-maps the arrays instead of copying them into
         process memory — attaching is near-instant and concurrent processes
-        share one page-cache copy.
+        share one page-cache copy.  A copied load puts each array in a
+        private anonymous mapping of its own, so dropping the index (a swap
+        or a promote replaced it) returns its pages to the system.
         """
         metadata = archive.read_archive_metadata(path)
         archive.check_header(

@@ -2,6 +2,8 @@
 
 import os
 import shutil
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -73,6 +75,38 @@ def check_grads(fun, *args, seed=0):
 def check_grads_fixture():
     """:func:`check_grads`, for any test under ``tests/``."""
     return check_grads
+
+
+@pytest.fixture
+def overwrite_in_forked_child():
+    """Zero an array in a forked child; returns the child's exit code.
+
+    The caller then checks its own copy: a private mapping (or malloc'd
+    memory) keeps the child's writes in the child, a shared one does not.
+    """
+    if not hasattr(os, "fork"):
+        pytest.skip("needs os.fork")
+
+    def overwrite(array: np.ndarray) -> int:
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                array[...] = 0
+                code = 0
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                return os.waitstatus_to_exitcode(status)
+            time.sleep(0.01)
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child did not exit within 30 s")
+
+    return overwrite
 
 
 @pytest.fixture

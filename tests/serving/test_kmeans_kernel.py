@@ -514,6 +514,13 @@ class TestWorkCounters:
         out[:] = 1.0  # writable, like the np.empty it replaced
         assert out.flags.c_contiguous and out.sum() == out.size
 
+    def test_combined_item_vectors_are_private_to_their_process(self, overwrite_in_forked_child):
+        # A shared anonymous mapping let a forked child's writes reach the parent.
+        out = combined_item_vectors(index_of(*clustered_items(2_000, 0)).branches)
+        before = out.copy()
+        assert overwrite_in_forked_child(out) == 0
+        np.testing.assert_array_equal(out, before)
+
 
 if __name__ == "__main__":
     print(json.dumps(dict(all_pins()), indent=4))

@@ -9,10 +9,13 @@ load must refuse silently-corrupted payloads with a typed
 import hashlib
 import json
 import os
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core import pup_full
 from repro.data import SyntheticConfig, generate
@@ -145,6 +148,75 @@ class TestChecksums:
             write_archive(
                 str(tmp_path / "r"), arrays, metadata={CHECKSUM_KEY: "stolen"}
             )
+
+
+#: every numeric kind an archive stores, both byte orders of one
+_DTYPES = ["?", "i1", "i2", "<i4", "<i8", "u1", "u2", "u4", "u8",
+           "f2", "<f4", "<f8", ">f4", ">i8", "c8", "c16"]
+
+
+def _stored(arrays, name, tmp_path):
+    """Write ``arrays`` and return the path of ``name``'s ``.npy`` file."""
+    path = write_archive(str(tmp_path / "a"), arrays, metadata={})
+    return path, os.path.join(path, name + ".npy")
+
+
+def _cut(file, keep):
+    with open(file, "r+b") as handle:
+        handle.truncate(keep)
+
+
+class TestTheReader:
+    """``read_archive_arrays`` parses each ``.npy`` itself: a copied load
+    lives in a private anonymous mapping, a mapped one is ``np.load``'s map."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        value=st.sampled_from(_DTYPES).flatmap(
+            lambda dtype: hnp.arrays(dtype, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5))
+        ),
+        fortran=st.booleans(),
+    )
+    def test_every_load_is_np_loads_array(self, value, fortran):
+        value = np.asfortranarray(value) if fortran else value
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_archive(os.path.join(tmp, "a"), {"x": value}, metadata={})
+            file = os.path.join(path, "x.npy")
+            for mmap, expected in ((False, np.load(file)), (True, np.load(file, mmap_mode="r"))):
+                loaded = read_archive_arrays(path, mmap=mmap)["x"]
+                assert loaded.dtype == expected.dtype and loaded.shape == expected.shape
+                assert loaded.tobytes(order="A") == expected.tobytes(order="A")
+                for flag in ("C_CONTIGUOUS", "F_CONTIGUOUS", "WRITEABLE", "ALIGNED"):
+                    assert loaded.flags[flag] == expected.flags[flag], (mmap, flag)
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_a_payload_cut_short_is_named(self, arrays, tmp_path, mmap):
+        # np.load raised a bare ValueError here, on either path
+        path, file = _stored(arrays, "weights", tmp_path)
+        _cut(file, os.path.getsize(file) - 8)
+        with pytest.raises(ArchiveCorrupted, match="'weights'.*truncated"):
+            read_archive_arrays(path, mmap=mmap)
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    @pytest.mark.parametrize("keep", [0, 5, 40])
+    def test_a_header_cut_short_is_named(self, arrays, tmp_path, mmap, keep):
+        path, file = _stored(arrays, "ids", tmp_path)
+        _cut(file, keep)
+        with pytest.raises(ArchiveCorrupted, match="'ids'.*header"):
+            read_archive_arrays(path, mmap=mmap)
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_object_arrays_are_refused(self, arrays, tmp_path, mmap):
+        path, file = _stored(arrays, "ids", tmp_path)
+        np.save(file, np.array([{}, 1], dtype=object), allow_pickle=True)
+        with pytest.raises(ValueError, match="allow_pickle"):
+            read_archive_arrays(path, mmap=mmap, verify=False)
+
+    def test_a_forked_childs_writes_stay_in_the_child(self, arrays, tmp_path, overwrite_in_forked_child):
+        path = write_archive(str(tmp_path / "f"), arrays, metadata={})
+        loaded = read_archive_arrays(path)["weights"]
+        assert overwrite_in_forked_child(loaded) == 0
+        np.testing.assert_array_equal(loaded, arrays["weights"])
 
 
 class TestAtomicPublish:
