@@ -69,6 +69,11 @@ class ArchiveCorrupted(RuntimeError):
     """An archive's arrays disagree with the checksum header it was written with."""
 
 
+class UnstorableArray(TypeError):
+    """An array :func:`write_archive` refuses: an object array would be
+    pickled, and every reader refuses pickles."""
+
+
 #: header field naming the artifact kind
 KIND_KEY = "kind"
 CHECKPOINT_KIND = "checkpoint"
@@ -161,21 +166,28 @@ def write_archive(path: str, arrays: Dict[str, np.ndarray], metadata: Dict) -> s
     """Write an archive directory at ``path``: metadata.json + one .npy per array.
 
     Array names map directly to filenames, so they must not contain path
-    separators.  The header gains a SHA-256 digest per array (verified by
+    separators; an object array raises :class:`UnstorableArray` naming it,
+    before anything is staged.  The header gains a SHA-256 digest per array (verified by
     :func:`read_archive_arrays`).  The write is staged and published as
     the module docstring describes: readers never see a half-written or
     mixed-generation archive.
     """
-    for name in arrays:
+    arrays = {name: np.asarray(value) for name, value in arrays.items()}
+    for name, value in arrays.items():
         if os.sep in name or (os.altsep and os.altsep in name) or name == _METADATA_FILENAME:
             raise ValueError(f"array name {name!r} cannot be used as an archive filename")
+        if value.dtype.hasobject:
+            raise UnstorableArray(
+                f"array {name!r} for archive {path!r} has dtype {value.dtype}: "
+                "an archive stores no Python objects"
+            )
     header = _metadata_with_checksums(metadata, arrays)
 
     _sweep(os.path.dirname(os.path.abspath(path)), os.path.basename(path) + _STAGING_TOKEN)
     staging = f"{path}{_STAGING_TOKEN}{os.getpid()}"
     os.makedirs(staging)
     for name, value in arrays.items():
-        np.save(os.path.join(staging, name + _NPY_SUFFIX), np.asarray(value))
+        np.save(os.path.join(staging, name + _NPY_SUFFIX), value)
     with open(os.path.join(staging, _METADATA_FILENAME), "w") as handle:
         json.dump(header, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
 
 from ..data.dataset import Dataset
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 def bipartite_normalized_adjacency(dataset: Dataset, dtype=None) -> sp.csr_matrix:
@@ -16,6 +20,8 @@ def bipartite_normalized_adjacency(dataset: Dataset, dtype=None) -> sp.csr_matri
     ``dtype`` casts the CSR values (pass the encoder's dtype so a float32
     model propagates in float32).
     """
+    import scipy.sparse as sp
+
     n = dataset.n_users + dataset.n_items
     rows = dataset.train.users
     cols = dataset.train.items + dataset.n_users

@@ -11,20 +11,24 @@ final representation is the mean of the layer outputs (including layer 0).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..core.base import Recommender, ScoreBranch
 from ..experiments.registry import register_model
 from ..data.dataset import Dataset
 from ..nn import Embedding, Tensor
 
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
 
 def _symmetric_normalized_bipartite(dataset: Dataset, dtype=None) -> sp.csr_matrix:
     """``D^-1/2 (A) D^-1/2`` over the user-item bipartite graph (no self-loops,
     per the LightGCN formulation)."""
+    import scipy.sparse as sp
+
     n = dataset.n_users + dataset.n_items
     rows = dataset.train.users
     cols = dataset.train.items + dataset.n_users

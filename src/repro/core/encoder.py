@@ -37,13 +37,15 @@ copy of either is built.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..graph.hetero import HeteroGraph
 from ..nn import Dropout, Embedding, Module, Tensor
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class GCNEncoder(Module):

@@ -19,12 +19,14 @@ and/or category edges — that is how the PUP ablations ("PUP w/o c,p",
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..data.dataset import Dataset
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -204,7 +206,10 @@ class HeteroGraph:
     def adjacency(self) -> sp.csr_matrix:
         """Symmetric binary adjacency A (no self-loops, duplicates collapsed).
 
-        Built on each call: only :meth:`normalized_adjacency` is cached."""
+        Built on each call: only :meth:`normalized_adjacency` is cached.
+        scipy loads here, at a process's first graph build, not on import."""
+        import scipy.sparse as sp
+
         n = self.n_nodes
         rows, cols = self._edges()
         upper = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
@@ -226,6 +231,8 @@ class HeteroGraph:
         """
         key = (bool(self_loops), np.dtype(dtype or np.float64).str, False)
         if key not in self._normalized:
+            import scipy.sparse as sp
+
             matrix = self.adjacency()
             if self_loops:
                 matrix = (matrix + sp.identity(self.n_nodes, format="csr")).tocsr()

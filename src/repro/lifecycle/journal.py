@@ -164,11 +164,6 @@ def _scan_segment(
     return offsets, records, None
 
 
-def segment_record_offsets(path: str) -> List[Tuple[int, int]]:
-    """``(byte_offset, payload_len)`` of each complete record (drill helper)."""
-    return _scan_segment(path)[0]
-
-
 def _read_segment(path: str, tolerate_torn_tail: bool) -> Tuple[List[Event], Optional[int]]:
     """:func:`read_segment` plus the torn tail's byte offset, in one read of the file."""
     offsets, records, torn_at = _scan_segment(path)

@@ -28,12 +28,14 @@ a graph stays in one precision end to end.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, NamedTuple, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Dict, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from .precision import SUPPORTED_DTYPES, default_dtype, resolve_dtype
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
@@ -341,6 +343,8 @@ class Tensor:
         """``matrix @ self`` for a constant sparse ``matrix``; the gradient
         is ``matrix.T @ grad``.  GCN encoders pass ``transpose`` as the CSC
         view of their operand (no copy); otherwise backward derives it."""
+        import scipy.sparse as sp  # here, not at the top: serving never multiplies
+
         if not sp.issparse(matrix):
             raise TypeError(f"expected a scipy sparse matrix, got {type(matrix)!r}")
         if transpose is not None and not sp.issparse(transpose):

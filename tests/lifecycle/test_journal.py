@@ -15,12 +15,12 @@ from repro.lifecycle.journal import (
     Event,
     JournalCorrupted,
     JournalWriter,
+    _scan_segment,
     encode_record,
     journal_digest,
     last_seq,
     read_segment,
     replay,
-    segment_record_offsets,
 )
 
 
@@ -39,6 +39,11 @@ def make_events(count, start=0):
 
 def segments(directory, suffix):
     return sorted(f for f in os.listdir(directory) if f.endswith(suffix))
+
+
+def segment_record_offsets(path):
+    """``(byte_offset, payload_len)`` of each complete record of a segment file."""
+    return _scan_segment(path)[0]
 
 
 def corrupt_journal(segment_path, record=None, seed=0, truncate=False):

@@ -40,7 +40,7 @@ def test_hot_key_books_every_admitted_request_once_across_swaps(index, traced):
     want = RecommenderService(index, default_k=8).recommend(HOT)
     n_threads, per_thread = 8, 200
     barrier = threading.Barrier(n_threads + 1)
-    hammering = threading.Event()
+    done = threading.Event()  # set once every hammer has joined
     handles = [[] for _ in range(n_threads)]
     swaps = [0]
 
@@ -53,20 +53,19 @@ def test_hot_key_books_every_admitted_request_once_across_swaps(index, traced):
 
     def swapper():
         barrier.wait()
-        while hammering.is_set():
+        while not done.is_set():
             gateway.swap_index(index)
             swaps[0] += 1
-            hammering.wait(0.001)
+            done.wait(0.001)  # a real pause: nothing sets `done` mid-run
 
     with ServingGateway(service, GatewayConfig(max_wait_ms=1.0)) as gateway:
-        hammering.set()
         threads = [threading.Thread(target=hammer, args=(slot,)) for slot in range(n_threads)]
         swapping = threading.Thread(target=swapper)
         for thread in threads + [swapping]:
             thread.start()
         for thread in threads:
             thread.join(timeout=60.0)
-        hammering.clear()
+        done.set()
         swapping.join(timeout=60.0)
         assert not any(thread.is_alive() for thread in threads + [swapping])
         admitted = gateway.snapshot()["admitted"]

@@ -335,6 +335,70 @@ class TestKernelDifferential:
 
 
 # ----------------------------------------------------------------------
+# Differential: cluster sums against a row scatter
+# ----------------------------------------------------------------------
+def scatter_sums(points, labels, members, n_clusters):
+    """The definition: ``np.add.at`` of every member row, in point order,
+    into a zero table."""
+    out = np.zeros((n_clusters, points.shape[1]))
+    np.add.at(out, labels[members], points[members])
+    return out
+
+
+def summed_points(n, d, n_clusters, seed):
+    """Heavy-tailed rows over 24 decades, some columns all ``-0.0`` and some
+    rows zero, labelled so that some clusters are empty and some have one
+    member."""
+    rng = np.random.default_rng(seed)
+    points = rng.standard_t(1.5, size=(n, d)) * 10.0 ** rng.integers(-12, 12, size=(n, 1))
+    points[rng.random(n) < 0.05] = rng.choice([0.0, -0.0])
+    points[:, rng.random(d) < 0.2] = -0.0
+    used = rng.random(n_clusters) < 0.6
+    used[0] = True
+    labels = rng.choice(np.flatnonzero(used), size=n)
+    singles = np.flatnonzero(~used)[: n // 4]  # one member each; the rest stay empty
+    labels[rng.choice(n, size=len(singles), replace=False)] = singles
+    return points, labels
+
+
+class TestClusterSums:
+    def test_a_one_column_cluster_is_not_a_pairwise_sum(self):
+        # np.add.reduce sums one contiguous column pairwise: not a scatter
+        points, labels = summed_points(2000, 1, 1, 3)
+        pairwise = np.add.reduce(points, axis=0)
+        assert not same_bytes(pairwise, scatter_sums(points, labels, labels >= 0, 1)[0])
+        assert same_bytes(kernel.cluster_sums(points, labels, 1), scatter_sums(
+            points, labels, labels >= 0, 1
+        ))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(0, 400),
+        d=st.integers(1, 70),
+        n_clusters=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        member_share=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+        block_rows=st.one_of(st.none(), st.integers(1, 50)),
+    )
+    def test_sums_are_a_row_scatter(self, n, d, n_clusters, seed, member_share, block_rows):
+        points, labels = summed_points(n, d, n_clusters, seed)
+        members = np.random.default_rng(seed + 1).random(n) < member_share
+        with pytest.MonkeyPatch.context() as patch:
+            if block_rows is not None:  # many blocks: clusters carry across them
+                patch.setattr(kernel, "_SUM_BLOCK_BYTES", block_rows * d * 8)
+            whole = kernel.cluster_sums(points, labels, n_clusters)
+            part = kernel._member_sums(points, labels, members, n_clusters)
+        assert same_bytes(whole, scatter_sums(points, labels, labels >= 0, n_clusters))
+        assert same_bytes(part, scatter_sums(points, labels, members, n_clusters))
+
+    def test_only_a_block_of_rows_is_gathered(self):
+        points = normal((24_000, 65), 0)
+        labels = np.random.default_rng(1).integers(77, size=24_000)
+        peak = peak_bytes(lambda: kernel.cluster_sums(points, labels, 77))
+        assert peak <= kernel._SUM_BLOCK_BYTES + MB, f"{peak / MB:.1f} MB"
+
+
+# ----------------------------------------------------------------------
 # Differential: the builds that sit on the kernel
 # ----------------------------------------------------------------------
 def index_arrays(ann):

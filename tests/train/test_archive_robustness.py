@@ -27,6 +27,7 @@ from repro.serving.index import EmbeddingIndex
 from repro.archive import (
     ArchiveCorrupted,
     CHECKSUM_KEY,
+    UnstorableArray,
     _array_checksum,
     clean_stale_archives,
     read_archive_arrays,
@@ -148,6 +149,17 @@ class TestChecksums:
             write_archive(
                 str(tmp_path / "r"), arrays, metadata={CHECKSUM_KEY: "stolen"}
             )
+
+    @pytest.mark.parametrize(
+        "value",
+        [np.array([1, "a"], dtype=object), np.zeros(3, dtype=[("x", "f8"), ("o", "O")])],
+        ids=["object", "object-field"],
+    )
+    def test_object_array_refused_by_name_before_staging(self, arrays, tmp_path, value):
+        path = str(tmp_path / "o")
+        with pytest.raises(UnstorableArray, match=r"'bad'.*archive '.*/o'"):
+            write_archive(path, {**arrays, "bad": value}, metadata={})
+        assert os.listdir(tmp_path) == []  # no staging directory, no archive
 
 
 #: every numeric kind an archive stores, both byte orders of one
