@@ -11,38 +11,28 @@ final representation is the mean of the layer outputs (including layer 0).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..core.base import Recommender, ScoreBranch
 from ..experiments.registry import register_model
 from ..data.dataset import Dataset
+from ..graph import csr
 from ..nn import Embedding, Tensor
 
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
-
-def _symmetric_normalized_bipartite(dataset: Dataset, dtype=None) -> sp.csr_matrix:
+def _symmetric_normalized_bipartite(dataset: Dataset, dtype=None) -> csr.CSR:
     """``D^-1/2 (A) D^-1/2`` over the user-item bipartite graph (no self-loops,
     per the LightGCN formulation)."""
-    import scipy.sparse as sp
-
-    n = dataset.n_users + dataset.n_items
-    rows = dataset.train.users
-    cols = dataset.train.items + dataset.n_users
-    data = np.ones(len(rows))
-    upper = sp.coo_matrix((data, (rows, cols)), shape=(n, n))
-    matrix = (upper + upper.T).tocsr()
-    matrix.data[:] = 1.0
-    degrees = np.asarray(matrix.sum(axis=1)).ravel()
-    inv_sqrt = np.where(degrees > 0, 1.0 / np.sqrt(np.maximum(degrees, 1e-12)), 0.0)
-    scale = sp.diags(inv_sqrt)
-    normalized = (scale @ matrix @ scale).tocsr()
-    if dtype is not None:
-        normalized = normalized.astype(np.dtype(dtype))
-    return normalized
+    return csr.normalized_adjacency(
+        dataset.n_users + dataset.n_items,
+        dataset.train.users,
+        dataset.train.items + dataset.n_users,
+        self_loops=False,
+        symmetric=True,
+        dtype=dtype,
+    )
 
 
 @register_model("lightgcn")

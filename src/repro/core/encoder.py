@@ -29,23 +29,22 @@ multipliers and unread rows never reach the loss, so the method is the
 paper's; only the dropout RNG stream differs from a whole-table draw.
 
 ``Â`` is a constant subgraph: it is built once per graph, in the encoder's
-precision, instead of per forward call.  Every backward pass multiplies by
-a transpose that is the CSC view of its CSR operand's own arrays — ``Â.T``
-for a whole-table layer, ``Â[rows]ᵀ`` for a step's last — so no second
-copy of either is built.
+precision, instead of per forward call, as a :class:`~repro.graph.csr.CSR`
+whose products and row slices run scipy's compiled kernels.  Every
+backward pass multiplies by a transpose that is the CSC view of its CSR
+operand's own arrays — ``Â.T`` for a whole-table layer, ``Â[rows]ᵀ`` for a
+step's last — so no second copy of either is built.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
+from ..graph.csr import CSC, CSR
 from ..graph.hetero import HeteroGraph
 from ..nn import Dropout, Embedding, Module, Tensor
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 
 class GCNEncoder(Module):
@@ -75,7 +74,7 @@ class GCNEncoder(Module):
         dtype = self.embedding.weight.data.dtype
         self._adjacency = graph.normalized_adjacency(self_loops=self_loops, dtype=dtype)
 
-    def restrict(self, rows: np.ndarray) -> Tuple[sp.csr_matrix, sp.csc_matrix]:
+    def restrict(self, rows: np.ndarray) -> Tuple[CSR, CSC]:
         """``Â[rows]`` and its transpose: the last layer's operands for a
         step that reads the sorted, distinct node ids ``rows``.
 
@@ -87,7 +86,7 @@ class GCNEncoder(Module):
     def propagate(
         self,
         rows: Optional[np.ndarray] = None,
-        operands: Optional[Tuple[sp.csr_matrix, sp.spmatrix]] = None,
+        operands: Optional[Tuple[CSR, CSC]] = None,
     ) -> Tensor:
         """Rows ``rows`` of the propagated node table, ``(len(rows), dim)``.
 

@@ -13,20 +13,20 @@ item, plus self-loops on every node (added by the adjacency builder).
 :class:`NodeSpace` handles the id arithmetic; :class:`HeteroGraph` builds the
 edge list from a :class:`~repro.data.dataset.Dataset` and can drop the price
 and/or category edges — that is how the PUP ablations ("PUP w/o c,p",
-"PUP w/ c", "PUP w/ p", "PUP−") are constructed.
+"PUP w/ c", "PUP w/ p", "PUP−") are constructed.  Its matrices are
+:class:`~repro.graph.csr.CSR`, built in NumPy and multiplied by scipy's
+compiled kernels; no module imports ``scipy.sparse``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..data.dataset import Dataset
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
+from . import csr
 
 
 @dataclass(frozen=True)
@@ -203,21 +203,13 @@ class HeteroGraph:
             cols.append(space.profile(self._user_profiles))
         return np.concatenate(rows), np.concatenate(cols)
 
-    def adjacency(self) -> sp.csr_matrix:
+    def adjacency(self) -> csr.CSR:
         """Symmetric binary adjacency A (no self-loops, duplicates collapsed).
 
-        Built on each call: only :meth:`normalized_adjacency` is cached.
-        scipy loads here, at a process's first graph build, not on import."""
-        import scipy.sparse as sp
+        Built on each call: only :meth:`normalized_adjacency` is cached."""
+        return csr.adjacency(self.n_nodes, *self._edges())
 
-        n = self.n_nodes
-        rows, cols = self._edges()
-        upper = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-        matrix = (upper + upper.T).tocsr()
-        matrix.data[:] = 1.0
-        return matrix
-
-    def normalized_adjacency(self, self_loops: bool = True, dtype=None) -> sp.csr_matrix:
+    def normalized_adjacency(self, self_loops: bool = True, dtype=None) -> csr.CSR:
         """The paper's Eq. 5: ``Â = f(A + I)`` where f row-averages.
 
         With ``self_loops=True`` (the paper's choice, following SGC [26])
@@ -225,27 +217,19 @@ class HeteroGraph:
         ``self_loops=False`` exists for the design ablation — isolated nodes
         then keep an all-zero row.
 
-        ``dtype`` casts the CSR values (e.g. ``float32`` for a float32
-        encoder so the propagation does not silently promote); results are
-        cached per ``(self_loops, dtype)``.
+        ``dtype`` sets the CSR values' precision (e.g. ``float32`` for a
+        float32 encoder so the propagation does not silently promote);
+        results are cached per ``(self_loops, dtype)``.  The first build in
+        a process loads scipy's compiled kernels (:func:`repro.graph.csr.kernels`).
         """
         key = (bool(self_loops), np.dtype(dtype or np.float64).str, False)
         if key not in self._normalized:
-            import scipy.sparse as sp
-
-            matrix = self.adjacency()
-            if self_loops:
-                matrix = (matrix + sp.identity(self.n_nodes, format="csr")).tocsr()
-            row_sums = np.asarray(matrix.sum(axis=1)).ravel()
-            safe = np.where(row_sums > 0, row_sums, 1.0)
-            inv = sp.diags(1.0 / safe)
-            normalized = (inv @ matrix).tocsr()
-            if dtype is not None:
-                normalized = normalized.astype(np.dtype(dtype))
-            self._normalized[key] = normalized
+            self._normalized[key] = csr.normalized_adjacency(
+                self.n_nodes, *self._edges(), self_loops=self_loops, dtype=dtype
+            )
         return self._normalized[key]
 
-    def normalized_adjacency_transpose(self, self_loops: bool = True, dtype=None) -> sp.csr_matrix:
+    def normalized_adjacency_transpose(self, self_loops: bool = True, dtype=None) -> csr.CSR:
         """CSR copy of :meth:`normalized_adjacency`'s transpose, cached beside it.
 
         No encoder reads it: a backward pass multiplies by ``Â.T`` as the
@@ -261,4 +245,4 @@ class HeteroGraph:
 
     def degrees(self) -> np.ndarray:
         """Node degrees including the self-loop (|N_i| in Eq. 1-2)."""
-        return np.asarray(self.adjacency().sum(axis=1)).ravel() + 1.0
+        return np.diff(self.adjacency().indptr) + 1.0

@@ -22,8 +22,10 @@ a graph stays in one precision end to end.
 * A contribution is an array (adopted if the VJP just made it, else copied
   or added), a function of the slot's buffer (the embedding gather scatters
   into it), or :class:`Deferred` until the slot is read.
-* The sparse operand of :meth:`Tensor.sparse_matmul` (a GCN adjacency) is a
-  constant: gradients flow to the dense operand only.
+* The sparse operand of :meth:`Tensor.sparse_matmul` (a GCN adjacency, a
+  :class:`~repro.graph.csr.CSR`) is a constant: gradients flow to the dense
+  operand only.  Both products run scipy's compiled kernels, loaded by path
+  on first use; this package never imports ``scipy.sparse``.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 from .precision import SUPPORTED_DTYPES, default_dtype, resolve_dtype
 
 if TYPE_CHECKING:
-    import scipy.sparse as sp
+    from ..graph.csr import CSR
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
@@ -339,20 +341,20 @@ class Tensor:
         """Dense matrix multiply with gradients to both operands."""
         return apply("matmul", self, self._operand(other))
 
-    def sparse_matmul(self, matrix: sp.spmatrix, transpose: Optional[sp.spmatrix] = None) -> "Tensor":
-        """``matrix @ self`` for a constant sparse ``matrix``; the gradient
-        is ``matrix.T @ grad``.  GCN encoders pass ``transpose`` as the CSC
-        view of their operand (no copy); otherwise backward derives it."""
-        import scipy.sparse as sp  # here, not at the top: serving never multiplies
+    def sparse_matmul(self, matrix: "CSR", transpose: Optional["CSR"] = None) -> "Tensor":
+        """``matrix @ self`` for a constant sparse ``matrix`` (a
+        :class:`~repro.graph.csr.CSR`, or a ``scipy.sparse`` matrix read
+        through its ``tocsr()`` arrays); the gradient is ``matrix.T @ grad``.
+        GCN encoders pass ``transpose`` as the CSC view of their operand;
+        without it, backward multiplies by that view too (no copy)."""
+        from ..graph.csr import as_compressed  # here: importing repro.nn loads no graph package
 
-        if not sp.issparse(matrix):
-            raise TypeError(f"expected a scipy sparse matrix, got {type(matrix)!r}")
-        if transpose is not None and not sp.issparse(transpose):
-            raise TypeError(f"expected a sparse transpose, got {type(transpose)!r}")
-        csr = matrix.tocsr()
-        if csr.dtype != self.data.dtype:
-            csr = csr.astype(self.data.dtype)
-        return apply("sparse_matmul", self, matrix=csr, transpose=transpose)
+        matrix = as_compressed(matrix)
+        if transpose is not None:
+            transpose = as_compressed(transpose)
+        if matrix.dtype != self.data.dtype:
+            matrix = matrix.astype(self.data.dtype)
+        return apply("sparse_matmul", self, matrix=matrix, transpose=transpose)
 
     # Elementwise nonlinearities, registered below; softplus is log(1 + e^x).
     tanh = _unary("tanh")
@@ -481,7 +483,7 @@ defvjp("matmul", lambda needs, a, b: (a @ b, (b if needs[0] else None, a if need
 
 def _sparse_matmul_vjp(grad, matrix, transpose):
     if transpose is None:
-        transpose = matrix.T.tocsr()
+        transpose = matrix.T
     if transpose.dtype != grad.dtype:
         transpose = transpose.astype(grad.dtype)
     return (transpose @ grad,)

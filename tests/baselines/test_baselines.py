@@ -164,7 +164,7 @@ class TestPaDQ:
 class TestGraphBaselines:
     def test_bipartite_adjacency_rows_sum_to_one(self, dataset):
         adjacency = bipartite_normalized_adjacency(dataset)
-        np.testing.assert_allclose(np.asarray(adjacency.sum(axis=1)).ravel(), 1.0)
+        np.testing.assert_allclose(adjacency.toarray().sum(axis=1), 1.0)
 
     def test_bipartite_shape(self, dataset):
         adjacency = bipartite_normalized_adjacency(dataset)

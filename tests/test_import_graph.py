@@ -70,9 +70,9 @@ def test_bare_import_loads_no_subpackage():
 
 
 def test_every_export_and_the_cli_load_no_scipy():
-    """scipy (~13 MB resident) is imported where a graph is first built or
-    multiplied, not by any module: a process that only serves, refreshes
-    or runs the CLI's lifecycle commands never loads it."""
+    """No module imports scipy: a graph's first build loads only its
+    compiled kernels (see below), so a process that only serves, refreshes
+    or runs the CLI's lifecycle commands loads no part of it."""
     loaded = run_python(
         "import json, sys, repro; [getattr(repro, name) for name in repro.__all__]; "
         "import repro.cli; print(json.dumps('scipy' in sys.modules))"
@@ -80,23 +80,65 @@ def test_every_export_and_the_cli_load_no_scipy():
     assert loaded is False
 
 
-def test_the_first_graph_build_loads_scipy():
+def test_graphs_load_scipys_kernels_and_no_scipy_package():
+    """Building ``Â``, fitting PUP for an epoch and a LightGCN forward load
+    scipy's compiled ``_sparsetools`` by path and nothing else of scipy:
+    ``scipy.sparse`` would pull in ``scipy._lib``, whose array-API layer
+    resolves ``numpy.f2py`` and ``numpy.testing`` (~12 MB resident)."""
     loaded = run_python(
         "import json, sys\n"
+        "import numpy as np\n"
+        "from repro.baselines import LightGCN\n"
+        "from repro.core import pup_full\n"
         "from repro.data import SyntheticConfig, generate\n"
         "from repro.graph import HeteroGraph\n"
-        "graph = HeteroGraph(generate(SyntheticConfig(n_users=20, n_items=30, seed=1))[0])\n"
-        "before = 'scipy' in sys.modules\n"
-        "adjacency = graph.normalized_adjacency()\n"
-        "print(json.dumps([before, 'scipy.sparse' in sys.modules, type(adjacency).__module__]))"
+        "from repro.train import TrainConfig, Trainer\n"
+        "dataset = generate(SyntheticConfig(n_users=20, n_items=30, seed=1))[0]\n"
+        "before = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "adjacency = HeteroGraph(dataset).normalized_adjacency()\n"
+        "model = pup_full(dataset, rng=np.random.default_rng(0), global_dim=8, category_dim=4)\n"
+        "Trainer(model, dataset, TrainConfig(epochs=1, batch_size=64)).fit()\n"
+        "LightGCN(dataset, dim=8, rng=np.random.default_rng(0))._propagate()\n"
+        "print(json.dumps([before, type(adjacency).__module__, sorted(sys.modules)]))"
     )
-    assert loaded[:2] == [False, True]
-    assert loaded[2].startswith("scipy.sparse")
+    before, adjacency_module, after = loaded
+    assert before == []
+    assert adjacency_module == "repro.graph.csr"
+    assert "scipy.sparse._sparsetools" in after
+    assert [name for name in after if name.startswith("scipy")] == ["scipy.sparse._sparsetools"]
+    assert [
+        name for name in ("scipy", "scipy.sparse", "scipy.sparse._base", "scipy._lib",
+                          "numpy.f2py", "numpy.testing")
+        if name in after
+    ] == []
+
+
+def test_a_scipy_without_the_kernel_file_fails_at_the_first_graph_build(tmp_path):
+    """A ``scipy`` package with no ``sparse/_sparsetools`` extension: the
+    imports succeed, and the first graph build raises an ``ImportError``
+    naming the missing file."""
+    (tmp_path / "scipy" / "sparse").mkdir(parents=True)
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "from repro.data import SyntheticConfig, generate\n"
+         "from repro.graph import HeteroGraph\n"
+         "graph = HeteroGraph(generate(SyntheticConfig(n_users=20, n_items=30, seed=1))[0])\n"
+         "try:\n"
+         "    graph.normalized_adjacency()\n"
+         "except ImportError as error:\n"
+         "    print(error)\n"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(tmp_path), SRC])},
+    )
+    expected = os.path.join(str(tmp_path), "scipy", "sparse", "_sparsetools")
+    assert expected in result.stdout
 
 
 def test_every_export_resolves_without_networkx():
     """Touching every top-level name loads the whole stack, graph included,
-    and still no networkx (~11 MB resident): the graph is scipy CSR."""
+    and still no networkx (~11 MB resident): the graph is CSR over
+    scipy's kernels."""
     loaded = run_python(
         "import json, sys, repro; [getattr(repro, name) for name in repro.__all__]; "
         "print(json.dumps(['repro.graph' in sys.modules, 'networkx' in sys.modules]))"
