@@ -19,6 +19,8 @@ from typing import Dict, Optional, Set
 
 import numpy as np
 
+from ..arrays import sorted_unique
+
 
 @dataclass
 class InteractionTable:
@@ -60,7 +62,7 @@ class InteractionTable:
         # One int64 key per pair; ``return_index`` gives each key's first
         # (earliest, since the table is time-ordered) row.
         keys = table.users * (table.items.max(initial=0) + 1) + table.items
-        _, first = np.unique(keys, return_index=True)
+        _, first = sorted_unique(keys, return_index=True)
         return table.select(np.sort(first))
 
 
@@ -160,7 +162,7 @@ class Dataset:
         # Stable sort: each user's items stay in table order, and ``order`` at
         # a group's start is the row where that user first appears.
         order = np.argsort(table.users, kind="stable")
-        users, starts = np.unique(table.users[order], return_index=True)
+        users, starts = sorted_unique(table.users[order], return_index=True)
         groups = np.split(table.items[order], starts[1:])
         # Keys in first-appearance order, as a row-by-row insert would leave them.
         return {

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..arrays import sorted_unique
+
 
 def _validate(prices: np.ndarray, categories: np.ndarray, n_levels: int) -> tuple:
     prices = np.asarray(prices, dtype=np.float64)
@@ -45,7 +47,7 @@ def uniform_quantize(
         return levels
 
     if per_category:
-        for category in np.unique(categories):
+        for category in sorted_unique(categories):
             mask = categories == category
             levels[mask] = _uniform_levels(prices[mask], n_levels)
     else:
@@ -78,7 +80,7 @@ def rank_quantize(
     if prices.size == 0:
         return levels
 
-    for category in np.unique(categories):
+    for category in sorted_unique(categories):
         mask = categories == category
         levels[mask] = _rank_levels(prices[mask], n_levels)
     return levels
@@ -93,7 +95,7 @@ def _rank_levels(values: np.ndarray, n_levels: int) -> np.ndarray:
     ranks = np.empty(count, dtype=np.float64)
     ranks[order] = np.arange(count, dtype=np.float64)
     # Average the ranks of tied values.
-    unique_vals, inverse = np.unique(values, return_inverse=True)
+    unique_vals, inverse = sorted_unique(values, return_inverse=True)
     sums = np.zeros(len(unique_vals))
     counts = np.zeros(len(unique_vals))
     np.add.at(sums, inverse, ranks)

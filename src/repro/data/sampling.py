@@ -14,6 +14,7 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
+from ..arrays import sorted_unique
 from .dataset import Dataset
 
 
@@ -34,7 +35,7 @@ class NegativeSampler:
         # indices) pair but with the row lookup folded into the key.
         n_items = dataset.n_items
         keys = dataset.train.users.astype(np.int64) * n_items + dataset.train.items
-        self._pos_keys = np.unique(keys)
+        self._pos_keys = sorted_unique(keys)
         # Guard against pathological users who interacted with everything.
         counts = np.bincount(self._pos_keys // n_items, minlength=dataset.n_users)
         if counts.size and counts.max() >= n_items:

@@ -33,12 +33,13 @@ from typing import Optional
 
 import numpy as np
 
+from ..arrays import sorted_unique
 from .dataset import Dataset, InteractionTable, ItemCatalog
 from .quantization import uniform_quantize
 from .split import temporal_split
 
 # Byte budget for one block of float64 purchase-utility rows in `generate`.
-_BLOCK_BYTES = 8 << 20
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -148,10 +149,14 @@ def generate(config: SyntheticConfig) -> tuple[Dataset, SyntheticGroundTruth]:
         # Interest: latent taste + category affinity + item popularity.
         np.matmul(user_latents[block], item_latents.T, out=utility)
         utility /= np.sqrt(config.latent_dim)
-        utility += np.take(category_interest[block], item_categories, axis=1, out=scratch)
+        # every category id is in range: "clip" only spares the whole-block
+        # copy of `out` that the default "raise" mode buffers through
+        utility += np.take(
+            category_interest[block], item_categories, axis=1, out=scratch, mode="clip"
+        )
         utility += popularity_interest
         # Gaussian price match centred on the user's WTP in the item's category.
-        match = np.take(wtp[block], item_categories, axis=1, out=scratch)
+        match = np.take(wtp[block], item_categories, axis=1, out=scratch, mode="clip")
         np.subtract(price_percentile, match, out=match)
         np.square(match, out=match)
         np.negative(match, out=match)
@@ -220,7 +225,7 @@ def _draw_prices(
 def _percentile_within_category(prices: np.ndarray, categories: np.ndarray) -> np.ndarray:
     """Continuous price percentile within each category, in [0, 1)."""
     percentile = np.zeros(len(prices))
-    for category in np.unique(categories):
+    for category in sorted_unique(categories):
         mask = categories == category
         values = prices[mask]
         order = np.argsort(np.argsort(values, kind="stable"), kind="stable")

@@ -58,15 +58,12 @@ class DeltaConfig:
     ``appended_since_recluster`` is carried by the caller (the version
     manifest) across builds; ``staleness_threshold`` is the fraction of
     the catalog allowed to be append-placed before a forced re-cluster.
-    ``verify_frozen`` checks that the shared item rows really are
-    unchanged (cheap at catalog scale, and the invariant everything else
-    rests on).
+    Every build checks that the shared item rows really are unchanged
+    (cheap at catalog scale, and the invariant everything else rests on).
     """
 
     staleness_threshold: float = 0.25
     appended_since_recluster: int = 0
-    verify_frozen: bool = True
-    recluster_iters: int = 25
 
 
 @dataclass
@@ -110,13 +107,12 @@ def delta_build(
         )
     if len(new_index.branches) != len(prev.index.branches):
         raise DeltaMismatch("branch count changed; not a frozen extension")
-    if config.verify_frozen:
-        for b, (old_b, new_b) in enumerate(zip(prev.index.branches, new_index.branches)):
-            if not np.array_equal(np.asarray(old_b.item), np.asarray(new_b.item)[:n_old]):
-                raise DeltaMismatch(
-                    f"branch {b} item factors of the shared catalog changed; "
-                    "delta builds require the existing rows to stay frozen"
-                )
+    for b, (old_b, new_b) in enumerate(zip(prev.index.branches, new_index.branches)):
+        if not np.array_equal(np.asarray(old_b.item), np.asarray(new_b.item)[:n_old]):
+            raise DeltaMismatch(
+                f"branch {b} item factors of the shared catalog changed; "
+                "delta builds require the existing rows to stay frozen"
+            )
 
     stats.n_new_items = n_new
     appended = config.appended_since_recluster + n_new
@@ -132,7 +128,6 @@ def delta_build(
             n_lists=None,  # re-derive from the grown catalog size
             nprobe=prev.nprobe,  # clipped to the new list count
             seed=prev.seed,
-            iters=config.recluster_iters,
             rerank_factor=prev.rerank_factor,
         )
         stats.reclustered = True

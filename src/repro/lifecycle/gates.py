@@ -40,6 +40,9 @@ from ..serving.ann.ivf import IVFIndex
 from ..serving.filters import PriceBandFilter
 from ..serving.index import EmbeddingIndex
 
+#: ranking depth the parity gate compares at
+PARITY_K = 10
+
 
 @dataclass(frozen=True)
 class GateConfig:
@@ -50,7 +53,6 @@ class GateConfig:
     #: default nprobe (gate what will actually be served)
     nprobe: Optional[int] = None
     parity_users: int = 16
-    parity_k: int = 10
     probe_items: int = 32  # cap on per-promotion price-band probes
     seed: int = 0
 
@@ -161,7 +163,7 @@ def _parity_gate(
     index: EmbeddingIndex, ann: IVFIndex, config: GateConfig, report: GateReport
 ) -> None:
     users = _sample_users(index.n_users, config.parity_users, config.seed, 2)
-    k = min(config.parity_k, index.n_items)
+    k = min(PARITY_K, index.n_items)
     exact = exact_rankings(index, users, k)
     ids, _ = ann.search(
         users,

@@ -3,10 +3,10 @@
 The serving gateway (:mod:`repro.serving.gateway`) only earns its keep
 under realistic concurrent load, and realistic recommendation traffic has
 a very particular shape: a zipfian head of hot users who dominate request
-volume, a long tail, a steady trickle of cold users the index has never
-seen, bursts, and a mix of request parameters.  This package generates
-exactly that — deterministically, from a seed — and drives it through a
-gateway in either of the two canonical load-testing disciplines:
+volume, a long tail, and a steady trickle of cold users the index has
+never seen.  This package generates exactly that — deterministically,
+from a seed — and drives it through a gateway in either of the two
+canonical load-testing disciplines:
 
 * **Closed loop** (:func:`run_closed_loop`) — N worker threads, each
   submitting its next request the moment the previous one resolves.
@@ -15,9 +15,8 @@ gateway in either of the two canonical load-testing disciplines:
 
 * **Open loop** (:func:`run_open_loop`) — requests arrive on a wall-clock
   schedule that does not care whether the system keeps up (the only
-  discipline that exposes queueing collapse and coordinated omission).
-  Arrival schedules: uniform rate, on/off bursts, or a sinusoidal
-  diurnal-style wave.
+  discipline that exposes queueing collapse and coordinated omission)
+  at a constant arrival rate.
 
 Everything is plain data in, plain data out: :func:`build_workload` turns
 a :class:`WorkloadConfig` into a list of :class:`LoadRequest`,

@@ -206,13 +206,7 @@ def run_closed_loop(
         for request in shard:
             began = time.perf_counter()
             try:
-                pending = gateway.submit(
-                    request.user,
-                    k=request.k,
-                    filters=request.filters,
-                    price_profile=request.price_profile,
-                    tenant=request.tenant,
-                )
+                pending = gateway.submit(request.user, k=request.k)
             except GatewayError as exc:
                 reason = _SHED_REASON.get(type(exc), "other")
                 shed[reason] = shed.get(reason, 0) + 1
@@ -288,13 +282,7 @@ def run_open_loop(
         if delay > 0:
             time.sleep(delay)
         try:
-            pending = gateway.submit(
-                request.user,
-                k=request.k,
-                filters=request.filters,
-                price_profile=request.price_profile,
-                tenant=request.tenant,
-            )
+            pending = gateway.submit(request.user, k=request.k)
         except GatewayError as exc:
             reason = _SHED_REASON.get(type(exc), "other")
             shed[reason] = shed.get(reason, 0) + 1

@@ -3,88 +3,74 @@
 Three independent axes, each deterministic under a seed:
 
 * **Who** — warm users drawn zipfian (rank :math:`r` with probability
-  :math:`\\propto r^{-s}`), so a small hot set dominates exactly like
-  production recommendation traffic; a configurable fraction of requests
-  come from *cold* user ids outside the index's id space, exercising the
-  price-profile fallback path the same way the paper's cold-start split
-  exercises evaluation.
+  :math:`\\propto r^{-s}`, ``s = ZIPF_S``), so a small hot set dominates
+  exactly like production recommendation traffic; a configurable fraction
+  of requests come from *cold* user ids outside the index's id space,
+  exercising the price-profile fallback path the same way the paper's
+  cold-start split exercises evaluation.
 
-* **What** — per-request ``k`` drawn from a weighted mix, per-request
-  filters drawn from a weighted mix (default: none), and an optional
-  shared price profile attached to cold requests to steer the fallback.
+* **What** — every request asks for the top ``REQUEST_K`` items, with no
+  filter and no price profile.
 
-* **When** — :func:`arrival_times` integrates an arrival-rate function
-  :math:`\\lambda(t)` into a deterministic timestamp sequence
-  (:math:`t_{i+1} = t_i + 1/\\lambda(t_i)`): uniform rate, on/off bursts,
-  or a sinusoidal wave.  Deterministic (not Poisson) on purpose — load
-  runs are comparable across commits, which is what a CI gate needs.
+* **When** — :func:`arrival_times` spaces arrivals ``1 / rate`` apart
+  (:math:`t_{i+1} = t_i + 1/\\lambda`).  Deterministic (not Poisson) on
+  purpose — load runs are comparable across commits, which is what a CI
+  gate needs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
-from ..serving.filters import Filter
-
-#: cold ids start this far above the warm id space by default — far enough
+#: cold ids start this far above the warm id space — far enough
 #: that no plausible index growth turns a cold id warm between runs.
 COLD_ID_OFFSET = 10_000_000
 
 
 @dataclass(frozen=True)
 class LoadRequest:
-    """One request the generator will fire at the gateway."""
+    """One request the generator will fire at the gateway (unfiltered, no
+    price profile, the default tenant)."""
 
     user: int
     k: int
     cold: bool
-    filters: Tuple[Filter, ...] = ()
-    price_profile: Optional[np.ndarray] = None
-    tenant: str = "default"
+
+
+#: skew exponent of the warm-user draw: ~1 is classic web-traffic skew,
+#: where the hottest user is requested orders of magnitude more often than
+#: the median
+ZIPF_S = 1.1
+#: cold requests draw their ids from this many users past the warm space
+N_COLD_USERS = 100
+#: the ``k`` of every generated request
+REQUEST_K = 10
 
 
 @dataclass
 class WorkloadConfig:
     """Shape of the request population (not its timing — see ArrivalSchedule).
 
-    ``zipf_s`` is the skew exponent: 0 = uniform, ~1 = classic web-traffic
-    skew where the hottest user is requested orders of magnitude more often
-    than the median.  ``cold_fraction`` of requests use ids outside
-    ``[0, n_users)`` and therefore hit the fallback path.  ``k_mix`` and
-    ``filter_mix`` are ``(choice, weight)`` pairs sampled per request.
+    ``cold_fraction`` of requests use ids outside ``[0, n_users)`` (from
+    ``n_users + COLD_ID_OFFSET`` on) and therefore hit the fallback path.
     """
 
     n_requests: int = 1000
     n_users: int = 1000
-    zipf_s: float = 1.1
     cold_fraction: float = 0.05
-    cold_user_base: Optional[int] = None  # default: n_users + COLD_ID_OFFSET
-    n_cold_users: int = 100
-    k_mix: Sequence[Tuple[int, float]] = ((10, 1.0),)
-    filter_mix: Sequence[Tuple[Tuple[Filter, ...], float]] = (((), 1.0),)
-    cold_price_profile: Optional[np.ndarray] = None
-    tenant: str = "default"
 
     def __post_init__(self) -> None:
         if self.n_requests < 1:
             raise ValueError(f"n_requests must be >= 1, got {self.n_requests}")
         if self.n_users < 1:
             raise ValueError(f"n_users must be >= 1, got {self.n_users}")
-        if self.zipf_s < 0:
-            raise ValueError(f"zipf_s must be >= 0, got {self.zipf_s}")
         if not 0.0 <= self.cold_fraction <= 1.0:
             raise ValueError(
                 f"cold_fraction must be in [0, 1], got {self.cold_fraction}"
             )
-        if self.n_cold_users < 1:
-            raise ValueError(f"n_cold_users must be >= 1, got {self.n_cold_users}")
-        if not self.k_mix:
-            raise ValueError("k_mix cannot be empty")
-        if not self.filter_mix:
-            raise ValueError("filter_mix cannot be empty")
 
 
 def zipf_users(
@@ -107,102 +93,40 @@ def zipf_users(
     return np.searchsorted(cdf, draws, side="left").astype(np.int64)
 
 
-def _weighted_choice(rng: np.random.Generator, mix: Sequence[Tuple[object, float]], n: int) -> np.ndarray:
-    weights = np.asarray([w for _, w in mix], dtype=np.float64)
-    if (weights < 0).any() or weights.sum() <= 0:
-        raise ValueError("mix weights must be non-negative and sum > 0")
-    return rng.choice(len(mix), size=n, p=weights / weights.sum())
-
-
 def build_workload(config: WorkloadConfig, seed: int = 0) -> List[LoadRequest]:
     """Materialize the full request list (same seed → identical list)."""
     rng = np.random.default_rng(seed)
-    users = zipf_users(config.n_requests, config.n_users, config.zipf_s, rng)
+    users = zipf_users(config.n_requests, config.n_users, ZIPF_S, rng)
     cold = rng.random(config.n_requests) < config.cold_fraction
-    cold_base = (
-        config.cold_user_base
-        if config.cold_user_base is not None
-        else config.n_users + COLD_ID_OFFSET
-    )
-    cold_ids = cold_base + rng.integers(0, config.n_cold_users, config.n_requests)
-    k_idx = _weighted_choice(rng, config.k_mix, config.n_requests)
-    f_idx = _weighted_choice(rng, config.filter_mix, config.n_requests)
-
-    requests: List[LoadRequest] = []
-    for i in range(config.n_requests):
-        is_cold = bool(cold[i])
-        requests.append(
-            LoadRequest(
-                user=int(cold_ids[i]) if is_cold else int(users[i]),
-                k=int(config.k_mix[k_idx[i]][0]),
-                cold=is_cold,
-                filters=tuple(config.filter_mix[f_idx[i]][0]),
-                price_profile=config.cold_price_profile if is_cold else None,
-                tenant=config.tenant,
-            )
+    cold_base = config.n_users + COLD_ID_OFFSET
+    cold_ids = cold_base + rng.integers(0, N_COLD_USERS, config.n_requests)
+    return [
+        LoadRequest(
+            user=int(cold_ids[i]) if is_cold else int(users[i]), k=REQUEST_K, cold=is_cold
         )
-    return requests
+        for i, is_cold in enumerate(cold.tolist())
+    ]
 
 
 @dataclass
 class ArrivalSchedule:
-    """When requests arrive (open loop only; closed loop ignores timing).
+    """When requests arrive (open loop only; closed loop ignores timing):
+    a constant ``rate`` req/s."""
 
-    * ``uniform`` — constant ``rate`` req/s.
-    * ``onoff``   — ``rate`` req/s for ``on_s`` seconds, silence for
-      ``off_s``, repeat: the classic bursty on/off source.
-    * ``sine``    — rate oscillates ``rate * (1 ± amplitude)`` with period
-      ``period_s``: a compressed diurnal wave.
-    """
-
-    mode: str = "uniform"
     rate: float = 1000.0
-    on_s: float = 0.05
-    off_s: float = 0.05
-    period_s: float = 1.0
-    amplitude: float = 0.8
 
     def __post_init__(self) -> None:
-        if self.mode not in ("uniform", "onoff", "sine"):
-            raise ValueError(f"unknown arrival mode {self.mode!r}")
         if self.rate <= 0:
             raise ValueError(f"rate must be > 0, got {self.rate}")
-        if self.mode == "onoff" and (self.on_s <= 0 or self.off_s < 0):
-            raise ValueError("onoff needs on_s > 0 and off_s >= 0")
-        if self.mode == "sine":
-            if self.period_s <= 0:
-                raise ValueError(f"period_s must be > 0, got {self.period_s}")
-            if not 0.0 <= self.amplitude < 1.0:
-                raise ValueError(
-                    f"amplitude must be in [0, 1), got {self.amplitude}"
-                )
-
-    def rate_at(self, t: float) -> float:
-        """Instantaneous arrival rate λ(t) in requests/second."""
-        if self.mode == "uniform":
-            return self.rate
-        if self.mode == "onoff":
-            phase = t % (self.on_s + self.off_s)
-            return self.rate if phase < self.on_s else 0.0
-        return self.rate * (1.0 + self.amplitude * np.sin(2.0 * np.pi * t / self.period_s))
 
 
 def arrival_times(schedule: ArrivalSchedule, n_requests: int) -> np.ndarray:
     """Deterministic arrival offsets (seconds from start) for ``n_requests``.
 
-    Integrates λ(t) step by step: each gap is ``1 / λ(t)`` at the current
-    instant, and during an off window the next arrival snaps to the start
-    of the next on window.  No randomness — the same schedule always
-    produces the same burst pattern, so open-loop runs are replayable.
+    A running sum of ``1 / rate`` gaps (``add.accumulate`` adds in order, so
+    offset ``i`` is ``i`` gaps summed one by one, not ``i / rate``).  No
+    randomness — open-loop runs are replayable.
     """
-    times = np.empty(n_requests, dtype=np.float64)
-    t = 0.0
-    for i in range(n_requests):
-        rate = schedule.rate_at(t)
-        if rate <= 0.0:  # inside an off window: jump to the next on window
-            cycle = schedule.on_s + schedule.off_s
-            t = (np.floor(t / cycle) + 1.0) * cycle
-            rate = schedule.rate_at(t)
-        times[i] = t
-        t += 1.0 / rate
-    return times
+    times = np.full(n_requests, 1.0 / schedule.rate)
+    times[:1] = 0.0
+    return np.cumsum(times, out=times)

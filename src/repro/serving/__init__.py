@@ -45,7 +45,6 @@ from .errors import (
 )
 from .resilience import (
     FALLBACK_STAGES,
-    CircuitBreaker,
     ResilienceConfig,
     ResiliencePolicy,
     is_transient,
@@ -102,7 +101,6 @@ __all__ = [
     "FlusherCrashed",
     "BackendError",
     "TokenBucket",
-    "CircuitBreaker",
     "ResilienceConfig",
     "ResiliencePolicy",
     "FALLBACK_STAGES",

@@ -53,7 +53,7 @@ from ...archive import mapped_empty
 from ...eval.topk import NEG_INF, denied_rows, partition_topk_rows, topk_pairs_rows
 from ...obs.trace import maybe_span
 from ...scoring import ScoreBranch, branches_dtype, expand_csr_rows, gemm_cols, padded_rows, score_branches
-from .kmeans import assign_labels, cluster_sums, kmeans
+from .kmeans import cluster_sums, kmeans
 from .pq import PQBranch, build_pq_branch, score_candidates_exact, score_pq_block
 
 SCORERS = ("exact", "pq")
@@ -600,8 +600,6 @@ def build_ivf(
     pq_centroids: int = 256,
     pq_rotation: bool = False,
     rerank_factor: int = 8,
-    tol: float = 0.0,
-    train_sample: Optional[int] = None,
 ) -> IVFIndex:
     """Build an :class:`IVFIndex` (and its residual PQ companion) from an index.
 
@@ -612,27 +610,17 @@ def build_ivf(
     to a recall floor.  ``pq=True`` trains per-branch *residual* product
     quantization (codes encode each item minus its list's mean — the
     IVFADC construction) and makes ``pq`` the default fine scorer (ADC
-    candidates + exact re-rank).  ``train_sample`` caps how many item vectors the
-    k-means stages train on (a seeded subsample; the full catalog is still
-    assigned in one chunked pass) and ``tol`` enables centroid-shift early
-    stopping — both are what keep 1M+ item builds tractable.
-    Deterministic given ``seed``.
+    candidates + exact re-rank).  The coarse k-means runs all ``iters``
+    iterations over the whole catalog; the PQ codebooks stop early at
+    :func:`~.pq.build_pq_branch`'s default ``tol``.  Deterministic given
+    ``seed``.
     """
     n_lists = default_n_lists(index.n_items) if n_lists is None else int(n_lists)
     if n_lists < 1:
         raise ValueError(f"n_lists must be >= 1, got {n_lists}")
     n_lists = min(n_lists, index.n_items)
     vectors = combined_item_vectors(index.branches)
-    if train_sample is not None and vectors.shape[0] > int(train_sample):
-        rng = np.random.default_rng(seed)
-        sample = np.sort(rng.choice(vectors.shape[0], int(train_sample), replace=False))
-        centroids, _ = kmeans(
-            vectors[sample], min(n_lists, len(sample)), seed=seed, iters=iters, tol=tol
-        )
-        labels, _ = assign_labels(vectors, centroids)
-    else:
-        centroids, labels = kmeans(vectors, n_lists, seed=seed, iters=iters, tol=tol)
-    n_lists = centroids.shape[0]
+    centroids, labels = kmeans(vectors, n_lists, seed=seed, iters=iters)
 
     # Contiguous list layout, item ids ascending within each list so the
     # fine stage's tie-breaking matches exact search deterministically.
@@ -656,8 +644,8 @@ def build_ivf(
         pq_list_means = []
         for b, branch in enumerate(index.branches):
             item = np.asarray(branch.item, dtype=np.float64)
-            # a list can be empty under subsampled training: its mean stays zero
-            means = cluster_sums(item, labels, n_lists) / np.maximum(counts, 1)[:, None]
+            # k-means reseeds empty clusters, so every count is >= 1
+            means = cluster_sums(item, labels, n_lists) / counts[:, None]
             pq_branches.append(
                 build_pq_branch(
                     item - means[labels],
@@ -666,8 +654,6 @@ def build_ivf(
                     rotation=pq_rotation,
                     seed=seed + 104729 * b,
                     iters=iters,
-                    tol=tol if tol > 0 else 1e-4,
-                    train_sample=train_sample,
                 )
             )
             pq_list_means.append(means)

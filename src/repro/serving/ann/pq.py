@@ -202,32 +202,22 @@ def build_pq_branch(
     seed: int = 0,
     iters: int = 25,
     tol: float = 1e-4,
-    train_sample: Optional[int] = None,
 ) -> PQBranch:
     """Train PQ (optionally OPQ) for one branch's ``(n_items, d)`` factors.
 
-    Codebooks are trained on at most ``train_sample`` rows (a seeded
-    uniform subsample) and the *full* catalog is then coded in one chunked
-    assignment pass — training cost stays bounded for 1M+ catalogs while
-    every item still gets its true nearest centroid.
+    Codebooks train on every row, which is then coded in one chunked
+    assignment pass.
     """
     if not 1 <= n_centroids <= MAX_CENTROIDS:
         raise ValueError(f"n_centroids must be in [1, {MAX_CENTROIDS}], got {n_centroids}")
     item = np.asarray(item, dtype=np.float64)
-    n, d = item.shape
+    d = item.shape[1]
     splits = subspace_splits(d, subspace_dim)
-    rng = np.random.default_rng(seed)
-    if train_sample is not None and n > int(train_sample):
-        sample = np.sort(rng.choice(n, int(train_sample), replace=False))
-        train = item[sample]
-    else:
-        train = item
     rot = None
     if rotation:
-        rot = _train_rotation(train, splits, n_centroids, seed, iters, tol)
-        train = train @ rot
+        rot = _train_rotation(item, splits, n_centroids, seed, iters, tol)
         item = item @ rot
-    codebooks = _train_codebooks(train, splits, n_centroids, seed, iters, tol)
+    codebooks = _train_codebooks(item, splits, n_centroids, seed, iters, tol)
     codes = _assign_codes(item, codebooks, splits)
     return PQBranch(codebooks=codebooks, codes=codes, rotation=rot, splits=splits)
 

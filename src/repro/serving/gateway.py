@@ -13,7 +13,7 @@ heavy concurrent traffic, and nothing else:
   is full the request is *shed* with a typed :class:`Overloaded` error —
   the caller backs off; the requests already queued keep their latency.
   A classic token bucket per tenant (``rate_limit`` requests/s sustained,
-  ``rate_burst`` peak) rejects with :class:`RateLimited`; tenants are
+  one second of it as the peak) rejects with :class:`RateLimited`; tenants are
   admission-control identities only, the service below never sees them.
   An admitted request is handed to ``service.enqueue`` under the admission
   lock; if that made the size trigger due, the submitting thread runs
@@ -105,8 +105,8 @@ class GatewayConfig:
     """Gateway knobs (none of them can change results, only behavior under load).
 
     The batch size is the service's (``RecommenderService(max_batch_size=)``).
-    ``rate_limit=None`` disables rate limiting; ``rate_burst=None`` defaults
-    to one second of sustained rate (minimum 1).  ``deadline_ms`` is the
+    ``rate_limit=None`` disables rate limiting; a tenant's bucket holds one
+    second of sustained rate (minimum 1).  ``deadline_ms`` is the
     default per-request deadline stamped at admission (``None`` = no
     deadline); ``submit`` can override it per request.
     """
@@ -114,7 +114,6 @@ class GatewayConfig:
     max_queue_depth: int = 1024
     max_wait_ms: float = 2.0
     rate_limit: Optional[float] = None
-    rate_burst: Optional[float] = None
     deadline_ms: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -191,11 +190,8 @@ class ServingGateway:
             return None
         bucket = self._buckets.get(tenant)
         if bucket is None:
-            burst = self.config.rate_burst
-            if burst is None:
-                burst = max(1.0, self.config.rate_limit)
             bucket = self._buckets[tenant] = TokenBucket(
-                self.config.rate_limit, burst, self._clock
+                self.config.rate_limit, max(1.0, self.config.rate_limit), self._clock
             )
         return bucket
 

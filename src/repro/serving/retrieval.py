@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..arrays import sorted_unique
 from ..eval.topk import masked_topk
 from ..faults import ANN_SEARCH_ERROR
 from ..obs.trace import maybe_span
@@ -202,7 +203,7 @@ class RetrievalEngine:
         mask, mask_rows = self._row_masks(row_filters, results)
         ok = np.flatnonzero([result is None for result in results])
         if use_ann and getattr(self.ann, "default_scorer", None) == "pq":
-            parts = [ok[ks[ok] == k] for k in np.unique(ks[ok])]
+            parts = [ok[ks[ok] == k] for k in sorted_unique(ks[ok])]
         else:
             parts = [ok] if len(ok) else []
         for rows in parts:

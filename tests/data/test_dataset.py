@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data import Dataset, InteractionTable, ItemCatalog
+from repro.arrays import sorted_unique
 
 
 def tiny_catalog():
@@ -141,3 +144,32 @@ class TestDataset:
         ds = tiny_dataset()
         np.testing.assert_array_equal(ds.item_categories, [0, 0, 1, 1])
         np.testing.assert_array_equal(ds.item_price_levels, [0, 1, 0, 1])
+
+
+class TestSortedUnique:
+    """``sorted_unique`` against the ``np.unique`` it replaces, byte for byte."""
+
+    @staticmethod
+    def check(values):
+        want = np.unique(values, return_index=True, return_inverse=True)
+        got = sorted_unique(values, return_index=True, return_inverse=True)
+        assert [a.dtype for a in got] == [a.dtype for a in want]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        plain, want_plain = sorted_unique(values), np.unique(values)
+        assert plain.dtype == want_plain.dtype and plain.tobytes() == want_plain.tobytes()
+        assert sorted_unique(values, return_index=True)[1].tobytes() == want[1].tobytes()
+        assert sorted_unique(values, return_inverse=True)[1].tobytes() == want[2].tobytes()
+
+    @given(st.lists(st.integers(-5, 5), max_size=60))
+    @settings(max_examples=60, deadline=None)
+    def test_small_int_ranges_with_many_repeats(self, values):
+        self.check(np.asarray(values, dtype=np.int64))
+
+    @given(st.lists(st.floats(-1e3, 1e3, width=64), max_size=60))
+    @settings(max_examples=60, deadline=None)
+    def test_floats(self, values):
+        self.check(np.asarray(values, dtype=np.float64))
+
+    def test_empty_and_single(self):
+        self.check(np.empty(0, dtype=np.int64))
+        self.check(np.array([7], dtype=np.int64))

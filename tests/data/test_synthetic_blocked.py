@@ -92,6 +92,11 @@ class TestGeneratorMemory:
         # The dense generator peaked at ~447 MB here (three 3 600 x 5 400 float64s).
         assert base_peak <= 64 * self.MB
 
+    def test_peak_holds_no_hidden_block_copy(self, base_peak):
+        # At 8 MB blocks with ``np.take``'s default mode="raise", which buffers
+        # a whole block before writing ``out``, this read ~27 MB.
+        assert base_peak <= 16 * self.MB
+
     def test_peak_does_not_scale_with_users(self, yelp_scale_6, base_peak):
         doubled = dataclasses.replace(yelp_scale_6, n_users=2 * yelp_scale_6.n_users)
         assert self.traced_peak(doubled) < base_peak + 10 * self.MB

@@ -38,10 +38,7 @@ def make_gateway(index, max_batch_size=16, **config_kwargs):
 
 @pytest.fixture(scope="module")
 def workload(index):
-    config = WorkloadConfig(
-        n_requests=200, n_users=index.n_users, zipf_s=1.1, cold_fraction=0.1,
-        k_mix=((5, 0.5), (10, 0.5)),
-    )
+    config = WorkloadConfig(n_requests=200, n_users=index.n_users, cold_fraction=0.1)
     return build_workload(config, seed=11)
 
 
@@ -71,7 +68,7 @@ class TestClosedLoop:
 class TestOpenLoop:
     def test_paced_arrivals_all_complete(self, index, workload):
         with make_gateway(index) as gateway:
-            schedule = ArrivalSchedule(mode="uniform", rate=5000.0)
+            schedule = ArrivalSchedule(rate=5000.0)
             report = run_open_loop(gateway, workload, schedule, result_timeout_s=10.0)
         assert report.mode == "open"
         assert report.n_ok == len(workload)
@@ -87,7 +84,7 @@ class TestOpenLoop:
         with make_gateway(
             index, max_queue_depth=depth, max_wait_ms=20.0, max_batch_size=64
         ) as gateway:
-            schedule = ArrivalSchedule(mode="onoff", rate=200_000.0, on_s=0.05, off_s=0.01)
+            schedule = ArrivalSchedule(rate=200_000.0)
             report = run_open_loop(gateway, workload, schedule, result_timeout_s=10.0)
             assert report.max_queue_depth <= depth
             assert report.n_shed.get("queue_full", 0) > 0
@@ -96,10 +93,9 @@ class TestOpenLoop:
         assert report.n_ok + report.shed_total + report.n_timeout == len(workload)
 
     def test_rate_limited_sheds_counted_separately(self, index, workload):
-        with make_gateway(
-            index, max_wait_ms=5.0, rate_limit=500.0, rate_burst=10.0
-        ) as gateway:
-            schedule = ArrivalSchedule(mode="uniform", rate=50_000.0)
+        # a 50-token bucket against 200 requests offered within ~4 ms
+        with make_gateway(index, max_wait_ms=5.0, rate_limit=50.0) as gateway:
+            schedule = ArrivalSchedule(rate=50_000.0)
             report = run_open_loop(gateway, workload, schedule, result_timeout_s=10.0)
         assert report.n_shed.get("rate_limited", 0) > 0
         assert report.n_ok + report.shed_total + report.n_timeout == len(workload)

@@ -1,5 +1,7 @@
 """Workload synthesis: determinism, skew shape, cold mix, arrival math."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from repro.loadgen import (
     build_workload,
     zipf_users,
 )
-from repro.serving import PriceBandFilter
+from repro.loadgen.workload import COLD_ID_OFFSET, N_COLD_USERS, REQUEST_K, ZIPF_S
 
 
 class TestZipfUsers:
@@ -32,15 +34,22 @@ class TestZipfUsers:
 
 class TestBuildWorkload:
     def test_same_seed_same_workload(self):
-        config = WorkloadConfig(
-            n_requests=500, n_users=50, cold_fraction=0.2,
-            k_mix=((5, 0.5), (20, 0.5)),
-        )
+        config = WorkloadConfig(n_requests=500, n_users=50, cold_fraction=0.2)
         a = build_workload(config, seed=3)
         b = build_workload(config, seed=3)
         assert [(r.user, r.k, r.cold) for r in a] == [(r.user, r.k, r.cold) for r in b]
         c = build_workload(config, seed=4)
         assert [r.user for r in a] != [r.user for r in c]
+
+    def test_workload_is_the_recorded_one(self):
+        """sha256 over each request's fields, recorded when the k and filter
+        mixes were still drawn: they came last in the stream, so dropping
+        them moved no user, cold flag or cold id."""
+        workload = build_workload(WorkloadConfig(n_requests=400, n_users=1500), seed=3)
+        fields = [(r.user, r.k, r.cold) for r in workload]
+        assert hashlib.sha256(repr(fields).encode()).hexdigest() == (
+            "bff898ad91182fe862afbf9089e0b056b80beb85a0f34597253fe73752ca5f29"
+        )
 
     def test_cold_users_live_outside_warm_id_space(self):
         config = WorkloadConfig(n_requests=2000, n_users=50, cold_fraction=0.25)
@@ -51,78 +60,57 @@ class TestBuildWorkload:
         assert all(r.user >= 50 for r in cold)
         assert all(0 <= r.user < 50 for r in warm)
 
-    def test_k_and_filter_mix_sampled_per_request(self):
-        band = (PriceBandFilter(0, 1),)
-        config = WorkloadConfig(
-            n_requests=1000, n_users=20,
-            k_mix=((5, 0.5), (10, 0.5)),
-            filter_mix=(((), 0.7), (band, 0.3)),
-        )
-        workload = build_workload(config, seed=9)
-        ks = {r.k for r in workload}
-        assert ks == {5, 10}
-        filtered = sum(1 for r in workload if r.filters)
-        assert 200 < filtered < 400
+    def test_cold_ids_come_from_n_cold_users_past_the_offset(self):
+        config = WorkloadConfig(n_requests=3000, n_users=50, cold_fraction=1.0)
+        cold_ids = {r.user for r in build_workload(config, seed=1)}
+        base = 50 + COLD_ID_OFFSET
+        assert cold_ids == set(range(base, base + N_COLD_USERS))
 
-    def test_cold_price_profile_attached_to_cold_only(self):
-        profile = np.array([1.0, 0.0, 0.0])
-        config = WorkloadConfig(
-            n_requests=300, n_users=10, cold_fraction=0.3, cold_price_profile=profile
-        )
-        for request in build_workload(config, seed=2):
-            if request.cold:
-                assert request.price_profile is profile
-            else:
-                assert request.price_profile is None
+    def test_every_request_asks_for_request_k(self):
+        config = WorkloadConfig(n_requests=300, n_users=10, cold_fraction=0.3)
+        assert {r.k for r in build_workload(config, seed=2)} == {REQUEST_K}
+
+    def test_warm_users_skew_at_zipf_s(self):
+        config = WorkloadConfig(n_requests=5000, n_users=100, cold_fraction=0.0)
+        users = [r.user for r in build_workload(config, seed=4)]
+        expected = zipf_users(5000, 100, ZIPF_S, np.random.default_rng(4))
+        assert users == expected.tolist()
 
     def test_validation(self):
         with pytest.raises(ValueError):
             WorkloadConfig(n_requests=0)
         with pytest.raises(ValueError):
+            WorkloadConfig(n_users=0)
+        with pytest.raises(ValueError):
             WorkloadConfig(cold_fraction=1.5)
-        with pytest.raises(ValueError):
-            WorkloadConfig(k_mix=())
-        with pytest.raises(ValueError):
-            WorkloadConfig(zipf_s=-0.1)
 
 
 class TestArrivalSchedules:
     def test_uniform_rate_spacing(self):
-        times = arrival_times(ArrivalSchedule(mode="uniform", rate=100.0), 11)
+        times = arrival_times(ArrivalSchedule(rate=100.0), 11)
         np.testing.assert_allclose(np.diff(times), 0.01)
         assert times[0] == 0.0
 
-    def test_onoff_bursts_leave_silent_gaps(self):
-        schedule = ArrivalSchedule(mode="onoff", rate=1000.0, on_s=0.01, off_s=0.09)
-        times = arrival_times(schedule, 50)
-        gaps = np.diff(times)
-        # inside a burst: 1ms spacing; across the off window: ~90ms jump
-        assert gaps.min() < 0.002
-        assert gaps.max() > 0.05
-        # arrivals only land in on windows (float modulo can wrap a cycle
-        # boundary to just under the full period — both edges are "start")
-        phase = times % 0.1
-        assert ((phase <= 0.01 + 1e-6) | (phase >= 0.1 - 1e-6)).all()
-
-    def test_sine_rate_oscillates(self):
-        schedule = ArrivalSchedule(mode="sine", rate=100.0, period_s=1.0, amplitude=0.5)
-        assert schedule.rate_at(0.25) == pytest.approx(150.0)
-        assert schedule.rate_at(0.75) == pytest.approx(50.0)
-        times = arrival_times(schedule, 200)
-        assert (np.diff(times) > 0).all()
+    def test_offsets_are_a_running_sum_of_gaps(self):
+        """Gaps are summed one by one, as the open-loop runner has always
+        paced them; ``arange / rate`` would round differently."""
+        for rate, n in ((1000.0, 300), (20000.0, 300), (7.0, 50)):
+            want, t = [], 0.0
+            for _ in range(n):
+                want.append(t)
+                t += 1.0 / rate
+            times = arrival_times(ArrivalSchedule(rate=rate), n)
+            assert times.tobytes() == np.asarray(want).tobytes()
+        assert arrival_times(ArrivalSchedule(), 0).shape == (0,)
 
     def test_deterministic(self):
-        schedule = ArrivalSchedule(mode="onoff", rate=500.0, on_s=0.02, off_s=0.03)
+        schedule = ArrivalSchedule(rate=500.0)
         np.testing.assert_array_equal(
             arrival_times(schedule, 40), arrival_times(schedule, 40)
         )
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ArrivalSchedule(mode="poisson")
-        with pytest.raises(ValueError):
             ArrivalSchedule(rate=0.0)
         with pytest.raises(ValueError):
-            ArrivalSchedule(mode="sine", amplitude=1.0)
-        with pytest.raises(ValueError):
-            ArrivalSchedule(mode="onoff", on_s=0.0)
+            ArrivalSchedule(rate=-1.0)

@@ -81,13 +81,11 @@ class TestBuildPQBranch:
         err = lambda pb: float(np.mean((pb.dequantized() - item) ** 2))
         assert err(fine) < err(coarse)
 
-    def test_train_sample_still_codes_every_item(self):
+    def test_every_item_gets_a_code_of_an_existing_centroid(self):
         rng = np.random.default_rng(3)
         item = rng.normal(size=(500, 8))
-        pb = build_pq_branch(item, subspace_dim=4, n_centroids=16, seed=0,
-                             train_sample=64)
+        pb = build_pq_branch(item, subspace_dim=4, n_centroids=16, seed=0)
         assert pb.codes.shape[0] == 500
-        # every code must point at an existing centroid
         for m, cb in enumerate(pb.codebooks):
             assert pb.codes[:, m].max() < cb.shape[0]
 

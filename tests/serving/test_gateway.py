@@ -68,9 +68,8 @@ class TestAdmission:
         _, _, index = setup
         clock = [0.0]
         service = make_service(index, max_batch_size=1000, clock=lambda: clock[0])
-        config = GatewayConfig(
-            max_queue_depth=100, max_wait_ms=10_000.0, rate_limit=10.0, rate_burst=2.0
-        )
+        # a bucket holds one second of rate: two tokens at 2 req/s
+        config = GatewayConfig(max_queue_depth=100, max_wait_ms=10_000.0, rate_limit=2.0)
         with ServingGateway(service, config) as gateway:
             gateway.submit(0, tenant="a")
             gateway.submit(1, tenant="a")
@@ -78,8 +77,8 @@ class TestAdmission:
                 gateway.submit(2, tenant="a")
             # tenants are isolated: "b" has its own bucket
             gateway.submit(2, tenant="b")
-            # refill at 10/s: 0.1 simulated seconds buys one token back
-            clock[0] += 0.1
+            # refill at 2/s: 0.5 simulated seconds buys one token back
+            clock[0] += 0.5
             gateway.submit(3, tenant="a")
             assert gateway.shed_count("rate_limited") == 1
 

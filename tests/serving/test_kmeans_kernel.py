@@ -434,12 +434,10 @@ class TestBuildDifferential:
         "kwargs",
         [
             {},
-            {"train_sample": 1500},
             {"pq": True},
-            {"pq": True, "train_sample": 1500, "tol": 1e-4},
-            {"pq": True, "pq_rotation": True, "train_sample": 1000, "pq_centroids": 64},
+            {"pq": True, "pq_rotation": True, "pq_centroids": 64},
         ],
-        ids=["ivf", "ivf-sampled", "pq", "pq-sampled", "opq-sampled"],
+        ids=["ivf", "pq", "opq"],
     )
     def test_seeded_build_is_unchanged(self, monkeypatch, kwargs):
         index = index_of(*clustered_items(4000, seed=21, dim=16, side_dim=4))
@@ -455,18 +453,15 @@ class TestBuildDifferential:
             for a, b in zip(built._pq_list_means, loop_list_means(built)):
                 assert same_bytes(a, b)
 
-    def test_empty_list_under_sampled_training_has_zero_mean(self):
+    def test_duplicate_items_leave_no_list_empty(self):
         # 40 distinct items x 10 copies into 60 lists: copies tie at
-        # distance zero and the lowest list id wins, so lists go empty
+        # distance zero and the lowest list id wins, so only k-means's
+        # reseeding keeps 20 of the lists populated
         items = [np.repeat(a, 10, axis=0) for a in clustered_items(40, 2, dim=8, side_dim=4)]
-        built = build_ivf(
-            index_of(*items), n_lists=60, seed=0, pq=True, pq_centroids=16, train_sample=200
-        )
-        sizes = np.diff(built.list_indptr)
-        assert (sizes == 0).any(), "case no longer produces an empty list"
+        built = build_ivf(index_of(*items), n_lists=60, seed=0, pq=True, pq_centroids=16)
+        assert (np.diff(built.list_indptr) > 0).all()
         for means, looped in zip(built._pq_list_means, loop_list_means(built)):
             assert same_bytes(means, looped)
-            assert not means[sizes == 0].any()
 
 
 def ref_combined_item_vectors(branches, start=0):

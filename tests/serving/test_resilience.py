@@ -20,7 +20,18 @@ from repro.serving import (
     export_index,
     is_transient,
 )
-from repro.serving.resilience import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
+from repro.serving.resilience import (
+    BACKOFF_MULTIPLIER,
+    BREAKER_ERROR_THRESHOLD,
+    BREAKER_HALF_OPEN_PROBES,
+    BREAKER_MIN_SAMPLES,
+    BREAKER_OPEN_S,
+    BREAKER_WINDOW,
+    CLOSED,
+    HALF_OPEN,
+    OPEN,
+    ResiliencePolicy,
+)
 
 
 @pytest.fixture(scope="module")
@@ -56,68 +67,123 @@ class TestTransience:
 
 
 class TestCircuitBreaker:
-    def make(self, clock, **kwargs):
-        defaults = dict(window=8, error_threshold=0.5, min_samples=4,
-                        open_s=1.0, half_open_probes=2, clock=clock)
-        defaults.update(kwargs)
-        return CircuitBreaker(**defaults)
+    """The breaker's state machine at the module constants, on a fake clock."""
+
+    def trip(self, breaker):
+        for _ in range(BREAKER_MIN_SAMPLES):
+            breaker.record_failure()
+        assert breaker.state == OPEN
 
     def test_stays_closed_below_threshold(self):
-        breaker = self.make(FakeClock())
-        for _ in range(20):
+        breaker = ResiliencePolicy(clock=FakeClock())
+        for _ in range(BREAKER_WINDOW):
             breaker.record_success()
         breaker.record_failure()
         assert breaker.state == CLOSED and breaker.allow()
 
     def test_opens_on_error_rate_with_min_samples(self):
-        breaker = self.make(FakeClock())
-        breaker.record_failure()
-        breaker.record_failure()
+        breaker = ResiliencePolicy(clock=FakeClock())
+        for _ in range(BREAKER_MIN_SAMPLES - 1):
+            breaker.record_failure()
         assert breaker.state == CLOSED, "below min_samples must not trip"
-        breaker.record_failure()
         breaker.record_failure()
         assert breaker.state == OPEN
         assert not breaker.allow()
+
+    def test_threshold_is_a_share_of_the_window(self):
+        """Failures at exactly ``BREAKER_ERROR_THRESHOLD`` of the events seen
+        trip it; one success fewer in the window keeps it closed until then."""
+        breaker = ResiliencePolicy(clock=FakeClock())
+        failures = int(BREAKER_WINDOW * BREAKER_ERROR_THRESHOLD)
+        for _ in range(BREAKER_WINDOW - failures):
+            breaker.record_success()
+        for _ in range(failures - 1):
+            breaker.record_failure()
+        assert breaker.state == CLOSED
+        breaker.record_failure()
+        assert breaker.state == OPEN
+
+    def test_window_forgets_old_successes(self):
+        """Only the last ``BREAKER_WINDOW`` calls count: a long healthy past
+        does not dilute a burst of failures."""
+        breaker = ResiliencePolicy(clock=FakeClock())
+        for _ in range(3 * BREAKER_WINDOW):
+            breaker.record_success()
+        failures = int(BREAKER_WINDOW * BREAKER_ERROR_THRESHOLD)
+        for _ in range(failures - 1):
+            breaker.record_failure()
+        assert breaker.state == CLOSED
+        breaker.record_failure()
+        assert breaker.state == OPEN
 
     def test_half_open_after_open_period_then_closes(self):
         clock = FakeClock()
-        breaker = self.make(clock)
-        for _ in range(4):
-            breaker.record_failure()
-        clock.now = 1.5
-        assert breaker.allow()  # first probe admitted
-        assert breaker.state == HALF_OPEN
-        breaker.record_success()
-        assert breaker.state == HALF_OPEN, "needs all probes before closing"
-        assert breaker.allow()
-        breaker.record_success()
+        breaker = ResiliencePolicy(clock=clock)
+        self.trip(breaker)
+        clock.now = BREAKER_OPEN_S * 0.5
+        assert not breaker.allow(), "still inside the open period"
+        clock.now = BREAKER_OPEN_S * 1.5
+        for probe in range(BREAKER_HALF_OPEN_PROBES):
+            assert breaker.allow(), f"probe {probe} admitted"
+            assert breaker.state == HALF_OPEN, "needs all probes before closing"
+            breaker.record_success()
         assert breaker.state == CLOSED
+
+    def test_half_open_admits_only_the_probes(self):
+        clock = FakeClock()
+        breaker = ResiliencePolicy(clock=clock)
+        self.trip(breaker)
+        clock.now = BREAKER_OPEN_S * 1.5
+        assert [breaker.allow() for _ in range(BREAKER_HALF_OPEN_PROBES + 1)] == (
+            [True] * BREAKER_HALF_OPEN_PROBES + [False]
+        )
 
     def test_half_open_failure_reopens(self):
         clock = FakeClock()
-        breaker = self.make(clock)
-        for _ in range(4):
-            breaker.record_failure()
-        clock.now = 1.5
+        breaker = ResiliencePolicy(clock=clock)
+        self.trip(breaker)
+        clock.now = BREAKER_OPEN_S * 1.5
         assert breaker.allow()
         breaker.record_failure()
         assert breaker.state == OPEN
         assert not breaker.allow()
-        clock.now = 1.6
+        clock.now += BREAKER_OPEN_S * 0.5
         assert not breaker.allow(), "open period restarts on re-open"
 
-    def test_transition_hook_sees_every_state_change(self):
+    def test_metrics_see_every_state_change(self):
         clock = FakeClock()
+        breaker = ResiliencePolicy(clock=clock)
+        gauge = breaker.registry.gauge(
+            "gateway_breaker_state",
+            "Circuit breaker state: 0 closed, 1 open, 2 half-open.",
+        )
+        transitions = breaker.registry.counter(
+            "gateway_breaker_transitions_total",
+            "Breaker state transitions, by target state.",
+            labels=("to",),
+        )
         seen = []
-        breaker = self.make(clock, on_transition=lambda s: seen.append(s))
-        for _ in range(4):
-            breaker.record_failure()
-        clock.now = 1.5
+        self.trip(breaker)
+        seen.append(gauge.value())
+        clock.now = BREAKER_OPEN_S * 1.5
         breaker.allow()
-        breaker.record_success()
-        breaker.allow()
-        breaker.record_success()
-        assert seen == [OPEN, HALF_OPEN, CLOSED]
+        seen.append(gauge.value())
+        for _ in range(BREAKER_HALF_OPEN_PROBES):
+            breaker.allow()
+            breaker.record_success()
+        seen.append(gauge.value())
+        assert seen == [1.0, 2.0, 0.0]
+        assert [transitions.value(to=state) for state in (CLOSED, OPEN, HALF_OPEN)] == [
+            1.0, 1.0, 1.0
+        ]
+
+    def test_backoff_is_exponential_in_the_multiplier(self):
+        slept = []
+        policy = ResiliencePolicy(ResilienceConfig(backoff_s=0.01), sleep=slept.append)
+        assert [policy.sleep_backoff(attempt) for attempt in (1, 2, 3)] == slept
+        assert slept == [0.01, 0.01 * BACKOFF_MULTIPLIER, 0.01 * BACKOFF_MULTIPLIER**2]
+        with pytest.raises(ValueError, match="attempt"):
+            policy.backoff_delay(0)
 
 
 class TestRetries:
@@ -191,16 +257,14 @@ class TestDegradationLadder:
         assert not healthy.cached, "degraded result must not have been cached"
 
     def test_open_breaker_short_circuits_to_degraded(self, index):
+        # a clock that never moves: the open period never elapses
         plan = FaultPlan([FaultSpec(SCORER_ERROR, probability=1.0)])
-        config = ResilienceConfig(
-            retries=0, backoff_s=0.0, breaker_window=8,
-            breaker_min_samples=2, breaker_error_threshold=0.5,
-            breaker_open_s=60.0,
-        )
+        config = ResilienceConfig(retries=0, backoff_s=0.0)
         service = RecommenderService(
-            index, resilience=config, fault_plan=plan, cache_capacity=0
+            index, resilience=config, fault_plan=plan, cache_capacity=0,
+            clock=FakeClock(),
         )
-        for user in range(5):
+        for user in range(BREAKER_MIN_SAMPLES + 1):
             assert isinstance(service.recommend(user), DegradedResponse)
         assert service.resilience.state == "open"
         assert service.stats.fallback_count("breaker_profile") >= 1
@@ -214,15 +278,12 @@ class TestDegradationLadder:
         wait is booked (not zero), one latency sample per answered request."""
         clock = FakeClock()
         plan = FaultPlan([FaultSpec(SCORER_ERROR, probability=1.0)])
-        config = ResilienceConfig(
-            retries=0, backoff_s=0.0, breaker_min_samples=2,
-            breaker_error_threshold=0.5, breaker_open_s=60.0,
-        )
+        config = ResilienceConfig(retries=0, backoff_s=0.0)
         service = RecommenderService(
             index, resilience=config, fault_plan=plan, cache_capacity=0,
             clock=clock, max_batch_size=100,
         )
-        for user in range(4):
+        for user in range(BREAKER_MIN_SAMPLES):
             service.recommend(user)
         assert service.resilience.state == "open"
         wait = service.registry.histogram(
@@ -245,19 +306,17 @@ class TestDegradationLadder:
 
     def test_breaker_state_gauge_tracks_transitions(self, index):
         plan = FaultPlan([FaultSpec(SCORER_ERROR, probability=1.0)])
-        config = ResilienceConfig(
-            retries=0, backoff_s=0.0, breaker_min_samples=2,
-            breaker_error_threshold=0.5, breaker_open_s=60.0,
-        )
+        config = ResilienceConfig(retries=0, backoff_s=0.0)
         service = RecommenderService(
-            index, resilience=config, fault_plan=plan, cache_capacity=0
+            index, resilience=config, fault_plan=plan, cache_capacity=0,
+            clock=FakeClock(),
         )
         gauge = service.registry.gauge(
             "gateway_breaker_state",
             "Circuit breaker state: 0 closed, 1 open, 2 half-open.",
         )
         assert gauge.value() == 0.0
-        for user in range(4):
+        for user in range(BREAKER_MIN_SAMPLES):
             service.recommend(user)
         assert gauge.value() == 1.0  # 1 == open
 

@@ -113,6 +113,43 @@ def test_graphs_load_scipys_kernels_and_no_scipy_package():
     ] == []
 
 
+def test_loading_training_and_evaluating_load_no_numpy_ma():
+    """NumPy 2.4's ``np.unique`` imports ``numpy.ma`` on its first call
+    (~1.6 MB resident); the data path uses ``sorted_unique`` instead."""
+    loaded = run_python(
+        "import json, sys\n"
+        "import numpy as np\n"
+        "from repro.core import pup_full\n"
+        "from repro.data import load_dataset\n"
+        "from repro.eval import evaluate\n"
+        "from repro.train import TrainConfig, Trainer\n"
+        "dataset = load_dataset('yelp', scale=0.25)[0]\n"
+        "model = pup_full(dataset, rng=np.random.default_rng(0), global_dim=8, category_dim=4)\n"
+        "Trainer(model, dataset, TrainConfig(epochs=1, batch_size=256)).fit()\n"
+        "model.eval()\n"
+        "metrics = evaluate(model, dataset, split='validation', ks=(10,))\n"
+        "print(json.dumps([sorted(metrics), 'numpy.ma' in sys.modules]))"
+    )
+    assert loaded == [["NDCG@10", "Recall@10"], False]
+
+
+def test_a_pq_flush_loads_no_numpy_ma(tmp_path):
+    """A flush over an IVF index whose default scorer is ``pq`` groups its
+    rows by ``k`` with ``sorted_unique``, not ``np.unique``."""
+    dataset = generate(SyntheticConfig(n_users=30, n_items=300, seed=2))[0]
+    index_path = str(tmp_path / "index")
+    export_index(pup_full(dataset, global_dim=8, category_dim=4), dataset).save(index_path)
+    loaded = run_python(f"""
+import json, sys
+from repro.serving import EmbeddingIndex, RecommenderService, build_ivf
+index = EmbeddingIndex.load({index_path!r})
+ann = build_ivf(index, n_lists=6, nprobe=3, pq=True, pq_centroids=16)
+answers = RecommenderService(index, ann=ann).recommend_many([1, 2, 3], k=5)
+print(json.dumps([ann.default_scorer, [len(a.items) for a in answers], 'numpy.ma' in sys.modules]))
+""")
+    assert loaded == ["pq", [5, 5, 5], False]
+
+
 def test_a_scipy_without_the_kernel_file_fails_at_the_first_graph_build(tmp_path):
     """A ``scipy`` package with no ``sparse/_sparsetools`` extension: the
     imports succeed, and the first graph build raises an ``ImportError``
